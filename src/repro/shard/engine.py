@@ -37,24 +37,38 @@ byte-identical; it does not reproduce legacy byte streams):
   the id tiebreak (probability ~2^-31 per pair) makes both backends and
   any shard count agree exactly.
 
-Backend strategy: the pure-Python paths are the readable reference; the
-numpy paths compute the *same integers* wholesale — the push barrier as
-one ``lexsort``, Brahms pull sessions as boolean leg masks over
-``[nodes, β]`` key matrices, sampler feeds as a Mersenne-folded
-``(a·r + b) mod p`` matrix min.  RAPTEE sessions keep the scalar planner
-(the leg tree is deep and RAPTEE populations are comparatively small) but
-integrate through the same vectorized apply tail.  Small differential
-scenarios pin numpy == pure byte equality, which is what licenses the
-vector paths at N = 10,000.
+Backend strategy: the pure-Python paths are the readable reference (and
+what numpy-less installs run); the numpy paths compute the *same integers*
+with no per-node and no per-session Python loop.  Data layout of a numpy
+round:
+
+* **plan** emits arrays — pushes as flat ``(src, seq, dst, ok)`` columns,
+  pull sessions as ``[nodes, β]`` matrices (:class:`SessionArrays`) whose
+  eight RAPTEE legs are boolean masks over ``[nodes, β]`` loss-key
+  matrices (Brahms is the pull pair of the same masks);
+* **barrier** concatenates them and sorts the pushes once (``lexsort``);
+* **apply** is a segment kernel over flat ``(owner, id)`` arrays: pulled
+  batches are gathered as a ``[batches, l1]`` view-matrix slice in stream
+  order, novelty and per-owner uniqueness fall out of one dense
+  ``[owners, N]`` mark-and-scan, sampler feeds are a Mersenne-folded
+  ``[fresh, l2]`` matrix reduced per owner segment, keyed subsets are a
+  per-segment keyed rank, and the delta comes back as arrays that
+  ``_integrate`` scatters with one write per field.  Owners are processed
+  in blocks under :data:`_BLOCK_ELEMENTS` so temporaries stay bounded at
+  N = 10,000.
+
+Small differential scenarios pin numpy == pure byte equality, which is
+what licenses the vector paths at N = 10,000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.crypto.minwise import MERSENNE_PRIME_31
-from repro.shard.rand import Purpose, key64, keyed_order
+from repro.shard.rand import Purpose, key64, key_array, keyed_order
 from repro.shard.state import (
     EMPTY_SAMPLE,
     ShardConfig,
@@ -105,15 +119,27 @@ class SessionResult:
     enc_bytes: int = 0
 
 
+class SessionArrays(NamedTuple):
+    """A block of pull sessions on the numpy backend: ``src[m]`` ascending,
+    every other member a ``[m, β]`` matrix indexed ``(source row, slot k)``
+    — the array form of ``m · β`` :class:`SessionResult` objects."""
+
+    src: object
+    dst: object
+    answered: object
+    trusted_batch: object
+    caller_swap: object
+    callee_effect: object
+
+
 @dataclass
 class PartitionPlan:
     """Everything a partition's nodes emitted this round.
 
     Pure backend: parallel Python push lists plus :class:`SessionResult`
     objects.  numpy backend: ``push_arrays`` holds (src, seq, dst, ok)
-    arrays, and Brahms sessions land in ``sess_arrays`` as (sources[m],
-    dst[m, β], answered[m, β]); RAPTEE sessions stay scalar objects on
-    both backends.  ``sess_*`` totals are summed at plan time either way.
+    arrays and ``sess_arrays`` the sessions as :class:`SessionArrays`.
+    ``sess_*`` totals are summed at plan time either way.
     """
 
     lo: int
@@ -124,7 +150,7 @@ class PartitionPlan:
     push_ok: List[bool] = field(default_factory=list)
     push_arrays: Optional[Tuple] = None
     sessions: List[SessionResult] = field(default_factory=list)
-    sess_arrays: Optional[Tuple] = None
+    sess_arrays: Optional[SessionArrays] = None
     sess_requests: int = 0
     sess_replies: int = 0
     sess_losses: int = 0
@@ -139,16 +165,12 @@ def _view_entry(state: ShardState, node: int, index: int) -> int:
     return int(state.view[node][index])
 
 
-def _fake_view_start(config: ShardConfig, round_no: int, caller: int, k: int) -> int:
-    return key64(config.seed, Purpose.FAKE_VIEW, round_no, caller, k) % config.n_byzantine
-
-
 def _fake_view(config: ShardConfig, round_no: int, caller: int, k: int) -> List[int]:
     """The adversary's pull answer: a rotating window of Byzantine ids."""
     n_byz = config.n_byzantine
     if n_byz == 0:
         return []
-    start = _fake_view_start(config, round_no, caller, k)
+    start = key64(config.seed, Purpose.FAKE_VIEW, round_no, caller, k) % n_byz
     count = min(config.view_size, n_byz)
     return [(start + t) % n_byz for t in range(count)]
 
@@ -165,9 +187,8 @@ def _reply_len(config: ShardConfig, state: ShardState, dst: int) -> int:
 
 def _plan_session(config: ShardConfig, state: ShardState, round_no: int,
                   eff_loss: float, src: int, k: int, dst: int) -> SessionResult:
-    """Scalar reference for one pull session (RAPTEE on both backends;
-    Brahms on the pure backend — the vectorized Brahms path computes the
-    same bits)."""
+    """Scalar reference for one pull session (the pure backend runs it;
+    `_plan_sessions_numpy` computes the same bits as leg masks)."""
     result = SessionResult(src=src, k=k, dst=dst)
     dead = not state.is_alive(dst)
     encrypt = config.encrypt
@@ -271,54 +292,39 @@ def plan_partition(
     assignment (already restricted to sources in ``[lo, hi)``).
     """
     plan = PartitionPlan(lo=lo, hi=hi)
-    seed = config.seed
-    n_byz = config.n_byzantine
+    if state.use_numpy and np is not None:
+        # Nodes that gossip this round: alive, correct, non-empty view.
+        ids = np.arange(max(lo, config.n_byzantine), hi, dtype=np.int64)
+        nodes = ids[state.alive[ids] & (state.view_len[ids] > 0)]
+        _plan_pushes_numpy(config, state, round_no, eff_loss, nodes, plan,
+                           adv_src, adv_seq, adv_dst)
+        _plan_sessions_numpy(config, state, round_no, eff_loss, nodes, plan)
+        return plan
 
-    # Nodes that gossip this round: alive, correct, non-empty view.
+    seed = config.seed
     correct = [
-        node for node in range(max(lo, n_byz), hi)
+        node for node in range(max(lo, config.n_byzantine), hi)
         if state.is_alive(node) and _view_len_of(state, node) > 0
     ]
-
+    for node in correct:
+        _plan_pushes_pure(config, state, round_no, eff_loss, node, plan)
     # Byzantine push loss draws (keyed, so any shard computes the same bit).
-    byz_ok = [
-        not (
-            eff_loss > 0.0
-            and (key64(seed, Purpose.PUSH_LOSS, round_no, src, seq) >> 11)
-            * _FLOAT_SCALE < eff_loss
+    for src, seq, dst in zip(adv_src, adv_seq, adv_dst):
+        lost = eff_loss > 0.0 and (
+            (key64(seed, Purpose.PUSH_LOSS, round_no, src, seq) >> 11) * _FLOAT_SCALE
+            < eff_loss
         )
-        for src, seq in zip(adv_src, adv_seq)
-    ]
-
-    if state.use_numpy and np is not None:
-        _plan_pushes_numpy(config, state, round_no, eff_loss, correct, plan,
-                           adv_src, adv_seq, adv_dst, byz_ok)
-        if config.protocol == "brahms":
-            _plan_sessions_brahms_numpy(config, state, round_no, eff_loss,
-                                        correct, plan)
-            return plan
-        dst_matrix = _pull_targets_numpy(config, state, round_no, correct)
-    else:
-        for node in correct:
-            _plan_pushes_pure(config, state, round_no, eff_loss, node, plan)
-        for src, seq, dst, ok in zip(adv_src, adv_seq, adv_dst, byz_ok):
-            plan.push_src.append(src)
-            plan.push_seq.append(seq)
-            plan.push_dst.append(dst)
-            plan.push_ok.append(ok and state.is_alive(dst))
-        dst_matrix = None
-
-    # Scalar pull sessions (RAPTEE, and Brahms on the pure backend).
-    for row, node in enumerate(correct):
+        plan.push_src.append(src)
+        plan.push_seq.append(seq)
+        plan.push_dst.append(dst)
+        plan.push_ok.append((not lost) and state.is_alive(dst))
+    for node in correct:
         for k in range(config.beta_count):
-            if dst_matrix is not None:
-                dst = int(dst_matrix[row, k])
-            else:
-                dst = _view_entry(
-                    state, node,
-                    key64(seed, Purpose.PULL_TARGET, round_no, node, k)
-                    % _view_len_of(state, node),
-                )
+            dst = _view_entry(
+                state, node,
+                key64(seed, Purpose.PULL_TARGET, round_no, node, k)
+                % _view_len_of(state, node),
+            )
             plan.sessions.append(
                 _plan_session(config, state, round_no, eff_loss, node, k, dst)
             )
@@ -348,105 +354,143 @@ def _plan_pushes_pure(config: ShardConfig, state: ShardState, round_no: int,
         plan.push_ok.append((not lost) and state.is_alive(dst))
 
 
-def _plan_pushes_numpy(config: ShardConfig, state: ShardState, round_no: int,
-                       eff_loss: float, correct: List[int], plan: PartitionPlan,
-                       adv_src, adv_seq, adv_dst, byz_ok) -> None:
-    from repro.shard.rand import key_array
+def _lost_numpy(keys, eff_loss: float):
+    """Loss gate over a key array: the top 53 bits as a float in [0, 1)."""
+    return (keys >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE < eff_loss
 
-    seed = config.seed
-    if correct:
-        nodes = np.asarray(correct, dtype=np.int64)
-        slots = np.arange(config.alpha_count, dtype=np.uint64)[None, :]
-        node_col = nodes.astype(np.uint64)[:, None]
-        target_keys = key_array(seed, Purpose.PUSH_TARGET, round_no, node_col, slots)
-        lens = state.view_len[nodes][:, None].astype(np.uint64)
-        dst = state.view[nodes[:, None], (target_keys % lens).astype(np.int64)]
-        if eff_loss > 0.0:
-            loss_keys = key_array(seed, Purpose.PUSH_LOSS, round_no, node_col, slots)
-            kept = ((loss_keys >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
-                    >= eff_loss)
-        else:
-            kept = np.ones(dst.shape, dtype=bool)
-        ok = kept & state.alive[dst]
-        count, width = dst.shape
-        hsrc = np.repeat(nodes, width)
-        hseq = np.tile(np.arange(width, dtype=np.int64), count)
-        hdst = dst.ravel()
-        hok = ok.ravel()
-    else:
-        hsrc = hseq = hdst = np.empty(0, dtype=np.int64)
-        hok = np.empty(0, dtype=bool)
-    bsrc = np.asarray(adv_src, dtype=np.int64)
-    bseq = np.asarray(adv_seq, dtype=np.int64)
-    bdst = np.asarray(adv_dst, dtype=np.int64)
-    bok = np.asarray(byz_ok, dtype=bool)
-    if bdst.size:
-        bok = bok & state.alive[bdst]
-    plan.push_arrays = (
-        np.concatenate([hsrc, bsrc]),
-        np.concatenate([hseq, bseq]),
-        np.concatenate([hdst, bdst]),
-        np.concatenate([hok, bok]),
+
+def _keyed_view_entries(config: ShardConfig, state: ShardState, purpose: int,
+                        round_no: int, nodes, width: int):
+    """``[nodes, width]`` uniform picks from each node's own view."""
+    keys = key_array(
+        config.seed, purpose, round_no,
+        nodes.astype(np.uint64)[:, None],
+        np.arange(width, dtype=np.uint64)[None, :],
     )
-
-
-def _pull_targets_numpy(config: ShardConfig, state: ShardState, round_no: int,
-                        correct: List[int]):
-    from repro.shard.rand import key_array
-
-    if not correct:
-        return np.empty((0, config.beta_count), dtype=np.int64)
-    nodes = np.asarray(correct, dtype=np.int64)
-    slots = np.arange(config.beta_count, dtype=np.uint64)[None, :]
-    node_col = nodes.astype(np.uint64)[:, None]
-    keys = key_array(config.seed, Purpose.PULL_TARGET, round_no, node_col, slots)
     lens = state.view_len[nodes][:, None].astype(np.uint64)
     return state.view[nodes[:, None], (keys % lens).astype(np.int64)]
 
 
-def _plan_sessions_brahms_numpy(config: ShardConfig, state: ShardState,
-                                round_no: int, eff_loss: float,
-                                correct: List[int], plan: PartitionPlan) -> None:
-    """Vectorized Brahms sessions: the two leg masks of `_plan_session`,
-    computed for the whole partition at once (identical bits)."""
-    from repro.shard.rand import key_array
+def _plan_pushes_numpy(config: ShardConfig, state: ShardState, round_no: int,
+                       eff_loss: float, nodes, plan: PartitionPlan,
+                       adv_src, adv_seq, adv_dst) -> None:
+    seed = config.seed
+    width = config.alpha_count
+    bsrc = np.asarray(adv_src, dtype=np.int64)
+    bseq = np.asarray(adv_seq, dtype=np.int64)
+    src = np.concatenate([np.repeat(nodes, width), bsrc])
+    seq = np.concatenate(
+        [np.tile(np.arange(width, dtype=np.int64), nodes.size), bseq]
+    )
+    dst = np.concatenate([
+        _keyed_view_entries(config, state, Purpose.PUSH_TARGET, round_no,
+                            nodes, width).ravel(),
+        np.asarray(adv_dst, dtype=np.int64),
+    ])
+    ok = state.alive[dst]
+    if eff_loss > 0.0:
+        # Correct and Byzantine pushes share the (src, seq) loss coordinates.
+        ok &= ~_lost_numpy(
+            key_array(seed, Purpose.PUSH_LOSS, round_no,
+                      src.astype(np.uint64), seq.astype(np.uint64)),
+            eff_loss,
+        )
+    plan.push_arrays = (src, seq, dst, ok)
 
-    dst = _pull_targets_numpy(config, state, round_no, correct)
-    nodes = np.asarray(correct, dtype=np.int64)
-    dead = ~state.alive[dst] if dst.size else np.zeros(dst.shape, dtype=bool)
-    if eff_loss > 0.0 and dst.size:
-        node_col = nodes.astype(np.uint64)[:, None]
-        slots = np.arange(config.beta_count, dtype=np.uint64)[None, :] * np.uint64(16)
-        fwd_keys = key_array(config.seed, Purpose.SESSION_LOSS, round_no,
-                             node_col, slots + np.uint64(_LEG_PULL_FWD))
-        rep_keys = key_array(config.seed, Purpose.SESSION_LOSS, round_no,
-                             node_col, slots + np.uint64(_LEG_PULL_REP))
-        fwd_lost = ((fwd_keys >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
-                    < eff_loss)
-        rep_lost = ((rep_keys >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
-                    < eff_loss)
+
+def _plan_sessions_numpy(config: ShardConfig, state: ShardState, round_no: int,
+                         eff_loss: float, nodes, plan: PartitionPlan) -> None:
+    """Every session of the partition at once: the legs of `_plan_session`
+    as boolean masks over ``[nodes, β]`` (identical bits).  Loss draws are
+    pure functions of their coordinates, so evaluating a leg the scalar
+    path would have short-circuited past changes nothing."""
+    dst = _keyed_view_entries(config, state, Purpose.PULL_TARGET, round_no,
+                              nodes, config.beta_count)
+    shape = dst.shape
+    node_col = nodes.astype(np.uint64)[:, None]
+    slot_row = np.arange(config.beta_count, dtype=np.uint64)[None, :] * np.uint64(16)
+
+    def lost(leg: int):
+        if eff_loss <= 0.0:
+            return np.zeros(shape, dtype=bool)
+        return _lost_numpy(
+            key_array(config.seed, Purpose.SESSION_LOSS, round_no, node_col,
+                      slot_row + np.uint64(leg)),
+            eff_loss,
+        )
+
+    def count(mask) -> int:
+        return int(np.count_nonzero(mask))
+
+    reachable = state.alive[dst]
+    never = np.zeros(shape, dtype=bool)
+    requests = replies = losses = frames = payload_ids = 0
+    caller_swap = callee_effect = both_trusted = conf_ok = never
+    if config.protocol == "raptee":
+        # Auth challenge, then confirm (the responder registers the session
+        # only if the confirm arrives; its reply is informational).
+        challenged = reachable & ~lost(_LEG_CH_FWD)
+        authed = challenged & ~lost(_LEG_CH_REP)
+        conf_ok = authed & ~lost(_LEG_CONF_FWD)
+        conf_replied = conf_ok & ~lost(_LEG_CONF_REP)
+        n_authed = count(authed)
+        requests += dst.size + n_authed
+        replies += n_authed + count(conf_replied)
+        # One loss ends a failed challenge; confirm legs lose one each.
+        losses += (dst.size - n_authed) + (n_authed - count(conf_replied))
+        frames += count(challenged) + n_authed + count(conf_ok) + count(conf_replied)
+        pulling = authed
+        if config.trusted_exchange and config.n_trusted:
+            t_lo = config.n_byzantine
+            t_hi = t_lo + config.n_trusted
+            both_trusted = (
+                ((nodes >= t_lo) & (nodes < t_hi))[:, None]
+                & (dst >= t_lo) & (dst < t_hi)
+            )
     else:
-        fwd_lost = np.zeros(dst.shape, dtype=bool)
-        rep_lost = np.zeros(dst.shape, dtype=bool)
-    # Scalar reference: dead-or-forward-lost ends the session with one
-    # loss; a lost reply is the second chance to lose; otherwise answered.
-    fwd_fail = dead | fwd_lost
-    rep_fail = ~fwd_fail & rep_lost
-    answered = ~fwd_fail & ~rep_fail
-    plan.sess_arrays = (nodes, dst, answered)
-    plan.sess_requests = int(dst.size)
-    plan.sess_replies = int(answered.sum())
-    plan.sess_losses = int(fwd_fail.sum() + rep_fail.sum())
-    if config.encrypt and dst.size:
+        pulling = np.ones(shape, dtype=bool)
+
+    # The Brahms pull: request, then the view as reply.
+    pull_arrived = pulling & reachable & ~lost(_LEG_PULL_FWD)
+    answered = pull_arrived & ~lost(_LEG_PULL_REP)
+    n_pulling, n_answered = count(pulling), count(answered)
+    requests += n_pulling
+    replies += n_answered
+    losses += n_pulling - n_answered
+    frames += count(pull_arrived) + n_answered
+    if config.encrypt:
         reply_ids = np.where(
             dst < config.n_byzantine,
-            min(config.view_size, config.n_byzantine) if config.n_byzantine else 0,
+            min(config.view_size, config.n_byzantine),
             state.view_len[dst],
         )
-        plan.sess_bytes = int(
-            _FRAME_BYTES * (~fwd_fail).sum()
-            + (answered * (_FRAME_BYTES + _ID_BYTES * reply_ids)).sum()
-        )
+        payload_ids += int(reply_ids[answered].sum())
+
+    # Trusted swap: the caller attempts it whenever the peer proved trust;
+    # the callee only honours it if the confirm registered.
+    swapping = pulling & both_trusted
+    if swapping.any():
+        swap_arrived = swapping & ~lost(_LEG_SWAP_FWD)
+        callee_effect = swap_arrived & conf_ok
+        caller_swap = callee_effect & ~lost(_LEG_SWAP_REP)
+        requests += count(swapping)
+        replies += count(caller_swap)
+        losses += (count(swapping) - count(swap_arrived)
+                   + count(callee_effect) - count(caller_swap))
+        frames += count(callee_effect) + count(caller_swap)
+        if config.encrypt:
+            src_len = np.broadcast_to(state.view_len[nodes][:, None], shape)
+            payload_ids += int(src_len[callee_effect].sum())
+            payload_ids += int(state.view_len[dst[caller_swap]].sum())
+
+    plan.sess_arrays = SessionArrays(
+        nodes, dst, answered, answered & both_trusted, caller_swap, callee_effect
+    )
+    plan.sess_requests = requests
+    plan.sess_replies = replies
+    plan.sess_losses = losses
+    if config.encrypt:
+        plan.sess_bytes = _FRAME_BYTES * frames + _ID_BYTES * payload_ids
 
 
 # -- barrier ------------------------------------------------------------------
@@ -459,18 +503,18 @@ class Barrier:
     use_numpy: bool
     #: Pure backend: delivered pushes per destination, in (src, seq) order.
     pushed: Dict[int, List[int]] = field(default_factory=dict)
-    #: Sessions grouped per *caller*, in slot order (RAPTEE + pure Brahms).
+    #: Pure backend: sessions grouped per *caller*, in slot order.
     sessions_by_src: Dict[int, List[SessionResult]] = field(default_factory=dict)
-    #: Callee-side swap effects per *destination*, in (caller, k) order.
+    #: Pure backend: callee-side swap effects per *destination*, in
+    #: (caller, k) order.
     swaps_by_dst: Dict[int, List[SessionResult]] = field(default_factory=dict)
     #: numpy backend: full canonical (src, dst, seq, ok) push arrays ...
     push_canonical: Optional[Tuple] = None
     #: ... and the delivered subset re-sorted by (dst, src, seq), with the
     #: destination column first — the apply phase's delivery index.
     push_by_dst: Optional[Tuple] = None
-    #: Vectorized Brahms sessions: (sources[m], dst[m, β], answered[m, β]),
-    #: sources ascending.
-    sess_arrays: Optional[Tuple] = None
+    #: numpy backend: every session of the round, sources ascending.
+    sess_arrays: Optional[SessionArrays] = None
     pushes_sent: int = 0
     pushes_delivered: int = 0
     requests_sent: int = 0
@@ -494,12 +538,16 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
     partitioned or scheduled.
     """
     barrier = Barrier(use_numpy=use_numpy)
-    lost_pushes = 0
+    for plan in plans:
+        barrier.requests_sent += plan.sess_requests
+        barrier.replies_delivered += plan.sess_replies
+        barrier.enc_bytes += plan.sess_bytes
+        barrier.messages_lost += plan.sess_losses
     if use_numpy and np is not None:
-        src = np.concatenate([p.push_arrays[0] for p in plans])
-        seq = np.concatenate([p.push_arrays[1] for p in plans])
-        dst = np.concatenate([p.push_arrays[2] for p in plans])
-        ok = np.concatenate([p.push_arrays[3] for p in plans])
+        src, seq, dst, ok = (
+            np.concatenate(column)
+            for column in zip(*(p.push_arrays for p in plans))
+        )
         order = np.lexsort((seq, dst, src))
         src, seq, dst, ok = src[order], seq[order], dst[order], ok[order]
         barrier.push_canonical = (src, dst, seq, ok)
@@ -508,7 +556,10 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
         barrier.push_by_dst = (ddst[delivery], dsrc[delivery])
         barrier.pushes_sent = int(src.size)
         barrier.pushes_delivered = int(ddst.size)
-        lost_pushes = barrier.pushes_sent - barrier.pushes_delivered
+        barrier.sess_arrays = SessionArrays(*(
+            np.concatenate(column)
+            for column in zip(*(p.sess_arrays for p in plans))
+        ))
     else:
         records: List[Tuple[int, int, int, bool]] = []
         for plan in plans:
@@ -521,43 +572,20 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
             if delivered:
                 barrier.pushes_delivered += 1
                 barrier.pushed.setdefault(dst_id, []).append(src_id)
-            else:
-                lost_pushes += 1
         barrier.pushes_sent = len(records)
         # Delivery lists are in (src, seq) order per destination: the sort
         # above is (src, dst, seq) and appends preserve it per dst.
-
-    if plans and plans[0].sess_arrays is not None:
-        barrier.sess_arrays = (
-            np.concatenate([p.sess_arrays[0] for p in plans]),
-            np.concatenate([p.sess_arrays[1] for p in plans]),
-            np.concatenate([p.sess_arrays[2] for p in plans]),
-        )
-    swaps: List[SessionResult] = []
-    for plan in plans:
-        for session in plan.sessions:
-            barrier.sessions_by_src.setdefault(session.src, []).append(session)
-            if session.callee_effect:
-                swaps.append(session)
-        barrier.requests_sent += plan.sess_requests
-        barrier.replies_delivered += plan.sess_replies
-        barrier.enc_bytes += plan.sess_bytes
-        barrier.messages_lost += plan.sess_losses
-    barrier.messages_lost += lost_pushes
-    swaps.sort(key=lambda s: (s.dst, s.src, s.k))
-    for session in swaps:
-        barrier.swaps_by_dst.setdefault(session.dst, []).append(session)
+        swaps: List[SessionResult] = []
+        for plan in plans:
+            for session in plan.sessions:
+                barrier.sessions_by_src.setdefault(session.src, []).append(session)
+                if session.callee_effect:
+                    swaps.append(session)
+        swaps.sort(key=lambda s: (s.dst, s.src, s.k))
+        for session in swaps:
+            barrier.swaps_by_dst.setdefault(session.dst, []).append(session)
+    barrier.messages_lost += barrier.pushes_sent - barrier.pushes_delivered
     return barrier
-
-
-def _pushed_sources(barrier: Barrier, node: int):
-    """Delivered push sources for ``node``, in (src, seq) order."""
-    if barrier.push_by_dst is not None:
-        ddst, dsrc = barrier.push_by_dst
-        start = int(np.searchsorted(ddst, node, side="left"))
-        end = int(np.searchsorted(ddst, node, side="right"))
-        return dsrc[start:end]
-    return barrier.pushed.get(node, ())
 
 
 # -- apply phase --------------------------------------------------------------
@@ -565,7 +593,11 @@ def _pushed_sources(barrier: Barrier, node: int):
 
 @dataclass
 class PartitionDelta:
-    """State changes computed by one partition's apply pass."""
+    """State changes computed by one partition's apply pass.
+
+    The pure backend fills the per-node lists; the numpy backend the three
+    ``*_arrays`` tuples, which ``_integrate`` scatters in one write each.
+    """
 
     lo: int
     hi: int
@@ -574,8 +606,14 @@ class PartitionDelta:
     samp_updates: List[Tuple[int, Sequence[int], Sequence[int]]] = field(
         default_factory=list
     )
-    samp_resets: List[Tuple[int, int, int, int, int]] = field(default_factory=list)
     known_additions: List[Tuple[int, Sequence[int]]] = field(default_factory=list)
+    #: numpy: (nodes[r], rows[r, l1] padded with -1, lens[r]).
+    view_arrays: Optional[Tuple] = None
+    #: numpy: flat (node, sampler index, packed value) triples.
+    samp_arrays: Optional[Tuple] = None
+    #: numpy: flat int32 (owner, id) pairs, sorted by owner then id.
+    known_arrays: Optional[Tuple] = None
+    samp_resets: List[Tuple[int, int, int, int, int]] = field(default_factory=list)
     renewals: int = 0
     blocked: int = 0
     evicted: int = 0
@@ -585,26 +623,18 @@ class PartitionDelta:
 
 def _fold_mod_p(x):
     """Exact ``x mod p`` for p = 2^31 − 1 via two folds (2^31 ≡ 1 mod p);
-    valid for 0 <= x < 2^62, which ``a·r + b`` with a, b, r < p satisfies."""
+    valid for 0 <= x < 2^62, which ``a·r + b`` with a, b, r < p satisfies.
+    Works in two scratch arrays: on the ``[fresh, l2]`` sampler matrix
+    fresh pages, not arithmetic, dominate an elementwise pass."""
     mask = np.int64(_P)
-    y = (x >> np.int64(31)) + (x & mask)
-    z = (y >> np.int64(31)) + (y & mask)
-    return np.where(z >= _P, z - _P, z)
-
-
-def _sampler_feed_numpy(state: ShardState, node: int, cand,
-                        delta: PartitionDelta) -> None:
-    reduced = state.reduced[cand]
-    hashed = _fold_mod_p(
-        state.samp_a[node][:, None] * reduced[None, :]
-        + state.samp_b[node][:, None]
-    )
-    packed = (hashed << np.int64(32)) | cand[None, :]
-    best = packed.min(axis=1)
-    improved = best < state.samp_best[node]
-    if improved.any():
-        slots = np.flatnonzero(improved)
-        delta.samp_updates.append((node, slots, best[slots]))
+    carry = x >> np.int64(31)
+    folded = x & mask
+    folded += carry
+    np.right_shift(folded, np.int64(31), out=carry)
+    folded &= mask
+    folded += carry
+    np.subtract(folded, mask, out=folded, where=folded >= mask)
+    return folded
 
 
 def _sampler_feed_pure(config: ShardConfig, state: ShardState, node: int,
@@ -641,21 +671,6 @@ def _keyed_subset(config: ShardConfig, round_no: int, purpose: int, node: int,
     return [items[idx] for idx in indexed]
 
 
-def _keyed_subset_numpy(config: ShardConfig, round_no: int, purpose: int,
-                        node: int, items, count: int):
-    """Vectorized `_keyed_subset`: a stable argsort on the keys breaks
-    ties by index, exactly like the scalar ``(key, idx)`` sort."""
-    if count >= len(items):
-        return items
-    from repro.shard.rand import key_array
-
-    keys = key_array(config.seed, purpose, round_no, np.uint64(node),
-                     np.arange(len(items), dtype=np.uint64))
-    chosen = np.argsort(keys, kind="stable")[:count]
-    chosen.sort()
-    return items[chosen]
-
-
 def apply_partition(
     config: ShardConfig,
     state: ShardState,
@@ -685,8 +700,8 @@ def apply_partition(
             validate = not all(state.alive)
 
     if state.use_numpy and np is not None:
-        _apply_nodes_numpy(config, state, round_no, lo, hi, barrier, delta,
-                           validate)
+        _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
+                              validate)
     else:
         _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
                           validate)
@@ -699,7 +714,8 @@ def _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
     for node in range(max(lo, config.n_byzantine), hi):
         if not state.is_alive(node):
             continue
-        pushed = [src for src in _pushed_sources(barrier, node) if src != node]
+        # Delivered push sources, in (src, seq) order.
+        pushed = [src for src in barrier.pushed.get(node, ()) if src != node]
         sessions = barrier.sessions_by_src.get(node, ())
 
         # Assemble pulled batches: own pull answers (slot order), the
@@ -789,143 +805,333 @@ def _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
             _validate_samplers(config, state, round_no, node, fresh, delta)
 
 
-def _apply_nodes_numpy(config, state, round_no, lo, hi, barrier, delta,
-                       validate) -> None:
-    """The numpy twin of `_apply_nodes_pure`: same per-node traversal, but
-    batches stay arrays (no-copy view slices) end to end.  Bucket, stream
-    and draw orders are element-identical to the pure path."""
-    from repro.shard.rand import key_array
+#: Element budget for the segment kernel's temporaries: owners are
+#: processed in blocks whose gathered ``[batches, l1]`` ids plus dense
+#: ``[owners, N]`` marks stay under it, and the ``[fresh, l2]`` sampler
+#: matrix is fed in row chunks of the same size.  2 MiB of int64 keeps the
+#: dozen elementwise passes over a chunk in recycled, cache-resident pages
+#: (larger chunks page-fault fresh memory on every pass) while one block
+#: still covers a whole N = 1,000 partition.
+_BLOCK_ELEMENTS = 1 << 18
 
+
+def _owner_blocks(cost, budget: int) -> List[Tuple[int, int]]:
+    """Cut ``range(len(cost))`` into consecutive ``[a, b)`` blocks whose
+    summed cost stays within ``budget`` (an owner over budget by itself
+    still gets a block of its own)."""
+    total = np.cumsum(cost)
+    blocks: List[Tuple[int, int]] = []
+    a = 0
+    while a < cost.size:
+        spent = int(total[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(total, spent + budget, side="right")))
+        blocks.append((a, b))
+        a = b
+    return blocks
+
+
+def _segment_index(local, segments: int):
+    """For items grouped by non-decreasing segment number ``local``: each
+    item's position inside its segment, and the per-segment counts."""
+    counts = np.bincount(local, minlength=segments)
+    first = np.cumsum(counts) - counts
+    return np.arange(local.size, dtype=np.int64) - first[local], counts
+
+
+def _keyed_keep_numpy(config: ShardConfig, round_no: int, purpose: int,
+                      owner, index, keep):
+    """The array form of `_keyed_subset`: a mask keeping, per owner, the
+    ``keep`` items with the smallest ``(key, index)``.  ``owner`` is
+    non-decreasing and ``index`` counts 0, 1, ... inside each owner's run;
+    the stable lexsort leaves runs in place and breaks key ties by index,
+    so the sorted position inside a run *is* the keyed rank."""
+    keys = key_array(config.seed, purpose, round_no,
+                     owner.astype(np.uint64), index.astype(np.uint64))
+    rank = np.empty_like(index)
+    rank[np.lexsort((keys, owner))] = index
+    return rank < keep
+
+
+def _pulled_batches_numpy(sess: SessionArrays, base: int, hi: int):
+    """The pulled batches owed to owners in ``[base, hi)``, in stream order.
+
+    Returns parallel per-batch columns ``(owner, peer, slot, trusted)`` —
+    ``peer`` is the node whose view the batch carries (a Byzantine peer
+    answers with its fake window, keyed by ``slot``) — sorted by owner and,
+    per owner, in the order `_apply_nodes_pure` streams them: trusted
+    batches first (pull answers by slot with the caller half of a swap
+    right behind its answer, then callee-side swap effects in (caller, k)
+    order), untrusted answers by slot after them.  Also returns per-owner
+    ``contacts`` / ``trusted_contacts`` counts and the number of completed
+    caller swaps.
+    """
+    span = hi - base
+    first, last = np.searchsorted(sess.src, (base, hi))
+    src, dst = sess.src[first:last], sess.dst[first:last]
+    a_row, a_slot = np.nonzero(sess.answered[first:last])
+    a_trusted = sess.trusted_batch[first:last][a_row, a_slot]
+    c_row, c_slot = np.nonzero(sess.caller_swap[first:last])
+    e_row, e_slot = np.nonzero(
+        sess.callee_effect & (sess.dst >= base) & (sess.dst < hi)
+    )
+    e_owner = sess.dst[e_row, e_slot]
+    owner = np.concatenate([src[a_row], src[c_row], e_owner])
+    peer = np.concatenate([dst[a_row, a_slot], dst[c_row, c_slot], sess.src[e_row]])
+    slot = np.concatenate([a_slot, c_slot, e_slot])
+    trusted = np.concatenate([
+        a_trusted, np.ones(c_row.size + e_row.size, dtype=bool),
+    ])
+    group = np.concatenate([
+        np.where(a_trusted, 0, 2), np.zeros(c_row.size, dtype=np.int64),
+        np.ones(e_row.size, dtype=np.int64),
+    ])
+    within = np.concatenate([
+        2 * a_slot, 2 * c_slot + 1, np.arange(e_row.size, dtype=np.int64),
+    ])
+    order = np.lexsort((within, group, owner))
+    a_local = src[a_row] - base
+    callee_swaps = np.bincount(e_owner - base, minlength=span)
+    contacts = np.bincount(a_local, minlength=span) + callee_swaps
+    trusted_contacts = (
+        np.bincount(a_local[a_trusted], minlength=span) + callee_swaps
+    )
+    return ((owner[order], peer[order], slot[order], trusted[order]),
+            contacts, trusted_contacts, int(c_row.size))
+
+
+def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
+                          validate) -> None:
+    """The array form of `_apply_nodes_pure` for the whole partition: every
+    per-node list there is a segment of a flat ``(owner, id)`` array here,
+    in the same element order, and every keyed draw uses the same
+    coordinates.  Dead owners need no filter: nothing is delivered to, and
+    no session starts from, a node that was dead at the start of the round.
+    """
+    base = max(lo, config.n_byzantine)
+    if base >= hi:
+        return
+    batches, contacts, trusted_contacts, delta.trusted_exchanges = (
+        _pulled_batches_numpy(barrier.sess_arrays, base, hi)
+    )
+    batch_end = np.searchsorted(batches[0], np.arange(base, hi) + 1)
+    batch_count = np.diff(batch_end, prepend=0)
+    cost = batch_count * config.view_size + config.n_nodes
+    views, samples, known = [], [], []
+    for a, b in _owner_blocks(cost, _BLOCK_ELEMENTS):
+        first = int(batch_end[a - 1]) if a else 0
+        block = tuple(column[first:int(batch_end[b - 1])] for column in batches)
+        renewed, improved, fresh = _apply_block_numpy(
+            config, state, round_no, base + a, base + b, barrier.push_by_dst,
+            block, contacts[a:b], trusted_contacts[a:b], delta,
+        )
+        if renewed is not None:
+            views.append(renewed)
+        if improved is not None:
+            samples.append(improved)
+        known.append(fresh)
+        if validate:
+            _validate_block_numpy(config, state, round_no, base + a, base + b,
+                                  fresh, delta)
+    delta.view_arrays = _concat_columns(views)
+    delta.samp_arrays = _concat_columns(samples)
+    delta.known_arrays = _concat_columns(known)
+
+
+def _concat_columns(blocks: List[Tuple]) -> Optional[Tuple]:
+    """Per-block tuples of parallel arrays → one tuple (None if no block
+    produced any)."""
+    if len(blocks) <= 1:
+        return blocks[0] if blocks else None
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
+                       batches, contacts, trusted_contacts, delta):
+    """One owner block ``[node_a, node_b)`` of the segment kernel: counts
+    go to ``delta``; returns the block's ``(nodes, rows, lens)`` renewed
+    views and ``(node, slot, packed)`` improved samplers (each None when
+    there are none) and its fresh ``(owner, id)`` pairs."""
     seed = config.seed
     n_byz = config.n_byzantine
-    fake_count = min(config.view_size, n_byz) if n_byz else 0
-    fake_window = np.arange(fake_count, dtype=np.int64)
-    beta_slots = np.arange(config.beta_count, dtype=np.uint64)
-    gamma_slots = np.arange(config.gamma_count, dtype=np.uint64)
-    empty = np.empty(0, dtype=np.int64)
-    bsrc = bdst = bans = None
-    if barrier.sess_arrays is not None:
-        bsrc, bdst, bans = barrier.sess_arrays
+    owners = node_b - node_a
 
-    for node in range(max(lo, n_byz), hi):
-        if not state.alive[node]:
-            continue
-        pushed = _pushed_sources(barrier, node)
-        pushed = pushed[pushed != node]
+    # Delivered pushes, (owner, src, seq)-ordered, minus self-pushes.
+    ddst, dsrc = push_by_dst
+    first, last = np.searchsorted(ddst, (node_a, node_b))
+    p_owner, p_src = ddst[first:last], dsrc[first:last]
+    not_self = p_src != p_owner
+    p_owner, p_src = p_owner[not_self], p_src[not_self]
+    push_len = np.bincount(p_owner - node_a, minlength=owners)
 
-        # Pulled batches in slot order, each an id array + trusted flag;
-        # the pure path builds the same batches as lists.
-        trusted_parts: List = []
-        untrusted_parts: List = []
-        contacts = 0
-        trusted_contacts = 0
-        if bsrc is not None and bsrc.size:
-            row = int(np.searchsorted(bsrc, node))
-            if row < bsrc.size and bsrc[row] == node:
-                for k in np.flatnonzero(bans[row]):
-                    dst = int(bdst[row, k])
-                    if dst < n_byz:
-                        start = _fake_view_start(config, round_no, node, int(k))
-                        ids = (start + fake_window) % n_byz
-                    else:
-                        ids = state.view[dst, : state.view_len[dst]]
-                    untrusted_parts.append(ids)
-                    contacts += 1
-        for session in barrier.sessions_by_src.get(node, ()):
-            if session.answered:
-                dst = session.dst
-                if dst < n_byz:
-                    start = _fake_view_start(config, round_no, node, session.k)
-                    ids = (start + fake_window) % n_byz
-                else:
-                    ids = state.view[dst, : state.view_len[dst]]
-                (trusted_parts if session.trusted_batch
-                 else untrusted_parts).append(ids)
-                contacts += 1
-                if session.trusted_batch:
-                    trusted_contacts += 1
-            if session.caller_swap:
-                dst = session.dst
-                trusted_parts.append(state.view[dst, : state.view_len[dst]])
-                delta.trusted_exchanges += 1
-        for session in barrier.swaps_by_dst.get(node, ()):
-            src = session.src
-            trusted_parts.append(state.view[src, : state.view_len[src]])
-            contacts += 1
-            trusted_contacts += 1
+    # Pulled ids: one [batches, l1] gather (rows are -1 padded; Byzantine
+    # rows are all padding until the fake window is written in), flattened
+    # row-major so the stream order of the batches carries over to ids.
+    b_owner, b_peer, b_slot, b_trusted = batches
+    ids = state.view[b_peer]
+    fake = np.flatnonzero(b_peer < n_byz)
+    if fake.size:
+        start = key_array(
+            seed, Purpose.FAKE_VIEW, round_no,
+            b_owner[fake].astype(np.uint64), b_slot[fake].astype(np.uint64),
+        ) % np.uint64(n_byz)
+        window = np.arange(min(config.view_size, n_byz), dtype=np.int64)
+        ids[fake, : window.size] = (
+            start.astype(np.int64)[:, None] + window[None, :]
+        ) % n_byz
+    valid = (ids >= 0) & (ids != b_owner[:, None])
+    per_batch = valid.sum(axis=1)
+    e_id = ids[valid]
+    e_owner = np.repeat(b_owner, per_batch)
 
-        trusted_ids = np.concatenate(trusted_parts) if trusted_parts else empty
-        untrusted_ids = (
-            np.concatenate(untrusted_parts) if untrusted_parts else empty
+    # Byzantine eviction (§IV-C): trusted owners drop a keyed share of
+    # their untrusted ids.
+    if config.eviction_kind != "none" and config.n_trusted:
+        t_hi = n_byz + config.n_trusted
+        at_risk = np.flatnonzero(
+            ~np.repeat(b_trusted, per_batch) & (e_owner < t_hi)
         )
-        # Self-filter after concatenation == per-batch filter (order kept).
-        trusted_ids = trusted_ids[trusted_ids != node]
-        untrusted_ids = untrusted_ids[untrusted_ids != node]
-        if (
-            config.eviction_kind != "none"
-            and config.is_trusted(node)
-            and untrusted_ids.size
-        ):
-            share = trusted_contacts / contacts if contacts else 0.0
-            rate = config.eviction_rate(share)
-            total = int(untrusted_ids.size)
-            keep = total - int(round(rate * total))
-            delta.evicted += total - max(0, keep)
-            if keep <= 0:
-                untrusted_ids = empty
-            else:
-                untrusted_ids = _keyed_subset_numpy(
-                    config, round_no, Purpose.EVICT_KEEP, node,
-                    untrusted_ids, keep,
-                )
-        pulled = np.concatenate([trusted_ids, untrusted_ids])
+        if at_risk.size:
+            r_owner = e_owner[at_risk]
+            r_local = r_owner - node_a
+            index, total = _segment_index(r_local, owners)
+            share = np.divide(trusted_contacts, contacts,
+                              out=np.zeros(owners), where=contacts > 0)
+            keep = total - np.rint(
+                config.eviction_rates(share) * total
+            ).astype(np.int64)
+            delta.evicted += int((total - np.maximum(keep, 0)).sum())
+            dropped = at_risk[~_keyed_keep_numpy(
+                config, round_no, Purpose.EVICT_KEEP, r_owner, index,
+                keep[r_local],
+            )]
+            kept = np.ones(e_id.size, dtype=bool)
+            kept[dropped] = False
+            e_id, e_owner = e_id[kept], e_owner[kept]
+    pull_len = np.bincount(e_owner - node_a, minlength=owners)
 
-        stream = np.concatenate([pushed, pulled])
-        if stream.size:
-            novel = stream[~state.known[node, stream]]
-            fresh = np.unique(novel) if novel.size else empty
-        else:
-            fresh = empty
-        if fresh.size:
-            _sampler_feed_numpy(state, node, fresh, delta)
-            delta.known_additions.append((node, fresh))
+    # Novelty + per-owner sorted unique in one pass: mark every observed
+    # (owner, id), clear what the owner already knew, scan.
+    marks = np.zeros((owners, config.n_nodes), dtype=bool)
+    marks[p_owner - node_a, p_src] = True
+    marks[e_owner - node_a, e_id] = True
+    marks &= ~state.known[node_a:node_b]
+    f_local, f_id = np.nonzero(marks)
+    improved = None
+    if f_id.size:
+        improved = _sampler_feed_numpy(state, node_a, node_b, f_local, f_id)
 
-        blocked = config.blocking_enabled and pushed.size > config.alpha_count
-        if blocked:
-            delta.blocked += 1
-        if not blocked and pushed.size and pulled.size:
-            unique_pushed = list(dict.fromkeys(pushed.tolist()))
-            alpha_part = np.asarray(
-                _keyed_subset(
-                    config, round_no, Purpose.RENEW_PUSH, node,
-                    unique_pushed, config.alpha_count,
-                ),
-                dtype=np.int64,
+    # Blocking defense and view renewal.
+    if config.blocking_enabled:
+        blocked = push_len > config.alpha_count
+        delta.blocked += int(np.count_nonzero(blocked))
+        renewing = ~blocked & (push_len > 0) & (pull_len > 0)
+    else:
+        renewing = (push_len > 0) & (pull_len > 0)
+    r_local = np.flatnonzero(renewing)
+    renewed = None
+    if r_local.size:
+        delta.renewals += int(r_local.size)
+        r_nodes = r_local + node_a
+        rows = np.full((r_local.size, config.view_size), -1, dtype=np.int64)
+        row_of = np.zeros(owners, dtype=np.int64)
+        row_of[r_local] = np.arange(r_local.size)
+
+        # α: distinct pushed sources (first occurrences of a (src, seq)-
+        # sorted run), thinned by keyed rank where more than α remain.
+        distinct = renewing[p_owner - node_a]
+        distinct[1:] &= (p_owner[1:] != p_owner[:-1]) | (p_src[1:] != p_src[:-1])
+        u_owner, u_src = p_owner[distinct], p_src[distinct]
+        u_index, u_count = _segment_index(u_owner - node_a, owners)
+        if int(u_count.max()) > config.alpha_count:
+            chosen = _keyed_keep_numpy(config, round_no, Purpose.RENEW_PUSH,
+                                       u_owner, u_index, config.alpha_count)
+            u_owner, u_src = u_owner[chosen], u_src[chosen]
+            u_index, u_count = _segment_index(u_owner - node_a, owners)
+        rows[row_of[u_owner - node_a], u_index] = u_src
+        alpha_len = u_count[r_local]
+
+        # β: keyed picks from the owner's pulled segment.
+        node_col = r_nodes.astype(np.uint64)[:, None]
+        pull_first = (np.cumsum(pull_len) - pull_len)[r_local]
+        beta_keys = key_array(
+            seed, Purpose.RENEW_PULL, round_no, node_col,
+            np.arange(config.beta_count, dtype=np.uint64)[None, :],
+        )
+        picks = (beta_keys % pull_len[r_local].astype(np.uint64)[:, None])
+        beta_cols = alpha_len[:, None] + np.arange(config.beta_count)[None, :]
+        row_col = np.arange(r_local.size)[:, None]
+        rows[row_col, beta_cols] = e_id[pull_first[:, None] + picks.astype(np.int64)]
+        lens = alpha_len + config.beta_count
+
+        # γ: keyed picks among the non-empty samplers (start-of-round
+        # samples, in sampler order).
+        held = state.samp_best[r_nodes]
+        filled = held != EMPTY_SAMPLE
+        filled_count = filled.sum(axis=1)
+        sampled = np.flatnonzero(filled_count > 0)
+        if config.gamma_count and sampled.size:
+            slot_order = np.argsort(~filled[sampled], axis=1, kind="stable")
+            gamma_keys = key_array(
+                seed, Purpose.RENEW_GAMMA, round_no, node_col[sampled],
+                np.arange(config.gamma_count, dtype=np.uint64)[None, :],
             )
-            beta_keys = key_array(seed, Purpose.RENEW_PULL, round_no,
-                                  np.uint64(node), beta_slots)
-            beta_part = pulled[
-                (beta_keys % np.uint64(pulled.size)).astype(np.int64)
-            ]
-            packed_row = state.samp_best[node]
-            samples = (packed_row[packed_row != EMPTY_SAMPLE]
-                       & np.int64(0xFFFFFFFF))
-            if samples.size and config.gamma_count:
-                gamma_keys = key_array(seed, Purpose.RENEW_GAMMA, round_no,
-                                       np.uint64(node), gamma_slots)
-                gamma_part = samples[
-                    (gamma_keys % np.uint64(samples.size)).astype(np.int64)
-                ]
-            else:
-                gamma_part = empty
-            delta.new_views.append(
-                (node, np.concatenate([alpha_part, beta_part, gamma_part]))
+            picks = (gamma_keys
+                     % filled_count[sampled].astype(np.uint64)[:, None])
+            slots = np.take_along_axis(slot_order, picks.astype(np.int64), axis=1)
+            gamma_cols = (lens[sampled][:, None]
+                          + np.arange(config.gamma_count)[None, :])
+            rows[sampled[:, None], gamma_cols] = (
+                np.take_along_axis(held[sampled], slots, axis=1)
+                & np.int64(0xFFFFFFFF)
             )
-            delta.renewals += 1
+            lens[sampled] += config.gamma_count
+        renewed = (r_nodes, rows, lens)
+    # int32 pairs: the round-1 flood holds millions of them until integrate.
+    fresh = ((f_local + node_a).astype(np.int32), f_id.astype(np.int32))
+    return renewed, improved, fresh
 
-        if validate:
-            _validate_samplers(config, state, round_no, node,
-                               [int(v) for v in fresh], delta)
+
+def _sampler_feed_numpy(state: ShardState, node_a: int, node_b: int,
+                        f_local, f_id):
+    """Feed fresh ``(owner, id)`` pairs (owner-sorted) to the samplers of
+    owners ``[node_a, node_b)``: a Mersenne-folded ``[fresh, l2]`` hash
+    matrix, min-reduced per owner segment.  Row chunks may split an owner;
+    the running ``best`` absorbs the partial minima.  Returns the improved
+    samplers as flat ``(node, sampler index, packed value)`` arrays."""
+    current = state.samp_best[node_a:node_b]
+    best = current.copy()
+    step = max(1, _BLOCK_ELEMENTS // current.shape[1])
+    for at in range(0, f_id.size, step):
+        local, cand = f_local[at:at + step], f_id[at:at + step]
+        nodes = local + node_a
+        packed = state.samp_a[nodes]  # a gathered copy, updated in place below
+        packed *= state.reduced[cand][:, None]
+        packed += state.samp_b[nodes]
+        packed = _fold_mod_p(packed)
+        packed <<= np.int64(32)
+        packed |= cand[:, None]
+        starts = np.flatnonzero(np.diff(local, prepend=-1))
+        segment = local[starts]
+        best[segment] = np.minimum(
+            best[segment], np.minimum.reduceat(packed, starts, axis=0)
+        )
+    rows, slots = np.nonzero(best < current)
+    return rows + node_a, slots, best[rows, slots]
+
+
+def _validate_block_numpy(config, state, round_no, node_a, node_b, fresh,
+                          delta) -> None:
+    """Sampler validation for owners ``[node_a, node_b)``: one scan finds
+    the (rare) alive owners holding a dead sample; only those take the
+    scalar reset-and-replay."""
+    held = state.samp_best[node_a:node_b]
+    stale = (held != EMPTY_SAMPLE) & ~state.alive[held & np.int64(0xFFFFFFFF)]
+    stale &= state.alive[node_a:node_b, None]
+    f_owner, f_id = fresh
+    for node in (np.flatnonzero(stale.any(axis=1)) + node_a).tolist():
+        first, last = np.searchsorted(f_owner, (node, node + 1))
+        _validate_samplers(config, state, round_no, node,
+                           f_id[first:last].tolist(), delta)
 
 
 def _validate_samplers(config: ShardConfig, state: ShardState, round_no: int,
@@ -1082,14 +1288,11 @@ class ShardSimulation:
     def _run_plans(self, round_no, eff_loss, adv_src, adv_seq, adv_dst):
         tasks = []
         for lo, hi in self._bounds:
-            indices = [
-                i for i, src in enumerate(adv_src) if lo <= src < hi
-            ]
+            # Byzantine sources are emitted in ascending id order.
+            first, last = bisect_left(adv_src, lo), bisect_left(adv_src, hi)
             tasks.append((
                 self.config, self.state, round_no, eff_loss, lo, hi,
-                [adv_src[i] for i in indices],
-                [adv_seq[i] for i in indices],
-                [adv_dst[i] for i in indices],
+                adv_src[first:last], adv_seq[first:last], adv_dst[first:last],
             ))
         from repro.shard.pool import map_partitions
 
@@ -1110,20 +1313,25 @@ class ShardSimulation:
             for node, row in delta.new_views:
                 state.set_view_row(node, row)
             for node, slots, packed in delta.samp_updates:
-                if state.use_numpy:
-                    state.samp_best[node][slots] = packed
-                else:
-                    for j, value in zip(slots, packed):
-                        state.samp_best[node][j] = value
+                for j, value in zip(slots, packed):
+                    state.samp_best[node][j] = value
+            for node, fresh in delta.known_additions:
+                state.known[node].update(fresh)
+            if delta.view_arrays is not None:
+                nodes, rows, lens = delta.view_arrays
+                state.view[nodes] = rows
+                state.view_len[nodes] = lens
+            if delta.samp_arrays is not None:
+                nodes, slots, packed = delta.samp_arrays
+                state.samp_best[nodes, slots] = packed
+            if delta.known_arrays is not None:
+                owners, ids = delta.known_arrays
+                state.known[owners, ids] = True
+            # After the feeds: a reset replaces whatever its sampler held.
             for node, j, new_a, new_b, packed in delta.samp_resets:
                 state.samp_a[node][j] = new_a
                 state.samp_b[node][j] = new_b
                 state.samp_best[node][j] = packed
-            for node, fresh in delta.known_additions:
-                if state.use_numpy:
-                    state.known[node, fresh] = True
-                else:
-                    state.known[node].update(fresh)
             state.renewals += delta.renewals
             state.blocked_rounds += delta.blocked
             state.evicted_ids += delta.evicted
@@ -1162,16 +1370,14 @@ class ShardSimulation:
                 telemetry.event("net.push", node=src_id, dst=dst_id,
                                 delivered=bool(ok))
         if barrier.sess_arrays is not None:
-            bsrc, bdst, bans = barrier.sess_arrays
-            for row in range(bsrc.size):
-                for k in range(bdst.shape[1]):
-                    telemetry.event(
-                        "net.request",
-                        node=int(bsrc[row]),
-                        dst=int(bdst[row, k]),
-                        delivered=bool(bans[row, k]),
-                        swap=False,
-                    )
+            sess = barrier.sess_arrays
+            for src_id, dsts, answers, effects in zip(
+                sess.src.tolist(), sess.dst.tolist(), sess.answered.tolist(),
+                sess.callee_effect.tolist(),
+            ):
+                for dst_id, answered, effect in zip(dsts, answers, effects):
+                    telemetry.event("net.request", node=src_id, dst=dst_id,
+                                    delivered=answered, swap=effect)
         for src_id in sorted(barrier.sessions_by_src):
             for session in barrier.sessions_by_src[src_id]:
                 telemetry.event(

@@ -4,12 +4,14 @@ Reuses the process-pool seam the experiment sweeps already own
 (:func:`repro.experiments.runner.map_ordered`): partitions are the items,
 :func:`~repro.shard.engine.plan_partition` /
 :func:`~repro.shard.engine.apply_partition` the task.  ``workers <= 1``
-runs partitions inline in partition order — zero pickling, the default and
-the fast path for the numpy backend, whose per-partition work is already
-vectorized.  Pool mode pays one state pickle per partition per phase, so
-it earns its keep on the pure-Python backend (where per-node work is the
-bottleneck) at small-to-medium populations; either way the barrier makes
-the output byte-identical.
+runs partitions inline in partition order — zero pickling, and the default.
+Pool mode pickles the state and the barrier to a worker once per partition
+per phase; on the numpy backend, whose per-partition work is a handful of
+array passes, that transfer costs more than the parallelism returns: the
+ledger measures ``shard-raptee-1k-pool`` (``workers=2``) 3.4x slower than
+the same rounds inline (``run_s`` 1.91 s vs 0.56 s; 2.2x before the
+segment kernel, when there was more per-partition work to overlap).
+Either way the barrier makes the output byte-identical.
 """
 
 from __future__ import annotations

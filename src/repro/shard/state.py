@@ -110,6 +110,30 @@ class ShardConfig:
             raise ValueError(
                 "adaptive eviction takes (low_share, high_share, low_rate, high_rate)"
             )
+        for burst in self.loss_bursts:
+            first, last, rate = burst
+            if first > last:
+                raise ValueError(f"loss burst {burst!r}: first round after last")
+            if not 0.0 <= rate < 1.0:
+                raise ValueError(f"loss burst {burst!r}: rate must be in [0, 1)")
+        down_until = {}
+        for crash in sorted(self.crashes, key=lambda entry: (entry[0], entry[1])):
+            node, at_round, down_rounds = crash
+            if not 0 <= node < self.n_nodes:
+                raise ValueError(
+                    f"crash {crash!r}: node id outside [0, {self.n_nodes})"
+                )
+            if at_round < 1 or down_rounds < 1:
+                raise ValueError(
+                    f"crash {crash!r}: at_round and down_rounds must be >= 1"
+                )
+            # The restart round itself belongs to the window: a second
+            # crash in that round would race the restart.
+            if at_round <= down_until.get(node, 0):
+                raise ValueError(
+                    f"crash {crash!r}: overlaps an earlier window on node {node}"
+                )
+            down_until[node] = at_round + down_rounds
 
     @property
     def effective_push_limit(self) -> int:
@@ -147,6 +171,23 @@ class ShardConfig:
             slope = (low_rate - high_rate) / (high_share - low_share)
             return high_rate + slope * (trusted_share - low_share)
         return 0.0
+
+    def eviction_rates(self, trusted_shares):
+        """:meth:`eviction_rate` over a float64 array — the same float
+        operations in the same order, so every rate is bit-identical."""
+        if self.eviction_kind == "fixed":
+            return np.full(trusted_shares.shape, self.eviction_params[0])
+        if self.eviction_kind == "adaptive":
+            low_share, high_share, low_rate, high_rate = self.eviction_params
+            slope = (low_rate - high_rate) / (high_share - low_share)
+            return np.where(
+                trusted_shares <= low_share, high_rate,
+                np.where(
+                    trusted_shares >= high_share, low_rate,
+                    high_rate + slope * (trusted_shares - low_share),
+                ),
+            )
+        return np.zeros(trusted_shares.shape)
 
 
 @dataclass

@@ -63,10 +63,71 @@ def _validation_config() -> ShardConfig:
     return replace(config, validation_period=5, crashes=((10, 2, 3), (22, 6, 2)))
 
 
+def _raptee_edge_config(byzantine_fraction: float = 0.10, **overrides) -> ShardConfig:
+    """A small RAPTEE population for the segment kernel's edge cases;
+    ``overrides`` replace :class:`ShardConfig` fields directly."""
+    from dataclasses import replace
+
+    topology = TopologySpec(
+        n_nodes=70, byzantine_fraction=byzantine_fraction,
+        trusted_fraction=0.20, view_ratio=0.12, loss_rate=0.03,
+        transport_encryption=True,
+    )
+    config = shard_config_from_topology(topology, seed=23, protocol="raptee")
+    return replace(config, **overrides)
+
+
+def _byzantine_only_partition_config() -> ShardConfig:
+    # 14 Byzantine ids: at shards=7 partition [0, 10) holds nothing else.
+    return _raptee_edge_config(byzantine_fraction=0.20)
+
+
+def _no_byzantine_config() -> ShardConfig:
+    return _raptee_edge_config(byzantine_fraction=0.0)
+
+
+def _evict_everything_config() -> ShardConfig:
+    # Fixed rate 1.0: keep <= 0, every untrusted id a trusted owner pulled goes.
+    return _raptee_edge_config(eviction_kind="fixed", eviction_params=(1.0,))
+
+
+def _gamma_zero_config() -> ShardConfig:
+    return _raptee_edge_config(gamma_count=0)
+
+
+def _blocking_off_config() -> ShardConfig:
+    # Flooded owners renew anyway, so the alpha part needs its keyed subset.
+    return _raptee_edge_config(blocking_enabled=False)
+
+
+def _no_trusted_exchange_config() -> ShardConfig:
+    return _raptee_edge_config(trusted_exchange=False)
+
+
+def _heavy_burst_config() -> ShardConfig:
+    # 0.9 extra loss: owners with no delivered push or no answered pull.
+    return _raptee_edge_config(loss_bursts=((2, 5, 0.9),))
+
+
+def _saturated_config() -> ShardConfig:
+    # Small population, long run: nodes soon know most ids, so the later
+    # rounds mix owners that see a fresh id with owners that see none.
+    topology = TopologySpec(n_nodes=40, byzantine_fraction=0.10, view_ratio=0.2)
+    return shard_config_from_topology(topology, seed=29, protocol="brahms")
+
+
 SCENARIOS = {
     "brahms-loss-encrypted": (_brahms_loss_config, 12),
     "raptee-faults": (_raptee_faults_config, 15),
     "sampler-validation-crashes": (_validation_config, 12),
+    "byzantine-only-partition": (_byzantine_only_partition_config, 8),
+    "no-byzantine": (_no_byzantine_config, 8),
+    "evict-everything": (_evict_everything_config, 8),
+    "gamma-zero": (_gamma_zero_config, 8),
+    "blocking-off": (_blocking_off_config, 8),
+    "no-trusted-exchange": (_no_trusted_exchange_config, 8),
+    "heavy-loss-burst": (_heavy_burst_config, 8),
+    "saturated-known": (_saturated_config, 12),
 }
 
 
@@ -131,6 +192,71 @@ class TestRunnerDeterminism:
         assert artifacts.network_totals["bytes_encrypted"] > 0
         state = artifacts.simulation.state
         assert state.evicted_ids > 0
+
+
+class TestEdgeScenariosBite:
+    """The edge scenarios must reach the edge they are named for."""
+
+    def _state(self, name, shards=1):
+        build, rounds = SCENARIOS[name]
+        return run_sharded(build(), rounds=rounds, shards=shards).simulation
+
+    def test_byzantine_only_partition_exists(self):
+        build, _ = SCENARIOS["byzantine-only-partition"]
+        config = build()
+        from repro.shard import partition_bounds
+
+        lo, hi = partition_bounds(config.n_nodes, 7)[0]
+        assert hi <= config.n_byzantine
+        assert self._state("byzantine-only-partition", shards=7).state.renewals > 0
+
+    def test_no_byzantine_still_evicts_and_swaps(self):
+        simulation = self._state("no-byzantine")
+        assert simulation.config.n_byzantine == 0
+        assert simulation.state.trusted_exchanges > 0
+        assert simulation.state.evicted_ids > 0
+
+    def test_evict_everything_leaves_trusted_views_clean(self):
+        simulation = self._state("evict-everything")
+        assert simulation.state.evicted_ids > 0
+        assert simulation.state.renewals > 0
+
+    def test_gamma_zero_shortens_views(self):
+        simulation = self._state("gamma-zero")
+        config = simulation.config
+        lengths = {len(view) for view in simulation.final_views().values()}
+        assert max(lengths) <= config.alpha_count + config.beta_count
+
+    def test_blocking_off_never_blocks(self):
+        simulation = self._state("blocking-off")
+        assert simulation.state.blocked_rounds == 0
+        assert simulation.state.renewals > 0
+
+    def test_no_trusted_exchange_never_swaps(self):
+        simulation = self._state("no-trusted-exchange")
+        assert simulation.state.trusted_exchanges == 0
+        assert simulation.state.evicted_ids > 0
+
+    def test_heavy_burst_starves_owners(self):
+        simulation = self._state("heavy-loss-burst")
+        by_round = {rec["round"]: rec for rec in simulation.trace_records}
+        # In the burst most messages die; renewals collapse but the run
+        # recovers afterwards.
+        assert by_round[3]["losses"] > by_round[1]["losses"] * 5
+        assert by_round[3]["renewals"] < by_round[8]["renewals"]
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="reads the numpy known matrix")
+    def test_saturated_run_has_owners_with_nothing_fresh(self):
+        from repro.shard import ShardSimulation
+
+        build, rounds = SCENARIOS["saturated-known"]
+        simulation = ShardSimulation(build())
+        simulation.run(rounds - 1)
+        correct = slice(simulation.config.n_byzantine, None)
+        before = simulation.state.known[correct].sum(axis=1)
+        simulation.run_round()
+        learned = simulation.state.known[correct].sum(axis=1) - before
+        assert (learned == 0).any() and (learned > 0).any()
 
 
 class TestPaperScale:

@@ -29,8 +29,9 @@ from repro.shard.compile import (
     eviction_fields,
     shard_config_from_topology,
 )
-from repro.shard.engine import _fold_mod_p
+from repro.shard.engine import _fold_mod_p, _keyed_keep_numpy, _keyed_subset
 from repro.shard.rand import Purpose, key64, key_array, keyed_order, rand_float
+from repro.shard.state import ShardConfig
 
 from repro.experiments.scenarios import TopologySpec
 
@@ -99,6 +100,186 @@ class TestMersenneFold:
         values = np.asarray(edges + spread, dtype=np.int64)
         folded = _fold_mod_p(values)
         assert [int(v) for v in folded] == [int(v) % p for v in values]
+
+
+def _kernel_config(**overrides) -> ShardConfig:
+    """RAPTEE with trusted swaps, adaptive eviction, loss, a crash and
+    sampler validation: every branch of the apply phase in a few rounds."""
+    from dataclasses import replace
+
+    topology = TopologySpec(
+        n_nodes=64, byzantine_fraction=0.10, trusted_fraction=0.25,
+        view_ratio=0.12, loss_rate=0.05, transport_encryption=True,
+    )
+    config = shard_config_from_topology(topology, seed=41, protocol="raptee",
+                                        crashes=((30, 2, 3),))
+    return replace(config, validation_period=2, **overrides)
+
+
+def _recorded_deltas(monkeypatch, config, use_numpy, rounds=6, shards=3):
+    """Run ``rounds`` rounds and return every ``apply_partition`` delta in
+    canonical form, per (round, partition).  Records at the
+    ``map_partitions`` seam, so each delta is what the kernel computed from
+    that round's frozen state and barrier."""
+    from repro.shard import ShardSimulation, pool
+    from repro.shard.engine import apply_partition
+
+    real_map = pool.map_partitions
+    recorded = []
+
+    def recording_map(fn, tasks, workers):
+        results = real_map(fn, tasks, workers)
+        if fn is apply_partition:
+            recorded.extend(_canonical_delta(delta) for delta in results)
+        return results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pool, "map_partitions", recording_map)
+        ShardSimulation(config, shards=shards, use_numpy=use_numpy).run(rounds)
+    return recorded
+
+
+def _canonical_delta(delta):
+    """A PartitionDelta as backend-independent plain Python values."""
+    views = {node: [int(v) for v in ids] for node, ids in delta.new_views}
+    samples = {
+        (node, int(slot)): int(value)
+        for node, slots, values in delta.samp_updates
+        for slot, value in zip(slots, values)
+    }
+    known = {(node, int(v)) for node, ids in delta.known_additions for v in ids}
+    if delta.view_arrays is not None:
+        nodes, rows, lens = delta.view_arrays
+        for node, row, length in zip(nodes.tolist(), rows.tolist(), lens.tolist()):
+            assert all(v == -1 for v in row[length:])
+            views[node] = row[:length]
+    if delta.samp_arrays is not None:
+        nodes, slots, packed = (column.tolist() for column in delta.samp_arrays)
+        samples.update(zip(zip(nodes, slots), packed))
+    if delta.known_arrays is not None:
+        owners, ids = (column.tolist() for column in delta.known_arrays)
+        known.update(zip(owners, ids))
+    return {
+        "bounds": (delta.lo, delta.hi),
+        "views": views,
+        "samples": samples,
+        "known": known,
+        "resets": [tuple(int(v) for v in reset) for reset in delta.samp_resets],
+        "counters": (delta.renewals, delta.blocked, delta.evicted,
+                     delta.trusted_exchanges, delta.sampler_resets),
+    }
+
+
+@needs_numpy
+class TestSegmentKernel:
+    def test_deltas_match_pure_backend_field_by_field(self, monkeypatch):
+        config = _kernel_config()
+        vector = _recorded_deltas(monkeypatch, config, use_numpy=True)
+        scalar = _recorded_deltas(monkeypatch, config, use_numpy=False)
+        assert len(vector) == len(scalar) == 6 * 3
+        for got, expected in zip(vector, scalar):
+            for name in expected:
+                assert got[name] == expected[name], (expected["bounds"], name)
+        # The run must have reached every field it compares.
+        totals = [sum(d["counters"][i] for d in scalar) for i in range(5)]
+        assert all(total > 0 for total in totals), totals
+        assert any(d["samples"] for d in scalar)
+
+    def test_block_size_is_invisible(self, monkeypatch):
+        import numpy as np
+
+        from repro.shard import engine
+
+        config = _kernel_config()
+        whole = _recorded_deltas(monkeypatch, config, use_numpy=True)
+        # 64 elements: every owner is a block of its own and the sampler
+        # matrix is fed a few rows at a time, splitting owners across chunks.
+        monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 64)
+        assert len(engine._owner_blocks(np.full(10, config.n_nodes), 64)) == 10
+        tiny = _recorded_deltas(monkeypatch, config, use_numpy=True)
+        monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 1000)
+        odd = _recorded_deltas(monkeypatch, config, use_numpy=True)
+        assert tiny == whole
+        assert odd == whole
+
+    def test_keyed_keep_matches_scalar_subset(self):
+        import numpy as np
+
+        config = _kernel_config()
+        lengths = [0, 1, 5, 9, 2, 30]
+        keeps = [3, 1, 5, 4, 0, 7]
+        owner = np.repeat(np.arange(10, 16), lengths)
+        index = np.concatenate([np.arange(n) for n in lengths])
+        items = np.arange(owner.size) * 7 + 1
+        mask = _keyed_keep_numpy(config, 4, Purpose.EVICT_KEEP, owner, index,
+                                 np.repeat(keeps, lengths))
+        at = 0
+        for node, length, keep in zip(range(10, 16), lengths, keeps):
+            segment = items[at:at + length]
+            expected = _keyed_subset(config, 4, Purpose.EVICT_KEEP, node,
+                                     segment.tolist(), keep) if keep else []
+            assert segment[mask[at:at + length]].tolist() == expected
+            at += length
+
+    def test_eviction_rates_match_scalar(self):
+        import numpy as np
+
+        shares = np.asarray([0.0, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.8, 0.9, 1.0])
+        for kind, params in (("none", ()), ("fixed", (0.37,)),
+                             ("adaptive", (0.2, 0.8, 0.1, 0.6))):
+            config = _kernel_config(eviction_kind=kind, eviction_params=params)
+            assert config.eviction_rates(shares).tolist() == [
+                config.eviction_rate(share) for share in shares.tolist()
+            ]
+
+
+class TestFaultScheduleValidation:
+    """`ShardConfig` rejects fault entries it used to run silently wrong."""
+
+    def _config(self, **faults):
+        return ShardConfig(protocol="brahms", n_nodes=20, seed=1,
+                           n_byzantine=2, view_size=4, sample_size=2,
+                           alpha_count=2, beta_count=1, gamma_count=1, **faults)
+
+    def test_valid_schedules_accepted(self):
+        config = self._config(
+            crashes=((5, 2, 3), (5, 6, 1), (19, 1, 1)),
+            loss_bursts=((3, 3, 0.0), (1, 9, 0.99)),
+        )
+        assert len(config.crashes) == 3
+
+    @pytest.mark.parametrize("crash", [(-1, 2, 3), (20, 2, 3)])
+    def test_crash_node_out_of_range(self, crash):
+        # (-1, 2, 3) used to crash node N-1 through negative indexing.
+        with pytest.raises(ValueError, match=r"crash \(-?\d+, 2, 3\).*node id"):
+            self._config(crashes=(crash,))
+
+    @pytest.mark.parametrize("crash", [(5, 0, 3), (5, 2, 0), (5, 2, -1)])
+    def test_crash_rounds_must_be_positive(self, crash):
+        with pytest.raises(ValueError, match="at_round and down_rounds"):
+            self._config(crashes=(crash,))
+
+    @pytest.mark.parametrize("second", [(5, 3, 1), (5, 5, 2), (5, 2, 1)])
+    def test_overlapping_crash_windows_rejected(self, second):
+        # Node 5 is down for rounds 2-4 and restarts in round 5; a second
+        # window touching any of those would revive it early or race the
+        # restart.
+        with pytest.raises(ValueError, match="overlaps.*node 5"):
+            self._config(crashes=((5, 2, 3), second))
+        with pytest.raises(ValueError, match="overlaps.*node 5"):
+            self._config(crashes=(second, (5, 2, 3)))
+
+    def test_same_rounds_on_different_nodes_allowed(self):
+        self._config(crashes=((5, 2, 3), (6, 2, 3)))
+
+    def test_inverted_burst_window_rejected(self):
+        with pytest.raises(ValueError, match=r"loss burst \(3, 2, 0.5\).*first"):
+            self._config(loss_bursts=((3, 2, 0.5),))
+
+    @pytest.mark.parametrize("rate", [1.5, 1.0, -0.1])
+    def test_burst_rate_out_of_range_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate must be in"):
+            self._config(loss_bursts=((2, 3, rate),))
 
 
 class TestPartitionBounds:
