@@ -5,8 +5,10 @@ This is the exact Grid'5000 setting of §V-B.  With the :mod:`repro.perf`
 fast paths (on by default) the measured cost on a stock CPython box is:
 
 * N = 500  (``--nodes 500``):   ~0.2 s per round — seconds per run;
-* N = 1,000, encrypted transport (the pinned ``raptee-1k`` benchmark):
-  ~8 s per round, ~7x over the unaccelerated path (see BENCH_perf.json);
+* N = 1,000, encrypted transport: seconds per round, nearly all of it
+  the pure-Python AES-CTR transport — the layer the perf ledger prices as
+  ``pernode-raptee-enc`` ``crypto.self_s`` (see BENCHMARK.json; run
+  ``python benchmarks/ledger/run.py``);
 * N = 10,000 (the full paper scale): ~12 min per round, so one 200-round
   repetition is a day-scale batch job rather than an interactive run.
 

@@ -17,10 +17,6 @@ Three commands cover the common workflows:
   (:mod:`repro.telemetry`) and export the JSONL trace / CSV metrics;
 * ``lint`` — run the :mod:`repro.lint` invariant checks (determinism,
   enclave boundary, crypto hygiene, sim purity);
-* ``bench`` — run the pinned performance scenarios (:mod:`repro.perf` and
-  the shard suite, :mod:`repro.shard.bench`) and write/refresh the
-  ``BENCH_perf.json`` / ``BENCH_shard.json`` regression reports at the
-  repository root;
 * ``vectors`` — generate/verify the conformance vector suite
   (forwards to ``python -m repro.scenario``).
 
@@ -39,8 +35,6 @@ Examples::
     python -m repro faults --drill membership-churn --trace-out churn.jsonl
     python -m repro trace --nodes 50 --rounds 30 --seed 7 --out trace.jsonl
     python -m repro lint src tests --format json
-    python -m repro bench --smoke
-    python -m repro bench --suite shard --smoke
     python -m repro vectors generate
     python -m repro vectors verify --report drift.json
 """
@@ -83,6 +77,7 @@ _SCALES = {"test": TEST_SCALE, "bench": BENCH_SCALE}
 #: is given — and where ``repro run --resume`` therefore finds it.
 DEFAULT_CHECKPOINT = "repro-run.snapshot"
 DEFAULT_RUN_ROUNDS = 80
+DEFAULT_TICK_INTERVAL = 1.0
 
 
 def parse_eviction(value: str) -> EvictionPolicy:
@@ -172,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="processes for the shard partition phases "
                                  "(default 1 = inline)")
     run_parser.add_argument("--loss", type=float, default=0.0,
-                            help="uniform message loss rate (shard engine)")
+                            help="uniform message loss rate")
     run_parser.add_argument("--latency-model", type=parse_latency_option,
                             default=None, metavar="SPEC",
                             help="per-link one-way delay for --engine events: "
@@ -187,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="slow a deterministic node subset under "
                                  "--engine events (e.g. 0.1:8 = 10%% of "
                                  "nodes at 8x)")
-    run_parser.add_argument("--tick-interval", type=float, default=1.0,
-                            metavar="SECONDS",
-                            help="round period on the event clock (default 1.0)")
+    run_parser.add_argument("--tick-interval", type=float,
+                            default=DEFAULT_TICK_INTERVAL, metavar="SECONDS",
+                            help="round period on the event clock under "
+                                 f"--engine events (default {DEFAULT_TICK_INTERVAL})")
     run_parser.add_argument("--events-trace-out", default=None, metavar="PATH",
                             help="write the per-request latency trace (JSON "
                                  "Lines) of --engine events --load here")
@@ -278,44 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="arguments forwarded to python -m repro.scenario",
     )
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="run the pinned perf scenarios (see repro.perf.bench)"
-    )
-    bench_parser.add_argument(
-        "--suite", choices=("perf", "shard", "all"), default="perf",
-        help="which pinned suite to run: the legacy-engine perf suite "
-             "(default), the shard-engine suite (repro.shard.bench), or both",
-    )
-    bench_parser.add_argument(
-        "--scenario", action="append", default=None, dest="scenarios",
-        help="run only this pinned scenario (repeatable; default: all)",
-    )
-    bench_parser.add_argument(
-        "--smoke", action="store_true",
-        help="seconds-scale CI variant of every scenario",
-    )
-    bench_parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="skip the fast-path-off reference runs (no speedup column)",
-    )
-    bench_parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the JSON report here instead of the default "
-             "BENCH_perf.json / BENCH_shard.json at the repository root "
-             "(only with a single --suite)",
-    )
-
     return parser
 
 
-def _build_run_bundle(args, protocol: str):
-    spec = TopologySpec(
+def _run_topology(args, protocol: str) -> TopologySpec:
+    return TopologySpec(
         n_nodes=args.nodes,
         byzantine_fraction=args.f,
         trusted_fraction=args.t if protocol == "raptee" else 0.0,
         poisoned_fraction=args.poisoned if protocol == "raptee" else 0.0,
         view_ratio=args.view_ratio,
+        loss_rate=args.loss,
     )
+
+
+def _build_run_bundle(args, protocol: str):
+    spec = _run_topology(args, protocol)
     if protocol == "brahms":
         return build_brahms_simulation(spec, args.seed)
     return build_raptee_simulation(
@@ -400,17 +374,10 @@ def _command_run_shard(args) -> int:
         print("error: the shard engine does not model count-min sketch "
               "unbiasing", file=sys.stderr)
         return 2
-    topology = TopologySpec(
-        n_nodes=args.nodes,
-        byzantine_fraction=args.f,
-        trusted_fraction=args.t if args.protocol == "raptee" else 0.0,
-        poisoned_fraction=args.poisoned if args.protocol == "raptee" else 0.0,
-        view_ratio=args.view_ratio,
-        loss_rate=args.loss,
-    )
     try:
         config = shard_config_from_topology(
-            topology, args.seed, protocol=args.protocol, eviction=args.eviction,
+            _run_topology(args, args.protocol), args.seed,
+            protocol=args.protocol, eviction=args.eviction,
         )
     except ShardUnsupportedError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -445,6 +412,23 @@ def _command_run_shard(args) -> int:
 def _command_run(args) -> int:
     from repro.snapshot import RunState, restore, run_with_checkpoints
 
+    # A flag for an engine that was not selected would be silently ignored.
+    if args.shards is None and args.shard_workers != 1:
+        print("error: --shard-workers only applies with --shards N",
+              file=sys.stderr)
+        return 2
+    if args.engine != "events":
+        for flag, given in (
+            ("--latency-model", args.latency_model is not None),
+            ("--load", args.load is not None),
+            ("--straggler", args.straggler is not None),
+            ("--tick-interval", args.tick_interval != DEFAULT_TICK_INTERVAL),
+            ("--events-trace-out", args.events_trace_out is not None),
+        ):
+            if given:
+                print(f"error: {flag} only applies with --engine events",
+                      file=sys.stderr)
+                return 2
     if args.shards is not None:
         return _command_run_shard(args)
     if args.engine == "events":
@@ -624,64 +608,6 @@ def _command_vectors(args) -> int:
     return vectors_main(args.vectors_args)
 
 
-def _repo_root():
-    """Nearest ancestor with a pyproject.toml — where BENCH_*.json belong.
-
-    ``repro bench`` used to write only where ``--out`` pointed, so the
-    tracked trajectory files at the repository root never got refreshed;
-    anchoring the default here fixes that regardless of the working
-    directory the command runs from.
-    """
-    from pathlib import Path
-
-    here = Path.cwd()
-    for candidate in (here, *here.parents):
-        if (candidate / "pyproject.toml").is_file():
-            return candidate
-    return here
-
-
-def _command_bench(args) -> int:
-    import json
-
-    suites = ("perf", "shard") if args.suite == "all" else (args.suite,)
-    if len(suites) > 1 and (args.out or args.scenarios):
-        print("error: --out/--scenario need a single --suite",
-              file=sys.stderr)
-        return 2
-    for suite in suites:
-        if suite == "perf":
-            from repro.perf.bench import (
-                render_bench_report as render,
-                run_bench,
-                validate_bench_report as validate,
-            )
-
-            payload = run_bench(
-                names=args.scenarios,
-                smoke=args.smoke,
-                with_baseline=not args.no_baseline,
-            )
-            default_name = "BENCH_perf.json"
-        else:
-            from repro.shard.bench import (
-                render_shard_report as render,
-                run_shard_bench,
-                validate_shard_report as validate,
-            )
-
-            payload = run_shard_bench(names=args.scenarios, smoke=args.smoke)
-            default_name = "BENCH_shard.json"
-        validate(payload)
-        out = args.out if args.out else str(_repo_root() / default_name)
-        with open(out, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        print(f"report:             {out}")
-        print(render(payload))
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -693,7 +619,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "snapshot": _command_snapshot,
         "lint": _command_lint,
         "vectors": _command_vectors,
-        "bench": _command_bench,
     }
     return handlers[args.command](args)
 

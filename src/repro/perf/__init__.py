@@ -1,18 +1,17 @@
-"""Performance layer: equivalence-proven fast paths + benchmark harness.
+"""Performance layer: equivalence-proven fast paths.
 
-Three pieces:
+Two pieces:
 
 * :mod:`repro.perf.config` — the process-wide fast-path flag (on by
   default) and the ``use_numpy`` resolution rule;
 * :mod:`repro.perf.kernels` — optional numpy kernels for the sketch and
-  min-wise hot paths, exact integer replacements for the Python loops;
-* :mod:`repro.perf.bench` — pinned benchmark scenarios, the
-  ``BENCH_perf.json`` report builder and its schema validator, behind the
-  ``repro bench`` CLI.
+  min-wise hot paths, exact integer replacements for the Python loops.
 
 The contract that lets the fast paths default to *on*: for every seed,
 fast-path-on and fast-path-off runs are byte-identical — same trace JSONL,
 same final views, same figure metrics (``tests/test_perf_differential.py``).
+What the paths cost is measured from outside the package, by the perf
+ledger (``BENCHMARK.json`` + ``benchmarks/ledger/``).
 """
 
 from repro.perf.config import (

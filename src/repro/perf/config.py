@@ -6,8 +6,9 @@ reused transport ciphers, numpy sketch kernels) under a single invariant:
 produce the same traces, views and figure metrics either way (proven by
 ``tests/test_perf_differential.py``).  Because equivalence is guaranteed,
 the fast paths are *enabled by default* rather than hidden behind an
-opt-in; the flag exists so the differential suite and the benchmark
-harness can reproduce the unaccelerated reference behaviour on demand.
+opt-in; the flag exists so the differential suite (and
+``examples/full_scale.py --reference``) can reproduce the unaccelerated
+reference behaviour on demand.
 
 The flag is deliberately a plain module-level state object, not an
 environment variable or config file: reading it is one attribute access on
@@ -55,8 +56,8 @@ def set_fastpaths(enabled: bool) -> bool:
 
 @contextmanager
 def fastpaths(enabled: bool) -> Iterator[None]:
-    """Scoped override, used by the differential tests and the benchmark
-    harness to run the same scenario in both modes."""
+    """Scoped override, used by the differential tests to run the same
+    scenario in both modes."""
     previous = set_fastpaths(enabled)
     try:
         yield

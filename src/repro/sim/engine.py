@@ -249,7 +249,7 @@ class Simulation:
     @contextmanager
     def _instrumented_phase(self, name: str) -> Iterator[None]:
         # The profiler timer is inert unless profiling is armed; stacking it
-        # here is what gives `repro bench` its wall-clock-per-phase rows.
+        # here is what gives `repro trace --profile` its phase.* rows.
         with self.telemetry.phase(name):
             with self.telemetry.timer(f"phase.{name}"):
                 yield

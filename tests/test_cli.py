@@ -127,3 +127,65 @@ class TestTraceCommand:
         printed = capsys.readouterr().out
         assert exit_code == 0
         assert "sampler.update" in printed
+
+
+class TestRunFlagWiring:
+    def test_loss_reaches_the_topology(self):
+        from repro.cli import _build_run_bundle
+
+        args = build_parser().parse_args(["run", "--nodes", "60", "--loss", "0.4"])
+        assert _build_run_bundle(args, "raptee").spec.loss_rate == 0.4
+
+    @pytest.mark.parametrize("engine", ["rounds", "events"])
+    def test_loss_changes_the_run(self, capsys, engine):
+        outputs = []
+        for loss in ("0", "0.9"):
+            assert main([
+                "run", "--protocol", "brahms", "--nodes", "60", "--rounds", "6",
+                "--engine", engine, "--loss", loss,
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--latency-model", "constant:50"),
+        ("--load", "4:30"),
+        ("--straggler", "0.1:8"),
+        ("--tick-interval", "2.0"),
+        ("--events-trace-out", "latency.jsonl"),
+        ("--shard-workers", "3"),
+    ])
+    def test_flag_without_its_engine_is_refused(self, capsys, flag, value):
+        exit_code = main(["run", "--nodes", "60", "--rounds", "2", flag, value])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert flag in captured.err
+        assert captured.out == ""
+
+    def test_engine_flags_accepted_with_their_engine(self, capsys):
+        assert main([
+            "run", "--nodes", "60", "--rounds", "2", "--engine", "events",
+            "--latency-model", "constant:50", "--tick-interval", "2.0",
+        ]) == 0
+        assert main([
+            "run", "--protocol", "brahms", "--nodes", "60", "--rounds", "2",
+            "--view-ratio", "0.15", "--shards", "2", "--shard-workers", "2",
+        ]) == 0
+
+
+class TestSubcommandSurface:
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "run", "figure", "attack", "faults", "trace",
+        "snapshot", "lint", "vectors",
+    ])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert command in capsys.readouterr().out

@@ -14,7 +14,8 @@ order deterministically:
 
 A reduced-N shard sweep doubles as the N = 10,000 CI stand-in; the real
 paper-scale population runs only when ``REPRO_FULL_SCALE`` is set (its
-wall-clock is minutes, recorded in ``BENCH_shard.json``).
+wall-clock is minutes; the perf ledger's ``shard-brahms-4k`` workload is
+the timed stand-in).
 """
 
 from __future__ import annotations
@@ -275,8 +276,8 @@ class TestPaperScale:
     @pytest.mark.skipif(
         not os.environ.get("REPRO_FULL_SCALE"),
         reason="paper-scale population; set REPRO_FULL_SCALE=1 to run "
-               "(minutes of wall-clock — the pinned numbers live in "
-               "BENCH_shard.json)",
+               "(minutes of wall-clock — the timed stand-in is the perf "
+               "ledger's shard-brahms-4k workload, see BENCHMARK.json)",
     )
     def test_full_scale_10k_smoke(self):
         topology = TopologySpec(

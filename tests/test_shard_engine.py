@@ -3,13 +3,11 @@
 The differential suite (``test_shard_differential.py``) pins whole-run
 byte-identity; this file pins the pieces that identity rests on — the
 counter-based randomness (scalar == vector), the Mersenne fold, partition
-bounds, the compile-time feature gate, the ``EngineSpec.shards`` knob, the
-bench report schema, and the CLI surface.
+bounds, the compile-time feature gate, the ``EngineSpec.shards`` knob, and
+the CLI surface.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -18,12 +16,6 @@ from repro.crypto.minwise import MERSENNE_PRIME_31
 from repro.perf.kernels import HAVE_NUMPY
 from repro.scenario.spec import EngineSpec, ScenarioSpecError
 from repro.shard import partition_bounds
-from repro.shard.bench import (
-    ShardBenchScenario,
-    render_shard_report,
-    run_shard_bench,
-    validate_shard_report,
-)
 from repro.shard.compile import (
     ShardUnsupportedError,
     eviction_fields,
@@ -348,58 +340,6 @@ class TestEngineSpecShards:
             EngineSpec(kind="rounds", shards=2)
 
 
-TINY = ShardBenchScenario(
-    name="tiny", protocol="brahms", n_nodes=40, rounds=3, shards=2,
-    view_ratio=0.2,
-)
-
-
-class TestShardBench:
-    def test_report_roundtrip(self, monkeypatch):
-        from repro.shard import bench as shard_bench
-
-        monkeypatch.setitem(shard_bench.SHARD_BENCH_SCENARIOS, "tiny", TINY)
-        payload = run_shard_bench(names=["tiny"], smoke=True)
-        validate_shard_report(payload)
-        entry = payload["scenarios"][0]
-        assert entry["rounds"] == 3
-        assert len(entry["round_seconds"]) == 3
-        assert entry["seconds_per_round"] > 0
-        rendered = render_shard_report(payload)
-        assert "tiny" in rendered and "3 rounds x 2 shards" in rendered
-
-    def test_speedup_column_present_when_pinned(self, monkeypatch):
-        from dataclasses import replace
-
-        from repro.shard import bench as shard_bench
-
-        pinned = replace(TINY, legacy_seconds_per_round=8.2)
-        monkeypatch.setitem(shard_bench.SHARD_BENCH_SCENARIOS, "tiny", pinned)
-        payload = run_shard_bench(names=["tiny"], smoke=True)
-        entry = validate_shard_report(payload)["scenarios"][0]
-        assert entry["speedup_vs_legacy"] == pytest.approx(
-            8.2 / entry["seconds_per_round"]
-        )
-        assert "vs legacy engine" in render_shard_report(payload)
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(KeyError):
-            run_shard_bench(names=["no-such-scenario"])
-
-    def test_validate_rejects_drift(self, monkeypatch):
-        from repro.shard import bench as shard_bench
-
-        monkeypatch.setitem(shard_bench.SHARD_BENCH_SCENARIOS, "tiny", TINY)
-        payload = run_shard_bench(names=["tiny"], smoke=True)
-        bad = dict(payload, schema="something-else")
-        with pytest.raises(ValueError, match="schema"):
-            validate_shard_report(bad)
-        truncated = json.loads(json.dumps(payload))
-        truncated["scenarios"][0]["round_seconds"].pop()
-        with pytest.raises(ValueError, match="round_seconds"):
-            validate_shard_report(truncated)
-
-
 class TestCli:
     def test_run_shards_smoke(self, capsys):
         exit_code = main([
@@ -436,40 +376,3 @@ class TestCli:
         ])
         assert exit_code == 2
         assert "poisoned" in capsys.readouterr().err
-
-    def test_bench_defaults_to_repo_root(self, capsys, tmp_path, monkeypatch):
-        # Regression: the default report path is anchored at the nearest
-        # pyproject.toml ancestor, not the working directory — running
-        # from a subdirectory used to scatter BENCH files around the tree
-        # (or, with --out required, never refresh the tracked ones).
-        from repro.shard import bench as shard_bench
-
-        (tmp_path / "pyproject.toml").write_text("[tool.fake]\n",
-                                                 encoding="utf-8")
-        nested = tmp_path / "src" / "deep"
-        nested.mkdir(parents=True)
-        monkeypatch.chdir(nested)
-        monkeypatch.setitem(shard_bench.SHARD_BENCH_SCENARIOS, "tiny", TINY)
-        exit_code = main(["bench", "--suite", "shard", "--scenario", "tiny"])
-        assert exit_code == 0
-        report_path = tmp_path / "BENCH_shard.json"
-        assert report_path.is_file()
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        validate_shard_report(payload)
-        assert str(report_path) in capsys.readouterr().out
-
-    def test_bench_out_overrides_root_anchor(self, tmp_path, monkeypatch):
-        from repro.shard import bench as shard_bench
-
-        monkeypatch.setitem(shard_bench.SHARD_BENCH_SCENARIOS, "tiny", TINY)
-        out = tmp_path / "custom.json"
-        exit_code = main(["bench", "--suite", "shard", "--scenario", "tiny",
-                          "--out", str(out)])
-        assert exit_code == 0
-        validate_shard_report(json.loads(out.read_text(encoding="utf-8")))
-
-    def test_bench_all_suites_rejects_out(self, capsys, tmp_path):
-        exit_code = main(["bench", "--suite", "all", "--smoke",
-                          "--out", str(tmp_path / "x.json")])
-        assert exit_code == 2
-        assert "single --suite" in capsys.readouterr().err
