@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The paper-scale configuration (N = 10,000, view 200, 200 rounds).
 
-This is the exact Grid'5000 setting of §V-B.  With the :mod:`repro.perf`
-fast paths (on by default) the measured cost on a stock CPython box is:
+This is the exact Grid'5000 setting of §V-B.  The measured cost on a stock
+CPython box is:
 
 * N = 500  (``--nodes 500``):   ~0.2 s per round — seconds per run;
 * N = 1,000, encrypted transport: seconds per round, nearly all of it
@@ -14,11 +14,10 @@ fast paths (on by default) the measured cost on a stock CPython box is:
 
 Pass ``--dry-run`` (default) to only print the derived parameters; pass
 ``--run`` to execute one configuration, scaling N down with ``--nodes``
-to pick your waiting time.  ``--reference`` disables the fast paths (the
-differential test suite proves results are byte-identical either way).
+to pick your waiting time.
 
 Run:  python examples/full_scale.py [--run] [--nodes N] [--rounds R]
-                                    [--t T] [--f F] [--reference]
+                                    [--t T] [--f F]
 """
 
 import argparse
@@ -27,7 +26,6 @@ from repro.core.eviction import AdaptiveEviction
 from repro.experiments.figures import PAPER_SCALE
 from repro.experiments.runner import run_bundle
 from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
-from repro.perf.config import set_fastpaths
 
 
 def main(argv=None) -> None:
@@ -38,13 +36,7 @@ def main(argv=None) -> None:
     parser.add_argument("--rounds", type=int, default=PAPER_SCALE.rounds)
     parser.add_argument("--f", type=float, default=0.10, help="Byzantine fraction")
     parser.add_argument("--t", type=float, default=0.01, help="trusted fraction")
-    parser.add_argument("--reference", action="store_true",
-                        help="run the unaccelerated reference paths "
-                             "(several times slower, identical results)")
     args = parser.parse_args(argv)
-
-    if args.reference:
-        set_fastpaths(False)
 
     # Scaled-down populations keep statistically meaningful views by using
     # a larger view ratio (DESIGN.md §5); the full scale uses the paper's.
@@ -65,7 +57,6 @@ def main(argv=None) -> None:
     print(f"  samplers l2      = {config.sample_size}")
     print(f"  rounds           = {args.rounds} (2.5 s each on the testbed)")
     print(f"  repetitions      = {PAPER_SCALE.repetitions} in the paper")
-    print(f"  fast paths       = {'off (reference)' if args.reference else 'on'}")
 
     if not args.run:
         print("\nDry run only — pass --run to execute "

@@ -26,11 +26,10 @@ effect.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.crypto.minwise import scramble64
 from repro.perf import kernels as _kernels
-from repro.perf.config import resolve_use_numpy
 
 __all__ = ["CountMinSketch", "StreamUnbiaser"]
 
@@ -43,20 +42,20 @@ class CountMinSketch:
     upper-bounds the true count and overestimates by at most εN with
     probability 1−δ for width = ⌈e/ε⌉, depth = ⌈ln 1/δ⌉.
 
-    ``use_numpy`` selects the counter backend: ``None`` (default) resolves
-    to numpy when it is installed and :mod:`repro.perf` fast paths are on.
-    Both backends compute identical integers — same hashes, same counters,
-    same estimates (``tests/test_perf_kernels.py`` proves it property-wise);
-    the numpy one batches whole-view updates into vector adds.
+    ``use_numpy=False`` selects the pure-Python counter tables, the
+    reference the differential tests compare against.  Both backends
+    compute identical integers — same hashes, same counters, same estimates
+    (``tests/test_perf_kernels.py`` proves it property-wise); the numpy one
+    batches whole-view updates into vector adds.
     """
 
     def __init__(self, width: int, depth: int, rng: random.Random,
-                 use_numpy: Optional[bool] = None):
+                 use_numpy: bool = True):
         if width <= 0 or depth <= 0:
             raise ValueError("width and depth must be positive")
         self.width = width
         self.depth = depth
-        self.use_numpy = resolve_use_numpy(use_numpy, _kernels.HAVE_NUMPY)
+        self.use_numpy = use_numpy
         if self.use_numpy:
             self._tables = _kernels.countmin_new_tables(depth, width)
         else:
@@ -138,8 +137,8 @@ class StreamUnbiaser:
     """
 
     def __init__(self, rng: random.Random, width: int = 256, depth: int = 4,
-                 decay_every: int = 50, use_numpy: Optional[bool] = None):
-        self._sketch = CountMinSketch(width, depth, rng, use_numpy=use_numpy)
+                 decay_every: int = 50):
+        self._sketch = CountMinSketch(width, depth, rng)
         self._rng = rng
         self._decay_every = decay_every
         self._batches_seen = 0

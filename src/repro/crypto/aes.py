@@ -16,17 +16,14 @@ Two encryption paths coexist:
   three round operations into four 256-entry 32-bit word tables, derived
   here from the same S-box and GF tables rather than transcribed.
 
-The T-table path (plus a key-schedule cache) is used when
-:mod:`repro.perf` fast paths are enabled, which is the default; the
-differential suite proves both paths byte-identical, and
-``tests/test_crypto_aes.py`` pins the FIPS-197 vectors against each.
+``encrypt_block`` runs the T-table path (behind a key-schedule cache);
+``_encrypt_block_reference`` stays as the FIPS-197 oracle the tests call
+directly (``tests/test_perf_kernels.py``, ``tests/test_crypto_aes.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-from repro.perf.config import STATE as _PERF_STATE
 
 __all__ = ["AES128", "BLOCK_SIZE"]
 
@@ -134,7 +131,7 @@ _TE0, _TE1, _TE2, _TE3 = _build_t_tables()
 # Expanded-schedule cache: key expansion costs ~45 S-box/XOR word steps, and
 # the transport layer builds ciphers for the same handful of pair keys over
 # millions of messages.  Capped so adversarially many distinct keys cannot
-# grow it without bound; only consulted when perf fast paths are enabled.
+# grow it without bound.
 _SCHEDULE_CACHE: Dict[bytes, Tuple[List[List[int]], List[Tuple[int, int, int, int]]]] = {}
 _SCHEDULE_CACHE_MAX = 4096
 
@@ -152,15 +149,12 @@ class AES128:
     def __init__(self, key: bytes):
         if len(key) != 16:
             raise ValueError(f"AES-128 requires a 16-byte key, got {len(key)}")
-        if _PERF_STATE.enabled:
-            cached = _SCHEDULE_CACHE.get(key)
-            if cached is None:
-                cached = self._expand_schedules(key)
-                if len(_SCHEDULE_CACHE) < _SCHEDULE_CACHE_MAX:
-                    _SCHEDULE_CACHE[bytes(key)] = cached
-            self._round_keys, self._round_words = cached
-        else:
-            self._round_keys, self._round_words = self._expand_schedules(key)
+        cached = _SCHEDULE_CACHE.get(key)
+        if cached is None:
+            cached = self._expand_schedules(key)
+            if len(_SCHEDULE_CACHE) < _SCHEDULE_CACHE_MAX:
+                _SCHEDULE_CACHE[bytes(key)] = cached
+        self._round_keys, self._round_words = cached
 
     @classmethod
     def _expand_schedules(
@@ -258,9 +252,7 @@ class AES128:
         """Encrypt exactly one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        if _PERF_STATE.enabled:
-            return self._encrypt_block_ttable(block)
-        return self._encrypt_block_reference(block)
+        return self._encrypt_block_ttable(block)
 
     def _encrypt_block_reference(self, block: bytes) -> bytes:
         """The readable FIPS-197 path: one pass per round operation."""

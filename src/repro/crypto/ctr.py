@@ -8,7 +8,6 @@ message.  Encryption and decryption are the same operation.
 from __future__ import annotations
 
 from repro.crypto.aes import AES128, BLOCK_SIZE
-from repro.perf.config import STATE as _PERF_STATE
 
 __all__ = ["AesCtr", "NONCE_SIZE"]
 
@@ -68,13 +67,11 @@ class AesCtr:
     def encrypt(self, plaintext: bytes, initial_counter: int = 0) -> bytes:
         """Encrypt (or decrypt) ``plaintext`` starting at ``initial_counter``."""
         keystream = self.keystream(len(plaintext), initial_counter)
-        if _PERF_STATE.enabled:
-            # One big-int XOR instead of a per-byte Python loop; equal by
-            # definition of XOR on the big-endian integer encoding.
-            return (
-                int.from_bytes(plaintext, "big") ^ int.from_bytes(keystream, "big")
-            ).to_bytes(len(plaintext), "big")
-        return bytes(p ^ k for p, k in zip(plaintext, keystream))
+        # One big-int XOR instead of a per-byte Python loop; equal by
+        # definition of XOR on the big-endian integer encoding.
+        return (
+            int.from_bytes(plaintext, "big") ^ int.from_bytes(keystream, "big")
+        ).to_bytes(len(plaintext), "big")
 
     # CTR is an involution: decrypting is encrypting the ciphertext.
     decrypt = encrypt

@@ -16,7 +16,7 @@ batch-evaluate it with numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING
 
 from repro.crypto.hashing import int_digest
 
@@ -68,24 +68,6 @@ class MinWiseHash:
 
     def __call__(self, value: int) -> int:
         return (self.a * (scramble64(value) % self.p) + self.b) % self.p
-
-    def batch(self, values: Sequence[int], use_numpy: Optional[bool] = None):
-        """Evaluate the hash over a batch, in input order.
-
-        With numpy available, fast paths on and the default 31-bit field,
-        this dispatches to the exact int64 kernel
-        (:func:`repro.perf.kernels.minwise_batch`); any other modulus (the
-        61-bit field would overflow int64 products) or a numpy-less install
-        falls back to the scalar loop.  Both return the same integers.
-        """
-        # Imported lazily: repro.perf.kernels imports this module's scramble
-        # constants, so a top-level import would be circular.
-        from repro.perf.config import resolve_use_numpy
-        from repro.perf.kernels import HAVE_NUMPY, minwise_batch
-
-        if self.p == MERSENNE_PRIME_31 and resolve_use_numpy(use_numpy, HAVE_NUMPY):
-            return minwise_batch(self.a, self.b, self.p, values)
-        return [self(value) for value in values]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ fraction, view-size ratio — and the builders assemble the node population:
   provisioned trusted nodes, optional poisoned-trusted injections, and the
   Byzantine population under one global coordinator (§V-B).
 
-Node counts are rounded half-up from the fractions; every node (including
-Byzantine ones, which ignore it) receives a uniform bootstrap view.
+Node counts are ``int(round(N · fraction))`` — Python rounds halves to
+even, so N = 100 at f = 0.125 gives 12 Byzantine nodes, not 13; every node
+(including Byzantine ones, which ignore it) receives a uniform bootstrap
+view.
 
 Randomness discipline: protocol-level randomness (target selection, nonces,
 shuffles) uses Mersenne-Twister generators seeded through the SHA-256
@@ -102,6 +104,14 @@ class TopologySpec:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.byzantine_fraction + self.trusted_fraction >= 1.0:
             raise ValueError("Byzantine + trusted fractions must leave honest nodes")
+        # The population is built from the rounded counts, which can use up
+        # every node even when the fractions sum below 1.
+        if self.n_honest < 1:
+            raise ValueError(
+                f"n_nodes {self.n_nodes} rounds to {self.n_byzantine} Byzantine "
+                f"+ {self.n_trusted} trusted nodes, leaving {self.n_honest} "
+                f"honest; at least one honest node is required"
+            )
         if not 0.0 < self.view_ratio < 1.0:
             raise ValueError("view_ratio must be in (0, 1)")
         if not 0.0 <= self.loss_rate < 1.0:

@@ -32,7 +32,6 @@ from repro.lint.rules.determinism import (
     GlobalRandomRule,
     OsEntropyRule,
     SetIterationRule,
-    UnguardedNumpyRule,
     WallClockRule,
 )
 from repro.lint.rules.enclave_boundary import (
@@ -53,7 +52,6 @@ __all__ = [
     "GlobalRandomRule",
     "OsEntropyRule",
     "SetIterationRule",
-    "UnguardedNumpyRule",
     "WallClockRule",
     "EnclaveBoundaryBypassRule",
     "EnclaveInternalImportRule",

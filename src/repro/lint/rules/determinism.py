@@ -19,7 +19,6 @@ __all__ = [
     "WallClockRule",
     "OsEntropyRule",
     "SetIterationRule",
-    "UnguardedNumpyRule",
 ]
 
 #: Protocol packages whose behaviour feeds the paper's metrics.
@@ -229,65 +228,6 @@ class OsEntropyRule(Rule):
                     module, node,
                     f"secrets.{attr}() pulls kernel entropy; use Sha256Prng",
                 )
-
-
-@register_rule
-class UnguardedNumpyRule(Rule):
-    """Require numpy imports in the perf layer to be ImportError-guarded."""
-
-    rule_id = "det-unguarded-numpy"
-    description = "numpy import not guarded by try/except ImportError"
-    rationale = (
-        "numpy is an optional accelerator, never a requirement: the fast "
-        "paths must fall back to the pure-Python reference when it is "
-        "absent (ISSUE acceptance: 'numpy off by default when absent'). "
-        "A bare import would turn a missing wheel into an ImportError at "
-        "module load instead of a silent, equivalent fallback."
-    )
-    severity = Severity.ERROR
-    scope = ("repro/perf",)
-
-    _GUARD_EXCEPTIONS = frozenset({"ImportError", "ModuleNotFoundError", "Exception"})
-
-    def _handler_guards_import_error(self, handler: ast.ExceptHandler) -> bool:
-        exc = handler.type
-        if exc is None:  # bare except
-            return True
-        names = exc.elts if isinstance(exc, ast.Tuple) else [exc]
-        for name in names:
-            if isinstance(name, ast.Name) and name.id in self._GUARD_EXCEPTIONS:
-                return True
-        return False
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        guarded: Set[int] = set()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Try):
-                continue
-            if not any(self._handler_guards_import_error(h) for h in node.handlers):
-                continue
-            for child in node.body:
-                end = getattr(child, "end_lineno", child.lineno)
-                guarded.update(range(child.lineno, end + 1))
-        for node in ast.walk(module.tree):
-            is_numpy = (
-                isinstance(node, ast.Import)
-                and any(a.name.split(".")[0] == "numpy" for a in node.names)
-            ) or (
-                isinstance(node, ast.ImportFrom)
-                and node.module is not None
-                and node.module.split(".")[0] == "numpy"
-            )
-            if not is_numpy:
-                continue
-            if node.lineno in guarded or node.lineno in module.type_checking:
-                continue
-            yield self.finding(
-                module,
-                node,
-                "numpy import must sit inside try/except ImportError so the "
-                "perf layer degrades to the pure-Python reference path",
-            )
 
 
 @register_rule

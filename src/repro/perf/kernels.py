@@ -1,4 +1,4 @@
-"""Optional numpy kernels for the sketch/hash hot paths.
+"""numpy kernels for the sketch/hash hot paths.
 
 Every kernel here is an *exact* integer-for-integer replacement for a pure
 Python loop elsewhere in the tree — not a floating-point approximation.
@@ -11,10 +11,6 @@ The equivalence arguments, which the Hypothesis suite
 * ``splitmix64_array`` is the SplitMix64 finalizer — xor-shifts and odd
   multiplies, all mod 2^64 — so uint64 elementwise ops again *are* the
   scalar reference (``repro.shard.rand.mix64``) with no masking.
-* The min-wise map ``(a * (s mod p) + b) mod p`` with p = 2^31 − 1 keeps
-  every operand below 2^31 and every product below 2^62, so it evaluates
-  exactly in ``int64`` — the same bound that lets ``brahms/sampler.py``
-  vectorise.  For any other modulus the caller must use the Python loop.
 * Count-min updates/estimates are integer adds and minima over int64
   counters; ``decay`` truncates the *exact* rational product: a float64
   factor is the dyadic rational num/2^shift, so ``(value * num) >> shift``
@@ -22,33 +18,24 @@ The equivalence arguments, which the Hypothesis suite
   drifts from exact truncation once ``value * factor`` needs more than 53
   mantissa bits (well below int64 range).
 
-numpy is an *optional* dependency: the import is guarded, callers consult
-:data:`HAVE_NUMPY` (via :func:`repro.perf.config.resolve_use_numpy`) and
-fall back to the pure-Python reference when it is absent.
+The pure-Python loops stay beside their callers as the references those
+tests compare against (``CountMinSketch(use_numpy=False)``, scalar
+``scramble64`` / ``mix64``).
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.crypto.minwise import (
-    MERSENNE_PRIME_31,
-    _SCRAMBLE_MULTIPLIER,
-    _SCRAMBLE_OFFSET,
-)
+import numpy as np
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
+from repro.crypto.minwise import _SCRAMBLE_MULTIPLIER, _SCRAMBLE_OFFSET
 
 __all__ = [
-    "HAVE_NUMPY",
     "SPLITMIX64_M1",
     "SPLITMIX64_M2",
     "scramble64_array",
     "splitmix64_array",
-    "minwise_batch",
     "countmin_rows",
     "countmin_new_tables",
     "countmin_update_batch",
@@ -59,18 +46,9 @@ __all__ = [
     "decay_value",
 ]
 
-HAVE_NUMPY = np is not None
-
-
-def _require_numpy():
-    if np is None:  # pragma: no cover - exercised only on numpy-less installs
-        raise RuntimeError("numpy kernel invoked but numpy is not installed")
-    return np
-
 
 def scramble64_array(values: Sequence[int]):
     """Vectorised :func:`repro.crypto.minwise.scramble64` (uint64 array)."""
-    _require_numpy()
     arr = np.asarray(values, dtype=np.uint64)
     # uint64 arithmetic wraps mod 2^64 — exactly the `& _WORD_MASK` of the
     # scalar reference.
@@ -89,26 +67,10 @@ def splitmix64_array(values):
     arithmetic wraps modulo 2^64, so the xor-shift/multiply pipeline below
     computes the identical integers.
     """
-    _require_numpy()
     x = np.asarray(values, dtype=np.uint64)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(SPLITMIX64_M1)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(SPLITMIX64_M2)
     return x ^ (x >> np.uint64(31))
-
-
-def minwise_batch(a: int, b: int, p: int, values: Sequence[int]) -> List[int]:
-    """Evaluate ``h(x) = (a * (scramble64(x) mod p) + b) mod p`` elementwise.
-
-    Only valid for p = 2^31 − 1 (the default field): that bound is what
-    keeps the products inside int64.  Callers with a larger modulus (e.g.
-    the 61-bit field) must keep the scalar loop.
-    """
-    if p != MERSENNE_PRIME_31:
-        raise ValueError("numpy min-wise kernel requires p = 2^31 - 1")
-    _require_numpy()
-    reduced = (scramble64_array(values) % np.uint64(p)).astype(np.int64)
-    hashed = (np.int64(a) * reduced + np.int64(b)) % np.int64(p)
-    return [int(h) for h in hashed]
 
 
 def countmin_rows(items: Sequence[int], salts: Sequence[int], width: int):
@@ -116,7 +78,6 @@ def countmin_rows(items: Sequence[int], salts: Sequence[int], width: int):
 
     Matches ``scramble64(item ^ salt) % width`` of the scalar `_cells`.
     """
-    _require_numpy()
     arr = np.asarray(items, dtype=np.uint64)
     salts_col = np.asarray(salts, dtype=np.uint64).reshape(-1, 1)
     scrambled = (arr ^ salts_col) * np.uint64(_SCRAMBLE_MULTIPLIER) + np.uint64(
@@ -127,7 +88,6 @@ def countmin_rows(items: Sequence[int], salts: Sequence[int], width: int):
 
 def countmin_new_tables(depth: int, width: int):
     """Zeroed counter matrix (int64 — counts are bounded by stream length)."""
-    _require_numpy()
     return np.zeros((depth, width), dtype=np.int64)
 
 
@@ -184,7 +144,6 @@ def countmin_decay(tables, factor: float) -> None:
     shift is a valid int64 shift count); otherwise the loop falls back to
     Python big ints, still exact, still in place.
     """
-    _require_numpy()
     num, shift = decay_ratio(factor)
     max_value = int(tables.max())
     if 0 <= shift <= 62 and (max_value == 0 or num <= ((1 << 63) - 1) // max_value):

@@ -152,7 +152,7 @@ def compile_spec(spec: ScenarioSpec) -> SimulationBundle:
 
 
 def shard_simulation_from_spec(spec: ScenarioSpec, workers: int = 1,
-                               use_numpy=None, telemetry=None):
+                               telemetry=None):
     """Compile a ``kind='shard'`` spec into a ready
     :class:`~repro.shard.engine.ShardSimulation` (partition count comes
     from ``spec.engine.shards``).  Raises
@@ -165,7 +165,6 @@ def shard_simulation_from_spec(spec: ScenarioSpec, workers: int = 1,
         shard_config_from_spec(spec),
         shards=spec.engine.shards,
         workers=workers,
-        use_numpy=use_numpy,
         telemetry=telemetry,
     )
 

@@ -20,7 +20,7 @@ totals).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.shard.engine import ShardSimulation
 from repro.shard.state import ShardConfig, ShardState, build_state, partition_bounds
@@ -52,7 +52,7 @@ def run_sharded(
     rounds: int,
     shards: int = 1,
     workers: int = 1,
-    use_numpy: Optional[bool] = None,
+    use_numpy: bool = True,
     trace_messages: bool = False,
 ) -> ShardArtifacts:
     """Run ``rounds`` rounds and collect every byte-identity artifact.

@@ -37,10 +37,10 @@ byte-identical; it does not reproduce legacy byte streams):
   the id tiebreak (probability ~2^-31 per pair) makes both backends and
   any shard count agree exactly.
 
-Backend strategy: the pure-Python paths are the readable reference (and
-what numpy-less installs run); the numpy paths compute the *same integers*
-with no per-node and no per-session Python loop.  Data layout of a numpy
-round:
+Backend strategy: the pure-Python paths are the readable reference, run
+only when a differential test passes ``use_numpy=False``; the numpy paths
+compute the *same integers* with no per-node and no per-session Python
+loop.  Data layout of a numpy round:
 
 * **plan** emits arrays — pushes as flat ``(src, seq, dst, ok)`` columns,
   pull sessions as ``[nodes, β]`` matrices (:class:`SessionArrays`) whose
@@ -67,6 +67,8 @@ from dataclasses import dataclass, field
 from bisect import bisect_left
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.crypto.minwise import MERSENNE_PRIME_31
 from repro.shard.rand import Purpose, key64, key_array, keyed_order
 from repro.shard.state import (
@@ -77,11 +79,6 @@ from repro.shard.state import (
     partition_bounds,
 )
 from repro.sim.network import NetworkStats
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
 
 __all__ = ["ShardSimulation", "plan_partition", "apply_partition", "merge_plans"]
 
@@ -292,7 +289,7 @@ def plan_partition(
     assignment (already restricted to sources in ``[lo, hi)``).
     """
     plan = PartitionPlan(lo=lo, hi=hi)
-    if state.use_numpy and np is not None:
+    if state.use_numpy:
         # Nodes that gossip this round: alive, correct, non-empty view.
         ids = np.arange(max(lo, config.n_byzantine), hi, dtype=np.int64)
         nodes = ids[state.alive[ids] & (state.view_len[ids] > 0)]
@@ -543,7 +540,7 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
         barrier.replies_delivered += plan.sess_replies
         barrier.enc_bytes += plan.sess_bytes
         barrier.messages_lost += plan.sess_losses
-    if use_numpy and np is not None:
+    if use_numpy:
         src, seq, dst, ok = (
             np.concatenate(column)
             for column in zip(*(p.push_arrays for p in plans))
@@ -699,7 +696,7 @@ def apply_partition(
         else:
             validate = not all(state.alive)
 
-    if state.use_numpy and np is not None:
+    if state.use_numpy:
         _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
                               validate)
     else:
@@ -1192,7 +1189,7 @@ class ShardSimulation:
         config: ShardConfig,
         shards: int = 1,
         workers: int = 1,
-        use_numpy: Optional[bool] = None,
+        use_numpy: bool = True,
         telemetry=None,
     ):
         if shards <= 0:

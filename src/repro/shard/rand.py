@@ -28,12 +28,9 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.perf.kernels import HAVE_NUMPY, SPLITMIX64_M1, SPLITMIX64_M2
+import numpy as np
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
+from repro.perf.kernels import SPLITMIX64_M1, SPLITMIX64_M2, splitmix64_array
 
 __all__ = [
     "mix64",
@@ -95,11 +92,9 @@ def _base(seed: int, purpose: int, round_no: int) -> int:
 def key_array(seed: int, purpose: int, round_no: int, a_values, b_values):
     """Vectorized :func:`key64` over parallel coordinate arrays (uint64).
 
-    ``a_values``/``b_values`` broadcast against each other; requires numpy
-    (callers on the pure backend loop over :func:`key64`).
+    ``a_values``/``b_values`` broadcast against each other (callers on
+    the pure backend loop over :func:`key64`).
     """
-    from repro.perf.kernels import splitmix64_array
-
     base = np.uint64(_base(seed, purpose, round_no))
     a_arr = np.asarray(a_values, dtype=np.uint64) * np.uint64(_C_A)
     b_arr = np.asarray(b_values, dtype=np.uint64) * np.uint64(_C_B)

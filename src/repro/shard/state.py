@@ -30,19 +30,18 @@ full runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.crypto.minwise import MERSENNE_PRIME_31
-from repro.perf.config import resolve_use_numpy
-from repro.perf.kernels import HAVE_NUMPY
+from repro.perf.kernels import scramble64_array
 from repro.shard.rand import Purpose, key64, key_array
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
-
 __all__ = ["ShardConfig", "ShardState", "EMPTY_SAMPLE", "build_state", "partition_bounds"]
+
+#: numpy is a hard dependency; the perf ledger still records this flag.
+HAVE_NUMPY = True
 
 _P = MERSENNE_PRIME_31
 #: Packed sampler sentinel: strictly greater than any real ``hash << 32 | id``
@@ -292,12 +291,12 @@ def _bootstrap_matrix_numpy(config: ShardConfig):
     return view
 
 
-def build_state(config: ShardConfig, use_numpy: Optional[bool] = None) -> ShardState:
-    """Allocate and bootstrap the population state."""
-    resolved = resolve_use_numpy(use_numpy, HAVE_NUMPY)
+def build_state(config: ShardConfig, use_numpy: bool = True) -> ShardState:
+    """Allocate and bootstrap the population state (``use_numpy=False``:
+    the pure-Python reference backend of the differential tests)."""
     n, l1, l2 = config.n_nodes, config.view_size, config.sample_size
-    state = ShardState(use_numpy=resolved)
-    if resolved:
+    state = ShardState(use_numpy=use_numpy)
+    if use_numpy:
         state.view = _bootstrap_matrix_numpy(config)
         state.view_len = np.full(n, l1, dtype=np.int64)
         nodes = np.arange(n, dtype=np.uint64)[:, None]
@@ -309,8 +308,6 @@ def build_state(config: ShardConfig, use_numpy: Optional[bool] = None) -> ShardS
         state.samp_best = np.full((n, l2), EMPTY_SAMPLE, dtype=np.int64)
         state.alive = np.ones(n, dtype=bool)
         state.known = np.zeros((n, n), dtype=bool)
-        from repro.perf.kernels import scramble64_array
-
         state.reduced = (
             scramble64_array(np.arange(n, dtype=np.uint64)) % np.uint64(_P)
         ).astype(np.int64)

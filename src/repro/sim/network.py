@@ -12,10 +12,9 @@ request-response sessions (pull, auth, trusted swap).  It models:
 * optional transport encryption — the paper encrypts *all* pairwise
   communication with symmetric keys against an eavesdropping adversary
   (§III-B).  When enabled, every payload is serialized and AES-CTR-encrypted
-  under a per-pair key.  With :mod:`repro.perf` fast paths on (the default),
-  the per-pair block cipher is cached and the CTR involution lets one
-  keystream serve both wire directions, which is what makes encrypted
-  paper-scale runs feasible.
+  under a per-pair key.  The per-pair block cipher is cached and the CTR
+  involution lets one keystream serve both wire directions, which is what
+  makes encrypted paper-scale runs feasible.
 
 All traffic is counted — total and per round.  Per-round tallies are
 applied eagerly, message by message: a lazy flush would leave the shared
@@ -36,7 +35,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import AesCtr
 from repro.crypto.hashing import hkdf
-from repro.perf.config import STATE as _PERF_STATE
 from repro.sim.messages import Message
 from repro.sim.node import NodeBase
 
@@ -230,24 +228,18 @@ class Network:
         self._nonce_counter += 1
         nonce = self._nonce_counter.to_bytes(8, "big")
         plaintext = pickle.dumps(message)
-        if _PERF_STATE.enabled:
-            stream = AesCtr.from_cipher(self._pair_cipher(src, dst), nonce)
-            keystream = stream.keystream(len(plaintext))
-            ks_int = int.from_bytes(keystream, "big")
-            ciphertext = (int.from_bytes(plaintext, "big") ^ ks_int).to_bytes(
-                len(plaintext), "big"
-            )
-            self._stats.bytes_encrypted += len(ciphertext)
-            # CTR is an involution, so the decrypt half of the round trip
-            # reuses the keystream instead of re-running AES over it.
-            decrypted = (int.from_bytes(ciphertext, "big") ^ ks_int).to_bytes(
-                len(ciphertext), "big"
-            )
-            return pickle.loads(decrypted)
-        key = self._pair_key(src, dst)
-        ciphertext = AesCtr(key, nonce).encrypt(plaintext)
+        stream = AesCtr.from_cipher(self._pair_cipher(src, dst), nonce)
+        keystream = stream.keystream(len(plaintext))
+        ks_int = int.from_bytes(keystream, "big")
+        ciphertext = (int.from_bytes(plaintext, "big") ^ ks_int).to_bytes(
+            len(plaintext), "big"
+        )
         self._stats.bytes_encrypted += len(ciphertext)
-        decrypted = AesCtr(key, nonce).decrypt(ciphertext)
+        # CTR is an involution, so the decrypt half of the round trip
+        # reuses the keystream instead of re-running AES over it.
+        decrypted = (int.from_bytes(ciphertext, "big") ^ ks_int).to_bytes(
+            len(ciphertext), "big"
+        )
         return pickle.loads(decrypted)
 
     # -- delivery ------------------------------------------------------------

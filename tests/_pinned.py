@@ -1,0 +1,117 @@
+"""The pinned differential scenarios and their deterministic surface.
+
+Three scenarios cover the three configuration families: the Brahms
+baseline, RAPTEE with fixed eviction + encrypted transport + count-min
+unbiasing, and RAPTEE under an active fault plan.  The differential suites
+(events, scenario) and the determinism matrix run them through
+:func:`observables`, so they can never drift apart in what they consider
+"the deterministic surface".
+"""
+
+from __future__ import annotations
+
+from repro.analysis.metrics import per_round_series
+from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.experiments.scenarios import (
+    TopologySpec,
+    build_brahms_simulation,
+    build_raptee_simulation,
+)
+from repro.faults.harness import wire_faults
+from repro.faults.plan import CrashRestartFault, FaultPlan, LossBurstFault, RoundWindow
+from repro.telemetry import (
+    TelemetryConfig,
+    metrics_to_csv,
+    trace_to_jsonl,
+    wire_telemetry,
+)
+
+ROUNDS = 6
+
+
+def observables(bundle, harness_runner, rounds):
+    """Run and collect every deterministic-surface artifact of a bundle."""
+    config = TelemetryConfig(tracing=True, trace_messages=True, trace_ecalls=True)
+    telemetry_harness = wire_telemetry(bundle, config)
+    harness_runner(rounds)
+    telemetry = telemetry_harness.telemetry
+    simulation = bundle.simulation
+    stats = simulation.network.stats
+    return {
+        "trace_jsonl": trace_to_jsonl(telemetry.trace.events),
+        "metrics_csv": metrics_to_csv(telemetry.registry),
+        "final_views": {
+            node_id: tuple(node.view_ids())
+            for node_id, node in sorted(simulation.nodes.items())
+        },
+        "view_trace": bundle.trace.records,
+        "pushes_series": per_round_series(stats.per_round_pushes, rounds),
+        "requests_series": per_round_series(stats.per_round_requests, rounds),
+        "losses_series": per_round_series(stats.per_round_losses, rounds),
+        "totals": (
+            stats.pushes_sent,
+            stats.pushes_delivered,
+            stats.requests_sent,
+            stats.replies_delivered,
+            stats.messages_lost,
+            stats.bytes_encrypted,
+        ),
+    }
+
+
+def _brahms_baseline():
+    spec = TopologySpec(
+        n_nodes=60, byzantine_fraction=0.10, view_ratio=0.08, loss_rate=0.05
+    )
+    return build_brahms_simulation(spec, seed=11), 11, None
+
+
+def _raptee_fixed_eviction():
+    spec = TopologySpec(
+        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
+        view_ratio=0.10, transport_encryption=True,
+    )
+    bundle = build_raptee_simulation(
+        spec, seed=23, eviction=FixedEviction(0.6), sketch_unbias_enabled=True
+    )
+    return bundle, 23, None
+
+
+def _raptee_faults():
+    spec = TopologySpec(
+        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
+        view_ratio=0.10, transport_encryption=True,
+    )
+    bundle = build_raptee_simulation(spec, seed=31, eviction=AdaptiveEviction())
+    plan = FaultPlan([
+        LossBurstFault(window=RoundWindow(2, 3), loss_rate=0.30),
+        # Node 5 is trusted (IDs 4-7 here): the crash kills its enclave,
+        # pulling the recovery manager into the differential surface.
+        CrashRestartFault(node_id=5, at_round=2, down_rounds=2),
+    ])
+    return bundle, 31, plan
+
+
+#: name → builder returning ``(bundle, seed, fault plan or None)``.
+PINNED = {
+    "brahms-baseline": _brahms_baseline,
+    "raptee-fixed-eviction": _raptee_fixed_eviction,
+    "raptee-faults": _raptee_faults,
+}
+
+
+def run_pinned(name, driver=None):
+    """Observables of one pinned scenario on the round engine, or on
+    whatever ``driver(bundle, seed)`` returns as the ``rounds -> None``
+    runner (the event engine, in the events differential)."""
+    bundle, seed, plan = PINNED[name]()
+
+    def runner(rounds):
+        # Telemetry must be wired before faults so injector events land in
+        # the same hub; wire_faults picks it up from the bundle and installs
+        # the FaultController that either engine fires through run_round.
+        if plan is not None:
+            wire_faults(bundle, plan, seed=seed)
+        (bundle.run if driver is None else driver(bundle, seed))(rounds)
+
+    return observables(bundle, runner, ROUNDS)

@@ -4,32 +4,22 @@ event engine.
 Contract (ISSUE 8 acceptance): an :class:`~repro.events.EventEngine` in
 **barrier** mode with zero-latency links must reproduce the round
 engine's run *byte for byte* — same exported trace JSONL, same metrics
-CSV, same final views, same per-round traffic series — on the same three
-pinned scenarios the perf differential uses (Brahms baseline, RAPTEE
+CSV, same final views, same per-round traffic series — on the three
+pinned scenarios (Brahms baseline, RAPTEE
 with fixed eviction + encrypted transport, RAPTEE under an active fault
 plan with a mid-run crash).
 
-The observable-collection helper is shared with
-``tests/test_perf_differential.py`` so the two differentials can never
-drift apart in what they consider "the deterministic surface".
+The scenarios and the observable-collection helper live in
+``tests/_pinned.py``, shared with the other differentials so they can
+never drift apart in what they consider "the deterministic surface".
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.events import EventOptions, wire_events
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
-from repro.faults.harness import wire_faults
-from repro.faults.plan import CrashRestartFault, FaultPlan, LossBurstFault, RoundWindow
-from tests.test_perf_differential import _observables
-
-ROUNDS = 6
+from tests._pinned import PINNED, run_pinned
 
 
 def _events_runner(bundle, seed):
@@ -41,63 +31,10 @@ def _events_runner(bundle, seed):
     return runner
 
 
-def _run_brahms(engine: str):
-    spec = TopologySpec(
-        n_nodes=60, byzantine_fraction=0.10, view_ratio=0.08, loss_rate=0.05
-    )
-    bundle = build_brahms_simulation(spec, seed=11)
-    runner = bundle.run if engine == "rounds" else _events_runner(bundle, 11)
-    return _observables(bundle, runner, ROUNDS)
-
-
-def _run_raptee_fixed(engine: str):
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-        view_ratio=0.10, transport_encryption=True,
-    )
-    bundle = build_raptee_simulation(
-        spec, seed=23, eviction=FixedEviction(0.6), sketch_unbias_enabled=True
-    )
-    runner = bundle.run if engine == "rounds" else _events_runner(bundle, 23)
-    return _observables(bundle, runner, ROUNDS)
-
-
-def _run_raptee_faults(engine: str):
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-        view_ratio=0.10, transport_encryption=True,
-    )
-    bundle = build_raptee_simulation(spec, seed=31, eviction=AdaptiveEviction())
-    plan = FaultPlan([
-        LossBurstFault(window=RoundWindow(2, 3), loss_rate=0.30),
-        CrashRestartFault(node_id=5, at_round=2, down_rounds=2),
-    ])
-
-    def runner(rounds):
-        # wire_faults installs the FaultController on the simulation; in
-        # barrier mode the event engine fires it through run_round, the
-        # identical code path the round engine uses.
-        fault_harness = wire_faults(bundle, plan, seed=31)
-        if engine == "rounds":
-            fault_harness.run(rounds)
-        else:
-            _events_runner(bundle, 31)(rounds)
-
-    return _observables(bundle, runner, ROUNDS)
-
-
-_SCENARIOS = {
-    "brahms-baseline": _run_brahms,
-    "raptee-fixed-eviction": _run_raptee_fixed,
-    "raptee-faults": _run_raptee_faults,
-}
-
-
-@pytest.mark.parametrize("name", sorted(_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_barrier_event_engine_byte_identical_to_round_engine(name):
-    run = _SCENARIOS[name]
-    rounds_engine = run("rounds")
-    event_engine = run("events")
+    rounds_engine = run_pinned(name)
+    event_engine = run_pinned(name, driver=_events_runner)
     # Byte-identical exported artifacts.
     assert rounds_engine["trace_jsonl"] == event_engine["trace_jsonl"]
     assert rounds_engine["metrics_csv"] == event_engine["metrics_csv"]
@@ -112,7 +49,7 @@ def test_barrier_event_engine_byte_identical_to_round_engine(name):
 
 def test_differential_is_not_vacuous():
     """Guard: the scenarios actually produce traffic and trace events."""
-    observed = _run_brahms("events")
+    observed = run_pinned("brahms-baseline", driver=_events_runner)
     assert observed["totals"][0] > 0  # pushes_sent
     assert observed["trace_jsonl"]
 

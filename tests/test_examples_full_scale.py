@@ -37,17 +37,5 @@ class TestFullScaleExample:
         full_scale.main(["--run", "--nodes", "500", "--rounds", "4"])
         out = capsys.readouterr().out
         assert "N                = 500" in out
-        assert "fast paths       = on" in out
         assert "resilience (Byz IDs in correct views):" in out
         assert "discovery round:" in out
-
-    def test_reference_flag_restores_fastpaths(self, full_scale, capsys):
-        from repro.perf.config import fastpaths_enabled, set_fastpaths
-
-        assert fastpaths_enabled()
-        try:
-            full_scale.main(["--reference", "--nodes", "100"])  # dry run
-            out = capsys.readouterr().out
-            assert "fast paths       = off (reference)" in out
-        finally:
-            set_fastpaths(True)

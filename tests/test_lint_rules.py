@@ -213,68 +213,6 @@ class TestSetIterationRule:
         assert "det-set-iteration" not in rules_in(findings)
 
 
-class TestUnguardedNumpyRule:
-    def test_flags_bare_numpy_import_in_perf(self):
-        findings = check("import numpy as np\n", scope="repro/perf/fixture.py")
-        assert "det-unguarded-numpy" in rules_in(findings)
-
-    def test_flags_from_numpy_import(self):
-        findings = check(
-            "from numpy import bincount\n", scope="repro/perf/fixture.py"
-        )
-        assert "det-unguarded-numpy" in rules_in(findings)
-
-    def test_near_miss_guarded_import_ok(self):
-        findings = check(
-            """
-            try:
-                import numpy as np
-            except ImportError:
-                np = None
-            """,
-            scope="repro/perf/fixture.py",
-        )
-        assert "det-unguarded-numpy" not in rules_in(findings)
-
-    def test_guard_must_catch_import_error(self):
-        findings = check(
-            """
-            try:
-                import numpy as np
-            except ValueError:
-                np = None
-            """,
-            scope="repro/perf/fixture.py",
-        )
-        assert "det-unguarded-numpy" in rules_in(findings)
-
-    def test_type_checking_import_ok(self):
-        findings = check(
-            """
-            from typing import TYPE_CHECKING
-
-            if TYPE_CHECKING:
-                import numpy
-            """,
-            scope="repro/perf/fixture.py",
-        )
-        assert "det-unguarded-numpy" not in rules_in(findings)
-
-    def test_out_of_scope_package_ok(self):
-        findings = check("import numpy\n", scope="repro/analysis/fixture.py")
-        assert "det-unguarded-numpy" not in rules_in(findings)
-
-    def test_real_kernels_module_passes(self):
-        import pathlib
-
-        kernels = (
-            pathlib.Path(__file__).parent.parent
-            / "src" / "repro" / "perf" / "kernels.py"
-        )
-        findings = check(kernels.read_text(), scope="repro/perf/kernels.py")
-        assert "det-unguarded-numpy" not in rules_in(findings)
-
-
 # ---------------------------------------------------------------------------
 # crypto-hygiene rules
 # ---------------------------------------------------------------------------

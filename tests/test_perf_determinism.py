@@ -1,20 +1,22 @@
 """Determinism matrix for the perf layer.
 
 PR 3 proved ``repeat()`` gives seed-ordered, element-wise identical results
-whatever the worker count; this extends that guarantee to fast paths: the
-workers run with the perf layer in its *default* state (enabled), and a
-worker pool (fresh processes, fresh caches) must agree element-wise with
-the serial path (warm schedule/pair caches) — i.e. cache warmth is not
-observable.
+whatever the worker count; this extends that guarantee to the caches of the
+perf layer: a worker pool (fresh processes, fresh caches) must agree
+element-wise with the serial path (warm schedule/pair caches) — i.e. cache
+warmth is not observable.  The pinned differential scenarios get the same
+check on their full byte surface (trace JSONL, metrics CSV, views, series).
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.eviction import FixedEviction
 from repro.experiments.runner import RunMetrics, repeat
 from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
-from repro.perf.config import fastpaths_enabled
 from repro.experiments.runner import run_bundle
+from tests._pinned import PINNED, run_pinned
 
 SEEDS = [101, 202, 303, 404]
 ROUNDS = 5
@@ -22,8 +24,7 @@ ROUNDS = 5
 
 def _build_and_run_perf(seed: int) -> RunMetrics:
     # Module level so ProcessPoolExecutor can pickle it (workers > 1).
-    # Encryption on: the scenario must cross every crypto fast path.
-    assert fastpaths_enabled(), "workers must inherit the default perf state"
+    # Encryption on: the scenario must cross the schedule and pair caches.
     spec = TopologySpec(
         n_nodes=30, byzantine_fraction=0.10, trusted_fraction=0.10,
         view_ratio=0.12, transport_encryption=True,
@@ -47,3 +48,14 @@ class TestPerfDeterminismMatrix:
         # not notice.
         assert repeat(_build_and_run_perf, SEEDS).runs == \
             repeat(_build_and_run_perf, SEEDS).runs
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_runs_are_self_deterministic(name):
+    """Same seed → identical artifacts (no hidden global state)."""
+    assert run_pinned(name) == run_pinned(name)
+
+
+def test_encrypted_scenario_actually_encrypts():
+    """Guard against the encrypted differentials passing vacuously."""
+    assert run_pinned("raptee-fixed-eviction")["totals"][-1] > 0  # bytes_encrypted

@@ -1,34 +1,29 @@
 """Property tests: the numpy kernels equal the pure-Python references.
 
 Hypothesis drives random inputs through both implementations of each
-accelerated primitive — count-min updates/estimates/decay, the min-wise
-batch map, the cached/T-table AES-CTR — and requires integer-for-integer
-(or byte-for-byte) equality, not approximate agreement.
+accelerated primitive — count-min updates/estimates/decay, the input
+scramble, the cached/T-table AES-CTR — and requires integer-for-integer
+(or byte-for-byte) equality, not approximate agreement.  Each reference is
+called directly: ``CountMinSketch(use_numpy=False)``, scalar ``scramble64``,
+``AES128._encrypt_block_reference``, an in-test per-byte XOR.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.brahms.countmin import CountMinSketch
+from repro.brahms.countmin import CountMinSketch, StreamUnbiaser
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import AesCtr
-from repro.crypto.minwise import (
-    MERSENNE_PRIME_31,
-    MERSENNE_PRIME_61,
-    MinWiseHash,
-    scramble64,
-)
+from repro.crypto.minwise import scramble64
 from repro.perf import kernels
-from repro.perf.config import fastpaths, resolve_use_numpy
-
-pytestmark = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="numpy kernels require numpy"
-)
+from repro.scenario.compile import shard_simulation_from_spec
+from repro.shard import ShardSimulation, build_state, run_sharded
 
 # Deterministic-surface tests; wall-clock deadlines only add flake.
 COMMON = settings(deadline=None, max_examples=50)
@@ -38,42 +33,35 @@ ids_strategy = st.lists(
 )
 
 
+class TestBackendSurface:
+    """The only backend choice left: ``use_numpy``, a plain boolean that
+    defaults to numpy, on the four seams the differentials use."""
+
+    def test_perf_package_exports_only_the_kernels(self):
+        import repro.perf
+
+        assert repro.perf.__all__ == ["kernels"]
+        assert not hasattr(repro.perf, "config")
+
+    @pytest.mark.parametrize(
+        "seam", [CountMinSketch, build_state, ShardSimulation, run_sharded]
+    )
+    def test_use_numpy_is_a_boolean_defaulting_to_true(self, seam):
+        parameter = inspect.signature(seam).parameters["use_numpy"]
+        assert parameter.annotation in (bool, "bool")
+        assert parameter.default is True
+
+    @pytest.mark.parametrize("seam", [StreamUnbiaser, shard_simulation_from_spec])
+    def test_no_backend_parameter_above_the_seams(self, seam):
+        assert "use_numpy" not in inspect.signature(seam).parameters
+
+
 class TestScramble:
     @COMMON
     @given(values=ids_strategy)
     def test_scramble64_array_matches_scalar(self, values):
         batched = kernels.scramble64_array(values)
         assert [int(v) for v in batched] == [scramble64(v) for v in values]
-
-
-class TestMinWise:
-    @COMMON
-    @given(
-        values=ids_strategy,
-        a=st.integers(min_value=1, max_value=MERSENNE_PRIME_31 - 1),
-        b=st.integers(min_value=0, max_value=MERSENNE_PRIME_31 - 1),
-    )
-    def test_batch_kernel_matches_loop(self, values, a, b):
-        hasher = MinWiseHash(a=a, b=b)
-        assert hasher.batch(values, use_numpy=True) == [hasher(v) for v in values]
-
-    def test_batch_refuses_wide_field(self):
-        with pytest.raises(ValueError):
-            kernels.minwise_batch(3, 5, MERSENNE_PRIME_61, [1, 2, 3])
-
-    def test_hash_batch_falls_back_on_wide_field(self):
-        hasher = MinWiseHash(a=3, b=5, p=MERSENNE_PRIME_61)
-        values = [0, 1, 2, 17, 1 << 60]
-        assert hasher.batch(values) == [hasher(v) for v in values]
-
-    def test_batch_respects_fastpath_flag(self):
-        hasher = MinWiseHash(a=7, b=9)
-        values = list(range(50))
-        with fastpaths(False):
-            off = hasher.batch(values)
-        with fastpaths(True):
-            on = hasher.batch(values)
-        assert off == on == [hasher(v) for v in values]
 
 
 def _mirror_sketches(width, depth, seed):
@@ -190,16 +178,6 @@ class TestCountMin:
         assert pure.total == vec.total == (2**54 + 11) // 2
         assert pure.estimate(42) == vec.estimate(42)
 
-    def test_resolution_follows_fastpath_flag(self):
-        with fastpaths(True):
-            assert CountMinSketch(8, 2, random.Random(0)).use_numpy
-        with fastpaths(False):
-            assert not CountMinSketch(8, 2, random.Random(0)).use_numpy
-
-    def test_explicit_true_without_numpy_raises(self):
-        with pytest.raises(RuntimeError):
-            resolve_use_numpy(True, have_numpy=False)
-
 
 class TestAesCtrFastPath:
     @COMMON
@@ -211,11 +189,15 @@ class TestAesCtrFastPath:
     )
     def test_fast_and_reference_ciphertexts_equal(self, key, nonce, plaintext,
                                                   counter):
-        with fastpaths(True):
-            fast = AesCtr(key, nonce).encrypt(plaintext, counter)
-        with fastpaths(False):
-            slow = AesCtr(key, nonce).encrypt(plaintext, counter)
-        assert fast == slow
+        # The oracle shares no code with the stream: FIPS-197 reference
+        # blocks over nonce || counter, XORed byte by byte.
+        cipher = AES128(key)
+        keystream = b"".join(
+            cipher._encrypt_block_reference(nonce + (counter + i).to_bytes(8, "big"))
+            for i in range(-(-len(plaintext) // 16))
+        )
+        slow = bytes(p ^ k for p, k in zip(plaintext, keystream))
+        assert AesCtr(key, nonce).encrypt(plaintext, counter) == slow
 
     @COMMON
     @given(
@@ -224,9 +206,8 @@ class TestAesCtrFastPath:
         plaintext=st.binary(min_size=0, max_size=200),
     )
     def test_cached_schedule_roundtrips(self, key, nonce, plaintext):
-        with fastpaths(True):
-            stream = AesCtr(key, nonce)
-            assert stream.decrypt(stream.encrypt(plaintext)) == plaintext
+        stream = AesCtr(key, nonce)
+        assert stream.decrypt(stream.encrypt(plaintext)) == plaintext
 
     @COMMON
     @given(key=st.binary(min_size=16, max_size=16),
@@ -237,21 +218,25 @@ class TestAesCtrFastPath:
         assert fast == cipher._encrypt_block_reference(block)
         assert cipher.decrypt_block(fast) == block
 
+    def test_both_block_paths_match_fips197_appendix_c1(self):
+        cipher = AES128(bytes(range(16)))
+        block = bytes.fromhex("00112233445566778899aabbccddeeff")
+        expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+        assert cipher._encrypt_block_reference(block) == expected
+        assert cipher._encrypt_block_ttable(block) == expected
+        assert cipher.encrypt_block(block) == expected
+
     @COMMON
     @given(key=st.binary(min_size=16, max_size=16),
            nonce=st.binary(min_size=8, max_size=8),
            length=st.integers(min_value=0, max_value=100))
     def test_from_cipher_shares_keystream(self, key, nonce, length):
-        with fastpaths(True):
-            direct = AesCtr(key, nonce)
-            shared = AesCtr.from_cipher(AES128(key), nonce)
-            assert direct.keystream(length) == shared.keystream(length)
+        direct = AesCtr(key, nonce)
+        shared = AesCtr.from_cipher(AES128(key), nonce)
+        assert direct.keystream(length) == shared.keystream(length)
 
     def test_cached_and_uncached_schedules_equal(self):
         key = bytes(range(16))
-        with fastpaths(True):
-            cached = AES128(key)
-        with fastpaths(False):
-            uncached = AES128(key)
-        assert cached._round_keys == uncached._round_keys
-        assert cached._round_words == uncached._round_words
+        cached = AES128(key)
+        uncached = AES128._expand_schedules(key)
+        assert (cached._round_keys, cached._round_words) == uncached

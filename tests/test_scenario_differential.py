@@ -34,7 +34,7 @@ from repro.faults.plan import CrashRestartFault, FaultPlan, LossBurstFault, Roun
 from repro.membership import MembershipConfig
 from repro.scenario import compile_spec, spec_from_dict
 
-from tests.test_perf_differential import _observables
+from tests._pinned import observables as _observables
 
 ROUNDS = 6
 
@@ -284,6 +284,12 @@ class TestViewSizeValidation:
             TopologySpec(n_nodes=50, byzantine_fraction=0.0, view_ratio=1.2)
         with pytest.raises(ValueError, match="view_ratio"):
             TopologySpec(n_nodes=50, byzantine_fraction=0.0, view_ratio=0.0)
+
+    def test_topology_spec_rejects_rounded_counts_without_honest_nodes(self):
+        # The fractions sum below 1, but round(5.5) + round(4.4) = 6 + 4.
+        with pytest.raises(ValueError, match="6 Byzantine.*4 trusted.*0 honest"):
+            TopologySpec(n_nodes=10, byzantine_fraction=0.55,
+                         trusted_fraction=0.44, view_ratio=0.5)
 
     def test_builders_reject_oversized_config_override(self):
         from repro.brahms.config import BrahmsConfig

@@ -25,7 +25,6 @@ import os
 import pytest
 
 from repro.experiments.scenarios import TopologySpec
-from repro.perf.kernels import HAVE_NUMPY
 from repro.shard import ShardArtifacts, run_sharded
 from repro.shard.compile import shard_config_from_topology
 from repro.shard.state import ShardConfig
@@ -164,7 +163,6 @@ class TestShardCountInvariance:
                             trace_messages=True)
         _assert_identical(probe, reference, f"{name} workers=2")
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy to differ")
     def test_pure_backend_matches_numpy(self, baseline):
         name, rounds, reference = baseline
         build, _ = SCENARIOS[name]
@@ -246,7 +244,6 @@ class TestEdgeScenariosBite:
         assert by_round[3]["losses"] > by_round[1]["losses"] * 5
         assert by_round[3]["renewals"] < by_round[8]["renewals"]
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="reads the numpy known matrix")
     def test_saturated_run_has_owners_with_nothing_fresh(self):
         from repro.shard import ShardSimulation
 

@@ -13,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.crypto.minwise import MERSENNE_PRIME_31
-from repro.perf.kernels import HAVE_NUMPY
 from repro.scenario.spec import EngineSpec, ScenarioSpecError
 from repro.shard import partition_bounds
 from repro.shard.compile import (
@@ -27,11 +26,8 @@ from repro.shard.state import ShardConfig
 
 from repro.experiments.scenarios import TopologySpec
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
-
 
 class TestCounterRandomness:
-    @needs_numpy
     def test_key_array_matches_scalar(self):
         import numpy as np
 
@@ -45,7 +41,6 @@ class TestCounterRandomness:
                         for a, b in zip(a_values, b_values)]
             assert [int(v) for v in batched] == expected
 
-    @needs_numpy
     def test_key_array_broadcasts(self):
         import numpy as np
 
@@ -81,7 +76,6 @@ class TestCounterRandomness:
         assert ordered != keyed_order(items, 5, Purpose.ADV_ORDER, 10)
 
 
-@needs_numpy
 class TestMersenneFold:
     def test_fold_matches_modulo(self):
         import numpy as np
@@ -162,7 +156,6 @@ def _canonical_delta(delta):
     }
 
 
-@needs_numpy
 class TestSegmentKernel:
     def test_deltas_match_pure_backend_field_by_field(self, monkeypatch):
         config = _kernel_config()

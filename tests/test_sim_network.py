@@ -1,5 +1,6 @@
 """Network transport tests."""
 
+import pickle
 import random
 from typing import List, Optional
 
@@ -130,6 +131,23 @@ class TestEncryptedTransport:
         network = Network(rng, encrypt=True, transport_secret=b"s" * 16)
         assert network._pair_key(1, 2) == network._pair_key(2, 1)
         assert network._pair_key(1, 2) != network._pair_key(1, 3)
+
+    def test_through_wire_roundtrips_and_counts_every_byte(self, rng):
+        network = Network(rng, encrypt=True, transport_secret=b"s" * 16)
+        message = PullReply(sender=2, ids=(4, 5, 6))
+        size = len(pickle.dumps(message))
+
+        def assert_roundtrips():
+            for src, dst in [(1, 2), (3, 7)]:
+                before = network.stats.bytes_encrypted
+                assert network._through_wire(src, dst, message) == message
+                assert network.stats.bytes_encrypted - before == size
+
+        assert_roundtrips()
+        old_key = network._pair_key(1, 2)
+        network.rekey_pairs(b"epoch-2")
+        assert network._pair_key(1, 2) != old_key
+        assert_roundtrips()
 
 
 class TestPerRoundCounters:
