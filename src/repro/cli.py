@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(repro.shard) with N partitions; output is "
                                  "byte-identical for any N")
     run_parser.add_argument("--shard-workers", type=int, default=1, metavar="W",
-                            help="processes for the shard partition phases "
+                            help="threads for the shard partition phases "
                                  "(default 1 = inline)")
     run_parser.add_argument("--loss", type=float, default=0.0,
                             help="uniform message loss rate")
@@ -417,6 +417,11 @@ def _command_run(args) -> int:
         print("error: --shard-workers only applies with --shards N",
               file=sys.stderr)
         return 2
+    for flag, value in (("--shards", args.shards),
+                        ("--shard-workers", args.shard_workers)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return 2
     if args.engine != "events":
         for flag, given in (
             ("--latency-model", args.latency_model is not None),

@@ -31,10 +31,11 @@ __all__ = [
 def map_ordered(fn, items, workers=None, on_result=None):
     """Apply ``fn`` to every item, returning results in *item* order.
 
-    The process-pool seam shared by :func:`repeat` (one task per seed) and
-    the sharded engine (:mod:`repro.shard.pool`, one task per partition).
-    ``workers`` ``None``/``<= 1`` — or a single item — runs inline with no
-    pool overhead; otherwise ``fn`` and the items must be picklable.
+    The process-pool seam of :func:`repeat` (one task per seed; the sharded
+    engine dispatches its partitions to threads in :mod:`repro.shard.pool`
+    and does not come through here).  ``workers`` ``None``/``<= 1`` — or a
+    single item — runs inline with no pool overhead; otherwise ``fn`` and
+    the items must be picklable.
 
     ``on_result(index, result)`` is invoked in item order for every item
     that completed — even when another item failed, so callers that

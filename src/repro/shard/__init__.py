@@ -5,12 +5,12 @@ The legacy engine is one Python object per node and one callback per
 message — the right shape for protocol fidelity, the wrong one for
 N = 10,000.  This package stores the whole population as struct-of-arrays
 (:mod:`repro.shard.state`), batches each round's push/pull traffic per
-partition (:mod:`repro.shard.engine`), and distributes partitions across
-the same process-pool seam the experiment sweeps use
-(:mod:`repro.shard.pool`).  A deterministic cross-shard ordering barrier —
-a stable ``(round, src, dst, seq)`` sort over the merged message stream —
-makes every run byte-identical regardless of shard count, worker count or
-numeric backend; ``tests/test_shard_differential.py`` pins that.
+partition (:mod:`repro.shard.engine`), and runs partitions on threads over
+that one shared state (:mod:`repro.shard.pool`) — the process pool of the
+experiment sweeps is not involved.  A deterministic cross-shard ordering
+barrier — a stable ``(round, src, dst, seq)`` sort over the merged message
+stream — makes every run byte-identical regardless of shard count, worker
+count or numeric backend; ``tests/test_shard_differential.py`` pins that.
 
 :func:`run_sharded` is the one-call surface: build, run, and collect the
 byte-comparable artifacts (trace JSONL, metrics CSV, final views, network

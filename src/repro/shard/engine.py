@@ -46,7 +46,8 @@ loop.  Data layout of a numpy round:
   pull sessions as ``[nodes, β]`` matrices (:class:`SessionArrays`) whose
   eight RAPTEE legs are boolean masks over ``[nodes, β]`` loss-key
   matrices (Brahms is the pull pair of the same masks);
-* **barrier** concatenates them and sorts the pushes once (``lexsort``);
+* **barrier** concatenates them and sorts the pushes once (one packed
+  ``(src, dst, seq)`` key);
 * **apply** is a segment kernel over flat ``(owner, id)`` arrays: pulled
   batches are gathered as a ``[batches, l1]`` view-matrix slice in stream
   order, novelty and per-owner uniqueness fall out of one dense
@@ -64,13 +65,12 @@ what licenses the vector paths at N = 10,000.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from bisect import bisect_left
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.crypto.minwise import MERSENNE_PRIME_31
-from repro.shard.rand import Purpose, key64, key_array, keyed_order
+from repro.shard.rand import Purpose, key64, key_array
 from repro.shard.state import (
     EMPTY_SAMPLE,
     ShardConfig,
@@ -545,11 +545,18 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
             np.concatenate(column)
             for column in zip(*(p.push_arrays for p in plans))
         )
-        order = np.lexsort((seq, dst, src))
+        # One packed (src, dst, seq) key per push; (src, seq) names a push,
+        # so keys are unique and any sort yields the one canonical order.
+        span = int(dst.max(initial=0)) + 1
+        width = int(seq.max(initial=0)) + 1
+        order = np.argsort((src * span + dst) * width + seq)
         src, seq, dst, ok = src[order], seq[order], dst[order], ok[order]
         barrier.push_canonical = (src, dst, seq, ok)
-        dsrc, dseq, ddst = src[ok], seq[ok], dst[ok]
-        delivery = np.lexsort((dseq, dsrc, ddst))
+        # The delivered subset is still (src, dst, seq)-ordered: a stable
+        # sort by dst alone makes it (dst, src, seq).  Narrowed because
+        # numpy's stable sort is a radix sort on keys of 16 bits or fewer.
+        dsrc, ddst = src[ok], dst[ok]
+        delivery = np.argsort(ddst.astype(np.min_scalar_type(span)), kind="stable")
         barrier.push_by_dst = (ddst[delivery], dsrc[delivery])
         barrier.pushes_sent = int(src.size)
         barrier.pushes_delivered = int(ddst.size)
@@ -1172,16 +1179,48 @@ def _known_live(state: ShardState, node: int, fresh: List[int]) -> List[int]:
     return sorted(c for c in merged if state.is_alive(c))
 
 
+# -- adversary ----------------------------------------------------------------
+
+
+def _adversary_assignment(config: ShardConfig, alive, round_no: int) -> Tuple:
+    """The balanced attack: spread the adversary's whole push budget evenly
+    over the alive correct population (deterministic multiset).
+
+    Victims are taken in keyed order (ties by id), each ``quota`` times and
+    the first ``remainder`` once more; the ``b``-th alive Byzantine node
+    sends the ``b``-th run of ``byz_push_limit`` entries.  Returns int64
+    ``(src, seq, dst)`` arrays, sources ascending, for both backends.
+    """
+    alive = np.asarray(alive, dtype=bool)
+    n_byz = config.n_byzantine
+    byz = np.flatnonzero(alive[:n_byz])
+    victims = np.flatnonzero(alive[n_byz:]) + n_byz
+    if not byz.size or not victims.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    limit = config.byz_push_limit
+    keys = key_array(config.seed, Purpose.ADV_ORDER, round_no, 0, victims)
+    quota, remainder = divmod(byz.size * limit, victims.size)
+    counts = np.full(victims.size, quota, dtype=np.int64)
+    counts[:remainder] += 1
+    return (
+        np.repeat(byz, limit),
+        np.tile(np.arange(limit, dtype=np.int64), byz.size),
+        np.repeat(victims[np.lexsort((victims, keys))], counts),
+    )
+
+
 # -- the driver ---------------------------------------------------------------
 
 
 class ShardSimulation:
     """Drives :class:`ShardState` through bulk-synchronous rounds.
 
-    ``shards`` controls partitioning, ``workers`` how many processes run
-    the partition phases (``<= 1`` → inline).  Both are *performance*
-    knobs: the barrier makes every output byte-identical across any
-    combination — that is the property the shard differential suite pins.
+    ``shards`` controls partitioning, ``workers`` how many threads run the
+    partition phases over the shared state (``1`` → inline; see
+    :mod:`repro.shard.pool`).  Both are *performance* knobs: the barrier
+    makes every output byte-identical across any combination — that is the
+    property the shard differential suite pins.
     """
 
     def __init__(
@@ -1194,6 +1233,8 @@ class ShardSimulation:
     ):
         if shards <= 0:
             raise ValueError("shards must be positive")
+        if workers <= 0:
+            raise ValueError("workers must be positive")
         self.config = config
         self.shards = shards
         self.workers = workers
@@ -1222,38 +1263,6 @@ class ShardSimulation:
                 keep *= 1.0 - rate
         return 1.0 - keep
 
-    # -- adversary ------------------------------------------------------------
-
-    def _adversary_assignment(self) -> Tuple[List[int], List[int], List[int]]:
-        """The balanced attack: spread the adversary's whole push budget
-        evenly over the correct population (deterministic multiset)."""
-        config, state = self.config, self.state
-        byz_alive = [b for b in range(config.n_byzantine) if state.is_alive(b)]
-        correct_alive = [
-            node for node in range(config.n_byzantine, config.n_nodes)
-            if state.is_alive(node)
-        ]
-        if not byz_alive or not correct_alive:
-            return [], [], []
-        limit = config.byz_push_limit
-        total = len(byz_alive) * limit
-        perm = keyed_order(
-            correct_alive, config.seed, Purpose.ADV_ORDER, self.round_number
-        )
-        quota, remainder = divmod(total, len(perm))
-        pool: List[int] = []
-        for index, victim in enumerate(perm):
-            pool.extend([victim] * (quota + (1 if index < remainder else 0)))
-        src: List[int] = []
-        seq: List[int] = []
-        dst: List[int] = []
-        for b_index, byz in enumerate(byz_alive):
-            share = pool[b_index * limit:(b_index + 1) * limit]
-            src.extend([byz] * len(share))
-            seq.extend(range(len(share)))
-            dst.extend(share)
-        return src, seq, dst
-
     # -- telemetry ------------------------------------------------------------
 
     def _emit(self, name: str, **fields: object) -> None:
@@ -1273,36 +1282,42 @@ class ShardSimulation:
             self.telemetry.begin_round(round_no)
         self._apply_crash_schedule()
         eff_loss = self._effective_loss()
-        adv_src, adv_seq, adv_dst = self._adversary_assignment()
-
-        plans = self._run_plans(round_no, eff_loss, adv_src, adv_seq, adv_dst)
+        plans = self._run_plans(round_no, eff_loss)
         barrier = merge_plans(plans, self.state.use_numpy)
         self._record_barrier(round_no, barrier)
         deltas = self._run_applies(round_no, barrier)
         self._integrate(deltas)
         self._close_round(round_no, barrier, deltas)
 
-    def _run_plans(self, round_no, eff_loss, adv_src, adv_seq, adv_dst):
-        tasks = []
-        for lo, hi in self._bounds:
-            # Byzantine sources are emitted in ascending id order.
-            first, last = bisect_left(adv_src, lo), bisect_left(adv_src, hi)
-            tasks.append((
-                self.config, self.state, round_no, eff_loss, lo, hi,
-                adv_src[first:last], adv_seq[first:last], adv_dst[first:last],
-            ))
-        from repro.shard.pool import map_partitions
-
-        return map_partitions(plan_partition, tasks, self.workers)
+    def _run_plans(self, round_no: int, eff_loss: float):
+        state = self.state
+        adversary = _adversary_assignment(self.config, state.alive, round_no)
+        # Byzantine sources ascend, so a partition's share is one slice.
+        cuts = np.searchsorted(
+            adversary[0], [lo for lo, _hi in self._bounds] + [self.config.n_nodes]
+        ).tolist()
+        if not state.use_numpy:
+            adversary = tuple(column.tolist() for column in adversary)
+        tasks = [
+            (self.config, state, round_no, eff_loss, lo, hi)
+            + tuple(column[first:last] for column in adversary)
+            for (lo, hi), first, last in zip(self._bounds, cuts, cuts[1:])
+        ]
+        return self._map_partitions(plan_partition, tasks)
 
     def _run_applies(self, round_no: int, barrier: Barrier):
         tasks = [
             (self.config, self.state, round_no, lo, hi, barrier)
             for lo, hi in self._bounds
         ]
-        from repro.shard.pool import map_partitions
+        return self._map_partitions(apply_partition, tasks)
 
-        return map_partitions(apply_partition, tasks, self.workers)
+    def _map_partitions(self, fn, tasks):
+        # Looked up at call time, not imported at module level: the perf
+        # ledger and tests/test_shard_engine.py wrap ``pool.map_partitions``.
+        from repro.shard import pool
+
+        return pool.map_partitions(fn, tasks, self.workers)
 
     def _integrate(self, deltas: Sequence[PartitionDelta]) -> None:
         state = self.state

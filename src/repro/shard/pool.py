@@ -1,44 +1,41 @@
 """Partition dispatch for the sharded engine.
 
-Reuses the process-pool seam the experiment sweeps already own
-(:func:`repro.experiments.runner.map_ordered`): partitions are the items,
-:func:`~repro.shard.engine.plan_partition` /
-:func:`~repro.shard.engine.apply_partition` the task.  ``workers <= 1``
-runs partitions inline in partition order — zero pickling, and the default.
-Pool mode pickles the state and the barrier to a worker once per partition
-per phase; on the numpy backend, whose per-partition work is a handful of
-array passes, that transfer costs more than the parallelism returns: the
-ledger measures ``shard-raptee-1k-pool`` (``workers=2``) 3.4x slower than
-the same rounds inline (``run_s`` 1.91 s vs 0.56 s; 2.2x before the
-segment kernel, when there was more per-partition work to overlap).
-Either way the barrier makes the output byte-identical.
+Partitions are the tasks, :func:`~repro.shard.engine.plan_partition` /
+:func:`~repro.shard.engine.apply_partition` the function.  ``workers <= 1``
+runs them inline in partition order (the default); more workers run them on
+threads over the one in-process :class:`~repro.shard.state.ShardState` —
+nothing is pickled, nothing copied, and no worker outlives the call.
+
+That rests on a read-only contract: a partition function reads the frozen
+start-of-round state and the barrier and *returns* its plan or delta; it
+never writes to either (``tests/test_shard_engine.py`` runs both phases
+against write-protected arrays).  The driver integrates the deltas after
+every partition finished.
+
+Threads overlap only where the interpreter lock is released, i.e. inside
+numpy's kernels: the numpy backend gains with population size (N = 1,000
+partitions are still mostly lock-bound, N >= 4,000 ones are not); the pure
+backend gains nothing from ``workers > 1``.  Either way the barrier makes
+the output byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Sequence, Tuple
 
-from repro.experiments.runner import map_ordered
-
 __all__ = ["map_partitions"]
-
-
-@dataclass(frozen=True)
-class _Spread:
-    """Picklable adapter: one task tuple → positional arguments."""
-
-    fn: Callable
-
-    def __call__(self, task: Tuple):
-        return self.fn(*task)
 
 
 def map_partitions(fn: Callable, tasks: Sequence[Tuple], workers: int) -> List:
     """Run ``fn(*task)`` per partition task, results in partition order.
 
-    ``fn`` must be a module-level function (picklable) when ``workers > 1``;
-    partition order in == partition order out, whatever the completion
-    order — the engine's barrier depends on it.
+    Partition order in == partition order out, whatever the completion
+    order — the engine's barrier depends on it — and a failure surfaces as
+    the earliest failing partition's exception.
     """
-    return map_ordered(_Spread(fn), tasks, workers=workers if len(tasks) > 1 else 1)
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        futures = [executor.submit(fn, *task) for task in tasks]
+        return [future.result() for future in futures]

@@ -51,7 +51,7 @@ EMPTY_SAMPLE = _P << 32
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Pure-data description of one sharded run (picklable for the pool).
+    """Pure-data description of one sharded run (frozen and picklable).
 
     The supported feature set is the v1 batch-friendly subset of the
     scenario space: Brahms and RAPTEE topologies with loss, modeled

@@ -2,14 +2,21 @@
 
 The differential suite (``test_shard_differential.py``) pins whole-run
 byte-identity; this file pins the pieces that identity rests on — the
-counter-based randomness (scalar == vector), the Mersenne fold, partition
-bounds, the compile-time feature gate, the ``EngineSpec.shards`` knob, and
-the CLI surface.
+counter-based randomness (scalar == vector), the Mersenne fold, the
+vectorised adversary assignment, the thread-dispatch seam and its read-only
+contract, partition bounds, the compile-time feature gate, the
+``EngineSpec.shards`` knob, and the CLI surface.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
+import threading
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.crypto.minwise import MERSENNE_PRIME_31
@@ -20,7 +27,12 @@ from repro.shard.compile import (
     eviction_fields,
     shard_config_from_topology,
 )
-from repro.shard.engine import _fold_mod_p, _keyed_keep_numpy, _keyed_subset
+from repro.shard.engine import (
+    _adversary_assignment,
+    _fold_mod_p,
+    _keyed_keep_numpy,
+    _keyed_subset,
+)
 from repro.shard.rand import Purpose, key64, key_array, keyed_order, rand_float
 from repro.shard.state import ShardConfig
 
@@ -216,6 +228,215 @@ class TestSegmentKernel:
             assert config.eviction_rates(shares).tolist() == [
                 config.eviction_rate(share) for share in shares.tolist()
             ]
+
+
+def _scalar_adversary_assignment(config, alive, round_no):
+    """The balanced attack as the scalar engine defined it: victims in
+    `keyed_order`, quota/remainder fill, one `byz_push_limit` run per alive
+    Byzantine node.  Returns ``(src, seq, dst)`` triples."""
+    byz_alive = [b for b in range(config.n_byzantine) if alive[b]]
+    correct_alive = [node for node in range(config.n_byzantine, config.n_nodes)
+                     if alive[node]]
+    if not byz_alive or not correct_alive:
+        return []
+    limit = config.byz_push_limit
+    perm = keyed_order(correct_alive, config.seed, Purpose.ADV_ORDER, round_no)
+    quota, remainder = divmod(len(byz_alive) * limit, len(perm))
+    pool = []
+    for index, victim in enumerate(perm):
+        pool.extend([victim] * (quota + (1 if index < remainder else 0)))
+    return [
+        (byz, seq, dst)
+        for b_index, byz in enumerate(byz_alive)
+        for seq, dst in enumerate(pool[b_index * limit:(b_index + 1) * limit])
+    ]
+
+
+class TestAdversaryAssignment:
+    @given(
+        n_byzantine=st.integers(min_value=0, max_value=6),
+        n_correct=st.integers(min_value=0, max_value=14),
+        push_limit=st.integers(min_value=0, max_value=5),
+        multiplier=st.integers(min_value=0, max_value=3),
+        round_no=st.integers(min_value=1, max_value=500),
+        seed=st.integers(min_value=0, max_value=2 ** 32),
+        # 64: real keys; 1: every victim lands on one of two keys; 0: all tie.
+        key_bits=st.sampled_from([64, 1, 0]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_definition(self, n_byzantine, n_correct, push_limit,
+                                       multiplier, round_no, seed, key_bits, data):
+        from repro.shard import engine, rand
+
+        n_nodes = max(2, n_byzantine + n_correct)
+        config = ShardConfig(
+            protocol="brahms", n_nodes=n_nodes, seed=seed,
+            n_byzantine=n_byzantine, push_limit=push_limit,
+            byz_push_multiplier=multiplier,
+        )
+        alive = data.draw(st.one_of(
+            st.lists(st.booleans(), min_size=n_nodes, max_size=n_nodes),
+            # The empty cases: no Byzantine alive, no correct alive.
+            st.sampled_from([
+                [node >= n_byzantine for node in range(n_nodes)],
+                [node < n_byzantine for node in range(n_nodes)],
+            ]),
+        ))
+        mask = (1 << key_bits) - 1
+        with mock.patch.object(
+            rand, "key64", lambda *coords: key64(*coords) & mask
+        ), mock.patch.object(
+            engine, "key_array", lambda *coords: key_array(*coords) & mask
+        ):
+            expected = _scalar_adversary_assignment(config, alive, round_no)
+            src, seq, dst = _adversary_assignment(config, alive, round_no)
+        assert list(zip(src.tolist(), seq.tolist(), dst.tolist())) == expected
+        assert src.dtype == seq.dtype == dst.dtype == "int64"
+
+
+def _fault_config(protocol: str) -> ShardConfig:
+    """A crash window and a loss burst inside the first rounds."""
+    topology = TopologySpec(
+        n_nodes=64, byzantine_fraction=0.10,
+        trusted_fraction=0.25 if protocol == "raptee" else 0.0,
+        view_ratio=0.12, loss_rate=0.05, transport_encryption=True,
+    )
+    return shard_config_from_topology(
+        topology, seed=13, protocol=protocol,
+        crashes=((30, 2, 2),), loss_bursts=((2, 4, 0.4),),
+    )
+
+
+class TestPartitionDispatch:
+    """The `map_partitions` seam: threads over shared state, nothing pickled."""
+
+    def test_closure_runs_on_threads_in_partition_order(self):
+        from repro.shard.pool import map_partitions
+
+        later_finished = threading.Event()
+        threads = []
+
+        def work(index):  # a closure: unpicklable, so nothing pickles it
+            threads.append(threading.current_thread())
+            if index == 0:
+                assert later_finished.wait(timeout=10)
+            else:
+                later_finished.set()
+            return index * 10
+
+        assert map_partitions(work, [(0,), (1,)], 2) == [0, 10]
+        assert threading.main_thread() not in threads
+        assert map_partitions(lambda a, b: a + b, [(1, 2), (3, 4), (5, 6)], 2) == [
+            3, 7, 11,
+        ]
+
+    def test_inline_when_one_worker_or_one_task(self):
+        from repro.shard.pool import map_partitions
+
+        def where(_index):
+            return threading.current_thread()
+
+        main = threading.main_thread()
+        assert map_partitions(where, [(0,), (1,)], 1) == [main, main]
+        assert map_partitions(where, [(0,)], 4) == [main]
+
+    def test_earliest_partition_failure_is_raised(self):
+        from repro.shard.pool import map_partitions
+
+        last_failed = threading.Event()
+
+        def work(index):
+            if index == 1:
+                assert last_failed.wait(timeout=10)
+                raise KeyError("partition 1")
+            if index == 3:
+                last_failed.set()
+                raise IndexError("partition 3")
+            return index
+
+        with pytest.raises(KeyError, match="partition 1"):
+            map_partitions(work, [(0,), (1,), (2,), (3,)], 2)
+
+    @pytest.mark.parametrize("protocol", ["raptee", "brahms"])
+    def test_partition_phases_never_write_shared_state(self, monkeypatch, protocol):
+        """The property thread dispatch rests on: with every state array (and
+        the barrier's) write-protected while the partition functions run, a
+        write would raise ``ValueError: assignment destination is read-only``."""
+        from repro.shard import ShardSimulation, pool
+        from repro.shard.engine import Barrier, apply_partition, plan_partition
+
+        simulation = ShardSimulation(_fault_config(protocol), shards=3, workers=2)
+        state = simulation.state
+        fields = ("view", "view_len", "samp_a", "samp_b", "samp_best", "alive",
+                  "known", "reduced")
+        real_map = pool.map_partitions
+        seen = []
+
+        def frozen_map(fn, tasks, workers):
+            arrays = [getattr(state, name) for name in fields]
+            for item in tasks[0]:
+                if isinstance(item, Barrier):
+                    arrays += [*item.push_canonical, *item.push_by_dst,
+                               *item.sess_arrays]
+            for array in arrays:
+                array.setflags(write=False)
+            try:
+                return real_map(fn, tasks, workers)
+            finally:
+                seen.append(fn)
+                for array in arrays:
+                    array.setflags(write=True)
+
+        monkeypatch.setattr(pool, "map_partitions", frozen_map)
+        simulation.run(6)
+        assert seen == [plan_partition, apply_partition] * 6
+        assert state.renewals > 0 and simulation.stats.messages_lost > 0
+
+    def test_oversubscribed_threads_are_byte_invisible(self):
+        """More threads than cores and a tiny switch interval: the run is
+        still byte-identical to inline, and no process was started."""
+        from repro.shard import run_sharded
+
+        config = _kernel_config()
+        inline = run_sharded(config, rounds=6, shards=8, trace_messages=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_sharded(config, rounds=6, shards=8, workers=8,
+                                   trace_messages=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.trace_jsonl == inline.trace_jsonl
+        assert threaded.metrics_csv == inline.metrics_csv
+        assert threaded.final_views == inline.final_views
+        assert threaded.network_totals == inline.network_totals
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkersValidation:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected_at_construction(self, workers):
+        from repro.shard import ShardSimulation
+
+        with pytest.raises(ValueError, match="workers must be positive"):
+            ShardSimulation(_kernel_config(), shards=4, workers=workers)
+
+    @pytest.mark.parametrize("flags", [
+        ["--shards", "4", "--shard-workers", "0"],
+        ["--shards", "1", "--shard-workers", "-3"],
+    ])
+    def test_cli_rejects_nonpositive_shard_workers(self, capsys, flags):
+        exit_code = main(["run", "--nodes", "60", "--rounds", "2", *flags])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --shard-workers must be at least 1\n"
+        assert captured.out == ""
+
+    def test_cli_rejects_nonpositive_shards(self, capsys):
+        exit_code = main(["run", "--nodes", "60", "--rounds", "2", "--shards", "0"])
+        assert exit_code == 2
+        assert "--shards must be at least 1" in capsys.readouterr().err
 
 
 class TestFaultScheduleValidation:
