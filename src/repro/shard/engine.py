@@ -51,12 +51,20 @@ loop.  Data layout of a numpy round:
 * **apply** is a segment kernel over flat ``(owner, id)`` arrays: pulled
   batches are gathered as a ``[batches, l1]`` view-matrix slice in stream
   order, novelty and per-owner uniqueness fall out of one dense
-  ``[owners, N]`` mark-and-scan, sampler feeds are a Mersenne-folded
-  ``[fresh, l2]`` matrix reduced per owner segment, keyed subsets are a
-  per-segment keyed rank, and the delta comes back as arrays that
-  ``_integrate`` scatters with one write per field.  Owners are processed
-  in blocks under :data:`_BLOCK_ELEMENTS` so temporaries stay bounded at
-  N = 10,000.
+  ``[owners, N]`` mark-and-scan, keyed subsets are a per-segment keyed
+  rank, and the delta comes back as arrays that ``_integrate`` scatters
+  with one write per field.  Owners are processed in blocks under
+  :data:`_BLOCK_ELEMENTS` so temporaries stay bounded at N = 10,000.
+* the **sampler feed** closes a partition's apply: the ``[fresh, l2]``
+  min-wise hash matrix of all its fresh pairs, min-reduced per owner
+  segment.  It is computed :data:`_FEED_TILE_ELEMENTS` at a time in one
+  workspace of two ``[tile, l2]`` uint64 buffers owned by the
+  ``apply_partition`` call (threads under ``--shard-workers`` never share
+  one): gathers write into it, every other pass is in place, and the
+  ``mod p`` reduction is a single fold finished in the packed
+  ``hash << 32 | id`` domain (`_fold_pack` has the bound proof).  What the
+  round-1 flood costs is then passes over cache-resident memory, not
+  page faults on fresh ``[rows, l2]`` temporaries.
 
 Small differential scenarios pin numpy == pure byte equality, which is
 what licenses the vector paths at N = 10,000.
@@ -625,22 +633,6 @@ class PartitionDelta:
     sampler_resets: int = 0
 
 
-def _fold_mod_p(x):
-    """Exact ``x mod p`` for p = 2^31 − 1 via two folds (2^31 ≡ 1 mod p);
-    valid for 0 <= x < 2^62, which ``a·r + b`` with a, b, r < p satisfies.
-    Works in two scratch arrays: on the ``[fresh, l2]`` sampler matrix
-    fresh pages, not arithmetic, dominate an elementwise pass."""
-    mask = np.int64(_P)
-    carry = x >> np.int64(31)
-    folded = x & mask
-    folded += carry
-    np.right_shift(folded, np.int64(31), out=carry)
-    folded &= mask
-    folded += carry
-    np.subtract(folded, mask, out=folded, where=folded >= mask)
-    return folded
-
-
 def _sampler_feed_pure(config: ShardConfig, state: ShardState, node: int,
                        candidates: List[int], delta: PartitionDelta) -> None:
     a_row, b_row = state.samp_a[node], state.samp_b[node]
@@ -809,14 +801,22 @@ def _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
             _validate_samplers(config, state, round_no, node, fresh, delta)
 
 
-#: Element budget for the segment kernel's temporaries: owners are
-#: processed in blocks whose gathered ``[batches, l1]`` ids plus dense
-#: ``[owners, N]`` marks stay under it, and the ``[fresh, l2]`` sampler
-#: matrix is fed in row chunks of the same size.  2 MiB of int64 keeps the
-#: dozen elementwise passes over a chunk in recycled, cache-resident pages
-#: (larger chunks page-fault fresh memory on every pass) while one block
-#: still covers a whole N = 1,000 partition.
+#: Element budget for the segment kernel's per-block temporaries: owners
+#: are processed in blocks whose gathered ``[batches, l1]`` ids plus dense
+#: ``[owners, N]`` marks stay under it.  2 MiB of int64 keeps a block's
+#: passes in cache while one block still covers a whole N = 1,000
+#: partition.
 _BLOCK_ELEMENTS = 1 << 18
+#: Elements of one sampler-feed tile (``tile // l2`` rows of the
+#: ``[fresh, l2]`` hash matrix).  The feed makes a dozen elementwise
+#: passes over its two uint64 workspace buffers, so both should sit in
+#: L2: on the ledger host (2 MiB L2 a core) the three `shard-brahms-4k`
+#: rounds (l2 = 40) took 2.96 s at 2^13, 2.63 s at 2^14, 2.59 s at 2^15,
+#: 2.57 s at 2^16 and 3.06 s at 2^17 (medians of three interleaved
+#: sweeps) — smaller tiles pay per-tile dispatch, larger ones spill.
+#: Being reused, the workspace is faulted in once per call whatever the
+#: flood's size.
+_FEED_TILE_ELEMENTS = 1 << 15
 
 
 def _owner_blocks(cost, budget: int) -> List[Tuple[int, int]]:
@@ -920,25 +920,27 @@ def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
     batch_end = np.searchsorted(batches[0], np.arange(base, hi) + 1)
     batch_count = np.diff(batch_end, prepend=0)
     cost = batch_count * config.view_size + config.n_nodes
-    views, samples, known = [], [], []
+    views, known = [], []
     for a, b in _owner_blocks(cost, _BLOCK_ELEMENTS):
         first = int(batch_end[a - 1]) if a else 0
         block = tuple(column[first:int(batch_end[b - 1])] for column in batches)
-        renewed, improved, fresh = _apply_block_numpy(
+        renewed, fresh = _apply_block_numpy(
             config, state, round_no, base + a, base + b, barrier.push_by_dst,
             block, contacts[a:b], trusted_contacts[a:b], delta,
         )
         if renewed is not None:
             views.append(renewed)
-        if improved is not None:
-            samples.append(improved)
         known.append(fresh)
         if validate:
             _validate_block_numpy(config, state, round_no, base + a, base + b,
                                   fresh, delta)
     delta.view_arrays = _concat_columns(views)
-    delta.samp_arrays = _concat_columns(samples)
     delta.known_arrays = _concat_columns(known)
+    # One feed per partition over all its fresh pairs (owner-sorted, since
+    # blocks ascend), so the tiles run across block boundaries.
+    if delta.known_arrays[1].size:
+        delta.samp_arrays = _sampler_feed_numpy(state, base, hi,
+                                                *delta.known_arrays)
 
 
 def _concat_columns(blocks: List[Tuple]) -> Optional[Tuple]:
@@ -953,8 +955,8 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
                        batches, contacts, trusted_contacts, delta):
     """One owner block ``[node_a, node_b)`` of the segment kernel: counts
     go to ``delta``; returns the block's ``(nodes, rows, lens)`` renewed
-    views and ``(node, slot, packed)`` improved samplers (each None when
-    there are none) and its fresh ``(owner, id)`` pairs."""
+    views (None when there are none) and its fresh ``(owner, id)`` pairs,
+    owner-sorted with ids ascending per owner."""
     seed = config.seed
     n_byz = config.n_byzantine
     owners = node_b - node_a
@@ -1014,15 +1016,17 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
     pull_len = np.bincount(e_owner - node_a, minlength=owners)
 
     # Novelty + per-owner sorted unique in one pass: mark every observed
-    # (owner, id), clear what the owner already knew, scan.
-    marks = np.zeros((owners, config.n_nodes), dtype=bool)
-    marks[p_owner - node_a, p_src] = True
-    marks[e_owner - node_a, e_id] = True
-    marks &= ~state.known[node_a:node_b]
-    f_local, f_id = np.nonzero(marks)
-    improved = None
-    if f_id.size:
-        improved = _sampler_feed_numpy(state, node_a, node_b, f_local, f_id)
+    # (owner, id), clear what the owner already knew (for bools ``>`` is
+    # "and not", with no ``~known`` temporary), scan.  Flat indices: the
+    # 1-D scatter and scan are several times faster than their 2-D forms.
+    n = config.n_nodes
+    marks = np.zeros(owners * n, dtype=bool)
+    marks[(p_owner - node_a) * n + p_src] = True
+    marks[(e_owner - node_a) * n + e_id] = True
+    np.greater(marks, state.known[node_a:node_b].reshape(-1), out=marks)
+    hit = np.flatnonzero(marks)
+    f_local = hit // n
+    f_id = hit - f_local * n
 
     # Blocking defense and view renewal.
     if config.blocking_enabled:
@@ -1092,35 +1096,81 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
         renewed = (r_nodes, rows, lens)
     # int32 pairs: the round-1 flood holds millions of them until integrate.
     fresh = ((f_local + node_a).astype(np.int32), f_id.astype(np.int32))
-    return renewed, improved, fresh
+    return renewed, fresh
+
+
+def _fold_pack(x, scratch, ids) -> None:
+    """Overwrite ``x = a·r + b`` (uint64, ``a, b, r < p``) with the packed
+    sampler value ``(x mod p) << 32 | id``, in place, using the equal-shape
+    ``scratch``; ``ids`` broadcasts against ``x``.
+
+    One fold is enough in the packed domain.  ``x <= p(p − 1) < 2^62``, so
+    ``x >> 31 <= p − 2`` and ``f = (x & p) + (x >> 31) <= 2p − 2 < 2^32``
+    with ``f ≡ x (mod p)`` (2^31 ≡ 1): ``y = f << 32 | id`` fits a uint64
+    and the canonical value is ``y`` when ``f < p``, else ``y − (p << 32)``.
+    In uint64 that subtraction wraps above every real value exactly when
+    ``f < p`` and lands on the canonical value otherwise (``f = p`` on hash
+    0), so the answer is ``min(y, y − (p << 32))`` — no second fold, no
+    compare, no masked subtract."""
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x &= np.uint64(_P)
+    x += scratch
+    x <<= np.uint64(32)
+    x |= ids
+    np.subtract(x, np.uint64(_P << 32), out=scratch)
+    np.minimum(x, scratch, out=x)
 
 
 def _sampler_feed_numpy(state: ShardState, node_a: int, node_b: int,
-                        f_local, f_id):
+                        f_owner, f_id):
     """Feed fresh ``(owner, id)`` pairs (owner-sorted) to the samplers of
-    owners ``[node_a, node_b)``: a Mersenne-folded ``[fresh, l2]`` hash
-    matrix, min-reduced per owner segment.  Row chunks may split an owner;
-    the running ``best`` absorbs the partial minima.  Returns the improved
-    samplers as flat ``(node, sampler index, packed value)`` arrays."""
-    current = state.samp_best[node_a:node_b]
+    owners ``[node_a, node_b)``: the ``[fresh, l2]`` min-wise hash matrix,
+    min-reduced per owner segment, computed a tile of rows at a time in one
+    workspace owned by this call (so partitions on threads never share
+    one).  Per tile nothing of ``[rows, l2]`` size is allocated: gathers
+    land in the workspace (``mode="clip"`` — indices are in range, and
+    numpy only writes ``out`` unbuffered when it need not raise) and every
+    other pass is in place.  A tile may split an owner; the running
+    ``best`` absorbs the partial minima.  Returns the improved samplers as
+    flat ``(node, sampler index, packed value)`` arrays."""
+    current = state.samp_best[node_a:node_b].view(np.uint64)
     best = current.copy()
-    step = max(1, _BLOCK_ELEMENTS // current.shape[1])
-    for at in range(0, f_id.size, step):
-        local, cand = f_local[at:at + step], f_id[at:at + step]
-        nodes = local + node_a
-        packed = state.samp_a[nodes]  # a gathered copy, updated in place below
-        packed *= state.reduced[cand][:, None]
-        packed += state.samp_b[nodes]
-        packed = _fold_mod_p(packed)
-        packed <<= np.int64(32)
-        packed |= cand[:, None]
-        starts = np.flatnonzero(np.diff(local, prepend=-1))
-        segment = local[starts]
+    rows = min(f_id.size, max(1, _FEED_TILE_ELEMENTS // current.shape[1]))
+    x_buf = np.empty((rows, current.shape[1]), dtype=np.uint64)
+    t_buf = np.empty_like(x_buf)
+    samp_a, samp_b, reduced = (
+        table.view(np.uint64)
+        for table in (state.samp_a, state.samp_b, state.reduced)
+    )
+    # Owner segments, once per call: first row of each owner that has any.
+    # (Keys of the owner column's dtype: a mismatch makes searchsorted copy
+    # the whole column.)
+    first = f_owner.searchsorted(
+        np.arange(node_a, node_b + 1, dtype=f_owner.dtype)
+    )
+    seg_owner = np.flatnonzero(first[1:] > first[:-1])
+    seg_first = first[seg_owner]
+    for at in range(0, f_id.size, rows):
+        end = min(at + rows, f_id.size)
+        nodes, cand = f_owner[at:end], f_id[at:end]
+        x, scratch = x_buf[:end - at], t_buf[:end - at]
+        samp_a.take(nodes, axis=0, out=x, mode="clip")
+        x *= reduced[cand][:, None]
+        samp_b.take(nodes, axis=0, out=scratch, mode="clip")
+        x += scratch
+        _fold_pack(x, scratch, cand.astype(np.uint64)[:, None])
+        # Segments of this tile: the owner running at its first row, then
+        # every owner that starts inside it.
+        s_lo = int(seg_first.searchsorted(at, side="right"))
+        s_hi = int(seg_first.searchsorted(end, side="left"))
+        starts = seg_first[s_lo - 1:s_hi] - at
+        starts[0] = 0
+        segment = seg_owner[s_lo - 1:s_hi]
         best[segment] = np.minimum(
-            best[segment], np.minimum.reduceat(packed, starts, axis=0)
+            best[segment], np.minimum.reduceat(x, starts, axis=0)
         )
-    rows, slots = np.nonzero(best < current)
-    return rows + node_a, slots, best[rows, slots]
+    local, slots = np.nonzero(best < current)
+    return local + node_a, slots, best[local, slots].view(np.int64)
 
 
 def _validate_block_numpy(config, state, round_no, node_a, node_b, fresh,
@@ -1337,8 +1387,12 @@ class ShardSimulation:
                 nodes, slots, packed = delta.samp_arrays
                 state.samp_best[nodes, slots] = packed
             if delta.known_arrays is not None:
+                # In slices: the scatter widens its int32 indices, and for
+                # a whole round-1 flood those temporaries are fresh pages.
                 owners, ids = delta.known_arrays
-                state.known[owners, ids] = True
+                for at in range(0, ids.size, _BLOCK_ELEMENTS):
+                    cut = slice(at, at + _BLOCK_ELEMENTS)
+                    state.known[owners[cut], ids[cut]] = True
             # After the feeds: a reset replaces whatever its sampler held.
             for node, j, new_a, new_b, packed in delta.samp_resets:
                 state.samp_a[node][j] = new_a

@@ -30,7 +30,7 @@ full runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -270,15 +270,21 @@ def _bootstrap_row(config: ShardConfig, node_id: int) -> List[int]:
 
 
 def _bootstrap_matrix_numpy(config: ShardConfig):
-    """Vectorised bootstrap: per-node stable argsort over keyed ids.
+    """Vectorised bootstrap: per node, the l1 smallest ``(key, id)`` of the
+    keyed other ids, in that order — the pure path's sort, without sorting
+    the other N − l1.
 
-    Chunked so the [chunk, N] key matrix stays small; stable sort breaks
-    key ties by ascending id, matching the pure path's ``(key, id)`` sort.
+    ``argpartition`` selects the l1 smallest keys of a row (and puts the
+    next one right behind them); the selection is unique unless those two
+    boundary keys are equal, and such a row takes the full stable sort
+    instead.  The selected ids are then put in ``(key, id)`` order: ids
+    ascending, stable sort by key.  Chunked so the [chunk, N] key matrix
+    and its index matrix stay small.
     """
     n, l1 = config.n_nodes, config.view_size
     view = np.full((n, l1), -1, dtype=np.int64)
     ids = np.arange(n, dtype=np.uint64)
-    chunk = max(1, min(n, (1 << 22) // max(n, 1) + 1))
+    chunk = max(1, min(n, (1 << 18) // max(n, 1) + 1))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         nodes = np.arange(lo, hi, dtype=np.uint64)[:, None]
@@ -286,8 +292,14 @@ def _bootstrap_matrix_numpy(config: ShardConfig):
         # Self must never bootstrap into its own view: force its key last.
         rows = np.arange(hi - lo)
         keys[rows, lo + rows] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        order = np.argsort(keys, axis=1, kind="stable")
-        view[lo:hi] = order[:, :l1]
+        nearest = np.argpartition(keys, (l1 - 1, l1), axis=1)[:, :l1 + 1]
+        edge = np.take_along_axis(keys, nearest[:, l1 - 1:], axis=1)
+        chosen = np.sort(nearest[:, :l1], axis=1)
+        order = np.argsort(np.take_along_axis(keys, chosen, axis=1), axis=1,
+                           kind="stable")
+        view[lo:hi] = np.take_along_axis(chosen, order, axis=1)
+        for row in np.flatnonzero(edge[:, 0] == edge[:, 1]).tolist():
+            view[lo + row] = np.argsort(keys[row], kind="stable")[:l1]
     return view
 
 
