@@ -10,7 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["BrahmsConfig"]
+__all__ = ["BrahmsConfig", "BYZANTINE_PUSH_LIMIT_MULTIPLIER"]
+
+#: Byzantine identities may spend more pushes than honest ones before the
+#: rate limiter stops them (the paper's limit mechanism prices pushes but
+#: does not pin them to the protocol's α·l1; the blocking defense is what
+#: actually caps useful flooding).  This multiple of
+#: :attr:`BrahmsConfig.effective_push_limit` is the cap on every engine,
+#: calibrated so the Brahms baseline reproduces Fig. 3's collapse shape
+#: (matching the 81 % pollution the paper reports at f = 18 %).
+BYZANTINE_PUSH_LIMIT_MULTIPLIER = 3
 
 
 @dataclass(frozen=True)

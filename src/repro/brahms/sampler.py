@@ -25,13 +25,8 @@ from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
-from repro.crypto.minwise import (
-    MERSENNE_PRIME_31,
-    MinWiseFamily,
-    MinWiseHash,
-    _SCRAMBLE_MULTIPLIER,
-    _SCRAMBLE_OFFSET,
-)
+from repro.crypto.minwise import MERSENNE_PRIME_31, MinWiseFamily, MinWiseHash
+from repro.perf.kernels import scramble64_array
 
 __all__ = ["Sampler", "SamplerGroup"]
 
@@ -99,13 +94,11 @@ class SamplerGroup:
         batch = np.fromiter(ids, dtype=np.int64)
         if batch.size == 0:
             return
-        # Same pipeline as MinWiseHash.__call__: 64-bit scramble (uint64
-        # wrap-around), reduce mod p, then the per-sampler linear map.
-        scrambled = (
-            batch.astype(np.uint64) * np.uint64(_SCRAMBLE_MULTIPLIER)
-            + np.uint64(_SCRAMBLE_OFFSET)
-        )
-        reduced = (scrambled % np.uint64(MERSENNE_PRIME_31)).astype(np.int64)
+        # Same pipeline as MinWiseHash.__call__: 64-bit scramble, reduce
+        # mod p, then the per-sampler linear map.
+        reduced = (
+            scramble64_array(batch) % np.uint64(MERSENNE_PRIME_31)
+        ).astype(np.int64)
         # (samplers × batch) hashes in one shot; running-min over the whole
         # history equals min(previous minimum, batch minimum).
         hashes = (self._a[:, None] * reduced[None, :] + self._b[:, None]) % self._p

@@ -1,6 +1,10 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three commands cover the common workflows:
+Argument wiring over the scenario pipeline: flags become one
+:class:`~repro.scenario.spec.ScenarioSpec` (:func:`_spec_from_args`), run
+by :func:`~repro.scenario.run.run_scenario` — or built by ``compile_spec``
+/ ``shard_simulation_from_spec`` where the command drives the rounds
+itself (checkpointing, the shard engine).  The commands:
 
 * ``run`` — execute one Brahms or RAPTEE simulation and print the paper's
   three metrics; ``--checkpoint-every N`` saves a resumable snapshot every
@@ -62,12 +66,13 @@ from repro.experiments.figures import (
     table1_sgx_overhead,
 )
 from repro.experiments.runner import bundle_metrics
+from repro.experiments.scenarios import TopologySpec
 from repro.faults.drills import DRILLS, run_drill
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.scenario.compile import compile_spec, shard_simulation_from_spec
+from repro.scenario.errors import ScenarioSpecError
+from repro.scenario.run import run_scenario
+from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec
+from repro.telemetry import TelemetryConfig
 
 __all__ = ["main", "build_parser", "parse_eviction"]
 
@@ -93,36 +98,6 @@ def parse_eviction(value: str) -> EvictionPolicy:
     if not 0.0 <= rate <= 1.0:
         raise argparse.ArgumentTypeError("fixed eviction rate must be in [0, 1]")
     return FixedEviction(rate)
-
-
-def parse_latency_option(value: str):
-    """argparse type for ``--latency-model`` (see repro.events.latency)."""
-    from repro.events import parse_latency_model
-
-    try:
-        return parse_latency_model(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def parse_load_option(value: str):
-    """argparse type for ``--load`` (see repro.events.load)."""
-    from repro.events import parse_load
-
-    try:
-        return parse_load(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def parse_straggler_option(value: str):
-    """argparse type for ``--straggler`` (see repro.events.engine)."""
-    from repro.events import parse_straggler
-
-    try:
-        return parse_straggler(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,17 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default 1 = inline)")
     run_parser.add_argument("--loss", type=float, default=0.0,
                             help="uniform message loss rate")
-    run_parser.add_argument("--latency-model", type=parse_latency_option,
-                            default=None, metavar="SPEC",
+    run_parser.add_argument("--latency-model", default=None, metavar="SPEC",
                             help="per-link one-way delay for --engine events: "
                                  "zero | constant:MS | uniform:LO:HI | "
                                  "lognormal:MEDIAN:SIGMA (times in ms)")
-    run_parser.add_argument("--load", type=parse_load_option, default=None,
-                            metavar="CLIENTS:RPM",
+    run_parser.add_argument("--load", default=None, metavar="CLIENTS:RPM",
                             help="client load for --engine events: active "
                                  "clients x requests/minute each (e.g. 40:30)")
-    run_parser.add_argument("--straggler", type=parse_straggler_option,
-                            default=None, metavar="FRAC:FACTOR",
+    run_parser.add_argument("--straggler", default=None,
+                            metavar="FRAC:FACTOR",
                             help="slow a deterministic node subset under "
                                  "--engine events (e.g. 0.1:8 = 10%% of "
                                  "nodes at 8x)")
@@ -277,57 +250,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_topology(args, protocol: str) -> TopologySpec:
-    return TopologySpec(
+def _spec_from_args(args) -> ScenarioSpec:
+    """The scenario a ``run`` / ``trace`` / ``attack`` command line describes
+    — the only place flags become a scenario.  A flag the subcommand lacks
+    keeps the spec's default; ``EngineSpec`` validates the engine strings."""
+    flags = vars(args)
+    protocol = flags.get("protocol", "raptee")
+    raptee = protocol == "raptee"
+    topology = TopologySpec(
         n_nodes=args.nodes,
         byzantine_fraction=args.f,
-        trusted_fraction=args.t if protocol == "raptee" else 0.0,
-        poisoned_fraction=args.poisoned if protocol == "raptee" else 0.0,
+        trusted_fraction=args.t if raptee else 0.0,
+        poisoned_fraction=flags.get("poisoned", 0.0) if raptee else 0.0,
         view_ratio=args.view_ratio,
-        loss_rate=args.loss,
+        loss_rate=flags.get("loss", 0.0),
     )
-
-
-def _build_run_bundle(args, protocol: str):
-    spec = _run_topology(args, protocol)
-    if protocol == "brahms":
-        return build_brahms_simulation(spec, args.seed)
-    return build_raptee_simulation(
-        spec, args.seed, eviction=args.eviction,
-        sketch_unbias_enabled=args.sketch_unbias,
+    if flags.get("shards") is not None:
+        engine = EngineSpec(kind="shard", shards=args.shards)
+    elif flags.get("engine") == "events":
+        engine = EngineSpec(
+            kind="events",
+            tick_interval=args.tick_interval,
+            latency=args.latency_model,
+            load=args.load,
+            straggler=args.straggler,
+        )
+    else:
+        engine = EngineSpec()
+    options = None
+    if raptee:
+        # `attack` arms the §VI-A intelligence: every Byzantine node issues
+        # β·l1 pull probes per round.
+        probes = topology.brahms_config().beta_count if args.command == "attack" else 0
+        options = RapteeOptions(
+            eviction=args.eviction,
+            sketch_unbias_enabled=flags.get("sketch_unbias", False),
+            probe_pulls=probes,
+        )
+    return ScenarioSpec(
+        name=f"cli-{args.command}",
+        protocol=protocol,
+        seed=args.seed,
+        rounds=DEFAULT_RUN_ROUNDS if args.rounds is None else args.rounds,
+        topology=topology,
+        # The balanced adversary is the only one the shard engine models.
+        adversary_strategy=(
+            "balanced" if engine.kind == "shard" else "adaptive_balanced"
+        ),
+        raptee=options,
+        engine=engine,
     )
 
 
 def _command_run_events(args) -> int:
     import json
 
-    from repro.events import ConstantLatency, EventOptions, LatencyConfig
-    from repro.experiments.runner import run_bundle
-    from repro.telemetry import TelemetryConfig, wire_telemetry
-
-    if args.resume or args.checkpoint_every:
-        print("error: --engine events has no snapshot support; use the "
-              "default rounds engine with --resume/--checkpoint-every",
-              file=sys.stderr)
-        return 2
-    rounds = args.rounds if args.rounds is not None else DEFAULT_RUN_ROUNDS
-    bundle = _build_run_bundle(args, args.protocol)
-    wire_telemetry(bundle, TelemetryConfig(tracing=False))
-    options = EventOptions(
-        seed=args.seed,
-        mode="continuous",
-        tick_interval=args.tick_interval,
-        latency=LatencyConfig(default=args.latency_model or ConstantLatency(0.0)),
-        load=args.load,
-        stragglers=args.straggler,
+    artifacts = run_scenario(
+        _spec_from_args(args), telemetry=TelemetryConfig(tracing=False)
     )
-    metrics = run_bundle(bundle, rounds, events=options)
-    engine = bundle.events.engine
-    spec = bundle.spec
+    metrics = artifacts.metrics
+    options = artifacts.bundle.events.options
+    engine = artifacts.bundle.events.engine
+    topology = artifacts.spec.topology
     print(f"protocol:           {args.protocol}")
-    print(f"nodes:              {spec.n_nodes} (byz {spec.n_byzantine}, "
-          f"trusted {spec.n_trusted}, poisoned +{spec.n_poisoned})")
-    print(f"rounds:             {rounds}")
+    print(f"nodes:              {topology.n_nodes} (byz {topology.n_byzantine}, "
+          f"trusted {topology.n_trusted}, poisoned +{topology.n_poisoned})")
+    print(f"rounds:             {artifacts.spec.rounds}")
     print(f"engine:             events (continuous, tick "
           f"{options.tick_interval:g} s)")
     print(f"latency model:      {options.latency.describe()}")
@@ -358,40 +346,21 @@ def _command_run_events(args) -> int:
 
 
 def _command_run_shard(args) -> int:
-    from repro.shard.compile import ShardUnsupportedError, shard_config_from_topology
-    from repro.shard.engine import ShardSimulation
+    from repro.shard.compile import ShardUnsupportedError
 
-    if args.engine == "events":
-        print("error: --shards selects the sharded rounds engine; it has no "
-              "event clock (drop --engine events)", file=sys.stderr)
-        return 2
-    if args.resume or args.checkpoint_every:
-        print("error: the shard engine has no snapshot support; use the "
-              "default rounds engine with --resume/--checkpoint-every",
-              file=sys.stderr)
-        return 2
-    if args.sketch_unbias:
-        print("error: the shard engine does not model count-min sketch "
-              "unbiasing", file=sys.stderr)
-        return 2
+    spec = _spec_from_args(args)
     try:
-        config = shard_config_from_topology(
-            _run_topology(args, args.protocol), args.seed,
-            protocol=args.protocol, eviction=args.eviction,
-        )
+        simulation = shard_simulation_from_spec(spec, workers=args.shard_workers)
     except ShardUnsupportedError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    simulation = ShardSimulation(
-        config, shards=args.shards, workers=args.shard_workers
-    )
-    rounds = args.rounds if args.rounds is not None else DEFAULT_RUN_ROUNDS
-    simulation.run(rounds)
+    simulation.run(spec.rounds)
     last = simulation.trace_records[-1]
     share = (
         100.0 * last["byz_entries"] / last["view_entries"]
         if last["view_entries"] else 0.0
     )
+    config = simulation.config
     stats = simulation.stats
     state = simulation.state
     print(f"protocol:           {args.protocol} (shard engine)")
@@ -399,7 +368,7 @@ def _command_run_shard(args) -> int:
           f"trusted {config.n_trusted})")
     print(f"shards:             {args.shards} "
           f"(workers {args.shard_workers})")
-    print(f"rounds:             {rounds}")
+    print(f"rounds:             {spec.rounds}")
     print(f"byz IDs in views:   {share:.1f}%")
     print(f"pushes sent:        {stats.pushes_sent}")
     print(f"requests sent:      {stats.requests_sent}")
@@ -434,6 +403,17 @@ def _command_run(args) -> int:
                 print(f"error: {flag} only applies with --engine events",
                       file=sys.stderr)
                 return 2
+    if args.shards is not None and args.engine == "events":
+        print("error: --shards selects the sharded rounds engine; it has no "
+              "event clock (drop --engine events)", file=sys.stderr)
+        return 2
+    other_engine = ("the shard engine" if args.shards is not None
+                    else "--engine events" if args.engine == "events" else None)
+    if other_engine and (args.resume or args.checkpoint_every):
+        print(f"error: {other_engine} has no snapshot support; use the "
+              "default rounds engine with --resume/--checkpoint-every",
+              file=sys.stderr)
+        return 2
     if args.shards is not None:
         return _command_run_shard(args)
     if args.engine == "events":
@@ -454,8 +434,9 @@ def _command_run(args) -> int:
         )
     else:
         protocol = args.protocol
-        rounds = args.rounds if args.rounds is not None else DEFAULT_RUN_ROUNDS
-        bundle = _build_run_bundle(args, protocol)
+        scenario = _spec_from_args(args)
+        rounds = scenario.rounds
+        bundle = compile_spec(scenario)
         state = RunState(
             simulation=bundle.simulation, bundle=bundle, label=protocol
         )
@@ -516,17 +497,7 @@ def _command_figure(args) -> int:
 
 
 def _command_attack(args) -> int:
-    spec = TopologySpec(
-        n_nodes=args.nodes,
-        byzantine_fraction=args.f,
-        trusted_fraction=args.t,
-        view_ratio=args.view_ratio,
-    )
-    config = spec.brahms_config()
-    bundle = build_raptee_simulation(
-        spec, args.seed, eviction=args.eviction, probe_pulls=config.beta_count
-    )
-    bundle.run(args.rounds)
+    bundle = run_scenario(_spec_from_args(args), telemetry=None).bundle
     attack = IdentificationAttack(bundle.coordinator)
     report = attack.classify(bundle.trusted_ids, since_round=1, until_round=args.rounds)
     print(f"eviction policy:  {args.eviction.describe()}")
@@ -552,40 +523,21 @@ def _command_faults(args) -> int:
 
 
 def _command_trace(args) -> int:
-    from repro.telemetry import (
-        TelemetryConfig,
-        metrics_to_csv,
-        render_profile,
-        render_summary,
-        trace_to_jsonl,
-        wire_telemetry,
-    )
+    from repro.telemetry import render_profile, render_summary
 
-    spec = TopologySpec(
-        n_nodes=args.nodes,
-        byzantine_fraction=args.f,
-        trusted_fraction=args.t if args.protocol == "raptee" else 0.0,
-        view_ratio=args.view_ratio,
-    )
-    if args.protocol == "brahms":
-        bundle = build_brahms_simulation(spec, args.seed)
-    else:
-        bundle = build_raptee_simulation(spec, args.seed, eviction=args.eviction)
     config = TelemetryConfig(
         trace_messages=not args.no_message_events,
         trace_ecalls=args.ecall_events,
         profiling=args.profile,
     )
-    harness = wire_telemetry(bundle, config)
-    harness.run(args.rounds)
-
-    telemetry = harness.telemetry
+    artifacts = run_scenario(_spec_from_args(args), telemetry=config)
+    telemetry = artifacts.bundle.telemetry
     with open(args.out, "w", encoding="utf-8") as stream:
-        stream.write(trace_to_jsonl(telemetry.trace.events))
+        stream.write(artifacts.trace_jsonl)
     print(f"trace:              {args.out} ({len(telemetry.trace)} events)")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as stream:
-            stream.write(metrics_to_csv(telemetry.registry))
+            stream.write(artifacts.metrics_csv)
         print(f"metrics:            {args.metrics_out}")
     print()
     print(render_summary(telemetry))
@@ -625,7 +577,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint": _command_lint,
         "vectors": _command_vectors,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ScenarioSpecError as error:
+        # A flag value the spec rejects: report the field, like any misuse.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module CLI shim

@@ -19,9 +19,8 @@ from repro.analysis.metrics import (
 from repro.analysis.stats import summarize
 from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunMetrics, bundle_metrics, run_bundle
+from repro.experiments.runner import RunMetrics, run_bundle
 from repro.experiments.scenarios import (
-    SimulationBundle,
     TopologySpec,
     build_brahms_simulation,
     build_raptee_simulation,
@@ -417,6 +416,35 @@ def figure13_poisoned_injection(
 # Extension — pollution rate under trusted-set churn (dynamic membership)
 # ---------------------------------------------------------------------------
 
+def _raptee_scenario(
+    name: str,
+    scale: Scale,
+    seed: int,
+    byzantine_fraction: float,
+    trusted_fraction: float,
+    **sections,
+):
+    """One RAPTEE deployment at ``scale`` (adaptive eviction) as a runnable
+    :class:`~repro.scenario.spec.ScenarioSpec` — what each row of the
+    extension figures below hands to ``run_scenario``; ``sections`` are its
+    ``membership`` / ``engine`` fields."""
+    from repro.scenario.spec import ScenarioSpec
+
+    return ScenarioSpec(
+        name=name,
+        protocol="raptee",
+        seed=seed,
+        rounds=scale.rounds,
+        topology=TopologySpec(
+            n_nodes=scale.n_nodes,
+            byzantine_fraction=byzantine_fraction,
+            trusted_fraction=trusted_fraction,
+            view_ratio=scale.view_ratio,
+        ),
+        **sections,
+    )
+
+
 def membership_churn_figure(
     scale: Scale,
     churn_rates: Sequence[float] = (0.0, 0.02, 0.05),
@@ -432,9 +460,8 @@ def membership_churn_figure(
     much Byzantine presence the overlay absorbs while the trusted set is
     repeatedly re-keying — the cost of revocation-capable membership.
     """
-    from repro.faults.harness import wire_faults
-    from repro.faults.plan import FaultPlan
     from repro.membership import MembershipConfig
+    from repro.scenario.run import run_scenario
 
     result = FigureResult(
         figure_id="Churn — pollution under trusted-set churn",
@@ -444,23 +471,18 @@ def membership_churn_figure(
         resiliences: List[float] = []
         epochs = joins = leaves = 0
         for seed in scale.seeds():
-            spec = TopologySpec(
-                n_nodes=scale.n_nodes,
-                byzantine_fraction=byzantine_fraction,
-                trusted_fraction=trusted_fraction,
-                view_ratio=scale.view_ratio,
+            # The membership section brings the fault layer with it, whose
+            # per-round hook ticks the director — which drives the churn.
+            artifacts = run_scenario(
+                _raptee_scenario(
+                    "figure-churn", scale, seed, byzantine_fraction,
+                    trusted_fraction,
+                    membership=MembershipConfig(join_rate=rate, leave_rate=rate),
+                ),
+                telemetry=None,
             )
-            membership = MembershipConfig(join_rate=rate, leave_rate=rate)
-            bundle = build_raptee_simulation(
-                spec, seed, eviction=AdaptiveEviction(), membership=membership
-            )
-            # An empty fault plan still wires the recovery manager and the
-            # membership director tick — which is what drives the churn.
-            harness = wire_faults(bundle, FaultPlan(), seed)
-            harness.run(scale.rounds)
-            metrics = bundle_metrics(bundle, scale.rounds)
-            resiliences.append(metrics.resilience)
-            director = bundle.membership
+            resiliences.append(artifacts.metrics.resilience)
+            director = artifacts.bundle.membership
             epochs += director.service.chain.current.number
             joins += director.stats.joins
             leaves += director.stats.leaves
@@ -511,39 +533,27 @@ def slo_figure(
     figure doubles as an end-to-end check that the event engine's
     metrics surface is complete.
     """
-    from repro.events import (
-        EventOptions,
-        LatencyConfig,
-        LoadSpec,
-        parse_latency_model,
-    )
     from repro.events.network import LATENCY_BUCKETS_MS
-    from repro.telemetry import TelemetryConfig, wire_telemetry
+    from repro.scenario.run import run_scenario
+    from repro.scenario.spec import EngineSpec
+    from repro.telemetry import TelemetryConfig
 
     result = FigureResult(
         figure_id=f"SLO — sampling latency/throughput (link {latency_spec})",
         headers=["load", "served", "failed", "p50 ms", "p95 ms",
                  f"<= {slo_ms:g} ms %", "byz %", "req/s"],
     )
-    seed = scale.base_seed
-    model = parse_latency_model(latency_spec)
     for clients, per_minute in loads:
-        spec = TopologySpec(
-            n_nodes=scale.n_nodes,
-            byzantine_fraction=byzantine_fraction,
-            trusted_fraction=trusted_fraction,
-            view_ratio=scale.view_ratio,
+        spec = _raptee_scenario(
+            "figure-slo", scale, scale.base_seed, byzantine_fraction,
+            trusted_fraction,
+            engine=EngineSpec(
+                kind="events", latency=latency_spec,
+                load=f"{clients}:{per_minute!r}",
+            ),
         )
-        bundle = build_raptee_simulation(spec, seed, eviction=AdaptiveEviction())
-        harness = wire_telemetry(bundle, TelemetryConfig(tracing=False))
-        options = EventOptions(
-            seed=seed,
-            mode="continuous",
-            latency=LatencyConfig(default=model),
-            load=LoadSpec(clients, per_minute),
-        )
-        run_bundle(bundle, scale.rounds, events=options)
-        registry = harness.telemetry.registry
+        artifacts = run_scenario(spec, telemetry=TelemetryConfig(tracing=False))
+        registry = artifacts.bundle.telemetry.registry
         served = registry.value("load.requests")
         failed = registry.value("load.failures")
         byzantine = registry.value("load.byzantine_samples")
@@ -552,7 +562,7 @@ def slo_figure(
         for index, bound in enumerate(latency.buckets):
             if bound <= slo_ms:
                 within += latency.bucket_counts[index]
-        duration = scale.rounds * options.tick_interval
+        duration = scale.rounds * spec.engine.tick_interval
         result.rows.append([
             f"{clients}x{per_minute:g}",
             f"{served:.0f}",
@@ -581,42 +591,25 @@ def straggler_figure(
     share, and protocol invariant violations observed at round
     boundaries by a record-only checker.
     """
-    from repro.events import (
-        EventOptions,
-        LatencyConfig,
-        StragglerProfile,
-        parse_latency_model,
-        wire_events,
-    )
-    from repro.faults.invariants import InvariantChecker
+    from repro.scenario.run import run_scenario
+    from repro.scenario.spec import EngineSpec
 
     result = FigureResult(
         figure_id=f"Stragglers — overlay health (link {latency_spec})",
         headers=["stragglers", "byz-in-views %", "cycles", "late %", "violations"],
     )
-    seed = scale.base_seed
-    model = parse_latency_model(latency_spec)
     for fraction, slowdown in profiles:
-        spec = TopologySpec(
-            n_nodes=scale.n_nodes,
-            byzantine_fraction=byzantine_fraction,
-            trusted_fraction=trusted_fraction,
-            view_ratio=scale.view_ratio,
-        )
-        bundle = build_raptee_simulation(spec, seed, eviction=AdaptiveEviction())
-        options = EventOptions(
-            seed=seed,
-            mode="continuous",
-            latency=LatencyConfig(default=model),
-            stragglers=(
-                StragglerProfile(fraction, slowdown) if fraction > 0 else None
+        spec = _raptee_scenario(
+            "figure-straggler", scale, scale.base_seed, byzantine_fraction,
+            trusted_fraction,
+            engine=EngineSpec(
+                kind="events", latency=latency_spec,
+                straggler=f"{fraction!r}:{slowdown!r}" if fraction > 0 else None,
             ),
         )
-        harness = wire_events(bundle, options)
-        checker = InvariantChecker(record_only=True)
-        harness.run(scale.rounds, extra_observers=(checker,))
-        metrics = bundle_metrics(bundle, scale.rounds)
-        engine = harness.engine
+        artifacts = run_scenario(spec, telemetry=None, check_invariants=True)
+        metrics = artifacts.metrics
+        engine = artifacts.bundle.events.engine
         label = (f"{100.0 * fraction:g}% @ {slowdown:g}x" if fraction > 0
                  else "none")
         result.rows.append([
@@ -624,6 +617,6 @@ def straggler_figure(
             f"{metrics.resilience_percent:.1f}",
             f"{engine.cycles}",
             f"{100.0 * engine.late_fraction:.1f}",
-            f"{len(checker.violations)}",
+            f"{len(artifacts.checker.violations)}",
         ])
     return result

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.metrics import (
     resilience_from_trace,
@@ -13,9 +13,6 @@ from repro.analysis.metrics import (
 from repro.analysis.stats import Summary, summarize
 from repro.experiments.scenarios import SimulationBundle
 from repro.snapshot.seedstore import SeedResultStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.events.engine import EventOptions
 
 __all__ = [
     "RunMetrics",
@@ -132,27 +129,9 @@ class _SeedTaggedRun:
             ) from exc
 
 
-def run_bundle(
-    bundle: SimulationBundle,
-    rounds: int,
-    tail: int = 10,
-    events: Optional["EventOptions"] = None,
-) -> RunMetrics:
-    """Run a built simulation and compute the paper's three metrics.
-
-    ``events`` switches the run onto the event-driven engine
-    (:mod:`repro.events`): the bundle is wired with
-    :func:`~repro.events.harness.wire_events` and driven from the event
-    queue, with the same observer stack and therefore the same metrics
-    surface.  The attached harness stays available as ``bundle.events``
-    (load statistics, cycle counts, schedule log).
-    """
-    if events is None:
-        bundle.run(rounds)
-    else:
-        from repro.events.harness import wire_events
-
-        wire_events(bundle, events).run(rounds)
+def run_bundle(bundle: SimulationBundle, rounds: int, tail: int = 10) -> RunMetrics:
+    """Run a built simulation and compute the paper's three metrics."""
+    bundle.run(rounds)
     return bundle_metrics(bundle, rounds, tail=tail)
 
 

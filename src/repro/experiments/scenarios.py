@@ -2,7 +2,10 @@
 
 A :class:`TopologySpec` captures the paper's experimental knobs — system
 size N, Byzantine fraction f, trusted fraction t, injected poisoned-trusted
-fraction, view-size ratio — and the builders assemble the node population:
+fraction, view-size ratio.  Every simulation is built from a
+:class:`~repro.scenario.spec.ScenarioSpec` by
+:func:`repro.scenario.compile.compile_spec`, which calls the assembly code
+here; the two public functions are the Python-argument spelling of a spec:
 
 * :func:`build_brahms_simulation` — the baseline: f Byzantine identities
   against pure-Brahms honest nodes (§II, Fig. 3);
@@ -27,12 +30,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary.byzantine import ByzantineNode
 from repro.adversary.coordinator import AdversaryCoordinator
 from repro.adversary.poisoned import build_poisoned_trusted_node
-from repro.brahms.config import BrahmsConfig
+from repro.brahms.config import BYZANTINE_PUSH_LIMIT_MULTIPLIER, BrahmsConfig
 from repro.brahms.node import BrahmsNode
 from repro.core.config import RapteeConfig
 from repro.core.deployment import TrustedInfrastructure
@@ -50,6 +53,7 @@ from repro.sim.observers import DiscoveryObserver, ViewTraceObserver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.harness import EventHarness
+    from repro.scenario.spec import ScenarioSpec
     from repro.telemetry.harness import TelemetryObserver
     from repro.telemetry.hub import Telemetry
 
@@ -60,14 +64,6 @@ __all__ = [
     "build_brahms_simulation",
     "build_raptee_simulation",
 ]
-
-#: Byzantine identities may spend more pushes than honest ones before the
-#: rate limiter stops them (the paper's limit mechanism prices pushes but
-#: does not pin them to the protocol's α·l1; the blocking defense is what
-#: actually caps useful flooding).  This multiple of α·l1 is the cap,
-#: calibrated so the Brahms baseline reproduces Fig. 3's collapse shape
-#: (matching the 81 % pollution the paper reports at f = 18 %).
-BYZANTINE_PUSH_LIMIT_MULTIPLIER = 3
 
 
 def _mt(seed: int, *labels: object) -> random.Random:
@@ -182,7 +178,11 @@ class SimulationBundle:
         return observers
 
     def run(self, rounds: int, extra_observers: Sequence = ()) -> None:
-        self.simulation.run(rounds, observers=self.observer_stack(extra_observers))
+        """Advance ``rounds`` rounds on the engine wired over this bundle:
+        the event engine when :func:`~repro.events.harness.wire_events`
+        attached one, the lockstep round loop otherwise."""
+        engine = self.simulation if self.events is None else self.events.engine
+        engine.run(rounds, observers=self.observer_stack(extra_observers))
 
 
 def _seed_all_views(nodes: Sequence, membership: List[int], view_size: int,
@@ -217,13 +217,56 @@ class PollutionProbe:
         return total / counted if counted else 0.0
 
 
-def _install_pollution_probe(
-    coordinator: AdversaryCoordinator, simulation: Simulation
-) -> None:
-    """Give the adversary its v-estimate (see AdversaryCoordinator docs)."""
+def _bundle(
+    scenario: "ScenarioSpec", nodes: List, coordinator: AdversaryCoordinator,
+    **trusted_side,
+) -> SimulationBundle:
+    """Put an assembled population on the network and the round engine,
+    give the adversary its v-estimate (see AdversaryCoordinator docs) and
+    attach the metric observers."""
+    spec, seed = scenario.topology, scenario.seed
+    network = Network(_mt(seed, "network"), loss_rate=spec.loss_rate,
+                      encrypt=spec.transport_encryption)
+    simulation = Simulation(network, nodes, _mt(seed, "engine"))
     coordinator.set_pollution_probe(
         PollutionProbe(simulation, frozenset(coordinator.byzantine_ids))
     )
+    return SimulationBundle(
+        simulation=simulation,
+        trace=ViewTraceObserver(),
+        discovery=DiscoveryObserver(),
+        spec=spec,
+        coordinator=coordinator,
+        **trusted_side,
+    )
+
+
+def _adversary(
+    scenario: "ScenarioSpec", config: BrahmsConfig, correct_ids: List[int]
+) -> Tuple[AdversaryCoordinator, List[ByzantineNode]]:
+    """The global coordinator and the Byzantine identities it drives (the
+    lowest ids of the banded layout), for either protocol."""
+    seed, options = scenario.seed, scenario.raptee_options
+    byzantine_ids = list(range(scenario.topology.n_byzantine))
+    coordinator = AdversaryCoordinator(
+        byzantine_ids=byzantine_ids,
+        correct_ids=correct_ids,
+        push_limit=config.effective_push_limit * BYZANTINE_PUSH_LIMIT_MULTIPLIER,
+        rng=_mt(seed, "adversary"),
+        strategy=scenario.adversary_strategy,
+        expected_pushes=config.alpha_count,
+    )
+    return coordinator, [
+        ByzantineNode(
+            node_id,
+            coordinator,
+            view_size=config.view_size,
+            rng=_mt(seed, "byz", node_id),
+            probe_pulls=options.probe_pulls,
+            auth_mode=options.auth_mode,
+        )
+        for node_id in byzantine_ids
+    ]
 
 
 def build_brahms_simulation(
@@ -237,11 +280,11 @@ def build_brahms_simulation(
     ``config_override`` replaces the spec-derived Brahms parameters — the
     ablation benches use it to sweep γ or disable blocking.
 
-    A thin shim: the call is expressed as a
-    :class:`~repro.scenario.spec.ScenarioSpec` and compiled by
-    :func:`repro.scenario.compile.compile_spec`, so ad-hoc Python callers
-    and declarative spec files share one validated build path (proven
-    byte-identical by ``tests/test_scenario_differential.py``).
+    A spec constructor: the arguments become a
+    :class:`~repro.scenario.spec.ScenarioSpec` that
+    :func:`repro.scenario.compile.compile_spec` validates and builds, the
+    same as a spec loaded from a dict or built from CLI flags
+    (``tests/test_scenario_differential.py`` pins the equality).
     """
     from repro.scenario.compile import compile_spec
     from repro.scenario.spec import ScenarioSpec
@@ -258,42 +301,12 @@ def build_brahms_simulation(
     )
 
 
-def _build_brahms_impl(
-    spec: TopologySpec,
-    seed: int,
-    adversary_strategy: str = "adaptive_balanced",
-    config_override: Optional[BrahmsConfig] = None,
-) -> SimulationBundle:
-    """The actual Brahms assembly behind :func:`build_brahms_simulation`."""
-    config = config_override or spec.brahms_config()
-    if config.view_size >= spec.n_nodes:
-        raise ValueError(
-            f"view_size {config.view_size} must be smaller than "
-            f"n_nodes {spec.n_nodes}"
-        )
-    network = Network(_mt(seed, "network"), loss_rate=spec.loss_rate,
-                      encrypt=spec.transport_encryption)
-
-    byzantine_ids = list(range(spec.n_byzantine))
+def _build_brahms_impl(scenario: "ScenarioSpec") -> SimulationBundle:
+    """Assemble the Brahms population of a validated scenario spec."""
+    spec, seed = scenario.topology, scenario.seed
+    config = scenario.brahms or spec.brahms_config()
     correct_ids = list(range(spec.n_byzantine, spec.n_nodes))
-    coordinator = AdversaryCoordinator(
-        byzantine_ids=byzantine_ids,
-        correct_ids=correct_ids,
-        push_limit=config.effective_push_limit * BYZANTINE_PUSH_LIMIT_MULTIPLIER,
-        rng=_mt(seed, "adversary"),
-        strategy=adversary_strategy,
-        expected_pushes=config.alpha_count,
-    )
-
-    nodes: List = [
-        ByzantineNode(
-            node_id,
-            coordinator,
-            view_size=config.view_size,
-            rng=_mt(seed, "byz", node_id),
-        )
-        for node_id in byzantine_ids
-    ]
+    coordinator, nodes = _adversary(scenario, config, correct_ids)
     nodes.extend(
         BrahmsNode(node_id, NodeKind.HONEST, config, _mt(seed, "node", node_id))
         for node_id in correct_ids
@@ -301,15 +314,7 @@ def _build_brahms_impl(
 
     _seed_all_views(nodes, list(range(spec.n_nodes)), config.view_size,
                     _mt(seed, "bootstrap"))
-    simulation = Simulation(network, nodes, _mt(seed, "engine"))
-    _install_pollution_probe(coordinator, simulation)
-    return SimulationBundle(
-        simulation=simulation,
-        trace=ViewTraceObserver(),
-        discovery=DiscoveryObserver(),
-        spec=spec,
-        coordinator=coordinator,
-    )
+    return _bundle(scenario, nodes, coordinator)
 
 
 def build_raptee_simulation(
@@ -339,8 +344,8 @@ def build_raptee_simulation(
     :class:`MembershipDirector` rides on the bundle to drive churn,
     rotation, and revocation gossip (ticked by the fault injector).
 
-    A thin shim over :func:`repro.scenario.compile.compile_spec` — see
-    :func:`build_brahms_simulation`.
+    A spec constructor over :func:`repro.scenario.compile.compile_spec`
+    — see :func:`build_brahms_simulation`.
     """
     from repro.scenario.compile import compile_spec
     from repro.scenario.spec import RapteeOptions, ScenarioSpec
@@ -369,45 +374,25 @@ def build_raptee_simulation(
     )
 
 
-def _build_raptee_impl(
-    spec: TopologySpec,
-    seed: int,
-    eviction: EvictionPolicy,
-    auth_mode: str = "hmac",
-    probe_pulls: int = 0,
-    trusted_exchange_enabled: bool = True,
-    eviction_enabled: bool = True,
-    sketch_unbias_enabled: bool = False,
-    provisioning_key_bits: int = 384,
-    with_cycle_accounting: bool = False,
-    cycle_mode: str = "sgx",
-    adversary_strategy: str = "adaptive_balanced",
-    config_override: Optional[BrahmsConfig] = None,
-    membership: Optional[MembershipConfig] = None,
-) -> SimulationBundle:
-    """The actual RAPTEE assembly behind :func:`build_raptee_simulation`."""
+def _build_raptee_impl(scenario: "ScenarioSpec") -> SimulationBundle:
+    """Assemble the RAPTEE deployment of a validated scenario spec."""
+    spec, seed = scenario.topology, scenario.seed
+    options, membership = scenario.raptee_options, scenario.membership
     membership_on = membership is not None and membership.enabled
-    brahms_config = config_override or spec.brahms_config()
-    if brahms_config.view_size >= spec.n_nodes:
-        raise ValueError(
-            f"view_size {brahms_config.view_size} must be smaller than "
-            f"n_nodes {spec.n_nodes}"
-        )
+    brahms_config = scenario.brahms or spec.brahms_config()
     raptee_config = RapteeConfig(
         brahms=brahms_config,
-        eviction=eviction,
-        auth_mode=auth_mode,
-        trusted_exchange_enabled=trusted_exchange_enabled,
-        eviction_enabled=eviction_enabled,
-        sketch_unbias_enabled=sketch_unbias_enabled,
+        eviction=options.eviction,
+        auth_mode=options.auth_mode,
+        trusted_exchange_enabled=options.trusted_exchange_enabled,
+        eviction_enabled=options.eviction_enabled,
+        sketch_unbias_enabled=options.sketch_unbias_enabled,
         membership_enabled=membership_on,
     )
-    network = Network(_mt(seed, "network"), loss_rate=spec.loss_rate,
-                      encrypt=spec.transport_encryption)
     infrastructure = TrustedInfrastructure(
         Sha256Prng(derive_seed(seed, "tcb")),
-        auth_mode=auth_mode,
-        provisioning_key_bits=provisioning_key_bits,
+        auth_mode=options.auth_mode,
+        provisioning_key_bits=options.provisioning_key_bits,
     )
     director: Optional[MembershipDirector] = None
     if membership_on:
@@ -424,7 +409,7 @@ def _build_raptee_impl(
             seed,
             raptee_config=raptee_config,
         )
-    cycle_model = CycleModel() if with_cycle_accounting else None
+    cycle_model = CycleModel() if options.with_cycle_accounting else None
 
     byzantine_ids = list(range(spec.n_byzantine))
     trusted_ids = list(range(spec.n_byzantine, spec.n_byzantine + spec.n_trusted))
@@ -432,19 +417,8 @@ def _build_raptee_impl(
     poisoned_ids = list(range(spec.n_nodes, spec.n_nodes + spec.n_poisoned))
     correct_ids = trusted_ids + honest_ids + poisoned_ids
 
-    coordinator = AdversaryCoordinator(
-        byzantine_ids=byzantine_ids,
-        correct_ids=correct_ids,
-        push_limit=brahms_config.effective_push_limit * BYZANTINE_PUSH_LIMIT_MULTIPLIER,
-        rng=_mt(seed, "adversary"),
-        strategy=adversary_strategy,
-        expected_pushes=brahms_config.alpha_count,
-    )
-
+    coordinator, nodes = _adversary(scenario, brahms_config, correct_ids)
     cycle_accountants: Dict[int, CycleAccountant] = {}
-
-    if cycle_mode not in ("sgx", "standard"):
-        raise ValueError(f"cycle_mode must be 'sgx' or 'standard', got {cycle_mode!r}")
 
     def _accountant(node_id: int) -> Optional[CycleAccountant]:
         if cycle_model is None:
@@ -452,22 +426,11 @@ def _build_raptee_impl(
         accountant = CycleAccountant(
             cycle_model,
             _mt(seed, "cycles", node_id),
-            force_standard=(cycle_mode == "standard"),
+            force_standard=(options.cycle_mode == "standard"),
         )
         cycle_accountants[node_id] = accountant
         return accountant
 
-    nodes: List = [
-        ByzantineNode(
-            node_id,
-            coordinator,
-            view_size=brahms_config.view_size,
-            rng=_mt(seed, "byz", node_id),
-            probe_pulls=probe_pulls,
-            auth_mode=auth_mode,
-        )
-        for node_id in byzantine_ids
-    ]
     for node_id in trusted_ids:
         enclave, _device = infrastructure.new_trusted_enclave(node_id)
         nodes.append(
@@ -529,14 +492,10 @@ def _build_raptee_impl(
                 node.set_membership_view(view)
                 node.refresh_enclave_epoch()
                 director.register_view(node.node_id, view)
-    simulation = Simulation(network, nodes, _mt(seed, "engine"))
-    _install_pollution_probe(coordinator, simulation)
-    return SimulationBundle(
-        simulation=simulation,
-        trace=ViewTraceObserver(),
-        discovery=DiscoveryObserver(),
-        spec=spec,
-        coordinator=coordinator,
+    return _bundle(
+        scenario,
+        nodes,
+        coordinator,
         infrastructure=infrastructure,
         trusted_ids=frozenset(trusted_ids) | frozenset(poisoned_ids),
         cycle_accountants=cycle_accountants,

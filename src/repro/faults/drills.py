@@ -1,9 +1,11 @@
 """Canned fault drills: named end-to-end failure scenarios.
 
-A *drill* builds a full RAPTEE deployment, applies a representative fault
-plan, runs it with the invariant checker armed, and summarizes what broke
-and what recovered.  Drills double as executable documentation (the README
-walks through one) and as the CI smoke check for the fault layer
+A *drill* is a scenario spec — a full RAPTEE deployment plus a
+representative fault list computed from its topology — run through
+:func:`repro.scenario.run.run_scenario` with the invariant checker
+observing, then summarized: what broke and what recovered.  Drills double
+as executable documentation (the README walks through one) and as the CI
+smoke check for the fault layer
 (``python -m repro faults --drill enclave-outage``).
 
 Available drills:
@@ -31,19 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.metrics import resilience_from_trace
-from repro.core.eviction import AdaptiveEviction
-from repro.experiments.scenarios import SimulationBundle, TopologySpec, build_raptee_simulation
-from repro.faults.harness import FaultHarness, wire_faults
-from repro.faults.invariants import InvariantChecker
+from repro.experiments.scenarios import TopologySpec
 from repro.faults.plan import (
     AttestationOutageFault,
     CrashRestartFault,
     DeviceRevocationFault,
     EnclaveCrashFault,
     EpochRotationFault,
+    Fault,
     FaultPlan,
     LossBurstFault,
     PartitionFault,
@@ -53,8 +53,10 @@ from repro.faults.plan import (
     SealedBlobCorruptionFault,
 )
 from repro.membership import MembershipConfig
-from repro.telemetry import Telemetry, wire_telemetry
-from repro.telemetry.exporters import trace_to_jsonl
+from repro.telemetry import TelemetryConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenario.run import ScenarioArtifacts
 
 __all__ = ["DRILLS", "DrillReport", "run_drill"]
 
@@ -124,21 +126,13 @@ class DrillReport:
         return "\n".join(lines)
 
 
-def _drill_spec(nodes: int) -> TopologySpec:
-    return TopologySpec(
-        n_nodes=nodes,
-        byzantine_fraction=0.10,
-        trusted_fraction=0.30,
-        view_ratio=0.08,
-    )
+def _trusted_ids(spec: TopologySpec) -> List[int]:
+    """Trusted ids under the banded layout: Byzantine first, trusted next."""
+    return list(range(spec.n_byzantine, spec.n_byzantine + spec.n_trusted))
 
 
-def _trusted_ids(bundle: SimulationBundle) -> List[int]:
-    return sorted(bundle.trusted_ids)
-
-
-def _enclave_outage_plan(bundle: SimulationBundle, rounds: int) -> FaultPlan:
-    trusted = _trusted_ids(bundle)
+def _enclave_outage_plan(spec: TopologySpec, rounds: int) -> List[Fault]:
+    trusted = _trusted_ids(spec)
     victims = trusted[: max(1, math.ceil(len(trusted) * 0.30))]
     crash_round = max(2, rounds // 5)
     outage = RoundWindow(crash_round, min(rounds, crash_round + 8))
@@ -148,21 +142,21 @@ def _enclave_outage_plan(bundle: SimulationBundle, rounds: int) -> FaultPlan:
         SealedBlobCorruptionFault(victim, crash_round)
         for victim in victims[::3]
     )
-    return FaultPlan(faults)
+    return faults
 
 
-def _partition_plan(bundle: SimulationBundle, rounds: int) -> FaultPlan:
-    correct = sorted(bundle.simulation.correct_node_ids())
+def _partition_plan(spec: TopologySpec, rounds: int) -> List[Fault]:
+    correct = list(range(spec.n_byzantine, spec.n_nodes))
     half = len(correct) // 2
     window = RoundWindow(max(2, rounds // 4), max(2, rounds // 2))
-    return FaultPlan([
+    return [
         PartitionFault(frozenset(correct[:half]), frozenset(correct[half:]), window),
         LossBurstFault(window, 0.10),
-    ])
+    ]
 
 
-def _flaky_provisioning_plan(bundle: SimulationBundle, rounds: int) -> FaultPlan:
-    trusted = _trusted_ids(bundle)
+def _flaky_provisioning_plan(spec: TopologySpec, rounds: int) -> List[Fault]:
+    trusted = _trusted_ids(spec)
     victims = trusted[: max(1, len(trusted) // 5)]
     crash_round = max(2, rounds // 6)
     faults: List = [
@@ -175,14 +169,13 @@ def _flaky_provisioning_plan(bundle: SimulationBundle, rounds: int) -> FaultPlan
     faults.extend(
         SealedBlobCorruptionFault(victim, crash_round) for victim in victims
     )
-    return FaultPlan(faults)
+    return faults
 
 
-def _membership_churn_plan(bundle: SimulationBundle, rounds: int) -> FaultPlan:
-    trusted = _trusted_ids(bundle)
-    victim = trusted[0]
+def _membership_churn_plan(spec: TopologySpec, rounds: int) -> List[Fault]:
+    victim = _trusted_ids(spec)[0]
     crash_round = max(2, rounds // 5)
-    return FaultPlan([
+    return [
         # The legacy-primary replica goes down: quorum must hold at 2/3 and
         # the release failover moves to replica 1, deterministically.
         ProvisionerReplicaCrashFault(0, crash_round, down_rounds=6),
@@ -196,7 +189,7 @@ def _membership_churn_plan(bundle: SimulationBundle, rounds: int) -> FaultPlan:
         # degraded while re-attestation is refused, and must recover
         # through backoff once the outage lifts.
         EpochRotationFault(crash_round + 3),
-    ])
+    ]
 
 
 DRILLS = {
@@ -206,16 +199,14 @@ DRILLS = {
     "membership-churn": _membership_churn_plan,
 }
 
-#: Drills that need the bundle built with dynamic membership enabled.
-_MEMBERSHIP_DRILLS = frozenset({"membership-churn"})
-
-#: Membership knobs the churn drill runs under: background join/leave
-#: churn on top of the planned faults, with a leave-triggered re-key.
-_DRILL_MEMBERSHIP = MembershipConfig(
-    replica_count=3,
-    join_rate=0.04,
-    leave_rate=0.03,
-)
+#: Drills whose spec carries a dynamic-membership section.  The churn
+#: drill's knobs: background join/leave churn on top of the planned faults,
+#: with a leave-triggered re-key.
+_DRILL_MEMBERSHIP = {
+    "membership-churn": MembershipConfig(
+        replica_count=3, join_rate=0.04, leave_rate=0.03
+    ),
+}
 
 
 def run_drill(
@@ -225,42 +216,41 @@ def run_drill(
     seed: int = 1,
     capture_trace: bool = False,
 ) -> DrillReport:
-    """Build, break, run, and summarize one named drill.
+    """Describe one named drill as a spec, run it, and summarize it.
 
     ``capture_trace`` stores the full telemetry trace on the report as
     JSON Lines (``trace_jsonl``) — callers that want it on disk write it
     themselves (this module performs no file I/O).
     """
+    from repro.scenario.run import run_scenario
+    from repro.scenario.spec import ScenarioSpec
+
     if name not in DRILLS:
         raise ValueError(
             f"unknown drill {name!r}; available: {', '.join(sorted(DRILLS))}"
         )
-    membership = _DRILL_MEMBERSHIP if name in _MEMBERSHIP_DRILLS else None
-    bundle = build_raptee_simulation(
-        _drill_spec(nodes), seed, eviction=AdaptiveEviction(),
-        membership=membership,
+    topology = TopologySpec(
+        n_nodes=nodes, byzantine_fraction=0.10, trusted_fraction=0.30,
+        view_ratio=0.08,
     )
-    # Telemetry first, so the injector and recovery manager pick up the hub
-    # and every number the report needs lands in the registry.
-    telemetry = wire_telemetry(bundle).telemetry
-    plan = DRILLS[name](bundle, rounds)
-    checker = InvariantChecker(record_only=True, membership=bundle.membership)
-    harness = wire_faults(bundle, plan, seed, checker=checker)
-    harness.run(rounds)
-    return _report(
-        name, nodes, rounds, seed, harness, telemetry,
-        capture_trace=capture_trace,
+    spec = ScenarioSpec(
+        name=f"drill-{name}",
+        protocol="raptee",
+        seed=seed,
+        rounds=rounds,
+        topology=topology,
+        membership=_DRILL_MEMBERSHIP.get(name),
+        faults=tuple(DRILLS[name](topology, rounds)),
     )
+    # Default telemetry: every number the report needs lands in the registry.
+    artifacts = run_scenario(
+        spec, telemetry=TelemetryConfig(), check_invariants=True
+    )
+    return _report(name, artifacts, capture_trace=capture_trace)
 
 
 def _report(
-    name: str,
-    nodes: int,
-    rounds: int,
-    seed: int,
-    harness: FaultHarness,
-    telemetry: Telemetry,
-    capture_trace: bool = False,
+    name: str, artifacts: "ScenarioArtifacts", capture_trace: bool = False
 ) -> DrillReport:
     """Summarize a finished drill from the telemetry registry.
 
@@ -268,19 +258,18 @@ def _report(
     ``InjectionStats``/``RecoveryStats``/node counters stay available for
     assertions, but reports read the registry.
     """
-    bundle = harness.bundle
-    registry = telemetry.registry
-    checker = harness.checker
+    spec, bundle, checker = artifacts.spec, artifacts.bundle, artifacts.checker
+    registry = bundle.telemetry.registry
     drops_by_cause = {
         str(cause): int(count)
         for cause, count in registry.by_label("faults.drops", "cause").items()
     }
     return DrillReport(
         name=name,
-        nodes=nodes,
-        rounds=rounds,
-        seed=seed,
-        plan_description=harness.plan.describe(),
+        nodes=spec.topology.n_nodes,
+        rounds=spec.rounds,
+        seed=spec.seed,
+        plan_description=FaultPlan(list(spec.faults)).describe(),
         resilience_percent=100.0 * resilience_from_trace(bundle.trace.records),
         drops_by_cause=drops_by_cause,
         crashes=int(registry.value("faults.crashes")),
@@ -293,8 +282,8 @@ def _report(
         failed_attempts=int(registry.value("recovery.failed_attempts")),
         # The per-round gauge's final value is the end-of-run degraded count.
         still_degraded=int(registry.value("raptee.degraded_nodes")),
-        rounds_checked=checker.rounds_checked if checker else 0,
-        violations=len(checker.violations) if checker else 0,
+        rounds_checked=checker.rounds_checked,
+        violations=len(checker.violations),
         # Rotation counts carry a `reason` label; sum across reasons.
         rotations=sum(
             int(count)
@@ -307,9 +296,5 @@ def _report(
         membership_leaves=int(registry.value("membership.leaves")),
         stale_degrades=int(registry.value("membership.stale_degrades")),
         current_epoch=int(registry.value("membership.epoch")),
-        trace_jsonl=(
-            trace_to_jsonl(telemetry.trace.events)
-            if capture_trace and telemetry.trace is not None
-            else None
-        ),
+        trace_jsonl=artifacts.trace_jsonl if capture_trace else None,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.node import RapteeNode
 from repro.core.recovery import EnclaveRecoveryManager, RetryPolicy
@@ -29,9 +29,6 @@ from repro.experiments.scenarios import SimulationBundle
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.hub import Telemetry
 
 __all__ = ["FaultHarness", "wire_faults"]
 
@@ -57,17 +54,15 @@ def wire_faults(
     seed: int,
     retry_policy: Optional[RetryPolicy] = None,
     checker: Optional[InvariantChecker] = None,
-    telemetry: Optional["Telemetry"] = None,
 ) -> FaultHarness:
     """Attach a fault plan (and recovery) to a built simulation bundle.
 
-    ``telemetry`` defaults to whatever hub :func:`repro.telemetry.harness
-    .wire_telemetry` already installed on the bundle (wire telemetry first
-    when using both), so every applied fault and recovery transition also
-    lands in the trace and the registry.
+    Picks up whatever hub :func:`repro.telemetry.harness.wire_telemetry`
+    already installed on the bundle (wire telemetry first when using both),
+    so every applied fault and recovery transition also lands in the trace
+    and the registry.
     """
-    if telemetry is None:
-        telemetry = bundle.simulation.telemetry
+    telemetry = bundle.simulation.telemetry
     injector_rng = random.Random(derive_seed(seed, "faults", "injector"))
     recovery: Optional[EnclaveRecoveryManager] = None
     if bundle.infrastructure is not None:

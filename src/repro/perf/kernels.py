@@ -80,10 +80,7 @@ def countmin_rows(items: Sequence[int], salts: Sequence[int], width: int):
     """
     arr = np.asarray(items, dtype=np.uint64)
     salts_col = np.asarray(salts, dtype=np.uint64).reshape(-1, 1)
-    scrambled = (arr ^ salts_col) * np.uint64(_SCRAMBLE_MULTIPLIER) + np.uint64(
-        _SCRAMBLE_OFFSET
-    )
-    return (scrambled % np.uint64(width)).astype(np.int64)
+    return (scramble64_array(arr ^ salts_col) % np.uint64(width)).astype(np.int64)
 
 
 def countmin_new_tables(depth: int, width: int):

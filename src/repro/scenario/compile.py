@@ -1,19 +1,19 @@
 """Compile a :class:`~repro.scenario.spec.ScenarioSpec` into runnable parts.
 
-:func:`compile_spec` is the single build path behind both the legacy
-builder functions (now thin shims) and the conformance vector runner: it
-dispatches on the spec's protocol to the shared assembly code in
-:mod:`repro.experiments.scenarios` and attaches the spec's churn plan
-through the engine's public :meth:`~repro.sim.engine.Simulation.set_churn`
-seam.  Because the spec nests the very config objects the assembly code
-consumes, compiling an ad-hoc shim call and compiling the equivalent
-loaded spec run *the same code on the same values* — the byte-identity
-the differential tests pin.
+:func:`compile_spec` is the single build path of the per-node engines:
+CLI flags, the ``build_*_simulation`` functions and loaded dicts all
+produce a :class:`~repro.scenario.spec.ScenarioSpec`, and this function
+hands it to the assembly code in :mod:`repro.experiments.scenarios` —
+which reads each parameter off the spec where it is used — then attaches
+the spec's churn plan through the engine's public
+:meth:`~repro.sim.engine.Simulation.set_churn` seam.
+:func:`shard_simulation_from_spec` is the same step for ``kind='shard'``
+specs.
 
 The runtime-only sections (fault plan, engine choice) are translated by
 :func:`fault_plan_from_spec` / :func:`event_options_from_spec` and wired
-by the runner (:mod:`repro.scenario.run`), mirroring the established
-``wire_telemetry`` → ``wire_faults`` → ``wire_events`` order.
+by :func:`repro.scenario.run.run_scenario`, the one place the
+``wire_telemetry`` → ``wire_faults`` → ``wire_events`` stack is assembled.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.experiments.scenarios import (
     _build_brahms_impl,
     _build_raptee_impl,
 )
-from repro.scenario.spec import ChurnSpec, RapteeOptions, ScenarioSpec
+from repro.scenario.spec import ChurnSpec, ScenarioSpec
 from repro.sim.churn import CatastrophicFailure, ChurnModel, NoChurn, UniformChurn
 
 __all__ = [
@@ -106,8 +106,8 @@ def compile_spec(spec: ScenarioSpec) -> SimulationBundle:
     """Build the :class:`SimulationBundle` a spec describes.
 
     Compiles the population/protocol sections; the runtime sections
-    (faults, engine) are wired onto the bundle by the runner so the
-    telemetry → faults → events layering stays explicit.
+    (faults, engine) are wired onto the bundle by
+    :func:`~repro.scenario.run.run_scenario`.
     """
     if spec.engine.kind == "shard":
         raise ValueError(
@@ -115,31 +115,8 @@ def compile_spec(spec: ScenarioSpec) -> SimulationBundle:
             f"no per-node SimulationBundle; compile it with "
             f"shard_simulation_from_spec() instead"
         )
-    if spec.protocol == "brahms":
-        bundle = _build_brahms_impl(
-            spec.topology,
-            spec.seed,
-            adversary_strategy=spec.adversary_strategy,
-            config_override=spec.brahms,
-        )
-    else:
-        options = spec.raptee or RapteeOptions()
-        bundle = _build_raptee_impl(
-            spec.topology,
-            spec.seed,
-            eviction=options.eviction,
-            auth_mode=options.auth_mode,
-            probe_pulls=options.probe_pulls,
-            trusted_exchange_enabled=options.trusted_exchange_enabled,
-            eviction_enabled=options.eviction_enabled,
-            sketch_unbias_enabled=options.sketch_unbias_enabled,
-            provisioning_key_bits=options.provisioning_key_bits,
-            with_cycle_accounting=options.with_cycle_accounting,
-            cycle_mode=options.cycle_mode,
-            adversary_strategy=spec.adversary_strategy,
-            config_override=spec.brahms,
-            membership=spec.membership,
-        )
+    build = _build_brahms_impl if spec.protocol == "brahms" else _build_raptee_impl
+    bundle = build(spec)
     churn = churn_model_from_spec(spec.churn)
     if churn is not None:
         factory = None
@@ -170,9 +147,16 @@ def shard_simulation_from_spec(spec: ScenarioSpec, workers: int = 1,
 
 
 def fault_plan_from_spec(spec: ScenarioSpec):
-    """The :class:`~repro.faults.plan.FaultPlan` for a spec's fault list
-    (``None`` when the spec injects no faults)."""
-    if not spec.faults:
+    """The :class:`~repro.faults.plan.FaultPlan` for a spec's fault list.
+
+    An enabled ``membership`` section implies the fault layer even with no
+    faults listed: the injector's per-round hook is what ticks the
+    :class:`~repro.membership.director.MembershipDirector`, so without it
+    trusted-set churn, rotation and log gossip never run.  ``None`` only
+    when the spec has neither.
+    """
+    membership_on = spec.membership is not None and spec.membership.enabled
+    if not spec.faults and not membership_on:
         return None
     from repro.faults.plan import FaultPlan
 
@@ -181,8 +165,8 @@ def fault_plan_from_spec(spec: ScenarioSpec):
 
 def event_options_from_spec(spec: ScenarioSpec):
     """The :class:`~repro.events.EventOptions` for a spec's engine section
-    (``None`` for the classic rounds engine)."""
-    if spec.engine.kind == "rounds":
+    (``None`` unless the spec selects the events engine)."""
+    if spec.engine.kind != "events":
         return None
     from repro.events import (
         ConstantLatency,

@@ -1,11 +1,16 @@
-"""Execute a scenario spec and collect its deterministic surface.
+"""Wire and run a scenario spec: the one place a scenario becomes a run.
 
-:func:`run_scenario` is the vector generator's and conformance runner's
-shared engine: compile the spec, wire the instrumentation stack in the
-established order (telemetry → faults → events), run, and collect every
-artifact the differential suites treat as the determinism contract —
-full trace JSONL, metrics CSV, per-round view pollution, final views,
-network traffic totals, and the paper's three end metrics.
+:func:`run_scenario` is what every front-end calls on the per-node
+engines (CLI ``run --engine events`` / ``trace`` / ``attack``, figures,
+fault drills, the vector generator and conformance runner): compile the
+spec, wire the instrumentation stack (telemetry → faults → events), run
+whichever engine ended up attached.  No other module under ``src/repro``
+calls ``wire_telemetry`` / ``wire_faults`` / ``wire_events``
+(``tests/test_scenario_differential.py`` checks).
+
+:class:`ScenarioArtifacts` is the finished run; the determinism contract
+of the differential suites — trace JSONL, metrics CSV, final views,
+traffic totals, the paper's three end metrics — is computed when read.
 
 :func:`artifact_sections` reduces those artifacts to the named, JSON-safe
 sections a conformance vector stores (bulky artifacts shrink to sha256
@@ -17,89 +22,114 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.events.harness import wire_events
 from repro.experiments.runner import RunMetrics, bundle_metrics
 from repro.experiments.scenarios import SimulationBundle
+from repro.faults.harness import wire_faults
+from repro.faults.invariants import InvariantChecker
 from repro.scenario.compile import (
     compile_spec,
     event_options_from_spec,
     fault_plan_from_spec,
 )
+from repro.scenario.errors import ScenarioSpecError
 from repro.scenario.spec import ScenarioSpec, spec_to_dict
+from repro.telemetry import (
+    TelemetryConfig,
+    metrics_to_csv,
+    trace_to_jsonl,
+    wire_telemetry,
+)
 
 __all__ = ["ScenarioArtifacts", "run_scenario", "artifact_sections"]
 
 
 @dataclass
 class ScenarioArtifacts:
-    """Everything one scenario run produced, pre-canonicalization."""
+    """One finished scenario run; every export is computed when read."""
 
     spec: ScenarioSpec
     bundle: SimulationBundle
-    trace_jsonl: str
-    metrics_csv: str
-    final_views: Dict[int, Tuple[int, ...]]
-    metrics: RunMetrics
-    network_totals: Tuple[int, int, int, int, int, int]
+    #: The record-only checker that observed every round, when asked for.
+    checker: Optional[InvariantChecker] = None
 
+    @property
+    def trace_jsonl(self) -> str:
+        return trace_to_jsonl(self.bundle.telemetry.trace.events)
 
-def run_scenario(spec: ScenarioSpec) -> ScenarioArtifacts:
-    """Compile and run one spec, returning its full deterministic surface."""
-    if spec.rounds < 1:
-        raise ValueError(
-            f"scenario {spec.name!r} has no round count; only loaded/catalog "
-            f"specs (rounds >= 1) are runnable"
-        )
-    from repro.telemetry import (
-        TelemetryConfig,
-        metrics_to_csv,
-        trace_to_jsonl,
-        wire_telemetry,
-    )
+    @property
+    def metrics_csv(self) -> str:
+        return metrics_to_csv(self.bundle.telemetry.registry)
 
-    bundle = compile_spec(spec)
-    telemetry_harness = wire_telemetry(
-        bundle, TelemetryConfig(tracing=True, trace_messages=True, trace_ecalls=True)
-    )
-    plan = fault_plan_from_spec(spec)
-    fault_harness = None
-    if plan is not None:
-        from repro.faults.harness import wire_faults
-
-        fault_harness = wire_faults(bundle, plan, seed=spec.seed)
-    events = event_options_from_spec(spec)
-    if events is not None:
-        from repro.events.harness import wire_events
-
-        wire_events(bundle, events).run(spec.rounds)
-    elif fault_harness is not None:
-        fault_harness.run(spec.rounds)
-    else:
-        bundle.run(spec.rounds)
-
-    telemetry = telemetry_harness.telemetry
-    simulation = bundle.simulation
-    stats = simulation.network.stats
-    return ScenarioArtifacts(
-        spec=spec,
-        bundle=bundle,
-        trace_jsonl=trace_to_jsonl(telemetry.trace.events),
-        metrics_csv=metrics_to_csv(telemetry.registry),
-        final_views={
+    @property
+    def final_views(self) -> Dict[int, Tuple[int, ...]]:
+        return {
             node_id: tuple(node.view_ids())
-            for node_id, node in sorted(simulation.nodes.items())
-        },
-        metrics=bundle_metrics(bundle, spec.rounds),
-        network_totals=(
+            for node_id, node in sorted(self.bundle.simulation.nodes.items())
+        }
+
+    @property
+    def metrics(self) -> RunMetrics:
+        return bundle_metrics(self.bundle, self.spec.rounds)
+
+    @property
+    def network_totals(self) -> Tuple[int, int, int, int, int, int]:
+        stats = self.bundle.simulation.network.stats
+        return (
             stats.pushes_sent,
             stats.pushes_delivered,
             stats.requests_sent,
             stats.replies_delivered,
             stats.messages_lost,
             stats.bytes_encrypted,
-        ),
+        )
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    telemetry: Optional[TelemetryConfig] = TelemetryConfig(
+        tracing=True, trace_messages=True, trace_ecalls=True
+    ),
+    check_invariants: bool = False,
+) -> ScenarioArtifacts:
+    """Compile one spec, wire its instrumentation stack, and run it.
+
+    Order matters: telemetry first, so the fault layer and the event engine
+    pick the hub up from the simulation; faults second, so the controller
+    fires at every round boundary of either clock; events last.
+
+    ``telemetry`` is the hub configuration, ``None`` for no hub; the
+    default (full message and ECALL tracing) is what the conformance
+    vectors digest.  ``check_invariants`` has a record-only
+    :class:`~repro.faults.invariants.InvariantChecker` observe every round
+    (returned as ``artifacts.checker``).
+    """
+    if spec.rounds < 1:
+        raise ScenarioSpecError(
+            f"scenario {spec.name!r} has no round count; only specs with "
+            f"rounds >= 1 are runnable",
+            "rounds",
+        )
+    bundle = compile_spec(spec)
+    if telemetry is not None:
+        wire_telemetry(bundle, telemetry)
+    plan = fault_plan_from_spec(spec)
+    if plan is not None:
+        wire_faults(bundle, plan, seed=spec.seed)
+    events = event_options_from_spec(spec)
+    if events is not None:
+        wire_events(bundle, events)
+    checker = (
+        InvariantChecker(record_only=True, membership=bundle.membership)
+        if check_invariants
+        else None
     )
+    bundle.run(
+        spec.rounds, extra_observers=() if checker is None else (checker,)
+    )
+    return ScenarioArtifacts(spec=spec, bundle=bundle, checker=checker)
 
 
 def _sha256_text(text: str) -> str:
@@ -137,6 +167,12 @@ def artifact_sections(artifacts: ScenarioArtifacts) -> Dict[str, Any]:
     """The named sections a conformance vector for this run stores."""
     trace = artifacts.trace_jsonl
     metrics_csv = artifacts.metrics_csv
+    metrics = artifacts.metrics
+    network = dict(zip(
+        ("pushes_sent", "pushes_delivered", "requests_sent",
+         "replies_delivered", "messages_lost", "bytes_encrypted"),
+        artifacts.network_totals,
+    ))
     return {
         "spec": spec_to_dict(artifacts.spec),
         "view_trace": _view_trace_section(artifacts),
@@ -153,17 +189,10 @@ def artifact_sections(artifacts: ScenarioArtifacts) -> Dict[str, Any]:
             "rows": metrics_csv.count("\n"),
         },
         "pollution": {
-            "resilience": artifacts.metrics.resilience,
-            "discovery_round": artifacts.metrics.discovery_round,
-            "stability_round": artifacts.metrics.stability_round,
-            "rounds": artifacts.metrics.rounds,
-            "network": {
-                "pushes_sent": artifacts.network_totals[0],
-                "pushes_delivered": artifacts.network_totals[1],
-                "requests_sent": artifacts.network_totals[2],
-                "replies_delivered": artifacts.network_totals[3],
-                "messages_lost": artifacts.network_totals[4],
-                "bytes_encrypted": artifacts.network_totals[5],
-            },
+            "resilience": metrics.resilience,
+            "discovery_round": metrics.discovery_round,
+            "stability_round": metrics.stability_round,
+            "rounds": metrics.rounds,
+            "network": network,
         },
     }

@@ -1,11 +1,11 @@
 """The declarative scenario spec: one experiment as pure data.
 
-A :class:`ScenarioSpec` captures everything the legacy scenario functions
-in :mod:`repro.experiments.scenarios` took as Python arguments — topology,
-Brahms/RAPTEE parameters, adversary mix, churn plan, fault plan, SGX cost
-model, membership config, and engine choice — as a frozen, validated
-dataclass that also round-trips losslessly through plain dicts/JSON
-(:func:`spec_from_dict` / :func:`spec_to_dict`).
+A :class:`ScenarioSpec` is the one description every simulation is built
+from — topology, Brahms/RAPTEE parameters, adversary mix, churn plan, fault
+plan, SGX cost model, membership config, and engine choice — as a frozen,
+validated dataclass that also round-trips losslessly through plain
+dicts/JSON (:func:`spec_from_dict` / :func:`spec_to_dict`).  CLI flags, the
+``build_*_simulation`` functions and loaded dicts all construct one.
 
 Design rules:
 
@@ -62,7 +62,7 @@ from repro.faults.plan import (
 from repro.membership.service import MembershipConfig
 from repro.scenario.errors import ScenarioSpecError
 
-# TopologySpec lives with the legacy builders; importing it here is safe
+# TopologySpec lives with the assembly code; importing it here is safe
 # (experiments.scenarios only reaches back into repro.scenario lazily).
 from repro.experiments.scenarios import TopologySpec
 
@@ -294,8 +294,10 @@ class EngineSpec:
         if self.tick_interval <= 0:
             raise ScenarioSpecError("tick_interval must be positive", "engine.tick_interval")
         if self.kind in ("rounds", "shard"):
-            for name in ("latency", "load", "straggler"):
-                if getattr(self, name) is not None:
+            # Only the event clock reads these knobs: anything but the
+            # field's default would be validated and then silently ignored.
+            for name in ("latency", "load", "straggler", "mode", "tick_interval"):
+                if getattr(self, name) != getattr(EngineSpec, name):
                     raise ScenarioSpecError(
                         f"{name} requires the events engine", f"engine.{name}"
                     )
@@ -331,8 +333,9 @@ class EngineSpec:
 class RapteeOptions:
     """The RAPTEE-only builder knobs (§IV mechanisms + SGX cost model).
 
-    Mirrors the keyword surface of the legacy
-    ``build_raptee_simulation`` exactly; see that builder for semantics.
+    The keyword surface of
+    :func:`~repro.experiments.scenarios.build_raptee_simulation`; see that
+    function for semantics.
     ``with_cycle_accounting``/``cycle_mode`` select the SGX cycle-cost
     model of :mod:`repro.sgx.cycles` (Table 1).
     """
@@ -380,8 +383,8 @@ class ScenarioSpec:
     """One declarative workload, ready to compile and run.
 
     ``rounds=0`` means "unspecified" and is only legal for in-memory specs
-    created by the legacy builder shims (which never run the spec
-    themselves); loaded and catalogued specs always carry a positive round
+    created by the ``build_*_simulation`` functions (which never run the
+    spec themselves); loaded and catalogued specs always carry a positive round
     count, which is also what churn/fault round validation checks against.
     """
 
@@ -504,6 +507,12 @@ class ScenarioSpec:
                     f"{type(fault).__name__} requires a membership config", where
                 )
 
+    @property
+    def raptee_options(self) -> RapteeOptions:
+        """The RAPTEE knobs in force: the ``raptee`` section, or its
+        defaults when the section is omitted."""
+        return self.raptee or RapteeOptions()
+
     def describe(self) -> str:
         """A one-line human summary (the ``vectors list`` row)."""
         topo = self.topology
@@ -518,8 +527,10 @@ class ScenarioSpec:
             parts.append(f"poisoned={topo.poisoned_fraction:g}")
         if self.rounds:
             parts.append(f"rounds={self.rounds}")
-        if self.engine.kind != "rounds":
+        if self.engine.kind == "events":
             parts.append(f"engine=events/{self.engine.mode}")
+        elif self.engine.kind == "shard":
+            parts.append(f"engine=shard/{self.engine.shards}")
         if self.churn.kind != "none":
             parts.append(f"churn={self.churn.kind}")
         if self.faults:
@@ -751,8 +762,6 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         data, "spec", top_checkers,
         required=("name", "protocol", "seed", "rounds", "topology"),
     )
-    # Strip the "spec." prefix the generic loader added: top-level fields
-    # are addressed bare ("name", not "spec.name").
     if fields["rounds"] < 1:
         raise ScenarioSpecError("rounds must be a positive integer", "rounds")
 
@@ -832,17 +841,10 @@ def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
         "brahms": None if spec.brahms is None else dataclasses.asdict(spec.brahms),
         "raptee": None
         if spec.raptee is None
-        else {
-            "eviction": _eviction_to_dict(spec.raptee.eviction),
-            "auth_mode": spec.raptee.auth_mode,
-            "probe_pulls": spec.raptee.probe_pulls,
-            "trusted_exchange_enabled": spec.raptee.trusted_exchange_enabled,
-            "eviction_enabled": spec.raptee.eviction_enabled,
-            "sketch_unbias_enabled": spec.raptee.sketch_unbias_enabled,
-            "provisioning_key_bits": spec.raptee.provisioning_key_bits,
-            "with_cycle_accounting": spec.raptee.with_cycle_accounting,
-            "cycle_mode": spec.raptee.cycle_mode,
-        },
+        else dict(
+            dataclasses.asdict(spec.raptee),
+            eviction=_eviction_to_dict(spec.raptee.eviction),
+        ),
         "membership": None
         if spec.membership is None
         else dataclasses.asdict(spec.membership),

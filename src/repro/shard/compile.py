@@ -120,14 +120,13 @@ def shard_config_from_spec(spec) -> ShardConfig:
             f"adversary strategy {spec.adversary_strategy!r} "
             f"(only 'balanced' is modeled)"
         )
-    options = spec.raptee
-    if options is not None:
-        if options.sketch_unbias_enabled:
-            raise ShardUnsupportedError("count-min sketch unbiasing")
-        if options.probe_pulls:
-            raise ShardUnsupportedError("probe pulls")
-        if options.with_cycle_accounting:
-            raise ShardUnsupportedError("SGX cycle accounting")
+    options = spec.raptee_options
+    if options.sketch_unbias_enabled:
+        raise ShardUnsupportedError("count-min sketch unbiasing")
+    if options.probe_pulls:
+        raise ShardUnsupportedError("probe pulls")
+    if options.with_cycle_accounting:
+        raise ShardUnsupportedError("SGX cycle accounting")
     loss_bursts = []
     crashes = []
     for fault in spec.faults:
@@ -144,11 +143,9 @@ def shard_config_from_spec(spec) -> ShardConfig:
         spec.seed,
         protocol=spec.protocol,
         brahms=spec.brahms,
-        eviction=None if options is None else options.eviction,
-        eviction_enabled=options.eviction_enabled if options is not None else True,
-        trusted_exchange=(
-            options.trusted_exchange_enabled if options is not None else True
-        ),
+        eviction=options.eviction,
+        eviction_enabled=options.eviction_enabled,
+        trusted_exchange=options.trusted_exchange_enabled,
         loss_bursts=loss_bursts,
         crashes=crashes,
     )

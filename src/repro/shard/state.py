@@ -34,6 +34,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.brahms.config import BYZANTINE_PUSH_LIMIT_MULTIPLIER
+from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.crypto.minwise import MERSENNE_PRIME_31
 from repro.perf.kernels import scramble64_array
 from repro.shard.rand import Purpose, key64, key_array
@@ -75,7 +77,6 @@ class ShardConfig:
     blocking_enabled: bool = True
     validation_period: int = 10
     push_limit: Optional[int] = None
-    byz_push_multiplier: int = 3
     loss_rate: float = 0.0
     encrypt: bool = False
     eviction_kind: str = "none"  # "none" | "fixed" | "adaptive"
@@ -140,7 +141,7 @@ class ShardConfig:
 
     @property
     def byz_push_limit(self) -> int:
-        return self.effective_push_limit * self.byz_push_multiplier
+        return self.effective_push_limit * BYZANTINE_PUSH_LIMIT_MULTIPLIER
 
     def kind_of(self, node_id: int) -> str:
         """Role name for a node id, from the one banded-layout definition
@@ -158,22 +159,19 @@ class ShardConfig:
         return self.n_byzantine <= node_id < self.n_byzantine + self.n_trusted
 
     def eviction_rate(self, trusted_share: float) -> float:
-        """Mirror of :mod:`repro.core.eviction` as a pure function."""
+        """The §IV-C rate for one trusted-contact share, asked of the
+        :class:`~repro.core.eviction.EvictionPolicy` this config was
+        compiled from (:func:`repro.shard.compile.eviction_fields`)."""
         if self.eviction_kind == "fixed":
-            return self.eviction_params[0]
+            return FixedEviction(*self.eviction_params).rate(trusted_share)
         if self.eviction_kind == "adaptive":
-            low_share, high_share, low_rate, high_rate = self.eviction_params
-            if trusted_share <= low_share:
-                return high_rate
-            if trusted_share >= high_share:
-                return low_rate
-            slope = (low_rate - high_rate) / (high_share - low_share)
-            return high_rate + slope * (trusted_share - low_share)
+            return AdaptiveEviction(*self.eviction_params).rate(trusted_share)
         return 0.0
 
     def eviction_rates(self, trusted_shares):
         """:meth:`eviction_rate` over a float64 array — the same float
-        operations in the same order, so every rate is bit-identical."""
+        operations in the same order as the policies' scalar ``rate``, so
+        every rate is bit-identical (``tests/test_shard_engine.py``)."""
         if self.eviction_kind == "fixed":
             return np.full(trusted_shares.shape, self.eviction_params[0])
         if self.eviction_kind == "adaptive":

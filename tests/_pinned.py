@@ -6,6 +6,11 @@ unbiasing, and RAPTEE under an active fault plan.  The differential suites
 (events, scenario) and the determinism matrix run them through
 :func:`observables`, so they can never drift apart in what they consider
 "the deterministic surface".
+
+Each scenario is written twice on purpose: once through the
+Python-argument constructors (:data:`PINNED`) and once as the plain dict a
+spec file would hold (:data:`PINNED_DICTS`); the scenario differential
+proves the two spellings are one program.
 """
 
 from __future__ import annotations
@@ -99,12 +104,61 @@ PINNED = {
     "raptee-faults": _raptee_faults,
 }
 
+_RAPTEE_TOPOLOGY = {
+    "n_nodes": 40,
+    "byzantine_fraction": 0.10,
+    "trusted_fraction": 0.10,
+    "view_ratio": 0.10,
+    "transport_encryption": True,
+}
 
-def run_pinned(name, driver=None):
-    """Observables of one pinned scenario on the round engine, or on
-    whatever ``driver(bundle, seed)`` returns as the ``rounds -> None``
-    runner (the event engine, in the events differential)."""
-    bundle, seed, plan = PINNED[name]()
+#: name → the same scenario as :func:`repro.scenario.spec_from_dict` input.
+PINNED_DICTS = {
+    "brahms-baseline": {
+        "name": "brahms-baseline",
+        "protocol": "brahms",
+        "seed": 11,
+        "rounds": ROUNDS,
+        "topology": {
+            "n_nodes": 60,
+            "byzantine_fraction": 0.10,
+            "view_ratio": 0.08,
+            "loss_rate": 0.05,
+        },
+    },
+    "raptee-fixed-eviction": {
+        "name": "raptee-fixed-eviction",
+        "protocol": "raptee",
+        "seed": 23,
+        "rounds": ROUNDS,
+        "topology": _RAPTEE_TOPOLOGY,
+        "raptee": {
+            "eviction": {"kind": "fixed", "value": 0.6},
+            "sketch_unbias_enabled": True,
+        },
+    },
+    "raptee-faults": {
+        "name": "raptee-faults",
+        "protocol": "raptee",
+        "seed": 31,
+        "rounds": ROUNDS,
+        "topology": _RAPTEE_TOPOLOGY,
+        "raptee": {"eviction": {"kind": "adaptive"}},
+        "faults": [
+            {"kind": "loss-burst", "window": {"start": 2, "end": 3},
+             "loss_rate": 0.30},
+            {"kind": "crash-restart", "node_id": 5, "at_round": 2,
+             "down_rounds": 2},
+        ],
+    },
+}
+
+
+def run_built(bundle, seed, plan, driver=None):
+    """Observables of a built bundle on the round engine, or on whatever
+    ``driver(bundle, seed)`` returns as the ``rounds -> None`` runner (the
+    event engine, in the events differential); ``plan`` is the fault plan
+    to wire first, or ``None``."""
 
     def runner(rounds):
         # Telemetry must be wired before faults so injector events land in
@@ -115,3 +169,8 @@ def run_pinned(name, driver=None):
         (bundle.run if driver is None else driver(bundle, seed))(rounds)
 
     return observables(bundle, runner, ROUNDS)
+
+
+def run_pinned(name, driver=None):
+    """:func:`run_built` on one :data:`PINNED` scenario."""
+    return run_built(*PINNED[name](), driver=driver)

@@ -131,10 +131,52 @@ class TestTraceCommand:
 
 class TestRunFlagWiring:
     def test_loss_reaches_the_topology(self):
-        from repro.cli import _build_run_bundle
+        from repro.cli import _spec_from_args
 
         args = build_parser().parse_args(["run", "--nodes", "60", "--loss", "0.4"])
-        assert _build_run_bundle(args, "raptee").spec.loss_rate == 0.4
+        assert _spec_from_args(args).topology.loss_rate == 0.4
+
+    def test_engine_flags_land_in_the_engine_spec_verbatim(self):
+        from repro.cli import _spec_from_args
+
+        args = build_parser().parse_args([
+            "run", "--engine", "events", "--latency-model", "lognormal:40:0.6",
+            "--load", "40:30", "--straggler", "0.1:8", "--tick-interval", "2.5",
+        ])
+        engine = _spec_from_args(args).engine
+        assert (engine.kind, engine.latency, engine.load, engine.straggler,
+                engine.tick_interval) == (
+            "events", "lognormal:40:0.6", "40:30", "0.1:8", 2.5)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--latency-model", "bogus:1", "engine.latency"),
+        ("--load", "bogus", "engine.load"),
+        ("--straggler", "2:0", "engine.straggler"),
+        ("--tick-interval", "0", "engine.tick_interval"),
+    ])
+    def test_malformed_engine_value_names_the_spec_field(
+        self, capsys, flag, value, field
+    ):
+        exit_code = main([
+            "run", "--nodes", "60", "--rounds", "2", "--engine", "events",
+            flag, value,
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith(f"error: {field}: ")
+        assert captured.out == ""
+
+    def test_shard_gate_speaks_for_the_cli(self, capsys):
+        """`run --shards` refuses what `shard_config_from_spec` refuses, in
+        its words — the CLI holds no gate of its own."""
+        exit_code = main([
+            "run", "--nodes", "60", "--rounds", "2", "--shards", "2",
+            "--sketch-unbias",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "does not support count-min sketch unbiasing" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("engine", ["rounds", "events"])
     def test_loss_changes_the_run(self, capsys, engine):

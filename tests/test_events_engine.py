@@ -66,7 +66,8 @@ def _raptee_bundle(seed):
 def _build_and_run_events(seed: int):
     """Module-level (picklable) task for repeat() worker-count tests."""
     bundle = _raptee_bundle(seed)
-    return run_bundle(bundle, ROUNDS, events=_latency_options(seed))
+    wire_events(bundle, _latency_options(seed))
+    return run_bundle(bundle, ROUNDS)
 
 
 class TestContinuousMode:
@@ -83,6 +84,16 @@ class TestContinuousMode:
         assert harness.engine.cycles >= ROUNDS * len(bundle.simulation.nodes) // 2
         # Non-degenerate latency: pushes actually rode the queue.
         assert harness.engine.latency_network.deferred_pushes > 0
+
+    def test_bundle_run_drives_the_attached_event_engine(self):
+        # bundle.run after wire_events is the event clock, not a silent
+        # fall-back to lockstep rounds.
+        bundle = _raptee_bundle(5)
+        harness = wire_events(bundle, _latency_options(5))
+        bundle.run(ROUNDS)
+        assert harness.engine.rounds_completed == ROUNDS
+        assert harness.engine.cycles > 0
+        assert bundle.simulation.round_number == ROUNDS
 
     def test_view_trace_records_every_round(self):
         bundle = _raptee_bundle(6)
@@ -154,8 +165,8 @@ class TestLoadGenerator:
     def test_load_metrics_reach_registry(self):
         bundle = _raptee_bundle(7)
         harness = wire_telemetry(bundle, TelemetryConfig(tracing=False))
-        options = _latency_options(7, load=LoadSpec(10, 30.0))
-        run_bundle(bundle, ROUNDS, events=options)
+        wire_events(bundle, _latency_options(7, load=LoadSpec(10, 30.0)))
+        bundle.run(ROUNDS)
         load = bundle.events.load
         assert load.served > 0
         registry = harness.telemetry.registry

@@ -1,275 +1,226 @@
-"""Differential equivalence: legacy builder path vs spec compilation.
+"""Differential equivalence: every way of writing a scenario is one program.
 
-The builder functions in :mod:`repro.experiments.scenarios` are now thin
-shims that express each call as a :class:`ScenarioSpec` and compile it.
-This suite is the proof obligation for that refactor: for every
-pre-existing pinned scenario family (the ones the perf/snapshot/events
-differential suites run through the builders), the direct legacy
-assembly path (``_build_*_impl``) and the spec-compiled path must
-produce byte-identical runs — same trace JSONL, same metrics CSV, same
-final views, same traffic series.
+A simulation is built from a :class:`ScenarioSpec` and nothing else; what
+differs between front-ends is only who writes the spec.  This suite is the
+proof obligation for that claim:
 
-Each scenario is expressed three ways and all must agree:
+* for every pinned scenario family, the Python-argument constructors of
+  :mod:`repro.experiments.scenarios` (wired by hand, the way tests and
+  examples drive a bundle) and the same scenario loaded from a plain dict
+  and run by :func:`run_scenario` produce byte-identical runs — same trace
+  JSONL, same metrics CSV, same final views, same traffic totals;
+* the same flags through ``repro run`` and ``repro trace`` report what the
+  equivalent dict reports, and ``repro run --shards`` what
+  :func:`shard_simulation_from_spec` computes;
+* under ``src/repro`` only :mod:`repro.scenario.run` wires the
+  instrumentation stack.
 
-1. legacy: ``_build_*_impl`` called directly (the pre-refactor path);
-2. shim: the public builder function (spec built in memory);
-3. loaded: the same scenario as a plain dict through
-   :func:`spec_from_dict` → :func:`compile_spec` (what a vector replays).
+The three families every differential suite shares come from
+``tests/_pinned.py``; the two below exist only here.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.cli import main
+from repro.core.eviction import AdaptiveEviction
 from repro.experiments.scenarios import (
     TopologySpec,
-    _build_brahms_impl,
-    _build_raptee_impl,
     build_brahms_simulation,
     build_raptee_simulation,
 )
-from repro.faults.harness import wire_faults
-from repro.faults.plan import CrashRestartFault, FaultPlan, LossBurstFault, RoundWindow
+from repro.faults.plan import FaultPlan
 from repro.membership import MembershipConfig
-from repro.scenario import compile_spec, spec_from_dict
+from repro.scenario import run_scenario, spec_from_dict
+from repro.scenario.compile import shard_simulation_from_spec
+from repro.telemetry import TelemetryConfig
 
-from tests._pinned import observables as _observables
-
-ROUNDS = 6
+from tests._pinned import PINNED, PINNED_DICTS, ROUNDS, run_built
 
 
-# Every pre-existing pinned scenario family, expressed once as builder
-# kwargs (the legacy surface) and once as a spec dict (the loaded
-# surface).  IDs mirror the scenario names of the earlier differential
-# suites.
-_BRAHMS_CASES = {
-    "brahms-baseline": {
-        "spec": TopologySpec(
-            n_nodes=60, byzantine_fraction=0.10, view_ratio=0.08, loss_rate=0.05
-        ),
-        "seed": 11,
-        "kwargs": {},
-        "dict": {
-            "name": "brahms-baseline",
-            "protocol": "brahms",
-            "seed": 11,
-            "rounds": ROUNDS,
-            "topology": {
-                "n_nodes": 60,
-                "byzantine_fraction": 0.10,
-                "view_ratio": 0.08,
-                "loss_rate": 0.05,
-            },
-        },
-    },
-}
-
-_RAPTEE_CASES = {
-    "raptee-fixed-eviction": {
-        "spec": TopologySpec(
-            n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-            view_ratio=0.10, transport_encryption=True,
-        ),
-        "seed": 23,
-        "kwargs": {
-            "eviction": FixedEviction(0.6),
-            "sketch_unbias_enabled": True,
-        },
-        "dict": {
-            "name": "raptee-fixed-eviction",
-            "protocol": "raptee",
-            "seed": 23,
-            "rounds": ROUNDS,
-            "topology": {
-                "n_nodes": 40,
-                "byzantine_fraction": 0.10,
-                "trusted_fraction": 0.10,
-                "view_ratio": 0.10,
-                "transport_encryption": True,
-            },
-            "raptee": {
-                "eviction": {"kind": "fixed", "value": 0.6},
-                "sketch_unbias_enabled": True,
-            },
-        },
-    },
-    "raptee-membership": {
-        "spec": TopologySpec(
-            n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.15,
-            view_ratio=0.10, transport_encryption=True,
-        ),
-        "seed": 53,
-        "kwargs": {
-            "eviction": AdaptiveEviction(),
-            "membership": MembershipConfig(join_rate=0.05, leave_rate=0.03),
-        },
-        "dict": {
-            "name": "raptee-membership",
-            "protocol": "raptee",
-            "seed": 53,
-            "rounds": ROUNDS,
-            "topology": {
-                "n_nodes": 40,
-                "byzantine_fraction": 0.10,
-                "trusted_fraction": 0.15,
-                "view_ratio": 0.10,
-                "transport_encryption": True,
-            },
-            "raptee": {"eviction": {"kind": "adaptive"}},
-            "membership": {"join_rate": 0.05, "leave_rate": 0.03},
-        },
-    },
-    "raptee-poisoned-cycles": {
-        "spec": TopologySpec(
-            n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-            poisoned_fraction=0.05, view_ratio=0.10,
-        ),
-        "seed": 29,
-        "kwargs": {
-            "eviction": AdaptiveEviction(),
-            "probe_pulls": 2,
-            "auth_mode": "aes-ctr",
-            "with_cycle_accounting": True,
-        },
-        "dict": {
-            "name": "raptee-poisoned-cycles",
-            "protocol": "raptee",
-            "seed": 29,
-            "rounds": ROUNDS,
-            "topology": {
-                "n_nodes": 40,
-                "byzantine_fraction": 0.10,
-                "trusted_fraction": 0.10,
-                "poisoned_fraction": 0.05,
-                "view_ratio": 0.10,
-            },
-            "raptee": {
-                "eviction": {"kind": "adaptive"},
-                "probe_pulls": 2,
-                "auth_mode": "aes-ctr",
-                "with_cycle_accounting": True,
-            },
-        },
-    },
-}
-
-_FAULT_PLAN = [
-    LossBurstFault(window=RoundWindow(2, 3), loss_rate=0.30),
-    CrashRestartFault(node_id=5, at_round=2, down_rounds=2),
-]
-
-_RAPTEE_FAULTS_CASE = {
-    "spec": TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
+def _raptee_membership():
+    spec = TopologySpec(
+        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.15,
         view_ratio=0.10, transport_encryption=True,
-    ),
-    "seed": 31,
-    "kwargs": {"eviction": AdaptiveEviction()},
-    "dict": {
-        "name": "raptee-faults",
-        "protocol": "raptee",
-        "seed": 31,
-        "rounds": ROUNDS,
-        "topology": {
-            "n_nodes": 40,
-            "byzantine_fraction": 0.10,
-            "trusted_fraction": 0.10,
-            "view_ratio": 0.10,
-            "transport_encryption": True,
-        },
-        "raptee": {"eviction": {"kind": "adaptive"}},
-        "faults": [
-            {"kind": "loss-burst", "window": {"start": 2, "end": 3},
-             "loss_rate": 0.30},
-            {"kind": "crash-restart", "node_id": 5, "at_round": 2,
-             "down_rounds": 2},
-        ],
+    )
+    bundle = build_raptee_simulation(
+        spec, seed=53, eviction=AdaptiveEviction(),
+        membership=MembershipConfig(join_rate=0.05, leave_rate=0.03),
+    )
+    # By hand, the director only ticks under a fault layer: an empty plan.
+    return bundle, 53, FaultPlan()
+
+
+def _raptee_poisoned_cycles():
+    spec = TopologySpec(
+        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
+        poisoned_fraction=0.05, view_ratio=0.10,
+    )
+    bundle = build_raptee_simulation(
+        spec, seed=29, eviction=AdaptiveEviction(), probe_pulls=2,
+        auth_mode="aes-ctr", with_cycle_accounting=True,
+    )
+    return bundle, 29, None
+
+
+#: name → (builder returning ``(bundle, seed, fault plan or None)``, dict).
+_CASES = {name: (PINNED[name], PINNED_DICTS[name]) for name in PINNED}
+_CASES["raptee-membership"] = (_raptee_membership, {
+    "name": "raptee-membership",
+    "protocol": "raptee",
+    "seed": 53,
+    "rounds": ROUNDS,
+    "topology": {
+        "n_nodes": 40,
+        "byzantine_fraction": 0.10,
+        "trusted_fraction": 0.15,
+        "view_ratio": 0.10,
+        "transport_encryption": True,
     },
-}
+    "raptee": {"eviction": {"kind": "adaptive"}},
+    "membership": {"join_rate": 0.05, "leave_rate": 0.03},
+})
+_CASES["raptee-poisoned-cycles"] = (_raptee_poisoned_cycles, {
+    "name": "raptee-poisoned-cycles",
+    "protocol": "raptee",
+    "seed": 29,
+    "rounds": ROUNDS,
+    "topology": {
+        "n_nodes": 40,
+        "byzantine_fraction": 0.10,
+        "trusted_fraction": 0.10,
+        "poisoned_fraction": 0.05,
+        "view_ratio": 0.10,
+    },
+    "raptee": {
+        "eviction": {"kind": "adaptive"},
+        "probe_pulls": 2,
+        "auth_mode": "aes-ctr",
+        "with_cycle_accounting": True,
+    },
+})
 
 
-def _assert_identical(reference, candidate, label):
-    assert candidate["trace_jsonl"] == reference["trace_jsonl"], (
-        f"{label}: trace JSONL diverged"
-    )
-    assert candidate["metrics_csv"] == reference["metrics_csv"], (
-        f"{label}: metrics CSV diverged"
-    )
-    for key in reference:
-        assert candidate[key] == reference[key], f"{label}: {key} diverged"
+def _assert_paths_agree(name):
+    """Constructor + hand wiring vs loaded dict + ``run_scenario``."""
+    build, spec_dict = _CASES[name]
+    reference = run_built(*build())
+    artifacts = run_scenario(spec_from_dict(spec_dict))
+    loaded = {
+        "trace_jsonl": artifacts.trace_jsonl,
+        "metrics_csv": artifacts.metrics_csv,
+        "final_views": artifacts.final_views,
+        "view_trace": artifacts.bundle.trace.records,
+        "totals": artifacts.network_totals,
+    }
+    for key, value in loaded.items():
+        assert value == reference[key], f"{name}: {key} diverged"
 
 
 class TestBrahmsPaths:
-    @pytest.mark.parametrize("name", sorted(_BRAHMS_CASES))
+    @pytest.mark.parametrize("name", ["brahms-baseline"])
     def test_legacy_shim_and_loaded_specs_agree(self, name):
-        case = _BRAHMS_CASES[name]
-
-        legacy = _build_brahms_impl(case["spec"], case["seed"], **case["kwargs"])
-        reference = _observables(legacy, legacy.run, ROUNDS)
-
-        shim = build_brahms_simulation(case["spec"], case["seed"], **case["kwargs"])
-        _assert_identical(
-            reference, _observables(shim, shim.run, ROUNDS), f"{name} (shim)"
-        )
-
-        loaded = compile_spec(spec_from_dict(case["dict"]))
-        _assert_identical(
-            reference, _observables(loaded, loaded.run, ROUNDS), f"{name} (loaded)"
-        )
+        _assert_paths_agree(name)
 
 
 class TestRapteePaths:
-    @pytest.mark.parametrize("name", sorted(_RAPTEE_CASES))
+    @pytest.mark.parametrize("name", [
+        "raptee-fixed-eviction", "raptee-membership", "raptee-poisoned-cycles",
+    ])
     def test_legacy_shim_and_loaded_specs_agree(self, name):
-        case = _RAPTEE_CASES[name]
-
-        legacy = _build_raptee_impl(case["spec"], case["seed"], **case["kwargs"])
-        reference = _observables(legacy, legacy.run, ROUNDS)
-
-        shim = build_raptee_simulation(case["spec"], case["seed"], **case["kwargs"])
-        _assert_identical(
-            reference, _observables(shim, shim.run, ROUNDS), f"{name} (shim)"
-        )
-
-        loaded = compile_spec(spec_from_dict(case["dict"]))
-        _assert_identical(
-            reference, _observables(loaded, loaded.run, ROUNDS), f"{name} (loaded)"
-        )
+        _assert_paths_agree(name)
 
 
 class TestRapteeFaultsPath:
     def test_fault_scenario_agrees_across_paths(self):
-        case = _RAPTEE_FAULTS_CASE
+        _assert_paths_agree("raptee-faults")
 
-        def runner_for(bundle):
-            def run(rounds):
-                harness = wire_faults(
-                    bundle, FaultPlan(list(_FAULT_PLAN)), seed=case["seed"]
-                )
-                harness.run(rounds)
 
-            return run
+_FLAGS = ["--nodes", "40", "--f", "0.1", "--t", "0.1", "--view-ratio", "0.1",
+          "--seed", "23", "--eviction", "0.6", "--rounds", str(ROUNDS)]
 
-        legacy = _build_raptee_impl(case["spec"], case["seed"], **case["kwargs"])
-        reference = _observables(legacy, runner_for(legacy), ROUNDS)
+_FLAGS_DICT = {
+    "name": "flags",
+    "protocol": "raptee",
+    "seed": 23,
+    "rounds": ROUNDS,
+    "topology": {"n_nodes": 40, "byzantine_fraction": 0.1,
+                 "trusted_fraction": 0.1, "view_ratio": 0.1},
+    "raptee": {"eviction": {"kind": "fixed", "value": 0.6}},
+}
 
-        shim = build_raptee_simulation(case["spec"], case["seed"], **case["kwargs"])
-        _assert_identical(
-            reference,
-            _observables(shim, runner_for(shim), ROUNDS),
-            "raptee-faults (shim)",
+
+class TestFrontEndsAgree:
+    """One scenario through every front-end: flags, constructor, dict."""
+
+    def test_flags_constructor_and_dict_build_the_same_run(self):
+        from repro.cli import _spec_from_args, build_parser
+        from repro.core.eviction import FixedEviction
+
+        runs = {"dict": run_scenario(spec_from_dict(_FLAGS_DICT))}
+        for command in ("run", "trace"):
+            args = build_parser().parse_args([command] + _FLAGS)
+            runs[command] = run_scenario(_spec_from_args(args))
+        topology = TopologySpec(n_nodes=40, byzantine_fraction=0.1,
+                                trusted_fraction=0.1, view_ratio=0.1)
+        bundle = build_raptee_simulation(topology, 23, eviction=FixedEviction(0.6))
+        constructor = run_built(bundle, 23, None)
+
+        reference = runs.pop("dict")
+        assert reference.final_views == constructor["final_views"]
+        assert reference.network_totals == constructor["totals"]
+        for command, artifacts in runs.items():
+            assert artifacts.final_views == reference.final_views, command
+            assert artifacts.network_totals == reference.network_totals, command
+
+    def test_run_command_reports_the_dict_runs_metrics(self, capsys):
+        assert main(["run"] + _FLAGS) == 0
+        printed = capsys.readouterr().out
+        metrics = run_scenario(spec_from_dict(_FLAGS_DICT), telemetry=None).metrics
+        assert f"byz IDs in views:   {metrics.resilience_percent:.1f}%" in printed
+        assert f"discovery round:    {metrics.discovery_round}\n" in printed
+
+    def test_trace_command_exports_the_dict_runs_trace(self, capsys, tmp_path):
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace"] + _FLAGS + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        artifacts = run_scenario(
+            spec_from_dict(_FLAGS_DICT), telemetry=TelemetryConfig()
         )
+        assert out.read_text(encoding="utf-8") == artifacts.trace_jsonl
 
-        # The loaded path carries the fault plan inside the spec; wiring it
-        # through wire_faults with the spec seed is exactly what
-        # run_scenario does, so drive it the same way here.
-        loaded = compile_spec(spec_from_dict(case["dict"]))
-        _assert_identical(
-            reference,
-            _observables(loaded, runner_for(loaded), ROUNDS),
-            "raptee-faults (loaded)",
-        )
+    def test_shard_flags_match_the_equivalent_dict(self, capsys):
+        assert main(["run"] + _FLAGS + ["--shards", "3"]) == 0
+        printed = capsys.readouterr().out
+        spec_dict = dict(_FLAGS_DICT, adversary_strategy="balanced",
+                         engine={"kind": "shard", "shards": 3})
+        simulation = shard_simulation_from_spec(spec_from_dict(spec_dict))
+        simulation.run(ROUNDS)
+        stats, state = simulation.stats, simulation.state
+        assert f"pushes sent:        {stats.pushes_sent}\n" in printed
+        assert f"requests sent:      {stats.requests_sent}\n" in printed
+        assert (f"renewals:           {state.renewals} (blocked "
+                f"{state.blocked_rounds}, evicted {state.evicted_ids})") in printed
+
+
+def test_only_run_scenario_wires_the_instrumentation_stack():
+    """Under ``src/repro`` the three ``wire_*`` functions are called from
+    :mod:`repro.scenario.run` and nowhere else."""
+    package = Path(__file__).resolve().parents[1] / "src" / "repro"
+    wiring = {"wire_telemetry", "wire_faults", "wire_events"}
+    callers = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if name in wiring:
+                    callers.add(path.relative_to(package).as_posix())
+    assert callers == {"scenario/run.py"}
 
 
 class TestViewSizeValidation:
@@ -300,19 +251,6 @@ class TestViewSizeValidation:
             build_brahms_simulation(spec, seed=1, config_override=oversized)
         with pytest.raises(ValueError, match="view_size"):
             build_raptee_simulation(
-                spec, seed=1, eviction=AdaptiveEviction(),
-                config_override=oversized,
-            )
-
-    def test_impls_reject_oversized_config_override(self):
-        from repro.brahms.config import BrahmsConfig
-
-        spec = TopologySpec(n_nodes=20, byzantine_fraction=0.10, view_ratio=0.4)
-        oversized = BrahmsConfig(view_size=30, sample_size=10)
-        with pytest.raises(ValueError, match="view_size"):
-            _build_brahms_impl(spec, seed=1, config_override=oversized)
-        with pytest.raises(ValueError, match="view_size"):
-            _build_raptee_impl(
                 spec, seed=1, eviction=AdaptiveEviction(),
                 config_override=oversized,
             )

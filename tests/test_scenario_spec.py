@@ -228,6 +228,11 @@ _INVALID_CASES = {
     "events-knob-on-rounds-engine": (
         _base(engine={"kind": "rounds", "latency": "constant:20"}),
         "engine.latency"),
+    "barrier-mode-on-rounds-engine": (
+        _base(engine={"kind": "rounds", "mode": "barrier"}), "engine.mode"),
+    "tick-interval-on-shard-engine": (
+        _base(engine={"kind": "shard", "shards": 2, "tick_interval": 5.0}),
+        "engine.tick_interval"),
     "barrier-with-latency": (
         _base(engine={"kind": "events", "mode": "barrier",
                       "latency": "constant:20"}),
@@ -267,6 +272,32 @@ def test_spec_version_gate():
     with pytest.raises(ScenarioSpecError) as excinfo:
         spec_from_dict(data)
     assert excinfo.value.path == "spec_version"
+
+
+def test_shard_spec_is_not_described_or_compiled_as_the_events_engine():
+    from repro.scenario.compile import event_options_from_spec
+
+    spec = spec_from_dict(_base(adversary_strategy="balanced",
+                                engine={"kind": "shard", "shards": 3}))
+    assert "engine=shard/3" in spec.describe()
+    assert "events" not in spec.describe()
+    assert event_options_from_spec(spec) is None
+    events = spec_from_dict(_base(engine={"kind": "events", "mode": "barrier"}))
+    assert "engine=events/barrier" in events.describe()
+    assert event_options_from_spec(events).mode == "barrier"
+
+
+def test_membership_section_brings_the_fault_layer_that_ticks_the_director():
+    """A membership spec with no faults listed still churns, rotates and
+    gossips: at the parent of this test the director was never ticked."""
+    from repro.scenario import get_spec, run_scenario, spec_to_dict
+
+    spec = spec_from_dict(dict(spec_to_dict(get_spec("raptee-membership-churn")),
+                               rounds=40))
+    assert not spec.faults
+    stats = run_scenario(spec).bundle.membership.stats
+    assert stats.joins + stats.leaves > 0
+    assert stats.gossip_syncs > 0
 
 
 def test_in_memory_spec_requires_rounds_to_run():

@@ -353,16 +353,33 @@ class TestSegmentKernel:
             assert segment[mask[at:at + length]].tolist() == expected
             at += length
 
-    def test_eviction_rates_match_scalar(self):
+    @given(
+        shares=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=30),
+        anchors=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                         min_size=2, max_size=2, unique=True).map(sorted),
+        rates=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                       min_size=2, max_size=2).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eviction_rates_match_scalar(self, shares, anchors, rates):
+        """The array twin is bit-equal to the scalar rule, which is the
+        §IV-C policy itself (`ShardConfig.eviction_rate` asks it)."""
         import numpy as np
 
-        shares = np.asarray([0.0, 0.1, 0.2, 1 / 3, 0.5, 2 / 3, 0.8, 0.9, 1.0])
-        for kind, params in (("none", ()), ("fixed", (0.37,)),
-                             ("adaptive", (0.2, 0.8, 0.1, 0.6))):
+        from repro.core.eviction import AdaptiveEviction, FixedEviction
+
+        # The anchor points themselves are where the clamps switch.
+        shares = np.asarray(shares + anchors + [0.0, 1.0])
+        policies = (None, FixedEviction(rates[0]),
+                    AdaptiveEviction(*anchors, *rates))
+        for policy in policies:
+            kind, params = eviction_fields(policy)
             config = _kernel_config(eviction_kind=kind, eviction_params=params)
-            assert config.eviction_rates(shares).tolist() == [
-                config.eviction_rate(share) for share in shares.tolist()
-            ]
+            expected = [0.0 if policy is None else policy.rate(share)
+                        for share in shares.tolist()]
+            assert config.eviction_rates(shares).tolist() == expected
+            assert [config.eviction_rate(share)
+                    for share in shares.tolist()] == expected
 
 
 def _saturated_brahms(seed: int, use_numpy: bool):
@@ -525,13 +542,12 @@ class TestAdversaryAssignment:
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_definition(self, n_byzantine, n_correct, push_limit,
                                        multiplier, round_no, seed, key_bits, data):
-        from repro.shard import engine, rand
+        from repro.shard import engine, rand, state
 
         n_nodes = max(2, n_byzantine + n_correct)
         config = ShardConfig(
             protocol="brahms", n_nodes=n_nodes, seed=seed,
             n_byzantine=n_byzantine, push_limit=push_limit,
-            byz_push_multiplier=multiplier,
         )
         alive = data.draw(st.one_of(
             st.lists(st.booleans(), min_size=n_nodes, max_size=n_nodes),
@@ -542,7 +558,11 @@ class TestAdversaryAssignment:
             ]),
         ))
         mask = (1 << key_bits) - 1
+        # The multiplier is one protocol constant (repro.brahms.config);
+        # patched here so budgets off its multiples are exercised too.
         with mock.patch.object(
+            state, "BYZANTINE_PUSH_LIMIT_MULTIPLIER", multiplier
+        ), mock.patch.object(
             rand, "key64", lambda *coords: key64(*coords) & mask
         ), mock.patch.object(
             engine, "key_array", lambda *coords: key_array(*coords) & mask
