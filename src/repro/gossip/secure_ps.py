@@ -11,9 +11,9 @@ exchanges.
 
 The RAPTEE paper's criticism — "this protocol remains, however, vulnerable
 to rapid flooding attack as correct nodes cannot identify and blacklist
-attackers before being overwhelmed" — is reproduced by the comparison bench
-(``benchmarks/test_related_secure_ps.py``): a slow hub attacker is caught,
-a fast flood is not.
+attackers before being overwhelmed" — is reproduced by
+``tests/test_gossip_secure_ps.py``: a slow hub attacker is caught, a fast
+flood is not.
 """
 
 from __future__ import annotations

@@ -9,10 +9,8 @@ RAPTEE reproduction's claims rest on (see ``src/repro/lint/README.md``):
 3. **Crypto hygiene** — constant-time comparisons, no OS entropy or weak
    hashes near key material;
 
-plus **sim purity** (no I/O in protocol hot paths) and four *whole-program
-flow families* built on :mod:`repro.lint.analysis` (project symbol table,
-call graph, interprocedural taint): seed provenance, secret flow, pool
-picklability and snapshot completeness.  Run it with
+plus **sim purity** (no I/O in protocol hot paths).  Every rule sees one
+file at a time: one parse, one pass.  Run it with
 ``python -m repro.lint [paths]`` or ``repro lint``; configure it via
 ``[tool.repro-lint]`` in ``pyproject.toml``.
 """
@@ -22,30 +20,25 @@ from repro.lint.core import (
     Finding,
     LintRunner,
     ModuleInfo,
-    ProjectRule,
     Rule,
     Severity,
-    lint_project,
     lint_source,
     register_rule,
     registered_rules,
 )
-from repro.lint.reporter import render_json, render_sarif, render_text
+from repro.lint.reporter import render_json, render_text
 
 __all__ = [
     "Finding",
     "LintConfig",
     "LintRunner",
     "ModuleInfo",
-    "ProjectRule",
     "Rule",
     "Severity",
-    "lint_project",
     "lint_source",
     "load_config",
     "register_rule",
     "registered_rules",
     "render_json",
-    "render_sarif",
     "render_text",
 ]

@@ -18,14 +18,7 @@ import dataclasses
 
 from repro.lint.config import LintConfig, load_config
 from repro.lint.core import LintRunner, Severity, registered_rules
-from repro.lint.reporter import (
-    apply_baseline,
-    load_baseline,
-    render_json,
-    render_sarif,
-    render_text,
-    write_baseline,
-)
+from repro.lint.reporter import render_json, render_text
 
 __all__ = ["main", "build_parser"]
 
@@ -40,31 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: [tool.repro-lint].paths)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--output", dest="format_alias", choices=("text", "json", "sarif"),
-        default=None,
-        help="alias for --format",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parse/lint files with N worker processes (default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash analysis cache for this run",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="analysis cache directory (default: [tool.repro-lint].cache-dir "
-             "or .repro-lint-cache next to pyproject.toml)",
-    )
-    parser.add_argument(
-        "--graph", nargs="?", const="", default=None, metavar="PREFIX",
-        help="print the project call graph (optionally filtered to "
-             "qualnames starting with PREFIX) and exit",
     )
     parser.add_argument(
         "--config", default=None,
@@ -77,14 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--disable", default=None, metavar="RULES",
         help="comma-separated rule ids to skip (adds to config)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="ignore findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="record current findings to FILE and exit 0",
     )
     parser.add_argument(
         "--fail-on", choices=("note", "warning", "error"), default="warning",
@@ -154,45 +116,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    cache = None
-    if not args.no_cache:
-        from repro.lint.analysis.cache import AnalysisCache
-
-        cache = AnalysisCache(config.resolved_cache_dir(args.cache_dir))
-
-    runner = LintRunner(config=config, cache=cache, jobs=args.jobs)
-
-    if args.graph is not None:
-        from repro.lint.analysis.callgraph import CallGraph
-
-        project = runner.build_project(paths)
-        print(CallGraph.for_project(project).dump(args.graph))
-        return 0
-
-    findings = runner.lint_paths(paths)
-
-    if args.write_baseline:
-        write_baseline(findings, args.write_baseline)
-        print(f"repro.lint: wrote baseline with {len(findings)} finding(s) "
-              f"to {args.write_baseline}")
-        return 0
-
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"repro.lint: cannot read baseline {args.baseline}: {error}",
-                  file=sys.stderr)
-            return 2
-        findings = apply_baseline(findings, baseline)
-
-    report_format = args.format_alias or args.format
-    if report_format == "json":
-        print(render_json(findings))
-    elif report_format == "sarif":
-        print(render_sarif(findings, rules=runner.rules))
-    else:
-        print(render_text(findings))
+    findings = LintRunner(config=config).lint_paths(paths)
+    print(render_json(findings) if args.format == "json" else render_text(findings))
 
     threshold = Severity.from_name(args.fail_on)
     return 1 if any(f.severity >= threshold for f in findings) else 0

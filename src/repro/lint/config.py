@@ -39,19 +39,6 @@ class LintConfig:
     enable_only: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ()
     scopes: Dict[str, List[str]] = field(default_factory=dict)
-    #: Analysis-cache directory ("cache-dir" key); relative values resolve
-    #: against the pyproject's directory, recorded in ``root``.
-    cache_dir: Optional[str] = None
-    root: Optional[str] = None
-
-    def resolved_cache_dir(self, override: Optional[str] = None) -> str:
-        """Absolute cache directory, preferring ``override`` (the CLI flag)."""
-        from repro.lint.analysis.cache import DEFAULT_CACHE_DIR
-
-        chosen = override or self.cache_dir or DEFAULT_CACHE_DIR
-        if os.path.isabs(chosen):
-            return chosen
-        return os.path.join(self.root or os.getcwd(), chosen)
 
     def rule_enabled(self, rule_id: str) -> bool:
         if self.enable_only:
@@ -97,15 +84,12 @@ def load_config(pyproject_path: Optional[str] = None) -> LintConfig:
     else:  # pragma: no cover - exercised only on < 3.11
         table = _parse_minimal_toml_table(raw.decode("utf-8"))
     scopes_table = table.get("scopes", {})
-    cache_dir = table.get("cache-dir")
     return LintConfig(
         paths=tuple(table.get("paths", ("src",))),
         disable=tuple(table.get("disable", ())),
         enable_only=tuple(table.get("enable", ())),
         exclude=tuple(table.get("exclude", ())),
         scopes={str(key): list(value) for key, value in scopes_table.items()},
-        cache_dir=str(cache_dir) if isinstance(cache_dir, str) else None,
-        root=os.path.dirname(os.path.abspath(path)),
     )
 
 

@@ -7,14 +7,10 @@ crypto hygiene (constant-time comparisons, no OS entropy).  This module
 provides the machinery that project-specific rules plug into:
 
 * :class:`Rule` — one named per-file check with a severity and a path scope;
-* :class:`ProjectRule` — a whole-program check over the
-  :class:`~repro.lint.analysis.model.ProjectModel` (symbol table, import
-  graph, call graph, taint engine — see :mod:`repro.lint.analysis`);
 * :class:`Finding` — one violation, pointing at a file/line/column;
-* :class:`ModuleInfo` — a parsed source file handed to every per-file rule;
-* :class:`LintRunner` — walks paths, applies rules, honours suppressions,
-  caches per-file results by content hash and parses in parallel with
-  ``jobs > 1``.
+* :class:`ModuleInfo` — a parsed source file handed to every rule;
+* :class:`LintRunner` — walks paths, parses each file once, applies every
+  rule whose scope matches and honours suppressions.
 
 Suppressions are inline comments::
 
@@ -43,12 +39,10 @@ __all__ = [
     "Finding",
     "ModuleInfo",
     "Rule",
-    "ProjectRule",
     "LintRunner",
     "register_rule",
     "registered_rules",
     "lint_source",
-    "lint_project",
     "scope_path_for",
     "type_checking_lines",
     "module_import_aliases",
@@ -58,9 +52,6 @@ __all__ = [
 
 PARSE_ERROR_RULE_ID = "parse-error"
 UNJUSTIFIED_SUPPRESSION_RULE_ID = "lint-unjustified-suppression"
-
-#: Bump when rule logic changes in a way cached per-file findings must see.
-ENGINE_VERSION = 2
 
 _SUPPRESSION_RE = re.compile(
     r"#\s*lint:\s*(?P<kind>disable(?:-next|-file)?)\s*=\s*(?P<rules>[A-Za-z0-9_\-,\s]+)"
@@ -111,10 +102,6 @@ class Finding:
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.severity.name.lower()}: [{self.rule_id}] {self.message}"
         )
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-independent identity used by the baseline mechanism."""
-        return (self.rule_id, self.path, self.message)
 
 
 @dataclass(frozen=True)
@@ -196,7 +183,7 @@ def scope_path_for(path: str) -> str:
     The portion after the last ``src/`` segment is used when present, so
     ``src/repro/sim/engine.py`` scopes as ``repro/sim/engine.py``.  For
     paths under a ``tests``/``benchmarks``/``examples`` root (relative or
-    absolute) the scope starts at that root, e.g. ``tests/test_x.py``.
+    absolute) the scope starts at that root, e.g. ``tests/test_cli.py``.
     """
     normalized = path.replace(os.sep, "/")
     parts = [part for part in normalized.split("/") if part not in ("", ".")]
@@ -249,7 +236,7 @@ def module_import_aliases(tree: ast.AST, module_name: str) -> Set[str]:
 
 @dataclass
 class ModuleInfo:
-    """A parsed source file, as handed to every per-file rule."""
+    """A parsed source file, as handed to every rule."""
 
     path: str
     scope_path: str
@@ -291,20 +278,14 @@ class Rule:
     severity: Severity = Severity.ERROR
     scope: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
-    #: True for :class:`ProjectRule` subclasses, which run once per project.
-    whole_program: bool = False
 
-    def scope_allows(self, scope_path: str) -> bool:
-        if self.exempt and any(
-            _matches_prefix(scope_path, prefix) for prefix in self.exempt
-        ):
+    def applies_to(self, module: ModuleInfo) -> bool:
+        scope_path = module.scope_path
+        if any(_matches_prefix(scope_path, prefix) for prefix in self.exempt):
             return False
         if not self.scope:
             return True
         return any(_matches_prefix(scope_path, prefix) for prefix in self.scope)
-
-    def applies_to(self, module: ModuleInfo) -> bool:
-        return self.scope_allows(module.scope_path)
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
@@ -324,41 +305,6 @@ class Rule:
             severity=severity if severity is not None else self.severity,
             message=message,
         )
-
-    def finding_at(
-        self,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-        severity: Optional[Severity] = None,
-    ) -> Finding:
-        """Location-addressed finding (whole-program rules have no node)."""
-        return Finding(
-            path=path,
-            line=line,
-            col=col + 1,
-            rule_id=self.rule_id,
-            severity=severity if severity is not None else self.severity,
-            message=message,
-        )
-
-
-class ProjectRule(Rule):
-    """A rule that sees the whole project model instead of one file.
-
-    Implement :meth:`check_project`; use :meth:`scope_allows` against each
-    module's ``scope_path`` to honour ``scope``/``exempt``, and
-    :meth:`finding_at` to point at concrete locations.
-    """
-
-    whole_program = True
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:  # pragma: no cover
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -392,7 +338,7 @@ class UnjustifiedSuppressionRule(Rule):
     """Suppressing an ERROR rule without saying why.
 
     The check itself runs inside :meth:`LintRunner.lint_source` (it needs
-    the parsed suppression table, which per-file rules never see); this
+    the parsed suppression table, which rules never see); this
     class exists so the rule is listed, configurable and disableable like
     any other.
     """
@@ -442,27 +388,10 @@ def _unjustified_suppression_findings(
     return findings
 
 
-@dataclass
-class _FileRecord:
-    """Everything one file contributes: cached as a unit by content hash."""
-
-    path: str
-    scope_path: str
-    findings: List[Finding]
-    suppressions: _Suppressions
-    model: Optional[object] = None   # ModuleModel; None on parse error
-
-
 class LintRunner:
-    """Applies a rule battery (per-file and whole-program) over paths."""
+    """Applies a rule battery over paths, one AST pass per file."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        config=None,
-        cache=None,
-        jobs: int = 1,
-    ):
+    def __init__(self, rules: Optional[Sequence[Rule]] = None, config=None):
         from repro.lint.config import LintConfig  # local import to avoid cycle
 
         self.config = config if config is not None else LintConfig()
@@ -472,29 +401,6 @@ class LintRunner:
             override = self.config.scope_override(rule.rule_id)
             if override is not None:
                 rule.scope = tuple(override)
-        self.file_rules = [rule for rule in self.rules if not rule.whole_program]
-        self.project_rules = [rule for rule in self.rules if rule.whole_program]
-        self.cache = cache
-        self.jobs = max(1, jobs)
-        #: The model of the last ``lint_paths``/``lint_sources`` run (the CLI
-        #: ``--graph`` dump and tests read it).
-        self.last_project = None
-
-    # -- cache identity -----------------------------------------------------
-
-    def battery_signature(self) -> str:
-        """Identity of the rule battery: keys per-file cache entries."""
-        from repro.lint.analysis.model import MODEL_VERSION
-
-        parts = [f"engine={ENGINE_VERSION}", f"model={MODEL_VERSION}"]
-        for rule in sorted(self.rules, key=lambda r: r.rule_id):
-            parts.append(
-                f"{rule.rule_id}:{int(rule.severity)}:"
-                f"{','.join(rule.scope)}:{','.join(rule.exempt)}"
-            )
-        return ";".join(parts)
-
-    # -- file collection ----------------------------------------------------
 
     def collect_files(self, paths: Iterable[str]) -> List[str]:
         files: List[str] = []
@@ -510,144 +416,46 @@ class LintRunner:
                 files.append(path)
         return [f for f in files if not self.config.excluded(scope_path_for(f))]
 
-    # -- per-file linting ----------------------------------------------------
-
-    def _process_source(
-        self, source: str, path: str, scope_path: Optional[str] = None
-    ) -> _FileRecord:
-        """Per-file rules + module model for one source text (no cache)."""
-        from repro.lint.analysis.model import build_module_model
-
+    def lint_source(self, source: str, path: str, scope_path: Optional[str] = None) -> List[Finding]:
+        """Sorted, unsuppressed findings for one source text."""
         resolved_scope = scope_path if scope_path is not None else scope_path_for(path)
         suppressions = _parse_suppressions(source)
         try:
             module = ModuleInfo.from_source(source, path, resolved_scope)
         except SyntaxError as error:
-            finding = Finding(
-                path=path,
-                line=error.lineno or 1,
-                col=(error.offset or 0) + 1,
-                rule_id=PARSE_ERROR_RULE_ID,
-                severity=Severity.ERROR,
-                message=f"could not parse file: {error.msg}",
-            )
-            return _FileRecord(path, resolved_scope, [finding], suppressions, None)
+            return [
+                Finding(
+                    path=path,
+                    line=error.lineno or 1,
+                    col=(error.offset or 0) + 1,
+                    rule_id=PARSE_ERROR_RULE_ID,
+                    severity=Severity.ERROR,
+                    message=f"could not parse file: {error.msg}",
+                )
+            ]
         findings = [
             finding
-            for rule in self.file_rules
+            for rule in self.rules
             if rule.applies_to(module)
             for finding in rule.check(module)
         ]
         if self.config.rule_enabled(UNJUSTIFIED_SUPPRESSION_RULE_ID):
             findings.extend(_unjustified_suppression_findings(path, suppressions))
-        findings = sorted(
+        return sorted(
             finding for finding in findings
             if not suppressions.is_suppressed(finding)
         )
-        model = build_module_model(
-            source, path=path, scope_path=resolved_scope, tree=module.tree
-        )
-        return _FileRecord(path, resolved_scope, findings, suppressions, model)
-
-    def _process_file(self, path: str) -> _FileRecord:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        if self.cache is None:
-            return self._process_source(source, path)
-        key = self.cache.key_for(source, self.battery_signature())
-        record = self.cache.get(key)
-        if isinstance(record, _FileRecord) and record.path == path:
-            return record
-        record = self._process_source(source, path)
-        self.cache.put(key, record)
-        return record
-
-    def lint_source(self, source: str, path: str, scope_path: Optional[str] = None) -> List[Finding]:
-        """Per-file findings for one source text (no whole-program rules)."""
-        return self._process_source(source, path, scope_path).findings
 
     def lint_file(self, path: str) -> List[Finding]:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
         return self.lint_source(source, path)
 
-    # -- whole-program linting ----------------------------------------------
-
-    def _records_for(self, paths: Iterable[str]) -> List[_FileRecord]:
-        files = self.collect_files(paths)
-        if self.jobs > 1 and len(files) > 1:
-            return self._records_parallel(files)
-        return [self._process_file(path) for path in files]
-
-    def _records_parallel(self, files: List[str]) -> List[_FileRecord]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        cache_dir = self.cache.directory if self.cache is not None else None
-        payloads = [(path, self.config, cache_dir) for path in files]
-        try:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                return list(pool.map(_process_file_payload, payloads, chunksize=8))
-        except (OSError, ValueError):  # no forking allowed (sandboxes)
-            return [self._process_file(path) for path in files]
-
-    def _project_findings(self, records: Sequence[_FileRecord]) -> List[Finding]:
-        from repro.lint.analysis.model import ProjectModel
-
-        models = [record.model for record in records if record.model is not None]
-        project = ProjectModel(models)
-        self.last_project = project
-        if not self.project_rules:
-            return []
-        by_path = {record.path: record.suppressions for record in records}
-        findings: List[Finding] = []
-        for rule in self.project_rules:
-            for finding in rule.check_project(project):
-                suppressions = by_path.get(finding.path)
-                if suppressions is not None and suppressions.is_suppressed(finding):
-                    continue
-                findings.append(finding)
-        return findings
-
     def lint_paths(self, paths: Iterable[str]) -> List[Finding]:
-        records = self._records_for(paths)
         findings: List[Finding] = []
-        for record in records:
-            findings.extend(record.findings)
-        findings.extend(self._project_findings(records))
+        for path in self.collect_files(paths):
+            findings.extend(self.lint_file(path))
         return sorted(findings)
-
-    def lint_sources(self, sources: Dict[str, str]) -> List[Finding]:
-        """Whole-program lint over in-memory ``{scope_path: source}``."""
-        records = [
-            self._process_source(source, path=scope_path, scope_path=scope_path)
-            for scope_path, source in sorted(sources.items())
-        ]
-        findings: List[Finding] = []
-        for record in records:
-            findings.extend(record.findings)
-        findings.extend(self._project_findings(records))
-        return sorted(findings)
-
-    def build_project(self, paths: Iterable[str]):
-        """The :class:`ProjectModel` for ``paths`` (used by ``--graph``)."""
-        records = self._records_for(paths)
-        from repro.lint.analysis.model import ProjectModel
-
-        models = [record.model for record in records if record.model is not None]
-        self.last_project = ProjectModel(models)
-        return self.last_project
-
-
-def _process_file_payload(payload) -> _FileRecord:
-    """Worker entry point for ``--jobs``: one file, one record."""
-    path, config, cache_dir = payload
-    cache = None
-    if cache_dir is not None:
-        from repro.lint.analysis.cache import AnalysisCache
-
-        cache = AnalysisCache(cache_dir)
-    runner = LintRunner(config=config, cache=cache)
-    return runner._process_file(path)
 
 
 def lint_source(
@@ -658,12 +466,3 @@ def lint_source(
     """Lint a source string as if it lived at ``scope_path`` (test helper)."""
     runner = LintRunner(rules=rules)
     return runner.lint_source(source, path=scope_path, scope_path=scope_path)
-
-
-def lint_project(
-    sources: Dict[str, str],
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Whole-program lint over ``{scope_path: source}`` (test helper)."""
-    runner = LintRunner(rules=rules)
-    return runner.lint_sources(sources)

@@ -1,27 +1,13 @@
-"""Finding reporters (text / JSON) and the baseline mechanism.
-
-A *baseline* freezes the currently-known findings so a newly introduced rule
-can land without blocking CI on legacy violations: ``--write-baseline``
-records every current finding's fingerprint, and later runs with
-``--baseline`` drop findings whose fingerprint is already recorded.  New
-violations — anything not in the baseline — still fail the run.
-"""
+"""Finding reporters: text for people, JSON for tools."""
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Sequence
 
-from repro.lint.core import Finding, Severity
+from repro.lint.core import Finding
 
-__all__ = [
-    "render_text",
-    "render_json",
-    "render_sarif",
-    "write_baseline",
-    "load_baseline",
-    "apply_baseline",
-]
+__all__ = ["render_text", "render_json"]
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -44,103 +30,3 @@ def render_json(findings: Sequence[Finding]) -> str:
         "count": len(findings),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-_SARIF_LEVELS = {
-    Severity.NOTE: "note",
-    Severity.WARNING: "warning",
-    Severity.ERROR: "error",
-}
-
-
-def render_sarif(findings: Sequence[Finding], rules: Sequence = ()) -> str:
-    """SARIF 2.1.0 report (one run), for code-scanning upload in CI.
-
-    ``rules`` is the battery the run used; its metadata populates the tool
-    driver so viewers can show descriptions next to results.
-    """
-    rule_meta = [
-        {
-            "id": rule.rule_id,
-            "shortDescription": {"text": rule.description},
-            "fullDescription": {"text": rule.rationale or rule.description},
-            "defaultConfiguration": {"level": _SARIF_LEVELS[rule.severity]},
-        }
-        for rule in sorted(rules, key=lambda r: r.rule_id)
-    ]
-    rule_index = {meta["id"]: index for index, meta in enumerate(rule_meta)}
-    results = []
-    for finding in findings:
-        result = {
-            "ruleId": finding.rule_id,
-            "level": _SARIF_LEVELS[finding.severity],
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-            "partialFingerprints": {
-                "reproLint/v1": "/".join(finding.fingerprint()),
-            },
-        }
-        if finding.rule_id in rule_index:
-            result["ruleIndex"] = rule_index[finding.rule_id]
-        results.append(result)
-    document = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rule_meta,
-                    }
-                },
-                "results": results,
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-def write_baseline(findings: Iterable[Finding], path: str) -> None:
-    """Record finding fingerprints so later runs can ignore them."""
-    fingerprints = sorted({finding.fingerprint() for finding in findings})
-    payload = {
-        "baseline": [
-            {"rule": rule, "path": file_path, "message": message}
-            for rule, file_path, message in fingerprints
-        ]
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_baseline(path: str) -> Set[Tuple[str, str, str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    fingerprints: Set[Tuple[str, str, str]] = set()
-    for entry in payload.get("baseline", []):
-        fingerprints.add((entry["rule"], entry["path"], entry["message"]))
-    return fingerprints
-
-
-def apply_baseline(findings: Sequence[Finding], baseline: Set[Tuple[str, str, str]]) -> List[Finding]:
-    """Drop findings whose fingerprint is recorded in the baseline."""
-    return [finding for finding in findings if finding.fingerprint() not in baseline]

@@ -1,6 +1,6 @@
 """The rule battery: importing this package registers every rule.
 
-Per-file families, one module each:
+Four families, one module each; every rule checks one file at a time:
 
 * :mod:`repro.lint.rules.determinism` — seeded runs must be bit-for-bit
   reproducible (``det-*``);
@@ -10,17 +10,6 @@ Per-file families, one module each:
   stdlib random near keys, no weak hashes (``crypto-*``);
 * :mod:`repro.lint.rules.sim_purity` — no I/O in protocol hot paths
   (``purity-*``).
-
-Whole-program families (built on :mod:`repro.lint.analysis`):
-
-* :mod:`repro.lint.rules.seed_provenance` — ``flow-unseeded-entropy``:
-  ambient entropy laundered through helpers into protocol state;
-* :mod:`repro.lint.rules.secret_flow` — ``flow-secret-leak``: enclave key
-  material reaching logs, telemetry, payloads or snapshots;
-* :mod:`repro.lint.rules.pool_safety` — ``flow-unpicklable-task``:
-  lambdas/closures/handle-holders reaching process-pool submission;
-* :mod:`repro.lint.rules.snapshot_completeness` — ``snapshot-missing-attr``:
-  ``__getstate__``/``__setstate__`` dropping ``__init__`` state.
 """
 
 from repro.lint.rules.crypto_hygiene import (
@@ -39,11 +28,7 @@ from repro.lint.rules.enclave_boundary import (
     EnclaveInternalImportRule,
     EnclavePrivateAccessRule,
 )
-from repro.lint.rules.pool_safety import UnpicklableTaskFlowRule
-from repro.lint.rules.secret_flow import SecretLeakFlowRule
-from repro.lint.rules.seed_provenance import UnseededEntropyFlowRule
 from repro.lint.rules.sim_purity import IoRule, PrintRule
-from repro.lint.rules.snapshot_completeness import SnapshotMissingAttrRule
 
 __all__ = [
     "DigestCompareRule",
@@ -58,8 +43,4 @@ __all__ = [
     "EnclavePrivateAccessRule",
     "IoRule",
     "PrintRule",
-    "UnseededEntropyFlowRule",
-    "SecretLeakFlowRule",
-    "UnpicklableTaskFlowRule",
-    "SnapshotMissingAttrRule",
 ]

@@ -10,7 +10,7 @@ module, wall-clock reads, OS entropy, and iteration over unordered sets.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.lint.core import Finding, ModuleInfo, Rule, Severity, register_rule
 
@@ -42,8 +42,40 @@ _GLOBAL_RANDOM_FUNCS = frozenset(
 )
 
 
+#: Seedable generators: constructed with no seed (or ``None``) they seed
+#: themselves from the OS.
+_SEEDABLE_RNGS = frozenset(
+    {"random.Random", "numpy.random.default_rng", "numpy.random.RandomState"}
+)
+
+
 def _called_func(node: ast.AST):
     return node.func if isinstance(node, ast.Call) else None
+
+
+def _import_bindings(tree: ast.AST) -> Dict[str, str]:
+    """Local name -> dotted path an absolute import binds it to."""
+    bindings: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.split(".")[0]
+                bindings[alias.asname or root] = alias.name if alias.asname else root
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                bindings[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bindings
+
+
+def _qualified_name(func: ast.AST, bindings: Dict[str, str]) -> Optional[str]:
+    """``np.random.default_rng`` -> ``numpy.random.default_rng``."""
+    attrs = []
+    while isinstance(func, ast.Attribute):
+        attrs.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name) or func.id not in bindings:
+        return None
+    return ".".join([bindings[func.id], *reversed(attrs)])
 
 
 @register_rule
@@ -162,11 +194,16 @@ class OsEntropyRule(Rule):
     """Ban OS entropy sources that cannot be seeded."""
 
     rule_id = "det-os-entropy"
-    description = "unseedable OS entropy (os.urandom, secrets, uuid4, SystemRandom)"
+    description = (
+        "unseedable OS entropy (os.urandom, secrets, uuid4, SystemRandom) "
+        "or a seedable RNG constructed without a seed"
+    )
     rationale = (
         "os.urandom / secrets / SystemRandom / uuid4 pull from the kernel "
-        "CSPRNG and can never reproduce a run.  Protocol randomness comes "
-        "from Sha256Prng, which is deterministic under the experiment seed."
+        "CSPRNG and can never reproduce a run, and random.Random() / "
+        "numpy.random.default_rng() / RandomState() with no seed do the "
+        "same once, at construction.  Protocol randomness comes from "
+        "Sha256Prng or a generator seeded from the experiment seed."
     )
     severity = Severity.ERROR
     scope = ()  # everywhere, including tests
@@ -176,7 +213,20 @@ class OsEntropyRule(Rule):
         random_aliases = module.import_aliases("random")
         uuid_aliases = module.import_aliases("uuid")
         secrets_aliases = module.import_aliases("secrets")
+        bindings = _import_bindings(module.tree)
         for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
+                constructor = _qualified_name(node.func, bindings)
+                seeds = node.args + [keyword.value for keyword in node.keywords]
+                if constructor in _SEEDABLE_RNGS and all(
+                    isinstance(seed, ast.Constant) and seed.value is None
+                    for seed in seeds
+                ):
+                    yield self.finding(
+                        module, node,
+                        f"{constructor}() without a seed draws one from the "
+                        f"OS; pass a seed derived from the experiment seed",
+                    )
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "secrets":

@@ -119,10 +119,15 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
     _raptee("raptee-fault-crash", 210,
             faults=[{"kind": "crash-restart", "node_id": 5, "at_round": 2,
                      "down_rounds": 2}]),
+    # (The crash with a corrupted backup is what sends a request into the
+    # outage and the flaky window; without it neither ever meets one.)
     _raptee("raptee-fault-attestation", 211,
             faults=[{"kind": "attestation-outage", "window": _WINDOW_2_4},
                     {"kind": "provisioning-flakiness", "window": _WINDOW_2_4,
-                     "failure_rate": 0.5}]),
+                     "failure_rate": 0.5},
+                    {"kind": "enclave-crash", "node_id": 5, "at_round": 2},
+                    {"kind": "sealed-blob-corruption", "node_id": 5,
+                     "at_round": 2}]),
     _raptee("raptee-fault-enclave", 212,
             faults=[{"kind": "enclave-crash", "node_id": 5, "at_round": 2},
                     {"kind": "sealed-blob-corruption", "node_id": 6,
@@ -130,9 +135,11 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
     # --- Dynamic trusted-set membership (ReplicaTEE-style) -------------
     _raptee("raptee-membership-static", 213, t=0.15,
             membership={"replica_count": 3}),
+    # (Rates are per-round probabilities of one join / one leave: high
+    # enough that both, and a leave-triggered re-key, happen in 6 rounds.)
     _raptee("raptee-membership-churn", 214, t=0.15,
-            membership={"replica_count": 3, "join_rate": 0.05,
-                        "leave_rate": 0.03}),
+            membership={"replica_count": 3, "join_rate": 0.5,
+                        "leave_rate": 0.4}),
     _raptee("raptee-membership-rotation", 215, t=0.15,
             membership={"replica_count": 3},
             faults=[{"kind": "epoch-rotation", "at_round": 3,

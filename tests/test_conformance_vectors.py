@@ -28,6 +28,8 @@ from repro.scenario import (
     verify_vector,
     write_vector,
 )
+from repro.scenario.run import run_scenario
+from repro.telemetry import TelemetryConfig
 
 VECTOR_DIR = Path(__file__).resolve().parents[1] / "vectors"
 VECTOR_PATHS = sorted(VECTOR_DIR.glob("*.vec"))
@@ -63,6 +65,84 @@ def test_vector_replays_identically(path):
         f"{result.name} drifted in section(s) {sorted(result.drifted)}; "
         f"details: {json.dumps(result.details, sort_keys=True)[:2000]}"
     )
+
+
+# -- a vector pins bytes; this pins that the mechanism under test ran ---------
+#
+# Each check reads one count off a finished run.  Mechanisms the per-node
+# engines do not count yet (evicted ids, trusted swaps, probe pulls,
+# poisoned injections, sketch-unbias drops, cycle charges — ROADMAP's
+# run-report item) have no entry, so their catalog rows only get the
+# "the protocol ran" floor.
+
+
+def _registry(run):
+    return run.bundle.telemetry.registry
+
+
+def _total(*names):
+    return lambda run: sum(_registry(run).total(name) for name in names)
+
+
+def _drops(cause):
+    return lambda run: _registry(run).by_label("faults.drops", "cause").get(cause, 0)
+
+
+def _not_ok(name):
+    return lambda run: (
+        _registry(run).total(name) - _registry(run).value(name, outcome="ok")
+    )
+
+
+_RECOVERED = _total("recovery.restores_from_seal", "recovery.reprovisions")
+
+_FAULT_FIRED = {
+    "loss-burst": [_drops("loss-burst")],
+    "partition": [_drops("partition")],
+    "eclipse": [_drops("eclipse")],
+    "link": [_drops("link-loss")],
+    "crash-restart": [_total("faults.crashes"), _RECOVERED],
+    "enclave-crash": [_total("faults.enclave_crashes"), _RECOVERED],
+    "sealed-blob-corruption": [_total("faults.blob_corruptions")],
+    "attestation-outage": [_not_ok("attestation.verifications")],
+    "provisioning-flakiness": [_not_ok("provisioning.attempts")],
+    "epoch-rotation": [_total("membership.rotations")],
+    "revocation-storm": [_total("membership.revocations")],
+    "device-revocation": [_total("membership.revocations")],
+    "provisioner-replica-crash": [_total("membership.replica_crashes")],
+}
+
+
+def _mechanism_checks(entry):
+    """``[(what, count(run))]`` the entry's own spec says must be non-zero."""
+    checks = [("rounds ran", _total("sim.rounds")),
+              ("pushes delivered", _total("network.pushes_delivered"))]
+    for fault in entry.get("faults", ()):
+        checks.extend((fault["kind"], fired) for fired in _FAULT_FIRED[fault["kind"]])
+    membership = entry.get("membership", {})
+    if membership.get("join_rate") or membership.get("leave_rate"):
+        checks.append(("trusted-set churn",
+                       _total("membership.joins", "membership.leaves")))
+    if "churn" in entry:
+        population = entry["topology"]["n_nodes"]
+        checks.append(("churn moved the population",
+                       lambda run: _registry(run).value("sim.alive_nodes") != population))
+    if entry["topology"].get("transport_encryption"):
+        checks.append(("bytes encrypted",
+                       lambda run: run.bundle.simulation.network.stats.bytes_encrypted))
+    engine = entry.get("engine", {})
+    if "latency" in engine:
+        checks.append(("round trips timed", _total("events.rtt_ms")))
+    if "load" in engine:
+        checks.append(("application requests", _total("load.requests")))
+    return checks
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=[entry["name"] for entry in CATALOG])
+def test_named_mechanism_fired(entry):
+    run = run_scenario(spec_from_dict(entry), telemetry=TelemetryConfig(tracing=False))
+    silent = [what for what, count in _mechanism_checks(entry) if not count(run)]
+    assert not silent, f"{entry['name']}: never fired inside the vector: {silent}"
 
 
 class TestRunnerDetectsPerturbation:

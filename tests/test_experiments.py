@@ -1,9 +1,18 @@
 """Scenario-builder and runner tests (small topologies)."""
 
+import pickle
+import re
+
 import pytest
 
 from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.experiments.runner import RunMetrics, SeedTaskError, repeat, run_bundle
+from repro.experiments.runner import (
+    RunMetrics,
+    SeedTaskError,
+    map_ordered,
+    repeat,
+    run_bundle,
+)
 from repro.experiments.scenarios import (
     TopologySpec,
     build_brahms_simulation,
@@ -204,8 +213,6 @@ class TestRepeatFailureReporting:
         assert excinfo.value.seed == 3
 
     def test_seed_task_error_survives_pickling(self):
-        import pickle
-
         error = SeedTaskError(7, "seed 7 failed: ValueError: nope")
         clone = pickle.loads(pickle.dumps(error))
         assert isinstance(clone, SeedTaskError)
@@ -216,6 +223,59 @@ class TestRepeatFailureReporting:
         with pytest.raises(SeedTaskError) as excinfo:
             repeat(_fail_on_seed_three, seeds=[3])
         assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+
+_METRICS = RunMetrics(resilience=0.1, discovery_round=2, stability_round=3, rounds=5)
+_PICKLE_ERRORS = (AttributeError, pickle.PicklingError)  # 3.11 / 3.12+
+_UNPICKLABLE_SHAPES = ("local-class", "lambda", "closure")
+
+
+def _unpicklable_task(shape):
+    """One of the three shapes that only pickle when nobody runs parallel —
+    a function-local class instance (PR 5's PollutionProbe bug), a lambda,
+    a closure — and the qualified name its failure must mention."""
+
+    class PollutionProbe:
+        def __call__(self, seed):
+            return _METRICS
+
+    def closure(seed):
+        return metrics
+
+    metrics = _METRICS
+    anonymous = lambda seed: _METRICS  # noqa: E731 - the lambda is the fixture
+    task, named = {
+        "local-class": (PollutionProbe(), PollutionProbe),
+        "lambda": (anonymous, anonymous),
+        "closure": (closure, closure),
+    }[shape]
+    return task, re.escape(named.__qualname__)
+
+
+@pytest.mark.parametrize("shape", _UNPICKLABLE_SHAPES)
+class TestPoolSeamPicklability:
+    """An unpicklable task fails loudly at the one process-pool seam,
+    before anything is recorded; serially the same task is fine."""
+
+    def test_map_ordered_pool_rejects_before_any_result(self, shape):
+        task, name = _unpicklable_task(shape)
+        recorded = []
+        with pytest.raises(_PICKLE_ERRORS, match=name):
+            map_ordered(task, [1, 2, 3], workers=2,
+                        on_result=lambda index, result: recorded.append(index))
+        assert recorded == []
+
+    def test_repeat_pool_rejects_before_any_checkpoint(self, shape, tmp_path):
+        task, name = _unpicklable_task(shape)
+        path = tmp_path / "repeat.json"
+        with pytest.raises(_PICKLE_ERRORS, match=name):
+            repeat(task, seeds=[1, 2, 3], workers=2, checkpoint_path=str(path))
+        assert not path.exists()
+
+    def test_same_task_runs_serially(self, shape):
+        task, _ = _unpicklable_task(shape)
+        assert map_ordered(task, [1, 2]) == [_METRICS, _METRICS]
+        assert repeat(task, seeds=[1, 2], workers=None).runs == [_METRICS, _METRICS]
 
 
 class TestRepeatCheckpoint:
