@@ -7,7 +7,7 @@ samplers and a deterministic PRNG for reproducible simulation.
 """
 
 from repro.crypto.aes import AES128, BLOCK_SIZE
-from repro.crypto.ctr import AesCtr, NONCE_SIZE
+from repro.crypto.ctr import AesCtr, NONCE_SIZE, keystream_rows
 from repro.crypto.hashing import (
     concat_hash,
     constant_time_equal,
@@ -38,6 +38,7 @@ __all__ = [
     "BLOCK_SIZE",
     "AesCtr",
     "NONCE_SIZE",
+    "keystream_rows",
     "concat_hash",
     "constant_time_equal",
     "hkdf",

@@ -8,22 +8,43 @@ The S-box and its inverse are derived programmatically from the GF(2^8)
 multiplicative inverse and the FIPS-197 affine transform rather than being
 transcribed as literal tables, which makes the derivation itself testable.
 
-Two encryption paths coexist:
+Three encryption paths coexist, one per calling pattern:
 
 * the *reference* path — per-operation SubBytes/ShiftRows/MixColumns over
   the flat byte state, a readable transliteration of FIPS-197;
 * a *T-table* path — the classic software-AES optimisation that merges the
   three round operations into four 256-entry 32-bit word tables, derived
-  here from the same S-box and GF tables rather than transcribed.
+  here from the same S-box and GF tables rather than transcribed;
+* a *batch* path — the same T-tables as one flat numpy array, applied to a
+  ``[B, 16]`` matrix of blocks at once.  A numpy pass costs ~100 µs
+  however few blocks it gets (about what seven blocks cost on the T-table
+  path), so it pays only where a caller has many blocks under one key.
 
-``encrypt_block`` runs the T-table path (behind a key-schedule cache);
-``_encrypt_block_reference`` stays as the FIPS-197 oracle the tests call
-directly (``tests/test_perf_kernels.py``, ``tests/test_crypto_aes.py``).
+``encrypt_block`` runs the T-table path, for the few-block callers (sealed
+storage, ``auth_mode="aes-ctr"`` proofs); ``encrypt_blocks`` is the batch
+path, reached through :func:`repro.crypto.ctr.keystream_rows` by the
+simulated wire (:mod:`repro.sim.network`), which needs a whole pull
+session's keystream under one pair key; ``_encrypt_block_reference`` stays
+as the FIPS-197 oracle the tests hold both of the others to
+(``tests/test_perf_kernels.py``, ``tests/test_crypto_aes.py``).
+
+The expanded key is stored once per cipher, as the 176 bytes of FIPS-197's
+44 big-endian words: the batch path views them in place, the reference
+path slices them per call, and the T-table path unpacks them to Python ints
+the first time a cipher encrypts a single block.  Constructing a cipher
+leaves nothing behind in module state — callers that see the same key again
+keep the cipher (:class:`repro.crypto.ctr.AesCtr` for proof and sealing
+keys, ``Network._pair_ciphers`` for pair keys), so dropping it retires the
+key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import struct
+from functools import cached_property
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["AES128", "BLOCK_SIZE"]
 
@@ -128,12 +149,21 @@ def _build_t_tables() -> Tuple[Tuple[int, ...], ...]:
 
 _TE0, _TE1, _TE2, _TE3 = _build_t_tables()
 
-# Expanded-schedule cache: key expansion costs ~45 S-box/XOR word steps, and
-# the transport layer builds ciphers for the same handful of pair keys over
-# millions of messages.  Capped so adversarially many distinct keys cannot
-# grow it without bound.
-_SCHEDULE_CACHE: Dict[bytes, Tuple[List[List[int]], List[Tuple[int, int, int, int]]]] = {}
-_SCHEDULE_CACHE_MAX = 4096
+# The batch path's tables.  Column words are laid out big-endian in memory
+# (byte k of a word is state row k, as in the T-table path) and only ever
+# XORed, gathered or viewed as bytes, so what matters is their memory, never
+# their value: every word dtype is spelled with its byte order, and no
+# result depends on the host's.  "<u4" over that memory keeps the XORs
+# native on little-endian hosts.
+_TE_FLAT = np.array(_TE0 + _TE1 + _TE2 + _TE3, dtype=">u4").view("<u4")
+# State byte 4c + r (row r of column c) is looked up in table r.
+_TE_OFFSETS = np.tile(np.arange(4, dtype=np.uint16) * 256, 4)
+# ShiftRows as a gather over the flat column-major state: output byte
+# (row r, column c) is input byte (row r, column c + r).
+_SHIFT_ROWS = np.array(
+    [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)], dtype=np.intp
+)
+_SBOX_BYTES = np.array(SBOX, dtype=np.uint8)
 
 
 class AES128:
@@ -149,53 +179,47 @@ class AES128:
     def __init__(self, key: bytes):
         if len(key) != 16:
             raise ValueError(f"AES-128 requires a 16-byte key, got {len(key)}")
-        cached = _SCHEDULE_CACHE.get(key)
-        if cached is None:
-            cached = self._expand_schedules(key)
-            if len(_SCHEDULE_CACHE) < _SCHEDULE_CACHE_MAX:
-                _SCHEDULE_CACHE[bytes(key)] = cached
-        self._round_keys, self._round_words = cached
-
-    @classmethod
-    def _expand_schedules(
-        cls, key: bytes
-    ) -> Tuple[List[List[int]], List[Tuple[int, int, int, int]]]:
-        """Both schedule forms: flat bytes (reference) and packed words
-        (T-table path).  They are the same schedule, repacked."""
-        round_keys = cls._expand_key(key)
-        round_words = [
-            tuple(
-                int.from_bytes(bytes(rk[4 * j : 4 * j + 4]), "big") for j in range(4)
-            )
-            for rk in round_keys
-        ]
-        return round_keys, round_words
+        self._schedule = self._expand_key(key)
 
     @staticmethod
-    def _expand_key(key: bytes) -> List[List[int]]:
-        """FIPS-197 key expansion producing 11 round keys of 16 bytes each."""
-        words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
-        for i in range(4, 44):
-            temp = list(words[i - 1])
-            if i % 4 == 0:
-                temp = temp[1:] + temp[:1]  # RotWord
-                temp = [SBOX[b] for b in temp]  # SubWord
-                temp[0] ^= _RCON[i // 4 - 1]
-            words.append([words[i - 4][j] ^ temp[j] for j in range(4)])
-        round_keys = []
-        for r in range(11):
-            rk = []
-            for w in words[4 * r : 4 * r + 4]:
-                rk.extend(w)
-            round_keys.append(rk)
-        return round_keys
+    def _expand_key(key: bytes) -> bytes:
+        """FIPS-197 §5.2 key expansion on 32-bit words: the 11 round keys
+        as 44 big-endian words, 176 bytes."""
+        sbox = SBOX
+        w0, w1, w2, w3 = struct.unpack(">4I", key)
+        words = [w0, w1, w2, w3]
+        for rcon in _RCON:
+            # SubWord(RotWord(w3)) ^ Rcon, then the running XOR down the row.
+            w0 ^= (
+                ((sbox[(w3 >> 16) & 0xFF] ^ rcon) << 24)
+                | (sbox[(w3 >> 8) & 0xFF] << 16)
+                | (sbox[w3 & 0xFF] << 8)
+                | sbox[w3 >> 24]
+            )
+            w1 ^= w0
+            w2 ^= w1
+            w3 ^= w2
+            words += (w0, w1, w2, w3)
+        return struct.pack(">44I", *words)
+
+    def _round_keys(self) -> List[bytes]:
+        """The schedule as 11 flat 16-byte round keys (reference path)."""
+        schedule = self._schedule
+        return [schedule[i : i + BLOCK_SIZE] for i in range(0, 176, BLOCK_SIZE)]
+
+    @cached_property
+    def _round_words(self) -> List[Tuple[int, int, int, int]]:
+        """The schedule as Python ints (T-table path), unpacked on first use:
+        a cipher that only feeds the batch path — every transport pair
+        cipher — never builds it."""
+        return list(struct.iter_unpack(">4I", self._schedule))
 
     # -- state helpers ----------------------------------------------------
     # The state is held column-major as a flat list of 16 ints, matching the
     # byte order of the input block (state[r + 4*c] = byte r of column c).
 
     @staticmethod
-    def _add_round_key(state: List[int], round_key: List[int]) -> None:
+    def _add_round_key(state: List[int], round_key: bytes) -> None:
         for i in range(16):
             state[i] ^= round_key[i]
 
@@ -256,16 +280,17 @@ class AES128:
 
     def _encrypt_block_reference(self, block: bytes) -> bytes:
         """The readable FIPS-197 path: one pass per round operation."""
+        round_keys = self._round_keys()
         state = list(block)
-        self._add_round_key(state, self._round_keys[0])
+        self._add_round_key(state, round_keys[0])
         for round_index in range(1, self.ROUNDS):
             self._sub_bytes(state)
             self._shift_rows(state)
             self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[round_index])
+            self._add_round_key(state, round_keys[round_index])
         self._sub_bytes(state)
         self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.ROUNDS])
+        self._add_round_key(state, round_keys[self.ROUNDS])
         return bytes(state)
 
     def _encrypt_block_ttable(self, block: bytes) -> bytes:
@@ -304,18 +329,53 @@ class AES128:
               | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ rk[3]
         return ((t0 << 96) | (t1 << 64) | (t2 << 32) | t3).to_bytes(16, "big")
 
+    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Encrypt a ``[B, 16]`` uint8 matrix, one block per row (batch path).
+
+        The T-table round over all rows at once: the state is ``[B, 4]``
+        column words; per round one ShiftRows gather of its bytes, one
+        ``take`` from the flat table, three XORs folding each column's four
+        lookups and one with the round key.  The last round has no
+        MixColumns and goes through the S-box instead.
+        """
+        if blocks.dtype != np.uint8 or blocks.shape[1:] != (BLOCK_SIZE,):
+            raise ValueError(
+                f"blocks must be a [B, {BLOCK_SIZE}] uint8 matrix, got "
+                f"{blocks.dtype} {blocks.shape}"
+            )
+        round_keys = np.frombuffer(self._schedule, dtype="<u4").reshape(-1, 4)
+        # Every XOR writes into this one explicitly typed state: an array
+        # numpy allocates for a result comes back in the host's byte order,
+        # and the byte view below must not depend on it.
+        state = np.empty((len(blocks), 4), dtype="<u4")
+        state_bytes = state.view(np.uint8)
+        np.bitwise_xor(
+            np.ascontiguousarray(blocks).view("<u4"), round_keys[0], out=state
+        )
+        for round_key in round_keys[1 : self.ROUNDS]:
+            shifted = state_bytes.take(_SHIFT_ROWS, axis=1)
+            lookups = _TE_FLAT.take(shifted + _TE_OFFSETS).reshape(-1, 4, 4)
+            np.bitwise_xor(lookups[:, :, 0], lookups[:, :, 1], out=state)
+            state ^= lookups[:, :, 2]
+            state ^= lookups[:, :, 3]
+            state ^= round_key
+        last = _SBOX_BYTES.take(state_bytes.take(_SHIFT_ROWS, axis=1)).view("<u4")
+        np.bitwise_xor(last, round_keys[self.ROUNDS], out=state)
+        return state_bytes
+
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
+        round_keys = self._round_keys()
         state = list(block)
-        self._add_round_key(state, self._round_keys[self.ROUNDS])
+        self._add_round_key(state, round_keys[self.ROUNDS])
         for round_index in range(self.ROUNDS - 1, 0, -1):
             self._inv_shift_rows(state)
             self._inv_sub_bytes(state)
-            self._add_round_key(state, self._round_keys[round_index])
+            self._add_round_key(state, round_keys[round_index])
             self._inv_mix_columns(state)
         self._inv_shift_rows(state)
         self._inv_sub_bytes(state)
-        self._add_round_key(state, self._round_keys[0])
+        self._add_round_key(state, round_keys[0])
         return bytes(state)

@@ -2,24 +2,32 @@
 
 Hypothesis drives random inputs through both implementations of each
 accelerated primitive — count-min updates/estimates/decay, the input
-scramble, the cached/T-table AES-CTR — and requires integer-for-integer
-(or byte-for-byte) equality, not approximate agreement.  Each reference is
-called directly: ``CountMinSketch(use_numpy=False)``, scalar ``scramble64``,
-``AES128._encrypt_block_reference``, an in-test per-byte XOR.
+scramble, the T-table and batch AES-CTR, the word-wise key expansion — and
+requires integer-for-integer (or byte-for-byte) equality, not approximate
+agreement.  Each reference is called directly:
+``CountMinSketch(use_numpy=False)``, scalar ``scramble64``,
+``AES128._encrypt_block_reference``, an in-test per-byte XOR, the list-based
+key expansion kept below.  Keystreams are always compared to the reference
+stream, never to a round trip: CTR XORs the same keystream in and out, so a
+wrong keystream round-trips perfectly.
 """
 
 from __future__ import annotations
 
 import inspect
 import random
+from collections import Counter
+from typing import List
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.brahms.countmin import CountMinSketch, StreamUnbiaser
-from repro.crypto.aes import AES128
-from repro.crypto.ctr import AesCtr
+from repro.crypto import ctr
+from repro.crypto.aes import _RCON, AES128, SBOX
+from repro.crypto.ctr import AesCtr, keystream_rows
 from repro.crypto.minwise import scramble64
 from repro.perf import kernels
 from repro.scenario.compile import shard_simulation_from_spec
@@ -226,17 +234,182 @@ class TestAesCtrFastPath:
         assert cipher._encrypt_block_ttable(block) == expected
         assert cipher.encrypt_block(block) == expected
 
-    @COMMON
-    @given(key=st.binary(min_size=16, max_size=16),
-           nonce=st.binary(min_size=8, max_size=8),
-           length=st.integers(min_value=0, max_value=100))
-    def test_from_cipher_shares_keystream(self, key, nonce, length):
-        direct = AesCtr(key, nonce)
-        shared = AesCtr.from_cipher(AES128(key), nonce)
-        assert direct.keystream(length) == shared.keystream(length)
-
     def test_cached_and_uncached_schedules_equal(self):
+        # The key-taking constructor keeps one expanded cipher per key; it
+        # is the cipher a fresh expansion gives.
         key = bytes(range(16))
-        cached = AES128(key)
-        uncached = AES128._expand_schedules(key)
-        assert (cached._round_keys, cached._round_words) == uncached
+        first, second = AesCtr(key, bytes(8)), AesCtr(key, bytes([1]) * 8)
+        assert first._cipher is second._cipher
+        assert first._cipher._schedule == AES128(key)._schedule
+        assert first._cipher._schedule == AES128._expand_key(key)
+
+    def test_encrypted_aes_scenario_expands_each_key_once(self, monkeypatch):
+        # ``auth_mode="aes-ctr"`` builds an ``AesCtr(key, nonce)`` per proof:
+        # the per-key memo must keep that at one expansion per node key (and
+        # the network's per-pair ciphers at one per pair key).
+        from repro.core.auth import AuthScheme
+        from repro.scenario.catalog import get_spec
+        from repro.scenario.run import run_scenario
+
+        expanded: List[bytes] = []
+        proofs: List[bytes] = []
+        real_expand, real_proof = AES128._expand_key, AuthScheme._proof
+
+        def counting_expand(key):
+            expanded.append(bytes(key))
+            return real_expand(key)
+
+        def counting_proof(self, key, first, second):
+            proofs.append(key)
+            return real_proof(self, key, first, second)
+
+        monkeypatch.setattr(AES128, "_expand_key", staticmethod(counting_expand))
+        monkeypatch.setattr(AuthScheme, "_proof", counting_proof)
+        ctr._cipher_for_key.cache_clear()
+        run_scenario(get_spec("raptee-encrypted-aes"))
+        assert set(proofs) <= set(expanded)
+        assert len(proofs) > 10 * len(set(proofs))  # keys do repeat
+        assert Counter(expanded).most_common(1)[0][1] == 1
+
+
+# NIST SP 800-38A F.5.1, CTR-AES128.Encrypt.
+F51_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+F51_NONCE = bytes.fromhex("f0f1f2f3f4f5f6f7")
+F51_COUNTER = 0xF8F9FAFBFCFDFEFF
+F51_PLAINTEXT = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710"
+)
+F51_CIPHERTEXT = bytes.fromhex(
+    "874d6191b620e3261bef6864990db6ce"
+    "9806f66b7970fdff8617187bb9fffdff"
+    "5ae4df3edbd5d35e5b4f09020db03eab"
+    "1e031dda2fbe03d1792170a0f3009cee"
+)
+
+
+def _reference_blocks(cipher: AES128, blocks: bytes) -> bytes:
+    return b"".join(
+        cipher._encrypt_block_reference(blocks[i : i + 16])
+        for i in range(0, len(blocks), 16)
+    )
+
+
+class TestAesBatchKernel:
+    """``AES128.encrypt_blocks`` / ``keystream_rows`` against the per-block
+    and per-message paths they stand in for on the wire."""
+
+    @COMMON
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        # B = 0, 1, odd, and more rows than a table has entries.
+        count=st.sampled_from([0, 1, 2, 7, 33, 255, 257, 301])
+        | st.integers(min_value=0, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_batch_blocks_match_reference_blocks(self, key, count, seed):
+        data = random.Random(seed).randbytes(16 * count)
+        blocks = np.frombuffer(data, dtype=np.uint8).reshape(count, 16)
+        cipher = AES128(key)
+        encrypted = cipher.encrypt_blocks(blocks)
+        assert encrypted.shape == (count, 16) and encrypted.dtype == np.uint8
+        assert encrypted.tobytes() == _reference_blocks(cipher, data)
+        assert blocks.tobytes() == data  # the input is not the workspace
+
+    @COMMON
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        first_nonce=st.integers(min_value=0, max_value=2**32)
+        | st.integers(min_value=2**32, max_value=2**63)
+        | st.integers(min_value=2**63, max_value=2**64 - 12),
+        rows=st.integers(min_value=0, max_value=12),
+        blocks=st.integers(min_value=0, max_value=12),
+    )
+    def test_ctr_rows_match_per_message_keystream(self, key, first_nonce, rows,
+                                                  blocks):
+        matrix = keystream_rows(AES128(key), first_nonce, rows, blocks)
+        assert matrix.shape == (rows, 16 * blocks) and matrix.dtype == np.uint8
+        for row in range(rows):
+            nonce = (first_nonce + row).to_bytes(8, "big")
+            assert matrix[row].tobytes() == AesCtr(key, nonce).keystream(16 * blocks)
+
+    def test_ctr_rows_refuse_to_wrap_the_nonce(self):
+        cipher = AES128(F51_KEY)
+        last = keystream_rows(cipher, 2**64 - 3, 3, 2)  # ends on 2^64 - 1
+        assert last[2].tobytes() == AesCtr(F51_KEY, b"\xff" * 8).keystream(32)
+        with pytest.raises(OverflowError):
+            keystream_rows(cipher, 2**64 - 3, 4, 2)
+        with pytest.raises(OverflowError):
+            keystream_rows(cipher, -1, 2, 2)
+        with pytest.raises(OverflowError):
+            (2**64).to_bytes(8, "big")  # what the per-message path does
+
+    def test_batch_rejects_anything_but_a_block_matrix(self):
+        cipher = AES128(F51_KEY)
+        for bad in (np.zeros(16, np.uint8), np.zeros((2, 15), np.uint8),
+                    np.zeros((2, 16), np.uint16)):
+            with pytest.raises(ValueError):
+                cipher.encrypt_blocks(bad)
+
+    def test_nist_sp800_38a_f51_on_the_per_message_path(self):
+        stream = AesCtr(F51_KEY, F51_NONCE)
+        assert stream.encrypt(F51_PLAINTEXT, F51_COUNTER) == F51_CIPHERTEXT
+        assert stream.keystream(64, F51_COUNTER) == bytes(
+            p ^ c for p, c in zip(F51_PLAINTEXT, F51_CIPHERTEXT)
+        )
+
+    def test_nist_sp800_38a_f51_through_the_batch_kernel(self):
+        # The four counter blocks of F.5.1, fed directly.
+        counter_blocks = np.frombuffer(
+            b"".join(F51_NONCE + (F51_COUNTER + i).to_bytes(8, "big")
+                     for i in range(4)),
+            dtype=np.uint8,
+        ).reshape(4, 16)
+        keystream = AES128(F51_KEY).encrypt_blocks(counter_blocks)
+        plaintext = np.frombuffer(F51_PLAINTEXT, dtype=np.uint8).reshape(4, 16)
+        assert (keystream ^ plaintext).tobytes() == F51_CIPHERTEXT
+
+
+def _expand_key_lists(key: bytes) -> List[List[int]]:
+    """The list-based FIPS-197 key expansion the word-wise one replaced,
+    kept verbatim as its oracle: 11 round keys of 16 ints."""
+    words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
+    for i in range(4, 44):
+        temp = list(words[i - 1])
+        if i % 4 == 0:
+            temp = temp[1:] + temp[:1]  # RotWord
+            temp = [SBOX[b] for b in temp]  # SubWord
+            temp[0] ^= _RCON[i // 4 - 1]
+        words.append([words[i - 4][j] ^ temp[j] for j in range(4)])
+    round_keys = []
+    for r in range(11):
+        rk = []
+        for w in words[4 * r : 4 * r + 4]:
+            rk.extend(w)
+        round_keys.append(rk)
+    return round_keys
+
+
+class TestKeyExpansion:
+    @COMMON
+    @given(key=st.binary(min_size=16, max_size=16))
+    def test_word_expansion_matches_list_expansion(self, key):
+        expected = _expand_key_lists(key)
+        cipher = AES128(key)
+        assert cipher._schedule == bytes(b for rk in expected for b in rk)
+        assert [list(rk) for rk in cipher._round_keys()] == expected
+        assert cipher._round_words == [
+            tuple(int.from_bytes(bytes(rk[j : j + 4]), "big") for j in (0, 4, 8, 12))
+            for rk in expected
+        ]
+
+    def test_fips197_appendix_a1_expansion(self):
+        schedule = AES128._expand_key(F51_KEY)  # A.1 uses the same key
+        words = [schedule[i : i + 4].hex() for i in range(0, 176, 4)]
+        assert words[:4] == ["2b7e1516", "28aed2a6", "abf71588", "09cf4f3c"]
+        assert words[4:8] == ["a0fafe17", "88542cb1", "23a33939", "2a6c7605"]
+        assert words[20:24] == ["d4d1c6f8", "7c839d87", "caf2b8bc", "11f915bc"]
+        assert words[36:40] == ["ac7766f3", "19fadc21", "28d12941", "575c006e"]
+        assert words[40:] == ["d014f9a8", "c9ee2589", "e13f0cc8", "b6630ca6"]
