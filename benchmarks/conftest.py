@@ -16,12 +16,7 @@ from typing import List
 
 import pytest
 
-from repro.experiments.figures import BaselineCache, Scale
-
-#: One bench scale for the whole suite.  N=300 at view-ratio 0.08 keeps the
-#: paper's trusted-meeting dynamics (view size 24) while a full sweep stays
-#: tractable in pure Python.
-BENCH = Scale(n_nodes=300, rounds=80, repetitions=1, view_ratio=0.08, base_seed=2024)
+from repro.experiments.figures import BENCH_SCALE, BaselineCache, Scale
 
 _REPORTS: List[str] = []
 
@@ -32,12 +27,12 @@ def record_report(text: str) -> None:
 
 @pytest.fixture(scope="session")
 def bench_scale() -> Scale:
-    return BENCH
+    return BENCH_SCALE
 
 
 @pytest.fixture(scope="session")
 def baseline_cache() -> BaselineCache:
-    return BaselineCache(BENCH)
+    return BaselineCache(BENCH_SCALE)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

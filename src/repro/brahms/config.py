@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["BrahmsConfig", "BYZANTINE_PUSH_LIMIT_MULTIPLIER"]
 
@@ -48,7 +49,7 @@ class BrahmsConfig:
     gamma: float = 0.2
     blocking_enabled: bool = True
     validation_period: int = 10
-    push_limit: int = None  # type: ignore[assignment]
+    push_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.view_size <= 0:

@@ -3,15 +3,19 @@
 Brahms *assumes* a mechanism bounding each identity's push rate —
 "for example, via computational challenges like Merkle's puzzles, virtual
 currency, etc." (§II) — and RAPTEE inherits the assumption to rule out
-Sybil and flooding attacks (§III-B).  This module provides both:
+Sybil and flooding attacks (§III-B).  In the simulations the cap is a
+number, not an object: :attr:`BrahmsConfig.effective_push_limit` (α·l1
+unless ``push_limit`` overrides it) is what honest nodes send by design,
+and the adversary coordinator's total push volume is bounded by (number of
+Byzantine identities) × ``BYZANTINE_PUSH_LIMIT_MULTIPLIER`` × that budget,
+which is what makes the balanced attack the adversary's optimum.  Nothing
+under ``src/`` constructs the two classes below; they are the stand-alone
+form of the assumed mechanism, exercised by the tests:
 
-* :class:`PushRateLimiter` — the enforcement point: a per-sender, per-round
-  budget; honest nodes never exceed it, and the adversary coordinator's
-  total push volume is bounded by (number of Byzantine identities) × budget,
-  which is what makes the balanced attack the adversary's optimum.
+* :class:`PushRateLimiter` — a per-sender, per-round budget enforced at a
+  receiving point;
 * :class:`ComputationalPuzzle` — a concrete proof-of-work instantiation of
-  the assumed challenge mechanism (hash-preimage with difficulty), used in
-  the examples and tests rather than on the simulation hot path.
+  the assumed challenge mechanism (hash-preimage with difficulty).
 """
 
 from __future__ import annotations

@@ -12,8 +12,12 @@ Per round, a Brahms node:
 
 The defense mechanisms map to code as follows:
 
-(i)   limited pushes       → :class:`repro.brahms.limiter.PushRateLimiter`
-                             (honest nodes also never exceed α·l1 by design);
+(i)   limited pushes       → :attr:`BrahmsConfig.effective_push_limit`: honest
+                             nodes send α·l1 pushes by design, and the
+                             scenario builders cap every Byzantine identity
+                             at ``BYZANTINE_PUSH_LIMIT_MULTIPLIER`` times it
+                             (:class:`repro.brahms.limiter.PushRateLimiter`
+                             is the stand-alone budget no engine constructs);
 (ii)  attack detection     → the ``blocked`` predicate in :meth:`end_round`;
 (iii) push/pull balancing  → the α/β split of the view renewal;
 (iv)  history sampling     → the γ portion drawn from the sample list S.

@@ -234,18 +234,8 @@ class EventEngine:
 
     def _open_round(self) -> None:
         simulation = self.simulation
-        simulation.round_number += 1
-        simulation.network.current_round = simulation.round_number
+        simulation.open_round()
         self._ctx.round_number = simulation.round_number
-        telemetry = simulation.telemetry
-        if telemetry is not None:
-            telemetry.begin_round(simulation.round_number)
-        simulation.apply_churn()
-        controller = simulation.fault_controller
-        if controller is not None:
-            scope = telemetry.phase("faults") if telemetry is not None else nullcontext()
-            with scope:
-                controller.on_round_start(simulation)
         # Churn arrivals (and the whole population, on the first open) get
         # cycles at seeded offsets inside the coming round.
         fresh = sorted(
@@ -259,9 +249,7 @@ class EventEngine:
 
     def _round_boundary(self) -> None:
         simulation = self.simulation
-        telemetry = simulation.telemetry
-        if telemetry is not None:
-            telemetry.end_round(len(simulation.alive_nodes()))
+        simulation.close_round()
         for observer in self._observers:
             observer.on_round_end(simulation)
         self.rounds_completed += 1

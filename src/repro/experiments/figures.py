@@ -9,9 +9,10 @@ benchmarks under ``benchmarks/`` call these with a scaled-down
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.adversary.identification import IdentificationAttack
+from repro.adversary.identification import IdentificationAttack, IdentificationReport
 from repro.analysis.metrics import (
     overhead_percent,
     resilience_improvement,
@@ -19,13 +20,14 @@ from repro.analysis.metrics import (
 from repro.analysis.stats import summarize
 from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunMetrics, run_bundle
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.runner import RunMetrics, map_ordered, repeat
+from repro.experiments.scenarios import TopologySpec
+from repro.membership.service import MembershipConfig
 from repro.sgx.cycles import PeerSamplingFunction, TABLE_I
+
+if TYPE_CHECKING:  # pragma: no cover - repro.scenario imports this package
+    from repro.scenario.run import ScenarioArtifacts
+    from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "Scale",
@@ -60,7 +62,10 @@ class Scale:
 
 
 TEST_SCALE = Scale(n_nodes=150, rounds=40, repetitions=1, view_ratio=0.08)
-BENCH_SCALE = Scale(n_nodes=400, rounds=100, repetitions=2, view_ratio=0.06)
+#: The scale of every number in EXPERIMENTS.md (``benchmarks/`` and
+#: ``repro figure --scale bench``): view size 24 keeps the paper's
+#: trusted-meeting dynamics while a full sweep stays tractable.
+BENCH_SCALE = Scale(n_nodes=300, rounds=80, repetitions=1, view_ratio=0.08, base_seed=2024)
 #: The paper's setting: 10,000 nodes, view 200, 200 rounds, 10 repetitions.
 PAPER_SCALE = Scale(n_nodes=10_000, rounds=200, repetitions=10, view_ratio=0.02)
 
@@ -81,56 +86,75 @@ class FigureResult:
         return [row[index] for row in self.rows]
 
 
+def _scenario(
+    scale: Scale,
+    protocol: str,
+    byzantine_fraction: float,
+    trusted_fraction: float = 0.0,
+    poisoned_fraction: float = 0.0,
+    **sections,
+) -> "ScenarioSpec":
+    """One cell of a figure: a deployment at ``scale`` as a runnable
+    :class:`~repro.scenario.spec.ScenarioSpec` carrying the scale's base
+    seed (:func:`_run` re-seeds it per repetition); ``sections`` are its
+    ``raptee`` / ``membership`` / ``engine`` fields."""
+    from repro.scenario.spec import ScenarioSpec
+
+    return ScenarioSpec(
+        name="figure",
+        protocol=protocol,
+        seed=scale.base_seed,
+        rounds=scale.rounds,
+        topology=TopologySpec(
+            n_nodes=scale.n_nodes,
+            byzantine_fraction=byzantine_fraction,
+            trusted_fraction=trusted_fraction,
+            poisoned_fraction=poisoned_fraction,
+            view_ratio=scale.view_ratio,
+        ),
+        **sections,
+    )
+
+
+def _run(spec: "ScenarioSpec", seed: int, telemetry=None, **wiring) -> "ScenarioArtifacts":
+    """Run one seed of one cell — the only way a figure runs anything —
+    without a telemetry hub unless given one; ``wiring`` is ``run_scenario``'s."""
+    from repro.scenario.run import run_scenario
+
+    return run_scenario(replace(spec, seed=seed), telemetry=telemetry, **wiring)
+
+
+def _cell_metrics(spec: "ScenarioSpec", seed: int) -> RunMetrics:
+    # Module-level (as are the other per-seed cell functions below) so that
+    # ``partial(fn, spec)`` stays picklable for a ``repeat`` worker pool.
+    return _run(spec, seed).metrics
+
+
+def _mean_metrics(scale: Scale, spec: "ScenarioSpec") -> Tuple[float, float, float]:
+    """(resilience, discovery, stability) of one cell averaged over the
+    scale's seeds; a milestone no seed reached reports -1."""
+    runs = repeat(partial(_cell_metrics, spec), scale.seeds())
+    return (
+        runs.resilience.mean,
+        runs.discovery_round.mean if runs.discovery_round else -1.0,
+        runs.stability_round.mean if runs.stability_round else -1.0,
+    )
+
+
 class BaselineCache:
-    """Brahms baselines keyed by (f, seed) — shared across figures."""
+    """Brahms baselines at one scale, keyed by f — shared across figures."""
 
     def __init__(self, scale: Scale):
         self.scale = scale
-        self._cache: Dict[Tuple[float, int], RunMetrics] = {}
-
-    def get(self, byzantine_fraction: float, seed: int) -> RunMetrics:
-        key = (byzantine_fraction, seed)
-        if key not in self._cache:
-            spec = TopologySpec(
-                n_nodes=self.scale.n_nodes,
-                byzantine_fraction=byzantine_fraction,
-                view_ratio=self.scale.view_ratio,
-            )
-            bundle = build_brahms_simulation(spec, seed)
-            self._cache[key] = run_bundle(bundle, self.scale.rounds)
-        return self._cache[key]
+        self._cache: Dict[float, Tuple[float, float, float]] = {}
 
     def mean_metrics(self, byzantine_fraction: float) -> Tuple[float, float, float]:
         """(resilience, discovery, stability) averaged over the seeds."""
-        runs = [self.get(byzantine_fraction, seed) for seed in self.scale.seeds()]
-        resilience = sum(run.resilience for run in runs) / len(runs)
-        discovery = _mean_reached([run.discovery_round for run in runs])
-        stability = _mean_reached([run.stability_round for run in runs])
-        return resilience, discovery, stability
-
-
-def _mean_reached(values: Sequence[int]) -> float:
-    reached = [value for value in values if value > 0]
-    return sum(reached) / len(reached) if reached else -1.0
-
-
-def _mean_raptee_metrics(
-    scale: Scale,
-    spec: TopologySpec,
-    eviction: EvictionPolicy,
-    **kwargs,
-) -> Tuple[float, float, float]:
-    runs = [
-        run_bundle(
-            build_raptee_simulation(spec, seed, eviction=eviction, **kwargs),
-            scale.rounds,
-        )
-        for seed in scale.seeds()
-    ]
-    resilience = sum(run.resilience for run in runs) / len(runs)
-    discovery = _mean_reached([run.discovery_round for run in runs])
-    stability = _mean_reached([run.stability_round for run in runs])
-    return resilience, discovery, stability
+        if byzantine_fraction not in self._cache:
+            self._cache[byzantine_fraction] = _mean_metrics(
+                self.scale, _scenario(self.scale, "brahms", byzantine_fraction)
+            )
+        return self._cache[byzantine_fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +205,18 @@ def table1_sgx_overhead(
     (emulated-standard) cost — then reports per-function means and the
     overhead's relative standard deviation.
     """
-    rounds = rounds or max(20, scale.rounds // 3)
-    spec = TopologySpec(
-        n_nodes=min(scale.n_nodes, 200),
-        byzantine_fraction=0.0,
-        trusted_fraction=trusted_fraction,
-        view_ratio=scale.view_ratio,
+    from repro.scenario.spec import RapteeOptions
+
+    micro = replace(
+        scale, n_nodes=min(scale.n_nodes, 200), rounds=rounds or max(20, scale.rounds // 3)
     )
 
     def collect(cycle_mode: str) -> Dict[str, List[float]]:
-        bundle = build_raptee_simulation(
-            spec,
-            scale.base_seed,
-            eviction=AdaptiveEviction(),
-            with_cycle_accounting=True,
-            cycle_mode=cycle_mode,
-        )
-        bundle.run(rounds)
+        options = RapteeOptions(with_cycle_accounting=True, cycle_mode=cycle_mode)
+        bundle = _run(
+            _scenario(micro, "raptee", 0.0, trusted_fraction, raptee=options),
+            micro.base_seed,
+        ).bundle
         per_function: Dict[str, List[float]] = {}
         for node_id in bundle.trusted_ids:
             accountant = bundle.cycle_accountants.get(node_id)
@@ -251,7 +270,10 @@ def eviction_figure(
     """One of Figs. 5-9: subfigures (a) resilience improvement,
     (b) system-discovery overhead, (c) view-stability overhead, as rows
     over the f × t grid for one eviction configuration."""
+    from repro.scenario.spec import RapteeOptions
+
     cache = cache or BaselineCache(scale)
+    options = RapteeOptions(eviction=eviction)
     result = FigureResult(
         figure_id=figure_id,
         headers=[
@@ -262,14 +284,8 @@ def eviction_figure(
     for f in f_values:
         base_resilience, base_discovery, base_stability = cache.mean_metrics(f)
         for t in t_values:
-            spec = TopologySpec(
-                n_nodes=scale.n_nodes,
-                byzantine_fraction=f,
-                trusted_fraction=t,
-                view_ratio=scale.view_ratio,
-            )
-            resilience, discovery, stability = _mean_raptee_metrics(
-                scale, spec, eviction
+            resilience, discovery, stability = _mean_metrics(
+                scale, _scenario(scale, "raptee", f, t, raptee=options)
             )
             improvement = resilience_improvement(base_resilience, resilience)
             discovery_overhead = overhead_percent(int(base_discovery), int(discovery))
@@ -305,6 +321,17 @@ def figure9_adaptive(scale: Scale, **kwargs) -> FigureResult:
 # Figs. 10-12 — trusted-node identification attack
 # ---------------------------------------------------------------------------
 
+def _identification_cell(spec: "ScenarioSpec", seed: int) -> IdentificationReport:
+    """The attack's classification over the pre-stability window of one seed."""
+    artifacts = _run(spec, seed)
+    stability = artifacts.metrics.stability_round
+    return IdentificationAttack(artifacts.bundle.coordinator).classify(
+        artifacts.bundle.trusted_ids,
+        since_round=1,
+        until_round=stability if stability > 0 else spec.rounds // 2,
+    )
+
+
 def identification_figure(
     figure_id: str,
     byzantine_fraction: float,
@@ -323,46 +350,25 @@ def identification_figure(
     over the pre-stability window, where the paper shows the attack is
     strongest.
     """
+    from repro.scenario.spec import RapteeOptions
+
     result = FigureResult(
         figure_id=figure_id,
         headers=["ER", "t", "precision", "recall", "F1"],
     )
     for policy in policies:
         for t in t_values:
-            precisions: List[float] = []
-            recalls: List[float] = []
-            f1s: List[float] = []
-            for seed in scale.seeds():
-                spec = TopologySpec(
-                    n_nodes=scale.n_nodes,
-                    byzantine_fraction=byzantine_fraction,
-                    trusted_fraction=t,
-                    view_ratio=scale.view_ratio,
-                )
-                config = spec.brahms_config()
-                bundle = build_raptee_simulation(
-                    spec, seed, eviction=policy, probe_pulls=config.beta_count
-                )
-                metrics = run_bundle(bundle, scale.rounds)
-                window_end = (
-                    metrics.stability_round
-                    if metrics.stability_round > 0
-                    else scale.rounds // 2
-                )
-                attack = IdentificationAttack(bundle.coordinator)
-                report = attack.classify(
-                    bundle.trusted_ids, since_round=1, until_round=window_end
-                )
-                precisions.append(report.precision)
-                recalls.append(report.recall)
-                f1s.append(report.f1)
+            spec = _scenario(scale, "raptee", byzantine_fraction, t)
+            probes = spec.topology.brahms_config().beta_count
+            spec = replace(spec, raptee=RapteeOptions(eviction=policy, probe_pulls=probes))
+            reports = map_ordered(partial(_identification_cell, spec), scale.seeds())
             result.rows.append(
                 [
                     policy.describe(),
                     f"{t:.0%}",
-                    f"{sum(precisions) / len(precisions):.2f}",
-                    f"{sum(recalls) / len(recalls):.2f}",
-                    f"{sum(f1s) / len(f1s):.2f}",
+                    f"{summarize([report.precision for report in reports]).mean:.2f}",
+                    f"{summarize([report.recall for report in reports]).mean:.2f}",
+                    f"{summarize([report.f1 for report in reports]).mean:.2f}",
                 ]
             )
     return result
@@ -391,15 +397,9 @@ def figure13_poisoned_injection(
         for poisoned in poison_values:
             for f in f_values:
                 base_resilience, _, _ = cache.mean_metrics(f)
-                spec = TopologySpec(
-                    n_nodes=scale.n_nodes,
-                    byzantine_fraction=f,
-                    trusted_fraction=t,
-                    poisoned_fraction=poisoned,
-                    view_ratio=scale.view_ratio,
-                )
-                resilience, _, _ = _mean_raptee_metrics(
-                    scale, spec, AdaptiveEviction()
+                # No ``raptee`` section: adaptive eviction is the default.
+                resilience, _, _ = _mean_metrics(
+                    scale, _scenario(scale, "raptee", f, t, poisoned)
                 )
                 result.rows.append(
                     [
@@ -416,32 +416,15 @@ def figure13_poisoned_injection(
 # Extension — pollution rate under trusted-set churn (dynamic membership)
 # ---------------------------------------------------------------------------
 
-def _raptee_scenario(
-    name: str,
-    scale: Scale,
-    seed: int,
-    byzantine_fraction: float,
-    trusted_fraction: float,
-    **sections,
-):
-    """One RAPTEE deployment at ``scale`` (adaptive eviction) as a runnable
-    :class:`~repro.scenario.spec.ScenarioSpec` — what each row of the
-    extension figures below hands to ``run_scenario``; ``sections`` are its
-    ``membership`` / ``engine`` fields."""
-    from repro.scenario.spec import ScenarioSpec
-
-    return ScenarioSpec(
-        name=name,
-        protocol="raptee",
-        seed=seed,
-        rounds=scale.rounds,
-        topology=TopologySpec(
-            n_nodes=scale.n_nodes,
-            byzantine_fraction=byzantine_fraction,
-            trusted_fraction=trusted_fraction,
-            view_ratio=scale.view_ratio,
-        ),
-        **sections,
+def _churn_cell(spec: "ScenarioSpec", seed: int) -> Tuple[float, int, int, int]:
+    """(resilience, epochs, joins, leaves) of one seed under trusted-set churn."""
+    artifacts = _run(spec, seed)
+    director = artifacts.bundle.membership
+    return (
+        artifacts.metrics.resilience,
+        director.service.chain.current.number,
+        director.stats.joins,
+        director.stats.leaves,
     )
 
 
@@ -460,40 +443,28 @@ def membership_churn_figure(
     much Byzantine presence the overlay absorbs while the trusted set is
     repeatedly re-keying — the cost of revocation-capable membership.
     """
-    from repro.membership import MembershipConfig
-    from repro.scenario.run import run_scenario
-
     result = FigureResult(
         figure_id="Churn — pollution under trusted-set churn",
         headers=["churn/round", "byz-in-views %", "epochs", "joins", "leaves"],
     )
     for rate in churn_rates:
-        resiliences: List[float] = []
-        epochs = joins = leaves = 0
-        for seed in scale.seeds():
-            # The membership section brings the fault layer with it, whose
-            # per-round hook ticks the director — which drives the churn.
-            artifacts = run_scenario(
-                _raptee_scenario(
-                    "figure-churn", scale, seed, byzantine_fraction,
-                    trusted_fraction,
-                    membership=MembershipConfig(join_rate=rate, leave_rate=rate),
-                ),
-                telemetry=None,
-            )
-            resiliences.append(artifacts.metrics.resilience)
-            director = artifacts.bundle.membership
-            epochs += director.service.chain.current.number
-            joins += director.stats.joins
-            leaves += director.stats.leaves
-        repetitions = len(scale.seeds())
+        # The membership section brings the fault layer with it, whose
+        # per-round hook ticks the director — which drives the churn.
+        spec = _scenario(
+            scale, "raptee", byzantine_fraction, trusted_fraction,
+            membership=MembershipConfig(join_rate=rate, leave_rate=rate),
+        )
+        resilience, epochs, joins, leaves = (
+            summarize(column).mean
+            for column in zip(*map_ordered(partial(_churn_cell, spec), scale.seeds()))
+        )
         result.rows.append(
             [
                 f"{rate:.0%}",
-                f"{100 * sum(resiliences) / len(resiliences):.1f}",
-                f"{epochs / repetitions:.1f}",
-                f"{joins / repetitions:.1f}",
-                f"{leaves / repetitions:.1f}",
+                f"{100 * resilience:.1f}",
+                f"{epochs:.1f}",
+                f"{joins:.1f}",
+                f"{leaves:.1f}",
             ]
         )
     return result
@@ -534,7 +505,6 @@ def slo_figure(
     metrics surface is complete.
     """
     from repro.events.network import LATENCY_BUCKETS_MS
-    from repro.scenario.run import run_scenario
     from repro.scenario.spec import EngineSpec
     from repro.telemetry import TelemetryConfig
 
@@ -544,15 +514,14 @@ def slo_figure(
                  f"<= {slo_ms:g} ms %", "byz %", "req/s"],
     )
     for clients, per_minute in loads:
-        spec = _raptee_scenario(
-            "figure-slo", scale, scale.base_seed, byzantine_fraction,
-            trusted_fraction,
+        spec = _scenario(
+            scale, "raptee", byzantine_fraction, trusted_fraction,
             engine=EngineSpec(
                 kind="events", latency=latency_spec,
                 load=f"{clients}:{per_minute!r}",
             ),
         )
-        artifacts = run_scenario(spec, telemetry=TelemetryConfig(tracing=False))
+        artifacts = _run(spec, scale.base_seed, telemetry=TelemetryConfig(tracing=False))
         registry = artifacts.bundle.telemetry.registry
         served = registry.value("load.requests")
         failed = registry.value("load.failures")
@@ -591,7 +560,6 @@ def straggler_figure(
     share, and protocol invariant violations observed at round
     boundaries by a record-only checker.
     """
-    from repro.scenario.run import run_scenario
     from repro.scenario.spec import EngineSpec
 
     result = FigureResult(
@@ -599,15 +567,14 @@ def straggler_figure(
         headers=["stragglers", "byz-in-views %", "cycles", "late %", "violations"],
     )
     for fraction, slowdown in profiles:
-        spec = _raptee_scenario(
-            "figure-straggler", scale, scale.base_seed, byzantine_fraction,
-            trusted_fraction,
+        spec = _scenario(
+            scale, "raptee", byzantine_fraction, trusted_fraction,
             engine=EngineSpec(
                 kind="events", latency=latency_spec,
                 straggler=f"{fraction!r}:{slowdown!r}" if fraction > 0 else None,
             ),
         )
-        artifacts = run_scenario(spec, telemetry=None, check_invariants=True)
+        artifacts = _run(spec, scale.base_seed, check_invariants=True)
         metrics = artifacts.metrics
         engine = artifacts.bundle.events.engine
         label = (f"{100.0 * fraction:g}% @ {slowdown:g}x" if fraction > 0

@@ -100,16 +100,18 @@ _KEY_VALUE_RE = re.compile(r"^(?P<key>[\w\-\"']+)\s*=\s*(?P<value>.+)$")
 def _parse_minimal_toml_table(text: str) -> Dict[str, object]:
     """Tiny TOML subset parser for ``[tool.repro-lint]`` on Python < 3.11.
 
-    Handles string scalars and single-line arrays of strings, which is all
-    the lint table uses.  Anything unrecognised is ignored.
+    Handles string scalars and arrays of strings — on one line or spread
+    over several, as the repo's own ``scopes`` table is — which is all the
+    lint table uses.  Anything unrecognised is ignored.
     """
     table: Dict[str, object] = {}
     current: Optional[Dict[str, object]] = None
+    pending = ""  # a ``key = [`` entry still waiting for its closing bracket
     for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.split("#")[0].strip()
+        if not stripped:
             continue
-        section = _SECTION_RE.match(stripped)
+        section = None if pending else _SECTION_RE.match(stripped)
         if section:
             name = section.group("name").strip()
             if name == "tool.repro-lint":
@@ -123,12 +125,16 @@ def _parse_minimal_toml_table(text: str) -> Dict[str, object]:
             continue
         if current is None:
             continue
+        stripped = f"{pending} {stripped}".strip()
+        if stripped.count("[") > stripped.count("]"):
+            pending = stripped
+            continue
+        pending = ""
         pair = _KEY_VALUE_RE.match(stripped)
         if not pair:
             continue
         key = pair.group("key").strip("\"'")
-        value = pair.group("value").split("#")[0].strip()
-        current[key] = _parse_value(value)
+        current[key] = _parse_value(pair.group("value").strip())
     return table
 
 

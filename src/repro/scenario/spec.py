@@ -9,6 +9,12 @@ dicts/JSON (:func:`spec_from_dict` / :func:`spec_to_dict`).  CLI flags, the
 
 Design rules:
 
+* **The dataclasses are the schema.**  :func:`spec_from_dict` and
+  :func:`spec_to_dict` walk the dataclass fields: a field's annotation
+  picks its checker (scalar, ``Optional``, tuple/frozenset, nested
+  dataclass, or a ``{"kind": ...}`` tagged union for faults and eviction
+  policies), a field without a default is required, and the dump emits
+  every field.  A new spec field is one edit, to its dataclass.
 * **Strict loading.**  :func:`spec_from_dict` rejects unknown keys, wrong
   types and out-of-range values with a typed
   :class:`~repro.scenario.errors.ScenarioSpecError` carrying the field
@@ -35,7 +41,19 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.brahms.config import BrahmsConfig
 from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
@@ -102,7 +120,16 @@ FAULT_KINDS: Dict[str, Type[Fault]] = {
     "revocation-storm": RevocationStormFault,
 }
 
-_FAULT_NAMES: Dict[Type[Fault], str] = {cls: name for name, cls in FAULT_KINDS.items()}
+#: Annotated base class -> ``{"kind": ...}`` discriminator -> concrete
+#: class: the tagged unions of the dict form.
+_UNIONS: Dict[type, Dict[str, type]] = {
+    Fault: FAULT_KINDS,
+    EvictionPolicy: {"fixed": FixedEviction, "adaptive": AdaptiveEviction},
+}
+
+_KIND_OF: Dict[type, str] = {
+    cls: kind for kinds in _UNIONS.values() for kind, cls in kinds.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -142,44 +169,14 @@ def _check_mapping(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-def _check_int_list(value: Any, path: str) -> List[int]:
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioSpecError(f"expected a list of integers, got {value!r}", path)
-    return [_check_int(item, f"{path}[{index}]") for index, item in enumerate(value)]
-
-
-def _optional(checker: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
-    def check(value: Any, path: str) -> Any:
-        return None if value is None else checker(value, path)
-
-    return check
-
-
-def _load_fields(
-    data: Mapping[str, Any],
-    path: str,
-    checkers: Mapping[str, Callable[[Any, str], Any]],
-    required: Tuple[str, ...] = (),
-) -> Dict[str, Any]:
-    """Strictly type-check a section dict against its field checkers."""
-    data = _check_mapping(data, path)
-    for key in data:
-        if key not in checkers:
-            raise ScenarioSpecError("unknown field", f"{path}.{key}")
-    for key in required:
-        if key not in data:
-            raise ScenarioSpecError("required field is missing", f"{path}.{key}")
-    return {
-        key: checkers[key](value, f"{path}.{key}") for key, value in data.items()
-    }
-
-
 def _construct(cls: type, kwargs: Dict[str, Any], path: str):
     """Build a validated config dataclass, mapping its ValueError onto the
     offending field path when the message names the field (the project's
     config classes all lead with the field name)."""
     try:
         return cls(**kwargs)
+    except ScenarioSpecError:
+        raise  # already carries its own field path
     except ValueError as exc:
         message = str(exc)
         first = message.split()[0] if message.split() else ""
@@ -541,286 +538,112 @@ class ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# dict <-> spec conversion
+# dict <-> spec conversion: the dataclasses are the schema
 # ---------------------------------------------------------------------------
 
-_TOPOLOGY_CHECKERS = {
-    "n_nodes": _check_int,
-    "byzantine_fraction": _check_number,
-    "trusted_fraction": _check_number,
-    "poisoned_fraction": _check_number,
-    "view_ratio": _check_number,
-    "loss_rate": _check_number,
-    "transport_encryption": _check_bool,
-}
-
-_BRAHMS_CHECKERS = {
-    "view_size": _check_int,
-    "sample_size": _check_int,
-    "alpha": _check_number,
-    "beta": _check_number,
-    "gamma": _check_number,
-    "blocking_enabled": _check_bool,
-    "validation_period": _check_int,
-    "push_limit": _optional(_check_int),
-}
-
-_MEMBERSHIP_CHECKERS = {
-    "enabled": _check_bool,
-    "replica_count": _check_int,
-    "gossip_fanout": _check_int,
-    "service_contacts": _check_int,
-    "staleness_bound": _check_int,
-    "join_rate": _check_number,
-    "leave_rate": _check_number,
-    "rotate_on_leave": _check_bool,
-}
-
-_CHURN_CHECKERS = {
-    "kind": _check_str,
-    "leave_rate": _check_number,
-    "join_rate": _check_number,
-    "at_round": _check_int,
-    "fraction": _check_number,
-}
-
-_ENGINE_CHECKERS = {
-    "kind": _check_str,
-    "mode": _check_str,
-    "tick_interval": _check_number,
-    "latency": _optional(_check_str),
-    "load": _optional(_check_str),
-    "straggler": _optional(_check_str),
-    "shards": _check_int,
-}
-
-_RAPTEE_CHECKERS = {
-    "eviction": _check_mapping,
-    "auth_mode": _check_str,
-    "probe_pulls": _check_int,
-    "trusted_exchange_enabled": _check_bool,
-    "eviction_enabled": _check_bool,
-    "sketch_unbias_enabled": _check_bool,
-    "provisioning_key_bits": _check_int,
-    "with_cycle_accounting": _check_bool,
-    "cycle_mode": _check_str,
+_SCALARS: Dict[Any, Callable[[Any, str], Any]] = {
+    int: _check_int,
+    float: _check_number,
+    bool: _check_bool,
+    str: _check_str,
 }
 
 
-def _eviction_from_dict(data: Any, path: str) -> EvictionPolicy:
-    data = _check_mapping(data, path)
-    kind = _check_str(data.get("kind", ""), f"{path}.kind")
-    if kind == "fixed":
-        kwargs = _load_fields(
-            {k: v for k, v in data.items() if k != "kind"},
-            path,
-            {"value": _check_number},
-            required=("value",),
+def _load(value: Any, hint: Any, path: str) -> Any:
+    """Strictly load one value against the annotation of the field holding
+    it: a scalar, ``Optional``, a tuple/frozenset, a ``{"kind": ...}``
+    tagged union, or a nested dataclass."""
+    origin = get_origin(hint)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _load(value, get_args(hint)[0], path)
+    if hint in _SCALARS:
+        return _SCALARS[hint](value, path)
+    # Only a top-level key carries the "spec." prefix; what it holds is
+    # addressed from the root ("topology.n_nodes", "faults[2].kind").
+    if path.startswith("spec."):
+        path = path[len("spec."):]
+    if origin in (tuple, frozenset):
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioSpecError(
+                f"expected a list, got {type(value).__name__}", path
+            )
+        item_hint = get_args(hint)[0]
+        return origin(
+            _load(item, item_hint, f"{path}[{index}]")
+            for index, item in enumerate(value)
         )
-        return _construct(FixedEviction, kwargs, path)
-    if kind == "adaptive":
-        kwargs = _load_fields(
-            {k: v for k, v in data.items() if k != "kind"},
-            path,
-            {
-                "low_share": _check_number,
-                "high_share": _check_number,
-                "low_rate": _check_number,
-                "high_rate": _check_number,
-            },
-        )
-        return _construct(AdaptiveEviction, kwargs, path)
-    raise ScenarioSpecError(
-        f"unknown eviction kind {kind!r} (expected fixed or adaptive)",
-        f"{path}.kind",
-    )
+    data = dict(_check_mapping(value, path))
+    if hint in _UNIONS:
+        kinds = _UNIONS[hint]
+        if "kind" not in data:
+            raise ScenarioSpecError("required field is missing", f"{path}.kind")
+        kind = _check_str(data.pop("kind"), f"{path}.kind")
+        if kind not in kinds:
+            raise ScenarioSpecError(
+                f"unknown kind {kind!r} (expected one of: "
+                f"{', '.join(sorted(kinds))})",
+                f"{path}.kind",
+            )
+        hint = kinds[kind]
+    elif not dataclasses.is_dataclass(hint):
+        raise ScenarioSpecError(f"unsupported field type {hint!r}", path)
+    return _load_dataclass(data, hint, path)
 
 
-def _eviction_to_dict(policy: EvictionPolicy) -> Dict[str, Any]:
-    if isinstance(policy, FixedEviction):
-        return {"kind": "fixed", "value": policy.value}
-    if isinstance(policy, AdaptiveEviction):
-        return {
-            "kind": "adaptive",
-            "low_share": policy.low_share,
-            "high_share": policy.high_share,
-            "low_rate": policy.low_rate,
-            "high_rate": policy.high_rate,
-        }
-    raise ScenarioSpecError(
-        f"eviction policy {type(policy).__name__} has no dict form "
-        f"(only fixed/adaptive policies are serializable)",
-        "raptee.eviction",
-    )
-
-
-def _window_from_dict(data: Any, path: str) -> RoundWindow:
-    kwargs = _load_fields(
-        data, path, {"start": _check_int, "end": _check_int},
-        required=("start", "end"),
-    )
-    return _construct(RoundWindow, kwargs, path)
-
-
-def _fault_field_from_dict(value: Any, type_name: str, path: str) -> Any:
-    if "RoundWindow" in type_name:
-        return _window_from_dict(value, path)
-    if "FrozenSet" in type_name:
-        return frozenset(_check_int_list(value, path))
-    if "Tuple" in type_name:
-        return tuple(_check_int_list(value, path))
-    if type_name == "bool":
-        return _check_bool(value, path)
-    if type_name == "int":
-        return _check_int(value, path)
-    if type_name == "float":
-        return _check_number(value, path)
-    if type_name == "str":
-        return _check_str(value, path)
-    raise ScenarioSpecError(f"unsupported fault field type {type_name!r}", path)
-
-
-def _fault_from_dict(data: Any, path: str) -> Fault:
-    data = _check_mapping(data, path)
-    if "kind" not in data:
-        raise ScenarioSpecError("required field is missing", f"{path}.kind")
-    kind = _check_str(data["kind"], f"{path}.kind")
-    if kind not in FAULT_KINDS:
-        raise ScenarioSpecError(
-            f"unknown fault kind {kind!r} (expected one of: "
-            f"{', '.join(sorted(FAULT_KINDS))})",
-            f"{path}.kind",
-        )
-    cls = FAULT_KINDS[kind]
-    fault_fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs: Dict[str, Any] = {}
-    for key, value in data.items():
-        if key == "kind":
-            continue
-        if key not in fault_fields:
+def _load_dataclass(data: Dict[str, Any], cls: type, path: str) -> Any:
+    """Build ``cls`` from its dict form: every key must name a field, every
+    field without a default must be present, every value must load."""
+    fields = {spec_field.name: spec_field for spec_field in dataclasses.fields(cls)}
+    for key in data:
+        if key not in fields:
             raise ScenarioSpecError("unknown field", f"{path}.{key}")
-        kwargs[key] = _fault_field_from_dict(
-            value, str(fault_fields[key].type), f"{path}.{key}"
-        )
-    for name, spec_field in fault_fields.items():
+    for name, spec_field in fields.items():
         required = (
             spec_field.default is dataclasses.MISSING
             and spec_field.default_factory is dataclasses.MISSING
         )
-        if required and name not in kwargs:
+        if required and name not in data:
             raise ScenarioSpecError("required field is missing", f"{path}.{name}")
-    fault = _construct(cls, kwargs, path)
-    try:
-        fault.validate()
-    except ValueError as exc:
-        raise ScenarioSpecError(str(exc), path) from exc
-    return fault
+    hints = get_type_hints(cls)
+    return _construct(
+        cls,
+        {key: _load(item, hints[key], f"{path}.{key}") for key, item in data.items()},
+        path,
+    )
 
 
-def _fault_to_dict(fault: Fault) -> Dict[str, Any]:
-    kind = _FAULT_NAMES.get(type(fault))
-    if kind is None:
+def _dump(value: Any) -> Any:
+    """The plain-data form of a spec value: the inverse of :func:`_load`."""
+    if isinstance(value, tuple(_UNIONS)) and type(value) not in _KIND_OF:
         raise ScenarioSpecError(
-            f"fault {type(fault).__name__} has no dict form", "faults"
+            f"{type(value).__name__} has no dict form (not a registered kind)"
         )
-    payload: Dict[str, Any] = {"kind": kind}
-    for spec_field in dataclasses.fields(type(fault)):
-        value = getattr(fault, spec_field.name)
-        if isinstance(value, RoundWindow):
-            value = {"start": value.start, "end": value.end}
-        elif isinstance(value, frozenset):
-            value = sorted(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        payload[spec_field.name] = value
-    return payload
+    if dataclasses.is_dataclass(value):
+        payload = {
+            spec_field.name: _dump(getattr(value, spec_field.name))
+            for spec_field in dataclasses.fields(value)
+        }
+        if type(value) in _KIND_OF:
+            payload["kind"] = _KIND_OF[type(value)]
+        return payload
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_dump(item) for item in value]
+    return value
 
 
 def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     """Load and strictly validate a scenario spec from a plain dict.
 
     Optional sections may be omitted (their defaults apply); present
-    sections are checked key-by-key, and every failure raises
-    :class:`ScenarioSpecError` naming the field path.
+    sections are checked key-by-key against their dataclass, and every
+    failure raises :class:`ScenarioSpecError` naming the field path.
     """
-    top_checkers = {
-        "name": _check_str,
-        "spec_version": _check_int,
-        "protocol": _check_str,
-        "seed": _check_int,
-        "rounds": _check_int,
-        "adversary_strategy": _check_str,
-        "topology": _check_mapping,
-        "brahms": _optional(_check_mapping),
-        "raptee": _optional(_check_mapping),
-        "membership": _optional(_check_mapping),
-        "churn": _check_mapping,
-        "engine": _check_mapping,
-        "faults": lambda value, path: value,
-    }
-    fields = _load_fields(
-        data, "spec", top_checkers,
-        required=("name", "protocol", "seed", "rounds", "topology"),
-    )
-    if fields["rounds"] < 1:
+    spec = _load(data, ScenarioSpec, "spec")
+    if spec.rounds < 1:
         raise ScenarioSpecError("rounds must be a positive integer", "rounds")
-
-    topology = _construct(
-        TopologySpec,
-        _load_fields(fields["topology"], "topology", _TOPOLOGY_CHECKERS),
-        "topology",
-    )
-    brahms = None
-    if fields.get("brahms") is not None:
-        brahms = _construct(
-            BrahmsConfig,
-            _load_fields(fields["brahms"], "brahms", _BRAHMS_CHECKERS),
-            "brahms",
-        )
-    raptee = None
-    if fields.get("raptee") is not None:
-        raptee_kwargs = _load_fields(fields["raptee"], "raptee", _RAPTEE_CHECKERS)
-        if "eviction" in raptee_kwargs:
-            raptee_kwargs["eviction"] = _eviction_from_dict(
-                raptee_kwargs["eviction"], "raptee.eviction"
-            )
-        raptee = RapteeOptions(**raptee_kwargs)
-    membership = None
-    if fields.get("membership") is not None:
-        membership = _construct(
-            MembershipConfig,
-            _load_fields(fields["membership"], "membership", _MEMBERSHIP_CHECKERS),
-            "membership",
-        )
-    churn = ChurnSpec(**_load_fields(fields.get("churn", {}), "churn", _CHURN_CHECKERS))
-    engine = EngineSpec(
-        **_load_fields(fields.get("engine", {}), "engine", _ENGINE_CHECKERS)
-    )
-    faults_data = fields.get("faults", [])
-    if not isinstance(faults_data, (list, tuple)):
-        raise ScenarioSpecError(
-            f"expected a list of faults, got {type(faults_data).__name__}",
-            "faults",
-        )
-    faults = tuple(
-        _fault_from_dict(entry, f"faults[{index}]")
-        for index, entry in enumerate(faults_data)
-    )
-    return ScenarioSpec(
-        name=fields["name"],
-        spec_version=fields.get("spec_version", SCENARIO_SPEC_VERSION),
-        protocol=fields["protocol"],
-        seed=fields["seed"],
-        rounds=fields["rounds"],
-        adversary_strategy=fields.get("adversary_strategy", "adaptive_balanced"),
-        topology=topology,
-        brahms=brahms,
-        raptee=raptee,
-        membership=membership,
-        churn=churn,
-        faults=faults,
-        engine=engine,
-    )
+    return spec
 
 
 def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
@@ -830,28 +653,7 @@ def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
     ``spec_to_dict`` of a loaded spec is a fixpoint — the property the
     round-trip tests pin.
     """
-    return {
-        "name": spec.name,
-        "spec_version": spec.spec_version,
-        "protocol": spec.protocol,
-        "seed": spec.seed,
-        "rounds": spec.rounds,
-        "adversary_strategy": spec.adversary_strategy,
-        "topology": dataclasses.asdict(spec.topology),
-        "brahms": None if spec.brahms is None else dataclasses.asdict(spec.brahms),
-        "raptee": None
-        if spec.raptee is None
-        else dict(
-            dataclasses.asdict(spec.raptee),
-            eviction=_eviction_to_dict(spec.raptee.eviction),
-        ),
-        "membership": None
-        if spec.membership is None
-        else dataclasses.asdict(spec.membership),
-        "churn": dataclasses.asdict(spec.churn),
-        "faults": [_fault_to_dict(fault) for fault in spec.faults],
-        "engine": dataclasses.asdict(spec.engine),
-    }
+    return _dump(spec)
 
 
 def canonical_spec_json(spec: ScenarioSpec) -> str:

@@ -221,16 +221,6 @@ class Simulation:
         """Install (or clear, with ``None``) the round-start fault hook."""
         self._fault_controller = controller
 
-    @property
-    def fault_controller(self) -> Optional[FaultController]:
-        """The installed round-start fault hook, if any.
-
-        Exposed read-only so alternative clocks (the event engine in
-        :mod:`repro.events`) can fire the same hook at their own round
-        boundaries without reaching into a private attribute.
-        """
-        return self._fault_controller
-
     # -- telemetry -------------------------------------------------------------
 
     def set_telemetry(self, telemetry: Optional["Telemetry"]) -> None:
@@ -256,13 +246,8 @@ class Simulation:
 
     # -- execution -------------------------------------------------------------
 
-    def apply_churn(self) -> None:
-        """Apply this round's churn events (departures, then arrivals).
-
-        Public because it is part of the per-round boundary work shared
-        with the event-driven engine (:mod:`repro.events`), which opens
-        rounds on its own clock and must run the same membership step.
-        """
+    def _apply_churn(self) -> None:
+        """Apply this round's churn events (departures, then arrivals)."""
         # Only *alive* nodes are candidates for departure and count toward
         # the arrival rate: a crashed (alive=False) node is already out of
         # the protocol, so letting churn "depart" it would silently swallow
@@ -287,16 +272,28 @@ class Simulation:
             if self.telemetry is not None:
                 self.telemetry.event("churn.arrival", node=new_node.node_id)
 
-    def run_round(self) -> None:
-        """Execute one full round."""
+    def open_round(self) -> None:
+        """Start the next round: advance the round clock, apply churn, fire
+        the fault controller.  The one round boundary of both per-node
+        clocks — the head of :meth:`run_round`, and what the event engine
+        (:mod:`repro.events`) calls when its own clock opens a round."""
         self.round_number += 1
         self.network.current_round = self.round_number
         if self.telemetry is not None:
             self.telemetry.begin_round(self.round_number)
-        self.apply_churn()
+        self._apply_churn()
         if self._fault_controller is not None:
             with self._phase("faults"):
                 self._fault_controller.on_round_start(self)
+
+    def close_round(self) -> None:
+        """Finish the round :meth:`open_round` started."""
+        if self.telemetry is not None:
+            self.telemetry.end_round(len(self.alive_nodes()))
+
+    def run_round(self) -> None:
+        """Execute one full round."""
+        self.open_round()
         ctx = RoundContext(self, self.round_number)
 
         alive = self.alive_nodes()
@@ -315,8 +312,7 @@ class Simulation:
             for node in alive:
                 if node.alive:
                     node.end_round(ctx)
-        if self.telemetry is not None:
-            self.telemetry.end_round(len(self.alive_nodes()))
+        self.close_round()
 
     def run(self, rounds: int, observers: Sequence[Observer] = ()) -> None:
         """Run ``rounds`` rounds, invoking observers after each."""

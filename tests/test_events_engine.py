@@ -262,3 +262,7 @@ class TestSloFigure:
         assert served[1] > served[0]
         # Non-degenerate latency: p95 is a positive bucket bound.
         assert all(float(row[4]) > 0 for row in first.rows)
+        # The bytes the figure rendered before it went through _scenario/_run.
+        assert hashlib.sha256(first.render().encode("utf-8")).hexdigest() == (
+            "a37bb2d607414a1c0863faf9fa13a871759def3f61ee6b22954fe8d5a69a61f3"
+        )

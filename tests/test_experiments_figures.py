@@ -1,12 +1,18 @@
 """Figure-reproduction harness tests at tiny scale.
 
 These exercise the per-figure entry points end-to-end (tiny topologies, few
-rounds) — the real reproductions live in ``benchmarks/``.
+rounds) — the real reproductions live in ``benchmarks/``.  Every figure
+family also carries the sha256 of its rendered table, recorded at the last
+commit whose figures wired and looped seeds by hand: the one
+spec → ``run_scenario`` → ``repeat`` path must print the same bytes.
 """
+
+import hashlib
 
 import pytest
 
 from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.experiments import figures
 from repro.experiments.figures import (
     BaselineCache,
     Scale,
@@ -14,11 +20,19 @@ from repro.experiments.figures import (
     figure3_brahms_baseline,
     figure13_poisoned_injection,
     identification_figure,
+    membership_churn_figure,
+    straggler_figure,
     table1_sgx_overhead,
 )
 from repro.experiments.reporting import format_percent, format_round, format_table
 
 TINY = Scale(n_nodes=100, rounds=25, repetitions=1, view_ratio=0.1, base_seed=5)
+#: Two seeds, so the pins cover the seed sweep's mean and ordering too.
+PAIR = Scale(n_nodes=60, rounds=12, repetitions=2, view_ratio=0.1, base_seed=7)
+
+
+def _sha256(result) -> str:
+    return hashlib.sha256(result.render().encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +67,24 @@ class TestFigure3:
         assert "10%" in rendered
         pollution = [float(value) for value in result.column("byz-in-views %")]
         assert all(0.0 <= value <= 100.0 for value in pollution)
+        assert _sha256(result) == (
+            "002faa479475bf2fe5bffa6f7695b090961bc46d051bf721eb7e4d66146bc866"
+        )
 
-    def test_baseline_cache_reuses_runs(self, cache):
-        first = cache.get(0.10, TINY.base_seed)
-        second = cache.get(0.10, TINY.base_seed)
-        assert first is second
+    def test_baseline_cache_reuses_runs(self, monkeypatch):
+        cache = BaselineCache(PAIR)
+        result = figure3_brahms_baseline(PAIR, f_values=(0.10, 0.30), cache=cache)
+        assert _sha256(result) == (
+            "725eb7babd128c484aab1d3aa3f96e3220d4a864120905d163468df4327306ce"
+        )
+        first = cache.mean_metrics(0.10)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cached baseline was run again")
+
+        # A second request for the same f runs nothing.
+        monkeypatch.setattr(figures, "_run", no_run)
+        assert cache.mean_metrics(0.10) is first
 
 
 class TestTable1:
@@ -68,6 +95,9 @@ class TestTable1:
             standard = float(str(row[1]).replace(",", ""))
             sgx = float(str(row[2]).replace(",", ""))
             assert sgx > standard
+        assert _sha256(result) == (
+            "e1417bcbb42ac4c5c339a3c8145e357f43dde6aa191db675651bf0a068691e6a"
+        )
 
 
 class TestEvictionFigure:
@@ -80,6 +110,9 @@ class TestEvictionFigure:
         row = result.rows[0]
         assert row[0] == "10%" and row[1] == "10%"
         float(row[2])  # improvement parses
+        assert _sha256(result) == (
+            "42e815ce28b46839ab50d69e912df0834637dceb7be1bd565460ca36a4581f59"
+        )
 
 
 class TestIdentificationFigure:
@@ -92,6 +125,9 @@ class TestIdentificationFigure:
         _policy, _t, precision, recall, f1 = result.rows[0]
         for value in (precision, recall, f1):
             assert 0.0 <= float(value) <= 1.0
+        assert _sha256(result) == (
+            "9e7e9c164e206d75d6fae60d612dbb969cd87336dfed31d1c0557ddeb70b91a6"
+        )
 
 
 class TestFigure13:
@@ -102,3 +138,35 @@ class TestFigure13:
         )
         assert len(result.rows) == 2
         assert {row[1] for row in result.rows} == {"0%", "10%"}
+        assert _sha256(result) == (
+            "2e59a0bb2050a29b3d26a6445469203f10859fc2699f6a0a361239e62128b3e9"
+        )
+
+
+class TestMembershipChurnFigure:
+    def test_churn_fires_and_renders_the_pinned_table(self):
+        scale = Scale(n_nodes=40, rounds=12, repetitions=2, view_ratio=0.1, base_seed=5)
+        result = membership_churn_figure(
+            scale, churn_rates=(0.5,), trusted_fraction=0.1
+        )
+        (row,) = result.rows
+        # The mechanism under test fired: the trusted set did churn.
+        assert float(row[3]) + float(row[4]) > 0
+        assert float(row[2]) > 0  # and every leave re-keyed the group
+        assert _sha256(result) == (
+            "00f319053be362b76175af0439c1d0250ea6406612ed540efa740f83188b49a6"
+        )
+
+
+class TestStragglerFigure:
+    def test_stragglers_run_late_and_render_the_pinned_table(self):
+        scale = Scale(n_nodes=60, rounds=12, repetitions=1, view_ratio=0.1, base_seed=5)
+        result = straggler_figure(scale, profiles=((0.0, 1.0), (0.2, 8.0)))
+        assert [row[0] for row in result.rows] == ["none", "20% @ 8x"]
+        healthy, slowed = result.rows
+        # Slowed nodes complete fewer cycles, and more of them late.
+        assert int(slowed[2]) < int(healthy[2])
+        assert float(slowed[3]) > float(healthy[3])
+        assert _sha256(result) == (
+            "69ef2486fb1a4d0535e36efd1c56919cf970b9e16f14d634b64efce0219a73ba"
+        )

@@ -6,6 +6,7 @@ machinery is exercised against real findings.
 """
 
 import json
+import pathlib
 import textwrap
 
 import pytest
@@ -759,6 +760,22 @@ class TestReportingAndCli:
         assert table["paths"] == ["src", "tests"]
         assert table["disable"] == []
         assert table["scopes"] == {"purity-io": ["repro/sim"]}
+
+    def test_minimal_toml_fallback_reads_the_repos_own_table(self):
+        """The repo's scope overrides are multi-line arrays: the fallback
+        (what Python < 3.11 runs) must read what ``tomllib`` reads, not
+        ``'['`` — which silently scoped three rules to no file at all."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        text = (root / "pyproject.toml").read_text(encoding="utf-8")
+        table = _parse_minimal_toml_table(text)
+        assert set(table["scopes"]) == {
+            "det-set-iteration", "purity-print", "purity-io"
+        }
+        for scope in table["scopes"].values():
+            assert len(scope) > 10
+            assert all(prefix.startswith("repro/") for prefix in scope)
+        tomllib = pytest.importorskip("tomllib")
+        assert table == tomllib.loads(text)["tool"]["repro-lint"]
 
     def test_cli_clean_file_exits_zero(self, tmp_path, capsys):
         from repro.lint.cli import main

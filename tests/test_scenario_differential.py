@@ -207,20 +207,57 @@ class TestFrontEndsAgree:
                 f"{state.blocked_rounds}, evicted {state.evicted_ids})") in printed
 
 
+def _package_trees():
+    package = Path(__file__).resolve().parents[1] / "src" / "repro"
+    for path in sorted(package.rglob("*.py")):
+        yield (path.relative_to(package).as_posix(),
+               ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _callers(trees, names, methods=True):
+    """Files with a call to a function (or method) named in ``names``."""
+    return {
+        file for file, tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id",
+                    getattr(node.func, "attr", None) if methods else None) in names
+    }
+
+
 def test_only_run_scenario_wires_the_instrumentation_stack():
     """Under ``src/repro`` the three ``wire_*`` functions are called from
     :mod:`repro.scenario.run` and nowhere else."""
-    package = Path(__file__).resolve().parents[1] / "src" / "repro"
     wiring = {"wire_telemetry", "wire_faults", "wire_events"}
-    callers = set()
-    for path in sorted(package.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                callee = node.func
-                name = getattr(callee, "id", getattr(callee, "attr", None))
-                if name in wiring:
-                    callers.add(path.relative_to(package).as_posix())
-    assert callers == {"scenario/run.py"}
+    assert _callers(_package_trees(), wiring) == {"scenario/run.py"}
+
+
+def test_every_stage_of_the_pipeline_exists_once():
+    """The figures neither build, wire nor loop seeds by hand; the spec has
+    no checker table beside its dataclasses; the seed sweep has callers."""
+    trees = dict(_package_trees())
+    figures = list(ast.walk(trees["experiments/figures.py"]))
+    imported = {
+        alias.name for node in figures
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    }
+    assert not imported & {
+        "build_brahms_simulation", "build_raptee_simulation", "run_bundle"
+    }
+    seed_loops = [
+        node for node in figures
+        if isinstance(node, (ast.For, ast.comprehension))
+        and getattr(node.target, "id", None) == "seed"
+    ]
+    assert not seed_loops
+    assigned = {
+        node.id for node in ast.walk(trees["scenario/spec.py"])
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert not {name for name in assigned if name.endswith("_CHECKERS")}
+    for sweep in ("repeat", "map_ordered"):
+        # Plain-name calls only: ``np.repeat`` is not the seed sweep.
+        callers = _callers(trees.items(), {sweep}, methods=False)
+        assert callers - {"experiments/runner.py"}, sweep
 
 
 class TestViewSizeValidation:

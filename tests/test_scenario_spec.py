@@ -15,18 +15,28 @@ The loader's promise (satellites 2-3 of the conformance-suite issue):
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import itertools
 import json
+from typing import Optional, get_origin, get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.brahms.config import BrahmsConfig
+from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.experiments.scenarios import TopologySpec
+from repro.faults.plan import RoundWindow
+from repro.membership import MembershipConfig
 from repro.scenario import (
     ScenarioSpec,
     ScenarioSpecError,
     spec_from_dict,
     spec_to_dict,
 )
+from repro.scenario.spec import FAULT_KINDS, ChurnSpec, EngineSpec, RapteeOptions
 from repro.scenario.cli import main as vectors_main
 from repro.scenario.vectors import generate_vector, read_vector, write_vector
 from repro.snapshot.format import SnapshotVersionError
@@ -260,6 +270,82 @@ def test_invalid_specs_fail_with_field_path(case):
         spec_from_dict(data)
     assert excinfo.value.path == expected_path
     assert expected_path in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# The dataclasses are the schema: per-field checks derived from their fields
+# ---------------------------------------------------------------------------
+
+def _sample(hint, counter):
+    """A valid dict-form value for a required fault field annotated ``hint``."""
+    if hint is RoundWindow:
+        return {"start": 1, "end": 2}
+    if get_origin(hint) in (tuple, frozenset):
+        return [next(counter), next(counter)]
+    return {bool: True, int: next(counter), float: 0.5, str: "x"}[hint]
+
+
+def _full_spec_dict(eviction):
+    """Canonical dict of a spec with every optional section present and one
+    fault of every kind, its field values generated from the annotations."""
+    counter = itertools.count(1)
+    faults = []
+    for kind, cls in FAULT_KINDS.items():
+        hints = get_type_hints(cls)
+        faults.append(dict(
+            {field.name: _sample(hints[field.name], counter)
+             for field in dataclasses.fields(cls)},
+            kind=kind,
+        ))
+    return spec_to_dict(spec_from_dict({
+        "name": "every-field", "protocol": "raptee", "seed": 1, "rounds": 100,
+        "topology": {"n_nodes": 80, "trusted_fraction": 0.2},
+        "brahms": {}, "raptee": {"eviction": eviction}, "membership": {},
+        "faults": faults,
+    }))
+
+
+_EVICTIONS = {"fixed": FixedEviction, "adaptive": AdaptiveEviction}
+
+
+def _sites(spec_dict):
+    """``(path, dict, dataclass, is a {"kind": ...} union)`` for every
+    dataclass-shaped dict inside a canonical spec dict."""
+    yield "spec", spec_dict, ScenarioSpec, False
+    for name, cls in (
+        ("topology", TopologySpec), ("brahms", BrahmsConfig),
+        ("raptee", RapteeOptions), ("membership", MembershipConfig),
+        ("churn", ChurnSpec), ("engine", EngineSpec),
+    ):
+        yield name, spec_dict[name], cls, False
+    eviction = spec_dict["raptee"]["eviction"]
+    yield "raptee.eviction", eviction, _EVICTIONS[eviction["kind"]], True
+    for index, fault in enumerate(spec_dict["faults"]):
+        yield f"faults[{index}]", fault, FAULT_KINDS[fault["kind"]], True
+        if "window" in fault:
+            yield f"faults[{index}].window", fault["window"], RoundWindow, False
+
+
+@pytest.mark.parametrize("eviction", [{"kind": "fixed", "value": 0.5},
+                                      {"kind": "adaptive"}], ids=sorted(_EVICTIONS))
+def test_every_dataclass_field_is_dumped_and_type_checked(eviction):
+    full = _full_spec_dict(eviction)
+    assert {fault["kind"] for fault in full["faults"]} == set(FAULT_KINDS)
+    for index, (path, section, cls, union) in enumerate(_sites(full)):
+        hints = get_type_hints(cls)
+        names = {field.name for field in dataclasses.fields(cls)}
+        # The dump emits exactly the dataclass's fields (+ the union tag).
+        assert set(section) == names | ({"kind"} if union else set()), path
+        for name in names:
+            scalar = hints[name] in (int, float, bool, str, Optional[int], Optional[str])
+            textual = hints[name] in (str, Optional[str])
+            broken = copy.deepcopy(full)
+            list(_sites(broken))[index][1][name] = 7 if textual else "wrong"
+            with pytest.raises(ScenarioSpecError) as excinfo:
+                spec_from_dict(broken)
+            # Top-level keys keep the "spec." prefix; what they hold does not.
+            expected = name if path == "spec" and not scalar else f"{path}.{name}"
+            assert excinfo.value.path == expected, (path, name)
 
 
 def test_scenario_spec_error_is_never_a_bare_keyerror():
