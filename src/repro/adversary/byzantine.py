@@ -3,8 +3,10 @@
 A Byzantine node:
 
 * pushes its ID to the victims the coordinator assigns (balanced or
-  targeted schedule, within the rate limit — it cannot exceed it, the
-  limiter is enforced system-side);
+  targeted schedule, within the rate limit — the coordinator's budget is
+  :attr:`~repro.brahms.config.BrahmsConfig.effective_push_limit` ×
+  ``BYZANTINE_PUSH_LIMIT_MULTIPLIER`` per identity and it never hands out
+  more);
 * answers every pull request with a view of exclusively Byzantine IDs;
 * participates in the mutual-auth handshake with a random key of its own —
   it cannot forge K_T, and refusing to answer would make it conspicuous;

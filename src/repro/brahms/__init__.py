@@ -6,7 +6,6 @@ the round structure and the mapping of the four defense mechanisms to code.
 
 from repro.brahms.config import BrahmsConfig
 from repro.brahms.countmin import CountMinSketch, StreamUnbiaser
-from repro.brahms.limiter import ComputationalPuzzle, PushRateLimiter
 from repro.brahms.node import BrahmsNode, PulledBatch
 from repro.brahms.sampler import Sampler, SamplerGroup
 
@@ -14,8 +13,6 @@ __all__ = [
     "BrahmsConfig",
     "CountMinSketch",
     "StreamUnbiaser",
-    "ComputationalPuzzle",
-    "PushRateLimiter",
     "BrahmsNode",
     "PulledBatch",
     "Sampler",

@@ -16,8 +16,8 @@ The defense mechanisms map to code as follows:
                              nodes send α·l1 pushes by design, and the
                              scenario builders cap every Byzantine identity
                              at ``BYZANTINE_PUSH_LIMIT_MULTIPLIER`` times it
-                             (:class:`repro.brahms.limiter.PushRateLimiter`
-                             is the stand-alone budget no engine constructs);
+                             (the cap is that number on every engine; the
+                             puzzle mechanism §II assumes is not modelled);
 (ii)  attack detection     → the ``blocked`` predicate in :meth:`end_round`;
 (iii) push/pull balancing  → the α/β split of the view renewal;
 (iv)  history sampling     → the γ portion drawn from the sample list S.

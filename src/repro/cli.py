@@ -2,9 +2,10 @@
 
 Argument wiring over the scenario pipeline: flags become one
 :class:`~repro.scenario.spec.ScenarioSpec` (:func:`_spec_from_args`), run
-by :func:`~repro.scenario.run.run_scenario` — or built by ``compile_spec``
-/ ``shard_simulation_from_spec`` where the command drives the rounds
-itself (checkpointing, the shard engine).  The commands:
+by :func:`~repro.scenario.run.run_scenario` on any of the three engines —
+or built by ``compile_spec`` where the command drives the rounds itself
+(checkpointing).  ``run`` prints one report (:func:`_report`) whatever
+the engine.  The commands:
 
 * ``run`` — execute one Brahms or RAPTEE simulation and print the paper's
   three metrics; ``--checkpoint-every N`` saves a resumable snapshot every
@@ -68,10 +69,11 @@ from repro.experiments.figures import (
 from repro.experiments.runner import bundle_metrics
 from repro.experiments.scenarios import TopologySpec
 from repro.faults.drills import DRILLS, run_drill
-from repro.scenario.compile import compile_spec, shard_simulation_from_spec
+from repro.scenario.compile import compile_spec
 from repro.scenario.errors import ScenarioSpecError
 from repro.scenario.run import run_scenario
 from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec
+from repro.shard.compile import ShardUnsupportedError
 from repro.telemetry import TelemetryConfig
 
 __all__ = ["main", "build_parser", "parse_eviction"]
@@ -302,79 +304,78 @@ def _spec_from_args(args) -> ScenarioSpec:
     )
 
 
+def _line(label: str, value: object) -> None:
+    print(f"{label + ':':<20}{value}")
+
+
+def _report(protocol: str, topology: TopologySpec, rounds: int, metrics,
+            engine_lines=()) -> None:
+    """The run report of every engine: what ran, the engine's own
+    ``(label, value)`` set-up lines, the paper's three metrics.  What the
+    engine produced follows from the caller, through :func:`_line`."""
+    _line("protocol", protocol)
+    _line("nodes", f"{topology.n_nodes} (byz {topology.n_byzantine}, "
+                   f"trusted {topology.n_trusted}, poisoned +{topology.n_poisoned})")
+    _line("rounds", rounds)
+    for label, value in engine_lines:
+        _line(label, value)
+    _line("byz IDs in views", f"{metrics.resilience_percent:.1f}%")
+    for label, reached in (("discovery round", metrics.discovery_round),
+                           ("stability round", metrics.stability_round)):
+        _line(label, reached if reached > 0 else "not reached")
+
+
+def _events_lines(options, engine):
+    yield "engine", f"events (continuous, tick {options.tick_interval:g} s)"
+    yield "latency model", options.latency.describe()
+    if options.stragglers is not None:
+        yield "stragglers", options.stragglers.describe()
+    yield "cycles", f"{engine.cycles} (late {100.0 * engine.late_fraction:.1f}%)"
+    load = engine.load
+    if load is not None:
+        yield "load", (f"{load.spec.describe()} -> "
+                       f"{load.served} served, {load.failed} failed")
+        yield "request latency", (
+            f"p50 {load.latency_percentile_ms(0.50):.1f} ms, "
+            f"p95 {load.latency_percentile_ms(0.95):.1f} ms, "
+            f"p99 {load.latency_percentile_ms(0.99):.1f} ms")
+        yield "byz samples", f"{100.0 * load.byzantine_fraction:.1f}%"
+
+
 def _command_run_events(args) -> int:
     import json
 
     artifacts = run_scenario(
         _spec_from_args(args), telemetry=TelemetryConfig(tracing=False)
     )
-    metrics = artifacts.metrics
-    options = artifacts.bundle.events.options
-    engine = artifacts.bundle.events.engine
-    topology = artifacts.spec.topology
-    print(f"protocol:           {args.protocol}")
-    print(f"nodes:              {topology.n_nodes} (byz {topology.n_byzantine}, "
-          f"trusted {topology.n_trusted}, poisoned +{topology.n_poisoned})")
-    print(f"rounds:             {artifacts.spec.rounds}")
-    print(f"engine:             events (continuous, tick "
-          f"{options.tick_interval:g} s)")
-    print(f"latency model:      {options.latency.describe()}")
-    if options.stragglers is not None:
-        print(f"stragglers:         {options.stragglers.describe()}")
-    print(f"cycles:             {engine.cycles} "
-          f"(late {100.0 * engine.late_fraction:.1f}%)")
-    load = engine.load
-    if load is not None:
-        print(f"load:               {load.spec.describe()} -> "
-              f"{load.served} served, {load.failed} failed")
-        print(f"request latency:    p50 {load.latency_percentile_ms(0.50):.1f} ms, "
-              f"p95 {load.latency_percentile_ms(0.95):.1f} ms, "
-              f"p99 {load.latency_percentile_ms(0.99):.1f} ms")
-        print(f"byz samples:        {100.0 * load.byzantine_fraction:.1f}%")
-    print(f"byz IDs in views:   {metrics.resilience_percent:.1f}%")
-    print(f"discovery round:    {metrics.discovery_round if metrics.discovery_round > 0 else 'not reached'}")
-    print(f"stability round:    {metrics.stability_round if metrics.stability_round > 0 else 'not reached'}")
+    events = artifacts.bundle.events
+    _report(args.protocol, artifacts.spec.topology, artifacts.spec.rounds,
+            artifacts.metrics, _events_lines(events.options, events.engine))
     if args.events_trace_out:
+        load = events.engine.load
         records = [] if load is None else load.records
         with open(args.events_trace_out, "w", encoding="utf-8") as stream:
             for record in records:
                 stream.write(json.dumps(record, sort_keys=True))
                 stream.write("\n")
-        print(f"latency trace:      {args.events_trace_out} "
-              f"({len(records)} requests)")
+        _line("latency trace",
+              f"{args.events_trace_out} ({len(records)} requests)")
     return 0
 
 
-def _command_run_shard(args) -> int:
-    from repro.shard.compile import ShardUnsupportedError
-
-    spec = _spec_from_args(args)
-    try:
-        simulation = shard_simulation_from_spec(spec, workers=args.shard_workers)
-    except ShardUnsupportedError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    simulation.run(spec.rounds)
-    last = simulation.trace_records[-1]
-    share = (
-        100.0 * last["byz_entries"] / last["view_entries"]
-        if last["view_entries"] else 0.0
+def _command_shard_run(args) -> int:
+    artifacts = run_scenario(
+        _spec_from_args(args), telemetry=None, workers=args.shard_workers
     )
-    config = simulation.config
-    stats = simulation.stats
-    state = simulation.state
-    print(f"protocol:           {args.protocol} (shard engine)")
-    print(f"nodes:              {config.n_nodes} (byz {config.n_byzantine}, "
-          f"trusted {config.n_trusted})")
-    print(f"shards:             {args.shards} "
-          f"(workers {args.shard_workers})")
-    print(f"rounds:             {spec.rounds}")
-    print(f"byz IDs in views:   {share:.1f}%")
-    print(f"pushes sent:        {stats.pushes_sent}")
-    print(f"requests sent:      {stats.requests_sent}")
-    print(f"messages lost:      {stats.messages_lost}")
-    print(f"renewals:           {state.renewals} "
-          f"(blocked {state.blocked_rounds}, evicted {state.evicted_ids})")
+    _report(f"{args.protocol} (shard engine)", artifacts.spec.topology,
+            artifacts.spec.rounds, artifacts.metrics,
+            [("shards", f"{args.shards} (workers {args.shard_workers})")])
+    stats, state = artifacts.bundle.stats, artifacts.bundle.state
+    _line("pushes sent", stats.pushes_sent)
+    _line("requests sent", stats.requests_sent)
+    _line("messages lost", stats.messages_lost)
+    _line("renewals", f"{state.renewals} (blocked {state.blocked_rounds}, "
+                      f"evicted {state.evicted_ids})")
     return 0
 
 
@@ -415,7 +416,7 @@ def _command_run(args) -> int:
               file=sys.stderr)
         return 2
     if args.shards is not None:
-        return _command_run_shard(args)
+        return _command_shard_run(args)
     if args.engine == "events":
         return _command_run_events(args)
     if args.resume:
@@ -455,17 +456,10 @@ def _command_run(args) -> int:
         checkpoint_every=args.checkpoint_every,
         checkpoint_path=checkpoint_path,
     )
-    spec = state.bundle.spec
-    metrics = bundle_metrics(state.bundle, state.rounds_completed)
-    print(f"protocol:           {protocol}")
-    print(f"nodes:              {spec.n_nodes} (byz {spec.n_byzantine}, "
-          f"trusted {spec.n_trusted}, poisoned +{spec.n_poisoned})")
-    print(f"rounds:             {state.rounds_completed}")
-    print(f"byz IDs in views:   {metrics.resilience_percent:.1f}%")
-    print(f"discovery round:    {metrics.discovery_round if metrics.discovery_round > 0 else 'not reached'}")
-    print(f"stability round:    {metrics.stability_round if metrics.stability_round > 0 else 'not reached'}")
+    _report(protocol, state.bundle.spec, state.rounds_completed,
+            bundle_metrics(state.bundle, state.rounds_completed))
     if checkpoint_path:
-        print(f"checkpoint:         {checkpoint_path}")
+        _line("checkpoint", checkpoint_path)
     return 0
 
 
@@ -579,8 +573,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ScenarioSpecError as error:
-        # A flag value the spec rejects: report the field, like any misuse.
+    except (ScenarioSpecError, ShardUnsupportedError) as error:
+        # A flag value the spec rejects, or a feature `--shards` does not
+        # model: report the field or the feature, like any misuse.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -135,19 +135,22 @@ def run_bundle(bundle: SimulationBundle, rounds: int, tail: int = 10) -> RunMetr
     return bundle_metrics(bundle, rounds, tail=tail)
 
 
-def bundle_metrics(bundle: SimulationBundle, rounds: int, tail: int = 10) -> RunMetrics:
-    """The paper's three metrics from an already-executed bundle.
+def bundle_metrics(bundle, rounds: int, tail: int = 10) -> RunMetrics:
+    """The paper's three metrics from an already-executed run — a
+    :class:`SimulationBundle` or a ``ShardSimulation``, which share the
+    three members read here (``view_size`` is the l1 the views really
+    have: it sizes the stability band).
 
     Split out of :func:`run_bundle` so checkpointed executions (see
     :mod:`repro.snapshot`) can run the rounds in resumable chunks and still
     produce the identical metrics object at the end.
     """
-    view_size = bundle.spec.brahms_config().view_size
+    records = bundle.view_records
     return RunMetrics(
-        resilience=resilience_from_trace(bundle.trace.records, tail=tail),
-        discovery_round=bundle.discovery.all_discovered_round(bundle.simulation),
+        resilience=resilience_from_trace(records, tail=tail),
+        discovery_round=bundle.discovery_round,
         stability_round=stability_round(
-            bundle.trace.records, view_size=view_size, sustained=3
+            records, view_size=bundle.view_size, sustained=3
         ),
         rounds=rounds,
     )

@@ -47,9 +47,9 @@ from repro.membership.service import MembershipConfig, ReplicatedProvisioningSer
 from repro.sgx.cycles import CycleAccountant, CycleModel
 from repro.sim.bootstrap import UniformBootstrap
 from repro.sim.engine import Simulation
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkStats
 from repro.sim.node import NodeKind
-from repro.sim.observers import DiscoveryObserver, ViewTraceObserver
+from repro.sim.observers import DiscoveryObserver, RoundRecord, ViewTraceObserver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.harness import EventHarness
@@ -146,12 +146,19 @@ class TopologySpec:
 
 @dataclass
 class SimulationBundle:
-    """Everything a runner needs to execute and measure one simulation."""
+    """Everything a runner needs to execute and measure one simulation.
+
+    A finished run is read through ``telemetry``, ``stats``, ``view_size``,
+    ``view_records``, ``discovery_round`` and ``all_views()``, which a
+    :class:`~repro.shard.engine.ShardSimulation` has under the same names.
+    """
 
     simulation: Simulation
     trace: ViewTraceObserver
     discovery: DiscoveryObserver
     spec: TopologySpec
+    #: l1 the nodes run with (``spec`` derives one; a scenario may override it).
+    view_size: int
     coordinator: Optional[AdversaryCoordinator] = None
     infrastructure: Optional[TrustedInfrastructure] = None
     trusted_ids: frozenset = frozenset()
@@ -167,6 +174,25 @@ class SimulationBundle:
     #: Set by :func:`repro.events.harness.wire_events`; the event-driven
     #: engine wired over this bundle, when one is attached.
     events: Optional["EventHarness"] = None
+
+    @property
+    def stats(self) -> NetworkStats:
+        return self.simulation.network.stats
+
+    @property
+    def view_records(self) -> List[RoundRecord]:
+        return self.trace.records
+
+    @property
+    def discovery_round(self) -> int:
+        return self.discovery.all_discovered_round(self.simulation)
+
+    def all_views(self) -> Dict[int, Tuple[int, ...]]:
+        """Every node's current view, Byzantine ids included, in id order."""
+        return {
+            node_id: tuple(node.view_ids())
+            for node_id, node in sorted(self.simulation.nodes.items())
+        }
 
     def observer_stack(self, extra_observers: Sequence = ()) -> List:
         """The per-round observer list every engine drives: metric
@@ -236,6 +262,7 @@ def _bundle(
         trace=ViewTraceObserver(),
         discovery=DiscoveryObserver(),
         spec=spec,
+        view_size=scenario.brahms_config.view_size,
         coordinator=coordinator,
         **trusted_side,
     )
@@ -304,7 +331,7 @@ def build_brahms_simulation(
 def _build_brahms_impl(scenario: "ScenarioSpec") -> SimulationBundle:
     """Assemble the Brahms population of a validated scenario spec."""
     spec, seed = scenario.topology, scenario.seed
-    config = scenario.brahms or spec.brahms_config()
+    config = scenario.brahms_config
     correct_ids = list(range(spec.n_byzantine, spec.n_nodes))
     coordinator, nodes = _adversary(scenario, config, correct_ids)
     nodes.extend(
@@ -379,7 +406,7 @@ def _build_raptee_impl(scenario: "ScenarioSpec") -> SimulationBundle:
     spec, seed = scenario.topology, scenario.seed
     options, membership = scenario.raptee_options, scenario.membership
     membership_on = membership is not None and membership.enabled
-    brahms_config = scenario.brahms or spec.brahms_config()
+    brahms_config = scenario.brahms_config
     raptee_config = RapteeConfig(
         brahms=brahms_config,
         eviction=options.eviction,

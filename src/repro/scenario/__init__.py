@@ -5,11 +5,12 @@ the ROADMAP's conformance-suite goal):
 
 * :mod:`repro.scenario.spec` — the versioned, strictly-validated
   :class:`ScenarioSpec` schema and its dict/JSON loader;
-* :mod:`repro.scenario.compile` — spec → :class:`SimulationBundle`, the
-  build path of every front-end (flags, ``build_*_simulation``, dicts);
-* :mod:`repro.scenario.run` — wire and run a spec (the one place the
-  instrumentation stack is assembled) and collect its deterministic
-  surface;
+* :mod:`repro.scenario.compile` — spec → :class:`SimulationBundle` (or a
+  ``ShardSimulation``), the build path of every front-end (flags,
+  ``build_*_simulation``, dicts);
+* :mod:`repro.scenario.run` — wire and run a spec on any of the three
+  engines (the one place the instrumentation stack is assembled) and
+  collect its deterministic surface;
 * :mod:`repro.scenario.catalog` — the committed grid of golden
   scenarios;
 * :mod:`repro.scenario.vectors` — checksummed golden vectors

@@ -8,12 +8,13 @@ shows up here before it can reach an external implementation.
 The grid follows the paper's evaluation axes at test scale (§V-B/§VI):
 Byzantine fraction f, trusted fraction t, poisoned injections, adversary
 strategies, message loss, protocol churn, network/SGX/membership fault
-drills, dynamic trusted-set membership, and both engines (lockstep
+drills, dynamic trusted-set membership, and all three engines (lockstep
 rounds; event-driven barrier and continuous with latency, load and
-straggler models).  Populations are 40-80 nodes and 6 rounds so the
-whole suite replays in seconds — pollution *dynamics* at this scale are
-not the paper's numbers, but their byte-exact reproducibility is what a
-conformance vector pins.
+straggler models; the sharded batch engine at five partition counts).
+Populations are 40-80 nodes and 6 rounds (one shard entry runs 32, long
+enough to reach system discovery) so the whole suite replays in seconds —
+pollution *dynamics* at this scale are not the paper's numbers, but their
+byte-exact reproducibility is what a conformance vector pins.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def _raptee(name: str, seed: int, *, n_nodes: int = 40, f: float = 0.10,
 
 _WINDOW_2_4 = {"start": 2, "end": 4}
 
+
+def _shard(shards: int) -> Dict[str, Any]:
+    """The sections every shard-engine entry shares (the balanced adversary
+    is the one that engine models); the partition count differs per entry
+    because it must not change a byte."""
+    return {"adversary_strategy": "balanced",
+            "engine": {"kind": "shard", "shards": shards}}
+
+
 CATALOG: Tuple[Dict[str, Any], ...] = (
     # --- Brahms baseline: the f sweep behind Fig. 3's collapse curve ----
     _brahms("brahms-f05", 101, f=0.05),
@@ -73,8 +83,9 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
     # --- Adversary strategy mixes --------------------------------------
     _brahms("brahms-adversary-balanced", 107, f=0.20,
             adversary_strategy="balanced"),
-    # ("targeted" needs per-victim flood lists the builders don't carry, so
-    # the catalog covers the two builder-reachable strategies.)
+    # ("targeted" floods a victim list no spec field carries: run_scenario
+    # refuses it at `adversary_strategy`, so the catalog covers the two
+    # strategies a spec can run.)
     _brahms("brahms-adversary-balanced-f30", 108, f=0.30,
             adversary_strategy="balanced"),
     # --- Protocol churn ------------------------------------------------
@@ -171,6 +182,21 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
                     "latency": "lognormal:30:0.5"},
             faults=[{"kind": "loss-burst", "window": _WINDOW_2_4,
                      "loss_rate": 0.25}]),
+    # --- Sharded batch engine ------------------------------------------
+    # (32 rounds: discovery is reached in round 29, so one shard vector
+    # pins a discovery_round that is not the -1 sentinel.)
+    _brahms("shard-brahms", 401, rounds=32, **_shard(1)),
+    _raptee("shard-raptee-fixed-eviction", 402, t=0.20,
+            raptee={"eviction": {"kind": "fixed", "value": 0.6}}, **_shard(2)),
+    _raptee("shard-raptee-adaptive-eviction", 403, t=0.20,
+            raptee={"eviction": {"kind": "adaptive"}}, **_shard(3)),
+    # (Base loss_rate 0: every lost message is the burst's.)
+    _brahms("shard-fault-lossburst", 404,
+            faults=[{"kind": "loss-burst", "window": _WINDOW_2_4,
+                     "loss_rate": 0.30}], **_shard(4)),
+    _raptee("shard-fault-crash", 405, t=0.20,
+            faults=[{"kind": "crash-restart", "node_id": 5, "at_round": 2,
+                     "down_rounds": 2}], **_shard(5)),
 )
 
 

@@ -1,14 +1,13 @@
 """Compile a :class:`~repro.scenario.spec.ScenarioSpec` into runnable parts.
 
-:func:`compile_spec` is the single build path of the per-node engines:
-CLI flags, the ``build_*_simulation`` functions and loaded dicts all
-produce a :class:`~repro.scenario.spec.ScenarioSpec`, and this function
-hands it to the assembly code in :mod:`repro.experiments.scenarios` —
-which reads each parameter off the spec where it is used — then attaches
-the spec's churn plan through the engine's public
-:meth:`~repro.sim.engine.Simulation.set_churn` seam.
-:func:`shard_simulation_from_spec` is the same step for ``kind='shard'``
-specs.
+:func:`compile_spec` is the single build path of all three engines: CLI
+flags, the ``build_*_simulation`` functions and loaded dicts all produce a
+:class:`~repro.scenario.spec.ScenarioSpec`.  A per-node spec goes to the
+assembly code in :mod:`repro.experiments.scenarios` — which reads each
+parameter off the spec where it is used — and gets its churn plan attached
+through the engine's public :meth:`~repro.sim.engine.Simulation.set_churn`
+seam; a ``kind='shard'`` spec goes to :func:`shard_simulation_from_spec`,
+the only place under ``src/repro`` a shard engine is constructed.
 
 The runtime-only sections (fault plan, engine choice) are translated by
 :func:`fault_plan_from_spec` / :func:`event_options_from_spec` and wired
@@ -102,19 +101,19 @@ def _honest_node_config(spec: ScenarioSpec, bundle: SimulationBundle):
     )
 
 
-def compile_spec(spec: ScenarioSpec) -> SimulationBundle:
-    """Build the :class:`SimulationBundle` a spec describes.
+def compile_spec(spec: ScenarioSpec, workers: int = 1):
+    """Build what a spec describes: a :class:`SimulationBundle` for the
+    per-node engines, a :class:`~repro.shard.engine.ShardSimulation` for
+    ``kind='shard'``.
 
     Compiles the population/protocol sections; the runtime sections
-    (faults, engine) are wired onto the bundle by
-    :func:`~repro.scenario.run.run_scenario`.
+    (faults, engine) are wired onto a bundle by
+    :func:`~repro.scenario.run.run_scenario`.  ``workers`` is the shard
+    engine's thread count — it cannot change a byte, so it is an argument
+    and not a spec field; the per-node engines run on one thread.
     """
     if spec.engine.kind == "shard":
-        raise ValueError(
-            f"scenario {spec.name!r} selects the shard engine, which builds "
-            f"no per-node SimulationBundle; compile it with "
-            f"shard_simulation_from_spec() instead"
-        )
+        return shard_simulation_from_spec(spec, workers=workers)
     build = _build_brahms_impl if spec.protocol == "brahms" else _build_raptee_impl
     bundle = build(spec)
     churn = churn_model_from_spec(spec.churn)
@@ -128,8 +127,7 @@ def compile_spec(spec: ScenarioSpec) -> SimulationBundle:
     return bundle
 
 
-def shard_simulation_from_spec(spec: ScenarioSpec, workers: int = 1,
-                               telemetry=None):
+def shard_simulation_from_spec(spec: ScenarioSpec, workers: int = 1):
     """Compile a ``kind='shard'`` spec into a ready
     :class:`~repro.shard.engine.ShardSimulation` (partition count comes
     from ``spec.engine.shards``).  Raises
@@ -139,10 +137,7 @@ def shard_simulation_from_spec(spec: ScenarioSpec, workers: int = 1,
     from repro.shard.engine import ShardSimulation
 
     return ShardSimulation(
-        shard_config_from_spec(spec),
-        shards=spec.engine.shards,
-        workers=workers,
-        telemetry=telemetry,
+        shard_config_from_spec(spec), shards=spec.engine.shards, workers=workers
     )
 
 

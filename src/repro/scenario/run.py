@@ -1,16 +1,20 @@
 """Wire and run a scenario spec: the one place a scenario becomes a run.
 
-:func:`run_scenario` is what every front-end calls on the per-node
-engines (CLI ``run --engine events`` / ``trace`` / ``attack``, figures,
-fault drills, the vector generator and conformance runner): compile the
-spec, wire the instrumentation stack (telemetry → faults → events), run
-whichever engine ended up attached.  No other module under ``src/repro``
-calls ``wire_telemetry`` / ``wire_faults`` / ``wire_events``
-(``tests/test_scenario_differential.py`` checks).
+:func:`run_scenario` is what every front-end calls, for all three engines
+(CLI ``run`` with ``--engine events`` or ``--shards`` / ``trace`` /
+``attack``, figures, fault drills, the vector generator and conformance
+runner): compile the spec, then either wire the per-node instrumentation
+stack (telemetry → faults → events) and run whichever per-node engine
+ended up attached, or hand the shard engine its hub and run it.  No other
+module under ``src/repro`` calls ``wire_telemetry`` / ``wire_faults`` /
+``wire_events`` (``tests/test_scenario_differential.py`` checks).
 
 :class:`ScenarioArtifacts` is the finished run; the determinism contract
 of the differential suites — trace JSONL, metrics CSV, final views,
-traffic totals, the paper's three end metrics — is computed when read.
+traffic totals, the paper's three end metrics — is computed when read,
+through six members a ``SimulationBundle`` and a ``ShardSimulation`` both
+have (``telemetry``, ``stats``, ``view_size``, ``view_records``,
+``discovery_round``, ``all_views()``); nothing in it asks which engine ran.
 
 :func:`artifact_sections` reduces those artifacts to the named, JSON-safe
 sections a conformance vector stores (bulky artifacts shrink to sha256
@@ -26,7 +30,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.events.harness import wire_events
 from repro.experiments.runner import RunMetrics, bundle_metrics
-from repro.experiments.scenarios import SimulationBundle
 from repro.faults.harness import wire_faults
 from repro.faults.invariants import InvariantChecker
 from repro.scenario.compile import (
@@ -37,6 +40,7 @@ from repro.scenario.compile import (
 from repro.scenario.errors import ScenarioSpecError
 from repro.scenario.spec import ScenarioSpec, spec_to_dict
 from repro.telemetry import (
+    Telemetry,
     TelemetryConfig,
     metrics_to_csv,
     trace_to_jsonl,
@@ -46,12 +50,17 @@ from repro.telemetry import (
 __all__ = ["ScenarioArtifacts", "run_scenario", "artifact_sections"]
 
 
+_NETWORK_TOTALS = ("pushes_sent", "pushes_delivered", "requests_sent",
+                   "replies_delivered", "messages_lost", "bytes_encrypted")
+
+
 @dataclass
 class ScenarioArtifacts:
     """One finished scenario run; every export is computed when read."""
 
     spec: ScenarioSpec
-    bundle: SimulationBundle
+    #: The engine object that ran: a ``SimulationBundle`` or a ``ShardSimulation``.
+    bundle: Any
     #: The record-only checker that observed every round, when asked for.
     checker: Optional[InvariantChecker] = None
 
@@ -65,10 +74,7 @@ class ScenarioArtifacts:
 
     @property
     def final_views(self) -> Dict[int, Tuple[int, ...]]:
-        return {
-            node_id: tuple(node.view_ids())
-            for node_id, node in sorted(self.bundle.simulation.nodes.items())
-        }
+        return self.bundle.all_views()
 
     @property
     def metrics(self) -> RunMetrics:
@@ -76,15 +82,8 @@ class ScenarioArtifacts:
 
     @property
     def network_totals(self) -> Tuple[int, int, int, int, int, int]:
-        stats = self.bundle.simulation.network.stats
-        return (
-            stats.pushes_sent,
-            stats.pushes_delivered,
-            stats.requests_sent,
-            stats.replies_delivered,
-            stats.messages_lost,
-            stats.bytes_encrypted,
-        )
+        stats = self.bundle.stats
+        return tuple(getattr(stats, name) for name in _NETWORK_TOTALS)
 
 
 def run_scenario(
@@ -93,18 +92,22 @@ def run_scenario(
         tracing=True, trace_messages=True, trace_ecalls=True
     ),
     check_invariants: bool = False,
+    workers: int = 1,
 ) -> ScenarioArtifacts:
     """Compile one spec, wire its instrumentation stack, and run it.
 
-    Order matters: telemetry first, so the fault layer and the event engine
-    pick the hub up from the simulation; faults second, so the controller
-    fires at every round boundary of either clock; events last.
+    Order matters on the per-node engines: telemetry first, so the fault
+    layer and the event engine pick the hub up from the simulation; faults
+    second, so the controller fires at every round boundary of either
+    clock; events last.  The shard engine compiled its faults in and only
+    takes the hub.
 
     ``telemetry`` is the hub configuration, ``None`` for no hub; the
     default (full message and ECALL tracing) is what the conformance
     vectors digest.  ``check_invariants`` has a record-only
     :class:`~repro.faults.invariants.InvariantChecker` observe every round
-    (returned as ``artifacts.checker``).
+    (returned as ``artifacts.checker``); it reads node objects, so a shard
+    spec refuses it.  ``workers`` is ``compile_spec``'s.
     """
     if spec.rounds < 1:
         raise ScenarioSpecError(
@@ -112,7 +115,24 @@ def run_scenario(
             f"rounds >= 1 are runnable",
             "rounds",
         )
-    bundle = compile_spec(spec)
+    if spec.adversary_strategy == "targeted":
+        raise ScenarioSpecError(
+            "the 'targeted' strategy floods a list of victims and no spec "
+            "field carries one; build the bundle with compile_spec() and set "
+            "coordinator.flood_targets before running it",
+            "adversary_strategy",
+        )
+    on_shard = spec.engine.kind == "shard"
+    if on_shard and check_invariants:
+        from repro.shard.compile import ShardUnsupportedError
+
+        raise ShardUnsupportedError("the InvariantChecker (check_invariants)")
+    bundle = compile_spec(spec, workers=workers)
+    if on_shard:
+        if telemetry is not None:
+            bundle.telemetry = Telemetry(telemetry)
+        bundle.run(spec.rounds)
+        return ScenarioArtifacts(spec=spec, bundle=bundle)
     if telemetry is not None:
         wire_telemetry(bundle, telemetry)
     plan = fault_plan_from_spec(spec)
@@ -144,7 +164,7 @@ def _view_trace_section(artifacts: ScenarioArtifacts) -> List[Dict[str, Any]]:
     produced — JSON round-trips them losslessly, so equality is exact.
     """
     rows: List[Dict[str, Any]] = []
-    for record in artifacts.bundle.trace.records:
+    for record in artifacts.bundle.view_records:
         rows.append(
             {
                 "round": record.round_number,
@@ -168,11 +188,7 @@ def artifact_sections(artifacts: ScenarioArtifacts) -> Dict[str, Any]:
     trace = artifacts.trace_jsonl
     metrics_csv = artifacts.metrics_csv
     metrics = artifacts.metrics
-    network = dict(zip(
-        ("pushes_sent", "pushes_delivered", "requests_sent",
-         "replies_delivered", "messages_lost", "bytes_encrypted"),
-        artifacts.network_totals,
-    ))
+    network = dict(zip(_NETWORK_TOTALS, artifacts.network_totals))
     return {
         "spec": spec_to_dict(artifacts.spec),
         "view_trace": _view_trace_section(artifacts),

@@ -510,6 +510,12 @@ class ScenarioSpec:
         defaults when the section is omitted."""
         return self.raptee or RapteeOptions()
 
+    @property
+    def brahms_config(self) -> BrahmsConfig:
+        """The Brahms parameters in force: the ``brahms`` section, or the
+        sizes the topology derives when the section is omitted."""
+        return self.brahms or self.topology.brahms_config()
+
     def describe(self) -> str:
         """A one-line human summary (the ``vectors list`` row)."""
         topo = self.topology

@@ -1,7 +1,7 @@
 """Sharded, vectorized simulation core (the batch counterpart of
 :mod:`repro.sim`).
 
-The legacy engine is one Python object per node and one callback per
+The per-node engines keep one Python object per node and one callback per
 message — the right shape for protocol fidelity, the wrong one for
 N = 10,000.  This package stores the whole population as struct-of-arrays
 (:mod:`repro.shard.state`), batches each round's push/pull traffic per
@@ -12,15 +12,14 @@ barrier — a stable ``(round, src, dst, seq)`` sort over the merged message
 stream — makes every run byte-identical regardless of shard count, worker
 count or numeric backend; ``tests/test_shard_differential.py`` pins that.
 
-:func:`run_sharded` is the one-call surface: build, run, and collect the
-byte-comparable artifacts (trace JSONL, metrics CSV, final views, network
-totals).
+A ``kind='shard'`` :class:`~repro.scenario.spec.ScenarioSpec` runs through
+:func:`repro.scenario.run.run_scenario` like a spec for any other engine
+and comes back as the same :class:`~repro.scenario.run.ScenarioArtifacts`
+(trace JSONL, metrics CSV, final views, network totals, the paper's three
+metrics); this package has no runner or artifact type of its own.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, List
 
 from repro.shard.engine import ShardSimulation
 from repro.shard.state import ShardConfig, ShardState, build_state, partition_bounds
@@ -29,64 +28,6 @@ __all__ = [
     "ShardConfig",
     "ShardState",
     "ShardSimulation",
-    "ShardArtifacts",
     "build_state",
     "partition_bounds",
-    "run_sharded",
 ]
-
-
-@dataclass
-class ShardArtifacts:
-    """The byte-comparison surface of one sharded run."""
-
-    simulation: ShardSimulation
-    trace_jsonl: str
-    metrics_csv: str
-    final_views: Dict[int, List[int]]
-    network_totals: Dict[str, int]
-
-
-def run_sharded(
-    config: ShardConfig,
-    rounds: int,
-    shards: int = 1,
-    workers: int = 1,
-    use_numpy: bool = True,
-    trace_messages: bool = False,
-) -> ShardArtifacts:
-    """Run ``rounds`` rounds and collect every byte-identity artifact.
-
-    The differential suite calls this for each (shards, workers, backend)
-    combination and asserts the artifacts are equal byte for byte.
-    """
-    from repro.telemetry import (
-        TelemetryConfig,
-        Telemetry,
-        metrics_to_csv,
-        trace_to_jsonl,
-    )
-
-    telemetry = Telemetry(
-        TelemetryConfig(tracing=True, trace_messages=trace_messages)
-    )
-    simulation = ShardSimulation(
-        config, shards=shards, workers=workers, use_numpy=use_numpy,
-        telemetry=telemetry,
-    )
-    simulation.run(rounds)
-    stats = simulation.stats
-    return ShardArtifacts(
-        simulation=simulation,
-        trace_jsonl=trace_to_jsonl(telemetry.trace.events),
-        metrics_csv=metrics_to_csv(telemetry.registry),
-        final_views=simulation.final_views(),
-        network_totals={
-            "pushes_sent": stats.pushes_sent,
-            "pushes_delivered": stats.pushes_delivered,
-            "requests_sent": stats.requests_sent,
-            "replies_delivered": stats.replies_delivered,
-            "messages_lost": stats.messages_lost,
-            "bytes_encrypted": stats.bytes_encrypted,
-        },
-    )

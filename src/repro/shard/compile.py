@@ -5,9 +5,12 @@ space: Brahms and RAPTEE topologies, message loss, modeled transport
 encryption, fixed/adaptive eviction, the balanced adversary, loss-burst
 and crash/restart faults.  Everything else — churn, membership epochs,
 poisoned-view injection, sketch unbiasing, probe pulls, cycle accounting,
-the adaptive adversary, the event clock — stays on the legacy per-node
-engines; asking for it raises :class:`ShardUnsupportedError` naming the
-feature, never a silent approximation.
+the adaptive adversary, the event clock, the invariant checker — stays on
+the per-node engines; asking for it raises :class:`ShardUnsupportedError`
+naming the feature, never a silent approximation.
+:func:`repro.scenario.run.run_scenario` drives the compiled engine like
+the other two; :func:`shard_config_from_topology` is the keyword spelling
+the engine's own tests build edge-case configs with.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def shard_config_from_topology(
     crashes=(),
 ) -> ShardConfig:
     """Build a :class:`ShardConfig` from a topology + Brahms parameters
-    (the CLI's ``repro run --shards N`` path).
+    (what :func:`shard_config_from_spec` ends in).
 
     ``brahms`` defaults to ``topology.brahms_config()`` — the same derived
     view/sample sizes every other builder uses.
@@ -142,7 +145,7 @@ def shard_config_from_spec(spec) -> ShardConfig:
         spec.topology,
         spec.seed,
         protocol=spec.protocol,
-        brahms=spec.brahms,
+        brahms=spec.brahms_config,
         eviction=options.eviction,
         eviction_enabled=options.eviction_enabled,
         trusted_exchange=options.trusted_exchange_enabled,

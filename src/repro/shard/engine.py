@@ -36,6 +36,10 @@ byte-identical; it does not reproduce legacy byte streams):
 * A sampler retains the lexicographically smallest ``(hash, id)`` pair —
   the id tiebreak (probability ~2^-31 per pair) makes both backends and
   any shard count agree exactly.
+* System discovery counts what a node *observed* — its ``known`` row
+  (pushed and pulled ids, after eviction) plus itself; the per-node
+  engines also count the bootstrap view and evicted ids.  The metric
+  definitions themselves are :mod:`repro.analysis.metrics`' on every engine.
 
 Backend strategy: the pure-Python paths are the readable reference, run
 only when a differential test passes ``use_numpy=False``; the numpy paths
@@ -77,6 +81,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.metrics import DISCOVERY_THRESHOLD
 from repro.crypto.minwise import MERSENNE_PRIME_31
 from repro.shard.rand import Purpose, key64, key_array
 from repro.shard.state import (
@@ -87,6 +92,8 @@ from repro.shard.state import (
     partition_bounds,
 )
 from repro.sim.network import NetworkStats
+from repro.sim.node import NodeKind
+from repro.sim.observers import RoundRecord
 
 __all__ = ["ShardSimulation", "plan_partition", "apply_partition", "merge_plans"]
 
@@ -1294,6 +1301,13 @@ class ShardSimulation:
         self.telemetry = telemetry
         self.trace_records: List[Dict[str, object]] = []
         self._bounds = partition_bounds(config.n_nodes, shards)
+        # What the paper's metrics are read from, per correct node: each
+        # round's Byzantine view shares (NaN while the node is down), the
+        # correct ids it has observed, the round it discovered the system.
+        correct = config.n_nodes - config.n_byzantine
+        self._view_shares: List = []
+        self._known_correct = np.zeros(correct, dtype=np.int64)
+        self._discovered_at = np.full(correct, -1, dtype=np.int64)
 
     # -- faults ---------------------------------------------------------------
 
@@ -1302,6 +1316,7 @@ class ShardSimulation:
             if self.round_number == at_round:
                 self.state.alive[node] = False
                 self._emit("shard.crash", node=node)
+                self._count("faults.crashes", 1)
             elif self.round_number == at_round + down_rounds:
                 self.state.alive[node] = True
                 self._emit("shard.restart", node=node)
@@ -1456,8 +1471,31 @@ class ShardSimulation:
 
     def _close_round(self, round_no: int, barrier: Barrier,
                      deltas: Sequence[PartitionDelta]) -> None:
-        byz_entries, total_entries = self._view_poll()
-        byz_share = byz_entries / total_entries if total_entries else 0.0
+        """The round's one reduction over the new state: O(N·l1) for the
+        views plus one pass over the round's fresh ``(owner, id)`` pairs."""
+        config, state = self.config, self.state
+        n_byz = config.n_byzantine
+        alive = np.asarray(state.alive[n_byz:], dtype=bool)
+        byz, lens = self._view_poll()
+        byz_entries, total_entries = int(byz[alive].sum()), int(lens[alive].sum())
+        shares = np.divide(byz, lens, out=np.zeros(lens.size), where=lens > 0)
+        self._view_shares.append(np.where(alive, shares, np.nan))
+        for delta in deltas:
+            if delta.known_arrays is not None:
+                # In slices, like the scatter in `_integrate`: bincount
+                # widens its int32 input, and a round-1 flood is millions
+                # of pairs.
+                owners, ids = delta.known_arrays
+                for at in range(0, ids.size, _BLOCK_ELEMENTS):
+                    cut = slice(at, at + _BLOCK_ELEMENTS)
+                    self._known_correct += np.bincount(
+                        owners[cut][ids[cut] >= n_byz], minlength=config.n_nodes
+                    )[n_byz:]
+            for node, fresh in delta.known_additions:
+                self._known_correct[node - n_byz] += sum(i >= n_byz for i in fresh)
+        # A node always knows itself; `known` rows never hold their owner.
+        reached = (self._known_correct + 1) / alive.size >= DISCOVERY_THRESHOLD
+        self._discovered_at[alive & reached & (self._discovered_at < 0)] = round_no
         record = {
             "round": round_no,
             "pushes": barrier.pushes_sent,
@@ -1471,36 +1509,26 @@ class ShardSimulation:
         }
         self.trace_records.append(record)
         if self.telemetry is not None:
-            self.telemetry.gauge("shard.byz_view_share").set(byz_share)
+            self._count("shard.renewals", record["renewals"])
+            self._count("shard.blocked_rounds", record["blocked"])
+            self._count("shard.evicted_ids", record["evicted"])
+            for name in ("trusted_exchanges", "sampler_resets"):
+                self._count(f"shard.{name}", sum(getattr(d, name) for d in deltas))
+            self.telemetry.gauge("shard.byz_view_share").set(
+                byz_entries / total_entries if total_entries else 0.0
+            )
             self.telemetry.event("round.stats", **record)
-            if self.state.use_numpy:
-                alive = int(self.state.alive.sum())
-            else:
-                alive = sum(1 for flag in self.state.alive if flag)
-            self.telemetry.end_round(alive)
+            self.telemetry.end_round(int(np.count_nonzero(state.alive)))
 
-    def _view_poll(self) -> Tuple[int, int]:
-        """(Byzantine entries, total entries) across correct alive views."""
-        config, state = self.config, self.state
-        byz_entries = 0
-        total = 0
+    def _view_poll(self) -> Tuple:
+        """Per correct node, in id order: the Byzantine entries and all
+        entries of its view (two integer arrays)."""
+        n_byz, state = self.config.n_byzantine, self.state
         if state.use_numpy:
-            lens = state.view_len[config.n_byzantine:]
-            alive = state.alive[config.n_byzantine:]
-            rows = state.view[config.n_byzantine:]
-            valid = (
-                np.arange(rows.shape[1])[None, :] < lens[:, None]
-            ) & alive[:, None]
-            byz_entries = int(((rows < config.n_byzantine) & valid & (rows >= 0)).sum())
-            total = int(lens[alive].sum())
-        else:
-            for node in range(config.n_byzantine, config.n_nodes):
-                if not state.is_alive(node):
-                    continue
-                row = state.view[node]
-                byz_entries += sum(1 for v in row if v < config.n_byzantine)
-                total += len(row)
-        return byz_entries, total
+            rows = state.view[n_byz:]  # -1 padded past their length
+            return ((rows >= 0) & (rows < n_byz)).sum(axis=1), state.view_len[n_byz:]
+        return (np.array([sum(v < n_byz for v in row) for row in state.view[n_byz:]]),
+                np.array(state.view_len[n_byz:]))
 
     def run(self, rounds: int) -> None:
         for _ in range(rounds):
@@ -1514,3 +1542,51 @@ class ShardSimulation:
             node: self.state.view_row(node)
             for node in range(self.config.n_byzantine, self.config.n_nodes)
         }
+
+    # The finished run as :class:`repro.scenario.run.ScenarioArtifacts` reads
+    # it: with ``telemetry`` and ``stats``, the members a ``SimulationBundle``
+    # has under the same names.  Records are built here, when read.
+
+    @property
+    def view_size(self) -> int:
+        return self.config.view_size
+
+    def all_views(self) -> Dict[int, Tuple[int, ...]]:
+        """Every node's view in id order; Byzantine rows hold no state."""
+        return {
+            node: tuple(self.state.view_row(node))
+            for node in range(self.config.n_nodes)
+        }
+
+    @property
+    def view_records(self) -> List[RoundRecord]:
+        """What :class:`~repro.sim.observers.ViewTraceObserver` records on
+        the per-node engines: per round, the Byzantine share of every alive
+        correct view, also grouped by node kind.  (A record's mean is the
+        mean of *shares*, the paper's metric; ``trace_records`` holds the
+        share of *entries* — equal only while all views have one length.)"""
+        config = self.config
+        nodes = range(config.n_byzantine, config.n_nodes)
+        kinds = [
+            NodeKind.for_banded_id(node, config.n_byzantine, config.n_trusted)
+            for node in nodes
+        ]
+        records = []
+        for round_no, shares in enumerate(self._view_shares, start=1):
+            record = RoundRecord(round_no)
+            for node, kind, share in zip(nodes, kinds, shares.tolist()):
+                if share == share:  # not NaN: the node was up
+                    record.byzantine_fraction[node] = share
+                    record.by_kind.setdefault(kind, []).append(share)
+            records.append(record)
+        return records
+
+    @property
+    def discovery_round(self) -> int:
+        """Round by which every correct node now alive had observed
+        :data:`~repro.analysis.metrics.DISCOVERY_THRESHOLD` of the correct
+        ids; -1 if some node has not."""
+        reached = self._discovered_at[
+            np.asarray(self.state.alive[self.config.n_byzantine:], dtype=bool)
+        ]
+        return int(reached.max()) if reached.size and reached.min() >= 0 else -1

@@ -24,7 +24,10 @@ from repro.experiments.scenarios import (
 )
 from repro.faults.harness import wire_faults
 from repro.faults.plan import CrashRestartFault, FaultPlan, LossBurstFault, RoundWindow
+from repro.scenario.run import ScenarioArtifacts
+from repro.shard import ShardSimulation
 from repro.telemetry import (
+    Telemetry,
     TelemetryConfig,
     metrics_to_csv,
     trace_to_jsonl,
@@ -174,3 +177,20 @@ def run_built(bundle, seed, plan, driver=None):
 def run_pinned(name, driver=None):
     """:func:`run_built` on one :data:`PINNED` scenario."""
     return run_built(*PINNED[name](), driver=driver)
+
+
+def run_shard_config(config, rounds, shards=1, workers=1, use_numpy=True,
+                     trace_messages=False):
+    """Run a hand-built :class:`~repro.shard.state.ShardConfig` — the shard
+    suites' edge cases, and their pure-backend rows (``use_numpy`` stops at
+    the ``ShardSimulation`` seam) — and read it through the
+    :class:`ScenarioArtifacts` that ``run_scenario`` returns.  There is no
+    spec behind it, so ``metrics`` and ``artifact_sections`` do not apply."""
+    simulation = ShardSimulation(
+        config, shards=shards, workers=workers, use_numpy=use_numpy,
+        telemetry=Telemetry(
+            TelemetryConfig(tracing=True, trace_messages=trace_messages)
+        ),
+    )
+    simulation.run(rounds)
+    return ScenarioArtifacts(spec=None, bundle=simulation)

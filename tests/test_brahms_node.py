@@ -2,10 +2,7 @@
 
 import random
 
-import pytest
-
 from repro.brahms.config import BrahmsConfig
-from repro.brahms.limiter import ComputationalPuzzle, PushRateLimiter
 from repro.brahms.node import BrahmsNode, PulledBatch
 from repro.sim.engine import Simulation
 from repro.sim.messages import PullReply, PullRequest, Push
@@ -175,57 +172,3 @@ class TestViewRenewal:
         _sim, nodes, _config = build_small_world(rounds=10)
         for node in nodes:
             assert node.node_id not in node.view
-
-
-class TestRateLimiter:
-    def test_budget_enforced(self):
-        limiter = PushRateLimiter(3)
-        limiter.start_round(1)
-        assert [limiter.allow(7) for _ in range(5)] == [True, True, True, False, False]
-        assert limiter.remaining(7) == 0
-
-    def test_budget_resets_per_round(self):
-        limiter = PushRateLimiter(1)
-        limiter.start_round(1)
-        assert limiter.allow(7)
-        assert not limiter.allow(7)
-        limiter.start_round(2)
-        assert limiter.allow(7)
-
-    def test_budgets_are_per_sender(self):
-        limiter = PushRateLimiter(1)
-        limiter.start_round(1)
-        assert limiter.allow(1)
-        assert limiter.allow(2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PushRateLimiter(0)
-
-
-class TestComputationalPuzzle:
-    def test_solve_and_verify(self):
-        puzzle = ComputationalPuzzle(difficulty_bits=8)
-        nonce = puzzle.solve(b"challenge")
-        assert puzzle.verify(b"challenge", nonce)
-
-    def test_solution_is_challenge_specific(self):
-        puzzle = ComputationalPuzzle(difficulty_bits=12)
-        nonce = puzzle.solve(b"challenge")
-        # A 12-bit puzzle solution transfers to another challenge with
-        # probability 2^-12; this fixed pair is a non-transfer case.
-        assert not puzzle.verify(b"another challenge", nonce)
-
-    def test_expected_work_scales_with_difficulty(self):
-        # The found nonce is a geometric variable with mean 2^bits; check
-        # that an 11-bit puzzle needs more attempts than a 3-bit one on a
-        # fixed challenge (deterministic given SHA-256).
-        easy_nonce = ComputationalPuzzle(difficulty_bits=3).solve(b"work")
-        hard_nonce = ComputationalPuzzle(difficulty_bits=11).solve(b"work")
-        assert hard_nonce > easy_nonce
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ComputationalPuzzle(0)
-        with pytest.raises(ValueError):
-            ComputationalPuzzle(64)

@@ -44,11 +44,12 @@ def test_commitment_floor():
 
 
 def test_coverage_axes():
-    """Committed vectors span both engines, faults, churn, membership and
-    several adversary mixes — the acceptance criteria's axes."""
+    """Committed vectors span all three engines, faults, churn, membership
+    and several adversary mixes — the acceptance criteria's axes."""
     specs = [read_vector(str(path))[1]["spec"] for path in VECTOR_PATHS]
     assert any(spec["engine"]["kind"] == "rounds" for spec in specs)
     assert any(spec["engine"]["kind"] == "events" for spec in specs)
+    assert any(spec["engine"]["kind"] == "shard" for spec in specs)
     assert any(spec["faults"] for spec in specs)
     assert any(spec["churn"]["kind"] != "none" for spec in specs)
     assert any(spec["membership"] is not None for spec in specs)
@@ -73,7 +74,9 @@ def test_vector_replays_identically(path):
 # engines do not count yet (evicted ids, trusted swaps, probe pulls,
 # poisoned injections, sketch-unbias drops, cycle charges — ROADMAP's
 # run-report item) have no entry, so their catalog rows only get the
-# "the protocol ran" floor.
+# "the protocol ran" floor.  The shard engine counts evictions and swaps
+# (`shard.*`), so its RAPTEE rows are held to them; its two fault kinds are
+# part of the round itself, not of an injector with recovery counters.
 
 
 def _registry(run):
@@ -113,12 +116,25 @@ _FAULT_FIRED = {
 }
 
 
+_SHARD_FAULT_FIRED = {
+    # Catalog shard rows keep the base loss_rate at 0: a loss is the burst's.
+    "loss-burst": [_total("network.messages_lost")],
+    "crash-restart": [_total("faults.crashes")],
+}
+
+
 def _mechanism_checks(entry):
     """``[(what, count(run))]`` the entry's own spec says must be non-zero."""
     checks = [("rounds ran", _total("sim.rounds")),
               ("pushes delivered", _total("network.pushes_delivered"))]
+    engine = entry.get("engine", {})
+    on_shard = engine.get("kind") == "shard"
+    fault_fired = _SHARD_FAULT_FIRED if on_shard else _FAULT_FIRED
     for fault in entry.get("faults", ()):
-        checks.extend((fault["kind"], fired) for fired in _FAULT_FIRED[fault["kind"]])
+        checks.extend((fault["kind"], fired) for fired in fault_fired[fault["kind"]])
+    if on_shard and entry["protocol"] == "raptee":
+        checks.append(("trusted swaps", _total("shard.trusted_exchanges")))
+        checks.append(("ids evicted", _total("shard.evicted_ids")))
     membership = entry.get("membership", {})
     if membership.get("join_rate") or membership.get("leave_rate"):
         checks.append(("trusted-set churn",
@@ -129,8 +145,7 @@ def _mechanism_checks(entry):
                        lambda run: _registry(run).value("sim.alive_nodes") != population))
     if entry["topology"].get("transport_encryption"):
         checks.append(("bytes encrypted",
-                       lambda run: run.bundle.simulation.network.stats.bytes_encrypted))
-    engine = entry.get("engine", {})
+                       lambda run: run.bundle.stats.bytes_encrypted))
     if "latency" in engine:
         checks.append(("round trips timed", _total("events.rtt_ms")))
     if "load" in engine:

@@ -87,6 +87,26 @@ class TestFigure3:
         assert cache.mean_metrics(0.10) is first
 
 
+    def test_a_cell_runs_on_the_shard_engine(self):
+        """The figure runner has no engine of its own: a cell whose spec
+        says ``kind="shard"`` goes down the same ``_run`` → ``repeat`` road,
+        and the partition count is invisible in its numbers."""
+        import math
+
+        from repro.scenario.spec import EngineSpec
+
+        def cell(shards):
+            return figures._mean_metrics(PAIR, figures._scenario(
+                PAIR, "brahms", 0.10, adversary_strategy="balanced",
+                engine=EngineSpec(kind="shard", shards=shards),
+            ))
+
+        sharded = cell(4)
+        assert all(math.isfinite(value) for value in sharded)
+        assert 0.0 < sharded[0] < 1.0
+        assert sharded == cell(1)
+
+
 class TestTable1:
     def test_all_five_functions_reported(self):
         result = table1_sgx_overhead(TINY, rounds=12)

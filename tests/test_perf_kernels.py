@@ -30,8 +30,9 @@ from repro.crypto.aes import _RCON, AES128, SBOX
 from repro.crypto.ctr import AesCtr, keystream_rows
 from repro.crypto.minwise import scramble64
 from repro.perf import kernels
-from repro.scenario.compile import shard_simulation_from_spec
-from repro.shard import ShardSimulation, build_state, run_sharded
+from repro.scenario.compile import compile_spec, shard_simulation_from_spec
+from repro.scenario.run import run_scenario
+from repro.shard import ShardSimulation, build_state
 
 # Deterministic-surface tests; wall-clock deadlines only add flake.
 COMMON = settings(deadline=None, max_examples=50)
@@ -43,7 +44,7 @@ ids_strategy = st.lists(
 
 class TestBackendSurface:
     """The only backend choice left: ``use_numpy``, a plain boolean that
-    defaults to numpy, on the four seams the differentials use."""
+    defaults to numpy, on the three seams the differentials use."""
 
     def test_perf_package_exports_only_the_kernels(self):
         import repro.perf
@@ -52,14 +53,16 @@ class TestBackendSurface:
         assert not hasattr(repro.perf, "config")
 
     @pytest.mark.parametrize(
-        "seam", [CountMinSketch, build_state, ShardSimulation, run_sharded]
+        "seam", [CountMinSketch, build_state, ShardSimulation]
     )
     def test_use_numpy_is_a_boolean_defaulting_to_true(self, seam):
         parameter = inspect.signature(seam).parameters["use_numpy"]
         assert parameter.annotation in (bool, "bool")
         assert parameter.default is True
 
-    @pytest.mark.parametrize("seam", [StreamUnbiaser, shard_simulation_from_spec])
+    @pytest.mark.parametrize("seam", [
+        StreamUnbiaser, shard_simulation_from_spec, compile_spec, run_scenario,
+    ])
     def test_no_backend_parameter_above_the_seams(self, seam):
         assert "use_numpy" not in inspect.signature(seam).parameters
 

@@ -12,8 +12,12 @@ proof obligation for that claim:
 * the same flags through ``repro run`` and ``repro trace`` report what the
   equivalent dict reports, and ``repro run --shards`` what
   :func:`shard_simulation_from_spec` computes;
+* a ``kind="shard"`` spec goes through the same :func:`run_scenario` and
+  comes back as the same artifacts, byte-identical whatever the shard and
+  worker counts, with metrics that are :mod:`repro.analysis.metrics`' own;
 * under ``src/repro`` only :mod:`repro.scenario.run` wires the
-  instrumentation stack.
+  instrumentation stack, only :mod:`repro.scenario.compile` builds a shard
+  engine, and nothing that reads a finished run asks which engine ran.
 
 The three families every differential suite shares come from
 ``tests/_pinned.py``; the two below exist only here.
@@ -35,8 +39,15 @@ from repro.experiments.scenarios import (
 )
 from repro.faults.plan import FaultPlan
 from repro.membership import MembershipConfig
-from repro.scenario import run_scenario, spec_from_dict
+from repro.analysis.metrics import (
+    DISCOVERY_THRESHOLD,
+    resilience_from_trace,
+    stability_round,
+)
+from repro.experiments.runner import RunMetrics
+from repro.scenario import artifact_sections, get_spec, run_scenario, spec_from_dict
 from repro.scenario.compile import shard_simulation_from_spec
+from repro.shard.compile import ShardUnsupportedError
 from repro.telemetry import TelemetryConfig
 
 from tests._pinned import PINNED, PINNED_DICTS, ROUNDS, run_built
@@ -205,6 +216,96 @@ class TestFrontEndsAgree:
         assert f"requests sent:      {stats.requests_sent}\n" in printed
         assert (f"renewals:           {state.renewals} (blocked "
                 f"{state.blocked_rounds}, evicted {state.evicted_ids})") in printed
+        # ... after the three lines every engine prints.
+        metrics = run_scenario(spec_from_dict(spec_dict), telemetry=None).metrics
+        assert metrics.discovery_round == -1 and metrics.stability_round > 0
+        assert (f"byz IDs in views:   {metrics.resilience_percent:.1f}%\n"
+                f"discovery round:    not reached\n"
+                f"stability round:    {metrics.stability_round}\n"
+                f"pushes sent:") in printed
+
+
+_SHARD_DICT = dict(
+    _FLAGS_DICT,
+    name="shard-seam",
+    adversary_strategy="balanced",
+    faults=[{"kind": "crash-restart", "node_id": 5, "at_round": 2,
+             "down_rounds": 2}],
+)
+
+
+def _shard_spec(shards):
+    return spec_from_dict(
+        dict(_SHARD_DICT, engine={"kind": "shard", "shards": shards})
+    )
+
+
+class TestShardSpecsTakeTheSameRoad:
+    """``run_scenario`` on ``kind="shard"``: same runner, same artifacts."""
+
+    def test_sections_ignore_shard_and_worker_counts(self):
+        runs = []
+        for shards, workers in ((1, 1), (4, 1), (3, 2)):
+            sections = artifact_sections(
+                run_scenario(_shard_spec(shards), workers=workers)
+            )
+            assert sections.pop("spec")["engine"]["shards"] == shards
+            runs.append(sections)
+        assert set(runs[0]) == {"view_trace", "final_views", "trace_digest",
+                                "metrics_digest", "pollution"}
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        # The crashed node is missing from exactly its two down rounds, and
+        # final views cover every id, Byzantine rows included.
+        absent = [row["round"] for row in runs[0]["view_trace"]
+                  if "5" not in row["byzantine_fraction"]]
+        assert absent == [2, 3]
+        assert len(runs[0]["final_views"]) == 40
+
+    def test_metrics_are_the_analysis_modules(self):
+        """The engine supplies records; every definition is the shared one."""
+        spec = _shard_spec(3)
+        artifacts = run_scenario(spec, telemetry=None)
+        records = artifacts.bundle.view_records
+        assert artifacts.metrics == RunMetrics(
+            resilience=resilience_from_trace(records, tail=10),
+            discovery_round=artifacts.bundle.discovery_round,
+            stability_round=stability_round(
+                records, view_size=spec.brahms_config.view_size, sustained=3
+            ),
+            rounds=spec.rounds,
+        )
+
+    def test_records_against_the_engines_own_counts(self):
+        """Round by round, against ``trace_records`` and the dense ``known``
+        matrix.  A record's mean is the mean of per-node *shares* (every
+        node weighs the same — the paper's metric); ``trace_records`` holds
+        the share of *entries* (every view slot weighs the same).  The two
+        are tied by the view lengths: Σ shareᵢ·lenᵢ = Byzantine entries."""
+        spec = get_spec("shard-brahms")  # reaches discovery in round 29
+        simulation = shard_simulation_from_spec(spec)
+        n_byz = simulation.config.n_byzantine
+        correct = simulation.config.n_nodes - n_byz
+        discovered = {}
+        for round_no in range(1, spec.rounds + 1):
+            simulation.run_round()
+            record, raw = simulation.view_records[-1], simulation.trace_records[-1]
+            assert record.round_number == raw["round"] == round_no
+            lens = {node: len(view)
+                    for node, view in simulation.final_views().items()}
+            shares = record.byzantine_fraction
+            assert sum(lens[node] for node in shares) == raw["view_entries"]
+            assert round(sum(share * lens[node] for node, share in shares.items()),
+                         6) == raw["byz_entries"]
+            known = simulation.state.known[n_byz:, n_byz:].sum(axis=1)
+            for node in shares:
+                if (known[node - n_byz] + 1) / correct >= DISCOVERY_THRESHOLD:
+                    discovered.setdefault(node, round_no)
+        assert len(discovered) == correct
+        assert simulation.discovery_round == max(discovered.values()) == 29
+
+    def test_invariant_checker_is_refused_not_skipped(self):
+        with pytest.raises(ShardUnsupportedError, match="InvariantChecker"):
+            run_scenario(_shard_spec(2), check_invariants=True)
 
 
 def _package_trees():
@@ -229,6 +330,34 @@ def test_only_run_scenario_wires_the_instrumentation_stack():
     :mod:`repro.scenario.run` and nowhere else."""
     wiring = {"wire_telemetry", "wire_faults", "wire_events"}
     assert _callers(_package_trees(), wiring) == {"scenario/run.py"}
+
+
+def test_only_compile_builds_a_shard_engine():
+    """Under ``src/repro`` a ``ShardSimulation`` is constructed, and
+    ``shard_simulation_from_spec`` called, in :mod:`repro.scenario.compile`
+    and nowhere else: there is no second shard runner."""
+    building = {"ShardSimulation", "shard_simulation_from_spec"}
+    assert _callers(_package_trees(), building) == {"scenario/compile.py"}
+
+
+def test_reading_a_finished_run_never_asks_which_engine_ran():
+    """In :mod:`repro.scenario.run` only ``run_scenario`` may look at the
+    engine kind: ``ScenarioArtifacts``, ``artifact_sections`` and their
+    helpers neither compare against ``"shard"`` nor ``isinstance``-test."""
+    tree = dict(_package_trees())["scenario/run.py"]
+    readers = [node for node in tree.body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+               and node.name != "run_scenario"]
+    assert {"ScenarioArtifacts", "artifact_sections"} <= {
+        node.name for node in readers
+    }
+    for reader in readers:
+        for node in ast.walk(reader):
+            assert not (isinstance(node, ast.Constant) and node.value == "shard"), (
+                reader.name)
+            assert not (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"), (
+                reader.name)
 
 
 def test_every_stage_of_the_pipeline_exists_once():

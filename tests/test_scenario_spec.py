@@ -386,6 +386,57 @@ def test_membership_section_brings_the_fault_layer_that_ticks_the_director():
     assert stats.gossip_syncs > 0
 
 
+@pytest.mark.parametrize("engine", [
+    {"kind": "rounds"},
+    {"kind": "events", "mode": "barrier"},
+    {"kind": "shard", "shards": 2},
+], ids=lambda engine: engine["kind"])
+def test_stability_band_is_sized_by_the_views_the_nodes_have(engine, monkeypatch):
+    """A ``brahms`` section sets l1 = 30 where the topology derives 8; at
+    the parent of this test the metric took its z·σ band from the 8."""
+    from repro.analysis import metrics
+    from repro.scenario import run_scenario
+
+    spec = spec_from_dict(_base(
+        adversary_strategy="balanced", engine=engine,
+        topology={"n_nodes": 60, "byzantine_fraction": 0.1, "view_ratio": 0.1},
+        brahms={"view_size": 30, "sample_size": 15},
+    ))
+    assert spec.topology.brahms_config().view_size == 8
+    assert spec.brahms_config.view_size == 30
+    real, asked = metrics.stability_tolerance_for, []
+
+    def spy(view_size, mean_fraction):
+        asked.append(view_size)
+        return real(view_size, mean_fraction)
+
+    monkeypatch.setattr(metrics, "stability_tolerance_for", spy)
+    artifacts = run_scenario(spec, telemetry=None)
+    found = artifacts.metrics.stability_round
+    assert max(len(view) for view in artifacts.final_views.values()) > 8
+    assert set(asked) == {30}
+    assert found == metrics.stability_round(
+        artifacts.bundle.view_records, view_size=30, sustained=3
+    )
+
+
+def test_targeted_strategy_is_refused_at_its_field_before_anything_is_built(
+    monkeypatch,
+):
+    """No spec field carries the flood list ``targeted`` needs; at the
+    parent of this test the run died in round 1 with a bare ``ValueError``
+    out of the coordinator.  The spec itself still loads: a bundle built by
+    ``compile_spec`` can be given ``coordinator.flood_targets`` by hand."""
+    from repro.scenario import run, run_scenario
+
+    spec = spec_from_dict(_base(adversary_strategy="targeted"))
+    monkeypatch.setattr(run, "compile_spec", None)
+    with pytest.raises(ScenarioSpecError) as excinfo:
+        run_scenario(spec)
+    assert excinfo.value.path == "adversary_strategy"
+    assert "flood_targets" in str(excinfo.value)
+
+
 def test_in_memory_spec_requires_rounds_to_run():
     from repro.experiments.scenarios import TopologySpec
     from repro.scenario import run_scenario

@@ -10,7 +10,15 @@ order deterministically:
 * the Brahms baseline under message loss with encrypted transport;
 * RAPTEE with trusted nodes, adaptive eviction, a loss burst and
   crash/restart faults (the "faults run" the invariance matrix demands);
-* periodic sampler validation with crashes (mid-run sampler resets).
+* periodic sampler validation with crashes (mid-run sampler resets);
+* the rows of CI's retired ``shard-invariance`` matrix: encrypted lossy
+  RAPTEE at N = 120 with few and with many trusted nodes, and a
+  flood-shaped Brahms run whose first round spans many sampler-feed tiles.
+
+Every run is a hand-built :class:`ShardConfig` read through the
+:class:`~repro.scenario.run.ScenarioArtifacts` every engine returns
+(``tests/_pinned.py::run_shard_config``); ``run_scenario`` itself on a
+shard spec is covered in ``tests/test_scenario_differential.py``.
 
 A reduced-N shard sweep doubles as the N = 10,000 CI stand-in; the real
 paper-scale population runs only when ``REPRO_FULL_SCALE`` is set (its
@@ -20,14 +28,17 @@ the timed stand-in).
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
 
 from repro.experiments.scenarios import TopologySpec
-from repro.shard import ShardArtifacts, run_sharded
+from repro.scenario.run import ScenarioArtifacts
 from repro.shard.compile import shard_config_from_topology
 from repro.shard.state import ShardConfig
+
+from tests._pinned import run_shard_config
 
 
 def _brahms_loss_config() -> ShardConfig:
@@ -116,6 +127,32 @@ def _saturated_config() -> ShardConfig:
     return shard_config_from_topology(topology, seed=29, protocol="brahms")
 
 
+def _encrypted_raptee_config(trusted_fraction: float) -> ShardConfig:
+    topology = TopologySpec(
+        n_nodes=120, byzantine_fraction=0.10, trusted_fraction=trusted_fraction,
+        view_ratio=0.08, loss_rate=0.05, transport_encryption=True,
+    )
+    return shard_config_from_topology(topology, seed=7)
+
+
+def _few_trusted_config() -> ShardConfig:
+    return _encrypted_raptee_config(0.05)
+
+
+def _many_trusted_config() -> ShardConfig:
+    # t = 0.30 makes trusted pairs common, so swaps and eviction run.
+    return _encrypted_raptee_config(0.30)
+
+
+def _flood_config() -> ShardConfig:
+    # l1 = N/5: round 1 hands each partition several feed tiles of fresh
+    # pairs.  A sampler-feed workspace shared between threads, or carried
+    # over stale, breaks these rows.
+    topology = TopologySpec(n_nodes=400, byzantine_fraction=0.10,
+                            view_ratio=0.20, loss_rate=0.02)
+    return shard_config_from_topology(topology, seed=7, protocol="brahms")
+
+
 SCENARIOS = {
     "brahms-loss-encrypted": (_brahms_loss_config, 12),
     "raptee-faults": (_raptee_faults_config, 15),
@@ -128,23 +165,41 @@ SCENARIOS = {
     "no-trusted-exchange": (_no_trusted_exchange_config, 8),
     "heavy-loss-burst": (_heavy_burst_config, 8),
     "saturated-known": (_saturated_config, 12),
+    "raptee-few-trusted": (_few_trusted_config, 12),
+    "raptee-many-trusted": (_many_trusted_config, 12),
+    "brahms-flood": (_flood_config, 4),
 }
 
+#: ``(scenario, shards, workers, use_numpy)`` rows of the retired CI matrix
+#: that the three generic tests below do not run: workers >= shards, and
+#: the pure backend on threads or at another shard count.
+EXTRA_ROWS = [
+    (name, shards, workers, use_numpy)
+    for name in ("raptee-few-trusted", "raptee-many-trusted")
+    for shards, workers, use_numpy in ((4, 4, True), (7, 2, False))
+] + [("brahms-flood", 4, 2, True), ("brahms-flood", 3, 1, False)]
 
-def _assert_identical(probe: ShardArtifacts, baseline: ShardArtifacts,
+
+def _assert_identical(probe: ScenarioArtifacts, baseline: ScenarioArtifacts,
                       label: str) -> None:
     assert probe.trace_jsonl == baseline.trace_jsonl, label
     assert probe.metrics_csv == baseline.metrics_csv, label
     assert probe.final_views == baseline.final_views, label
     assert probe.network_totals == baseline.network_totals, label
+    assert probe.bundle.view_records == baseline.bundle.view_records, label
+    assert probe.bundle.discovery_round == baseline.bundle.discovery_round, label
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(name: str) -> ScenarioArtifacts:
+    build, rounds = SCENARIOS[name]
+    return run_shard_config(build(), rounds=rounds, shards=1,
+                            trace_messages=True)
 
 
 @pytest.fixture(scope="module", params=sorted(SCENARIOS))
 def baseline(request):
-    build, rounds = SCENARIOS[request.param]
-    artifacts = run_sharded(build(), rounds=rounds, shards=1,
-                            trace_messages=True)
-    return request.param, rounds, artifacts
+    return request.param, SCENARIOS[request.param][1], _reference(request.param)
 
 
 class TestShardCountInvariance:
@@ -152,45 +207,56 @@ class TestShardCountInvariance:
     def test_shards_are_byte_invisible(self, baseline, shards):
         name, rounds, reference = baseline
         build, _ = SCENARIOS[name]
-        probe = run_sharded(build(), rounds=rounds, shards=shards,
+        probe = run_shard_config(build(), rounds=rounds, shards=shards,
                             trace_messages=True)
         _assert_identical(probe, reference, f"{name} shards={shards}")
 
     def test_workers_are_byte_invisible(self, baseline):
         name, rounds, reference = baseline
         build, _ = SCENARIOS[name]
-        probe = run_sharded(build(), rounds=rounds, shards=3, workers=2,
+        probe = run_shard_config(build(), rounds=rounds, shards=3, workers=2,
                             trace_messages=True)
         _assert_identical(probe, reference, f"{name} workers=2")
 
     def test_pure_backend_matches_numpy(self, baseline):
         name, rounds, reference = baseline
         build, _ = SCENARIOS[name]
-        probe = run_sharded(build(), rounds=rounds, shards=2, use_numpy=False,
+        probe = run_shard_config(build(), rounds=rounds, shards=2, use_numpy=False,
                             trace_messages=True)
         _assert_identical(probe, reference, f"{name} pure backend")
+
+
+    @pytest.mark.parametrize("name, shards, workers, use_numpy", EXTRA_ROWS)
+    def test_retired_ci_rows(self, name, shards, workers, use_numpy):
+        build, rounds = SCENARIOS[name]
+        probe = run_shard_config(build(), rounds=rounds, shards=shards,
+                                 workers=workers, use_numpy=use_numpy,
+                                 trace_messages=True)
+        _assert_identical(
+            probe, _reference(name),
+            f"{name} shards={shards} workers={workers} numpy={use_numpy}",
+        )
 
 
 class TestRunnerDeterminism:
     def test_rerun_is_byte_identical(self):
         build, rounds = SCENARIOS["raptee-faults"]
-        first = run_sharded(build(), rounds=rounds, shards=4,
+        first = run_shard_config(build(), rounds=rounds, shards=4,
                             trace_messages=True)
-        second = run_sharded(build(), rounds=rounds, shards=4,
+        second = run_shard_config(build(), rounds=rounds, shards=4,
                              trace_messages=True)
         _assert_identical(second, first, "re-run")
 
     def test_faults_actually_fired(self):
         build, rounds = SCENARIOS["raptee-faults"]
-        artifacts = run_sharded(build(), rounds=rounds, shards=4)
+        artifacts = run_shard_config(build(), rounds=rounds, shards=4)
         # The crash/restart schedule must be visible in the run — a dead
         # node drops out of the final views' liveness set while down and
         # the burst window raises losses; if the totals went to zero the
         # scenario would no longer pin what it claims to.
-        assert artifacts.network_totals["messages_lost"] > 0
-        assert artifacts.network_totals["bytes_encrypted"] > 0
-        state = artifacts.simulation.state
-        assert state.evicted_ids > 0
+        assert artifacts.bundle.stats.messages_lost > 0
+        assert artifacts.bundle.stats.bytes_encrypted > 0
+        assert artifacts.bundle.state.evicted_ids > 0
 
 
 class TestEdgeScenariosBite:
@@ -198,7 +264,7 @@ class TestEdgeScenariosBite:
 
     def _state(self, name, shards=1):
         build, rounds = SCENARIOS[name]
-        return run_sharded(build(), rounds=rounds, shards=shards).simulation
+        return run_shard_config(build(), rounds=rounds, shards=shards).bundle
 
     def test_byzantine_only_partition_exists(self):
         build, _ = SCENARIOS["byzantine-only-partition"]
@@ -244,6 +310,18 @@ class TestEdgeScenariosBite:
         assert by_round[3]["losses"] > by_round[1]["losses"] * 5
         assert by_round[3]["renewals"] < by_round[8]["renewals"]
 
+    def test_many_trusted_swaps_and_evicts(self):
+        state = _reference("raptee-many-trusted").bundle.state
+        assert state.trusted_exchanges > 0 and state.evicted_ids > 0
+
+    def test_flood_spans_many_feed_tiles(self):
+        from repro.shard import engine
+
+        simulation = _reference("brahms-flood").bundle
+        fresh = int(simulation.state.known.sum())
+        tile_rows = engine._FEED_TILE_ELEMENTS // simulation.config.sample_size
+        assert fresh // 4 > 8 * tile_rows, (fresh, tile_rows)
+
     def test_saturated_run_has_owners_with_nothing_fresh(self):
         from repro.shard import ShardSimulation
 
@@ -266,8 +344,8 @@ class TestPaperScale:
             loss_rate=0.01,
         )
         config = shard_config_from_topology(topology, seed=1, protocol="brahms")
-        reference = run_sharded(config, rounds=3, shards=1)
-        probe = run_sharded(config, rounds=3, shards=8)
+        reference = run_shard_config(config, rounds=3, shards=1)
+        probe = run_shard_config(config, rounds=3, shards=8)
         _assert_identical(probe, reference, "n=400 shards=8")
 
     @pytest.mark.skipif(
@@ -285,7 +363,7 @@ class TestPaperScale:
             topology, seed=1, protocol="brahms",
             brahms=topology.brahms_config().scaled(10_000, view_ratio=0.02),
         )
-        artifacts = run_sharded(config, rounds=2, shards=8)
+        artifacts = run_shard_config(config, rounds=2, shards=8)
         views = artifacts.final_views
         assert len(views) == 10_000
-        assert artifacts.network_totals["pushes_sent"] > 0
+        assert artifacts.bundle.stats.pushes_sent > 0

@@ -44,6 +44,8 @@ from repro.shard.state import EMPTY_SAMPLE, ShardConfig, ShardState
 
 from repro.experiments.scenarios import TopologySpec
 
+from tests._pinned import run_shard_config
+
 
 class TestCounterRandomness:
     def test_key_array_matches_scalar(self):
@@ -285,16 +287,16 @@ class TestSegmentKernel:
         partition's hashes land in another's samplers."""
         import numpy as np
 
-        from repro.shard import engine, run_sharded
+        from repro.shard import engine
 
         config = _flood_config()
         monkeypatch.setattr(engine, "_FEED_TILE_ELEMENTS",
                             7 * config.sample_size + 3)
-        inline = run_sharded(config, rounds=5, shards=1, trace_messages=True)
+        inline = run_shard_config(config, rounds=5, shards=1, trace_messages=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_sharded(config, rounds=5, shards=4, workers=2,
+            threaded = run_shard_config(config, rounds=5, shards=4, workers=2,
                                    trace_messages=True)
         finally:
             sys.setswitchinterval(interval)
@@ -303,8 +305,8 @@ class TestSegmentKernel:
         assert threaded.final_views == inline.final_views
         assert threaded.network_totals == inline.network_totals
         for name in ("samp_best", "known", "view"):
-            assert np.array_equal(getattr(threaded.simulation.state, name),
-                                  getattr(inline.simulation.state, name)), name
+            assert np.array_equal(getattr(threaded.bundle.state, name),
+                                  getattr(inline.bundle.state, name)), name
 
     def test_feed_allocation_does_not_grow_with_the_flood(self, monkeypatch):
         """The feed's peak traced allocation is the workspace plus per-owner
@@ -674,14 +676,12 @@ class TestPartitionDispatch:
     def test_oversubscribed_threads_are_byte_invisible(self):
         """More threads than cores and a tiny switch interval: the run is
         still byte-identical to inline, and no process was started."""
-        from repro.shard import run_sharded
-
         config = _kernel_config()
-        inline = run_sharded(config, rounds=6, shards=8, trace_messages=True)
+        inline = run_shard_config(config, rounds=6, shards=8, trace_messages=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_sharded(config, rounds=6, shards=8, workers=8,
+            threaded = run_shard_config(config, rounds=6, shards=8, workers=8,
                                    trace_messages=True)
         finally:
             sys.setswitchinterval(interval)
