@@ -36,17 +36,25 @@ MERSENNE_PRIME_61 = (1 << 61) - 1
 
 # 2-universal linear hashing is only *approximately* min-wise, and its bias
 # is worst on structured inputs — arithmetic progressions like the simulator's
-# consecutive node IDs.  A fixed 64-bit multiplicative scramble (splitmix64
-# constants) decorrelates the input before the linear map; it is a bijection
-# on 64-bit words, so distinctness is preserved.
-_SCRAMBLE_MULTIPLIER = 0x9E3779B97F4A7C15
-_SCRAMBLE_OFFSET = 0xD1B54A32D192ED03
+# consecutive node IDs.  An affine scramble does not help: it maps one
+# progression to another, and a family a*r + b over a progression favours
+# both of its ends (by 20-45% at the simulator's sizes, and the lowest ids
+# are the Byzantine ones).  The SplitMix64 finaliser below — xor-shifts
+# between odd multiplies — leaves no such structure for the linear map to
+# see; it is a bijection on 64-bit words, so distinctness is preserved.
+SPLITMIX64_M1 = 0xBF58476D1CE4E5B9
+SPLITMIX64_M2 = 0x94D049BB133111EB
 _WORD_MASK = (1 << 64) - 1
 
 
 def scramble64(value: int) -> int:
-    """Fixed bijective 64-bit input scramble applied before linear hashing."""
-    return (value * _SCRAMBLE_MULTIPLIER + _SCRAMBLE_OFFSET) & _WORD_MASK
+    """Fixed bijective 64-bit input scramble applied before linear hashing:
+    the SplitMix64 finaliser (scalar reference of
+    :func:`repro.perf.kernels.splitmix64_array`)."""
+    x = value & _WORD_MASK
+    x = ((x ^ (x >> 30)) * SPLITMIX64_M1) & _WORD_MASK
+    x = ((x ^ (x >> 27)) * SPLITMIX64_M2) & _WORD_MASK
+    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)

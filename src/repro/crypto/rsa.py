@@ -3,8 +3,11 @@
 The paper's implementation uses RSA (via the Intel SGX OpenSSL port) for
 asymmetric operations: signing enclave quotes and provisioning the trusted
 group key to attested enclaves (§III-B, §V).  This module provides key
-generation (Miller-Rabin), OAEP-style randomized encryption, and hash-based
-signatures, all over plain Python integers.
+generation, OAEP-style randomized encryption, and hash-based signatures,
+all over plain Python integers.  The factors come from
+:func:`repro.crypto.numbers.generate_prime`: sieved, Miller-Rabin tested to
+a 2^-80 error under the average-case bound for uniformly drawn candidates
+(see that module's docstring), top two bits set.
 
 Key sizes in the simulator default to 1024 bits, which is far faster in pure
 Python than 2048+ and cryptographically irrelevant here (the adversary model
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:
@@ -95,11 +99,14 @@ class RsaPrivateKey:
     def public_key(self) -> RsaPublicKey:
         return RsaPublicKey(n=self.n, e=self.e)
 
+    @cached_property
+    def _crt(self) -> Tuple[int, int, int]:
+        """``(d mod p-1, d mod q-1, q^-1 mod p)``, computed once per key."""
+        return self.d % (self.p - 1), self.d % (self.q - 1), modular_inverse(self.q, self.p)
+
     def _private_op(self, value: int) -> int:
         # CRT: roughly 3-4x faster than a single pow over n.
-        d_p = self.d % (self.p - 1)
-        d_q = self.d % (self.q - 1)
-        q_inv = modular_inverse(self.q, self.p)
+        d_p, d_q, q_inv = self._crt
         m_p = pow(value % self.p, d_p, self.p)
         m_q = pow(value % self.q, d_q, self.q)
         h = (q_inv * (m_p - m_q)) % self.p
@@ -154,7 +161,13 @@ def _signature_digest(message: bytes, key_bytes: int) -> bytes:
 
 
 def generate_keypair(bits: int, rng: random.Random) -> RsaKeyPair:
-    """Generate an RSA key pair with an exactly ``bits``-bit modulus."""
+    """Generate an RSA key pair with an exactly ``bits``-bit modulus.
+
+    Both factors have their top two bits set, so the product has ``bits``
+    bits by construction and the bit-length check below is a guard that
+    never fires (forcing only the top bit would discard 2 ln 2 - 1 = 39% of
+    finished prime pairs there).
+    """
     if bits < 128:
         raise ValueError("modulus below 128 bits is not supported")
     while True:

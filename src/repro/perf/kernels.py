@@ -5,12 +5,11 @@ Python loop elsewhere in the tree — not a floating-point approximation.
 The equivalence arguments, which the Hypothesis suite
 (``tests/test_perf_kernels.py``) checks on random inputs:
 
-* ``scramble64`` is ``(x * M + O) mod 2^64``; numpy ``uint64`` arithmetic
-  wraps modulo 2^64 by definition, so elementwise uint64 multiply-add *is*
-  the scramble, no masking needed.
 * ``splitmix64_array`` is the SplitMix64 finalizer — xor-shifts and odd
-  multiplies, all mod 2^64 — so uint64 elementwise ops again *are* the
-  scalar reference (``repro.shard.rand.mix64``) with no masking.
+  multiplies, all mod 2^64; numpy ``uint64`` arithmetic wraps modulo 2^64
+  by definition, so elementwise uint64 ops *are* the scalar reference
+  (``repro.crypto.minwise.scramble64``, which ``repro.shard.rand`` calls
+  ``mix64``) with no masking.
 * Count-min updates/estimates are integer adds and minima over int64
   counters; ``decay`` truncates the *exact* rational product: a float64
   factor is the dyadic rational num/2^shift, so ``(value * num) >> shift``
@@ -20,7 +19,7 @@ The equivalence arguments, which the Hypothesis suite
 
 The pure-Python loops stay beside their callers as the references those
 tests compare against (``CountMinSketch(use_numpy=False)``, scalar
-``scramble64`` / ``mix64``).
+``scramble64``).
 """
 
 from __future__ import annotations
@@ -29,12 +28,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.crypto.minwise import _SCRAMBLE_MULTIPLIER, _SCRAMBLE_OFFSET
+from repro.crypto.minwise import SPLITMIX64_M1, SPLITMIX64_M2
 
 __all__ = [
-    "SPLITMIX64_M1",
-    "SPLITMIX64_M2",
-    "scramble64_array",
     "splitmix64_array",
     "countmin_rows",
     "countmin_new_tables",
@@ -47,25 +43,12 @@ __all__ = [
 ]
 
 
-def scramble64_array(values: Sequence[int]):
-    """Vectorised :func:`repro.crypto.minwise.scramble64` (uint64 array)."""
-    arr = np.asarray(values, dtype=np.uint64)
-    # uint64 arithmetic wraps mod 2^64 — exactly the `& _WORD_MASK` of the
-    # scalar reference.
-    return arr * np.uint64(_SCRAMBLE_MULTIPLIER) + np.uint64(_SCRAMBLE_OFFSET)
-
-
-#: SplitMix64 finalizer constants (shared with ``repro.shard.rand.mix64``).
-SPLITMIX64_M1 = 0xBF58476D1CE4E5B9
-SPLITMIX64_M2 = 0x94D049BB133111EB
-
-
 def splitmix64_array(values):
-    """Vectorised SplitMix64 finalizer over a uint64 array (exact mod 2^64).
+    """Vectorised :func:`repro.crypto.minwise.scramble64`, the SplitMix64
+    finalizer, over a uint64 array (exact mod 2^64).
 
-    The scalar reference is :func:`repro.shard.rand.mix64`; uint64
-    arithmetic wraps modulo 2^64, so the xor-shift/multiply pipeline below
-    computes the identical integers.
+    uint64 arithmetic wraps modulo 2^64, so the xor-shift/multiply pipeline
+    below computes the identical integers as the masked scalar.
     """
     x = np.asarray(values, dtype=np.uint64)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(SPLITMIX64_M1)
@@ -80,7 +63,7 @@ def countmin_rows(items: Sequence[int], salts: Sequence[int], width: int):
     """
     arr = np.asarray(items, dtype=np.uint64)
     salts_col = np.asarray(salts, dtype=np.uint64).reshape(-1, 1)
-    return (scramble64_array(arr ^ salts_col) % np.uint64(width)).astype(np.int64)
+    return (splitmix64_array(arr ^ salts_col) % np.uint64(width)).astype(np.int64)
 
 
 def countmin_new_tables(depth: int, width: int):

@@ -11,7 +11,7 @@ strategies, message loss, protocol churn, network/SGX/membership fault
 drills, dynamic trusted-set membership, and all three engines (lockstep
 rounds; event-driven barrier and continuous with latency, load and
 straggler models; the sharded batch engine at five partition counts).
-Populations are 40-80 nodes and 6 rounds (one shard entry runs 32, long
+Populations are 40-80 nodes and 6 rounds (one shard entry runs 40, long
 enough to reach system discovery) so the whole suite replays in seconds —
 pollution *dynamics* at this scale are not the paper's numbers, but their
 byte-exact reproducibility is what a conformance vector pins.
@@ -105,7 +105,10 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
     _brahms("brahms-fault-eclipse", 114,
             faults=[{"kind": "eclipse", "victim": 15,
                      "window": _WINDOW_2_4, "allowed": [16, 17]},
-                    {"kind": "link", "src": 30, "dst": 31,
+                    # One link drops only what its two ends send each
+                    # other: 30 and 27 exchange three messages inside the
+                    # window under this seed (30 and 31 none).
+                    {"kind": "link", "src": 30, "dst": 27,
                      "window": _WINDOW_2_4, "bidirectional": True}]),
     # --- RAPTEE core grid (§V-B mechanisms) ----------------------------
     _raptee("raptee-t10", 201),
@@ -183,9 +186,9 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
             faults=[{"kind": "loss-burst", "window": _WINDOW_2_4,
                      "loss_rate": 0.25}]),
     # --- Sharded batch engine ------------------------------------------
-    # (32 rounds: discovery is reached in round 29, so one shard vector
+    # (40 rounds: discovery is reached in round 36, so one shard vector
     # pins a discovery_round that is not the -1 sentinel.)
-    _brahms("shard-brahms", 401, rounds=32, **_shard(1)),
+    _brahms("shard-brahms", 401, rounds=40, **_shard(1)),
     _raptee("shard-raptee-fixed-eviction", 402, t=0.20,
             raptee={"eviction": {"kind": "fixed", "value": 0.6}}, **_shard(2)),
     _raptee("shard-raptee-adaptive-eviction", 403, t=0.20,

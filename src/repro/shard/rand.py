@@ -17,10 +17,11 @@ Purpose codes are integers, never strings: Python's ``hash(str)`` is
 randomized per process (PYTHONHASHSEED), and the whole point is that two
 processes agree.
 
-The scalar path below is pure Python (masked 64-bit arithmetic); the
-vectorized path in :func:`key_array` runs on
-:func:`repro.perf.kernels.splitmix64_array` and computes the *same*
-integers (uint64 wrap-around is the mask).  ``tests/test_shard_engine.py``
+The scalar path below is pure Python (``mix64`` is the masked 64-bit
+finalizer the min-wise hashes scramble their input with,
+:func:`repro.crypto.minwise.scramble64`); the vectorized path in
+:func:`key_array` runs on :func:`repro.perf.kernels.splitmix64_array` and
+computes the *same* integers (uint64 wrap-around is the mask).  ``tests/test_shard_engine.py``
 pins the scalar/vector agreement.
 """
 
@@ -30,7 +31,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.perf.kernels import SPLITMIX64_M1, SPLITMIX64_M2, splitmix64_array
+from repro.crypto.minwise import scramble64 as mix64
+from repro.perf.kernels import splitmix64_array
 
 __all__ = [
     "mix64",
@@ -42,7 +44,6 @@ __all__ = [
     "Purpose",
 ]
 
-_MASK = (1 << 64) - 1
 #: Odd constants decorrelating the tuple positions before mixing (the
 #: golden-ratio increment of SplitMix64 and three arbitrary odd primes).
 _C_PURPOSE = 0x9E3779B97F4A7C15
@@ -69,14 +70,6 @@ class Purpose:
     RENEW_PULL = 13
     RENEW_GAMMA = 14
     BOOTSTRAP = 15
-
-
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer (scalar reference for the numpy kernel)."""
-    x &= _MASK
-    x = ((x ^ (x >> 30)) * SPLITMIX64_M1) & _MASK
-    x = ((x ^ (x >> 27)) * SPLITMIX64_M2) & _MASK
-    return x ^ (x >> 31)
 
 
 def key64(seed: int, purpose: int, round_no: int, a: int = 0, b: int = 0) -> int:

@@ -36,8 +36,8 @@ import numpy as np
 
 from repro.brahms.config import BYZANTINE_PUSH_LIMIT_MULTIPLIER
 from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.crypto.minwise import MERSENNE_PRIME_31
-from repro.perf.kernels import scramble64_array
+from repro.crypto.minwise import MERSENNE_PRIME_31, scramble64
+from repro.perf.kernels import splitmix64_array
 from repro.shard.rand import Purpose, key64, key_array
 
 __all__ = ["ShardConfig", "ShardState", "EMPTY_SAMPLE", "build_state", "partition_bounds"]
@@ -247,12 +247,6 @@ def partition_bounds(n_nodes: int, shards: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _scramble_mod_p(node_id: int) -> int:
-    from repro.crypto.minwise import scramble64
-
-    return scramble64(node_id) % _P
-
-
 def _bootstrap_row(config: ShardConfig, node_id: int) -> List[int]:
     """l1 distinct peers, uniform over everyone else: the first l1 of the
     keyed order over the other ids (ties by id — both backends agree)."""
@@ -319,7 +313,7 @@ def build_state(config: ShardConfig, use_numpy: bool = True) -> ShardState:
         state.alive = np.ones(n, dtype=bool)
         state.known = np.zeros((n, n), dtype=bool)
         state.reduced = (
-            scramble64_array(np.arange(n, dtype=np.uint64)) % np.uint64(_P)
+            splitmix64_array(np.arange(n, dtype=np.uint64)) % np.uint64(_P)
         ).astype(np.int64)
     else:
         state.view = [_bootstrap_row(config, i) for i in range(n)]
@@ -336,7 +330,7 @@ def build_state(config: ShardConfig, use_numpy: bool = True) -> ShardState:
         state.samp_best = [[EMPTY_SAMPLE] * l2 for _ in range(n)]
         state.alive = [True] * n
         state.known = [set() for _ in range(n)]
-        state.reduced = [_scramble_mod_p(i) for i in range(n)]
+        state.reduced = [scramble64(i) % _P for i in range(n)]
     # Byzantine rows carry no protocol state; an empty view keeps any
     # accidental read loud (index errors) instead of plausible.
     for node_id in range(config.n_byzantine):

@@ -3,7 +3,7 @@
 A deliberately simple, human-inspectable JSON file::
 
     {
-      "format_version": 1,
+      "format_version": 2,
       "kind": "repeat-checkpoint",
       "results": {"1": {...RunMetrics fields...}, "7": {...}}
     }

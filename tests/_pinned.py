@@ -194,3 +194,25 @@ def run_shard_config(config, rounds, shards=1, workers=1, use_numpy=True,
     )
     simulation.run(rounds)
     return ScenarioArtifacts(spec=None, bundle=simulation)
+
+
+def assert_saturated_samples_uniform(histograms, n_byzantine, sample_size):
+    """§II relies on a saturated sampler returning a uniform id.  Each of
+    ``histograms`` (one a seed, pooled) counts, per id of a population
+    whose lowest ``n_byzantine`` ids are Byzantine, the samplers of correct
+    nodes that hold it once every correct node has streamed every other id
+    through ``sample_size`` samplers.  χ² against uniform over the other
+    N − 1 ids at false-alarm rate 0.001 (Wilson–Hilferty critical value)."""
+    chi2, dof = 0.0, 0
+    for observed in histograms:
+        n = len(observed)
+        for pid, count in enumerate(observed):
+            # A node never samples itself: a correct id has one sampling
+            # node fewer than a Byzantine id.
+            samplers = (n - n_byzantine) - (pid >= n_byzantine)
+            expected = samplers * sample_size / (n - 1)
+            chi2 += (count - expected) ** 2 / expected
+        dof += n - 1
+    z_999 = 3.0902
+    critical = dof * (1 - 2 / (9 * dof) + z_999 * (2 / (9 * dof)) ** 0.5) ** 3
+    assert chi2 < critical, (chi2, critical)

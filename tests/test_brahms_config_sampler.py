@@ -9,6 +9,8 @@ from repro.brahms.config import BrahmsConfig
 from repro.brahms.sampler import Sampler, SamplerGroup
 from repro.crypto.minwise import MinWiseFamily
 
+from tests._pinned import assert_saturated_samples_uniform
+
 
 class TestConfig:
     def test_defaults_follow_the_paper(self):
@@ -102,8 +104,13 @@ class TestSamplerGroup:
         reference_family = MinWiseFamily(random.Random(7))
         references = [Sampler(reference_family.draw()) for _ in range(8)]
         stream = [seed_rng.randrange(10_000) for _ in range(500)]
+        # Ids on both sides of the reduced-id table's end: a batch that
+        # holds one beyond it is hashed directly.
+        stream[100:100] = [(1 << 14) - 1, 1 << 14, (1 << 40) + 7]
         group.update(stream[:200])
         group.update(stream[200:])
+        group.update([(1 << 14) + 3, 5])
+        stream += [(1 << 14) + 3, 5]
         for element in stream:
             for sampler in references:
                 sampler.next(element)
@@ -162,6 +169,25 @@ class TestSamplerGroup:
         group = SamplerGroup(4, MinWiseFamily(random.Random(3)))
         group.update(stream)
         assert set(group.sample_list()) <= set(stream)
+
+    def test_saturated_samples_are_uniform(self):
+        """The anchor ``TestSamplerAnchors`` holds the shard engine to, on
+        the group the per-node engines run: N = 80 with ids 0-7 Byzantine,
+        every correct node streams every other id through 40 samplers."""
+        n, n_byzantine, sample_size = 80, 8, 40
+        histograms = []
+        for seed in (1, 2, 3):
+            observed = [0] * n
+            for node in range(n_byzantine, n):
+                group = SamplerGroup(
+                    sample_size, MinWiseFamily(random.Random(seed * n + node))
+                )
+                group.update(pid for pid in range(n) if pid != node)
+                for sample in group.sample_list():
+                    observed[sample] += 1
+            assert sum(observed) == (n - n_byzantine) * sample_size
+            histograms.append(observed)
+        assert_saturated_samples_uniform(histograms, n_byzantine, sample_size)
 
     def test_uniformity_over_distinct_ids(self):
         """Occurrence frequency must not bias the sample: an ID seen 100

@@ -41,6 +41,13 @@ class TestLinearHash:
         expected = (7919 * (scramble64(value) % MERSENNE_PRIME_31) + 104729) % MERSENNE_PRIME_31
         assert h(value) == expected
 
+    def test_scramble_is_the_splitmix64_finaliser(self):
+        # SplitMix64 seeded with 0 adds the golden-ratio increment and
+        # finalises: its first two published outputs.
+        gamma = 0x9E3779B97F4A7C15
+        assert scramble64(gamma) == 0xE220A8397B1DCDAF
+        assert scramble64(2 * gamma) == 0x6E789E6AA1B965F4
+
     def test_scramble_is_injective_on_node_ids(self):
         ids = range(100_000)
         assert len({scramble64(value) for value in ids}) == 100_000

@@ -1,8 +1,11 @@
 """RSA tests: keygen, encryption padding, signatures."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import rsa
 from repro.crypto.prng import Sha256Prng
 from repro.crypto.rsa import RsaError, generate_keypair
 
@@ -23,6 +26,32 @@ class TestKeyGeneration:
         first = generate_keypair(256, Sha256Prng(9))
         second = generate_keypair(256, Sha256Prng(9))
         assert first.public.n == second.public.n
+
+    @pytest.mark.parametrize("bits", [128, 257, 512])
+    def test_two_primes_a_key_pair(self, bits):
+        """Both factors carry their top two bits, so the modulus has its
+        ``bits`` by construction: no finished prime is ever thrown away, and
+        every key works."""
+        for seed in range(50):
+            primes = mock.Mock(side_effect=rsa.generate_prime)
+            with mock.patch.object(rsa, "generate_prime", primes):
+                rng = Sha256Prng(seed)
+                pair = generate_keypair(bits, rng)
+            assert primes.call_count == 2, seed
+            assert pair.public.n.bit_length() == bits
+            message = seed.to_bytes(2, "big")
+            if bits > 256:  # the padding alone needs 19 bytes of modulus
+                assert pair.private.decrypt(pair.public.encrypt(message, rng)) == message
+            assert pair.public.verify(message, pair.private.sign(message))
+
+    def test_crt_parameters_are_computed_once_per_key(self):
+        pair = generate_keypair(256, Sha256Prng(3))
+        inverse = mock.Mock(side_effect=rsa.modular_inverse)
+        with mock.patch.object(rsa, "modular_inverse", inverse):
+            signatures = {pair.private.sign(b"quote") for _ in range(3)}
+        assert inverse.call_count == 1
+        value = int.from_bytes(rsa._signature_digest(b"quote", 32), "big")
+        assert signatures == {pow(value, pair.private.d, pair.private.n).to_bytes(32, "big")}
 
     def test_public_key_matches_private(self):
         assert KEYPAIR.public == KEYPAIR.private.public_key()

@@ -264,5 +264,5 @@ class TestSloFigure:
         assert all(float(row[4]) > 0 for row in first.rows)
         # The bytes the figure rendered before it went through _scenario/_run.
         assert hashlib.sha256(first.render().encode("utf-8")).hexdigest() == (
-            "a37bb2d607414a1c0863faf9fa13a871759def3f61ee6b22954fe8d5a69a61f3"
+            "47501c9c8ef1cbd9967b6426d51fb604c999902fa19d19c6fe347243d127c875"
         )

@@ -68,14 +68,14 @@ class TestFigure3:
         pollution = [float(value) for value in result.column("byz-in-views %")]
         assert all(0.0 <= value <= 100.0 for value in pollution)
         assert _sha256(result) == (
-            "002faa479475bf2fe5bffa6f7695b090961bc46d051bf721eb7e4d66146bc866"
+            "860c2afae48c1ae0f80ec9f7c980907ec28e760d2ba3c327c0b507fcdeef6fcc"
         )
 
     def test_baseline_cache_reuses_runs(self, monkeypatch):
         cache = BaselineCache(PAIR)
         result = figure3_brahms_baseline(PAIR, f_values=(0.10, 0.30), cache=cache)
         assert _sha256(result) == (
-            "725eb7babd128c484aab1d3aa3f96e3220d4a864120905d163468df4327306ce"
+            "9f0623923fa0fbbfdeb9b0b9b70b5446db5c8e74ab39878626a63771b54c4bfb"
         )
         first = cache.mean_metrics(0.10)
 
@@ -116,7 +116,7 @@ class TestTable1:
             sgx = float(str(row[2]).replace(",", ""))
             assert sgx > standard
         assert _sha256(result) == (
-            "e1417bcbb42ac4c5c339a3c8145e357f43dde6aa191db675651bf0a068691e6a"
+            "ad2b2204ad0121082594622582ec2c9b7fe0264ecf1f019e8d6173580b93ad2e"
         )
 
 
@@ -131,7 +131,7 @@ class TestEvictionFigure:
         assert row[0] == "10%" and row[1] == "10%"
         float(row[2])  # improvement parses
         assert _sha256(result) == (
-            "42e815ce28b46839ab50d69e912df0834637dceb7be1bd565460ca36a4581f59"
+            "ddb92fabf33a92f446ff2c0725fba19ab9a9bb549cd43362374fea4363fb39a6"
         )
 
 
@@ -146,7 +146,7 @@ class TestIdentificationFigure:
         for value in (precision, recall, f1):
             assert 0.0 <= float(value) <= 1.0
         assert _sha256(result) == (
-            "9e7e9c164e206d75d6fae60d612dbb969cd87336dfed31d1c0557ddeb70b91a6"
+            "e368a6c5e1218c98800aaa7d415ea49ce4f7a1747eb5739c0a7d9d0f8b37d353"
         )
 
 
@@ -159,7 +159,7 @@ class TestFigure13:
         assert len(result.rows) == 2
         assert {row[1] for row in result.rows} == {"0%", "10%"}
         assert _sha256(result) == (
-            "2e59a0bb2050a29b3d26a6445469203f10859fc2699f6a0a361239e62128b3e9"
+            "44236fa8808886825cc00221c684a60f84b9f1a496be4962cde037ec6ee281fb"
         )
 
 
@@ -174,7 +174,7 @@ class TestMembershipChurnFigure:
         assert float(row[3]) + float(row[4]) > 0
         assert float(row[2]) > 0  # and every leave re-keyed the group
         assert _sha256(result) == (
-            "00f319053be362b76175af0439c1d0250ea6406612ed540efa740f83188b49a6"
+            "ee25d7ebccf26ef19717059e5ff129f0adc65faea7e225b42bd4779e5f1b42dd"
         )
 
 
@@ -188,5 +188,5 @@ class TestStragglerFigure:
         assert int(slowed[2]) < int(healthy[2])
         assert float(slowed[3]) > float(healthy[3])
         assert _sha256(result) == (
-            "69ef2486fb1a4d0535e36efd1c56919cf970b9e16f14d634b64efce0219a73ba"
+            "f3f1d0e11739fb48f548e67cfefde9c9d196397146f25377a710bf90e2de0b44"
         )

@@ -142,32 +142,38 @@ class TestIdentificationAttackIntegration:
 class TestPoisonedInjectionIntegration:
     def test_injected_nodes_self_heal(self):
         """§VI-B: poisoned trusted nodes run correct code and shed their
-        poisoned views over time."""
+        poisoned views over time.  The view is 24 ids, not this module's 12:
+        the join hands an injected node a tenth of its view in genuine
+        entries, and a node that loses its last one before any correct node
+        has sampled its id only ever talks to Byzantine nodes again.  With a
+        single entry about half the injected nodes end that way; with two
+        they heal to the level of the other trusted nodes (about 0.3)."""
         spec = TopologySpec(
             n_nodes=N,
             byzantine_fraction=0.1,
             trusted_fraction=0.1,
             poisoned_fraction=0.05,
-            view_ratio=0.08,
+            view_ratio=0.16,
         )
-        bundle = build_raptee_simulation(spec, SEED, eviction=AdaptiveEviction())
-        sim = bundle.simulation
-        poisoned = [
-            node for node in sim.nodes.values()
-            if node.kind is NodeKind.POISONED_TRUSTED
-        ]
-        byzantine = sim.byzantine_ids
-        initial = statistics.mean(
-            sum(1 for peer in node.view if peer in byzantine) / len(node.view)
-            for node in poisoned
-        )
-        assert initial > 0.8  # poisoned at injection (minus the join entries)
-        bundle.run(ROUNDS)
-        final = statistics.mean(
-            sum(1 for peer in node.view if peer in byzantine) / max(1, len(node.view))
-            for node in poisoned
-        )
-        assert final < 0.6  # self-healed well below full pollution
+        for seed in (SEED, SEED + 1):
+            bundle = build_raptee_simulation(spec, seed, eviction=AdaptiveEviction())
+            sim = bundle.simulation
+            poisoned = [
+                node for node in sim.nodes.values()
+                if node.kind is NodeKind.POISONED_TRUSTED
+            ]
+            byzantine = sim.byzantine_ids
+            initial = statistics.mean(
+                sum(1 for peer in node.view if peer in byzantine) / len(node.view)
+                for node in poisoned
+            )
+            assert initial > 0.8  # poisoned at injection (minus the join entries)
+            bundle.run(ROUNDS)
+            final = statistics.mean(
+                sum(1 for peer in node.view if peer in byzantine) / max(1, len(node.view))
+                for node in poisoned
+            )
+            assert final < 0.6, seed  # self-healed well below full pollution
 
 
 class TestChurnResilience:

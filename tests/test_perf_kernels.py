@@ -71,7 +71,7 @@ class TestScramble:
     @COMMON
     @given(values=ids_strategy)
     def test_scramble64_array_matches_scalar(self, values):
-        batched = kernels.scramble64_array(values)
+        batched = kernels.splitmix64_array(values)
         assert [int(v) for v in batched] == [scramble64(v) for v in values]
 
 

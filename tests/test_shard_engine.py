@@ -44,7 +44,7 @@ from repro.shard.state import EMPTY_SAMPLE, ShardConfig, ShardState
 
 from repro.experiments.scenarios import TopologySpec
 
-from tests._pinned import run_shard_config
+from tests._pinned import assert_saturated_samples_uniform, run_shard_config
 
 
 class TestCounterRandomness:
@@ -429,40 +429,22 @@ class TestSamplerAnchors:
                     for pid in range(n) if pid != node
                 ), (node, j)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known fidelity defect outside the shard kernel: "
-        "repro.crypto.minwise.scramble64 is affine, so the reduced ids "
-        "0..N-1 form an arithmetic progression mod p, on which the linear "
-        "family a*r+b is far from min-wise independent (brute force over "
-        "(a, b): ids at both ends of the id range win 20-45% too often, "
-        "the middle ~15% too rarely; with SplitMix64 as the scramble this "
-        "test passes).  Replacing the scramble changes every pinned vector "
-        "and digest; see ROADMAP, fidelity item."
-    ))
     def test_saturated_samples_are_uniform(self, use_numpy):
-        """§II relies on a saturated sampler returning a uniform id.  χ²
-        of the sample histogram (72 correct nodes × 40 samplers, three
-        fixed seeds pooled) against uniform over the other N − 1 ids, at
-        false-alarm rate 0.001 (Wilson–Hilferty critical value)."""
-        chi2, dof = 0.0, 0
+        """72 correct nodes × 40 samplers, three fixed seeds pooled (the
+        per-node ``SamplerGroup`` takes the same anchor in
+        ``test_brahms_config_sampler.py``)."""
+        histograms = []
         for seed in (1, 2, 3):
             config, state = _saturated_brahms(seed, use_numpy)
-            n, n_byz = config.n_nodes, config.n_byzantine
-            observed = [0] * n
-            for node in range(n_byz, n):
+            observed = [0] * config.n_nodes
+            for node in range(config.n_byzantine, config.n_nodes):
                 for packed in state.samp_best[node]:
                     assert int(packed) != EMPTY_SAMPLE
                     observed[int(packed) & 0xFFFFFFFF] += 1
-            for pid in range(n):
-                # A node never samples itself: a correct id has one
-                # sampling node fewer than a Byzantine id.
-                samplers = (n - n_byz) - (pid >= n_byz)
-                expected = samplers * config.sample_size / (n - 1)
-                chi2 += (observed[pid] - expected) ** 2 / expected
-            dof += n - 1
-        z_999 = 3.0902
-        critical = dof * (1 - 2 / (9 * dof) + z_999 * (2 / (9 * dof)) ** 0.5) ** 3
-        assert chi2 < critical, (chi2, critical)
+            histograms.append(observed)
+        assert_saturated_samples_uniform(
+            histograms, config.n_byzantine, config.sample_size
+        )
 
 
 class TestBootstrap:
