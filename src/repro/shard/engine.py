@@ -55,20 +55,22 @@ loop.  Data layout of a numpy round:
 * **apply** is a segment kernel over flat ``(owner, id)`` arrays: pulled
   batches are gathered as a ``[batches, l1]`` view-matrix slice in stream
   order, novelty and per-owner uniqueness fall out of one dense
-  ``[owners, N]`` mark-and-scan, keyed subsets are a per-segment keyed
-  rank, and the delta comes back as arrays that ``_integrate`` scatters
-  with one write per field.  Owners are processed in blocks under
-  :data:`_BLOCK_ELEMENTS` so temporaries stay bounded at N = 10,000.
-* the **sampler feed** closes a partition's apply: the ``[fresh, l2]``
-  min-wise hash matrix of all its fresh pairs, min-reduced per owner
+  ``[owners, N]`` mark-and-scan against unpacked ``known`` rows, keyed
+  subsets are a per-segment keyed rank, and the delta comes back as arrays
+  (fresh ids as packed rows) that ``_integrate`` writes once per field.
+  Owners are processed in blocks under :data:`_BLOCK_ELEMENTS`, and fresh
+  ``(owner, id)`` pairs never leave their block, so no array grows with
+  the round-1 flood.
+* the **sampler feed** closes each owner block: the ``[fresh, l2]``
+  min-wise hash matrix of the block's fresh pairs, min-reduced per owner
   segment.  It is computed :data:`_FEED_TILE_ELEMENTS` at a time in one
-  workspace of two ``[tile, l2]`` uint64 buffers owned by the
-  ``apply_partition`` call (threads under ``--shard-workers`` never share
-  one): gathers write into it, every other pass is in place, and the
-  ``mod p`` reduction is a single fold finished in the packed
-  ``hash << 32 | id`` domain (`_fold_pack` has the bound proof).  What the
-  round-1 flood costs is then passes over cache-resident memory, not
-  page faults on fresh ``[rows, l2]`` temporaries.
+  workspace of two ``[tile, l2]`` uint64 buffers owned by the call
+  (threads under ``--shard-workers`` never share one): gathers write into
+  it, every other pass is in place, and the ``mod p`` reduction is a
+  single fold finished in the packed ``hash << 32 | id`` domain
+  (`_fold_pack` has the bound proof).  What the round-1 flood costs is
+  then passes over cache-resident memory, not page faults on fresh
+  ``[rows, l2]`` temporaries.
 
 Small differential scenarios pin numpy == pure byte equality, which is
 what licenses the vector paths at N = 10,000.
@@ -614,8 +616,8 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
 class PartitionDelta:
     """State changes computed by one partition's apply pass.
 
-    The pure backend fills the per-node lists; the numpy backend the three
-    ``*_arrays`` tuples, which ``_integrate`` scatters in one write each.
+    The pure backend fills the per-node lists; the numpy backend the
+    ``*_arrays`` and ``known_bits``, which ``_integrate`` writes once each.
     """
 
     lo: int
@@ -630,8 +632,9 @@ class PartitionDelta:
     view_arrays: Optional[Tuple] = None
     #: numpy: flat (node, sampler index, packed value) triples.
     samp_arrays: Optional[Tuple] = None
-    #: numpy: flat int32 (owner, id) pairs, sorted by owner then id.
-    known_arrays: Optional[Tuple] = None
+    #: numpy: the fresh ids of owners ``[max(lo, n_byzantine), hi)``, one
+    #: packed row each (uint8, the layout of ``ShardState.known``).
+    known_bits: Optional[np.ndarray] = None
     samp_resets: List[Tuple[int, int, int, int, int]] = field(default_factory=list)
     renewals: int = 0
     blocked: int = 0
@@ -820,9 +823,9 @@ _BLOCK_ELEMENTS = 1 << 18
 #: L2: on the ledger host (2 MiB L2 a core) the three `shard-brahms-4k`
 #: rounds (l2 = 40) took 2.96 s at 2^13, 2.63 s at 2^14, 2.59 s at 2^15,
 #: 2.57 s at 2^16 and 3.06 s at 2^17 (medians of three interleaved
-#: sweeps) — smaller tiles pay per-tile dispatch, larger ones spill.
-#: Being reused, the workspace is faulted in once per call whatever the
-#: flood's size.
+#: sweeps, measured with one feed call per partition, not per block) —
+#: smaller tiles pay per-tile dispatch, larger ones spill.  Being reused,
+#: the workspace is faulted in once per call whatever the flood's size.
 _FEED_TILE_ELEMENTS = 1 << 15
 
 
@@ -927,27 +930,25 @@ def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
     batch_end = np.searchsorted(batches[0], np.arange(base, hi) + 1)
     batch_count = np.diff(batch_end, prepend=0)
     cost = batch_count * config.view_size + config.n_nodes
-    views, known = [], []
+    views, samples, known = [], [], []
     for a, b in _owner_blocks(cost, _BLOCK_ELEMENTS):
         first = int(batch_end[a - 1]) if a else 0
         block = tuple(column[first:int(batch_end[b - 1])] for column in batches)
-        renewed, fresh = _apply_block_numpy(
+        renewed, bits, fresh = _apply_block_numpy(
             config, state, round_no, base + a, base + b, barrier.push_by_dst,
             block, contacts[a:b], trusted_contacts[a:b], delta,
         )
         if renewed is not None:
             views.append(renewed)
-        known.append(fresh)
+        known.append(bits)
+        if fresh[1].size:
+            samples.append(_sampler_feed_numpy(state, base + a, base + b, *fresh))
         if validate:
             _validate_block_numpy(config, state, round_no, base + a, base + b,
                                   fresh, delta)
     delta.view_arrays = _concat_columns(views)
-    delta.known_arrays = _concat_columns(known)
-    # One feed per partition over all its fresh pairs (owner-sorted, since
-    # blocks ascend), so the tiles run across block boundaries.
-    if delta.known_arrays[1].size:
-        delta.samp_arrays = _sampler_feed_numpy(state, base, hi,
-                                                *delta.known_arrays)
+    delta.samp_arrays = _concat_columns(samples)
+    delta.known_bits = np.concatenate(known)
 
 
 def _concat_columns(blocks: List[Tuple]) -> Optional[Tuple]:
@@ -962,8 +963,8 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
                        batches, contacts, trusted_contacts, delta):
     """One owner block ``[node_a, node_b)`` of the segment kernel: counts
     go to ``delta``; returns the block's ``(nodes, rows, lens)`` renewed
-    views (None when there are none) and its fresh ``(owner, id)`` pairs,
-    owner-sorted with ids ascending per owner."""
+    views (None when there are none), its fresh ids as packed rows and as
+    ``(owner, id)`` pairs, owner-sorted with ids ascending per owner."""
     seed = config.seed
     n_byz = config.n_byzantine
     owners = node_b - node_a
@@ -1030,7 +1031,8 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
     marks = np.zeros(owners * n, dtype=bool)
     marks[(p_owner - node_a) * n + p_src] = True
     marks[(e_owner - node_a) * n + e_id] = True
-    np.greater(marks, state.known[node_a:node_b].reshape(-1), out=marks)
+    known = np.unpackbits(state.known[node_a:node_b], axis=1, count=n)
+    np.greater(marks, known.view(bool).reshape(-1), out=marks)
     hit = np.flatnonzero(marks)
     f_local = hit // n
     f_id = hit - f_local * n
@@ -1101,9 +1103,8 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
             )
             lens[sampled] += config.gamma_count
         renewed = (r_nodes, rows, lens)
-    # int32 pairs: the round-1 flood holds millions of them until integrate.
-    fresh = ((f_local + node_a).astype(np.int32), f_id.astype(np.int32))
-    return renewed, fresh
+    bits = np.packbits(marks.reshape(owners, n), axis=1)
+    return renewed, bits, (f_local + node_a, f_id)
 
 
 def _fold_pack(x, scratch, ids) -> None:
@@ -1227,7 +1228,7 @@ def _validate_samplers(config: ShardConfig, state: ShardState, round_no: int,
 def _known_live(state: ShardState, node: int, fresh: List[int]) -> List[int]:
     """The node's observed ids (including this round's) that are alive."""
     if state.use_numpy:
-        known = np.flatnonzero(state.known[node])
+        known = np.flatnonzero(np.unpackbits(state.known[node]))
         merged = np.union1d(known, np.asarray(fresh, dtype=np.int64)) if fresh else known
         live = merged[state.alive[merged.astype(np.int64)]]
         return [int(v) for v in live]
@@ -1302,12 +1303,11 @@ class ShardSimulation:
         self.trace_records: List[Dict[str, object]] = []
         self._bounds = partition_bounds(config.n_nodes, shards)
         # What the paper's metrics are read from, per correct node: each
-        # round's Byzantine view shares (NaN while the node is down), the
-        # correct ids it has observed, the round it discovered the system.
-        correct = config.n_nodes - config.n_byzantine
+        # round's Byzantine view shares (NaN while the node is down) and
+        # the round it discovered the system.
         self._view_shares: List = []
-        self._known_correct = np.zeros(correct, dtype=np.int64)
-        self._discovered_at = np.full(correct, -1, dtype=np.int64)
+        self._discovered_at = np.full(config.n_nodes - config.n_byzantine, -1,
+                                      dtype=np.int64)
 
     # -- faults ---------------------------------------------------------------
 
@@ -1401,13 +1401,9 @@ class ShardSimulation:
             if delta.samp_arrays is not None:
                 nodes, slots, packed = delta.samp_arrays
                 state.samp_best[nodes, slots] = packed
-            if delta.known_arrays is not None:
-                # In slices: the scatter widens its int32 indices, and for
-                # a whole round-1 flood those temporaries are fresh pages.
-                owners, ids = delta.known_arrays
-                for at in range(0, ids.size, _BLOCK_ELEMENTS):
-                    cut = slice(at, at + _BLOCK_ELEMENTS)
-                    state.known[owners[cut], ids[cut]] = True
+            if delta.known_bits is not None:
+                bits = delta.known_bits
+                state.known[delta.hi - len(bits):delta.hi] |= bits
             # After the feeds: a reset replaces whatever its sampler held.
             for node, j, new_a, new_b, packed in delta.samp_resets:
                 state.samp_a[node][j] = new_a
@@ -1472,7 +1468,7 @@ class ShardSimulation:
     def _close_round(self, round_no: int, barrier: Barrier,
                      deltas: Sequence[PartitionDelta]) -> None:
         """The round's one reduction over the new state: O(N·l1) for the
-        views plus one pass over the round's fresh ``(owner, id)`` pairs."""
+        views plus a popcount over the packed ``known`` (N²/8 bytes)."""
         config, state = self.config, self.state
         n_byz = config.n_byzantine
         alive = np.asarray(state.alive[n_byz:], dtype=bool)
@@ -1480,21 +1476,8 @@ class ShardSimulation:
         byz_entries, total_entries = int(byz[alive].sum()), int(lens[alive].sum())
         shares = np.divide(byz, lens, out=np.zeros(lens.size), where=lens > 0)
         self._view_shares.append(np.where(alive, shares, np.nan))
-        for delta in deltas:
-            if delta.known_arrays is not None:
-                # In slices, like the scatter in `_integrate`: bincount
-                # widens its int32 input, and a round-1 flood is millions
-                # of pairs.
-                owners, ids = delta.known_arrays
-                for at in range(0, ids.size, _BLOCK_ELEMENTS):
-                    cut = slice(at, at + _BLOCK_ELEMENTS)
-                    self._known_correct += np.bincount(
-                        owners[cut][ids[cut] >= n_byz], minlength=config.n_nodes
-                    )[n_byz:]
-            for node, fresh in delta.known_additions:
-                self._known_correct[node - n_byz] += sum(i >= n_byz for i in fresh)
         # A node always knows itself; `known` rows never hold their owner.
-        reached = (self._known_correct + 1) / alive.size >= DISCOVERY_THRESHOLD
+        reached = (self._known_poll() + 1) / alive.size >= DISCOVERY_THRESHOLD
         self._discovered_at[alive & reached & (self._discovered_at < 0)] = round_no
         record = {
             "round": round_no,
@@ -1529,6 +1512,20 @@ class ShardSimulation:
             return ((rows >= 0) & (rows < n_byz)).sum(axis=1), state.view_len[n_byz:]
         return (np.array([sum(v < n_byz for v in row) for row in state.view[n_byz:]]),
                 np.array(state.view_len[n_byz:]))
+
+    def _known_poll(self):
+        """Per correct node, in id order: the correct ids it has observed."""
+        n_byz, state = self.config.n_byzantine, self.state
+        if state.use_numpy:
+            # The bytes from the one holding id n_byz on, less that byte's
+            # Byzantine ids (its top n_byz % 8 bits).
+            head, rem = divmod(n_byz, 8)
+            rows = state.known[n_byz:, head:]
+            counts = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+            if rem:
+                counts -= np.bitwise_count(rows[:, 0] >> (8 - rem))
+            return counts
+        return np.array([sum(i >= n_byz for i in row) for row in state.known[n_byz:]])
 
     def run(self, rounds: int) -> None:
         for _ in range(rounds):

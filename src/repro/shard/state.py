@@ -11,11 +11,11 @@ Here the *population* is the data structure:
   ``min`` with the tie broken toward the smaller id (deterministic on both
   backends, no (hash, id) tuple compares on the hot path);
 * ``alive`` — liveness flags (crash/restart faults toggle them);
-* ``known`` — per-node observed-id sets.  The engine feeds samplers *only
-  ids new to the node*: a min-wise sampler is duplicate-insensitive, so
-  re-observing an id can never change its state, and skipping re-feeds is
-  what collapses the Θ(rounds · β·l1² · l2) sampler cost to the novelty
-  frontier (see ``repro/shard/engine.py``).
+* ``known`` — per-node observed ids: uint8 ``np.packbits`` rows ``[N,
+  ⌈N/8⌉]`` (sets on the pure backend).  Samplers are fed *only ids new to
+  the node*: a min-wise sampler is duplicate-insensitive, so skipping
+  re-feeds collapses the Θ(rounds · β·l1² · l2) sampler cost to the
+  novelty frontier (see ``repro/shard/engine.py``).
 
 Node identity layout matches :class:`repro.experiments.scenarios.TopologySpec`:
 ids ``[0, n_byzantine)`` are Byzantine, the next ``n_trusted`` are trusted
@@ -311,7 +311,7 @@ def build_state(config: ShardConfig, use_numpy: bool = True) -> ShardState:
         state.samp_b = (b_keys % np.uint64(_P)).astype(np.int64)
         state.samp_best = np.full((n, l2), EMPTY_SAMPLE, dtype=np.int64)
         state.alive = np.ones(n, dtype=bool)
-        state.known = np.zeros((n, n), dtype=bool)
+        state.known = np.zeros((n, -(-n // 8)), dtype=np.uint8)
         state.reduced = (
             splitmix64_array(np.arange(n, dtype=np.uint64)) % np.uint64(_P)
         ).astype(np.int64)

@@ -15,6 +15,8 @@ proves the two spellings are one program.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.metrics import per_round_series
 from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.experiments.scenarios import (
@@ -194,6 +196,14 @@ def run_shard_config(config, rounds, shards=1, workers=1, use_numpy=True,
     )
     simulation.run(rounds)
     return ScenarioArtifacts(spec=None, bundle=simulation)
+
+
+def known_ids(rows, n_nodes):
+    """Packed ``known`` rows — ``[rows, ⌈N/8⌉]`` uint8, a slice of
+    ``ShardState.known`` or a numpy ``PartitionDelta.known_bits`` — as one
+    sorted id list per row."""
+    bits = np.unpackbits(rows, axis=1, count=n_nodes)
+    return [np.flatnonzero(row).tolist() for row in bits]
 
 
 def assert_saturated_samples_uniform(histograms, n_byzantine, sample_size):

@@ -50,7 +50,7 @@ from repro.scenario.compile import shard_simulation_from_spec
 from repro.shard.compile import ShardUnsupportedError
 from repro.telemetry import TelemetryConfig
 
-from tests._pinned import PINNED, PINNED_DICTS, ROUNDS, run_built
+from tests._pinned import PINNED, PINNED_DICTS, ROUNDS, known_ids, run_built
 
 
 def _raptee_membership():
@@ -281,9 +281,10 @@ class TestShardSpecsTakeTheSameRoad:
         )
 
     def test_records_against_the_engines_own_counts(self):
-        """Round by round, against ``trace_records`` and the dense ``known``
-        matrix.  A record's mean is the mean of per-node *shares* (every
-        node weighs the same — the paper's metric); ``trace_records`` holds
+        """Round by round, against ``trace_records`` and the ids decoded
+        from the packed ``known`` rows.  A record's mean is the mean of
+        per-node *shares* (every node weighs the same — the paper's
+        metric); ``trace_records`` holds
         the share of *entries* (every view slot weighs the same).  The two
         are tied by the view lengths: Σ shareᵢ·lenᵢ = Byzantine entries."""
         spec = get_spec("shard-brahms")  # reaches discovery in round 36
@@ -301,7 +302,11 @@ class TestShardSpecsTakeTheSameRoad:
             assert sum(lens[node] for node in shares) == raw["view_entries"]
             assert round(sum(share * lens[node] for node, share in shares.items()),
                          6) == raw["byz_entries"]
-            known = simulation.state.known[n_byz:, n_byz:].sum(axis=1)
+            known = [
+                sum(pid >= n_byz for pid in ids)
+                for ids in known_ids(simulation.state.known[n_byz:],
+                                     simulation.config.n_nodes)
+            ]
             for node in shares:
                 if (known[node - n_byz] + 1) / correct >= DISCOVERY_THRESHOLD:
                     discovered.setdefault(node, round_no)

@@ -38,13 +38,18 @@ from repro.shard.engine import (
     _fold_pack,
     _keyed_keep_numpy,
     _keyed_subset,
+    _known_live,
 )
 from repro.shard.rand import Purpose, key64, key_array, keyed_order, rand_float
 from repro.shard.state import EMPTY_SAMPLE, ShardConfig, ShardState
 
 from repro.experiments.scenarios import TopologySpec
 
-from tests._pinned import assert_saturated_samples_uniform, run_shard_config
+from tests._pinned import (
+    assert_saturated_samples_uniform,
+    known_ids,
+    run_shard_config,
+)
 
 
 class TestCounterRandomness:
@@ -215,9 +220,11 @@ def _canonical_delta(delta):
     if delta.samp_arrays is not None:
         nodes, slots, packed = (column.tolist() for column in delta.samp_arrays)
         samples.update(zip(zip(nodes, slots), packed))
-    if delta.known_arrays is not None:
-        owners, ids = (column.tolist() for column in delta.known_arrays)
-        known.update(zip(owners, ids))
+    if delta.known_bits is not None:
+        bits = delta.known_bits
+        rows = known_ids(bits, 8 * bits.shape[1])
+        for owner, ids in enumerate(rows, start=delta.hi - len(rows)):
+            known.update((owner, v) for v in ids)
     return {
         "bounds": (delta.lo, delta.hi),
         "views": views,
@@ -336,6 +343,65 @@ class TestSegmentKernel:
         assert small >= workspace
         assert large <= small + 1024
 
+    def test_delta_does_not_grow_with_the_flood(self, monkeypatch):
+        """A round-1 flood at N = 1,200 comes back as one packed row per
+        owner: no array of a delta is as long as its fresh-pair count."""
+        import numpy as np
+
+        from repro.shard import ShardSimulation, pool
+        from repro.shard.engine import apply_partition
+
+        topology = TopologySpec(n_nodes=1200, byzantine_fraction=0.10,
+                                view_ratio=0.10)
+        config = shard_config_from_topology(topology, seed=3, protocol="brahms")
+        real_map = pool.map_partitions
+        deltas = []
+
+        def recording_map(fn, tasks, workers):
+            results = real_map(fn, tasks, workers)
+            if fn is apply_partition:
+                deltas.extend(results)
+            return results
+
+        monkeypatch.setattr(pool, "map_partitions", recording_map)
+        ShardSimulation(config, shards=3).run(1)
+        width = -(-config.n_nodes // 8)
+        for delta in deltas:
+            base = max(delta.lo, config.n_byzantine)
+            bits = delta.known_bits
+            assert bits.dtype == np.uint8
+            assert bits.shape == (delta.hi - base, width)
+            fresh = int(np.bitwise_count(bits).sum())
+            assert fresh > 20 * (delta.hi - base)  # a flood, not a trickle
+            arrays = [bits, *(delta.view_arrays or ()), *(delta.samp_arrays or ())]
+            assert all(len(array) != fresh for array in arrays), fresh
+
+    def test_packed_known_matches_the_pure_sets(self):
+        """Node by node and round by round on a crash run whose sampler
+        validation replays known ids: the popcount discovery counts and
+        `_known_live` agree with the pure backend's sets.  A Byzantine band
+        that ends mid-byte pins the bit order."""
+        import numpy as np
+
+        from repro.shard import ShardSimulation
+
+        config = _kernel_config()
+        assert config.n_byzantine % 8
+        vector = ShardSimulation(config, shards=3)
+        scalar = ShardSimulation(config, shards=3, use_numpy=False)
+        correct = range(config.n_byzantine, config.n_nodes)
+        for _ in range(6):
+            vector.run_round()
+            scalar.run_round()
+            assert known_ids(vector.state.known, config.n_nodes) == [
+                sorted(ids) for ids in scalar.state.known
+            ]
+            assert np.array_equal(vector._known_poll(), scalar._known_poll())
+            for node in correct:
+                assert (_known_live(vector.state, node, [])
+                        == _known_live(scalar.state, node, [])), node
+        assert vector.state.sampler_resets == scalar.state.sampler_resets > 0
+
     def test_keyed_keep_matches_scalar_subset(self):
         import numpy as np
 
@@ -399,7 +465,9 @@ def _saturated_brahms(seed: int, use_numpy: bool):
     correct = range(config.n_byzantine, config.n_nodes)
 
     def observed(node: int) -> int:
-        return int(state.known[node].sum()) if use_numpy else len(state.known[node])
+        if use_numpy:
+            return len(known_ids(state.known[node:node + 1], config.n_nodes)[0])
+        return len(state.known[node])
 
     while any(observed(node) < config.n_nodes - 1 for node in correct):
         assert simulation.round_number < 200
