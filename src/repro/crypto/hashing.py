@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-from typing import Iterable
 
 __all__ = [
     "sha256",
@@ -88,11 +87,3 @@ def int_digest(data: bytes, bits: int = 64) -> int:
     if not 0 < bits <= 256:
         raise ValueError("bits must be in (0, 256]")
     return int.from_bytes(hashlib.sha256(data).digest(), "big") >> (256 - bits)
-
-
-def iter_hash_chain(seed: bytes, count: int) -> Iterable[bytes]:
-    """Yield ``count`` successive SHA-256 chain values starting from ``seed``."""
-    value = seed
-    for _ in range(count):
-        value = hashlib.sha256(value).digest()
-        yield value

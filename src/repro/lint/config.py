@@ -8,7 +8,7 @@ The table in ``pyproject.toml`` supports::
     exclude = ["repro/vendored"]  # scope-path prefixes never linted
 
     [tool.repro-lint.scopes]
-    "purity-print" = ["repro/sim", "repro/gossip"]  # override a rule's scope
+    "purity-print" = ["repro/sim", "repro/brahms"]  # override a rule's scope
 
 Python 3.11+ parses the file with :mod:`tomllib`; on older interpreters a
 minimal fallback parser handles exactly the subset above (string arrays and

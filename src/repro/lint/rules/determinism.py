@@ -25,7 +25,6 @@ __all__ = [
 PROTOCOL_SCOPE: Tuple[str, ...] = (
     "repro/sim",
     "repro/brahms",
-    "repro/gossip",
     "repro/core",
     "repro/adversary",
 )

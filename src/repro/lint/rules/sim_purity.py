@@ -20,7 +20,6 @@ __all__ = ["PrintRule", "IoRule"]
 PURE_SCOPE: Tuple[str, ...] = (
     "repro/sim",
     "repro/brahms",
-    "repro/gossip",
     "repro/core",
     "repro/adversary",
     "repro/sgx",

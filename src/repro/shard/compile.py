@@ -9,8 +9,8 @@ the adaptive adversary, the event clock, the invariant checker — stays on
 the per-node engines; asking for it raises :class:`ShardUnsupportedError`
 naming the feature, never a silent approximation.
 :func:`repro.scenario.run.run_scenario` drives the compiled engine like
-the other two; :func:`shard_config_from_topology` is the keyword spelling
-the engine's own tests build edge-case configs with.
+the other two; :func:`shard_config_from_spec` is the one way to build a
+config from scenario data.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
-from repro.experiments.scenarios import TopologySpec
 from repro.faults.plan import CrashRestartFault, LossBurstFault
 from repro.shard.state import ShardConfig
 
 __all__ = [
     "ShardUnsupportedError",
     "eviction_fields",
-    "shard_config_from_topology",
     "shard_config_from_spec",
 ]
 
@@ -52,57 +50,6 @@ def eviction_fields(policy: Optional[EvictionPolicy], enabled: bool = True):
             policy.low_share, policy.high_share, policy.low_rate, policy.high_rate,
         )
     raise ShardUnsupportedError(f"eviction policy {type(policy).__name__}")
-
-
-def shard_config_from_topology(
-    topology: TopologySpec,
-    seed: int,
-    protocol: str = "raptee",
-    brahms=None,
-    eviction: Optional[EvictionPolicy] = None,
-    eviction_enabled: bool = True,
-    trusted_exchange: bool = True,
-    loss_bursts=(),
-    crashes=(),
-) -> ShardConfig:
-    """Build a :class:`ShardConfig` from a topology + Brahms parameters
-    (what :func:`shard_config_from_spec` ends in).
-
-    ``brahms`` defaults to ``topology.brahms_config()`` — the same derived
-    view/sample sizes every other builder uses.
-    """
-    if topology.poisoned_fraction:
-        raise ShardUnsupportedError("poisoned-view injection")
-    config = brahms if brahms is not None else topology.brahms_config()
-    if protocol == "brahms":
-        eviction_kind, eviction_params = "none", ()
-    else:
-        eviction_kind, eviction_params = eviction_fields(
-            eviction if eviction is not None else AdaptiveEviction(),
-            eviction_enabled,
-        )
-    return ShardConfig(
-        protocol=protocol,
-        n_nodes=topology.n_nodes,
-        seed=seed,
-        n_byzantine=topology.n_byzantine,
-        n_trusted=topology.n_trusted if protocol == "raptee" else 0,
-        view_size=config.view_size,
-        sample_size=config.sample_size,
-        alpha_count=config.alpha_count,
-        beta_count=config.beta_count,
-        gamma_count=config.gamma_count,
-        blocking_enabled=config.blocking_enabled,
-        validation_period=config.validation_period,
-        push_limit=config.push_limit,
-        loss_rate=topology.loss_rate,
-        encrypt=topology.transport_encryption,
-        eviction_kind=eviction_kind,
-        eviction_params=eviction_params,
-        trusted_exchange=trusted_exchange,
-        loss_bursts=tuple(loss_bursts),
-        crashes=tuple(crashes),
-    )
 
 
 def shard_config_from_spec(spec) -> ShardConfig:
@@ -141,14 +88,35 @@ def shard_config_from_spec(spec) -> ShardConfig:
             crashes.append((fault.node_id, fault.at_round, fault.down_rounds))
         else:
             raise ShardUnsupportedError(f"fault kind {type(fault).__name__}")
-    return shard_config_from_topology(
-        spec.topology,
-        spec.seed,
+    topology = spec.topology
+    if topology.poisoned_fraction:
+        raise ShardUnsupportedError("poisoned-view injection")
+    brahms = spec.brahms_config
+    if spec.protocol == "brahms":
+        eviction_kind, eviction_params = "none", ()
+    else:
+        eviction_kind, eviction_params = eviction_fields(
+            options.eviction, options.eviction_enabled
+        )
+    return ShardConfig(
         protocol=spec.protocol,
-        brahms=spec.brahms_config,
-        eviction=options.eviction,
-        eviction_enabled=options.eviction_enabled,
+        n_nodes=topology.n_nodes,
+        seed=spec.seed,
+        n_byzantine=topology.n_byzantine,
+        n_trusted=topology.n_trusted,  # a Brahms spec has no trusted fraction
+        view_size=brahms.view_size,
+        sample_size=brahms.sample_size,
+        alpha_count=brahms.alpha_count,
+        beta_count=brahms.beta_count,
+        gamma_count=brahms.gamma_count,
+        blocking_enabled=brahms.blocking_enabled,
+        validation_period=brahms.validation_period,
+        push_limit=brahms.push_limit,
+        loss_rate=topology.loss_rate,
+        encrypt=topology.transport_encryption,
+        eviction_kind=eviction_kind,
+        eviction_params=eviction_params,
         trusted_exchange=options.trusted_exchange_enabled,
-        loss_bursts=loss_bursts,
-        crashes=crashes,
+        loss_bursts=tuple(loss_bursts),
+        crashes=tuple(crashes),
     )

@@ -1,7 +1,7 @@
 """Node interface for the round-based simulator.
 
-A protocol (Brahms, RAPTEE, a Byzantine strategy, a plain gossip PSS) is a
-:class:`NodeBase` subclass.  The engine drives three phases per round:
+A protocol (Brahms, RAPTEE, a Byzantine strategy) is a :class:`NodeBase`
+subclass.  The engine drives three phases per round:
 
 1. ``begin_round`` — reset per-round buffers;
 2. ``gossip`` — the node's *active* behaviour: emit pushes and run pull

@@ -14,7 +14,7 @@ job and the acceptance test rely on.
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.profiling import Profiler
@@ -183,11 +183,3 @@ def render_profile(profiler: Profiler) -> str:
         formatted,
         header=("section", "calls", "total ms", "mean µs", "max µs"),
     )
-
-
-def summary_metrics(
-    registry: MetricsRegistry, names: Optional[Sequence[str]] = None
-) -> Mapping[str, float]:
-    """Family totals as a plain dict (report/assert convenience)."""
-    wanted = names if names is not None else registry.names()
-    return {name: registry.total(name) for name in wanted}

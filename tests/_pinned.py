@@ -26,8 +26,10 @@ from repro.experiments.scenarios import (
 )
 from repro.faults.harness import wire_faults
 from repro.faults.plan import CrashRestartFault, FaultPlan, LossBurstFault, RoundWindow
+from repro.scenario import spec_from_dict
 from repro.scenario.run import ScenarioArtifacts
 from repro.shard import ShardSimulation
+from repro.shard.compile import shard_config_from_spec
 from repro.telemetry import (
     Telemetry,
     TelemetryConfig,
@@ -181,13 +183,26 @@ def run_pinned(name, driver=None):
     return run_built(*PINNED[name](), driver=driver)
 
 
+def shard_config(topology, seed, protocol, **sections):
+    """The :class:`~repro.shard.state.ShardConfig` of a ``kind='shard'``
+    spec dict, built the way a spec file is: ``topology`` is the topology
+    section and ``sections`` any other top-level section (``raptee``,
+    ``faults``) in the form :func:`repro.scenario.spec_from_dict` reads."""
+    return shard_config_from_spec(spec_from_dict({
+        "name": "shard-test", "protocol": protocol, "seed": seed, "rounds": 1,
+        "topology": topology, "adversary_strategy": "balanced",
+        "engine": {"kind": "shard"}, **sections,
+    }))
+
+
 def run_shard_config(config, rounds, shards=1, workers=1, use_numpy=True,
                      trace_messages=False):
-    """Run a hand-built :class:`~repro.shard.state.ShardConfig` — the shard
-    suites' edge cases, and their pure-backend rows (``use_numpy`` stops at
-    the ``ShardSimulation`` seam) — and read it through the
-    :class:`ScenarioArtifacts` that ``run_scenario`` returns.  There is no
-    spec behind it, so ``metrics`` and ``artifact_sections`` do not apply."""
+    """Run a :class:`~repro.shard.state.ShardConfig` — the shard suites'
+    edge cases, often a :func:`shard_config` with fields replaced, and
+    their pure-backend rows (``use_numpy`` stops at the ``ShardSimulation``
+    seam) — and read it through the :class:`ScenarioArtifacts` that
+    ``run_scenario`` returns.  No spec travels with the config, so
+    ``metrics`` and ``artifact_sections`` do not apply."""
     simulation = ShardSimulation(
         config, shards=shards, workers=workers, use_numpy=use_numpy,
         telemetry=Telemetry(

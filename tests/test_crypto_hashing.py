@@ -12,7 +12,6 @@ from repro.crypto.hashing import (
     hkdf,
     hmac_sha256,
     int_digest,
-    iter_hash_chain,
     sha256,
 )
 
@@ -101,9 +100,3 @@ class TestMisc:
             int_digest(b"data", bits=0)
         with pytest.raises(ValueError):
             int_digest(b"data", bits=257)
-
-    def test_hash_chain_length_and_determinism(self):
-        chain = list(iter_hash_chain(b"seed", 5))
-        assert len(chain) == 5
-        assert len(set(chain)) == 5
-        assert chain == list(iter_hash_chain(b"seed", 5))

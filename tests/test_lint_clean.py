@@ -2,12 +2,13 @@
 
 This is the test that makes :mod:`repro.lint` bite — a PR that introduces a
 determinism, enclave-boundary, crypto-hygiene or purity violation anywhere
-under ``src/`` or ``tests/`` fails here with the full finding list.
+under ``src/`` or ``tests/`` fails here with the full finding list, and a
+rule scope left naming deleted code fails here too.
 """
 
 import os
 
-from repro.lint import LintRunner, load_config
+from repro.lint import LintRunner, load_config, registered_rules
 from repro.lint.reporter import render_text
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -35,3 +36,27 @@ def test_rule_battery_is_present():
     families = {rule_id.split("-")[0] for rule_id in rule_ids}
     assert families == {"det", "enclave", "crypto", "purity", "lint"}
     assert len(rule_ids) == 13
+
+
+def _is_module_or_package(path):
+    return os.path.isfile(path) or os.path.isfile(os.path.join(path, "__init__.py"))
+
+
+def test_every_rule_scope_names_real_code():
+    """A scope prefix that names nothing under ``src/`` silently scopes
+    nothing: every default scope and every ``[tool.repro-lint.scopes]``
+    override must name a module or a package (a directory left holding
+    only ``__pycache__`` does not count)."""
+    rules = registered_rules()
+    overrides = load_config(os.path.join(REPO_ROOT, "pyproject.toml")).scopes
+    assert set(overrides) <= {rule.rule_id for rule in rules}
+    scopes = {f"{rule.rule_id} (default)": rule.scope for rule in rules}
+    scopes.update(overrides)
+    stale = [
+        (where, prefix)
+        for where, prefixes in sorted(scopes.items())
+        for prefix in prefixes
+        if not _is_module_or_package(os.path.join(REPO_ROOT, "src", prefix))
+    ]
+    assert stale == []
+    assert any(scopes.values())  # the check above has something to check

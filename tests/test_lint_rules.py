@@ -399,7 +399,7 @@ class TestEnclavePrivateAccessRule:
             def steal(enclave):
                 return enclave._group_key
             """,
-            scope="repro/gossip/fixture.py",
+            scope="repro/brahms/fixture.py",
         )
         assert "enclave-private-access" in rules_in(findings)
 
@@ -409,7 +409,7 @@ class TestEnclavePrivateAccessRule:
             def unwrap(host):
                 return host._enclave
             """,
-            scope="repro/gossip/fixture.py",
+            scope="repro/brahms/fixture.py",
         )
         assert "enclave-private-access" in rules_in(findings)
 
@@ -423,7 +423,7 @@ class TestEnclavePrivateAccessRule:
                 def get(self):
                     return self._cache
             """,
-            scope="repro/gossip/fixture.py",
+            scope="repro/brahms/fixture.py",
         )
         assert "enclave-private-access" not in rules_in(findings)
 
@@ -538,7 +538,7 @@ class TestPurityRules:
                 with open("view.log", "w") as handle:
                     handle.write(str(view))
             """,
-            scope="repro/gossip/fixture.py",
+            scope="repro/brahms/fixture.py",
         )
         assert "purity-io" in rules_in(findings)
         assert sum(1 for f in findings if f.rule_id == "purity-io") == 2
@@ -549,7 +549,7 @@ class TestPurityRules:
             def start(channel):
                 return channel.open()
             """,
-            scope="repro/gossip/fixture.py",
+            scope="repro/brahms/fixture.py",
         )
         assert "purity-io" not in rules_in(findings)
 

@@ -1,9 +1,8 @@
-"""Property-based invariants of the view data structures.
+"""Property-based invariants of the trusted view swap.
 
-These are the structural guarantees everything above relies on:
-PartialView.select never exceeds capacity or duplicates IDs regardless of
-H/S/buffer, and the trusted swap conserves the view as a multiset
-transformation.
+The structural guarantee the §IV-B exchange relies on: an offer never
+exceeds half the view plus the self link, and the swap conserves the view
+as a multiset transformation.
 """
 
 import random
@@ -11,55 +10,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.trusted_exchange import apply_swap, build_offer
-from repro.gossip.partial_view import PartialView, ViewEntry
-
-entries_strategy = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=20)),
-    max_size=30,
-).map(lambda pairs: [ViewEntry(node_id, age) for node_id, age in pairs])
-
-
-class TestPartialViewSelectProperties:
-    @given(
-        initial=entries_strategy,
-        buffer=entries_strategy,
-        capacity=st.integers(min_value=1, max_value=15),
-        healer=st.integers(min_value=0, max_value=5),
-        swapper=st.integers(min_value=0, max_value=5),
-        sent=st.integers(min_value=0, max_value=5),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_select_respects_capacity_and_uniqueness(
-        self, initial, buffer, capacity, healer, swapper, sent, seed
-    ):
-        view = PartialView(capacity, initial)
-        view.select(buffer, healer=healer, swapper=swapper, sent_count=sent,
-                    rng=random.Random(seed))
-        ids = view.ids()
-        assert len(ids) <= capacity
-        assert len(ids) == len(set(ids))  # unique by node ID
-
-    @given(
-        initial=entries_strategy,
-        buffer=entries_strategy,
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_select_only_contains_known_ids(self, initial, buffer, seed):
-        view = PartialView(10, initial)
-        before = set(view.ids())
-        view.select(buffer, healer=0, swapper=0, sent_count=0,
-                    rng=random.Random(seed))
-        allowed = before | {entry.node_id for entry in buffer}
-        assert set(view.ids()) <= allowed
-
-    @given(initial=entries_strategy)
-    def test_increase_ages_preserves_ids(self, initial):
-        view = PartialView(40, initial)
-        before = sorted(view.ids())
-        view.increase_ages()
-        assert sorted(view.ids()) == before
 
 
 class TestSwapProperties:

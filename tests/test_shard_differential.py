@@ -15,7 +15,9 @@ order deterministically:
   RAPTEE at N = 120 with few and with many trusted nodes, and a
   flood-shaped Brahms run whose first round spans many sampler-feed tiles.
 
-Every run is a hand-built :class:`ShardConfig` read through the
+Every config is compiled from a ``kind='shard'`` spec dict
+(``tests/_pinned.py::shard_config``), some with fields replaced to reach
+an edge, and every run is read through the
 :class:`~repro.scenario.run.ScenarioArtifacts` every engine returns
 (``tests/_pinned.py::run_shard_config``); ``run_scenario`` itself on a
 shard spec is covered in ``tests/test_scenario_differential.py``.
@@ -32,62 +34,56 @@ from __future__ import annotations
 
 import functools
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.experiments.scenarios import TopologySpec
 from repro.scenario.run import ScenarioArtifacts
-from repro.shard.compile import shard_config_from_topology
 from repro.shard.state import ShardConfig
 
-from tests._pinned import known_ids, run_shard_config
+from tests._pinned import known_ids, run_shard_config, shard_config
 
 
 def _brahms_loss_config() -> ShardConfig:
-    topology = TopologySpec(
-        n_nodes=60, byzantine_fraction=0.10, view_ratio=0.14,
-        loss_rate=0.08, transport_encryption=True,
-    )
-    return shard_config_from_topology(topology, seed=11, protocol="brahms")
+    topology = {"n_nodes": 60, "byzantine_fraction": 0.10, "view_ratio": 0.14,
+                "loss_rate": 0.08, "transport_encryption": True}
+    return shard_config(topology, seed=11, protocol="brahms")
 
 
 def _raptee_faults_config() -> ShardConfig:
-    from repro.core.eviction import AdaptiveEviction
-
-    topology = TopologySpec(
-        n_nodes=80, byzantine_fraction=0.10, trusted_fraction=0.30,
-        view_ratio=0.12, loss_rate=0.05, transport_encryption=True,
-    )
-    return shard_config_from_topology(
+    topology = {"n_nodes": 80, "byzantine_fraction": 0.10,
+                "trusted_fraction": 0.30, "view_ratio": 0.12, "loss_rate": 0.05,
+                "transport_encryption": True}
+    return shard_config(
         topology, seed=7, protocol="raptee",
-        eviction=AdaptiveEviction(0.2, 0.8, 0.1, 0.6),
-        loss_bursts=((4, 6, 0.3),),
-        crashes=((20, 3, 4), (35, 5, 3)),
+        raptee={"eviction": {"kind": "adaptive", "low_share": 0.2,
+                             "high_share": 0.8, "low_rate": 0.1,
+                             "high_rate": 0.6}},
+        faults=[
+            {"kind": "loss-burst", "window": {"start": 4, "end": 6},
+             "loss_rate": 0.3},
+            {"kind": "crash-restart", "node_id": 20, "at_round": 3,
+             "down_rounds": 4},
+            {"kind": "crash-restart", "node_id": 35, "at_round": 5,
+             "down_rounds": 3},
+        ],
     )
 
 
 def _validation_config() -> ShardConfig:
-    topology = TopologySpec(
-        n_nodes=50, byzantine_fraction=0.10, view_ratio=0.16,
-    )
-    config = shard_config_from_topology(topology, seed=3, protocol="brahms")
-    from dataclasses import replace
-
+    topology = {"n_nodes": 50, "byzantine_fraction": 0.10, "view_ratio": 0.16}
+    config = shard_config(topology, seed=3, protocol="brahms")
     return replace(config, validation_period=5, crashes=((10, 2, 3), (22, 6, 2)))
 
 
 def _raptee_edge_config(byzantine_fraction: float = 0.10, **overrides) -> ShardConfig:
     """A small RAPTEE population for the segment kernel's edge cases;
     ``overrides`` replace :class:`ShardConfig` fields directly."""
-    from dataclasses import replace
-
-    topology = TopologySpec(
-        n_nodes=70, byzantine_fraction=byzantine_fraction,
-        trusted_fraction=0.20, view_ratio=0.12, loss_rate=0.03,
-        transport_encryption=True,
-    )
-    config = shard_config_from_topology(topology, seed=23, protocol="raptee")
+    topology = {"n_nodes": 70, "byzantine_fraction": byzantine_fraction,
+                "trusted_fraction": 0.20, "view_ratio": 0.12, "loss_rate": 0.03,
+                "transport_encryption": True}
+    config = shard_config(topology, seed=23, protocol="raptee")
     return replace(config, **overrides)
 
 
@@ -126,16 +122,15 @@ def _heavy_burst_config() -> ShardConfig:
 def _saturated_config() -> ShardConfig:
     # Small population, long run: nodes soon know most ids, so the later
     # rounds mix owners that see a fresh id with owners that see none.
-    topology = TopologySpec(n_nodes=40, byzantine_fraction=0.10, view_ratio=0.2)
-    return shard_config_from_topology(topology, seed=29, protocol="brahms")
+    topology = {"n_nodes": 40, "byzantine_fraction": 0.10, "view_ratio": 0.2}
+    return shard_config(topology, seed=29, protocol="brahms")
 
 
 def _encrypted_raptee_config(trusted_fraction: float) -> ShardConfig:
-    topology = TopologySpec(
-        n_nodes=120, byzantine_fraction=0.10, trusted_fraction=trusted_fraction,
-        view_ratio=0.08, loss_rate=0.05, transport_encryption=True,
-    )
-    return shard_config_from_topology(topology, seed=7)
+    topology = {"n_nodes": 120, "byzantine_fraction": 0.10,
+                "trusted_fraction": trusted_fraction, "view_ratio": 0.08,
+                "loss_rate": 0.05, "transport_encryption": True}
+    return shard_config(topology, seed=7, protocol="raptee")
 
 
 def _few_trusted_config() -> ShardConfig:
@@ -151,9 +146,9 @@ def _flood_config() -> ShardConfig:
     # l1 = N/5: round 1 hands each partition several feed tiles of fresh
     # pairs.  A sampler-feed workspace shared between threads, or carried
     # over stale, breaks these rows.
-    topology = TopologySpec(n_nodes=400, byzantine_fraction=0.10,
-                            view_ratio=0.20, loss_rate=0.02)
-    return shard_config_from_topology(topology, seed=7, protocol="brahms")
+    topology = {"n_nodes": 400, "byzantine_fraction": 0.10, "view_ratio": 0.20,
+                "loss_rate": 0.02}
+    return shard_config(topology, seed=7, protocol="brahms")
 
 
 SCENARIOS = {
@@ -362,11 +357,9 @@ class TestPaperScale:
     def test_reduced_scale_shard_sweep(self):
         # The CI stand-in for N = 10,000: same code path, every batch
         # kernel engaged, population cut to keep it in CI time.
-        topology = TopologySpec(
-            n_nodes=400, byzantine_fraction=0.10, view_ratio=0.05,
-            loss_rate=0.01,
-        )
-        config = shard_config_from_topology(topology, seed=1, protocol="brahms")
+        topology = {"n_nodes": 400, "byzantine_fraction": 0.10,
+                    "view_ratio": 0.05, "loss_rate": 0.01}
+        config = shard_config(topology, seed=1, protocol="brahms")
         reference = run_shard_config(config, rounds=3, shards=1)
         probe = run_shard_config(config, rounds=3, shards=8)
         _assert_identical(probe, reference, "n=400 shards=8")
@@ -380,14 +373,10 @@ class TestPaperScale:
     def test_full_scale_10k_smoke(self):
         import resource
 
-        topology = TopologySpec(
-            n_nodes=10_000, byzantine_fraction=0.10, view_ratio=0.02,
-            loss_rate=0.01,
-        )
-        config = shard_config_from_topology(
-            topology, seed=1, protocol="brahms",
-            brahms=topology.brahms_config().scaled(10_000, view_ratio=0.02),
-        )
+        # The topology's own view_ratio = 0.02 derives the paper's l1 = 200.
+        topology = {"n_nodes": 10_000, "byzantine_fraction": 0.10,
+                    "view_ratio": 0.02, "loss_rate": 0.01}
+        config = shard_config(topology, seed=1, protocol="brahms")
         artifacts = run_shard_config(config, rounds=2, shards=8)
         views = artifacts.final_views
         assert len(views) == 10_000

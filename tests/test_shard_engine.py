@@ -31,7 +31,7 @@ from repro.shard import partition_bounds
 from repro.shard.compile import (
     ShardUnsupportedError,
     eviction_fields,
-    shard_config_from_topology,
+    shard_config_from_spec,
 )
 from repro.shard.engine import (
     _adversary_assignment,
@@ -49,6 +49,7 @@ from tests._pinned import (
     assert_saturated_samples_uniform,
     known_ids,
     run_shard_config,
+    shard_config,
 )
 
 
@@ -160,14 +161,13 @@ class TestPackedFold:
 def _kernel_config(**overrides) -> ShardConfig:
     """RAPTEE with trusted swaps, adaptive eviction, loss, a crash and
     sampler validation: every branch of the apply phase in a few rounds."""
-    from dataclasses import replace
-
-    topology = TopologySpec(
-        n_nodes=64, byzantine_fraction=0.10, trusted_fraction=0.25,
-        view_ratio=0.12, loss_rate=0.05, transport_encryption=True,
-    )
-    config = shard_config_from_topology(topology, seed=41, protocol="raptee",
-                                        crashes=((30, 2, 3),))
+    topology = {"n_nodes": 64, "byzantine_fraction": 0.10,
+                "trusted_fraction": 0.25, "view_ratio": 0.12, "loss_rate": 0.05,
+                "transport_encryption": True}
+    config = shard_config(topology, seed=41, protocol="raptee", faults=[
+        {"kind": "crash-restart", "node_id": 30, "at_round": 2,
+         "down_rounds": 3},
+    ])
     return replace(config, validation_period=2, **overrides)
 
 
@@ -175,9 +175,9 @@ def _flood_config() -> ShardConfig:
     """Brahms with l1 = N/4: round 1 hands every node most of the
     population as fresh ids (runs of up to ~90 rows per owner), then the
     frontier collapses — the shape of the paper-scale round-1 flood."""
-    topology = TopologySpec(n_nodes=96, byzantine_fraction=0.10,
-                            view_ratio=0.25, loss_rate=0.02)
-    return shard_config_from_topology(topology, seed=23, protocol="brahms")
+    topology = {"n_nodes": 96, "byzantine_fraction": 0.10, "view_ratio": 0.25,
+                "loss_rate": 0.02}
+    return shard_config(topology, seed=23, protocol="brahms")
 
 
 def _recorded_deltas(monkeypatch, config, use_numpy, rounds=6, shards=3):
@@ -351,9 +351,9 @@ class TestSegmentKernel:
         from repro.shard import ShardSimulation, pool
         from repro.shard.engine import apply_partition
 
-        topology = TopologySpec(n_nodes=1200, byzantine_fraction=0.10,
-                                view_ratio=0.10)
-        config = shard_config_from_topology(topology, seed=3, protocol="brahms")
+        topology = {"n_nodes": 1200, "byzantine_fraction": 0.10,
+                    "view_ratio": 0.10}
+        config = shard_config(topology, seed=3, protocol="brahms")
         real_map = pool.map_partitions
         deltas = []
 
@@ -455,10 +455,9 @@ def _saturated_brahms(seed: int, use_numpy: bool):
     correct node has observed every other id; returns (config, state)."""
     from repro.shard import ShardSimulation
 
-    topology = TopologySpec(n_nodes=80, byzantine_fraction=0.10, view_ratio=0.15)
+    topology = {"n_nodes": 80, "byzantine_fraction": 0.10, "view_ratio": 0.15}
     config = replace(
-        shard_config_from_topology(topology, seed=seed, protocol="brahms"),
-        sample_size=40,
+        shard_config(topology, seed=seed, protocol="brahms"), sample_size=40,
     )
     simulation = ShardSimulation(config, shards=2, use_numpy=use_numpy)
     state = simulation.state
@@ -627,15 +626,16 @@ class TestAdversaryAssignment:
 
 def _fault_config(protocol: str) -> ShardConfig:
     """A crash window and a loss burst inside the first rounds."""
-    topology = TopologySpec(
-        n_nodes=64, byzantine_fraction=0.10,
-        trusted_fraction=0.25 if protocol == "raptee" else 0.0,
-        view_ratio=0.12, loss_rate=0.05, transport_encryption=True,
-    )
-    return shard_config_from_topology(
-        topology, seed=13, protocol=protocol,
-        crashes=((30, 2, 2),), loss_bursts=((2, 4, 0.4),),
-    )
+    topology = {"n_nodes": 64, "byzantine_fraction": 0.10,
+                "trusted_fraction": 0.25 if protocol == "raptee" else 0.0,
+                "view_ratio": 0.12, "loss_rate": 0.05,
+                "transport_encryption": True}
+    return shard_config(topology, seed=13, protocol=protocol, faults=[
+        {"kind": "loss-burst", "window": {"start": 2, "end": 4},
+         "loss_rate": 0.4},
+        {"kind": "crash-restart", "node_id": 30, "at_round": 2,
+         "down_rounds": 2},
+    ])
 
 
 class TestPartitionDispatch:
@@ -835,12 +835,59 @@ class TestPartitionBounds:
             partition_bounds(10, 0)
 
 
+#: The `repr` of the config each shard vector's catalog spec compiles to:
+#: the committed vectors were recorded from exactly these, field for field.
+_VECTOR_CONFIGS = {
+    "shard-brahms": (
+        "ShardConfig(protocol='brahms', n_nodes=50, seed=401, "
+        "n_byzantine=5, n_trusted=0, view_size=8, sample_size=4, "
+        "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
+        " validation_period=10, push_limit=None, loss_rate=0.0, "
+        "encrypt=False, eviction_kind='none', eviction_params=(), "
+        "trusted_exchange=True, loss_bursts=(), crashes=())"
+    ),
+    "shard-raptee-fixed-eviction": (
+        "ShardConfig(protocol='raptee', n_nodes=40, seed=402, "
+        "n_byzantine=4, n_trusted=8, view_size=8, sample_size=4, "
+        "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
+        " validation_period=10, push_limit=None, loss_rate=0.0, "
+        "encrypt=False, eviction_kind='fixed', eviction_params=(0.6,), "
+        "trusted_exchange=True, loss_bursts=(), crashes=())"
+    ),
+    "shard-raptee-adaptive-eviction": (
+        "ShardConfig(protocol='raptee', n_nodes=40, seed=403, "
+        "n_byzantine=4, n_trusted=8, view_size=8, sample_size=4, "
+        "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
+        " validation_period=10, push_limit=None, loss_rate=0.0, "
+        "encrypt=False, eviction_kind='adaptive', eviction_params=(0.2, "
+        "0.8, 0.2, 0.8), trusted_exchange=True, loss_bursts=(), crashes=())"
+    ),
+    "shard-fault-lossburst": (
+        "ShardConfig(protocol='brahms', n_nodes=50, seed=404, "
+        "n_byzantine=5, n_trusted=0, view_size=8, sample_size=4, "
+        "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
+        " validation_period=10, push_limit=None, loss_rate=0.0, "
+        "encrypt=False, eviction_kind='none', eviction_params=(), "
+        "trusted_exchange=True, loss_bursts=((2, 4, 0.3),), crashes=())"
+    ),
+    "shard-fault-crash": (
+        "ShardConfig(protocol='raptee', n_nodes=40, seed=405, "
+        "n_byzantine=4, n_trusted=8, view_size=8, sample_size=4, "
+        "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
+        " validation_period=10, push_limit=None, loss_rate=0.0, "
+        "encrypt=False, eviction_kind='adaptive', eviction_params=(0.2, "
+        "0.8, 0.2, 0.8), trusted_exchange=True, loss_bursts=(), "
+        "crashes=((5, 2, 2),))"
+    ),
+}
+
+
 class TestCompileGate:
     def test_poisoned_views_unsupported(self):
-        topology = TopologySpec(n_nodes=60, byzantine_fraction=0.1,
-                                trusted_fraction=0.05, poisoned_fraction=0.2)
+        topology = {"n_nodes": 60, "byzantine_fraction": 0.1,
+                    "trusted_fraction": 0.05, "poisoned_fraction": 0.2}
         with pytest.raises(ShardUnsupportedError, match="poisoned"):
-            shard_config_from_topology(topology, seed=1)
+            shard_config(topology, seed=1, protocol="raptee")
 
     def test_unknown_eviction_policy_unsupported(self):
         class Weird:
@@ -850,13 +897,18 @@ class TestCompileGate:
             eviction_fields(Weird())
 
     def test_brahms_forces_eviction_off(self):
-        topology = TopologySpec(n_nodes=60, byzantine_fraction=0.1)
-        config = shard_config_from_topology(topology, seed=1, protocol="brahms")
+        topology = {"n_nodes": 60, "byzantine_fraction": 0.1}
+        config = shard_config(topology, seed=1, protocol="brahms")
         assert config.eviction_kind == "none"
+
+    @pytest.mark.parametrize("name", sorted(_VECTOR_CONFIGS))
+    def test_vector_specs_compile_to_the_pinned_config(self, name):
+        from repro.scenario.catalog import get_spec
+
+        assert repr(shard_config_from_spec(get_spec(name))) == _VECTOR_CONFIGS[name]
 
     def test_spec_with_wrong_engine_kind_rejected(self):
         from repro.scenario.spec import ScenarioSpec
-        from repro.shard.compile import shard_config_from_spec
 
         spec = ScenarioSpec(
             name="not-shard", protocol="brahms",

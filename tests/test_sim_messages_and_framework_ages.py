@@ -1,13 +1,9 @@
-"""Message dataclasses and framework aging behaviour."""
+"""The wire message dataclasses of the per-node engine."""
 
 import dataclasses
-import random
 
 import pytest
 
-from repro.gossip.cyclon import CyclonNode
-from repro.sim.bootstrap import UniformBootstrap
-from repro.sim.engine import Simulation
 from repro.sim.messages import (
     AuthChallenge,
     AuthResponse,
@@ -16,7 +12,6 @@ from repro.sim.messages import (
     Push,
     TrustedSwapRequest,
 )
-from repro.sim.network import Network
 
 
 class TestMessages:
@@ -40,32 +35,3 @@ class TestMessages:
     def test_swap_request_carries_offer(self):
         request = TrustedSwapRequest(sender=5, offered=(1, 2, 3))
         assert request.offered == (1, 2, 3)
-
-
-class TestFrameworkAging:
-    def test_ages_advance_each_cycle(self):
-        """Entries not refreshed by exchanges grow older every round."""
-        network = Network(random.Random(0))
-        nodes = [CyclonNode(i, 6, random.Random(i)) for i in range(12)]
-        bootstrap = UniformBootstrap(list(range(12)), random.Random(0))
-        for node in nodes:
-            node.seed_view(bootstrap.initial_view(node.node_id, 6))
-        sim = Simulation(network, nodes, random.Random(0))
-        sim.run(5)
-        # After 5 cycles, every node's view holds aged entries but none
-        # impossibly old (the oldest-first probing refreshes the tail).
-        for node in nodes:
-            ages = [entry.age for entry in node.view.entries()]
-            assert ages, "views must not be empty"
-            assert all(0 <= age <= 6 for age in ages)
-
-    def test_self_never_in_own_view(self):
-        network = Network(random.Random(0))
-        nodes = [CyclonNode(i, 6, random.Random(i)) for i in range(12)]
-        bootstrap = UniformBootstrap(list(range(12)), random.Random(0))
-        for node in nodes:
-            node.seed_view(bootstrap.initial_view(node.node_id, 6))
-        sim = Simulation(network, nodes, random.Random(0))
-        sim.run(10)
-        for node in nodes:
-            assert node.node_id not in node.view_ids()
