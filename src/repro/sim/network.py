@@ -169,7 +169,9 @@ class Network:
             self._ctr_pushes_delivered = None
             self._ctr_messages_lost = None
         else:
-            self._trace_messages = telemetry.config.trace_messages
+            self._trace_messages = (
+                telemetry.config.trace_messages and telemetry.trace is not None
+            )
             self._ctr_pushes_sent = telemetry.counter("network.pushes_sent")
             self._ctr_pushes_delivered = telemetry.counter("network.pushes_delivered")
             self._ctr_messages_lost = telemetry.counter("network.messages_lost")
@@ -315,12 +317,12 @@ class Network:
         if self._ctr_messages_lost is not None:
             self._ctr_messages_lost.inc()
 
-    def _emit_message(self, name: str, src: int, dst: int, delivered: bool,
-                      **fields: object) -> None:
-        # Callers guard on self._trace_messages; kept tolerant for direct use.
+    def _emit_message(self, name: str, src: int, fields: Dict[str, object]) -> None:
+        # Callers guard on self._trace_messages, which implies a hub with a
+        # trace; the fields dict goes to the collector as built.
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.config.trace_messages:
-            telemetry.event(name, node=src, dst=dst, delivered=delivered, **fields)
+        telemetry.trace.record(name, telemetry.current_round, src,
+                               telemetry.current_phase, "event", fields)
 
     def send_push(self, src: int, dst: int) -> bool:
         """Deliver a push from ``src`` to ``dst``; returns delivery success."""
@@ -332,14 +334,15 @@ class Network:
         if self._fault_dropped(src, dst) or self._lost() or not self.is_reachable(dst):
             self._count_loss()
             if self._trace_messages:
-                self._emit_message("net.push", src, dst, delivered=False)
+                self._emit_message("net.push", src,
+                                   {"dst": dst, "delivered": False})
             return False
         self._nodes[dst].on_push(src)
         stats.pushes_delivered += 1
         if self._ctr_pushes_delivered is not None:
             self._ctr_pushes_delivered.inc()
         if self._trace_messages:
-            self._emit_message("net.push", src, dst, delivered=True)
+            self._emit_message("net.push", src, {"dst": dst, "delivered": True})
         return True
 
     def _request_counter(
@@ -365,22 +368,26 @@ class Network:
         if self._fault_dropped(src, dst) or self._lost() or not self.is_reachable(dst):
             self._count_loss()
             if self._trace_messages:
-                self._emit_message("net.request", src, dst, delivered=False,
-                                   message=kind)
+                self._emit_message("net.request", src, {
+                    "dst": dst, "delivered": False, "message": kind,
+                })
             return None
         delivered = self._through_wire(src, dst, message)
         reply = self._nodes[dst].handle_request(delivered)
         if reply is None:
             if self._trace_messages:
-                self._emit_message("net.request", src, dst, delivered=True,
-                                   message=kind, answered=False)
+                self._emit_message("net.request", src, {
+                    "dst": dst, "delivered": True, "message": kind,
+                    "answered": False,
+                })
             return None
         if self._fault_dropped(dst, src) or self._lost():
             self._count_loss()
             if self._trace_messages:
-                self._emit_message("net.request", src, dst, delivered=True,
-                                   message=kind, answered=True,
-                                   reply_delivered=False)
+                self._emit_message("net.request", src, {
+                    "dst": dst, "delivered": True, "message": kind,
+                    "answered": True, "reply_delivered": False,
+                })
             return None
         stats.replies_delivered += 1
         if instrumented:
@@ -388,6 +395,8 @@ class Network:
                 self._ctr_replies_delivered, "network.replies_delivered", kind
             ).inc()
         if self._trace_messages:
-            self._emit_message("net.request", src, dst, delivered=True,
-                               message=kind, answered=True, reply_delivered=True)
+            self._emit_message("net.request", src, {
+                "dst": dst, "delivered": True, "message": kind,
+                "answered": True, "reply_delivered": True,
+            })
         return self._through_wire(dst, src, reply)

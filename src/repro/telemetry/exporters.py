@@ -9,6 +9,11 @@ Determinism: JSONL lines use ``sort_keys`` and compact separators, and the
 metrics CSV is emitted from the registry's sorted snapshot, so identical
 runs export byte-identical artifacts — the property the ``trace-smoke`` CI
 job and the acceptance test rely on.
+
+Cost: the collector encodes each event to its line when it is emitted
+(:mod:`repro.telemetry.trace`), so :func:`trace_to_jsonl` on a collector's
+``events`` is one ``"".join`` of the stored lines — the exported text is
+the only copy it allocates.
 """
 
 from __future__ import annotations
@@ -19,7 +24,12 @@ from typing import Iterable, List, Sequence
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.profiling import Profiler
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.trace import EVENT_KINDS, TraceEvent
+from repro.telemetry.trace import (
+    EVENT_KINDS,
+    TraceEvent,
+    TraceEvents,
+    encode_line,
+)
 
 __all__ = [
     "trace_to_jsonl",
@@ -35,12 +45,19 @@ TRACE_SCHEMA_KEYS = ("fields", "kind", "name", "node", "phase", "round", "seq")
 
 
 def trace_to_jsonl(events: Sequence[TraceEvent]) -> str:
-    """Serialize a trace to JSON Lines (one event per line, sorted keys)."""
-    lines = [
-        json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Serialize a trace to JSON Lines (one event per line, sorted keys).
+
+    A collector's :attr:`~repro.telemetry.trace.TraceCollector.events`
+    already holds its lines, so exporting it is one join; any other
+    sequence of events is encoded line by line.
+    """
+    if isinstance(events, TraceEvents):
+        return events.jsonl()
+    return "".join(
+        encode_line(event.seq, event.kind, event.name, event.round,
+                    event.node, event.phase, event.fields)
         for event in events
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    )
 
 
 def validate_trace_jsonl(text: str) -> int:

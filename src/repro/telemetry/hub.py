@@ -14,7 +14,10 @@ recovery manager).  It owns:
 
 Every emit helper is a no-op-cheap guard away from doing nothing, so code
 can hold a ``telemetry`` that is ``None`` and pay one attribute check when
-telemetry is not wired.
+telemetry is not wired.  With a trace, each helper hands
+:meth:`TraceCollector.record` one fields dict — the keyword arguments it was
+called with — and spans and phases record their begin/end lines the same
+way, so an event is encoded to its JSONL line once and never re-packed.
 """
 
 from __future__ import annotations
@@ -92,15 +95,12 @@ class Telemetry:
         **fields: object,
     ) -> None:
         """Emit one trace event stamped with the current round/phase."""
-        if self.trace is None:
-            return
-        self.trace.emit(
-            name,
-            self.current_round,
-            node=node,
-            phase=phase if phase is not None else self.current_phase,
-            **fields,
-        )
+        trace = self.trace
+        if trace is not None:
+            trace.record(
+                name, self.current_round, node,
+                self.current_phase if phase is None else phase, "event", fields,
+            )
 
     @contextmanager
     def span(
@@ -111,33 +111,37 @@ class Telemetry:
         **fields: object,
     ) -> Iterator[None]:
         """Begin/end event pair around a block (no-op without tracing)."""
-        if self.trace is None:
+        trace = self.trace
+        if trace is None:
             yield
             return
-        with self.trace.span(
-            name,
-            self.current_round,
-            node=node,
-            phase=phase if phase is not None else self.current_phase,
-            **fields,
-        ):
+        round_number = self.current_round
+        if phase is None:
+            phase = self.current_phase
+        begin = trace.record(name, round_number, node, phase, "begin", fields)
+        try:
             yield
+        finally:
+            trace.record(name, round_number, node, phase, "end", {"span": begin})
 
     @contextmanager
     def phase(self, phase_name: str) -> Iterator[None]:
         """Engine phase span: sets ``current_phase`` for nested events."""
+        trace = self.trace
+        round_number = self.current_round
+        begin = (
+            None if trace is None
+            else trace.record("phase", round_number, None, phase_name, "begin", {})
+        )
         previous = self.current_phase
         self.current_phase = phase_name
         try:
-            if self.trace is None:
-                yield
-            else:
-                with self.trace.span(
-                    "phase", self.current_round, phase=phase_name
-                ):
-                    yield
+            yield
         finally:
             self.current_phase = previous
+            if trace is not None:
+                trace.record("phase", round_number, None, phase_name, "end",
+                             {"span": begin})
 
     def begin_round(self, round_number: int) -> None:
         """Advance the telemetry clock; called by the engine per round."""

@@ -24,6 +24,7 @@ families still snapshot deterministically.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -90,7 +91,8 @@ class Histogram:
         if not buckets:
             raise ValueError("a histogram needs at least one bucket bound")
         bounds = tuple(float(bound) for bound in buckets)
-        if list(bounds) != sorted(bounds):
+        # Pairwise, so a NaN bound (which orders against nothing) is refused.
+        if not all(low <= high for low, high in zip(bounds, bounds[1:])):
             raise ValueError("bucket bounds must be sorted ascending")
         self.buckets: Tuple[float, ...] = bounds
         self.bucket_counts: List[int] = [0] * len(bounds)
@@ -100,10 +102,12 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                break
+        # The first bound >= value; the comparison keeps NaN (which
+        # bisects to 0) in the overflow bucket.
+        buckets = self.buckets
+        index = bisect_left(buckets, value)
+        if index < len(buckets) and value <= buckets[index]:
+            self.bucket_counts[index] += 1
 
     @property
     def mean(self) -> float:

@@ -29,6 +29,7 @@ from repro.snapshot.format import (
     read_header,
     write_envelope,
 )
+from repro.telemetry import Telemetry, TraceEvent
 
 
 def _small_sim(seed=3) -> Simulation:
@@ -152,6 +153,24 @@ class TestPrngPickleFidelity:
         clone = pickle.loads(pickle.dumps(network))
         assert clone._pair_ciphers == {}
         assert clone._pair_key(1, 2) == key
+
+
+class TestTraceLayout:
+    def test_old_layout_trace_refuses_to_resume(self, tmp_path):
+        # The layout checkpoints held before traces were stored as lines:
+        # a list of event objects and a sequence counter.
+        path = tmp_path / "old-trace.snapshot"
+        telemetry = Telemetry()
+        telemetry.trace.__dict__.clear()
+        telemetry.trace.__dict__.update(
+            events=[TraceEvent(0, "event", "round.begin", 1)], _seq=1
+        )
+        write_envelope(str(path), "run-state", {}, telemetry)
+        with pytest.raises(
+            SnapshotError,
+            match="trace in the old layout.*version of repro that wrote",
+        ):
+            read_envelope(str(path), expected_kind="run-state")
 
 
 class TestCaptureRestore:

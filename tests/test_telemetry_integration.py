@@ -6,6 +6,9 @@ run with it off; and the trace itself must be byte-identical across
 repeated runs of the same scenario + seed.
 """
 
+import re
+from pathlib import Path
+
 from repro.core.eviction import AdaptiveEviction
 from repro.experiments.runner import run_bundle
 from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
@@ -108,3 +111,17 @@ class TestDrillDeterminism:
         assert first == second
         assert first.enclave_crashes > 0
         assert first.degradations >= first.enclave_crashes
+
+
+class TestReadmeSnippet:
+    def test_telemetry_section_python_block_runs(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text.split("\n## Telemetry\n", 1)[1].split("\n## ", 1)[0]
+        (block,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+        namespace = {}
+        exec(compile(block, "README.md (Telemetry)", "exec"), namespace)
+        telemetry = namespace["telemetry"]
+        assert validate_trace_jsonl(namespace["jsonl"]) == len(telemetry.trace)
+        assert namespace["last"].round == 10
+        assert namespace["last"].fields == {"alive": 50}
