@@ -17,12 +17,32 @@ from typing import List
 import pytest
 
 from repro.experiments.figures import BENCH_SCALE, BaselineCache, Scale
+from repro.experiments.runner import RunMetrics
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import ScenarioSpec, run_scenario
 
 _REPORTS: List[str] = []
 
 
 def record_report(text: str) -> None:
     _REPORTS.append(text)
+
+
+def bench_metrics(scale: Scale, protocol: str, byzantine_fraction: float,
+                  trusted_fraction: float = 0.0, **sections) -> RunMetrics:
+    """The paper's three metrics of one ablation cell: a spec at ``scale``
+    (its base seed and round count); ``sections`` are the spec's
+    ``brahms`` / ``raptee`` fields."""
+    spec = ScenarioSpec(
+        name="ablation", protocol=protocol, seed=scale.base_seed,
+        rounds=scale.rounds,
+        topology=TopologySpec(
+            n_nodes=scale.n_nodes, byzantine_fraction=byzantine_fraction,
+            trusted_fraction=trusted_fraction, view_ratio=scale.view_ratio,
+        ),
+        **sections,
+    )
+    return run_scenario(spec, telemetry=None).metrics
 
 
 @pytest.fixture(scope="session")

@@ -7,17 +7,12 @@ exactly that: RAPTEE with and without the sketch flattening the pulled-ID
 stream before view renewal, at two eviction settings.
 """
 
-from conftest import record_report
+from conftest import bench_metrics, record_report
 
 from repro.analysis.metrics import resilience_improvement
 from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.scenario import RapteeOptions
 
 F = 0.20
 T = 0.10
@@ -25,33 +20,17 @@ T = 0.10
 
 def test_ablation_countmin_unbiasing(benchmark, bench_scale):
     def run():
-        brahms_spec = TopologySpec(
-            n_nodes=bench_scale.n_nodes, byzantine_fraction=F,
-            view_ratio=bench_scale.view_ratio,
-        )
-        raptee_spec = TopologySpec(
-            n_nodes=bench_scale.n_nodes, byzantine_fraction=F, trusted_fraction=T,
-            view_ratio=bench_scale.view_ratio,
-        )
-        baseline = run_bundle(
-            build_brahms_simulation(brahms_spec, bench_scale.base_seed),
-            bench_scale.rounds,
-        )
+        baseline = bench_metrics(bench_scale, "brahms", F)
         result = FigureResult(
             figure_id="Ablation — count-min stream unbiasing (future work, f=20%, t=10%)",
             headers=["eviction", "sketch", "improvement %"],
         )
         for policy in (FixedEviction(0.0), AdaptiveEviction()):
             for sketch in (False, True):
-                metrics = run_bundle(
-                    build_raptee_simulation(
-                        raptee_spec,
-                        bench_scale.base_seed,
-                        eviction=policy,
-                        sketch_unbias_enabled=sketch,
-                    ),
-                    bench_scale.rounds,
-                )
+                options = RapteeOptions(eviction=policy,
+                                        sketch_unbias_enabled=sketch)
+                metrics = bench_metrics(bench_scale, "raptee", F, T,
+                                        raptee=options)
                 result.rows.append(
                     [
                         policy.describe(),

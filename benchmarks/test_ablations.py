@@ -4,7 +4,6 @@ Not in the paper — these quantify each mechanism's contribution:
 
 * γ (history-sample) sweep: Brahms defense (iv) is what bounds the
   pollution spiral; removing it should hurt.
-* attack detection/blocking on/off: defense (ii).
 * RAPTEE component attribution: trusted exchange and eviction toggled
   independently.
 * adaptive-rule anchor sweep: the paper's (20 %, 80 %) anchors vs wider and
@@ -13,45 +12,26 @@ Not in the paper — these quantify each mechanism's contribution:
 
 import dataclasses
 
-from conftest import record_report
+from conftest import bench_metrics, record_report
 
 from repro.analysis.metrics import resilience_improvement
 from repro.core.eviction import AdaptiveEviction
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import RapteeOptions
 
 F = 0.20
 T = 0.20
-
-
-def _brahms_spec(bench_scale):
-    return TopologySpec(
-        n_nodes=bench_scale.n_nodes,
-        byzantine_fraction=F,
-        view_ratio=bench_scale.view_ratio,
-    )
-
-
-def _raptee_spec(bench_scale):
-    return TopologySpec(
-        n_nodes=bench_scale.n_nodes,
-        byzantine_fraction=F,
-        trusted_fraction=T,
-        view_ratio=bench_scale.view_ratio,
-    )
 
 
 def test_ablation_gamma_history_sample(benchmark, bench_scale):
     """Sweep the history-sample share γ (α and β rebalanced to keep sum 1)."""
 
     def run():
-        spec = _brahms_spec(bench_scale)
-        base_config = spec.brahms_config()
+        base_config = TopologySpec(
+            n_nodes=bench_scale.n_nodes, byzantine_fraction=F,
+            view_ratio=bench_scale.view_ratio,
+        ).brahms_config()
         result = FigureResult(
             figure_id="Ablation — history-sample share γ (Brahms defense iv)",
             headers=["gamma", "byz-in-views %"],
@@ -61,11 +41,7 @@ def test_ablation_gamma_history_sample(benchmark, bench_scale):
             config = dataclasses.replace(
                 base_config, alpha=remainder, beta=remainder, gamma=gamma
             )
-            metrics = run_bundle(
-                build_brahms_simulation(spec, bench_scale.base_seed,
-                                        config_override=config),
-                bench_scale.rounds,
-            )
+            metrics = bench_metrics(bench_scale, "brahms", F, brahms=config)
             result.rows.append([f"{gamma:.1f}", f"{metrics.resilience_percent:.1f}"])
         return result
 
@@ -76,83 +52,21 @@ def test_ablation_gamma_history_sample(benchmark, bench_scale):
     assert pollution[0] >= max(pollution[1:]) - 2.0
 
 
-def test_ablation_attack_blocking(benchmark, bench_scale):
-    """Brahms defense (ii) against its actual threat model: a *targeted*
-    flood on a subset of victims.  (Against the balanced slack-filling
-    adversary, blocking barely fires by construction — the adversary stays
-    under the threshold — so the victimless comparison is uninformative.)
-    """
-
-    def run():
-        spec = _brahms_spec(bench_scale)
-        base_config = spec.brahms_config()
-        # Victims: 10 % of the correct population, flooded with 70 % of the
-        # adversary's push budget.
-        victim_count = max(1, spec.n_nodes // 10)
-        victims = list(range(spec.n_byzantine, spec.n_byzantine + victim_count))
-        result = FigureResult(
-            figure_id="Ablation — attack detection & blocking under a targeted flood",
-            headers=["blocking", "victim pollution %", "system pollution %"],
-        )
-        for enabled in (True, False):
-            config = dataclasses.replace(base_config, blocking_enabled=enabled)
-            bundle = build_brahms_simulation(
-                spec, bench_scale.base_seed, config_override=config,
-                adversary_strategy="targeted",
-            )
-            bundle.coordinator.flood_targets = victims
-            bundle.coordinator.flood_share = 0.7
-            run_bundle(bundle, bench_scale.rounds)
-            tail = bundle.trace.records[-10:]
-            victim_pollution = sum(
-                record.byzantine_fraction[victim]
-                for record in tail for victim in victims
-            ) / (len(tail) * len(victims))
-            system_pollution = sum(
-                record.mean_byzantine_fraction for record in tail
-            ) / len(tail)
-            result.rows.append(
-                [
-                    "on" if enabled else "off",
-                    f"{100 * victim_pollution:.1f}",
-                    f"{100 * system_pollution:.1f}",
-                ]
-            )
-        return result
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_report(result.render())
-    on_victims, off_victims = (float(row[1]) for row in result.rows)
-    # Blocking must protect the flooded victims.
-    assert on_victims <= off_victims + 2.0
-
-
 def test_ablation_raptee_components(benchmark, bench_scale):
     """Attribute RAPTEE's gain to its two mechanisms."""
 
     def run():
-        brahms_spec = _brahms_spec(bench_scale)
-        raptee_spec = _raptee_spec(bench_scale)
-        baseline = run_bundle(
-            build_brahms_simulation(brahms_spec, bench_scale.base_seed),
-            bench_scale.rounds,
-        )
+        baseline = bench_metrics(bench_scale, "brahms", F)
         result = FigureResult(
             figure_id="Ablation — RAPTEE component attribution (f=20%, t=20%)",
             headers=["trusted exchange", "eviction", "improvement %"],
         )
         for exchange in (False, True):
             for eviction in (False, True):
-                metrics = run_bundle(
-                    build_raptee_simulation(
-                        raptee_spec,
-                        bench_scale.base_seed,
-                        eviction=AdaptiveEviction(),
-                        trusted_exchange_enabled=exchange,
-                        eviction_enabled=eviction,
-                    ),
-                    bench_scale.rounds,
-                )
+                options = RapteeOptions(trusted_exchange_enabled=exchange,
+                                        eviction_enabled=eviction)
+                metrics = bench_metrics(bench_scale, "raptee", F, T,
+                                        raptee=options)
                 result.rows.append(
                     [
                         "on" if exchange else "off",
@@ -173,24 +87,15 @@ def test_ablation_adaptive_anchors(benchmark, bench_scale):
     """Sweep the adaptive rule's anchor rates around the paper's 20/80."""
 
     def run():
-        brahms_spec = _brahms_spec(bench_scale)
-        raptee_spec = _raptee_spec(bench_scale)
-        baseline = run_bundle(
-            build_brahms_simulation(brahms_spec, bench_scale.base_seed),
-            bench_scale.rounds,
-        )
+        baseline = bench_metrics(bench_scale, "brahms", F)
         result = FigureResult(
             figure_id="Ablation — adaptive eviction anchors (low rate / high rate)",
             headers=["low rate", "high rate", "improvement %"],
         )
         for low_rate, high_rate in ((0.0, 1.0), (0.2, 0.8), (0.4, 0.6)):
             policy = AdaptiveEviction(low_rate=low_rate, high_rate=high_rate)
-            metrics = run_bundle(
-                build_raptee_simulation(
-                    raptee_spec, bench_scale.base_seed, eviction=policy
-                ),
-                bench_scale.rounds,
-            )
+            metrics = bench_metrics(bench_scale, "raptee", F, T,
+                                    raptee=RapteeOptions(eviction=policy))
             result.rows.append(
                 [
                     f"{low_rate:.1f}",

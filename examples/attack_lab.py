@@ -17,12 +17,9 @@ import statistics
 from repro.adversary.identification import IdentificationAttack
 from repro.analysis.metrics import resilience_improvement
 from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.runner import bundle_metrics
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import RapteeOptions, ScenarioSpec, compile_spec, run_scenario
 from repro.sim.node import NodeKind
 
 N_NODES = 200
@@ -34,16 +31,19 @@ def identification_attack() -> None:
     print("=" * 64)
     print("Attack 1: trusted-node identification (§VI-A)")
     print("=" * 64)
-    spec = TopologySpec(
+    topology = TopologySpec(
         n_nodes=N_NODES, byzantine_fraction=0.20, trusted_fraction=0.20, view_ratio=0.08
     )
-    config = spec.brahms_config()
+    config = topology.brahms_config()
     print(f"{'policy':<12} {'precision':>9} {'recall':>7} {'F1':>6}")
     for policy in (FixedEviction(0.0), FixedEviction(1.0), AdaptiveEviction()):
-        bundle = build_raptee_simulation(
-            spec, SEED, eviction=policy, probe_pulls=config.beta_count
+        spec = ScenarioSpec(
+            name="identification", protocol="raptee", seed=SEED,
+            rounds=20,  # pre-stability: the attack's best window
+            topology=topology,
+            raptee=RapteeOptions(eviction=policy, probe_pulls=config.beta_count),
         )
-        bundle.run(20)  # pre-stability: the attack's best window
+        bundle = run_scenario(spec, telemetry=None).bundle
         report = IdentificationAttack(bundle.coordinator).classify(
             bundle.trusted_ids, since_round=1, until_round=20
         )
@@ -60,20 +60,25 @@ def poisoned_injection() -> None:
     print("=" * 64)
     print("Attack 2: view-poisoned trusted-node injection (§VI-B)")
     print("=" * 64)
-    baseline_spec = TopologySpec(
-        n_nodes=N_NODES, byzantine_fraction=0.10, view_ratio=0.08
+    baseline_spec = ScenarioSpec(
+        name="injection-baseline", protocol="brahms", seed=SEED, rounds=ROUNDS,
+        topology=TopologySpec(n_nodes=N_NODES, byzantine_fraction=0.10, view_ratio=0.08),
     )
-    brahms = run_bundle(build_brahms_simulation(baseline_spec, SEED), ROUNDS)
+    brahms = run_scenario(baseline_spec, telemetry=None).metrics
 
     for poisoned in (0.0, 0.10, 0.30):
-        spec = TopologySpec(
-            n_nodes=N_NODES,
-            byzantine_fraction=0.10,
-            trusted_fraction=0.05,
-            poisoned_fraction=poisoned,
-            view_ratio=0.08,
+        spec = ScenarioSpec(
+            name="injection", protocol="raptee", seed=SEED, rounds=ROUNDS,
+            topology=TopologySpec(
+                n_nodes=N_NODES,
+                byzantine_fraction=0.10,
+                trusted_fraction=0.05,
+                poisoned_fraction=poisoned,
+                view_ratio=0.08,
+            ),
+            raptee=RapteeOptions(eviction=AdaptiveEviction()),
         )
-        bundle = build_raptee_simulation(spec, SEED, eviction=AdaptiveEviction())
+        bundle = compile_spec(spec)
         sim = bundle.simulation
         poisoned_nodes = [
             node for node in sim.nodes.values()
@@ -90,7 +95,8 @@ def poisoned_injection() -> None:
             )
 
         before = pollution()
-        metrics = run_bundle(bundle, ROUNDS)
+        bundle.run(ROUNDS)
+        metrics = bundle_metrics(bundle, ROUNDS)
         after = pollution()
         improvement = resilience_improvement(brahms.resilience, metrics.resilience)
         label = f"{poisoned:.0%} poisoned injected"

@@ -16,11 +16,8 @@ from repro.analysis.plotting import (
     sparkline,
 )
 from repro.core.eviction import AdaptiveEviction
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
 from repro.sim.node import NodeKind
 
 N_NODES = 250
@@ -31,20 +28,19 @@ SEED = 17
 def main() -> None:
     print(f"{N_NODES} nodes, 15% Byzantine, {ROUNDS} rounds; RAPTEE: 20% trusted, adaptive ER\n")
 
-    brahms = build_brahms_simulation(
-        TopologySpec(n_nodes=N_NODES, byzantine_fraction=0.15, view_ratio=0.08), SEED
-    )
-    brahms.run(ROUNDS)
+    brahms = run_scenario(ScenarioSpec(
+        name="convergence-brahms", protocol="brahms", seed=SEED, rounds=ROUNDS,
+        topology=TopologySpec(n_nodes=N_NODES, byzantine_fraction=0.15, view_ratio=0.08),
+    ), telemetry=None).bundle
 
-    raptee = build_raptee_simulation(
-        TopologySpec(
+    raptee = run_scenario(ScenarioSpec(
+        name="convergence-raptee", protocol="raptee", seed=SEED, rounds=ROUNDS,
+        topology=TopologySpec(
             n_nodes=N_NODES, byzantine_fraction=0.15, trusted_fraction=0.20,
             view_ratio=0.08,
         ),
-        SEED,
-        eviction=AdaptiveEviction(),
-    )
-    raptee.run(ROUNDS)
+        raptee=RapteeOptions(eviction=AdaptiveEviction()),
+    ), telemetry=None).bundle
 
     brahms_pollution = pollution_series(brahms.trace.records)
     raptee_pollution = pollution_series(raptee.trace.records)

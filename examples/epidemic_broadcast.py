@@ -20,12 +20,8 @@ import random
 from typing import Dict, Set
 
 from repro.core.eviction import AdaptiveEviction
-from repro.experiments.scenarios import (
-    SimulationBundle,
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.scenarios import SimulationBundle, TopologySpec
+from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
 
 N_NODES = 200
 WARMUP_ROUNDS = 50
@@ -82,16 +78,22 @@ def main() -> None:
     rng = random.Random(SEED)
     print(f"{N_NODES} nodes, 20% Byzantine; broadcast fanout {FANOUT}, 30 floods each\n")
 
-    brahms_spec = TopologySpec(n_nodes=N_NODES, byzantine_fraction=0.20, view_ratio=0.08)
-    brahms = build_brahms_simulation(brahms_spec, SEED)
-    brahms.run(WARMUP_ROUNDS)
+    brahms_spec = ScenarioSpec(
+        name="broadcast-brahms", protocol="brahms", seed=SEED, rounds=WARMUP_ROUNDS,
+        topology=TopologySpec(n_nodes=N_NODES, byzantine_fraction=0.20, view_ratio=0.08),
+    )
+    brahms = run_scenario(brahms_spec, telemetry=None).bundle
     brahms_coverage = mean_coverage(brahms, rng)
 
-    raptee_spec = TopologySpec(
-        n_nodes=N_NODES, byzantine_fraction=0.20, trusted_fraction=0.25, view_ratio=0.08
+    raptee_spec = ScenarioSpec(
+        name="broadcast-raptee", protocol="raptee", seed=SEED, rounds=WARMUP_ROUNDS,
+        topology=TopologySpec(
+            n_nodes=N_NODES, byzantine_fraction=0.20, trusted_fraction=0.25,
+            view_ratio=0.08,
+        ),
+        raptee=RapteeOptions(eviction=AdaptiveEviction()),
     )
-    raptee = build_raptee_simulation(raptee_spec, SEED, eviction=AdaptiveEviction())
-    raptee.run(WARMUP_ROUNDS)
+    raptee = run_scenario(raptee_spec, telemetry=None).bundle
     raptee_coverage = mean_coverage(raptee, rng)
 
     print(f"Mean broadcast coverage over Brahms views:  {brahms_coverage:6.1%}")

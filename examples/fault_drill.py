@@ -20,7 +20,7 @@ Run:  python examples/fault_drill.py
 """
 
 from repro.core.eviction import AdaptiveEviction
-from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
+from repro.experiments.scenarios import TopologySpec
 from repro.faults import (
     AttestationOutageFault,
     CrashRestartFault,
@@ -32,6 +32,7 @@ from repro.faults import (
     SealedBlobCorruptionFault,
     wire_faults,
 )
+from repro.scenario import RapteeOptions, ScenarioSpec, compile_spec
 from repro.telemetry import wire_telemetry
 
 SEED = 7
@@ -39,13 +40,19 @@ ROUNDS = 40
 
 
 def main() -> None:
-    spec = TopologySpec(
-        n_nodes=150,
-        byzantine_fraction=0.10,
-        trusted_fraction=0.30,
-        view_ratio=0.08,
+    spec = ScenarioSpec(
+        name="fault-drill", protocol="raptee", seed=SEED,
+        topology=TopologySpec(
+            n_nodes=150,
+            byzantine_fraction=0.10,
+            trusted_fraction=0.30,
+            view_ratio=0.08,
+        ),
+        raptee=RapteeOptions(eviction=AdaptiveEviction()),
     )
-    bundle = build_raptee_simulation(spec, SEED, eviction=AdaptiveEviction())
+    # The plan below names victims by id, so the bundle is compiled first
+    # and wired by hand, in run_scenario's order: telemetry, then faults.
+    bundle = compile_spec(spec)
     telemetry = wire_telemetry(bundle).telemetry  # before wire_faults
     trusted = sorted(bundle.trusted_ids)
     victims = trusted[: len(trusted) // 3]

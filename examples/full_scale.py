@@ -25,8 +25,8 @@ import argparse
 
 from repro.core.eviction import AdaptiveEviction
 from repro.experiments.figures import PAPER_SCALE
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
 
 
 def main(argv=None) -> None:
@@ -64,11 +64,12 @@ def main(argv=None) -> None:
               "(~0.2 s/round at N=500, ~12 min/round at N=10,000).")
         return
 
-    print("\nBuilding (attestation + provisioning of all trusted nodes)…")
-    bundle = build_raptee_simulation(spec, PAPER_SCALE.base_seed,
-                                     eviction=AdaptiveEviction())
-    print("Running…")
-    metrics = run_bundle(bundle, args.rounds)
+    print("\nBuilding (attestation + provisioning of all trusted nodes) and running…")
+    metrics = run_scenario(ScenarioSpec(
+        name="full-scale", protocol="raptee", seed=PAPER_SCALE.base_seed,
+        rounds=args.rounds, topology=spec,
+        raptee=RapteeOptions(eviction=AdaptiveEviction()),
+    ), telemetry=None).metrics
     print(f"resilience (Byz IDs in correct views): {metrics.resilience_percent:.1f}%")
     print(f"discovery round: {metrics.discovery_round}")
     print(f"stability round: {metrics.stability_round}")

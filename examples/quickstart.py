@@ -15,12 +15,8 @@ Run:  python examples/quickstart.py
 
 from repro.analysis.metrics import resilience_improvement
 from repro.core.eviction import AdaptiveEviction
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
 
 N_NODES = 200
 ROUNDS = 60
@@ -30,19 +26,25 @@ SEED = 7
 def main() -> None:
     print(f"Simulating {N_NODES} nodes, 10% Byzantine, {ROUNDS} rounds…\n")
 
-    brahms_spec = TopologySpec(n_nodes=N_NODES, byzantine_fraction=0.10, view_ratio=0.08)
-    brahms = run_bundle(build_brahms_simulation(brahms_spec, SEED), ROUNDS)
+    brahms_spec = ScenarioSpec(
+        name="quickstart-brahms", protocol="brahms", seed=SEED, rounds=ROUNDS,
+        topology=TopologySpec(n_nodes=N_NODES, byzantine_fraction=0.10, view_ratio=0.08),
+    )
+    brahms = run_scenario(brahms_spec, telemetry=None).metrics
     print("Brahms (baseline)")
     print(f"  Byzantine IDs in correct views: {brahms.resilience_percent:.1f}%")
     print(f"  system discovery (75% of correct IDs): round {brahms.discovery_round}")
     print(f"  view stability:                        round {brahms.stability_round}")
 
-    raptee_spec = TopologySpec(
-        n_nodes=N_NODES, byzantine_fraction=0.10, trusted_fraction=0.25, view_ratio=0.08
+    raptee_spec = ScenarioSpec(
+        name="quickstart-raptee", protocol="raptee", seed=SEED, rounds=ROUNDS,
+        topology=TopologySpec(
+            n_nodes=N_NODES, byzantine_fraction=0.10, trusted_fraction=0.25,
+            view_ratio=0.08,
+        ),
+        raptee=RapteeOptions(eviction=AdaptiveEviction()),
     )
-    raptee = run_bundle(
-        build_raptee_simulation(raptee_spec, SEED, eviction=AdaptiveEviction()), ROUNDS
-    )
+    raptee = run_scenario(raptee_spec, telemetry=None).metrics
     print("\nRAPTEE (25% SGX trusted nodes, adaptive eviction)")
     print(f"  Byzantine IDs in correct views: {raptee.resilience_percent:.1f}%")
     print(f"  system discovery:                      round {raptee.discovery_round}")

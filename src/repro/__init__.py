@@ -5,15 +5,21 @@ environments for Byzantine-tolerant peer sampling services" (ICDCS 2022),
 with every substrate implemented from scratch.  See README.md for the
 architecture overview and DESIGN.md for the system inventory.
 
-Top-level convenience re-exports cover the most common entry points; the
-subpackages hold the full API:
+Top-level convenience re-exports cover the protocol objects; the
+subpackages hold the full API.  A run is a
+:class:`~repro.scenario.spec.ScenarioSpec` handed to
+:func:`~repro.scenario.run.run_scenario`:
 
->>> from repro import TopologySpec, build_raptee_simulation, run_bundle
->>> from repro.core.eviction import AdaptiveEviction
->>> bundle = build_raptee_simulation(
-...     TopologySpec(n_nodes=100, byzantine_fraction=0.1, trusted_fraction=0.1),
-...     seed=1, eviction=AdaptiveEviction())
->>> metrics = run_bundle(bundle, rounds=20)
+>>> from repro import AdaptiveEviction, TopologySpec
+>>> from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
+>>> spec = ScenarioSpec(
+...     name="example", protocol="raptee", seed=1, rounds=20,
+...     topology=TopologySpec(n_nodes=100, byzantine_fraction=0.1,
+...                           trusted_fraction=0.1),
+...     raptee=RapteeOptions(eviction=AdaptiveEviction()))
+>>> metrics = run_scenario(spec, telemetry=None).metrics
+>>> metrics.rounds
+20
 """
 
 from repro.brahms import BrahmsConfig, BrahmsNode
@@ -25,12 +31,7 @@ from repro.core import (
     RapteeNode,
     TrustedInfrastructure,
 )
-from repro.experiments import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-    run_bundle,
-)
+from repro.experiments import TopologySpec
 from repro.sim import Network, NodeKind, Simulation
 
 __version__ = "1.0.0"
@@ -45,9 +46,6 @@ __all__ = [
     "RapteeNode",
     "TrustedInfrastructure",
     "TopologySpec",
-    "build_brahms_simulation",
-    "build_raptee_simulation",
-    "run_bundle",
     "Network",
     "NodeKind",
     "Simulation",

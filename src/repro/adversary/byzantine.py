@@ -2,8 +2,8 @@
 
 A Byzantine node:
 
-* pushes its ID to the victims the coordinator assigns (balanced or
-  targeted schedule, within the rate limit — the coordinator's budget is
+* pushes its ID to the victims the coordinator assigns (a balanced
+  schedule, within the rate limit — the coordinator's budget is
   :attr:`~repro.brahms.config.BrahmsConfig.effective_push_limit` ×
   ``BYZANTINE_PUSH_LIMIT_MULTIPLIER`` per identity and it never hands out
   more);

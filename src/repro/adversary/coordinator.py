@@ -18,8 +18,6 @@ correct nodes are SGX-capable.  Push strategies:
   receive (the same intelligence the §VI-A attack uses).
 * **balanced** — the naive fixed-budget variant: every identity spends
   exactly its rate-limit allowance, spread evenly.
-* **targeted** — a configurable subset of victims receives a concentrated
-  flood (exercises blocking + history-sample defenses), remainder balanced.
 
 Every strategy is capped by the rate limit: total pushes per round can
 never exceed (number of Byzantine identities) × per-identity limit.
@@ -37,7 +35,7 @@ __all__ = ["AdversaryCoordinator"]
 class AdversaryCoordinator:
     """Central brain for all Byzantine identities."""
 
-    STRATEGIES = ("adaptive_balanced", "balanced", "targeted")
+    STRATEGIES = ("adaptive_balanced", "balanced")
 
     def __init__(
         self,
@@ -47,8 +45,6 @@ class AdversaryCoordinator:
         rng: random.Random,
         strategy: str = "adaptive_balanced",
         expected_pushes: Optional[int] = None,
-        flood_targets: Optional[Sequence[int]] = None,
-        flood_share: float = 0.5,
     ):
         self.byzantine_ids: List[int] = sorted(set(byzantine_ids))
         self.correct_ids: List[int] = sorted(set(correct_ids))
@@ -56,14 +52,10 @@ class AdversaryCoordinator:
             raise ValueError("push_limit must be positive")
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        if not 0.0 <= flood_share <= 1.0:
-            raise ValueError("flood_share must be in [0, 1]")
         self.push_limit = push_limit
         self.strategy = strategy
         #: The victims' blocking threshold α·l1 the adaptive strategy aims at.
         self.expected_pushes = expected_pushes
-        self.flood_targets = list(flood_targets or [])
-        self.flood_share = flood_share
         self._rng = rng
         self._assignments: Dict[int, List[int]] = {}
         self._assigned_round = -1
@@ -135,21 +127,12 @@ class AdversaryCoordinator:
         return min(wanted, self.total_budget)
 
     def _build_assignments(self, round_number: int) -> None:
-        if self.strategy == "targeted" and not self.flood_targets:
-            raise ValueError("targeted strategy requires flood_targets to be set")
-        budget = self.total_budget
-        targets: List[int] = []
-        if self.strategy == "targeted" and self.flood_targets:
-            flood_budget = int(budget * self.flood_share)
-            per_victim, extra = divmod(flood_budget, len(self.flood_targets))
-            for victim in self.flood_targets:
-                targets.extend([victim] * per_victim)
-            targets.extend(self.flood_targets[:extra])
-            targets.extend(self._balanced_target_multiset(budget - flood_budget))
-        elif self.strategy == "adaptive_balanced":
-            targets = self._balanced_target_multiset(self._adaptive_budget())
-        else:
-            targets = self._balanced_target_multiset(budget)
+        budget = (
+            self._adaptive_budget()
+            if self.strategy == "adaptive_balanced"
+            else self.total_budget
+        )
+        targets = self._balanced_target_multiset(budget)
 
         self._rng.shuffle(targets)
         self._assignments = {}

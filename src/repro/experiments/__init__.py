@@ -1,4 +1,4 @@
-"""Experiment harness: scenario builders, runners, per-figure reproductions."""
+"""Experiment harness: scenario assembly, runners, per-figure reproductions."""
 
 from repro.experiments.figures import (
     BaselineCache,
@@ -16,13 +16,8 @@ from repro.experiments.figures import (
     table1_sgx_overhead,
 )
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RepeatedMetrics, RunMetrics, repeat, run_bundle
-from repro.experiments.scenarios import (
-    SimulationBundle,
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.runner import RepeatedMetrics, RunMetrics, repeat
+from repro.experiments.scenarios import SimulationBundle, TopologySpec
 
 __all__ = [
     "BaselineCache",
@@ -42,9 +37,6 @@ __all__ = [
     "RepeatedMetrics",
     "RunMetrics",
     "repeat",
-    "run_bundle",
     "SimulationBundle",
     "TopologySpec",
-    "build_brahms_simulation",
-    "build_raptee_simulation",
 ]

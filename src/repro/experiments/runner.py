@@ -1,4 +1,4 @@
-"""Experiment execution: run bundles, extract metrics, repeat over seeds."""
+"""Experiment execution: extract a run's metrics, repeat over seeds."""
 
 from __future__ import annotations
 
@@ -11,14 +11,12 @@ from repro.analysis.metrics import (
     stability_round,
 )
 from repro.analysis.stats import Summary, summarize
-from repro.experiments.scenarios import SimulationBundle
 from repro.snapshot.seedstore import SeedResultStore
 
 __all__ = [
     "RunMetrics",
     "RepeatedMetrics",
     "SeedTaskError",
-    "run_bundle",
     "bundle_metrics",
     "map_ordered",
     "repeat",
@@ -129,21 +127,16 @@ class _SeedTaggedRun:
             ) from exc
 
 
-def run_bundle(bundle: SimulationBundle, rounds: int, tail: int = 10) -> RunMetrics:
-    """Run a built simulation and compute the paper's three metrics."""
-    bundle.run(rounds)
-    return bundle_metrics(bundle, rounds, tail=tail)
-
-
 def bundle_metrics(bundle, rounds: int, tail: int = 10) -> RunMetrics:
     """The paper's three metrics from an already-executed run — a
     :class:`SimulationBundle` or a ``ShardSimulation``, which share the
     three members read here (``view_size`` is the l1 the views really
     have: it sizes the stability band).
 
-    Split out of :func:`run_bundle` so checkpointed executions (see
-    :mod:`repro.snapshot`) can run the rounds in resumable chunks and still
-    produce the identical metrics object at the end.
+    Read off the finished bundle rather than returned by a run, so
+    checkpointed executions (see :mod:`repro.snapshot`) can run the rounds
+    in resumable chunks and still produce the identical metrics object at
+    the end.
     """
     records = bundle.view_records
     return RunMetrics(

@@ -1,15 +1,15 @@
-"""Scenario builders: from a topology spec to a ready-to-run simulation.
+"""Scenario assembly: from a scenario spec to a ready-to-run simulation.
 
 A :class:`TopologySpec` captures the paper's experimental knobs — system
 size N, Byzantine fraction f, trusted fraction t, injected poisoned-trusted
 fraction, view-size ratio.  Every simulation is built from a
 :class:`~repro.scenario.spec.ScenarioSpec` by
-:func:`repro.scenario.compile.compile_spec`, which calls the assembly code
-here; the two public functions are the Python-argument spelling of a spec:
+:func:`repro.scenario.compile.compile_spec`, the only caller of the two
+assembly functions here:
 
-* :func:`build_brahms_simulation` — the baseline: f Byzantine identities
-  against pure-Brahms honest nodes (§II, Fig. 3);
-* :func:`build_raptee_simulation` — the full system: honest RAPTEE nodes,
+* :func:`_build_brahms` — the baseline: f Byzantine identities against
+  pure-Brahms honest nodes (§II, Fig. 3);
+* :func:`_build_raptee` — the full system: honest RAPTEE nodes,
   provisioned trusted nodes, optional poisoned-trusted injections, and the
   Byzantine population under one global coordinator (§V-B).
 
@@ -39,11 +39,10 @@ from repro.brahms.config import BYZANTINE_PUSH_LIMIT_MULTIPLIER, BrahmsConfig
 from repro.brahms.node import BrahmsNode
 from repro.core.config import RapteeConfig
 from repro.core.deployment import TrustedInfrastructure
-from repro.core.eviction import EvictionPolicy
 from repro.core.node import RapteeNode
 from repro.crypto.prng import Sha256Prng, derive_seed
 from repro.membership.director import MembershipDirector
-from repro.membership.service import MembershipConfig, ReplicatedProvisioningService
+from repro.membership.service import ReplicatedProvisioningService
 from repro.sgx.cycles import CycleAccountant, CycleModel
 from repro.sim.bootstrap import UniformBootstrap
 from repro.sim.engine import Simulation
@@ -61,8 +60,6 @@ __all__ = [
     "TopologySpec",
     "SimulationBundle",
     "PollutionProbe",
-    "build_brahms_simulation",
-    "build_raptee_simulation",
 ]
 
 
@@ -296,42 +293,10 @@ def _adversary(
     ]
 
 
-def build_brahms_simulation(
-    spec: TopologySpec,
-    seed: int,
-    adversary_strategy: str = "adaptive_balanced",
-    config_override: Optional[BrahmsConfig] = None,
-) -> SimulationBundle:
-    """The Brahms baseline: honest Brahms nodes vs the balanced adversary.
-
-    ``config_override`` replaces the spec-derived Brahms parameters — the
-    ablation benches use it to sweep γ or disable blocking.
-
-    A spec constructor: the arguments become a
-    :class:`~repro.scenario.spec.ScenarioSpec` that
-    :func:`repro.scenario.compile.compile_spec` validates and builds, the
-    same as a spec loaded from a dict or built from CLI flags
-    (``tests/test_scenario_differential.py`` pins the equality).
-    """
-    from repro.scenario.compile import compile_spec
-    from repro.scenario.spec import ScenarioSpec
-
-    return compile_spec(
-        ScenarioSpec(
-            name="adhoc-brahms",
-            protocol="brahms",
-            seed=seed,
-            topology=spec,
-            adversary_strategy=adversary_strategy,
-            brahms=config_override,
-        )
-    )
-
-
-def _build_brahms_impl(scenario: "ScenarioSpec") -> SimulationBundle:
-    """Assemble the Brahms population of a validated scenario spec."""
+def _build_brahms(scenario: "ScenarioSpec", config: BrahmsConfig) -> SimulationBundle:
+    """Assemble the Brahms population of a validated scenario spec; every
+    honest node runs ``config`` (the spec's ``brahms_config``)."""
     spec, seed = scenario.topology, scenario.seed
-    config = scenario.brahms_config
     correct_ids = list(range(spec.n_byzantine, spec.n_nodes))
     coordinator, nodes = _adversary(scenario, config, correct_ids)
     nodes.extend(
@@ -344,78 +309,28 @@ def _build_brahms_impl(scenario: "ScenarioSpec") -> SimulationBundle:
     return _bundle(scenario, nodes, coordinator)
 
 
-def build_raptee_simulation(
-    spec: TopologySpec,
-    seed: int,
-    eviction: EvictionPolicy,
-    auth_mode: str = "hmac",
-    probe_pulls: int = 0,
-    trusted_exchange_enabled: bool = True,
-    eviction_enabled: bool = True,
-    sketch_unbias_enabled: bool = False,
-    provisioning_key_bits: int = 384,
-    with_cycle_accounting: bool = False,
-    cycle_mode: str = "sgx",
-    adversary_strategy: str = "adaptive_balanced",
-    config_override: Optional[BrahmsConfig] = None,
-    membership: Optional[MembershipConfig] = None,
-) -> SimulationBundle:
-    """The full RAPTEE deployment of §V-B (plus §VI-B injections).
-
-    ``probe_pulls`` > 0 makes Byzantine nodes issue that many pull probes
-    per round, feeding the identification attack's intelligence.
-
-    ``membership`` switches on dynamic trusted-set membership: trusted
-    nodes are provisioned through a :class:`ReplicatedProvisioningService`
-    (quorum over K replicas), carry epoch-checked membership views, and a
-    :class:`MembershipDirector` rides on the bundle to drive churn,
-    rotation, and revocation gossip (ticked by the fault injector).
-
-    A spec constructor over :func:`repro.scenario.compile.compile_spec`
-    — see :func:`build_brahms_simulation`.
-    """
-    from repro.scenario.compile import compile_spec
-    from repro.scenario.spec import RapteeOptions, ScenarioSpec
-
-    return compile_spec(
-        ScenarioSpec(
-            name="adhoc-raptee",
-            protocol="raptee",
-            seed=seed,
-            topology=spec,
-            adversary_strategy=adversary_strategy,
-            brahms=config_override,
-            raptee=RapteeOptions(
-                eviction=eviction,
-                auth_mode=auth_mode,
-                probe_pulls=probe_pulls,
-                trusted_exchange_enabled=trusted_exchange_enabled,
-                eviction_enabled=eviction_enabled,
-                sketch_unbias_enabled=sketch_unbias_enabled,
-                provisioning_key_bits=provisioning_key_bits,
-                with_cycle_accounting=with_cycle_accounting,
-                cycle_mode=cycle_mode,
-            ),
-            membership=membership,
-        )
-    )
-
-
-def _build_raptee_impl(scenario: "ScenarioSpec") -> SimulationBundle:
-    """Assemble the RAPTEE deployment of a validated scenario spec."""
-    spec, seed = scenario.topology, scenario.seed
+def _raptee_config(scenario: "ScenarioSpec") -> RapteeConfig:
+    """The one node configuration of a RAPTEE scenario: its Brahms
+    parameters plus the §IV switches of its ``raptee`` section."""
     options, membership = scenario.raptee_options, scenario.membership
-    membership_on = membership is not None and membership.enabled
-    brahms_config = scenario.brahms_config
-    raptee_config = RapteeConfig(
-        brahms=brahms_config,
+    return RapteeConfig(
+        brahms=scenario.brahms_config,
         eviction=options.eviction,
         auth_mode=options.auth_mode,
         trusted_exchange_enabled=options.trusted_exchange_enabled,
         eviction_enabled=options.eviction_enabled,
         sketch_unbias_enabled=options.sketch_unbias_enabled,
-        membership_enabled=membership_on,
+        membership_enabled=membership is not None and membership.enabled,
     )
+
+
+def _build_raptee(scenario: "ScenarioSpec", raptee_config: RapteeConfig) -> SimulationBundle:
+    """Assemble the RAPTEE deployment of a validated scenario spec; every
+    correct node runs ``raptee_config`` (see :func:`_raptee_config`)."""
+    spec, seed = scenario.topology, scenario.seed
+    options, membership = scenario.raptee_options, scenario.membership
+    membership_on = raptee_config.membership_enabled
+    brahms_config = raptee_config.brahms
     infrastructure = TrustedInfrastructure(
         Sha256Prng(derive_seed(seed, "tcb")),
         auth_mode=options.auth_mode,

@@ -6,8 +6,8 @@ the ROADMAP's conformance-suite goal):
 * :mod:`repro.scenario.spec` — the versioned, strictly-validated
   :class:`ScenarioSpec` schema and its dict/JSON loader;
 * :mod:`repro.scenario.compile` — spec → :class:`SimulationBundle` (or a
-  ``ShardSimulation``), the build path of every front-end (flags,
-  ``build_*_simulation``, dicts);
+  ``ShardSimulation``), the build path of every front-end (flags, Python
+  callers, dicts);
 * :mod:`repro.scenario.run` — wire and run a spec on any of the three
   engines (the one place the instrumentation stack is assembled) and
   collect its deterministic surface;

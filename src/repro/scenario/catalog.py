@@ -83,9 +83,6 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
     # --- Adversary strategy mixes --------------------------------------
     _brahms("brahms-adversary-balanced", 107, f=0.20,
             adversary_strategy="balanced"),
-    # ("targeted" floods a victim list no spec field carries: run_scenario
-    # refuses it at `adversary_strategy`, so the catalog covers the two
-    # strategies a spec can run.)
     _brahms("brahms-adversary-balanced-f30", 108, f=0.30,
             adversary_strategy="balanced"),
     # --- Protocol churn ------------------------------------------------

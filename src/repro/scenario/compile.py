@@ -1,7 +1,7 @@
 """Compile a :class:`~repro.scenario.spec.ScenarioSpec` into runnable parts.
 
 :func:`compile_spec` is the single build path of all three engines: CLI
-flags, the ``build_*_simulation`` functions and loaded dicts all produce a
+flags, Python callers and loaded dicts all produce a
 :class:`~repro.scenario.spec.ScenarioSpec`.  A per-node spec goes to the
 assembly code in :mod:`repro.experiments.scenarios` — which reads each
 parameter off the spec where it is used — and gets its churn plan attached
@@ -21,11 +21,7 @@ import random
 from typing import Optional
 
 from repro.crypto.prng import derive_seed
-from repro.experiments.scenarios import (
-    SimulationBundle,
-    _build_brahms_impl,
-    _build_raptee_impl,
-)
+from repro.experiments.scenarios import _build_brahms, _build_raptee, _raptee_config
 from repro.scenario.spec import ChurnSpec, ScenarioSpec
 from repro.sim.churn import CatastrophicFailure, ChurnModel, NoChurn, UniformChurn
 
@@ -80,27 +76,6 @@ def churn_model_from_spec(churn: ChurnSpec) -> Optional[ChurnModel]:
     raise ValueError(f"unknown churn kind {churn.kind!r}")
 
 
-def _honest_node_config(spec: ScenarioSpec, bundle: SimulationBundle):
-    """The config object churn arrivals are built with.
-
-    Taken from a live honest node rather than re-derived, so overrides
-    (``config_override``, RAPTEE feature flags) carry over exactly.
-    """
-    from repro.core.node import RapteeNode
-    from repro.sim.node import NodeKind
-
-    for node in bundle.simulation.nodes.values():
-        if node.kind is not NodeKind.HONEST:
-            continue
-        if spec.protocol == "raptee" and isinstance(node, RapteeNode):
-            return node.raptee_config
-        if spec.protocol == "brahms":
-            return node.config
-    raise ValueError(
-        f"scenario {spec.name!r} has no honest node to model churn arrivals on"
-    )
-
-
 def compile_spec(spec: ScenarioSpec, workers: int = 1):
     """Build what a spec describes: a :class:`SimulationBundle` for the
     per-node engines, a :class:`~repro.shard.engine.ShardSimulation` for
@@ -114,15 +89,18 @@ def compile_spec(spec: ScenarioSpec, workers: int = 1):
     """
     if spec.engine.kind == "shard":
         return shard_simulation_from_spec(spec, workers=workers)
-    build = _build_brahms_impl if spec.protocol == "brahms" else _build_raptee_impl
-    bundle = build(spec)
+    # Churn arrivals join with the very config object the honest nodes run.
+    if spec.protocol == "brahms":
+        config = spec.brahms_config
+        bundle = _build_brahms(spec, config)
+    else:
+        config = _raptee_config(spec)
+        bundle = _build_raptee(spec, config)
     churn = churn_model_from_spec(spec.churn)
     if churn is not None:
         factory = None
         if not isinstance(churn, NoChurn) and churn.may_produce_arrivals is not False:
-            factory = ArrivalFactory(
-                spec.protocol, _honest_node_config(spec, bundle), spec.seed
-            )
+            factory = ArrivalFactory(spec.protocol, config, spec.seed)
         bundle.simulation.set_churn(churn, factory)
     return bundle
 

@@ -115,13 +115,6 @@ def run_scenario(
             f"rounds >= 1 are runnable",
             "rounds",
         )
-    if spec.adversary_strategy == "targeted":
-        raise ScenarioSpecError(
-            "the 'targeted' strategy floods a list of victims and no spec "
-            "field carries one; build the bundle with compile_spec() and set "
-            "coordinator.flood_targets before running it",
-            "adversary_strategy",
-        )
     on_shard = spec.engine.kind == "shard"
     if on_shard and check_invariants:
         from repro.shard.compile import ShardUnsupportedError

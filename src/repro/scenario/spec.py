@@ -4,8 +4,8 @@ A :class:`ScenarioSpec` is the one description every simulation is built
 from — topology, Brahms/RAPTEE parameters, adversary mix, churn plan, fault
 plan, SGX cost model, membership config, and engine choice — as a frozen,
 validated dataclass that also round-trips losslessly through plain
-dicts/JSON (:func:`spec_from_dict` / :func:`spec_to_dict`).  CLI flags, the
-``build_*_simulation`` functions and loaded dicts all construct one.
+dicts/JSON (:func:`spec_from_dict` / :func:`spec_to_dict`).  CLI flags,
+Python callers and loaded dicts all construct one.
 
 Design rules:
 
@@ -55,6 +55,7 @@ from typing import (
     get_type_hints,
 )
 
+from repro.adversary.coordinator import AdversaryCoordinator
 from repro.brahms.config import BrahmsConfig
 from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
 from repro.faults.plan import (
@@ -81,7 +82,7 @@ from repro.membership.service import MembershipConfig
 from repro.scenario.errors import ScenarioSpecError
 
 # TopologySpec lives with the assembly code; importing it here is safe
-# (experiments.scenarios only reaches back into repro.scenario lazily).
+# (experiments.scenarios names repro.scenario only for type checking).
 from repro.experiments.scenarios import TopologySpec
 
 __all__ = [
@@ -328,13 +329,23 @@ class EngineSpec:
 
 @dataclass(frozen=True)
 class RapteeOptions:
-    """The RAPTEE-only builder knobs (§IV mechanisms + SGX cost model).
+    """The RAPTEE-only knobs (§IV mechanisms + SGX cost model).
 
-    The keyword surface of
-    :func:`~repro.experiments.scenarios.build_raptee_simulation`; see that
-    function for semantics.
-    ``with_cycle_accounting``/``cycle_mode`` select the SGX cycle-cost
-    model of :mod:`repro.sgx.cycles` (Table 1).
+    ``eviction``, ``auth_mode`` and the three ``*_enabled`` switches are
+    the :class:`~repro.core.config.RapteeConfig` fields of the same names.
+    ``probe_pulls`` > 0 makes Byzantine nodes issue that many pull probes
+    per round, feeding the identification attack's intelligence.
+    ``provisioning_key_bits`` sizes each enclave's RSA key pair for
+    group-key provisioning.  ``with_cycle_accounting`` / ``cycle_mode`` select the
+    SGX cycle-cost model of :mod:`repro.sgx.cycles` (Table 1).
+
+    Dynamic trusted-set membership is the spec's ``membership`` section,
+    not a knob here: when enabled, trusted nodes are provisioned through a
+    :class:`~repro.membership.service.ReplicatedProvisioningService`
+    (quorum over K replicas) and carry epoch-checked membership views, and
+    a :class:`~repro.membership.director.MembershipDirector` rides on the
+    bundle to drive churn, rotation and revocation gossip, ticked by the
+    fault injector.
     """
 
     eviction: EvictionPolicy = AdaptiveEviction()
@@ -380,8 +391,9 @@ class ScenarioSpec:
     """One declarative workload, ready to compile and run.
 
     ``rounds=0`` means "unspecified" and is only legal for in-memory specs
-    created by the ``build_*_simulation`` functions (which never run the
-    spec themselves); loaded and catalogued specs always carry a positive round
+    handed to :func:`~repro.scenario.compile.compile_spec` by a caller that
+    drives the rounds itself (:func:`~repro.scenario.run.run_scenario`
+    refuses them); loaded and catalogued specs always carry a positive round
     count, which is also what churn/fault round validation checks against.
     """
 
@@ -426,7 +438,7 @@ class ScenarioSpec:
                 f"expected a TopologySpec, got {type(self.topology).__name__}",
                 "topology",
             )
-        if self.adversary_strategy not in ("adaptive_balanced", "balanced", "targeted"):
+        if self.adversary_strategy not in AdversaryCoordinator.STRATEGIES:
             raise ScenarioSpecError(
                 f"unknown adversary strategy {self.adversary_strategy!r}",
                 "adversary_strategy",

@@ -3,14 +3,13 @@
 Three scenarios cover the three configuration families: the Brahms
 baseline, RAPTEE with fixed eviction + encrypted transport + count-min
 unbiasing, and RAPTEE under an active fault plan.  The differential suites
-(events, scenario) and the determinism matrix run them through
+(events, scenario, snapshot) and the determinism matrix run them through
 :func:`observables`, so they can never drift apart in what they consider
 "the deterministic surface".
 
-Each scenario is written twice on purpose: once through the
-Python-argument constructors (:data:`PINNED`) and once as the plain dict a
-spec file would hold (:data:`PINNED_DICTS`); the scenario differential
-proves the two spellings are one program.
+Each scenario is written once, as the plain dict a spec file would hold
+(:data:`PINNED_DICTS`); :func:`compiled` builds it for the suites that
+wire a bundle by hand.
 """
 
 from __future__ import annotations
@@ -18,15 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.metrics import per_round_series
-from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
 from repro.faults.harness import wire_faults
-from repro.faults.plan import CrashRestartFault, FaultPlan, LossBurstFault, RoundWindow
-from repro.scenario import spec_from_dict
+from repro.scenario import compile_spec, spec_from_dict
+from repro.scenario.compile import fault_plan_from_spec
 from repro.scenario.run import ScenarioArtifacts
 from repro.shard import ShardSimulation
 from repro.shard.compile import shard_config_from_spec
@@ -71,46 +64,6 @@ def observables(bundle, harness_runner, rounds):
     }
 
 
-def _brahms_baseline():
-    spec = TopologySpec(
-        n_nodes=60, byzantine_fraction=0.10, view_ratio=0.08, loss_rate=0.05
-    )
-    return build_brahms_simulation(spec, seed=11), 11, None
-
-
-def _raptee_fixed_eviction():
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-        view_ratio=0.10, transport_encryption=True,
-    )
-    bundle = build_raptee_simulation(
-        spec, seed=23, eviction=FixedEviction(0.6), sketch_unbias_enabled=True
-    )
-    return bundle, 23, None
-
-
-def _raptee_faults():
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-        view_ratio=0.10, transport_encryption=True,
-    )
-    bundle = build_raptee_simulation(spec, seed=31, eviction=AdaptiveEviction())
-    plan = FaultPlan([
-        LossBurstFault(window=RoundWindow(2, 3), loss_rate=0.30),
-        # Node 5 is trusted (IDs 4-7 here): the crash kills its enclave,
-        # pulling the recovery manager into the differential surface.
-        CrashRestartFault(node_id=5, at_round=2, down_rounds=2),
-    ])
-    return bundle, 31, plan
-
-
-#: name → builder returning ``(bundle, seed, fault plan or None)``.
-PINNED = {
-    "brahms-baseline": _brahms_baseline,
-    "raptee-fixed-eviction": _raptee_fixed_eviction,
-    "raptee-faults": _raptee_faults,
-}
-
 _RAPTEE_TOPOLOGY = {
     "n_nodes": 40,
     "byzantine_fraction": 0.10,
@@ -119,7 +72,7 @@ _RAPTEE_TOPOLOGY = {
     "transport_encryption": True,
 }
 
-#: name → the same scenario as :func:`repro.scenario.spec_from_dict` input.
+#: name → the scenario as :func:`repro.scenario.spec_from_dict` input.
 PINNED_DICTS = {
     "brahms-baseline": {
         "name": "brahms-baseline",
@@ -154,11 +107,20 @@ PINNED_DICTS = {
         "faults": [
             {"kind": "loss-burst", "window": {"start": 2, "end": 3},
              "loss_rate": 0.30},
+            # Node 5 is trusted (IDs 4-7 here): the crash kills its enclave,
+            # pulling the recovery manager into the differential surface.
             {"kind": "crash-restart", "node_id": 5, "at_round": 2,
              "down_rounds": 2},
         ],
     },
 }
+
+
+def compiled(spec_dict):
+    """A spec dict compiled and not yet run: ``(bundle, seed, fault plan or
+    None)``, the plan being what :func:`run_scenario` would wire."""
+    spec = spec_from_dict(spec_dict)
+    return compile_spec(spec), spec.seed, fault_plan_from_spec(spec)
 
 
 def run_built(bundle, seed, plan, driver=None):
@@ -179,8 +141,8 @@ def run_built(bundle, seed, plan, driver=None):
 
 
 def run_pinned(name, driver=None):
-    """:func:`run_built` on one :data:`PINNED` scenario."""
-    return run_built(*PINNED[name](), driver=driver)
+    """:func:`run_built` on one :data:`PINNED_DICTS` scenario."""
+    return run_built(*compiled(PINNED_DICTS[name]), driver=driver)
 
 
 def shard_config(topology, seed, protocol, **sections):

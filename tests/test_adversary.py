@@ -62,22 +62,6 @@ class TestCoordinator:
         total = sum(len(coordinator.push_targets_for(b, 1)) for b in range(10))
         assert total <= coordinator.total_budget
 
-    def test_targeted_floods_victims(self):
-        coordinator = make_coordinator(
-            strategy="targeted", flood_targets=[20, 21], flood_share=0.5
-        )
-        targets = Counter()
-        for byz in range(10):
-            targets.update(coordinator.push_targets_for(byz, 1))
-        victim_pushes = targets[20] + targets[21]
-        others = sum(targets.values()) - victim_pushes
-        assert victim_pushes >= others / 10  # concentrated
-
-    def test_targeted_requires_targets_at_assignment_time(self):
-        coordinator = make_coordinator(strategy="targeted")
-        with pytest.raises(ValueError, match="flood_targets"):
-            coordinator.push_targets_for(0, 1)
-
     def test_fake_view_rotation_covers_all_identities(self):
         coordinator = make_coordinator(n_byz=20)
         served = set()

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.brahms.countmin import CountMinSketch, StreamUnbiaser
 from repro.core.eviction import FixedEviction
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
 
 
 class TestCountMinSketch:
@@ -103,30 +103,30 @@ class TestStreamUnbiaser:
         assert unbiaser.sketch.total < total_before + 3
 
 
+def _metrics(topology, seed, rounds, eviction, sketch_unbias_enabled):
+    spec = ScenarioSpec(
+        name="countmin", protocol="raptee", seed=seed, rounds=rounds,
+        topology=topology,
+        raptee=RapteeOptions(eviction=eviction,
+                             sketch_unbias_enabled=sketch_unbias_enabled),
+    )
+    return run_scenario(spec, telemetry=None).metrics
+
+
 class TestRapteeIntegration:
     def test_sketch_unbias_runs_end_to_end(self):
-        spec = TopologySpec(
+        topology = TopologySpec(
             n_nodes=80, byzantine_fraction=0.2, trusted_fraction=0.1, view_ratio=0.1
         )
-        bundle = build_raptee_simulation(
-            spec, seed=4, eviction=FixedEviction(0.4), sketch_unbias_enabled=True
-        )
-        metrics = run_bundle(bundle, rounds=15)
+        metrics = _metrics(topology, 4, 15, FixedEviction(0.4), True)
         assert 0.0 <= metrics.resilience <= 1.0
 
     def test_unbias_reduces_pollution_vs_disabled(self):
         """The adversary's pull answers over-advertise Byzantine IDs; the
         sketch should blunt that edge (weak directional check, one seed)."""
-        spec = TopologySpec(
+        topology = TopologySpec(
             n_nodes=120, byzantine_fraction=0.25, trusted_fraction=0.1, view_ratio=0.1
         )
-        plain = run_bundle(
-            build_raptee_simulation(spec, 6, eviction=FixedEviction(0.0)), rounds=30
-        )
-        unbiased = run_bundle(
-            build_raptee_simulation(
-                spec, 6, eviction=FixedEviction(0.0), sketch_unbias_enabled=True
-            ),
-            rounds=30,
-        )
+        plain = _metrics(topology, 6, 30, FixedEviction(0.0), False)
+        unbiased = _metrics(topology, 6, 30, FixedEviction(0.0), True)
         assert unbiased.resilience <= plain.resilience + 0.05

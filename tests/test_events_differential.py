@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.events import EventOptions, wire_events
-from tests._pinned import PINNED, run_pinned
+from tests._pinned import PINNED_DICTS, run_pinned
 
 
 def _events_runner(bundle, seed):
@@ -31,7 +31,7 @@ def _events_runner(bundle, seed):
     return runner
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("name", sorted(PINNED_DICTS))
 def test_barrier_event_engine_byte_identical_to_round_engine(name):
     rounds_engine = run_pinned(name)
     event_engine = run_pinned(name, driver=_events_runner)

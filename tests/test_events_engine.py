@@ -20,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.eviction import AdaptiveEviction
 from repro.crypto.prng import derive_seed
 from repro.events import (
     ConstantLatency,
@@ -31,13 +30,10 @@ from repro.events import (
     StragglerProfile,
     wire_events,
 )
-from repro.experiments.runner import repeat, run_bundle
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.runner import repeat
+from repro.experiments.scenarios import TopologySpec
 from repro.faults.invariants import InvariantChecker
+from repro.scenario import EngineSpec, ScenarioSpec, compile_spec, run_scenario
 from repro.sim.churn import UniformChurn
 from repro.telemetry import TelemetryConfig, wire_telemetry
 
@@ -55,19 +51,24 @@ def _latency_options(seed, **overrides):
     return EventOptions(**base)
 
 
-def _raptee_bundle(seed):
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-        view_ratio=0.10,
+def _raptee_spec(seed, **sections):
+    return ScenarioSpec(
+        name="events-raptee", protocol="raptee", seed=seed, rounds=ROUNDS,
+        topology=TopologySpec(n_nodes=40, byzantine_fraction=0.10,
+                              trusted_fraction=0.10, view_ratio=0.10),
+        **sections,
     )
-    return build_raptee_simulation(spec, seed, eviction=AdaptiveEviction())
+
+
+def _raptee_bundle(seed):
+    return compile_spec(_raptee_spec(seed))
 
 
 def _build_and_run_events(seed: int):
-    """Module-level (picklable) task for repeat() worker-count tests."""
-    bundle = _raptee_bundle(seed)
-    wire_events(bundle, _latency_options(seed))
-    return run_bundle(bundle, ROUNDS)
+    """Module-level (picklable) task for repeat() worker-count tests: the
+    :func:`_latency_options` engine, written as the spec's engine section."""
+    engine = EngineSpec(kind="events", latency="lognormal:40:0.6")
+    return run_scenario(_raptee_spec(seed, engine=engine), telemetry=None).metrics
 
 
 class TestContinuousMode:
@@ -126,10 +127,14 @@ class TestContinuousMode:
         from repro.brahms.node import BrahmsNode
         from repro.sim.node import NodeKind
 
-        spec = TopologySpec(n_nodes=50, byzantine_fraction=0.10, view_ratio=0.08)
-        bundle = build_brahms_simulation(spec, seed=47)
+        spec = ScenarioSpec(
+            name="events-churn", protocol="brahms", seed=47,
+            topology=TopologySpec(n_nodes=50, byzantine_fraction=0.10,
+                                  view_ratio=0.08),
+        )
+        bundle = compile_spec(spec)
         simulation = bundle.simulation
-        config = spec.brahms_config()
+        config = spec.brahms_config
 
         def factory(node_id):
             node = BrahmsNode(

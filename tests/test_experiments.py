@@ -1,31 +1,37 @@
-"""Scenario-builder and runner tests (small topologies)."""
+"""Scenario-assembly and runner tests (small topologies)."""
 
 import pickle
 import re
 
 import pytest
 
-from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.core.eviction import FixedEviction
 from repro.experiments.runner import (
     RunMetrics,
     SeedTaskError,
     map_ordered,
     repeat,
-    run_bundle,
 )
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import RapteeOptions, ScenarioSpec, compile_spec, run_scenario
 from repro.sim.node import NodeKind
 
 _WORKER_SPEC = TopologySpec(n_nodes=30, byzantine_fraction=0.1)
 
 
+def _spec(protocol, seed, topology, rounds=0, **sections):
+    return ScenarioSpec(name="experiments-unit", protocol=protocol, seed=seed,
+                        rounds=rounds, topology=topology, **sections)
+
+
+def _metrics(protocol, seed, topology, rounds):
+    return run_scenario(_spec(protocol, seed, topology, rounds),
+                        telemetry=None).metrics
+
+
 def _build_and_run_small(seed):
     # Module level so ProcessPoolExecutor can pickle it (workers > 1).
-    return run_bundle(build_brahms_simulation(_WORKER_SPEC, seed), rounds=5)
+    return _metrics("brahms", seed, _WORKER_SPEC, rounds=5)
 
 
 def _fail_on_seed_three(seed):
@@ -63,39 +69,38 @@ class TestTopologySpec:
 
 class TestBrahmsBuilder:
     def test_population_kinds(self):
-        spec = TopologySpec(n_nodes=50, byzantine_fraction=0.2)
-        bundle = build_brahms_simulation(spec, seed=1)
-        sim = bundle.simulation
+        topology = TopologySpec(n_nodes=50, byzantine_fraction=0.2)
+        sim = compile_spec(_spec("brahms", 1, topology)).simulation
         assert len(sim.ids_of_kind(NodeKind.BYZANTINE)) == 10
         assert len(sim.ids_of_kind(NodeKind.HONEST)) == 40
 
     def test_runs_and_produces_trace(self):
-        spec = TopologySpec(n_nodes=50, byzantine_fraction=0.1)
-        bundle = build_brahms_simulation(spec, seed=1)
-        metrics = run_bundle(bundle, rounds=10)
-        assert 0.0 <= metrics.resilience <= 1.0
-        assert len(bundle.trace.records) == 10
+        topology = TopologySpec(n_nodes=50, byzantine_fraction=0.1)
+        artifacts = run_scenario(_spec("brahms", 1, topology, rounds=10),
+                                 telemetry=None)
+        assert 0.0 <= artifacts.metrics.resilience <= 1.0
+        assert len(artifacts.bundle.trace.records) == 10
 
     def test_deterministic_under_seed(self):
-        spec = TopologySpec(n_nodes=50, byzantine_fraction=0.1)
-        first = run_bundle(build_brahms_simulation(spec, seed=7), rounds=8)
-        second = run_bundle(build_brahms_simulation(spec, seed=7), rounds=8)
+        topology = TopologySpec(n_nodes=50, byzantine_fraction=0.1)
+        first = _metrics("brahms", 7, topology, rounds=8)
+        second = _metrics("brahms", 7, topology, rounds=8)
         assert first == second
 
     def test_seed_changes_outcome(self):
-        spec = TopologySpec(n_nodes=50, byzantine_fraction=0.1)
-        first = run_bundle(build_brahms_simulation(spec, seed=7), rounds=8)
-        second = run_bundle(build_brahms_simulation(spec, seed=8), rounds=8)
+        topology = TopologySpec(n_nodes=50, byzantine_fraction=0.1)
+        first = _metrics("brahms", 7, topology, rounds=8)
+        second = _metrics("brahms", 8, topology, rounds=8)
         assert first != second
 
 
 class TestRapteeBuilder:
     def test_population_kinds(self):
-        spec = TopologySpec(
+        topology = TopologySpec(
             n_nodes=50, byzantine_fraction=0.1, trusted_fraction=0.1,
             poisoned_fraction=0.04,
         )
-        bundle = build_raptee_simulation(spec, seed=1, eviction=AdaptiveEviction())
+        bundle = compile_spec(_spec("raptee", 1, topology))
         sim = bundle.simulation
         assert len(sim.ids_of_kind(NodeKind.BYZANTINE)) == 5
         assert len(sim.ids_of_kind(NodeKind.TRUSTED)) == 5
@@ -105,8 +110,8 @@ class TestRapteeBuilder:
         )
 
     def test_all_trusted_nodes_share_group_key(self):
-        spec = TopologySpec(n_nodes=40, byzantine_fraction=0.0, trusted_fraction=0.1)
-        bundle = build_raptee_simulation(spec, seed=1, eviction=AdaptiveEviction())
+        topology = TopologySpec(n_nodes=40, byzantine_fraction=0.0, trusted_fraction=0.1)
+        bundle = compile_spec(_spec("raptee", 1, topology))
         trusted = [
             sim_node
             for sim_node in bundle.simulation.nodes.values()
@@ -117,48 +122,38 @@ class TestRapteeBuilder:
         assert trusted[1].enclave.auth_check_response(r_a, r_b, proof)
 
     def test_runs_with_cycle_accounting(self):
-        spec = TopologySpec(n_nodes=40, byzantine_fraction=0.0, trusted_fraction=0.2)
-        bundle = build_raptee_simulation(
-            spec, seed=1, eviction=FixedEviction(0.0), with_cycle_accounting=True
-        )
-        bundle.run(5)
+        topology = TopologySpec(n_nodes=40, byzantine_fraction=0.0, trusted_fraction=0.2)
+        options = RapteeOptions(eviction=FixedEviction(0.0), with_cycle_accounting=True)
+        bundle = run_scenario(_spec("raptee", 1, topology, rounds=5, raptee=options),
+                              telemetry=None).bundle
         trusted_id = next(iter(bundle.trusted_ids))
         accountant = bundle.cycle_accountants[trusted_id]
         assert accountant.total_cycles > 0
 
     def test_cycle_mode_validation(self):
-        spec = TopologySpec(n_nodes=40)
-        with pytest.raises(ValueError):
-            build_raptee_simulation(
-                spec, seed=1, eviction=AdaptiveEviction(),
-                with_cycle_accounting=True, cycle_mode="bogus",
-            )
+        with pytest.raises(ValueError, match="cycle_mode"):
+            RapteeOptions(with_cycle_accounting=True, cycle_mode="bogus")
 
     def test_deterministic_under_seed(self):
-        spec = TopologySpec(n_nodes=40, byzantine_fraction=0.1, trusted_fraction=0.1)
-        first = run_bundle(
-            build_raptee_simulation(spec, seed=5, eviction=AdaptiveEviction()), rounds=6
-        )
-        second = run_bundle(
-            build_raptee_simulation(spec, seed=5, eviction=AdaptiveEviction()), rounds=6
-        )
+        topology = TopologySpec(n_nodes=40, byzantine_fraction=0.1, trusted_fraction=0.1)
+        first = _metrics("raptee", 5, topology, rounds=6)
+        second = _metrics("raptee", 5, topology, rounds=6)
         assert first == second
 
     def test_probe_pulls_collect_intel(self):
-        spec = TopologySpec(n_nodes=50, byzantine_fraction=0.2, trusted_fraction=0.1)
-        bundle = build_raptee_simulation(
-            spec, seed=1, eviction=AdaptiveEviction(), probe_pulls=3
-        )
-        bundle.run(5)
+        topology = TopologySpec(n_nodes=50, byzantine_fraction=0.2, trusted_fraction=0.1)
+        spec = _spec("raptee", 1, topology, rounds=5,
+                     raptee=RapteeOptions(probe_pulls=3))
+        bundle = run_scenario(spec, telemetry=None).bundle
         assert len(bundle.coordinator.intel) > 0
 
 
 class TestRepeat:
     def test_aggregates_over_seeds(self):
-        spec = TopologySpec(n_nodes=40, byzantine_fraction=0.1)
+        topology = TopologySpec(n_nodes=40, byzantine_fraction=0.1)
 
         def build_and_run(seed):
-            return run_bundle(build_brahms_simulation(spec, seed), rounds=6)
+            return _metrics("brahms", seed, topology, rounds=6)
 
         repeated = repeat(build_and_run, seeds=[1, 2, 3])
         assert repeated.resilience.count == 3

@@ -5,9 +5,8 @@ import pickle
 
 import pytest
 
-from repro.core.eviction import AdaptiveEviction
 from repro.core.node import RapteeNode
-from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
+from repro.experiments.scenarios import TopologySpec
 from repro.faults.drills import run_drill
 from repro.faults.harness import wire_faults
 from repro.faults.invariants import InvariantChecker
@@ -19,16 +18,18 @@ from repro.faults.plan import (
     RoundWindow,
     SealedBlobCorruptionFault,
 )
+from repro.scenario import ScenarioSpec, compile_spec
 
 
 def build_bundle(n_nodes, seed=1):
-    spec = TopologySpec(
+    topology = TopologySpec(
         n_nodes=n_nodes,
         byzantine_fraction=0.10,
         trusted_fraction=0.30,
         view_ratio=0.08,
     )
-    return build_raptee_simulation(spec, seed, eviction=AdaptiveEviction())
+    return compile_spec(ScenarioSpec(name="fault-drill", protocol="raptee",
+                                     seed=seed, topology=topology))
 
 
 def mass_crash_plan(bundle, crash_round=8, outage_end=14):

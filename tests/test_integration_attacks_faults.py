@@ -1,88 +1,50 @@
-"""Integration: targeted attacks, lossy networks, and combined faults."""
+"""Integration: lossy networks and churn under attack."""
 
 import statistics
 
-import pytest
-
-from repro.core.eviction import AdaptiveEviction
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import ScenarioSpec, compile_spec, run_scenario
 
 SEED = 23
 
 
-class TestTargetedAttack:
-    def _victim_pollution(self, blocking: bool, rounds: int = 40):
-        import dataclasses
-        spec = TopologySpec(n_nodes=150, byzantine_fraction=0.2, view_ratio=0.08)
-        config = dataclasses.replace(spec.brahms_config(), blocking_enabled=blocking)
-        bundle = build_brahms_simulation(
-            spec, SEED, adversary_strategy="targeted", config_override=config
-        )
-        victims = list(range(spec.n_byzantine, spec.n_byzantine + 10))
-        bundle.coordinator.flood_targets = victims
-        bundle.coordinator.flood_share = 0.7
-        bundle.run(rounds)
-        tail = bundle.trace.records[-5:]
-        return statistics.mean(
-            record.byzantine_fraction[victim]
-            for record in tail for victim in victims
-        )
+def _raptee(loss_rate=0.0, rounds=0):
+    """RAPTEE with adaptive eviction at N = 120, f = t = 10%."""
+    return ScenarioSpec(
+        name="integration", protocol="raptee", seed=SEED, rounds=rounds,
+        topology=TopologySpec(n_nodes=120, byzantine_fraction=0.1,
+                              trusted_fraction=0.1, view_ratio=0.1,
+                              loss_rate=loss_rate),
+    )
 
-    def test_blocking_defends_flooded_victims(self):
-        """Brahms defense (ii): victims of a concentrated push flood stay
-        far cleaner with attack detection enabled."""
-        with_blocking = self._victim_pollution(blocking=True)
-        without_blocking = self._victim_pollution(blocking=False)
-        assert with_blocking < without_blocking - 0.1
 
-    def test_victims_survive_via_history_sample(self):
-        """Even flooded victims are never fully eclipsed (defense iv)."""
-        assert self._victim_pollution(blocking=True) < 0.95
+def _mean_known(simulation):
+    return statistics.mean(
+        len(node.known_ids()) for node in simulation.correct_nodes()
+    )
 
 
 class TestLossyNetwork:
     def test_raptee_works_under_message_loss(self):
-        spec = TopologySpec(
-            n_nodes=120, byzantine_fraction=0.1, trusted_fraction=0.1,
-            view_ratio=0.1, loss_rate=0.10,
-        )
-        bundle = build_raptee_simulation(spec, SEED, eviction=AdaptiveEviction())
-        metrics = run_bundle(bundle, rounds=30)
-        assert 0.0 < metrics.resilience < 1.0
+        artifacts = run_scenario(_raptee(loss_rate=0.10, rounds=30), telemetry=None)
+        assert 0.0 < artifacts.metrics.resilience < 1.0
         # Gossip still disseminates despite 10 % loss.
-        known = statistics.mean(
-            len(node.known_ids()) for node in bundle.simulation.correct_nodes()
-        )
-        assert known > 60
+        assert _mean_known(artifacts.bundle.simulation) > 60
 
     def test_loss_degrades_gracefully_not_catastrophically(self):
-        results = {}
-        for loss in (0.0, 0.2):
-            spec = TopologySpec(
-                n_nodes=120, byzantine_fraction=0.1, trusted_fraction=0.1,
-                view_ratio=0.1, loss_rate=loss,
-            )
-            bundle = build_raptee_simulation(spec, SEED, eviction=AdaptiveEviction())
-            run_bundle(bundle, rounds=30)
-            results[loss] = statistics.mean(
-                len(node.known_ids()) for node in bundle.simulation.correct_nodes()
-            )
+        results = {
+            loss: _mean_known(run_scenario(
+                _raptee(loss_rate=loss, rounds=30), telemetry=None
+            ).bundle.simulation)
+            for loss in (0.0, 0.2)
+        }
         # Some slowdown is fine; collapse is not.
         assert results[0.2] > results[0.0] * 0.5
 
 
 class TestChurnWithAdversary:
     def test_raptee_survives_churn_under_attack(self):
-        from repro.sim.churn import UniformChurn
-        spec = TopologySpec(
-            n_nodes=120, byzantine_fraction=0.1, trusted_fraction=0.1, view_ratio=0.1
-        )
-        bundle = build_raptee_simulation(spec, SEED, eviction=AdaptiveEviction())
+        bundle = compile_spec(_raptee())
         # 2 % of correct nodes leave each round; no arrivals (paper's
         # metrics need a stable target set, so we only test departures).
         correct = sorted(bundle.simulation.correct_node_ids())

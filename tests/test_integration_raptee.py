@@ -12,12 +12,14 @@ import pytest
 
 from repro.adversary.identification import IdentificationAttack
 from repro.analysis.metrics import resilience_from_trace
-from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
+from repro.core.eviction import FixedEviction
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import (
+    ChurnSpec,
+    RapteeOptions,
+    ScenarioSpec,
+    compile_spec,
+    run_scenario,
 )
 from repro.sim.node import NodeKind
 
@@ -25,21 +27,31 @@ N = 150
 ROUNDS = 45
 SEED = 11
 
+#: N = 150 at f = t = 20%: the module's headline population.
+_TOPOLOGY = TopologySpec(
+    n_nodes=N, byzantine_fraction=0.2, trusted_fraction=0.2, view_ratio=0.08
+)
+
+
+def _spec(topology, seed=SEED, rounds=ROUNDS, protocol="raptee", **sections):
+    return ScenarioSpec(name="integration", protocol=protocol, seed=seed,
+                        rounds=rounds, topology=topology, **sections)
+
+
+def _run(spec):
+    return run_scenario(spec, telemetry=None)
+
 
 @pytest.fixture(scope="module")
 def brahms_baseline():
-    spec = TopologySpec(n_nodes=N, byzantine_fraction=0.2, view_ratio=0.08)
-    return run_bundle(build_brahms_simulation(spec, SEED), rounds=ROUNDS)
+    topology = TopologySpec(n_nodes=N, byzantine_fraction=0.2, view_ratio=0.08)
+    return _run(_spec(topology, protocol="brahms")).metrics
 
 
 @pytest.fixture(scope="module")
 def raptee_run():
-    spec = TopologySpec(
-        n_nodes=N, byzantine_fraction=0.2, trusted_fraction=0.2, view_ratio=0.08
-    )
-    bundle = build_raptee_simulation(spec, SEED, eviction=AdaptiveEviction())
-    metrics = run_bundle(bundle, rounds=ROUNDS)
-    return bundle, metrics
+    artifacts = _run(_spec(_TOPOLOGY))
+    return artifacts.bundle, artifacts.metrics
 
 
 class TestHeadlineResult:
@@ -89,23 +101,20 @@ class TestHeadlineResult:
 class TestEvictionEffects:
     def test_full_eviction_cleans_trusted_views_most(self):
         """Trusted pollution should decrease monotonically-ish in ER."""
-        spec = TopologySpec(
-            n_nodes=N, byzantine_fraction=0.2, trusted_fraction=0.2, view_ratio=0.08
-        )
         trusted_pollution = {}
         for rate in (0.0, 1.0):
-            bundle = build_raptee_simulation(spec, SEED, eviction=FixedEviction(rate))
-            run_bundle(bundle, rounds=ROUNDS)
+            options = RapteeOptions(eviction=FixedEviction(rate))
+            bundle = _run(_spec(_TOPOLOGY, raptee=options)).bundle
             record = bundle.trace.records[-1]
             trusted_pollution[rate] = statistics.mean(record.by_kind[NodeKind.TRUSTED])
         assert trusted_pollution[1.0] < trusted_pollution[0.0]
 
     def test_eviction_rate_observed_matches_policy(self):
-        spec = TopologySpec(
+        topology = TopologySpec(
             n_nodes=100, byzantine_fraction=0.1, trusted_fraction=0.1, view_ratio=0.08
         )
-        bundle = build_raptee_simulation(spec, SEED, eviction=FixedEviction(0.6))
-        bundle.run(10)
+        options = RapteeOptions(eviction=FixedEviction(0.6))
+        bundle = _run(_spec(topology, rounds=10, raptee=options)).bundle
         rates = [
             node.last_eviction_rate
             for node in bundle.simulation.nodes.values()
@@ -116,14 +125,10 @@ class TestEvictionEffects:
 
 class TestIdentificationAttackIntegration:
     def _attack_f1(self, eviction, seed=SEED):
-        spec = TopologySpec(
-            n_nodes=N, byzantine_fraction=0.2, trusted_fraction=0.2, view_ratio=0.08
+        options = RapteeOptions(
+            eviction=eviction, probe_pulls=_TOPOLOGY.brahms_config().beta_count
         )
-        config = spec.brahms_config()
-        bundle = build_raptee_simulation(
-            spec, seed, eviction=eviction, probe_pulls=config.beta_count
-        )
-        bundle.run(20)
+        bundle = _run(_spec(_TOPOLOGY, seed=seed, rounds=20, raptee=options)).bundle
         attack = IdentificationAttack(bundle.coordinator)
         report = attack.classify(bundle.trusted_ids, since_round=1, until_round=20)
         return report
@@ -148,7 +153,7 @@ class TestPoisonedInjectionIntegration:
         has sampled its id only ever talks to Byzantine nodes again.  With a
         single entry about half the injected nodes end that way; with two
         they heal to the level of the other trusted nodes (about 0.3)."""
-        spec = TopologySpec(
+        topology = TopologySpec(
             n_nodes=N,
             byzantine_fraction=0.1,
             trusted_fraction=0.1,
@@ -156,7 +161,7 @@ class TestPoisonedInjectionIntegration:
             view_ratio=0.16,
         )
         for seed in (SEED, SEED + 1):
-            bundle = build_raptee_simulation(spec, seed, eviction=AdaptiveEviction())
+            bundle = compile_spec(_spec(topology, seed=seed))
             sim = bundle.simulation
             poisoned = [
                 node for node in sim.nodes.values()
@@ -178,11 +183,10 @@ class TestPoisonedInjectionIntegration:
 
 class TestChurnResilience:
     def test_brahms_survives_catastrophic_failure(self):
-        from repro.sim.churn import CatastrophicFailure
-        spec = TopologySpec(n_nodes=100, byzantine_fraction=0.0, view_ratio=0.08)
-        bundle = build_brahms_simulation(spec, SEED)
-        bundle.simulation._churn = CatastrophicFailure(at_round=10, fraction=0.3)
-        bundle.run(40)
+        topology = TopologySpec(n_nodes=100, byzantine_fraction=0.0, view_ratio=0.08)
+        churn = ChurnSpec(kind="catastrophic", at_round=10, fraction=0.3)
+        bundle = _run(_spec(topology, rounds=40, protocol="brahms",
+                            churn=churn)).bundle
         alive = bundle.simulation.alive_nodes()
         assert len(alive) == 70
         dead = set(range(100)) - {node.node_id for node in alive}
@@ -198,14 +202,13 @@ class TestTransportEncryptionIntegration:
     def test_full_raptee_round_over_encrypted_transport(self):
         """The paper ciphers all pairwise traffic; the protocol must be
         oblivious to transport encryption."""
-        spec = TopologySpec(n_nodes=40, byzantine_fraction=0.1, trusted_fraction=0.1,
-                            view_ratio=0.2)
-        plain = build_raptee_simulation(spec, 3, eviction=AdaptiveEviction())
-        plain.run(3)
-        encrypted = build_raptee_simulation(spec, 3, eviction=AdaptiveEviction())
-        encrypted.simulation.network._encrypt = True
-        encrypted.simulation.network._transport_secret = b"s" * 16
-        encrypted.run(3)
+        plain, encrypted = (
+            _run(_spec(TopologySpec(n_nodes=40, byzantine_fraction=0.1,
+                                    trusted_fraction=0.1, view_ratio=0.2,
+                                    transport_encryption=encrypt),
+                       seed=3, rounds=3)).bundle
+            for encrypt in (False, True)
+        )
         assert encrypted.simulation.network.stats.bytes_encrypted > 0
         # Identical protocol outcome: encryption is transparent.
         plain_views = {n.node_id: n.view_ids() for n in plain.simulation.correct_nodes()}

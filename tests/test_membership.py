@@ -14,12 +14,11 @@ import random
 
 import pytest
 
-from repro.core.eviction import AdaptiveEviction
 from repro.core.node import RapteeNode
 from repro.core.recovery import RetryPolicy
 from repro.crypto.prng import Sha256Prng, derive_seed
 from repro.experiments.runner import RunMetrics, repeat
-from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
+from repro.experiments.scenarios import TopologySpec
 from repro.faults.drills import run_drill
 from repro.faults.harness import wire_faults
 from repro.faults.plan import FaultPlan
@@ -32,6 +31,7 @@ from repro.membership import (
     NodeMembershipView,
     ReplicatedProvisioningService,
 )
+from repro.scenario import ScenarioSpec, compile_spec
 from repro.sgx.errors import ProvisioningError
 
 
@@ -313,15 +313,18 @@ class TestEpochProvisioning:
 # Scenario builder integration, runtime join/leave, legacy equivalence
 # ---------------------------------------------------------------------------
 
-def _membership_bundle(seed=5, **config_kwargs):
-    spec = TopologySpec(
+def _raptee_bundle(seed=5, membership=None, transport_encryption=False):
+    topology = TopologySpec(
         n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.15,
-        view_ratio=0.10,
+        view_ratio=0.10, transport_encryption=transport_encryption,
     )
-    membership = MembershipConfig(**config_kwargs)
-    return build_raptee_simulation(
-        spec, seed, eviction=AdaptiveEviction(), membership=membership
-    )
+    return compile_spec(ScenarioSpec(name="membership", protocol="raptee",
+                                     seed=seed, topology=topology,
+                                     membership=membership))
+
+
+def _membership_bundle(seed=5, **config_kwargs):
+    return _raptee_bundle(seed, membership=MembershipConfig(**config_kwargs))
 
 
 class TestBuilderIntegration:
@@ -343,29 +346,15 @@ class TestBuilderIntegration:
             assert node.membership_view.is_member(node_id)
 
     def test_membership_off_builds_no_director(self):
-        spec = TopologySpec(
-            n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.15,
-            view_ratio=0.10,
-        )
-        bundle = build_raptee_simulation(spec, 5, eviction=AdaptiveEviction())
-        assert bundle.membership is None
-        disabled = build_raptee_simulation(
-            spec, 5, eviction=AdaptiveEviction(),
-            membership=MembershipConfig(enabled=False),
-        )
+        assert _raptee_bundle().membership is None
+        disabled = _raptee_bundle(membership=MembershipConfig(enabled=False))
         assert disabled.membership is None
 
     def test_disabled_membership_is_byte_identical_to_legacy(self):
         """MembershipConfig(enabled=False) must not perturb a run at all."""
-        spec = TopologySpec(
-            n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.15,
-            view_ratio=0.10, transport_encryption=True,
-        )
-        legacy = build_raptee_simulation(spec, 5, eviction=AdaptiveEviction())
-        disabled = build_raptee_simulation(
-            spec, 5, eviction=AdaptiveEviction(),
-            membership=MembershipConfig(enabled=False),
-        )
+        legacy = _raptee_bundle(transport_encryption=True)
+        disabled = _raptee_bundle(membership=MembershipConfig(enabled=False),
+                                  transport_encryption=True)
         legacy.run(8)
         disabled.run(8)
         assert legacy.trace.records == disabled.trace.records

@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.eviction import FixedEviction
 from repro.experiments.runner import RunMetrics, repeat
-from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
-from repro.experiments.runner import run_bundle
-from tests._pinned import PINNED, run_pinned
+from repro.experiments.scenarios import TopologySpec
+from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
+from tests._pinned import PINNED_DICTS, run_pinned
 
 SEEDS = [101, 202, 303, 404]
 ROUNDS = 5
@@ -25,12 +25,15 @@ ROUNDS = 5
 def _build_and_run_perf(seed: int) -> RunMetrics:
     # Module level so ProcessPoolExecutor can pickle it (workers > 1).
     # Encryption on: the scenario must cross the schedule and pair caches.
-    spec = TopologySpec(
-        n_nodes=30, byzantine_fraction=0.10, trusted_fraction=0.10,
-        view_ratio=0.12, transport_encryption=True,
+    spec = ScenarioSpec(
+        name="perf-determinism", protocol="raptee", seed=seed, rounds=ROUNDS,
+        topology=TopologySpec(
+            n_nodes=30, byzantine_fraction=0.10, trusted_fraction=0.10,
+            view_ratio=0.12, transport_encryption=True,
+        ),
+        raptee=RapteeOptions(eviction=FixedEviction(0.6)),
     )
-    bundle = build_raptee_simulation(spec, seed, eviction=FixedEviction(0.6))
-    return run_bundle(bundle, ROUNDS)
+    return run_scenario(spec, telemetry=None).metrics
 
 
 class TestPerfDeterminismMatrix:
@@ -50,7 +53,7 @@ class TestPerfDeterminismMatrix:
             repeat(_build_and_run_perf, SEEDS).runs
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("name", sorted(PINNED_DICTS))
 def test_pinned_runs_are_self_deterministic(name):
     """Same seed → identical artifacts (no hidden global state)."""
     assert run_pinned(name) == run_pinned(name)

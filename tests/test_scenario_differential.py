@@ -4,11 +4,11 @@ A simulation is built from a :class:`ScenarioSpec` and nothing else; what
 differs between front-ends is only who writes the spec.  This suite is the
 proof obligation for that claim:
 
-* for every pinned scenario family, the Python-argument constructors of
-  :mod:`repro.experiments.scenarios` (wired by hand, the way tests and
-  examples drive a bundle) and the same scenario loaded from a plain dict
-  and run by :func:`run_scenario` produce byte-identical runs — same trace
-  JSONL, same metrics CSV, same final views, same traffic totals;
+* for every pinned scenario family, the bundle :func:`compile_spec`
+  builds, wired by hand (telemetry, then faults, the way tests and
+  examples drive a bundle), and the same spec run by :func:`run_scenario`
+  produce byte-identical runs — same trace JSONL, same metrics CSV, same
+  final views, same traffic totals;
 * the same flags through ``repro run`` and ``repro trace`` report what the
   equivalent dict reports, and ``repro run --shards`` what
   :func:`shard_simulation_from_spec` computes;
@@ -17,7 +17,9 @@ proof obligation for that claim:
   worker counts, with metrics that are :mod:`repro.analysis.metrics`' own;
 * under ``src/repro`` only :mod:`repro.scenario.run` wires the
   instrumentation stack, only :mod:`repro.scenario.compile` builds a shard
-  engine, and nothing that reads a finished run asks which engine ran.
+  engine or calls the per-node assembly functions, and nothing that reads
+  a finished run asks which engine ran; no file of the repository names a
+  second, keyword spelling of a run.
 
 The three families every differential suite shares come from
 ``tests/_pinned.py``; the two below exist only here.
@@ -30,57 +32,32 @@ from pathlib import Path
 
 import pytest
 
+from repro.brahms.config import BrahmsConfig
 from repro.cli import main
-from repro.core.eviction import AdaptiveEviction
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
-from repro.faults.plan import FaultPlan
-from repro.membership import MembershipConfig
+from repro.experiments.scenarios import TopologySpec
 from repro.analysis.metrics import (
     DISCOVERY_THRESHOLD,
     resilience_from_trace,
     stability_round,
 )
 from repro.experiments.runner import RunMetrics
-from repro.scenario import artifact_sections, get_spec, run_scenario, spec_from_dict
+from repro.scenario import (
+    ScenarioSpec,
+    artifact_sections,
+    compile_spec,
+    get_spec,
+    run_scenario,
+    spec_from_dict,
+)
 from repro.scenario.compile import shard_simulation_from_spec
 from repro.shard.compile import ShardUnsupportedError
 from repro.telemetry import TelemetryConfig
 
-from tests._pinned import PINNED, PINNED_DICTS, ROUNDS, known_ids, run_built
+from tests._pinned import PINNED_DICTS, ROUNDS, compiled, known_ids, run_built
 
-
-def _raptee_membership():
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.15,
-        view_ratio=0.10, transport_encryption=True,
-    )
-    bundle = build_raptee_simulation(
-        spec, seed=53, eviction=AdaptiveEviction(),
-        membership=MembershipConfig(join_rate=0.05, leave_rate=0.03),
-    )
-    # By hand, the director only ticks under a fault layer: an empty plan.
-    return bundle, 53, FaultPlan()
-
-
-def _raptee_poisoned_cycles():
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-        poisoned_fraction=0.05, view_ratio=0.10,
-    )
-    bundle = build_raptee_simulation(
-        spec, seed=29, eviction=AdaptiveEviction(), probe_pulls=2,
-        auth_mode="aes-ctr", with_cycle_accounting=True,
-    )
-    return bundle, 29, None
-
-
-#: name → (builder returning ``(bundle, seed, fault plan or None)``, dict).
-_CASES = {name: (PINNED[name], PINNED_DICTS[name]) for name in PINNED}
-_CASES["raptee-membership"] = (_raptee_membership, {
+#: name → spec dict: the pinned families plus two that exist only here.
+_CASES = dict(PINNED_DICTS)
+_CASES["raptee-membership"] = {
     "name": "raptee-membership",
     "protocol": "raptee",
     "seed": 53,
@@ -94,8 +71,8 @@ _CASES["raptee-membership"] = (_raptee_membership, {
     },
     "raptee": {"eviction": {"kind": "adaptive"}},
     "membership": {"join_rate": 0.05, "leave_rate": 0.03},
-})
-_CASES["raptee-poisoned-cycles"] = (_raptee_poisoned_cycles, {
+}
+_CASES["raptee-poisoned-cycles"] = {
     "name": "raptee-poisoned-cycles",
     "protocol": "raptee",
     "seed": 29,
@@ -113,14 +90,14 @@ _CASES["raptee-poisoned-cycles"] = (_raptee_poisoned_cycles, {
         "auth_mode": "aes-ctr",
         "with_cycle_accounting": True,
     },
-})
+}
 
 
 def _assert_paths_agree(name):
-    """Constructor + hand wiring vs loaded dict + ``run_scenario``."""
-    build, spec_dict = _CASES[name]
-    reference = run_built(*build())
-    artifacts = run_scenario(spec_from_dict(spec_dict))
+    """Hand-wired :func:`compile_spec` bundle vs ``run_scenario``: the
+    wiring order (telemetry, then faults) is the one thing they share."""
+    reference = run_built(*compiled(_CASES[name]))
+    artifacts = run_scenario(spec_from_dict(_CASES[name]))
     loaded = {
         "trace_jsonl": artifacts.trace_jsonl,
         "metrics_csv": artifacts.metrics_csv,
@@ -175,15 +152,19 @@ class TestFrontEndsAgree:
     def test_flags_constructor_and_dict_build_the_same_run(self):
         from repro.cli import _spec_from_args, build_parser
         from repro.core.eviction import FixedEviction
+        from repro.scenario import RapteeOptions
 
         runs = {"dict": run_scenario(spec_from_dict(_FLAGS_DICT))}
         for command in ("run", "trace"):
             args = build_parser().parse_args([command] + _FLAGS)
             runs[command] = run_scenario(_spec_from_args(args))
-        topology = TopologySpec(n_nodes=40, byzantine_fraction=0.1,
-                                trusted_fraction=0.1, view_ratio=0.1)
-        bundle = build_raptee_simulation(topology, _SEED, eviction=FixedEviction(0.6))
-        constructor = run_built(bundle, _SEED, None)
+        spec = ScenarioSpec(
+            name="constructor", protocol="raptee", seed=_SEED,
+            topology=TopologySpec(n_nodes=40, byzantine_fraction=0.1,
+                                  trusted_fraction=0.1, view_ratio=0.1),
+            raptee=RapteeOptions(eviction=FixedEviction(0.6)),
+        )
+        constructor = run_built(compile_spec(spec), _SEED, None)
 
         reference = runs.pop("dict")
         assert reference.final_views == constructor["final_views"]
@@ -318,11 +299,17 @@ class TestShardSpecsTakeTheSameRoad:
             run_scenario(_shard_spec(2), check_invariants=True)
 
 
-def _package_trees():
-    package = Path(__file__).resolve().parents[1] / "src" / "repro"
-    for path in sorted(package.rglob("*.py")):
-        yield (path.relative_to(package).as_posix(),
+_REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _trees(root):
+    for path in sorted(root.rglob("*.py")):
+        yield (path.relative_to(root).as_posix(),
                ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _package_trees():
+    return _trees(_REPO_ROOT / "src" / "repro")
 
 
 def _callers(trees, names, methods=True):
@@ -375,13 +362,6 @@ def test_every_stage_of_the_pipeline_exists_once():
     no checker table beside its dataclasses; the seed sweep has callers."""
     trees = dict(_package_trees())
     figures = list(ast.walk(trees["experiments/figures.py"]))
-    imported = {
-        alias.name for node in figures
-        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
-    }
-    assert not imported & {
-        "build_brahms_simulation", "build_raptee_simulation", "run_bundle"
-    }
     seed_loops = [
         node for node in figures
         if isinstance(node, (ast.For, ast.comprehension))
@@ -397,6 +377,55 @@ def test_every_stage_of_the_pipeline_exists_once():
         # Plain-name calls only: ``np.repeat`` is not the seed sweep.
         callers = _callers(trees.items(), {sweep}, methods=False)
         assert callers - {"experiments/runner.py"}, sweep
+
+
+def _identifiers(tree):
+    """Every name a module binds, reads, imports, defines or passes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.keyword, ast.arg)) and node.arg:
+            yield node.arg
+
+
+def test_a_run_has_one_spelling():
+    """No keyword builder, no bundle runner and no hand-set flood list
+    survives anywhere in the repository's Python; the per-node assembly
+    functions are called by :func:`compile_spec` and nothing else."""
+    trees = [
+        (f"{top}/{file}", tree)
+        for top in ("src", "tests", "benchmarks", "examples")
+        for file, tree in _trees(_REPO_ROOT / top)
+    ]
+    gone = {"build_brahms_simulation", "build_raptee_simulation", "run_bundle",
+            "flood_targets", "_honest_node_config"}
+    assert not {
+        (file, name) for file, tree in trees
+        for name in _identifiers(tree) if name in gone
+    }
+    assert _callers(trees, {"_build_brahms", "_build_raptee"}) == {
+        "src/repro/scenario/compile.py"
+    }
+
+
+class TestPackageDocstring:
+    def test_package_example_runs(self):
+        """``repro``'s docstring shows the Python spelling of a run; no
+        doctest runner is configured, so this executes it."""
+        import doctest
+
+        import repro
+
+        (example,) = doctest.DocTestFinder(recurse=False).find(repro)
+        result = doctest.DocTestRunner().run(example)
+        assert result.attempted >= 5 and result.failed == 0
 
 
 class TestViewSizeValidation:
@@ -419,19 +448,15 @@ class TestViewSizeValidation:
                          trusted_fraction=0.44, view_ratio=0.5)
 
     def test_builders_reject_oversized_config_override(self):
-        from repro.brahms.config import BrahmsConfig
-
-        spec = TopologySpec(n_nodes=20, byzantine_fraction=0.10, view_ratio=0.4)
+        topology = TopologySpec(n_nodes=20, byzantine_fraction=0.10, view_ratio=0.4)
         oversized = BrahmsConfig(view_size=30, sample_size=10)
-        with pytest.raises(ValueError, match="view_size"):
-            build_brahms_simulation(spec, seed=1, config_override=oversized)
-        with pytest.raises(ValueError, match="view_size"):
-            build_raptee_simulation(
-                spec, seed=1, eviction=AdaptiveEviction(),
-                config_override=oversized,
-            )
+        for protocol in ("brahms", "raptee"):
+            with pytest.raises(ValueError, match="view_size"):
+                ScenarioSpec(name="oversized", protocol=protocol, seed=1,
+                             topology=topology, brahms=oversized)
 
     def test_valid_view_sizes_still_accepted(self):
-        spec = TopologySpec(n_nodes=20, byzantine_fraction=0.10, view_ratio=0.4)
-        bundle = build_brahms_simulation(spec, seed=1)
+        topology = TopologySpec(n_nodes=20, byzantine_fraction=0.10, view_ratio=0.4)
+        bundle = compile_spec(ScenarioSpec(name="valid", protocol="brahms",
+                                           seed=1, topology=topology))
         assert len(bundle.simulation.nodes) == 20

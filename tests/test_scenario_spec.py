@@ -420,21 +420,15 @@ def test_stability_band_is_sized_by_the_views_the_nodes_have(engine, monkeypatch
     )
 
 
-def test_targeted_strategy_is_refused_at_its_field_before_anything_is_built(
-    monkeypatch,
-):
-    """No spec field carries the flood list ``targeted`` needs; at the
-    parent of this test the run died in round 1 with a bare ``ValueError``
-    out of the coordinator.  The spec itself still loads: a bundle built by
-    ``compile_spec`` can be given ``coordinator.flood_targets`` by hand."""
-    from repro.scenario import run, run_scenario
-
-    spec = spec_from_dict(_base(adversary_strategy="targeted"))
-    monkeypatch.setattr(run, "compile_spec", None)
-    with pytest.raises(ScenarioSpecError) as excinfo:
-        run_scenario(spec)
-    assert excinfo.value.path == "adversary_strategy"
-    assert "flood_targets" in str(excinfo.value)
+def test_unknown_strategy_is_refused_at_its_field_before_anything_is_built():
+    """A strategy the coordinator does not have — ``targeted`` included,
+    which floods a victim list no spec can carry and is gone — fails at
+    load, naming ``adversary_strategy``, not in round 1 of a run."""
+    for strategy in ("targeted", "bogus"):
+        with pytest.raises(ScenarioSpecError) as excinfo:
+            spec_from_dict(_base(adversary_strategy=strategy))
+        assert excinfo.value.path == "adversary_strategy"
+        assert repr(strategy) in str(excinfo.value)
 
 
 def test_in_memory_spec_requires_rounds_to_run():

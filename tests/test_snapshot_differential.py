@@ -19,33 +19,13 @@ lag, degraded-awaiting-re-attestation recovery state).
 from __future__ import annotations
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.brahms.node import BrahmsNode
-from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.crypto.prng import derive_seed
-from repro.experiments.scenarios import (
-    TopologySpec,
-    build_brahms_simulation,
-    build_raptee_simulation,
-)
 from repro.faults.harness import wire_faults
-from repro.faults.plan import (
-    AttestationOutageFault,
-    CrashRestartFault,
-    DeviceRevocationFault,
-    EpochRotationFault,
-    FaultPlan,
-    LossBurstFault,
-    RoundWindow,
-)
-from repro.membership import MembershipConfig
-from repro.sim.churn import UniformChurn
 from repro.snapshot import RunState, restore, save
 from repro.telemetry import (
     TelemetryConfig,
@@ -54,138 +34,81 @@ from repro.telemetry import (
     wire_telemetry,
 )
 
+from tests._pinned import PINNED_DICTS, compiled
+
 ROUNDS = 6
 CHECKPOINT_AT = 3
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
-
-class _ChurnFactory:
-    """Module-level (picklable) node factory for churn arrivals.
-
-    Every arrival gets its own seed-derived RNG stream and a one-node
-    bootstrap view so it gossips in its join round.
-    """
-
-    def __init__(self, config, seed: int):
-        self.config = config
-        self.seed = seed
-
-    def __call__(self, node_id: int) -> BrahmsNode:
-        from repro.sim.node import NodeKind
-
-        node = BrahmsNode(
-            node_id, NodeKind.HONEST, self.config,
-            random.Random(derive_seed(self.seed, "node", node_id)),
-        )
-        node.seed_view([0])
-        return node
-
-
-def _wire(bundle):
-    config = TelemetryConfig(tracing=True, trace_messages=True, trace_ecalls=True)
-    return wire_telemetry(bundle, config)
-
-
-def _build_brahms():
-    spec = TopologySpec(
-        n_nodes=60, byzantine_fraction=0.10, view_ratio=0.08, loss_rate=0.05
-    )
-    bundle = build_brahms_simulation(spec, seed=11)
-    _wire(bundle)
-    return RunState(simulation=bundle.simulation, bundle=bundle,
-                    rounds_total=ROUNDS, label="brahms-baseline")
-
-
-def _build_raptee_encrypted():
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-        view_ratio=0.10, transport_encryption=True,
-    )
-    bundle = build_raptee_simulation(
-        spec, seed=23, eviction=FixedEviction(0.6), sketch_unbias_enabled=True
-    )
-    _wire(bundle)
-    return RunState(simulation=bundle.simulation, bundle=bundle,
-                    rounds_total=ROUNDS, label="raptee-encrypted")
-
-
-def _build_raptee_faults():
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.10,
-        view_ratio=0.10, transport_encryption=True,
-    )
-    bundle = build_raptee_simulation(spec, seed=31, eviction=AdaptiveEviction())
-    _wire(bundle)
-    plan = FaultPlan([
-        LossBurstFault(window=RoundWindow(2, 4), loss_rate=0.30),
-        # Node 5 is trusted; the crash spans the checkpoint round, so the
-        # injector's pending revive schedule and the recovery manager's
-        # retry state must both survive the save/restore seam.
-        CrashRestartFault(node_id=5, at_round=2, down_rounds=2),
-    ])
-    harness = wire_faults(bundle, plan, seed=31)
-    return RunState(simulation=bundle.simulation, bundle=bundle,
-                    fault_harness=harness, rounds_total=ROUNDS,
-                    label="raptee-faults")
-
-
-def _build_churn():
-    spec = TopologySpec(n_nodes=50, byzantine_fraction=0.10, view_ratio=0.08)
-    bundle = build_brahms_simulation(spec, seed=47)
-    simulation = bundle.simulation
-    config = spec.brahms_config()
-    # The builders run static membership (the paper's setting); attach churn
-    # for this scenario so arrivals/departures cross the resume seam.
-    simulation.set_churn(
-        UniformChurn(leave_rate=0.02, join_rate=0.04),
-        _ChurnFactory(config, seed=47),
-    )
-    _wire(bundle)
-    return RunState(simulation=simulation, bundle=bundle,
-                    rounds_total=ROUNDS, label="brahms-churn")
-
-
-def _build_raptee_membership():
-    spec = TopologySpec(
-        n_nodes=40, byzantine_fraction=0.10, trusted_fraction=0.15,
-        view_ratio=0.10, transport_encryption=True,
-    )
-    # Gossip throttled to one service contact and one anti-entropy peer per
-    # round, so the membership log is still propagating when the state
-    # crosses the save/restore seam.
-    membership = MembershipConfig(
-        service_contacts=1, gossip_fanout=1,
-        join_rate=0.10, leave_rate=0.05, rotate_on_leave=False,
-    )
-    bundle = build_raptee_simulation(
-        spec, seed=53, eviction=AdaptiveEviction(), membership=membership
-    )
-    _wire(bundle)
-    plan = FaultPlan([
+#: name → spec dict; the first two are the pinned families of the other
+#: differential suites, the rest carry state only a checkpoint has to.
+_SCENARIOS = {
+    "brahms-baseline": PINNED_DICTS["brahms-baseline"],
+    "raptee-encrypted": PINNED_DICTS["raptee-fixed-eviction"],
+    "raptee-faults": dict(
+        PINNED_DICTS["raptee-faults"],
+        faults=[
+            {"kind": "loss-burst", "window": {"start": 2, "end": 4},
+             "loss_rate": 0.30},
+            # Node 5 is trusted; the crash spans the checkpoint round, so
+            # the injector's pending revive schedule and the recovery
+            # manager's retry state must both survive the save/restore seam.
+            {"kind": "crash-restart", "node_id": 5, "at_round": 2,
+             "down_rounds": 2},
+        ],
+    ),
+    "brahms-churn": {
+        "name": "brahms-churn",
+        "protocol": "brahms",
+        "seed": 47,
+        "rounds": ROUNDS,
+        "topology": {"n_nodes": 50, "byzantine_fraction": 0.10,
+                     "view_ratio": 0.08},
+        # Arrivals come from the production ArrivalFactory, so it and the
+        # engine's ID allocator both cross the resume seam.
+        "churn": {"kind": "uniform", "leave_rate": 0.02, "join_rate": 0.04},
+    },
+    "raptee-membership": {
+        "name": "raptee-membership",
+        "protocol": "raptee",
+        "seed": 53,
+        "rounds": ROUNDS,
+        "topology": {"n_nodes": 40, "byzantine_fraction": 0.10,
+                     "trusted_fraction": 0.15, "view_ratio": 0.10,
+                     "transport_encryption": True},
+        "raptee": {"eviction": {"kind": "adaptive"}},
+        # Gossip throttled to one service contact and one anti-entropy peer
+        # per round, so the membership log is still propagating when the
+        # state crosses the save/restore seam.
+        "membership": {"service_contacts": 1, "gossip_fanout": 1,
+                       "join_rate": 0.10, "leave_rate": 0.05,
+                       "rotate_on_leave": False},
         # The rotation lands one round before the checkpoint, inside an
         # attestation outage: every trusted enclave is degraded on a stale
         # epoch and mid-backoff at the checkpoint round, so the pending
         # epoch, the recovery ladder, and the re-keyed per-pair transport
         # keys all have to survive the seam.  The revocation fires after
         # the resume and must propagate through the restored log.
-        EpochRotationFault(at_round=2),
-        AttestationOutageFault(RoundWindow(2, 4)),
-        DeviceRevocationFault(node_id=4, at_round=4),
-    ])
-    harness = wire_faults(bundle, plan, seed=53)
-    return RunState(simulation=bundle.simulation, bundle=bundle,
-                    fault_harness=harness, rounds_total=ROUNDS,
-                    label="raptee-membership")
-
-
-_SCENARIOS = {
-    "brahms-baseline": _build_brahms,
-    "raptee-encrypted": _build_raptee_encrypted,
-    "raptee-faults": _build_raptee_faults,
-    "brahms-churn": _build_churn,
-    "raptee-membership": _build_raptee_membership,
+        "faults": [
+            {"kind": "epoch-rotation", "at_round": 2},
+            {"kind": "attestation-outage", "window": {"start": 2, "end": 4}},
+            {"kind": "device-revocation", "node_id": 4, "at_round": 4},
+        ],
+    },
 }
+
+
+def _state(name):
+    """The scenario compiled and wired by hand — telemetry, then faults —
+    as a resumable :class:`RunState`."""
+    bundle, seed, plan = compiled(_SCENARIOS[name])
+    wire_telemetry(bundle, TelemetryConfig(
+        tracing=True, trace_messages=True, trace_ecalls=True
+    ))
+    harness = None if plan is None else wire_faults(bundle, plan, seed=seed)
+    return RunState(simulation=bundle.simulation, bundle=bundle,
+                    fault_harness=harness, rounds_total=ROUNDS, label=name)
 
 
 def _artifacts(state):
@@ -203,7 +126,7 @@ def _artifacts(state):
 
 
 def _straight_run(name):
-    state = _SCENARIOS[name]()
+    state = _state(name)
     state.run_chunk(ROUNDS)
     return _artifacts(state)
 
@@ -221,7 +144,7 @@ def _resume_env():
 def test_checkpoint_resume_fresh_process_byte_identical(name, tmp_path):
     reference = _straight_run(name)
 
-    state = _SCENARIOS[name]()
+    state = _state(name)
     state.run_chunk(CHECKPOINT_AT)
     snapshot_path = tmp_path / f"{name}.snapshot"
     save(state, str(snapshot_path))
@@ -251,7 +174,7 @@ def test_checkpoint_resume_in_process_full_state(name, tmp_path):
     """Same-process leg: also compares final views and the view trace."""
     reference = _straight_run(name)
 
-    state = _SCENARIOS[name]()
+    state = _state(name)
     state.run_chunk(CHECKPOINT_AT)
     snapshot_path = tmp_path / f"{name}.snapshot"
     save(state, str(snapshot_path))
@@ -266,7 +189,7 @@ def test_checkpoint_resume_in_process_full_state(name, tmp_path):
 
 def test_churn_scenario_actually_churns():
     """Guard against the churn differential passing vacuously."""
-    state = _SCENARIOS["brahms-churn"]()
+    state = _state("brahms-churn")
     state.run_chunk(ROUNDS)
     simulation = state.simulation
     assert simulation._next_node_id > 50  # arrivals happened
@@ -275,7 +198,7 @@ def test_churn_scenario_actually_churns():
 
 def test_fault_scenario_crash_spans_checkpoint():
     """Guard: the pinned crash really is in flight at the checkpoint round."""
-    state = _SCENARIOS["raptee-faults"]()
+    state = _state("raptee-faults")
     state.run_chunk(CHECKPOINT_AT)
     assert state.fault_harness.injector._revive_at, \
         "expected a pending revive at the checkpoint round"
@@ -292,7 +215,7 @@ def test_membership_checkpoint_mid_rotation_restores_pending_epoch(tmp_path):
     and every node's view position bit for bit — and the rotation must
     then complete on the resumed state.
     """
-    state = _SCENARIOS["raptee-membership"]()
+    state = _state("raptee-membership")
     state.run_chunk(CHECKPOINT_AT)
     director = state.bundle.membership
     service = director.service

@@ -33,10 +33,13 @@ from repro.telemetry import Telemetry, TraceEvent
 
 
 def _small_sim(seed=3) -> Simulation:
-    from repro.experiments.scenarios import TopologySpec, build_brahms_simulation
+    from repro.experiments.scenarios import TopologySpec
+    from repro.scenario import ScenarioSpec, compile_spec
 
-    spec = TopologySpec(n_nodes=12, byzantine_fraction=0.0, view_ratio=0.3)
-    return build_brahms_simulation(spec, seed=seed).simulation
+    topology = TopologySpec(n_nodes=12, byzantine_fraction=0.0, view_ratio=0.3)
+    return compile_spec(ScenarioSpec(
+        name="snapshot-unit", protocol="brahms", seed=seed, topology=topology
+    )).simulation
 
 
 def _write_sample(path, state=None, kind="unit-test", meta=None):

@@ -9,16 +9,14 @@ repeated runs of the same scenario + seed.
 import re
 from pathlib import Path
 
-from repro.core.eviction import AdaptiveEviction
-from repro.experiments.runner import run_bundle
-from repro.experiments.scenarios import TopologySpec, build_raptee_simulation
+from repro.experiments.scenarios import TopologySpec
 from repro.faults.drills import run_drill
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.telemetry import (
     TelemetryConfig,
     metrics_to_csv,
     trace_to_jsonl,
     validate_trace_jsonl,
-    wire_telemetry,
 )
 
 SPEC = TopologySpec(
@@ -31,15 +29,16 @@ SEED = 7
 ROUNDS = 8
 
 
-def _build(seed=SEED):
-    return build_raptee_simulation(SPEC, seed, eviction=AdaptiveEviction())
+def _run(config, seed=SEED):
+    """The scenario under hub ``config`` (``None``: no hub at all)."""
+    spec = ScenarioSpec(name="telemetry", protocol="raptee", seed=seed,
+                        rounds=ROUNDS, topology=SPEC)
+    return run_scenario(spec, telemetry=config)
 
 
-def _traced_run(config=None):
-    bundle = _build()
-    harness = wire_telemetry(bundle, config)
-    metrics = run_bundle(bundle, ROUNDS)
-    return metrics, harness.telemetry
+def _traced_run(config=TelemetryConfig(), seed=SEED):
+    artifacts = _run(config, seed)
+    return artifacts.metrics, artifacts.bundle.telemetry
 
 
 class TestTraceDeterminism:
@@ -52,9 +51,7 @@ class TestTraceDeterminism:
 
     def test_different_seed_changes_trace(self):
         _, telemetry = _traced_run()
-        other_bundle = _build(seed=SEED + 1)
-        other = wire_telemetry(other_bundle).telemetry
-        run_bundle(other_bundle, ROUNDS)
+        _, other = _traced_run(seed=SEED + 1)
         assert trace_to_jsonl(telemetry.trace.events) != \
             trace_to_jsonl(other.trace.events)
 
@@ -66,7 +63,7 @@ class TestTraceDeterminism:
 
 class TestZeroPerturbation:
     def test_telemetry_off_matches_on(self):
-        baseline = run_bundle(_build(), ROUNDS)
+        baseline = _run(None).metrics
         traced, _ = _traced_run()
         assert traced == baseline
 
@@ -86,10 +83,8 @@ class TestZeroPerturbation:
 
 class TestRegistryContents:
     def test_traffic_counters_mirror_network_stats(self):
-        bundle = _build()
-        harness = wire_telemetry(bundle)
-        run_bundle(bundle, ROUNDS)
-        registry = harness.telemetry.registry
+        bundle = _run(TelemetryConfig()).bundle
+        registry = bundle.telemetry.registry
         stats = bundle.simulation.network.stats
         assert registry.value("network.pushes_sent") == stats.pushes_sent
         assert registry.value("network.pushes_delivered") == stats.pushes_delivered
