@@ -18,7 +18,7 @@ A Byzantine node:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import AbstractSet, Dict, List, Optional
 
 from repro.adversary.coordinator import AdversaryCoordinator
 from repro.core.auth import AuthScheme, KEY_BYTES
@@ -66,9 +66,11 @@ class ByzantineNode(NodeBase):
         """A Byzantine 'view' is whatever the adversary wants to advertise."""
         return self.coordinator.fake_view(self.view_size)
 
-    def known_ids(self) -> List[int]:
+    def known_ids(self) -> AbstractSet[int]:
         # Global knowledge (§III-B): the adversary knows the membership.
-        return list(self.coordinator.correct_ids) + list(self.coordinator.byzantine_ids)
+        return frozenset(self.coordinator.correct_ids).union(
+            self.coordinator.byzantine_ids
+        )
 
     def seed_view(self, ids: List[int]) -> None:
         # Membership knowledge is global; the bootstrap sample is ignored.

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import AbstractSet, List, Optional, Set, Tuple
 
 from repro.brahms.config import BrahmsConfig
 from repro.brahms.sampler import SamplerGroup
@@ -86,8 +86,8 @@ class BrahmsNode(NodeBase):
     def view_ids(self) -> List[int]:
         return list(self.view)
 
-    def known_ids(self) -> List[int]:
-        return list(self.known)
+    def known_ids(self) -> AbstractSet[int]:
+        return self.known
 
     def seed_view(self, ids: List[int]) -> None:
         self.view = [peer for peer in ids if peer != self.node_id]
@@ -112,18 +112,25 @@ class BrahmsNode(NodeBase):
         return self.rng.choices(self.view, k=count)
 
     def gossip(self, ctx: RoundContext) -> None:
+        # Called once per node-round: the loop locals and the cycle test
+        # are bound once instead of per message.
+        node_id = self.node_id
+        accounting = self.cycles is not None
+        send_push = ctx.send_push
         for target in self._select_targets(self.config.alpha_count):
-            if target == self.node_id:
+            if target == node_id:
                 continue
-            self._charge(PeerSamplingFunction.PUSH_MESSAGE)
-            ctx.send_push(self.node_id, target)
+            if accounting:
+                self._charge(PeerSamplingFunction.PUSH_MESSAGE)
+            send_push(node_id, target)
+        pulled, known = self._pulled, self.known
         for target in self._select_targets(self.config.beta_count):
-            if target == self.node_id:
+            if target == node_id:
                 continue
             batch = self._do_pull(ctx, target)
             if batch is not None:
-                self._pulled.append(batch)
-                self.known.update(batch.ids)
+                pulled.append(batch)
+                known.update(batch.ids)
 
     def _do_pull(self, ctx: RoundContext, target: int) -> Optional[PulledBatch]:
         """One pull session; RAPTEE overrides to run auth + trusted swap."""
@@ -172,10 +179,12 @@ class BrahmsNode(NodeBase):
         # Sampling component: every received ID enters the sampler stream —
         # except the IDs a trusted node chose to evict (already filtered).
         # The timer covers the min-wise hashing the samplers run per ID.
+        # One feed of the concatenated stream is the same as pushed then
+        # pulled: a running minimum commutes with concatenation, and on a
+        # tie the earlier id is kept either way.
         self._charge(PeerSamplingFunction.SAMPLE_LIST_COMPUTATION)
         with self._profiled("sampler.update"):
-            self.samplers.update(pushed)
-            self.samplers.update(pulled)
+            self.samplers.update(pushed + pulled)
 
         # View renewal: requires non-blocked round with both flows present
         # (the pull condition is on *received answers*, so an evicting

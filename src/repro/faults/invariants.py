@@ -114,8 +114,7 @@ class InvariantChecker(Observer):
         if unknown:
             self._fail(simulation, "registered-ids", node.node_id,
                        f"view cites never-registered IDs {unknown}")
-        known = set(node.known_ids())
-        missing = sorted(set(view) - known)
+        missing = sorted(set(view).difference(node.known_ids()))
         if missing:
             self._fail(simulation, "view-known", node.node_id,
                        f"view entries {missing} missing from known-ID set")

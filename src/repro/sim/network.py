@@ -223,11 +223,6 @@ class Network:
         """Install (or clear, with ``None``) the per-message injection gate."""
         self._fault_hook = hook
 
-    def _fault_dropped(self, src: int, dst: int) -> bool:
-        return self._fault_hook is not None and bool(
-            self._fault_hook(src, dst, self._current_round)
-        )
-
     # -- encryption ------------------------------------------------------------
 
     def rekey_pairs(self, salt: bytes) -> None:
@@ -288,9 +283,10 @@ class Network:
         return rows[0, :length].tobytes()
 
     def _through_wire(self, src: int, dst: int, message: Message) -> Message:
-        """Simulate serialization + encryption + decryption of a payload."""
-        if not self._encrypt:
-            return message
+        """Simulate serialization + encryption + decryption of a payload.
+
+        Called on an encrypted network only; an unencrypted one hands the
+        message object over as is."""
         self._nonce_counter += 1
         plaintext = pickle.dumps(message)
         keystream = self._keystream(src, dst, self._nonce_counter, len(plaintext))
@@ -307,9 +303,11 @@ class Network:
         return pickle.loads(decrypted)
 
     # -- delivery ------------------------------------------------------------
-
-    def _lost(self) -> bool:
-        return self._loss_rate > 0.0 and self._rng.random() < self._loss_rate
+    #
+    # Each direction of a message passes three gates, inline and in this
+    # order: the fault hook, the loss draw (an RNG draw, taken only when
+    # the hook let the message through) and, on the way to the callee,
+    # its reachability.  The destination node is fetched once.
 
     def _count_loss(self) -> None:
         self._stats.messages_lost += 1
@@ -331,13 +329,20 @@ class Network:
         stats.per_round_pushes[self._current_round] += 1
         if self._ctr_pushes_sent is not None:
             self._ctr_pushes_sent.inc()
-        if self._fault_dropped(src, dst) or self._lost() or not self.is_reachable(dst):
+        hook, loss_rate = self._fault_hook, self._loss_rate
+        node = None
+        if not (
+            (hook is not None and hook(src, dst, self._current_round))
+            or (loss_rate > 0.0 and self._rng.random() < loss_rate)
+        ):
+            node = self._nodes.get(dst)
+        if node is None or not node.alive:
             self._count_loss()
             if self._trace_messages:
                 self._emit_message("net.push", src,
                                    {"dst": dst, "delivered": False})
             return False
-        self._nodes[dst].on_push(src)
+        node.on_push(src)
         stats.pushes_delivered += 1
         if self._ctr_pushes_delivered is not None:
             self._ctr_pushes_delivered.inc()
@@ -358,22 +363,34 @@ class Network:
         """Synchronous request-response; ``None`` on loss or dead peer."""
         stats = self._stats
         stats.requests_sent += 1
-        stats.per_round_requests[self._current_round] += 1
-        kind = type(message).__name__
+        current_round = self._current_round
+        stats.per_round_requests[current_round] += 1
+        # The message kind only labels telemetry (trace_messages implies it).
         instrumented = self.telemetry is not None
+        kind = ""
         if instrumented:
+            kind = type(message).__name__
             self._request_counter(
                 self._ctr_requests_sent, "network.requests_sent", kind
             ).inc()
-        if self._fault_dropped(src, dst) or self._lost() or not self.is_reachable(dst):
+        hook, loss_rate = self._fault_hook, self._loss_rate
+        node = None
+        if not (
+            (hook is not None and hook(src, dst, current_round))
+            or (loss_rate > 0.0 and self._rng.random() < loss_rate)
+        ):
+            node = self._nodes.get(dst)
+        if node is None or not node.alive:
             self._count_loss()
             if self._trace_messages:
                 self._emit_message("net.request", src, {
                     "dst": dst, "delivered": False, "message": kind,
                 })
             return None
-        delivered = self._through_wire(src, dst, message)
-        reply = self._nodes[dst].handle_request(delivered)
+        encrypt = self._encrypt
+        reply = node.handle_request(
+            self._through_wire(src, dst, message) if encrypt else message
+        )
         if reply is None:
             if self._trace_messages:
                 self._emit_message("net.request", src, {
@@ -381,7 +398,9 @@ class Network:
                     "answered": False,
                 })
             return None
-        if self._fault_dropped(dst, src) or self._lost():
+        if (hook is not None and hook(dst, src, current_round)) or (
+            loss_rate > 0.0 and self._rng.random() < loss_rate
+        ):
             self._count_loss()
             if self._trace_messages:
                 self._emit_message("net.request", src, {
@@ -399,4 +418,4 @@ class Network:
                 "dst": dst, "delivered": True, "message": kind,
                 "answered": True, "reply_delivered": True,
             })
-        return self._through_wire(dst, src, reply)
+        return self._through_wire(dst, src, reply) if encrypt else reply

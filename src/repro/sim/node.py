@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, ContextManager, List, Optional
+from typing import TYPE_CHECKING, AbstractSet, ContextManager, List, Optional
 
 from repro.sim.messages import Message
 
@@ -115,8 +115,16 @@ class NodeBase:
         """The node's current dynamic view (IDs, possibly with duplicates)."""
         raise NotImplementedError
 
-    def known_ids(self) -> List[int]:
-        """Every distinct ID this node has ever learned (discovery metric)."""
+    def known_ids(self) -> AbstractSet[int]:
+        """Every distinct ID this node has ever learned (discovery metric).
+
+        The node's own live set, not a copy: it is read after every round
+        by :class:`~repro.sim.observers.DiscoveryObserver` and the
+        invariant checker, and callers must not mutate it.  Every id in it
+        was at some point registered with the simulation (a subset of
+        :attr:`~repro.sim.engine.Simulation.ever_registered`), which is
+        what lets discovery be counted from the non-correct side.
+        """
         raise NotImplementedError
 
     def seed_view(self, ids: List[int]) -> None:

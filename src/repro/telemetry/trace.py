@@ -195,6 +195,15 @@ class TraceCollector:
 
     @property
     def events(self) -> TraceEvents:
+        """The events, decoded from their lines when read.
+
+        A decoded event equals the emitted one for JSON-native values, up
+        to one limit of JSON itself: a string holding a high surrogate
+        followed by a low one (``"\\ud800\\udc00"``) is escaped exactly as
+        the astral character the pair stands for (U+10000), so it reads
+        back as that one character.  The stored line is still the
+        reference encoding.
+        """
         return TraceEvents(self._lines)
 
     def record(

@@ -62,6 +62,21 @@ def family(rng):
     return MinWiseFamily(rng)
 
 
+#: Two ids with the same ``scramble64(id) mod p`` (one inside the reduced-id
+#: table, one past it), so every linear min-wise hash ties on them.
+_TIED_IDS = (8157, 124875)
+
+_ids = st.one_of(st.sampled_from(_TIED_IDS),
+                 st.integers(min_value=0, max_value=2**40))
+
+
+def _stored(group):
+    """Each sampler's retained id and its hash, on either group path."""
+    if group._samplers is not None:
+        return [(s._current_id, s._current_hash) for s in group._samplers]
+    return list(zip(group._current_id.tolist(), group._current_hash.tolist()))
+
+
 class TestSampler:
     def test_empty_sampler_returns_none(self, family):
         assert Sampler(family.draw()).sample() is None
@@ -169,6 +184,44 @@ class TestSamplerGroup:
         group = SamplerGroup(4, MinWiseFamily(random.Random(3)))
         group.update(stream)
         assert set(group.sample_list()) <= set(stream)
+
+    @given(data=st.data(), cryptographic=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_two_feeds_equal_one_concatenated_feed(self, data, cryptographic,
+                                                   seed):
+        """``BrahmsNode.end_round`` feeds pushed + pulled in one update: the
+        same samples and hashes as feeding them one after the other, on
+        ties too (repeated ids, and two ids every linear hash ties on)."""
+        prior = data.draw(st.lists(_ids, max_size=6))
+        first = data.draw(st.lists(_ids, max_size=12))
+        seen = prior + first
+        repeats = st.one_of(_ids, st.sampled_from(seen)) if seen else _ids
+        second = data.draw(st.lists(repeats, max_size=12))
+        split, joined = (
+            SamplerGroup(4, MinWiseFamily(random.Random(seed),
+                                          cryptographic=cryptographic))
+            for _ in range(2)
+        )
+        split.update(prior)
+        split.update(first)
+        split.update(second)
+        joined.update(prior)
+        joined.update(first + second)
+        assert split.sample_list() == joined.sample_list()
+        assert _stored(split) == _stored(joined)
+
+    def test_tied_ids_tie_every_linear_hash(self):
+        """The tie the property above draws: on both sides of the reduced-id
+        table's end, the first of two tied ids stays retained."""
+        family = MinWiseFamily(random.Random(0))
+        for _ in range(8):
+            function = family.draw()
+            assert function(_TIED_IDS[0]) == function(_TIED_IDS[1])
+        group = SamplerGroup(4, family)
+        group.update(list(_TIED_IDS))
+        group.update(list(reversed(_TIED_IDS)))
+        assert group.sample_list() == [_TIED_IDS[0]] * 4
 
     def test_saturated_samples_are_uniform(self):
         """The anchor ``TestSamplerAnchors`` holds the shard engine to, on

@@ -49,7 +49,7 @@ class ChattyNode(NodeBase):
         return []
 
     def known_ids(self):
-        return list(self.peers)
+        return set(self.peers)
 
     def seed_view(self, ids):
         return None

@@ -34,7 +34,7 @@ class StubNode(NodeBase):
         return list(self.view)
 
     def known_ids(self):
-        return list(self.known)
+        return self.known
 
     def seed_view(self, ids):
         self.view = list(ids)

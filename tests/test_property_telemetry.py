@@ -3,13 +3,16 @@
 * A trace line, encoded once at emission from a per-shape template, is
   byte for byte ``json.dumps(event.to_dict(), sort_keys=True,
   separators=(",", ":"))`` — the encoding exports used before traces were
-  stored as lines — and decodes back to the event that was emitted.
+  stored as lines — and decodes back to the event that was emitted, except
+  that a surrogate pair in a string decodes as the astral character it
+  escapes to.
 * ``Histogram.observe`` picks its bucket by bisection, exactly as the
   linear scan over the bounds did, NaN and infinities included.
 """
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +47,18 @@ _scalars = st.one_of(st.none(), st.booleans(), _ints, _floats, _texts)
 # values of other types — the case the template cache must get right.
 _keys = st.one_of(st.sampled_from(["dst", "delivered", "message", "%s", 'a"b']),
                   _texts)
+
+#: A high surrogate followed by a low one: JSON escapes the pair exactly as
+#: the astral character it stands for, so it cannot decode as emitted.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _no_surrogate_pair(text):
+    return _SURROGATE_PAIR.search(text) is None
+
+
+_json_texts = _texts.filter(_no_surrogate_pair)
+_json_keys = _keys.filter(_no_surrogate_pair)
 
 _values = st.recursive(
     _scalars,
@@ -101,15 +116,16 @@ class TestLineEncoding:
 
     @given(
         kind=st.sampled_from(EVENT_KINDS),
-        name=_texts,
+        name=_json_texts,
         round_number=st.integers(min_value=0, max_value=2 ** 66),
         node=st.one_of(st.none(), _ints),
-        phase=st.one_of(st.none(), _texts),
-        fields=st.dictionaries(_keys, st.recursive(
-            st.one_of(st.none(), st.booleans(), _ints, _texts,
+        phase=st.one_of(st.none(), _json_texts),
+        fields=st.dictionaries(_json_keys, st.recursive(
+            st.one_of(st.none(), st.booleans(), _ints, _json_texts,
                       st.floats(allow_nan=False)),
             lambda inner: st.one_of(st.lists(inner, max_size=3),
-                                    st.dictionaries(_texts, inner, max_size=3)),
+                                    st.dictionaries(_json_texts, inner,
+                                                    max_size=3)),
             max_leaves=6,
         ), max_size=5),
     )
@@ -123,6 +139,23 @@ class TestLineEncoding:
         assert trace.events[1] == emitted
         assert trace.events[-1] == emitted
         assert list(trace.events)[1:] == trace.events[1:] == [emitted]
+
+    def test_surrogate_pair_decodes_as_the_astral_character(self):
+        # The one JSON-native value that does not read back as emitted: the
+        # line is still the reference encoding, but the pair's escape is
+        # U+10000's.
+        pair = "\ud800\udc00"  # two code points: a high and a low surrogate
+        args = {"kind": "event", "name": "net.push", "round_number": 3,
+                "node": 7, "phase": "gossip", "fields": {"dst": {pair: None}}}
+        line = encode_line(0, args["kind"], args["name"], args["round_number"],
+                           args["node"], args["phase"], args["fields"])
+        assert line == _reference_line(0, args) + "\n"
+        assert "\\ud800\\udc00" in line
+        trace = TraceCollector()
+        trace.record(args["name"], args["round_number"], args["node"],
+                     args["phase"], args["kind"], args["fields"])
+        (decoded,) = trace.events[0].fields["dst"]
+        assert (len(pair), decoded) == (2, "\U00010000")
 
 
 def _reference_bucket(buckets, value):

@@ -5,6 +5,11 @@ from typing import Optional
 
 import pytest
 
+from repro.events.harness import wire_events
+from repro.faults.harness import wire_faults
+from repro.scenario import compile_spec, spec_from_dict
+from repro.scenario.catalog import CATALOG, get_spec
+from repro.scenario.compile import event_options_from_spec, fault_plan_from_spec
 from repro.sim.bootstrap import UniformBootstrap
 from repro.sim.churn import ChurnEvent, CatastrophicFailure, NoChurn, UniformChurn
 from repro.sim.engine import Observer, Simulation
@@ -38,7 +43,8 @@ class PhaseRecorder(NodeBase):
         return list(self._view)
 
     def known_ids(self):
-        return list(self._view)
+        # A set, as NodeBase.known_ids requires: discovery takes its len().
+        return set(self._view)
 
     def seed_view(self, ids):
         self._view = list(ids)
@@ -341,3 +347,80 @@ class TestObservers:
         discovery = DiscoveryObserver(threshold=0.9)
         sim.run(1, observers=[discovery])
         assert discovery.all_discovered_round(sim) == -1
+
+
+class DiscoveryAudit(Observer):
+    """Runs after the bundle's DiscoveryObserver and holds its count, for
+    every correct node every round, to the count it replaced: a copy of the
+    target set intersected with the node's known set, plus the node."""
+
+    def __init__(self, discovery):
+        self.discovery = discovery
+        self.rounds = 0
+        self.counted = 0
+        self.arrivals_counted = 0
+
+    def on_round_end(self, simulation):
+        self.rounds += 1
+        target = self.discovery._target_ids
+        others = simulation.ever_registered - target
+        for node in simulation.correct_nodes():
+            known = node.known_ids()
+            # The counting-from-the-other-side identity rests on this.
+            assert known <= simulation.ever_registered, node.node_id
+            reference = len(target.intersection(known) | {node.node_id})
+            assert self.discovery._known_count(node, others) == reference, (
+                simulation.round_number, node.node_id)
+            self.counted += 1
+            self.arrivals_counted += node.node_id not in target
+
+
+def _audited_run(spec):
+    """``run_scenario``'s per-node wiring (faults, then events) with the
+    audit riding after the metric observers; telemetry moves no count."""
+    bundle = compile_spec(spec)
+    plan = fault_plan_from_spec(spec)
+    if plan is not None:
+        wire_faults(bundle, plan, seed=spec.seed)
+    events = event_options_from_spec(spec)
+    if events is not None:
+        wire_events(bundle, events)
+    audit = DiscoveryAudit(bundle.discovery)
+    bundle.run(spec.rounds, extra_observers=(audit,))
+    return bundle, audit
+
+
+_PER_NODE_CATALOG = [entry["name"] for entry in CATALOG
+                     if entry.get("engine", {}).get("kind") != "shard"]
+
+#: Catalog entries with churn arrivals, which join outside the frozen target
+#: set: the case of the "+1 unless self is a known target" rule.
+_ARRIVALS = {"brahms-churn-uniform", "raptee-membership-churn"}
+
+
+class TestDiscoveryCount:
+    @pytest.mark.parametrize("name", _PER_NODE_CATALOG)
+    def test_catalog_counts_match_the_reference(self, name):
+        spec = get_spec(name)
+        bundle, audit = _audited_run(spec)
+        assert audit.rounds == spec.rounds and audit.counted
+        if name in _ARRIVALS:
+            assert audit.arrivals_counted
+        if name == "raptee-poisoned-probes":  # poisoned-view injection
+            assert any(node.kind is NodeKind.POISONED_TRUSTED
+                       for node in bundle.simulation.correct_nodes())
+
+    def test_counts_match_through_the_threshold(self):
+        # A Brahms churn run long and large enough that nodes cross the 75%
+        # threshold, arrivals included: the audit checks every count.
+        spec = spec_from_dict({
+            "name": "discovery-audit", "protocol": "brahms", "seed": 5,
+            "rounds": 20,
+            "topology": {"n_nodes": 120, "byzantine_fraction": 0.1,
+                         "view_ratio": 0.1},
+            "churn": {"kind": "uniform", "leave_rate": 0.01,
+                      "join_rate": 0.03},
+        })
+        bundle, audit = _audited_run(spec)
+        assert audit.arrivals_counted > 0
+        assert bundle.discovery.discovery_round

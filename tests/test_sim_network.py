@@ -40,7 +40,7 @@ class EchoNode(NodeBase):
         return list(self._view)
 
     def known_ids(self):
-        return list(self._view)
+        return set(self._view)
 
     def seed_view(self, ids):
         self._view = list(ids)
