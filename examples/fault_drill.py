@@ -52,8 +52,7 @@ def main() -> None:
     )
     # The plan below names victims by id, so the bundle is compiled first
     # and wired by hand, in run_scenario's order: telemetry, then faults.
-    bundle = compile_spec(spec)
-    telemetry = wire_telemetry(bundle).telemetry  # before wire_faults
+    bundle = wire_telemetry(compile_spec(spec))  # before wire_faults
     trusted = sorted(bundle.trusted_ids)
     victims = trusted[: len(trusted) // 3]
     honest = sorted(
@@ -75,11 +74,11 @@ def main() -> None:
     print(plan.describe())
 
     checker = InvariantChecker(record_only=False)  # raise on any violation
-    harness = wire_faults(bundle, plan, SEED, checker=checker)
+    wire_faults(bundle, plan, SEED)
     print(f"\nRunning {ROUNDS} rounds with faults armed…")
-    harness.run(ROUNDS)
+    bundle.run(ROUNDS, extra_observers=(checker,))
 
-    registry = telemetry.registry
+    registry = bundle.telemetry.registry
     drops_by_cause = {
         str(cause): int(count)
         for cause, count in registry.by_label("faults.drops", "cause").items()

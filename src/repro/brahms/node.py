@@ -64,17 +64,13 @@ class BrahmsNode(NodeBase):
         config: BrahmsConfig,
         rng: random.Random,
         cycle_accountant: Optional[CycleAccountant] = None,
-        cryptographic_samplers: bool = False,
     ):
         super().__init__(node_id, kind)
         self.config = config
         self.rng = rng
         self.cycles = cycle_accountant
         self.view: List[int] = []
-        self.samplers = SamplerGroup(
-            config.sample_size,
-            MinWiseFamily(rng, cryptographic=cryptographic_samplers),
-        )
+        self.samplers = SamplerGroup(config.sample_size, MinWiseFamily(rng))
         self.known: Set[int] = {node_id}
         self.blocked_rounds = 0
         # Per-round buffers.

@@ -14,8 +14,8 @@ so departed nodes do not anchor samples forever.
 The group batch-evaluates the linear min-wise family with numpy (the stream
 × samplers product dominates simulation time); the semantics are identical
 to feeding each ID through each :class:`Sampler` in order, because taking a
-running minimum commutes with batching.  The cryptographic hash variant
-falls back to the per-element path.
+running minimum commutes with batching.  :class:`Sampler` is that
+per-element reference, kept for the tests that hold the group to it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
-from repro.crypto.minwise import MERSENNE_PRIME_31, MinWiseFamily, MinWiseHash
+from repro.crypto.minwise import MERSENNE_PRIME_31, MinWiseFamily
 from repro.perf.kernels import splitmix64_array
 
 __all__ = ["Sampler", "SamplerGroup"]
@@ -88,19 +88,13 @@ class SamplerGroup:
             raise ValueError("sampler group size must be positive")
         self._family = family
         self._size = size
-        if family.cryptographic:
-            self._samplers: Optional[List[Sampler]] = [
-                Sampler(family.draw()) for _ in range(size)
-            ]
-        else:
-            self._samplers = None
-            functions = [family.draw() for _ in range(size)]
-            self._a = np.array([f.a for f in functions], dtype=np.int64)
-            self._b = np.array([f.b for f in functions], dtype=np.int64)
-            self._p = np.int64(MERSENNE_PRIME_31)
-            # Sentinel: every real hash is < p, so p means "empty".
-            self._current_hash = np.full(size, MERSENNE_PRIME_31, dtype=np.int64)
-            self._current_id = np.full(size, -1, dtype=np.int64)
+        functions = [family.draw() for _ in range(size)]
+        self._a = np.array([f.a for f in functions], dtype=np.int64)
+        self._b = np.array([f.b for f in functions], dtype=np.int64)
+        self._p = np.int64(MERSENNE_PRIME_31)
+        # Sentinel: every real hash is < p, so p means "empty".
+        self._current_hash = np.full(size, MERSENNE_PRIME_31, dtype=np.int64)
+        self._current_id = np.full(size, -1, dtype=np.int64)
 
     def __len__(self) -> int:
         return self._size
@@ -109,11 +103,6 @@ class SamplerGroup:
 
     def update(self, ids: Iterable[int]) -> None:
         """Stream a batch of IDs through every sampler."""
-        if self._samplers is not None:
-            for candidate in ids:
-                for sampler in self._samplers:
-                    sampler.next(candidate)
-            return
         batch = np.fromiter(ids, dtype=np.int64)
         if batch.size == 0:
             return
@@ -134,8 +123,6 @@ class SamplerGroup:
 
     def sample_list(self) -> List[int]:
         """Current non-empty samples (the sample list S)."""
-        if self._samplers is not None:
-            return [s.sample() for s in self._samplers if s.sample() is not None]
         return [int(value) for value in self._current_id if value >= 0]
 
     def random_samples(self, count: int, rng: random.Random) -> List[int]:
@@ -150,7 +137,6 @@ class SamplerGroup:
 
     def _reset_index(self, index: int) -> None:
         fresh = self._family.draw()
-        assert isinstance(fresh, MinWiseHash)
         self._a[index] = fresh.a
         self._b[index] = fresh.b
         self._current_hash[index] = MERSENNE_PRIME_31
@@ -163,13 +149,6 @@ class SamplerGroup:
         probe is a ping; in the simulator it is reachability of the node.
         """
         reset_count = 0
-        if self._samplers is not None:
-            for sampler in self._samplers:
-                current = sampler.sample()
-                if current is not None and not is_alive(current):
-                    sampler.reset(self._family.draw())
-                    reset_count += 1
-            return reset_count
         for index in range(self._size):
             current = int(self._current_id[index])
             if current >= 0 and not is_alive(current):
@@ -180,12 +159,6 @@ class SamplerGroup:
     def invalidate_id(self, node_id: int) -> int:
         """Reset samplers currently holding ``node_id`` (targeted removal)."""
         reset_count = 0
-        if self._samplers is not None:
-            for sampler in self._samplers:
-                if sampler.sample() == node_id:
-                    sampler.reset(self._family.draw())
-                    reset_count += 1
-            return reset_count
         for index in range(self._size):
             if int(self._current_id[index]) == node_id:
                 self._reset_index(index)

@@ -325,7 +325,8 @@ def _report(protocol: str, topology: TopologySpec, rounds: int, metrics,
         _line(label, reached if reached > 0 else "not reached")
 
 
-def _events_lines(options, engine):
+def _events_lines(engine):
+    options = engine.options
     yield "engine", f"events (continuous, tick {options.tick_interval:g} s)"
     yield "latency model", options.latency.describe()
     if options.stragglers is not None:
@@ -348,11 +349,11 @@ def _command_run_events(args) -> int:
     artifacts = run_scenario(
         _spec_from_args(args), telemetry=TelemetryConfig(tracing=False)
     )
-    events = artifacts.bundle.events
+    engine = artifacts.bundle.engine
     _report(args.protocol, artifacts.spec.topology, artifacts.spec.rounds,
-            artifacts.metrics, _events_lines(events.options, events.engine))
+            artifacts.metrics, _events_lines(engine))
     if args.events_trace_out:
-        load = events.engine.load
+        load = engine.load
         records = [] if load is None else load.records
         with open(args.events_trace_out, "w", encoding="utf-8") as stream:
             for record in records:

@@ -17,7 +17,6 @@ from repro.crypto.hashing import (
     sha256,
 )
 from repro.crypto.minwise import (
-    CryptoMinWiseHash,
     MERSENNE_PRIME_31,
     MERSENNE_PRIME_61,
     MinWiseFamily,
@@ -45,7 +44,6 @@ __all__ = [
     "hmac_sha256",
     "int_digest",
     "sha256",
-    "CryptoMinWiseHash",
     "MERSENNE_PRIME_31",
     "MERSENNE_PRIME_61",
     "MinWiseFamily",

@@ -4,8 +4,7 @@ Brahms' sampling component achieves uniformity by equipping every sampler
 with a hash function drawn at random from a min-wise independent family and
 retaining the stream element with the minimal hash (§II, Fig. 2).  We provide
 the standard approximately-min-wise construction ``h(x) = (a*x + b) mod p``
-over a Mersenne prime field, which is the construction used in practice, plus
-a slower cryptographic variant for adversarial settings.
+over a Mersenne prime field, which is the construction used in practice.
 
 The default field is p = 2^31 − 1: coefficients and reduced inputs fit in
 31 bits, so products stay below 2^62 and the whole family evaluates safely
@@ -18,14 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.crypto.hashing import int_digest
-
 if TYPE_CHECKING:
     import random  # annotation-only: the family draw rng is always injected
 
 __all__ = [
     "MinWiseHash",
-    "CryptoMinWiseHash",
     "MinWiseFamily",
     "MERSENNE_PRIME_31",
     "MERSENNE_PRIME_61",
@@ -78,33 +74,14 @@ class MinWiseHash:
         return (self.a * (scramble64(value) % self.p) + self.b) % self.p
 
 
-@dataclass(frozen=True)
-class CryptoMinWiseHash:
-    """Keyed SHA-256 hash; slower, but unpredictable to an adversary.
-
-    A Byzantine node that could predict a sampler's hash function could
-    craft an ID winning the min-competition in every sampler.  The linear
-    family is fine inside the simulator (hash coefficients are node-private
-    state); this variant documents and tests the hardened option.
-    """
-
-    key: bytes
-
-    def __call__(self, value: int) -> int:
-        return int_digest(self.key + value.to_bytes(16, "big", signed=False), bits=61)
-
-
 class MinWiseFamily:
     """Factory drawing independent hash functions from a seeded RNG."""
 
-    def __init__(self, rng: random.Random, cryptographic: bool = False):
+    def __init__(self, rng: random.Random):
         self._rng = rng
-        self.cryptographic = cryptographic
 
-    def draw(self):
+    def draw(self) -> MinWiseHash:
         """Draw one fresh, independent hash function."""
-        if self.cryptographic:
-            return CryptoMinWiseHash(key=self._rng.getrandbits(128).to_bytes(16, "big"))
         a = self._rng.randrange(1, MERSENNE_PRIME_31)
         b = self._rng.randrange(0, MERSENNE_PRIME_31)
         return MinWiseHash(a=a, b=b)

@@ -1,16 +1,17 @@
 """Event-driven continuous-time simulation over the round-based core.
 
 The round engine (:mod:`repro.sim.engine`) is lockstep: every node acts
-once per global round.  This package generalises it to a deterministic
-discrete-event simulation — a seeded event queue with a FIFO tie-break,
-per-link latency models, latency-stretched per-node gossip cycles, and a
-client load generator — while keeping the round engine as a provable
-special case: barrier mode with zero-latency links reproduces the round
-engine's trace JSONL, metrics CSV and final views byte-for-byte.
+once per global round.  This package runs the same protocol objects as a
+deterministic discrete-event simulation — a seeded event queue with a
+FIFO tie-break, a link latency model, latency-stretched per-node gossip
+cycles, and a client load generator.  Lockstep rounds stay the round
+engine's job: a ``mode='barrier'`` spec compiles to no event engine and
+runs on the round loop.
 
-Entry points: build a bundle with the scenario builders, then
-:func:`~repro.events.harness.wire_events` (after telemetry/faults) and
-run the returned harness; or ``repro run --engine events`` on the CLI.
+Entry points: ``run_scenario`` on a ``kind='events'`` spec, or
+``repro run --engine events`` on the CLI.  By hand:
+:func:`~repro.events.harness.wire_events` (after telemetry/faults) makes
+an :class:`EventEngine` the bundle's ``engine`` and returns the bundle.
 """
 
 from repro.events.engine import (
@@ -19,10 +20,9 @@ from repro.events.engine import (
     StragglerProfile,
     parse_straggler,
 )
-from repro.events.harness import EventHarness, wire_events
+from repro.events.harness import wire_events
 from repro.events.latency import (
     ConstantLatency,
-    LatencyConfig,
     LatencyModel,
     LogNormalLatency,
     UniformLatency,
@@ -39,7 +39,6 @@ __all__ = [
     "ConstantLatency",
     "UniformLatency",
     "LogNormalLatency",
-    "LatencyConfig",
     "parse_latency_model",
     "LatencyNetwork",
     "EventRoundContext",
@@ -51,6 +50,5 @@ __all__ = [
     "parse_straggler",
     "EventOptions",
     "EventEngine",
-    "EventHarness",
     "wire_events",
 ]

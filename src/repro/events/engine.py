@@ -1,25 +1,20 @@
 """The event-driven engine: continuous time over the round-based core.
 
-Two clock disciplines, one scheduler (:class:`~repro.events.queue.EventQueue`):
+The round is decomposed into events on one scheduler
+(:class:`~repro.events.queue.EventQueue`).  Round boundaries stay global
+(churn, the fault controller, membership gossip via the injector hook,
+observers and invariant checks all fire at boundaries, on the new clock),
+but each node runs its own *cycle*: at its scheduled time it begins and
+gossips; its ``end_round`` lands after ``max(period, session_time)``,
+where session time is the sum of its request RTTs over the sampled link
+delays (see :class:`~repro.events.network.LatencyNetwork`).  A node behind
+slow links — or marked a straggler — cycles late, gossips less often per
+wall-clock round, and ages out of views exactly the way lockstep rounds
+cannot express.
 
-* **barrier** mode schedules one tick per round at ``k·tick_interval`` and
-  each tick simply executes :meth:`Simulation.run_round` plus the
-  observers.  With zero-latency links nothing else touches any RNG or
-  telemetry stream, so the run is *byte-identical* to the round engine —
-  trace JSONL, metrics CSV, final views (pinned by
-  ``tests/test_events_differential.py``).  The round engine is literally
-  a special case of this engine.
-* **continuous** mode decomposes the round into events.  Round boundaries
-  stay global (churn, the fault controller, membership gossip via the
-  injector hook, observers and invariant checks all fire at boundaries,
-  on the new clock), but each node runs its own *cycle*: at its scheduled
-  time it begins and gossips; its ``end_round`` lands after
-  ``max(period, session_time)``, where session time is the sum of its
-  request RTTs over the sampled link delays (see
-  :class:`~repro.events.network.LatencyNetwork`).  A node behind slow
-  links — or marked a straggler — cycles late, gossips less often per
-  wall-clock round, and ages out of views exactly the way lockstep
-  rounds cannot express.
+Lockstep rounds are not a mode of this engine: a ``mode='barrier'`` spec
+compiles to no event engine at all and runs on the round loop
+(:func:`~repro.scenario.compile.event_options_from_spec`).
 
 Scheduling randomness (initial per-node offsets) and link randomness live
 on dedicated ``Sha256Prng`` streams derived from the run seed with the
@@ -29,13 +24,14 @@ traces are identical across process boundaries and worker counts.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
 
 from repro.crypto.prng import Sha256Prng, derive_seed
-from repro.events.latency import LatencyConfig
+from repro.events.latency import ConstantLatency, LatencyModel
 from repro.events.load import LoadGenerator, LoadSpec
 from repro.events.network import (
     LATENCY_BUCKETS_MS,
@@ -72,8 +68,8 @@ class StragglerProfile:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("straggler fraction must be in [0, 1]")
-        if self.slowdown < 1.0:
-            raise ValueError("straggler slowdown must be >= 1")
+        if not (math.isfinite(self.slowdown) and self.slowdown >= 1.0):
+            raise ValueError("straggler slowdown must be finite and >= 1")
 
     def factor_for(self, seed: int, node_id: int) -> float:
         if self.fraction <= 0.0:
@@ -103,29 +99,16 @@ class EventOptions:
     """Configuration of one event-driven run."""
 
     seed: int
-    mode: str = "continuous"
     #: Round period in seconds (the paper's deployment uses 2.5 s rounds).
     tick_interval: float = 1.0
-    latency: LatencyConfig = field(default_factory=LatencyConfig)
+    #: One-way delay of every link.
+    latency: LatencyModel = ConstantLatency()
     load: Optional[LoadSpec] = None
     stragglers: Optional[StragglerProfile] = None
-    #: Keep an in-memory ``(time, seq, label)`` log of every executed
-    #: event — the cross-process determinism fixture.
-    record_schedule: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in ("barrier", "continuous"):
-            raise ValueError(f"mode must be 'barrier' or 'continuous', got {self.mode!r}")
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
-        if self.mode == "barrier":
-            if not self.latency.is_zero:
-                raise ValueError(
-                    "barrier mode reproduces the round engine and requires "
-                    "zero-latency links; use mode='continuous' for latency models"
-                )
-            if self.stragglers is not None and self.stragglers.fraction > 0:
-                raise ValueError("barrier mode cannot model stragglers")
+        if not (math.isfinite(self.tick_interval) and self.tick_interval > 0):
+            raise ValueError("tick_interval must be finite and positive")
 
 
 class EventEngine:
@@ -154,7 +137,7 @@ class EventEngine:
             self.load = LoadGenerator(
                 options.load,
                 simulation,
-                options.latency.default,
+                options.latency,
                 Sha256Prng(derive_seed(options.seed, "events", "load")),
                 telemetry,
             )
@@ -167,11 +150,6 @@ class EventEngine:
         self.cycles = 0
         self.late_cycles = 0
         self._cycle_histogram = None
-        #: ``(time, seq, label)`` per executed event when
-        #: ``options.record_schedule`` is set, else ``None``.
-        self.schedule_log: Optional[List[Tuple[float, int, str]]] = (
-            [] if options.record_schedule else None
-        )
 
     # -- public surface --------------------------------------------------------
 
@@ -196,16 +174,11 @@ class EventEngine:
         horizon = rounds * interval
         if self.load is not None:
             self.load.prime(self.queue, horizon)
-        if self.options.mode == "barrier":
-            self._target_round = rounds
-            for index in range(rounds):
-                self.queue.schedule(index * interval, "round.tick", self._barrier_tick)
-        else:
-            self._target_round = self.simulation.round_number + rounds
-            for index in range(1, rounds + 1):
-                self.queue.schedule(index * interval, "round.boundary",
-                                    self._round_boundary)
-            self._open_round()
+        self._target_round = self.simulation.round_number + rounds
+        for index in range(1, rounds + 1):
+            self.queue.schedule(index * interval, "round.boundary",
+                                self._round_boundary)
+        self._open_round()
         self._drain()
 
     # -- scheduler loop --------------------------------------------------------
@@ -215,22 +188,10 @@ class EventEngine:
             event = self.queue.pop()
             self.now = event.time
             self.latency_network.now = event.time
-            if self.schedule_log is not None:
-                self.schedule_log.append((event.time, event.seq, event.label))
             event.action()
         self._done = True
 
-    # -- barrier mode ----------------------------------------------------------
-
-    def _barrier_tick(self) -> None:
-        self.simulation.run_round()
-        for observer in self._observers:
-            observer.on_round_end(self.simulation)
-        self.rounds_completed += 1
-        if self.rounds_completed >= self._target_round:
-            self._done = True
-
-    # -- continuous mode: round boundaries ------------------------------------
+    # -- round boundaries ------------------------------------------------------
 
     def _open_round(self) -> None:
         simulation = self.simulation
@@ -258,7 +219,7 @@ class EventEngine:
             return
         self._open_round()
 
-    # -- continuous mode: node cycles ------------------------------------------
+    # -- node cycles -------------------------------------------------------------
 
     def _factor(self, node_id: int) -> float:
         factor = self._factors.get(node_id)

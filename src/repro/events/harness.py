@@ -1,55 +1,27 @@
-"""Wiring: attach the event-driven engine to a built simulation bundle.
+"""Wiring: put a built simulation bundle on the event clock.
 
-:func:`wire_events` is the one-call entry point, symmetric with
-:func:`repro.telemetry.harness.wire_telemetry` and
-:func:`repro.faults.harness.wire_faults`:
-
-1. wire telemetry first (if wanted) — the engine, latency adapter and
-   load generator pick the hub up from the simulation;
-2. wire faults second (if wanted) — the installed
-   :class:`~repro.sim.engine.FaultController` fires at every round-open
-   boundary on the event clock, which also drives membership gossip;
-3. wire events last and call :meth:`EventHarness.run`.
-
-The harness drives the bundle's standard observer stack (view trace,
-discovery, telemetry observer) at round boundaries, so every downstream
-metric — resilience, discovery round, stability — reads identically to a
-round-engine run.
+:func:`wire_events` is the last of the three ``wire_*`` calls, after
+:func:`repro.telemetry.harness.wire_telemetry` (the engine, latency adapter
+and load generator pick the hub up from the simulation) and
+:func:`repro.faults.harness.wire_faults` (the installed
+:class:`~repro.sim.engine.FaultController` fires at every round-open
+boundary on the event clock, which also drives membership gossip).  It
+makes an :class:`EventEngine` the bundle's ``engine``, so
+:meth:`~repro.experiments.scenarios.SimulationBundle.run` drives the
+bundle's standard observer stack (view trace, discovery, telemetry
+observer) at the event clock's round boundaries, and every downstream
+metric reads as it does after a round-loop run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
 from repro.events.engine import EventEngine, EventOptions
-from repro.events.load import LoadGenerator
 from repro.experiments.scenarios import SimulationBundle
 
-__all__ = ["EventHarness", "wire_events"]
+__all__ = ["wire_events"]
 
 
-@dataclass
-class EventHarness:
-    """A bundle with the event engine attached, ready to run."""
-
-    bundle: SimulationBundle
-    options: EventOptions
-    engine: EventEngine
-
-    @property
-    def load(self) -> Optional[LoadGenerator]:
-        return self.engine.load
-
-    def run(self, rounds: int, extra_observers: Sequence = ()) -> None:
-        self.engine.run(
-            rounds, observers=self.bundle.observer_stack(extra_observers)
-        )
-
-
-def wire_events(bundle: SimulationBundle, options: EventOptions) -> EventHarness:
-    """Attach an :class:`EventEngine` to a built simulation bundle."""
-    engine = EventEngine(bundle.simulation, options)
-    harness = EventHarness(bundle=bundle, options=options, engine=engine)
-    bundle.events = harness
-    return harness
+def wire_events(bundle: SimulationBundle, options: EventOptions) -> SimulationBundle:
+    """Make an :class:`EventEngine` the bundle's clock; returns the bundle."""
+    bundle.engine = EventEngine(bundle.simulation, options)
+    return bundle

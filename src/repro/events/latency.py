@@ -1,41 +1,37 @@
 """Per-link latency models for the event-driven engine.
 
-A :class:`LatencyModel` turns an RNG into a one-way delay in seconds.
-Three shapes cover the usual WAN abstractions (AsyncFlow's ``Edge`` uses
-the same trio):
+A :class:`LatencyModel` turns an RNG into a one-way delay in seconds; one
+model governs every link of a run.  Three shapes cover the usual WAN
+abstractions (AsyncFlow's ``Edge`` uses the same trio):
 
 * :class:`ConstantLatency` — fixed delay; consumes **zero** RNG draws, so
-  the zero-latency configuration used by barrier mode leaves every
-  seeded stream untouched;
+  a zero-latency run leaves the latency stream untouched and delivers
+  pushes inline;
 * :class:`UniformLatency` — uniform on ``[low, high]``;
 * :class:`LogNormalLatency` — heavy-tailed, parameterised by the median
   and the log-space sigma (the paper-friendly parameterisation: the
   median survives the exponentiation, unlike the mean).
 
+Every parameter must be finite: a NaN or infinite delay would put an
+event at a time the queue can never drain past.
+
 All stochastic models draw through methods backed purely by
 ``rng.random()`` (``lognormvariate`` / direct uniform scaling) — never
 ``gauss``, whose cached spare value lives outside
 :class:`~repro.crypto.prng.Sha256Prng`'s checkpointable state.
-
-A :class:`LatencyConfig` assigns models to links: one pairwise default
-plus optional directed per-edge overrides, so a topology can single out
-specific links (a transatlantic edge, a straggler's uplink) without
-enumerating every pair.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
 
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
     "LogNormalLatency",
-    "LatencyConfig",
     "parse_latency_model",
 ]
 
@@ -45,12 +41,6 @@ class LatencyModel:
 
     def sample(self, rng: random.Random) -> float:
         raise NotImplementedError
-
-    @property
-    def is_zero(self) -> bool:
-        """True when every sample is exactly 0.0 **and** sampling draws
-        nothing from the RNG — the barrier-mode equivalence requirement."""
-        return False
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -63,18 +53,14 @@ class ConstantLatency(LatencyModel):
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ValueError("latency must be non-negative")
+        if not (math.isfinite(self.seconds) and self.seconds >= 0):
+            raise ValueError("latency must be finite and non-negative")
 
     def sample(self, rng: random.Random) -> float:
         return self.seconds
 
-    @property
-    def is_zero(self) -> bool:
-        return self.seconds == 0.0
-
     def describe(self) -> str:
-        if self.is_zero:
+        if self.seconds == 0.0:
             return "zero"
         return f"constant {1000.0 * self.seconds:g} ms"
 
@@ -87,8 +73,8 @@ class UniformLatency(LatencyModel):
     high: float
 
     def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise ValueError("uniform latency needs 0 <= low <= high")
+        if not (math.isfinite(self.high) and 0 <= self.low <= self.high):
+            raise ValueError("uniform latency needs finite 0 <= low <= high")
 
     def sample(self, rng: random.Random) -> float:
         # One random() draw, scaled by hand: uniform(a, b) is equivalent
@@ -112,10 +98,10 @@ class LogNormalLatency(LatencyModel):
     sigma: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.median <= 0:
-            raise ValueError("log-normal median must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (math.isfinite(self.median) and self.median > 0):
+            raise ValueError("log-normal median must be finite and positive")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and non-negative")
 
     def sample(self, rng: random.Random) -> float:
         # lognormvariate goes through normalvariate, which rejection-samples
@@ -124,36 +110,6 @@ class LogNormalLatency(LatencyModel):
 
     def describe(self) -> str:
         return f"lognormal median {1000.0 * self.median:g} ms sigma {self.sigma:g}"
-
-
-@dataclass(frozen=True)
-class LatencyConfig:
-    """Link-to-model assignment: a pairwise default plus directed overrides.
-
-    Overrides are keyed on the directed edge ``(src, dst)`` — an
-    asymmetric path (slow uplink, fast downlink) is two entries.
-    """
-
-    default: LatencyModel = field(default_factory=ConstantLatency)
-    overrides: Dict[Tuple[int, int], LatencyModel] = field(default_factory=dict)
-
-    def model_for(self, src: int, dst: int) -> LatencyModel:
-        return self.overrides.get((src, dst), self.default)
-
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        return self.model_for(src, dst).sample(rng)
-
-    @property
-    def is_zero(self) -> bool:
-        if not self.default.is_zero:
-            return False
-        return all(model.is_zero for model in self.overrides.values())
-
-    def describe(self) -> str:
-        text = self.default.describe()
-        if self.overrides:
-            text += f" (+{len(self.overrides)} edge overrides)"
-        return text
 
 
 def parse_latency_model(spec: str) -> LatencyModel:

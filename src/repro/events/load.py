@@ -50,8 +50,9 @@ class LoadSpec:
     def __post_init__(self) -> None:
         if self.active_clients < 1:
             raise ValueError("active_clients must be at least 1")
-        if self.requests_per_minute <= 0:
-            raise ValueError("requests_per_minute must be positive")
+        if not (math.isfinite(self.requests_per_minute)
+                and self.requests_per_minute > 0):
+            raise ValueError("requests_per_minute must be finite and positive")
 
     @property
     def rate_per_second(self) -> float:

@@ -11,8 +11,7 @@ adapter only decides *when* the underlying delivery runs:
   and reachability gates therefore apply at *delivery* time (a node that
   crashes while a push is in flight eats the message), which is the
   physically honest ordering.  Zero-delay links deliver inline, drawing
-  nothing from the latency RNG — that is what makes barrier mode
-  byte-identical to the round engine.
+  nothing from the latency RNG.
 * **request/response sessions** (pull, auth handshake, trusted swap) are
   executed synchronously — the reply is computed from the callee's
   current state, like a real RPC — but the sampled forward + return
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.events.latency import LatencyConfig
+from repro.events.latency import LatencyModel
 from repro.sim.messages import Message
 from repro.sim.network import Network
 
@@ -50,8 +49,8 @@ LATENCY_BUCKETS_MS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
 
 
 class _PushDelivery:
-    """Scheduled one-way push arrival (a named class keeps schedule-log
-    labels and tracebacks readable; closures would do the same job)."""
+    """Scheduled one-way push arrival (a named class keeps tracebacks
+    readable; a closure would do the same job)."""
 
     __slots__ = ("_network", "_src", "_dst")
 
@@ -70,12 +69,12 @@ class LatencyNetwork:
     def __init__(
         self,
         network: Network,
-        config: LatencyConfig,
+        model: LatencyModel,
         rng: "random.Random",
         telemetry: Optional["Telemetry"] = None,
     ):
         self.network = network
-        self.config = config
+        self.model = model
         self._rng = rng
         self._telemetry = telemetry
         self._queue: Optional["EventQueue"] = None
@@ -84,10 +83,8 @@ class LatencyNetwork:
         #: Accumulated request RTTs of the gossip session in progress
         #: (reset by the engine around each node's cycle).
         self.session_time = 0.0
-        self.deferred_pushes = 0
-        # Instruments are created lazily so a zero-latency barrier run
-        # leaves the metrics snapshot byte-identical to the round engine
-        # (merely creating an instrument adds a CSV family).
+        # Instruments are created lazily so a zero-latency run adds no
+        # metric family it never observed (creating one adds a CSV family).
         self._push_histogram = None
         self._rtt_histogram = None
 
@@ -108,10 +105,9 @@ class LatencyNetwork:
         means "handed to the wire", not "delivered" — no protocol code
         inspects it either way.
         """
-        delay = self.config.sample(src, dst, self._rng)
+        delay = self.model.sample(self._rng)
         if delay <= 0.0 or self._queue is None:
             return self.network.send_push(src, dst)
-        self.deferred_pushes += 1
         if self._telemetry is not None:
             if self._push_histogram is None:
                 self._push_histogram = self._telemetry.histogram(
@@ -125,8 +121,7 @@ class LatencyNetwork:
 
     def request(self, src: int, dst: int, message: Message) -> Optional[Message]:
         """Run one request/response session, charging its RTT to the caller."""
-        rtt = (self.config.sample(src, dst, self._rng)
-               + self.config.sample(dst, src, self._rng))
+        rtt = self.model.sample(self._rng) + self.model.sample(self._rng)
         if rtt > 0.0:
             self.session_time += rtt
             if self._telemetry is not None:

@@ -25,9 +25,9 @@ __all__ = ["Event", "EventQueue"]
 class Event(NamedTuple):
     """One scheduled occurrence.
 
-    ``label`` is a short human-readable tag (``"cycle"``, ``"deliver"``,
-    ``"round.open"`` …) used by the schedule log for cross-process
-    determinism checks; it carries no scheduling semantics.
+    ``label`` is a short human-readable tag (``"cycle.begin"``,
+    ``"deliver.push"``, ``"round.boundary"`` …) for debugging; it carries
+    no scheduling semantics.
     """
 
     time: float

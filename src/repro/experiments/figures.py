@@ -576,7 +576,7 @@ def straggler_figure(
         )
         artifacts = _run(spec, scale.base_seed, check_invariants=True)
         metrics = artifacts.metrics
-        engine = artifacts.bundle.events.engine
+        engine = artifacts.bundle.engine
         label = (f"{100.0 * fraction:g}% @ {slowdown:g}x" if fraction > 0
                  else "none")
         result.rows.append([

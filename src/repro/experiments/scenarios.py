@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.adversary.byzantine import ByzantineNode
 from repro.adversary.coordinator import AdversaryCoordinator
@@ -51,7 +51,8 @@ from repro.sim.node import NodeKind
 from repro.sim.observers import DiscoveryObserver, RoundRecord, ViewTraceObserver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.events.harness import EventHarness
+    from repro.events.engine import EventEngine
+    from repro.faults.injector import FaultInjector
     from repro.scenario.spec import ScenarioSpec
     from repro.telemetry.harness import TelemetryObserver
     from repro.telemetry.hub import Telemetry
@@ -143,10 +144,14 @@ class TopologySpec:
 
 @dataclass
 class SimulationBundle:
-    """Everything a runner needs to execute and measure one simulation.
+    """One per-node run: the population, its observers and its clock.
 
-    A finished run is read through ``telemetry``, ``stats``, ``view_size``,
-    ``view_records``, ``discovery_round`` and ``all_views()``, which a
+    :func:`~repro.scenario.compile.compile_spec` builds it; each ``wire_*``
+    call changes it in place and returns it (telemetry sets ``telemetry``,
+    faults sets ``faults``, events replaces ``engine``), and :meth:`run`
+    advances whatever ``engine`` is.  A finished run is read through
+    ``telemetry``, ``stats``, ``view_size``, ``view_records``,
+    ``discovery_round`` and ``all_views()``, which a
     :class:`~repro.shard.engine.ShardSimulation` has under the same names.
     """
 
@@ -168,9 +173,26 @@ class SimulationBundle:
     #: :class:`~repro.membership.service.MembershipConfig`); ``None`` keeps
     #: the legacy static trusted set, byte-identical with earlier releases.
     membership: Optional[MembershipDirector] = None
-    #: Set by :func:`repro.events.harness.wire_events`; the event-driven
-    #: engine wired over this bundle, when one is attached.
-    events: Optional["EventHarness"] = None
+    #: Set by :func:`repro.faults.harness.wire_faults`: the attached
+    #: injector, whose ``recovery`` is the enclave recovery manager.
+    faults: Optional["FaultInjector"] = None
+    #: The clock :meth:`run` advances: ``simulation`` itself, or the
+    #: :class:`~repro.events.engine.EventEngine` that
+    #: :func:`repro.events.harness.wire_events` attached.
+    engine: Union[Simulation, "EventEngine"] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.engine = self.simulation
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        if "events" in state:
+            raise ValueError(
+                "this checkpoint holds a bundle in the old layout (an event "
+                "harness beside the simulation); this version of repro keeps "
+                "the clock in bundle.engine and cannot resume it. Finish the "
+                "run with the version of repro that wrote the checkpoint."
+            )
+        self.__dict__.update(state)
 
     @property
     def stats(self) -> NetworkStats:
@@ -201,11 +223,8 @@ class SimulationBundle:
         return observers
 
     def run(self, rounds: int, extra_observers: Sequence = ()) -> None:
-        """Advance ``rounds`` rounds on the engine wired over this bundle:
-        the event engine when :func:`~repro.events.harness.wire_events`
-        attached one, the lockstep round loop otherwise."""
-        engine = self.simulation if self.events is None else self.events.engine
-        engine.run(rounds, observers=self.observer_stack(extra_observers))
+        """Advance ``rounds`` rounds on ``engine`` with the observer stack."""
+        self.engine.run(rounds, observers=self.observer_stack(extra_observers))
 
 
 def _seed_all_views(nodes: Sequence, membership: List[int], view_size: int,

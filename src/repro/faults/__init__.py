@@ -16,7 +16,7 @@ same run, faults included.
 """
 
 from repro.faults.drills import DRILLS, DrillReport, run_drill
-from repro.faults.harness import FaultHarness, wire_faults
+from repro.faults.harness import wire_faults
 from repro.faults.injector import FaultInjector, InjectionStats
 from repro.faults.invariants import InvariantChecker, InvariantViolation, Violation
 from repro.faults.plan import (
@@ -40,7 +40,6 @@ __all__ = [
     "DRILLS",
     "DrillReport",
     "run_drill",
-    "FaultHarness",
     "wire_faults",
     "FaultInjector",
     "InjectionStats",

@@ -12,7 +12,8 @@ the only place under ``src/repro`` a shard engine is constructed.
 The runtime-only sections (fault plan, engine choice) are translated by
 :func:`fault_plan_from_spec` / :func:`event_options_from_spec` and wired
 by :func:`repro.scenario.run.run_scenario`, the one place the
-``wire_telemetry`` → ``wire_faults`` → ``wire_events`` stack is assembled.
+``wire_telemetry`` → ``wire_faults`` → ``wire_events`` calls change a
+bundle.
 """
 
 from __future__ import annotations
@@ -137,30 +138,19 @@ def fault_plan_from_spec(spec: ScenarioSpec):
 
 
 def event_options_from_spec(spec: ScenarioSpec):
-    """The :class:`~repro.events.EventOptions` for a spec's engine section
-    (``None`` unless the spec selects the events engine)."""
-    if spec.engine.kind != "events":
-        return None
-    from repro.events import (
-        ConstantLatency,
-        EventOptions,
-        LatencyConfig,
-        parse_latency_model,
-        parse_load,
-        parse_straggler,
-    )
-
+    """The :class:`~repro.events.EventOptions` for a spec's engine section:
+    ``None`` unless the spec selects the events engine in continuous mode.
+    A ``mode='barrier'`` spec is the lockstep round loop, so it gets no
+    event engine."""
     engine = spec.engine
-    latency = (
-        parse_latency_model(engine.latency)
-        if engine.latency is not None
-        else ConstantLatency(0.0)
-    )
+    if engine.kind != "events" or engine.mode == "barrier":
+        return None
+    from repro.events import EventOptions, parse_latency_model, parse_load, parse_straggler
+
     return EventOptions(
         seed=spec.seed,
-        mode=engine.mode,
         tick_interval=engine.tick_interval,
-        latency=LatencyConfig(default=latency),
+        latency=parse_latency_model(engine.latency or "zero"),
         load=parse_load(engine.load) if engine.load is not None else None,
         stragglers=(
             parse_straggler(engine.straggler)

@@ -96,11 +96,12 @@ def run_scenario(
 ) -> ScenarioArtifacts:
     """Compile one spec, wire its instrumentation stack, and run it.
 
-    Order matters on the per-node engines: telemetry first, so the fault
-    layer and the event engine pick the hub up from the simulation; faults
-    second, so the controller fires at every round boundary of either
-    clock; events last.  The shard engine compiled its faults in and only
-    takes the hub.
+    On the per-node engines each ``wire_*`` call changes the bundle in
+    place, and order matters: telemetry first, so the fault layer and the
+    event engine pick the hub up from the simulation; faults second, so
+    the controller fires at every round boundary of either clock; events
+    last, replacing ``bundle.engine``.  The shard engine compiled its
+    faults in and only takes the hub.
 
     ``telemetry`` is the hub configuration, ``None`` for no hub; the
     default (full message and ECALL tracing) is what the conformance

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import (
@@ -225,8 +226,10 @@ class ChurnSpec:
         elif self.kind == "uniform":
             if not 0.0 <= self.leave_rate < 1.0:
                 raise ScenarioSpecError("leave_rate must be in [0, 1)", "churn.leave_rate")
-            if self.join_rate < 0.0:
-                raise ScenarioSpecError("join_rate must be non-negative", "churn.join_rate")
+            if not (math.isfinite(self.join_rate) and self.join_rate >= 0.0):
+                raise ScenarioSpecError(
+                    "join_rate must be finite and non-negative", "churn.join_rate"
+                )
             if self.at_round or self.fraction:
                 raise ScenarioSpecError(
                     "uniform churn takes leave_rate/join_rate only", "churn"
@@ -252,7 +255,9 @@ class EngineSpec:
     selects :mod:`repro.events`; ``latency``/``load``/``straggler`` use
     the same compact string grammar as the CLI flags
     (``lognormal:40:0.6``, ``40:30``, ``0.1:8``) so specs stay plain
-    JSON-typed data.  ``kind='shard'`` selects the bulk-synchronous
+    JSON-typed data.  ``mode='barrier'`` is the lockstep round loop under
+    the events kind: it compiles to no event engine, so it takes none of
+    the clock knobs.  ``kind='shard'`` selects the bulk-synchronous
     struct-of-arrays engine (:mod:`repro.shard`); ``shards`` partitions
     the population — a pure performance knob, since the shard engine's
     ordering barrier makes every output byte-identical across shard
@@ -289,8 +294,10 @@ class EngineSpec:
                 f"unknown engine mode {self.mode!r} (expected barrier or continuous)",
                 "engine.mode",
             )
-        if self.tick_interval <= 0:
-            raise ScenarioSpecError("tick_interval must be positive", "engine.tick_interval")
+        if not (math.isfinite(self.tick_interval) and self.tick_interval > 0):
+            raise ScenarioSpecError(
+                "tick_interval must be finite and positive", "engine.tick_interval"
+            )
         if self.kind in ("rounds", "shard"):
             # Only the event clock reads these knobs: anything but the
             # field's default would be validated and then silently ignored.
@@ -318,11 +325,13 @@ class EngineSpec:
             except ValueError as exc:
                 raise ScenarioSpecError(str(exc), f"engine.{name}") from exc
         if self.mode == "barrier":
-            for name in ("latency", "load", "straggler"):
-                if getattr(self, name) is not None:
+            # A barrier spec runs on the round loop, which has no clock
+            # period, no links and no clients to configure.
+            for name in ("latency", "load", "straggler", "tick_interval"):
+                if getattr(self, name) != getattr(EngineSpec, name):
                     raise ScenarioSpecError(
-                        f"barrier mode reproduces the round engine and "
-                        f"cannot take a {name} model",
+                        f"barrier mode is the lockstep round loop and takes "
+                        f"no {name}",
                         f"engine.{name}",
                     )
 

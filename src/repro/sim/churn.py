@@ -8,6 +8,7 @@ robustness examples and failure-injection tests.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -59,8 +60,8 @@ class UniformChurn(ChurnModel):
     def __init__(self, leave_rate: float, join_rate: float):
         if not 0.0 <= leave_rate < 1.0:
             raise ValueError("leave_rate must be in [0, 1)")
-        if join_rate < 0.0:
-            raise ValueError("join_rate must be non-negative")
+        if not (math.isfinite(join_rate) and join_rate >= 0.0):
+            raise ValueError("join_rate must be finite and non-negative")
         self.leave_rate = leave_rate
         self.join_rate = join_rate
 

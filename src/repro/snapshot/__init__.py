@@ -8,6 +8,12 @@ in a fresh process such that the resumed run is **byte-identical** to a
 straight-through run under the same seed (enforced by
 ``tests/test_snapshot_differential.py``).
 
+A per-node run is one object: the
+:class:`~repro.experiments.scenarios.SimulationBundle`, which holds its
+telemetry hub, its fault injector (``faults``) and its clock (``engine``),
+so saving the bundle saves the whole wiring.  Only round-loop bundles
+resume: an event-engine run is single-shot.
+
 Typical use::
 
     from repro import snapshot

@@ -30,7 +30,7 @@ from repro.telemetry.exporters import (
     trace_to_jsonl,
     validate_trace_jsonl,
 )
-from repro.telemetry.harness import TelemetryHarness, TelemetryObserver, wire_telemetry
+from repro.telemetry.harness import TelemetryObserver, wire_telemetry
 from repro.telemetry.hub import Telemetry, TelemetryConfig
 from repro.telemetry.profiling import Profiler
 from repro.telemetry.registry import (
@@ -51,7 +51,6 @@ __all__ = [
     "Profiler",
     "Telemetry",
     "TelemetryConfig",
-    "TelemetryHarness",
     "TelemetryObserver",
     "TraceCollector",
     "TraceEvent",

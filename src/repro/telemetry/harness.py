@@ -9,7 +9,7 @@ profiling timers), every enclave host (ECALL counters), and the trusted
 infrastructure's attestation and provisioning services.  It also installs a
 :class:`TelemetryObserver` on the bundle so per-round aggregates (alive
 nodes, per-round message volumes, currently-degraded trusted nodes) land in
-the registry after every completed round.
+the registry after every completed round, and returns the bundle.
 
 Telemetry must be wired *before* :func:`~repro.faults.harness.wire_faults`
 when both are used — the fault layer picks the hub up from the simulation so
@@ -21,8 +21,7 @@ telemetry package stays a pure leaf of the dependency graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.telemetry.hub import Telemetry, TelemetryConfig
 
@@ -30,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.scenarios import SimulationBundle
     from repro.sim.engine import Simulation
 
-__all__ = ["TelemetryObserver", "TelemetryHarness", "wire_telemetry"]
+__all__ = ["TelemetryObserver", "wire_telemetry"]
 
 
 class TelemetryObserver:
@@ -61,23 +60,12 @@ class TelemetryObserver:
         tel.gauge("raptee.degraded_nodes").set(degraded)
 
 
-@dataclass
-class TelemetryHarness:
-    """A bundle with telemetry attached, ready to run."""
-
-    bundle: "SimulationBundle"
-    telemetry: Telemetry
-    observer: TelemetryObserver
-
-    def run(self, rounds: int, extra_observers: Sequence = ()) -> None:
-        self.bundle.run(rounds, extra_observers=extra_observers)
-
-
 def wire_telemetry(
     bundle: "SimulationBundle",
     config: Optional[TelemetryConfig] = None,
-) -> TelemetryHarness:
-    """Attach a telemetry hub to every instrumented layer of a bundle."""
+) -> "SimulationBundle":
+    """Attach a telemetry hub to every instrumented layer of a bundle;
+    returns the bundle."""
     telemetry = Telemetry(config)
     simulation = bundle.simulation
     simulation.set_telemetry(telemetry)
@@ -96,7 +84,6 @@ def wire_telemetry(
         # provisioner wired above — set_telemetry is idempotent) plus the
         # membership counters and gauges.
         bundle.membership.set_telemetry(telemetry)
-    observer = TelemetryObserver(telemetry)
     bundle.telemetry = telemetry
-    bundle.telemetry_observer = observer
-    return TelemetryHarness(bundle=bundle, telemetry=telemetry, observer=observer)
+    bundle.telemetry_observer = TelemetryObserver(telemetry)
+    return bundle

@@ -3,9 +3,9 @@
 Three scenarios cover the three configuration families: the Brahms
 baseline, RAPTEE with fixed eviction + encrypted transport + count-min
 unbiasing, and RAPTEE under an active fault plan.  The differential suites
-(events, scenario, snapshot) and the determinism matrix run them through
-:func:`observables`, so they can never drift apart in what they consider
-"the deterministic surface".
+(events, scenario, snapshot) and the determinism matrix all run them, and
+the hand-wired ones read them through :func:`observables`, so they can
+never drift apart in what they consider "the deterministic surface".
 
 Each scenario is written once, as the plain dict a spec file would hold
 (:data:`PINNED_DICTS`); :func:`compiled` builds it for the suites that
@@ -34,12 +34,10 @@ from repro.telemetry import (
 ROUNDS = 6
 
 
-def observables(bundle, harness_runner, rounds):
-    """Run and collect every deterministic-surface artifact of a bundle."""
-    config = TelemetryConfig(tracing=True, trace_messages=True, trace_ecalls=True)
-    telemetry_harness = wire_telemetry(bundle, config)
-    harness_runner(rounds)
-    telemetry = telemetry_harness.telemetry
+def observables(bundle, rounds):
+    """Every deterministic-surface artifact of a bundle that ran ``rounds``
+    rounds with telemetry wired."""
+    telemetry = bundle.telemetry
     simulation = bundle.simulation
     stats = simulation.network.stats
     return {
@@ -123,26 +121,24 @@ def compiled(spec_dict):
     return compile_spec(spec), spec.seed, fault_plan_from_spec(spec)
 
 
-def run_built(bundle, seed, plan, driver=None):
-    """Observables of a built bundle on the round engine, or on whatever
-    ``driver(bundle, seed)`` returns as the ``rounds -> None`` runner (the
-    event engine, in the events differential); ``plan`` is the fault plan
-    to wire first, or ``None``."""
-
-    def runner(rounds):
-        # Telemetry must be wired before faults so injector events land in
-        # the same hub; wire_faults picks it up from the bundle and installs
-        # the FaultController that either engine fires through run_round.
-        if plan is not None:
-            wire_faults(bundle, plan, seed=seed)
-        (bundle.run if driver is None else driver(bundle, seed))(rounds)
-
-    return observables(bundle, runner, ROUNDS)
+def run_built(bundle, seed, plan):
+    """Observables of a built bundle wired by hand the way ``run_scenario``
+    wires one — telemetry with full tracing, then ``plan`` (``None`` for no
+    faults) — and run :data:`ROUNDS` rounds."""
+    # Telemetry first, so the injector wire_faults attaches picks up the
+    # hub and its events land in the same trace.
+    wire_telemetry(bundle, TelemetryConfig(
+        tracing=True, trace_messages=True, trace_ecalls=True
+    ))
+    if plan is not None:
+        wire_faults(bundle, plan, seed=seed)
+    bundle.run(ROUNDS)
+    return observables(bundle, ROUNDS)
 
 
-def run_pinned(name, driver=None):
+def run_pinned(name):
     """:func:`run_built` on one :data:`PINNED_DICTS` scenario."""
-    return run_built(*compiled(PINNED_DICTS[name]), driver=driver)
+    return run_built(*compiled(PINNED_DICTS[name]))
 
 
 def shard_config(topology, seed, protocol, **sections):

@@ -71,9 +71,7 @@ _ids = st.one_of(st.sampled_from(_TIED_IDS),
 
 
 def _stored(group):
-    """Each sampler's retained id and its hash, on either group path."""
-    if group._samplers is not None:
-        return [(s._current_id, s._current_hash) for s in group._samplers]
+    """Each sampler's retained id and its hash."""
     return list(zip(group._current_id.tolist(), group._current_hash.tolist()))
 
 
@@ -173,11 +171,6 @@ class TestSamplerGroup:
         assert reset >= 1
         assert victim not in group.sample_list()
 
-    def test_cryptographic_mode(self, rng):
-        group = SamplerGroup(3, MinWiseFamily(rng, cryptographic=True))
-        group.update(range(20))
-        assert len(group.sample_list()) == 3
-
     @given(stream=st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_samples_always_from_stream(self, stream):
@@ -185,11 +178,9 @@ class TestSamplerGroup:
         group.update(stream)
         assert set(group.sample_list()) <= set(stream)
 
-    @given(data=st.data(), cryptographic=st.booleans(),
-           seed=st.integers(min_value=0, max_value=2**32))
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=60, deadline=None)
-    def test_two_feeds_equal_one_concatenated_feed(self, data, cryptographic,
-                                                   seed):
+    def test_two_feeds_equal_one_concatenated_feed(self, data, seed):
         """``BrahmsNode.end_round`` feeds pushed + pulled in one update: the
         same samples and hashes as feeding them one after the other, on
         ties too (repeated ids, and two ids every linear hash ties on)."""
@@ -199,9 +190,7 @@ class TestSamplerGroup:
         repeats = st.one_of(_ids, st.sampled_from(seen)) if seen else _ids
         second = data.draw(st.lists(repeats, max_size=12))
         split, joined = (
-            SamplerGroup(4, MinWiseFamily(random.Random(seed),
-                                          cryptographic=cryptographic))
-            for _ in range(2)
+            SamplerGroup(4, MinWiseFamily(random.Random(seed))) for _ in range(2)
         )
         split.update(prior)
         split.update(first)

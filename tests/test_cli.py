@@ -166,6 +166,27 @@ class TestRunFlagWiring:
         assert captured.err.startswith(f"error: {field}: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, value, field", [
+        # Each of these used to run to exit 0 with the value ignored or
+        # poisoning the clock; NaN intervals and delays hung the run.
+        ("--straggler", "0.1:nan", "engine.straggler"),
+        ("--straggler", "0.1:inf", "engine.straggler"),
+        ("--load", "10:nan", "engine.load"),
+        ("--tick-interval", "inf", "engine.tick_interval"),
+    ])
+    def test_non_finite_engine_value_names_the_spec_field(
+        self, capsys, flag, value, field
+    ):
+        exit_code = main([
+            "run", "--nodes", "40", "--rounds", "3", "--engine", "events",
+            flag, value,
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith(f"error: {field}: ")
+        assert "finite" in captured.err
+        assert captured.out == ""
+
     def test_shard_gate_speaks_for_the_cli(self, capsys):
         """`run --shards` refuses what `shard_config_from_spec` refuses, in
         its words — the CLI holds no gate of its own."""

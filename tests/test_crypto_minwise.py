@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.minwise import (
-    CryptoMinWiseHash,
     MERSENNE_PRIME_31,
     MinWiseFamily,
     MinWiseHash,
@@ -53,27 +52,11 @@ class TestLinearHash:
         assert len({scramble64(value) for value in ids}) == 100_000
 
 
-class TestCryptoHash:
-    def test_range_is_61_bits(self):
-        h = CryptoMinWiseHash(key=b"k" * 16)
-        for value in (0, 1, 9999):
-            assert 0 <= h(value) < (1 << 61)
-
-    def test_key_sensitivity(self):
-        a = CryptoMinWiseHash(key=b"a" * 16)
-        b = CryptoMinWiseHash(key=b"b" * 16)
-        assert a(42) != b(42)
-
-
 class TestFamily:
     def test_draws_are_distinct(self):
         family = MinWiseFamily(random.Random(0))
         functions = [family.draw() for _ in range(10)]
         assert len({(f.a, f.b) for f in functions}) == 10
-
-    def test_cryptographic_flag(self):
-        family = MinWiseFamily(random.Random(0), cryptographic=True)
-        assert isinstance(family.draw(), CryptoMinWiseHash)
 
     def test_min_selection_is_roughly_uniform(self):
         """Each of k stream elements should win the min-competition about

@@ -1,69 +1,69 @@
-"""Differential equivalence: the round engine is a special case of the
-event engine.
+"""Differential equivalence: a barrier spec is the round loop.
 
-Contract (ISSUE 8 acceptance): an :class:`~repro.events.EventEngine` in
-**barrier** mode with zero-latency links must reproduce the round
-engine's run *byte for byte* — same exported trace JSONL, same metrics
-CSV, same final views, same per-round traffic series — on the three
-pinned scenarios (Brahms baseline, RAPTEE
-with fixed eviction + encrypted transport, RAPTEE under an active fault
-plan with a mid-run crash).
-
-The scenarios and the observable-collection helper live in
-``tests/_pinned.py``, shared with the other differentials so they can
-never drift apart in what they consider "the deterministic surface".
+Contract: a ``kind="events", mode="barrier"`` spec compiles to no
+:class:`~repro.events.EventEngine` — its bundle's clock is its own
+:class:`~repro.sim.engine.Simulation` — and through
+:func:`~repro.scenario.run_scenario` it runs *byte for byte* what its
+``kind="rounds"`` twin runs: same exported trace JSONL, same metrics CSV,
+same final views, same per-round traffic series.  Pinned on the three
+shared scenarios (Brahms baseline, RAPTEE with fixed eviction + encrypted
+transport, RAPTEE under an active fault plan with a mid-run crash), which
+live in ``tests/_pinned.py``.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.events import EventOptions, wire_events
-from tests._pinned import PINNED_DICTS, run_pinned
+from repro.events import EventOptions
+from repro.scenario import ScenarioSpecError, run_scenario, spec_from_dict
+from tests._pinned import PINNED_DICTS, ROUNDS, observables
+
+_BARRIER = {"kind": "events", "mode": "barrier"}
 
 
-def _events_runner(bundle, seed):
-    """A runner that drives the bundle from the event queue, barrier mode."""
-
-    def runner(rounds):
-        wire_events(bundle, EventOptions(seed=seed, mode="barrier")).run(rounds)
-
-    return runner
+def _run(spec_dict, engine=None):
+    if engine is not None:
+        spec_dict = dict(spec_dict, engine=engine)
+    return run_scenario(spec_from_dict(spec_dict))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DICTS))
 def test_barrier_event_engine_byte_identical_to_round_engine(name):
-    rounds_engine = run_pinned(name)
-    event_engine = run_pinned(name, driver=_events_runner)
-    # Byte-identical exported artifacts.
-    assert rounds_engine["trace_jsonl"] == event_engine["trace_jsonl"]
-    assert rounds_engine["metrics_csv"] == event_engine["metrics_csv"]
-    # Identical protocol outcomes and per-round traffic series.
-    assert rounds_engine["final_views"] == event_engine["final_views"]
-    assert rounds_engine["view_trace"] == event_engine["view_trace"]
-    assert rounds_engine["pushes_series"] == event_engine["pushes_series"]
-    assert rounds_engine["requests_series"] == event_engine["requests_series"]
-    assert rounds_engine["losses_series"] == event_engine["losses_series"]
-    assert rounds_engine["totals"] == event_engine["totals"]
+    rounds = _run(PINNED_DICTS[name])
+    barrier = _run(PINNED_DICTS[name], engine=_BARRIER)
+    # No event engine is attached: the bundle runs on its own round loop.
+    assert barrier.bundle.engine is barrier.bundle.simulation
+    assert observables(barrier.bundle, ROUNDS) == observables(rounds.bundle, ROUNDS)
 
 
 def test_differential_is_not_vacuous():
-    """Guard: the scenarios actually produce traffic and trace events."""
-    observed = run_pinned("brahms-baseline", driver=_events_runner)
+    """Guard: the scenarios produce traffic and trace events, and the fault
+    scenario's injector fires on the barrier spec's clock."""
+    observed = observables(
+        _run(PINNED_DICTS["brahms-baseline"], engine=_BARRIER).bundle, ROUNDS
+    )
     assert observed["totals"][0] > 0  # pushes_sent
     assert observed["trace_jsonl"]
+    faults = _run(PINNED_DICTS["raptee-faults"], engine=_BARRIER)
+    assert faults.bundle.faults.stats.crashes == 1
 
 
 def test_barrier_mode_rejects_latency_and_stragglers():
-    from repro.events import ConstantLatency, LatencyConfig, StragglerProfile
+    """A barrier spec is the round loop: a clock knob would be silently
+    ignored, so the spec refuses it and names the field."""
+    knobs = {"latency": "constant:10", "straggler": "0.1:8", "load": "10:30",
+             "tick_interval": 2.5}
+    for name, value in knobs.items():
+        with pytest.raises(ScenarioSpecError) as excinfo:
+            spec_from_dict(dict(PINNED_DICTS["brahms-baseline"],
+                                engine=dict(_BARRIER, **{name: value})))
+        assert excinfo.value.path == f"engine.{name}"
 
-    with pytest.raises(ValueError):
-        EventOptions(seed=1, mode="barrier",
-                     latency=LatencyConfig(default=ConstantLatency(0.01)))
-    with pytest.raises(ValueError):
-        EventOptions(seed=1, mode="barrier",
-                     stragglers=StragglerProfile(0.1, 8.0))
-    with pytest.raises(ValueError):
-        EventOptions(seed=1, mode="sliding")
-    with pytest.raises(ValueError):
-        EventOptions(seed=1, tick_interval=0.0)
+
+def test_event_options_refuse_a_clock_that_cannot_advance():
+    for interval in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tick_interval"):
+            EventOptions(seed=1, tick_interval=interval)

@@ -4,8 +4,9 @@ The two ISSUE-8 determinism fixtures live here:
 
 * identical metrics under ``repeat()`` with ``workers=1`` vs ``workers=4``
   (the scheduler key is ``(time, seq)`` — no per-process state leaks in);
-* identical event sequences across two *fresh* interpreter processes with
-  the same seed (the schedule log digest printed by a subprocess).
+* identical runs across two *fresh* interpreter processes with the same
+  seed (a digest of the event count, every timestamped load request and
+  the final views, printed by a subprocess).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import pytest
 from repro.crypto.prng import derive_seed
 from repro.events import (
     ConstantLatency,
+    EventEngine,
     EventOptions,
-    LatencyConfig,
     LoadSpec,
     LogNormalLatency,
     StragglerProfile,
@@ -42,11 +43,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _latency_options(seed, **overrides):
-    base = dict(
-        seed=seed,
-        mode="continuous",
-        latency=LatencyConfig(default=LogNormalLatency(0.04, 0.6)),
-    )
+    base = dict(seed=seed, latency=LogNormalLatency(0.04, 0.6))
     base.update(overrides)
     return EventOptions(**base)
 
@@ -73,27 +70,29 @@ def _build_and_run_events(seed: int):
 
 class TestContinuousMode:
     def test_rounds_advance_and_invariants_hold(self):
-        bundle = _raptee_bundle(5)
-        harness = wire_events(bundle, _latency_options(5))
+        bundle = wire_telemetry(_raptee_bundle(5), TelemetryConfig(tracing=False))
         checker = InvariantChecker(record_only=True)
-        harness.run(ROUNDS, extra_observers=(checker,))
+        wire_events(bundle, _latency_options(5)).run(
+            ROUNDS, extra_observers=(checker,)
+        )
         assert bundle.simulation.round_number == ROUNDS
-        assert harness.engine.rounds_completed == ROUNDS
+        assert bundle.engine.rounds_completed == ROUNDS
         assert checker.rounds_checked == ROUNDS
         assert checker.violations == []
         # Every node cycled roughly once per round.
-        assert harness.engine.cycles >= ROUNDS * len(bundle.simulation.nodes) // 2
-        # Non-degenerate latency: pushes actually rode the queue.
-        assert harness.engine.latency_network.deferred_pushes > 0
+        assert bundle.engine.cycles >= ROUNDS * len(bundle.simulation.nodes) // 2
+        # Non-degenerate latency: pushes actually rode the queue (histogram
+        # value() reads the observation count).
+        assert bundle.telemetry.registry.value("events.push_latency_ms") > 0
 
     def test_bundle_run_drives_the_attached_event_engine(self):
         # bundle.run after wire_events is the event clock, not a silent
         # fall-back to lockstep rounds.
-        bundle = _raptee_bundle(5)
-        harness = wire_events(bundle, _latency_options(5))
+        bundle = wire_events(_raptee_bundle(5), _latency_options(5))
         bundle.run(ROUNDS)
-        assert harness.engine.rounds_completed == ROUNDS
-        assert harness.engine.cycles > 0
+        assert isinstance(bundle.engine, EventEngine)
+        assert bundle.engine.rounds_completed == ROUNDS
+        assert bundle.engine.cycles > 0
         assert bundle.simulation.round_number == ROUNDS
 
     def test_view_trace_records_every_round(self):
@@ -106,8 +105,7 @@ class TestContinuousMode:
     def test_zero_latency_continuous_is_deterministic(self):
         def run():
             bundle = _raptee_bundle(9)
-            options = EventOptions(seed=9, mode="continuous",
-                                   latency=LatencyConfig(default=ConstantLatency(0.0)))
+            options = EventOptions(seed=9, latency=ConstantLatency(0.0))
             wire_events(bundle, options).run(ROUNDS)
             return {
                 node_id: tuple(node.view_ids())
@@ -117,11 +115,10 @@ class TestContinuousMode:
         assert run() == run()
 
     def test_engine_is_single_shot(self):
-        bundle = _raptee_bundle(5)
-        harness = wire_events(bundle, _latency_options(5))
-        harness.run(2)
+        bundle = wire_events(_raptee_bundle(5), _latency_options(5))
+        bundle.run(2)
         with pytest.raises(RuntimeError):
-            harness.run(2)
+            bundle.run(2)
 
     def test_churn_arrivals_get_cycles(self):
         from repro.brahms.node import BrahmsNode
@@ -148,8 +145,7 @@ class TestContinuousMode:
 
         simulation._churn = UniformChurn(leave_rate=0.02, join_rate=0.06)
         simulation._node_factory = factory
-        harness = wire_events(bundle, _latency_options(47))
-        harness.run(12)
+        wire_events(bundle, _latency_options(47)).run(12)
         arrivals = [node_id for node_id in simulation.nodes if node_id >= 50]
         assert arrivals, "churn produced no arrivals; raise join_rate"
         # Arrivals were scheduled onto the event clock and gossiped: their
@@ -168,13 +164,12 @@ class TestContinuousMode:
 
 class TestLoadGenerator:
     def test_load_metrics_reach_registry(self):
-        bundle = _raptee_bundle(7)
-        harness = wire_telemetry(bundle, TelemetryConfig(tracing=False))
+        bundle = wire_telemetry(_raptee_bundle(7), TelemetryConfig(tracing=False))
         wire_events(bundle, _latency_options(7, load=LoadSpec(10, 30.0)))
         bundle.run(ROUNDS)
-        load = bundle.events.load
+        load = bundle.engine.load
         assert load.served > 0
-        registry = harness.telemetry.registry
+        registry = bundle.telemetry.registry
         assert registry.value("load.requests") == load.served
         assert registry.value("load.failures") == load.failed
         assert registry.value("load.byzantine_samples") == load.byzantine_samples
@@ -188,7 +183,7 @@ class TestLoadGenerator:
             bundle = _raptee_bundle(8)
             options = _latency_options(8, load=LoadSpec(10, 30.0))
             wire_events(bundle, options).run(ROUNDS)
-            return bundle.events.load.records
+            return bundle.engine.load.records
 
         assert run() == run()
 
@@ -202,12 +197,19 @@ class TestStragglers:
         slow = sum(1 for factor in factors.values() if factor > 1.0)
         assert 50 <= slow <= 150  # ~25% of 400
 
+    @pytest.mark.parametrize("slowdown", [float("nan"), float("inf")])
+    def test_non_finite_slowdown_refused(self, slowdown):
+        # NaN compared false everywhere, so no node was ever slowed; an
+        # infinite factor would stretch a cycle past the end of time.
+        with pytest.raises(ValueError, match="slowdown must be finite"):
+            StragglerProfile(0.1, slowdown)
+
     def test_stragglers_fall_behind(self):
         def late_fraction(profile):
-            bundle = _raptee_bundle(4)
-            harness = wire_events(bundle, _latency_options(4, stragglers=profile))
-            harness.run(ROUNDS)
-            return harness.engine.late_fraction
+            bundle = wire_events(_raptee_bundle(4),
+                                 _latency_options(4, stragglers=profile))
+            bundle.run(ROUNDS)
+            return bundle.engine.late_fraction
 
         baseline = late_fraction(None)
         straggling = late_fraction(StragglerProfile(0.2, 16.0))
@@ -227,15 +229,14 @@ class TestCrossProcessDeterminism:
             "import hashlib, json\n"
             "from tests.test_events_engine import _raptee_bundle, _latency_options\n"
             "from repro.events import LoadSpec, wire_events\n"
-            "bundle = _raptee_bundle(12)\n"
-            "options = _latency_options(12, load=LoadSpec(5, 30.0),"
-            " record_schedule=True)\n"
-            "harness = wire_events(bundle, options)\n"
-            "harness.run(6)\n"
+            "options = _latency_options(12, load=LoadSpec(5, 30.0))\n"
+            "bundle = wire_events(_raptee_bundle(12), options)\n"
+            "bundle.run(6)\n"
+            "engine = bundle.engine\n"
             "views = {n: tuple(node.view_ids())"
             " for n, node in sorted(bundle.simulation.nodes.items())}\n"
-            "payload = json.dumps([harness.engine.schedule_log, views],"
-            " sort_keys=True)\n"
+            "payload = json.dumps([engine.queue.scheduled_total, engine.cycles,"
+            " engine.late_cycles, engine.load.records, views], sort_keys=True)\n"
             "print(hashlib.sha256(payload.encode()).hexdigest())\n"
         )
         env = dict(os.environ)

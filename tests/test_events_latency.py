@@ -1,4 +1,4 @@
-"""Latency models: seeded determinism, spec parsing, link overrides."""
+"""Latency models: seeded determinism, spec parsing, finite parameters."""
 
 from __future__ import annotations
 
@@ -9,13 +9,27 @@ import pytest
 from repro.crypto.prng import Sha256Prng, derive_seed
 from repro.events import (
     ConstantLatency,
-    LatencyConfig,
+    LatencyNetwork,
     LogNormalLatency,
     UniformLatency,
     parse_latency_model,
     parse_load,
     percentile,
 )
+
+
+#: One NaN or infinite parameter per case; every model must refuse it.
+_NON_FINITE = [
+    (ConstantLatency, (math.nan,)),
+    (ConstantLatency, (math.inf,)),
+    (UniformLatency, (math.nan, 0.05)),
+    (UniformLatency, (0.01, math.nan)),
+    (UniformLatency, (0.01, math.inf)),
+    (LogNormalLatency, (math.nan, 0.5)),
+    (LogNormalLatency, (math.inf, 0.5)),
+    (LogNormalLatency, (0.04, math.nan)),
+    (LogNormalLatency, (0.04, math.inf)),
+]
 
 
 def _rng(*labels):
@@ -31,9 +45,12 @@ class TestModels:
         assert rng.getstate() == before  # zero RNG draws
 
     def test_zero_constant_is_zero(self):
-        assert ConstantLatency(0.0).is_zero
-        assert not ConstantLatency(0.001).is_zero
-        assert not UniformLatency(0.0, 0.0).is_zero  # draws from the RNG
+        rng = _rng("zero")
+        before = rng.getstate()
+        assert ConstantLatency(0.0).sample(rng) == 0.0
+        assert rng.getstate() == before
+        assert ConstantLatency(0.0).describe() == "zero"
+        assert ConstantLatency(0.001).describe() == "constant 1 ms"
 
     def test_uniform_bounds_and_determinism(self):
         model = UniformLatency(0.01, 0.03)
@@ -71,34 +88,34 @@ class TestModels:
         with pytest.raises(ValueError):
             LogNormalLatency(0.04, -0.1)
 
+    @pytest.mark.parametrize("model, args", _NON_FINITE, ids=[
+        f"{model.__name__}-" + "-".join(map(str, args)) for model, args in _NON_FINITE
+    ])
+    def test_non_finite_parameters_refused(self, model, args):
+        # A NaN or infinite delay schedules an event the queue can never
+        # drain past: the run would hang instead of failing.
+        with pytest.raises(ValueError, match="finite"):
+            model(*args)
+
 
 class TestConfig:
     def test_default_applies_to_every_edge(self):
-        config = LatencyConfig(default=ConstantLatency(0.02))
-        assert config.model_for(1, 2).seconds == 0.02
-        assert config.sample(3, 4, _rng("cfg")) == 0.02
+        """One model governs every link, both legs of a request included."""
 
-    def test_directed_overrides(self):
-        slow = ConstantLatency(0.5)
-        config = LatencyConfig(
-            default=ConstantLatency(0.0), overrides={(1, 2): slow}
-        )
-        assert config.model_for(1, 2) is slow
-        # Directed: the reverse edge keeps the default.
-        assert config.model_for(2, 1).is_zero
-        assert not config.is_zero
+        class _Wire:
+            def request(self, src, dst, message):
+                return message
 
-    def test_is_zero_requires_every_model_zero(self):
-        assert LatencyConfig().is_zero
-        assert LatencyConfig(
-            default=ConstantLatency(0.0),
-            overrides={(1, 2): ConstantLatency(0.0)},
-        ).is_zero
+        network = LatencyNetwork(_Wire(), ConstantLatency(0.02), _rng("cfg"))
+        for src, dst in ((1, 2), (2, 1), (3, 4)):
+            network.begin_session()
+            network.request(src, dst, None)
+            assert network.session_time == pytest.approx(0.04)
 
 
 class TestParsing:
     def test_specs(self):
-        assert parse_latency_model("zero").is_zero
+        assert parse_latency_model("zero") == ConstantLatency(0.0)
         constant = parse_latency_model("constant:25")
         assert constant.seconds == pytest.approx(0.025)
         uniform = parse_latency_model("uniform:10:30")
@@ -110,6 +127,8 @@ class TestParsing:
     @pytest.mark.parametrize("bad", [
         "", "zero:1", "constant", "constant:x", "uniform:10",
         "uniform:30:10", "lognormal:40", "pareto:1:2", "constant:-5",
+        "constant:nan", "lognormal:nan:0.5", "uniform:10:nan",
+        "uniform:10:inf", "lognormal:40:inf",
     ])
     def test_bad_specs_raise(self, bad):
         with pytest.raises(ValueError):
@@ -119,7 +138,8 @@ class TestParsing:
         spec = parse_load("40:30")
         assert (spec.active_clients, spec.requests_per_minute) == (40, 30.0)
         assert spec.rate_per_second == pytest.approx(0.5)
-        for bad in ("", "40", "40:30:1", "0:30", "40:0", "x:y"):
+        for bad in ("", "40", "40:30:1", "0:30", "40:0", "x:y", "10:nan",
+                    "10:inf"):
             with pytest.raises(ValueError):
                 parse_load(bad)
 

@@ -51,32 +51,33 @@ class TestMassEnclaveCrash:
         bundle = build_bundle(220)
         plan, victims = mass_crash_plan(bundle)
         checker = InvariantChecker()  # raising mode: any violation fails
-        harness = wire_faults(bundle, plan, seed=1, checker=checker)
-        harness.run(self.ROUNDS)
-        return bundle, harness, checker, victims
+        wire_faults(bundle, plan, seed=1).run(
+            self.ROUNDS, extra_observers=(checker,)
+        )
+        return bundle, checker, victims
 
     def test_no_exception_and_invariants_hold(self, outcome):
-        _bundle, _harness, checker, _victims = outcome
+        _bundle, checker, _victims = outcome
         assert checker.rounds_checked == self.ROUNDS
         assert checker.ok
 
     def test_all_victims_degraded_then_repromoted(self, outcome):
-        bundle, harness, _checker, victims = outcome
+        bundle, _checker, victims = outcome
         nodes = bundle.simulation.nodes
-        assert harness.injector.stats.enclave_crashes == len(victims)
+        assert bundle.faults.stats.enclave_crashes == len(victims)
         for victim in victims:
             node = nodes[victim]
             assert node.degradations_total >= 1
             assert node.promotions_total >= 1
             assert not node.degraded
             assert node.trusted
-        stats = harness.recovery.stats
+        stats = bundle.faults.recovery.stats
         assert stats.restores_from_seal > 0      # intact blobs: fast path
         assert stats.reprovisions > 0            # corrupted blobs: re-attest
         assert stats.failed_attempts > 0         # ... blocked by the outage
 
     def test_degraded_nodes_kept_gossiping_as_honest(self, outcome):
-        bundle, _harness, _checker, victims = outcome
+        bundle, _checker, victims = outcome
         # Degraded rounds still produced usable views: every victim ends
         # with a full, nonempty view — it fell back to the honest path
         # rather than stalling.
@@ -84,7 +85,7 @@ class TestMassEnclaveCrash:
             assert bundle.simulation.nodes[victim].view_ids()
 
     def test_trusted_swaps_resumed_after_promotion(self, outcome):
-        bundle, _harness, _checker, victims = outcome
+        bundle, _checker, victims = outcome
         swaps = sum(
             node.trusted_exchanges_total
             for node_id, node in sorted(bundle.simulation.nodes.items())
@@ -99,19 +100,19 @@ class TestMassEnclaveCrash:
         bundle = build_bundle(60, seed=4)
         plan, victims = mass_crash_plan(bundle, crash_round=4, outage_end=10)
         corrupted = victims[::3]
-        harness = wire_faults(bundle, plan, seed=4)
-        harness.run(9)  # inside the outage: corrupted victims are degraded
+        wire_faults(bundle, plan, seed=4)
+        bundle.run(9)  # inside the outage: corrupted victims are degraded
         nodes = bundle.simulation.nodes
         assert any(nodes[v].degraded for v in corrupted)
         frozen = {v: nodes[v].trusted_exchanges_total for v in corrupted}
-        harness.run(21)  # outage lifts; backoff retries eventually land
+        bundle.run(21)  # outage lifts; backoff retries eventually land
         assert all(not nodes[v].degraded for v in corrupted)
         assert any(
             nodes[v].trusted_exchanges_total > frozen[v] for v in corrupted
         )
 
     def test_resilience_not_destroyed(self, outcome):
-        bundle, _harness, _checker, _victims = outcome
+        bundle, _checker, _victims = outcome
         from repro.analysis.metrics import resilience_from_trace
 
         polluted = resilience_from_trace(bundle.trace.records)
@@ -123,8 +124,7 @@ class TestDeterminism:
         bundle = build_bundle(60, seed=seed)
         plan, _victims = mass_crash_plan(bundle, crash_round=4, outage_end=7)
         plan = FaultPlan(list(plan.faults) + [LossBurstFault(RoundWindow(3, 9), 0.2)])
-        harness = wire_faults(bundle, plan, seed=seed)
-        harness.run(12)
+        wire_faults(bundle, plan, seed=seed).run(12)
         per_round_views = [
             (record.round_number, sorted(record.byzantine_fraction.items()))
             for record in bundle.trace.records
@@ -135,8 +135,8 @@ class TestDeterminism:
             sorted(stats.per_round_pushes.items()),
             sorted(stats.per_round_requests.items()),
             sorted(stats.per_round_losses.items()),
-            sorted(harness.injector.stats.drops_by_cause.items()),
-            harness.recovery.stats,
+            sorted(bundle.faults.stats.drops_by_cause.items()),
+            bundle.faults.recovery.stats,
         ))
 
     def test_same_seed_same_plan_byte_identical(self):

@@ -360,8 +360,7 @@ class TestBuilderIntegration:
         assert legacy.trace.records == disabled.trace.records
 
     def test_runtime_join_and_leave(self):
-        bundle = _membership_bundle()
-        harness = wire_faults(bundle, FaultPlan(), seed=5)
+        bundle = wire_faults(_membership_bundle(), FaultPlan(), seed=5)
         bundle.run(2)
         director = bundle.membership
         simulation = bundle.simulation
@@ -373,7 +372,7 @@ class TestBuilderIntegration:
         assert joined.node_id in director.views
         assert director.views[joined.node_id].is_member(joined.node_id)
         # The recovery manager took custody of the new node's sealed K_T.
-        assert harness.recovery.sealed_blob(joined.node_id) is not None
+        assert bundle.faults.recovery.sealed_blob(joined.node_id) is not None
 
         leaver = sorted(director.views)[0]
         epoch_before = director.service.chain.current.number

@@ -19,6 +19,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 from typing import Optional, get_origin, get_type_hints
 
 import pytest
@@ -247,6 +248,41 @@ _INVALID_CASES = {
         _base(engine={"kind": "events", "mode": "barrier",
                       "latency": "constant:20"}),
         "engine.latency"),
+    "barrier-with-tick-interval": (
+        _base(engine={"kind": "events", "mode": "barrier",
+                      "tick_interval": 2.5}),
+        "engine.tick_interval"),
+    "nan-tick-interval": (
+        _base(engine={"kind": "events", "tick_interval": math.nan}),
+        "engine.tick_interval"),
+    "inf-tick-interval": (
+        _base(engine={"kind": "events", "tick_interval": math.inf}),
+        "engine.tick_interval"),
+    "nan-constant-latency": (
+        _base(engine={"kind": "events", "latency": "constant:nan"}),
+        "engine.latency"),
+    "nan-lognormal-median": (
+        _base(engine={"kind": "events", "latency": "lognormal:nan:0.5"}),
+        "engine.latency"),
+    "nan-uniform-high": (
+        _base(engine={"kind": "events", "latency": "uniform:10:nan"}),
+        "engine.latency"),
+    "nan-straggler-slowdown": (
+        _base(engine={"kind": "events", "straggler": "0.1:nan"}),
+        "engine.straggler"),
+    "inf-straggler-slowdown": (
+        _base(engine={"kind": "events", "straggler": "0.1:inf"}),
+        "engine.straggler"),
+    "nan-load-rate": (
+        _base(engine={"kind": "events", "load": "10:nan"}), "engine.load"),
+    "inf-load-rate": (
+        _base(engine={"kind": "events", "load": "10:inf"}), "engine.load"),
+    "nan-churn-join-rate": (
+        _base(churn={"kind": "uniform", "join_rate": math.nan}),
+        "churn.join_rate"),
+    "inf-churn-join-rate": (
+        _base(churn={"kind": "uniform", "join_rate": math.inf}),
+        "churn.join_rate"),
     "malformed-latency-grammar": (
         _base(engine={"kind": "events", "mode": "continuous",
                       "latency": "warp:9"}),
@@ -368,9 +404,12 @@ def test_shard_spec_is_not_described_or_compiled_as_the_events_engine():
     assert "engine=shard/3" in spec.describe()
     assert "events" not in spec.describe()
     assert event_options_from_spec(spec) is None
-    events = spec_from_dict(_base(engine={"kind": "events", "mode": "barrier"}))
-    assert "engine=events/barrier" in events.describe()
-    assert event_options_from_spec(events).mode == "barrier"
+    barrier = spec_from_dict(_base(engine={"kind": "events", "mode": "barrier"}))
+    assert "engine=events/barrier" in barrier.describe()
+    # A barrier spec is the round loop: it compiles to no event engine.
+    assert event_options_from_spec(barrier) is None
+    continuous = spec_from_dict(_base(engine={"kind": "events"}))
+    assert event_options_from_spec(continuous) is not None
 
 
 def test_membership_section_brings_the_fault_layer_that_ticks_the_director():

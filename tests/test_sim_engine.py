@@ -227,6 +227,12 @@ class TestChurn:
         with pytest.raises(ValueError):
             CatastrophicFailure(at_round=1, fraction=1.5)
 
+    @pytest.mark.parametrize("join_rate", [float("nan"), float("inf")])
+    def test_non_finite_join_rate_refused(self, join_rate):
+        # Refused here, not by int(round(...)) mid-run.
+        with pytest.raises(ValueError, match="join_rate must be finite"):
+            UniformChurn(leave_rate=0.0, join_rate=join_rate)
+
     def test_crashed_nodes_excluded_from_churn_candidates(self):
         # Regression: the engine used to offer every *registered* ID to the
         # churn model, so a crashed (alive=False) node could be picked as a
@@ -381,10 +387,10 @@ def _audited_run(spec):
     bundle = compile_spec(spec)
     plan = fault_plan_from_spec(spec)
     if plan is not None:
-        wire_faults(bundle, plan, seed=spec.seed)
+        bundle = wire_faults(bundle, plan, seed=spec.seed)
     events = event_options_from_spec(spec)
     if events is not None:
-        wire_events(bundle, events)
+        bundle = wire_events(bundle, events)
     audit = DiscoveryAudit(bundle.discovery)
     bundle.run(spec.rounds, extra_observers=(audit,))
     return bundle, audit

@@ -106,9 +106,10 @@ def _state(name):
     wire_telemetry(bundle, TelemetryConfig(
         tracing=True, trace_messages=True, trace_ecalls=True
     ))
-    harness = None if plan is None else wire_faults(bundle, plan, seed=seed)
+    if plan is not None:
+        wire_faults(bundle, plan, seed=seed)
     return RunState(simulation=bundle.simulation, bundle=bundle,
-                    fault_harness=harness, rounds_total=ROUNDS, label=name)
+                    rounds_total=ROUNDS, label=name)
 
 
 def _artifacts(state):
@@ -200,7 +201,7 @@ def test_fault_scenario_crash_spans_checkpoint():
     """Guard: the pinned crash really is in flight at the checkpoint round."""
     state = _state("raptee-faults")
     state.run_chunk(CHECKPOINT_AT)
-    assert state.fault_harness.injector._revive_at, \
+    assert state.bundle.faults._revive_at, \
         "expected a pending revive at the checkpoint round"
     assert not state.simulation.nodes[5].alive
 

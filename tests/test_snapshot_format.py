@@ -32,14 +32,18 @@ from repro.snapshot.format import (
 from repro.telemetry import Telemetry, TraceEvent
 
 
-def _small_sim(seed=3) -> Simulation:
+def _small_bundle(seed=3):
     from repro.experiments.scenarios import TopologySpec
     from repro.scenario import ScenarioSpec, compile_spec
 
     topology = TopologySpec(n_nodes=12, byzantine_fraction=0.0, view_ratio=0.3)
     return compile_spec(ScenarioSpec(
         name="snapshot-unit", protocol="brahms", seed=seed, topology=topology
-    )).simulation
+    ))
+
+
+def _small_sim(seed=3) -> Simulation:
+    return _small_bundle(seed).simulation
 
 
 def _write_sample(path, state=None, kind="unit-test", meta=None):
@@ -174,6 +178,44 @@ class TestTraceLayout:
             match="trace in the old layout.*version of repro that wrote",
         ):
             read_envelope(str(path), expected_kind="run-state")
+
+
+class TestRunStateLayout:
+    """Checkpoints written while the fault injector and the event clock
+    lived in harness objects beside the bundle are refused, not resumed
+    with their faults or clock silently dropped."""
+
+    def test_old_layout_run_state_refuses_to_resume(self, tmp_path):
+        path = tmp_path / "old-run-state.snapshot"
+        bundle = _small_bundle()
+        state = RunState(simulation=bundle.simulation, bundle=bundle)
+        state.__dict__["fault_harness"] = None
+        write_envelope(str(path), "run-state", {}, state)
+        with pytest.raises(
+            SnapshotError,
+            match="run state in the old layout.*version of repro that wrote",
+        ):
+            restore(str(path))
+
+    def test_old_layout_bundle_refuses_to_resume(self, tmp_path):
+        path = tmp_path / "old-bundle.snapshot"
+        bundle = _small_bundle()
+        del bundle.__dict__["engine"]
+        bundle.__dict__["events"] = None
+        write_envelope(str(path), "run-state", {},
+                       RunState(simulation=bundle.simulation, bundle=bundle))
+        with pytest.raises(
+            SnapshotError,
+            match="bundle in the old layout.*version of repro that wrote",
+        ):
+            restore(str(path))
+
+    def test_current_layout_bundle_resumes_on_its_own_clock(self, tmp_path):
+        path = tmp_path / "bundle.snapshot"
+        save(_small_bundle(), str(path))
+        resumed = restore(str(path)).bundle
+        assert resumed.engine is resumed.simulation
+        assert resumed.faults is None
 
 
 class TestCaptureRestore:
