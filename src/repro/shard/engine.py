@@ -63,12 +63,21 @@ loop.  Data layout of a numpy round:
   the round-1 flood.
 * the **sampler feed** closes each owner block: the ``[fresh, l2]``
   min-wise hash matrix of the block's fresh pairs, min-reduced per owner
-  segment.  It is computed :data:`_FEED_TILE_ELEMENTS` at a time in one
-  workspace of two ``[tile, l2]`` uint64 buffers owned by the call
-  (threads under ``--shard-workers`` never share one): gathers write into
-  it, every other pass is in place, and the ``mod p`` reduction is a
-  single fold finished in the packed ``hash << 32 | id`` domain
-  (`_fold_pack` has the bound proof).  What the round-1 flood costs is
+  segment, in one of two forms chosen per owner by segment size.  An
+  owner with ``k`` fresh ids and ``k · l2 >=`` :data:`_FEED_OWNER_ELEMENTS`
+  (the round-1 flood) takes the owner-major form: ``[l2, k]`` hashes
+  ``a ⊗ r + b`` over contiguous rows, with no gather, then one ``argmin``
+  per sampler, so only the ``l2`` winners are packed.  Shorter segments
+  (the steady state) share ``[rows, l2]`` tiles that mix owners: two row
+  gathers of the coefficients, the ``mod p`` reduction finished in the
+  packed ``hash << 32 | id`` domain (`_fold_pack` has the bound proof), a
+  ``reduceat`` per segment.  Ids ascend inside a segment and ``argmin``
+  keeps the first of equal hashes, so on a tie both forms keep the smaller
+  id.  Both run in one workspace of two uint64 buffers of
+  :data:`_FEED_TILE_ELEMENTS` owned by the call (threads under
+  ``--shard-workers`` never share one): a tile is that many elements, a
+  long owner is taken in column chunks of that many, gathers write into
+  it and every other pass is in place.  What the round-1 flood costs is
   then passes over cache-resident memory, not page faults on fresh
   ``[rows, l2]`` temporaries.
 
@@ -827,6 +836,21 @@ _BLOCK_ELEMENTS = 1 << 18
 #: smaller tiles pay per-tile dispatch, larger ones spill.  Being reused,
 #: the workspace is faulted in once per call whatever the flood's size.
 _FEED_TILE_ELEMENTS = 1 << 15
+#: An owner whose fresh segment of ``k`` ids has ``k · l2`` at least this
+#: many hash elements is fed in the owner-major form (`_feed_owner`), the
+#: rest in mixed-owner tiles: the owner form saves the gathers and the
+#: per-element packing but pays a dozen numpy calls per owner, so it wins
+#: on round-1 floods (`shard-brahms-4k`: ~1,640 ids at l2 = 40) and loses
+#: on steady-state trickles (`shard-raptee-1k`: <= ~120 ids at l2 = 10).
+#: On a 2-vCPU Xeon @ 2.1 GHz (blocks of 40 equal segments) the two forms
+#: broke even at ~4,000 elements for l2 = 10, ~6,000 for l2 = 20 and 40
+#: and ~10,000 for l2 = 100; at 12,000 the owner form was 16-38% faster.
+_FEED_OWNER_ELEMENTS = 1 << 13
+#: numpy's ufunc buffer size (elements) while the owner form runs: no
+#: longer than its rows (a chunk has at least ``_FEED_OWNER_ELEMENTS /
+#: l2`` columns, >= 64 while l2 <= 128), so the ``[l2, 1]`` coefficient
+#: broadcasts are never buffered.
+_FEED_OWNER_BUFSIZE = 64
 
 
 def _owner_blocks(cost, budget: int) -> List[Tuple[int, int]]:
@@ -1129,22 +1153,67 @@ def _fold_pack(x, scratch, ids) -> None:
     np.minimum(x, scratch, out=x)
 
 
+def _feed_owner(samp_a, samp_b, reduced, node: int, cand, best_row,
+                x_buf, t_buf) -> None:
+    """The owner-major feed of one owner's fresh ids ``cand`` (ascending):
+    ``x[l2, k] = a ⊗ r + b`` over contiguous rows, the canonical fold
+    ``f = (x & p) + (x >> 31)``, ``h = min(f, f − p)`` (``f <= 2p − 2``;
+    the wrapped uint64 subtraction loses exactly when ``f < p``), one
+    ``argmin`` per sampler row, and only the ``l2`` winners packed and
+    min-ed into ``best_row`` in place.  ``argmin`` keeps the first of equal
+    hashes, which is the smaller id — the packed min's tiebreak.  Columns
+    are taken in equal chunks, as few as fit the workspace, so no chunk is
+    a sliver that pays a dozen calls for a few columns."""
+    l2 = best_row.size
+    chunks = -(-cand.size * l2 // x_buf.size)
+    width = -(-cand.size // chunks)
+    a, b = samp_a[node][:, None], samp_b[node][:, None]
+    lanes = np.arange(l2)
+    for at in range(0, cand.size, width):
+        chunk = cand[at:at + width]
+        x = x_buf.reshape(-1)[:l2 * chunk.size].reshape(l2, chunk.size)
+        scratch = t_buf.reshape(-1)[:x.size].reshape(x.shape)
+        np.multiply(a, reduced[chunk], out=x)
+        x += b
+        np.right_shift(x, np.uint64(31), out=scratch)
+        x &= np.uint64(_P)
+        x += scratch
+        np.subtract(x, np.uint64(_P), out=scratch)
+        np.minimum(x, scratch, out=x)
+        win = x.argmin(axis=1)
+        packed = x[lanes, win] << np.uint64(32)
+        packed |= chunk[win].astype(np.uint64)
+        np.minimum(best_row, packed, out=best_row)
+
+
 def _sampler_feed_numpy(state: ShardState, node_a: int, node_b: int,
                         f_owner, f_id):
-    """Feed fresh ``(owner, id)`` pairs (owner-sorted) to the samplers of
-    owners ``[node_a, node_b)``: the ``[fresh, l2]`` min-wise hash matrix,
-    min-reduced per owner segment, computed a tile of rows at a time in one
-    workspace owned by this call (so partitions on threads never share
-    one).  Per tile nothing of ``[rows, l2]`` size is allocated: gathers
-    land in the workspace (``mode="clip"`` — indices are in range, and
-    numpy only writes ``out`` unbuffered when it need not raise) and every
-    other pass is in place.  A tile may split an owner; the running
-    ``best`` absorbs the partial minima.  Returns the improved samplers as
-    flat ``(node, sampler index, packed value)`` arrays."""
+    """Feed fresh ``(owner, id)`` pairs (owner-sorted, ids ascending per
+    owner) to the samplers of owners ``[node_a, node_b)``: per owner
+    segment, the min over its ``[k, l2]`` min-wise hash matrix.  Returns
+    the improved samplers as flat ``(node, sampler index, packed value)``
+    arrays.
+
+    Two forms compute the same integers, chosen per owner by size: an
+    owner with ``k · l2 >= _FEED_OWNER_ELEMENTS`` takes the owner-major
+    form (`_feed_owner`); the rest go through ``[rows, l2]`` tiles that mix
+    owners — two row gathers of the coefficients, the packed fold
+    (`_fold_pack`) and a ``reduceat`` per segment — which beat a dozen
+    numpy calls per owner when segments are short.  A tile may split an
+    owner; the running ``best`` absorbs the partial minima.  On a hash tie
+    both forms keep the smaller id.
+
+    Both forms work in one workspace of two ``[rows, l2]`` uint64 buffers
+    owned by this call (so partitions on threads never share one).  Per
+    tile nothing of ``[rows, l2]`` size is allocated: gathers land in the
+    workspace (``mode="clip"`` — indices are in range, and numpy only
+    writes ``out`` unbuffered when it need not raise) and every other pass
+    is in place."""
     current = state.samp_best[node_a:node_b].view(np.uint64)
     best = current.copy()
-    rows = min(f_id.size, max(1, _FEED_TILE_ELEMENTS // current.shape[1]))
-    x_buf = np.empty((rows, current.shape[1]), dtype=np.uint64)
+    l2 = current.shape[1]
+    rows = min(f_id.size, max(1, _FEED_TILE_ELEMENTS // l2))
+    x_buf = np.empty((rows, l2), dtype=np.uint64)
     t_buf = np.empty_like(x_buf)
     samp_a, samp_b, reduced = (
         table.view(np.uint64)
@@ -1156,8 +1225,29 @@ def _sampler_feed_numpy(state: ShardState, node_a: int, node_b: int,
     first = f_owner.searchsorted(
         np.arange(node_a, node_b + 1, dtype=f_owner.dtype)
     )
-    seg_owner = np.flatnonzero(first[1:] > first[:-1])
+    length = first[1:] - first[:-1]
+    seg_owner = np.flatnonzero(length)
     seg_first = first[seg_owner]
+    if int(length.max()) * l2 >= _FEED_OWNER_ELEMENTS:
+        owner_form = length[seg_owner] * l2 >= _FEED_OWNER_ELEMENTS
+        with np.errstate():  # restores the buffer size on exit
+            # A per-row coefficient broadcast along the row is copied into
+            # numpy's 8,192-element ufunc buffer to grow the inner loop
+            # past the row, which doubles the cost of ``a ⊗ r`` and
+            # ``+ b``; a buffer shorter than a row runs them unbuffered.
+            np.setbufsize(_FEED_OWNER_BUFSIZE)
+            for local in seg_owner[owner_form].tolist():
+                _feed_owner(samp_a, samp_b, reduced, node_a + local,
+                            f_id[first[local]:first[local + 1]], best[local],
+                            x_buf, t_buf)
+        # The tiles see only the short segments, gathered back to back
+        # (fewer than _FEED_OWNER_ELEMENTS / l2 rows an owner).
+        seg_owner = seg_owner[~owner_form]
+        seg_len = length[seg_owner]
+        tile_first = np.cumsum(seg_len) - seg_len
+        keep = (np.repeat(seg_first[~owner_form] - tile_first, seg_len)
+                + np.arange(int(seg_len.sum())))
+        f_owner, f_id, seg_first = f_owner[keep], f_id[keep], tile_first
     for at in range(0, f_id.size, rows):
         end = min(at + rows, f_id.size)
         nodes, cand = f_owner[at:end], f_id[at:end]

@@ -92,6 +92,9 @@ class ShardConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.n_nodes <= 1:
             raise ValueError("need at least two nodes")
+        for name in ("n_byzantine", "n_trusted"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.n_byzantine + self.n_trusted > self.n_nodes:
             raise ValueError("byzantine + trusted exceed the population")
         if self.protocol == "brahms" and self.n_trusted:
@@ -100,8 +103,22 @@ class ShardConfig:
             raise ValueError("loss_rate must be in [0, 1)")
         if self.view_size <= 0 or self.sample_size <= 0:
             raise ValueError("view_size and sample_size must be positive")
+        if self.view_size >= self.n_nodes:
+            raise ValueError(
+                f"view_size must be below n_nodes ({self.n_nodes}): a view "
+                f"holds other nodes only"
+            )
         if min(self.alpha_count, self.beta_count) <= 0 or self.gamma_count < 0:
             raise ValueError("alpha/beta counts must be positive, gamma >= 0")
+        if self.alpha_count + self.beta_count + self.gamma_count > self.view_size:
+            raise ValueError(
+                "alpha_count + beta_count + gamma_count must not exceed "
+                f"view_size ({self.view_size})"
+            )
+        if self.validation_period < 0:
+            raise ValueError("validation_period must be non-negative")
+        if self.push_limit is not None and self.push_limit <= 0:
+            raise ValueError("push_limit must be positive when set")
         if self.eviction_kind not in ("none", "fixed", "adaptive"):
             raise ValueError(f"unknown eviction kind {self.eviction_kind!r}")
         if self.eviction_kind == "fixed" and len(self.eviction_params) != 1:

@@ -288,6 +288,82 @@ class TestSegmentKernel:
             assert _recorded_deltas(monkeypatch, config, use_numpy=True,
                                     rounds=4, shards=2) == whole, elements
 
+    @pytest.mark.parametrize("width", [1, 7, None], ids=["column", "odd", "default"])
+    def test_feed_forms_agree_on_a_flood_block(self, monkeypatch, width):
+        """The owner form and the tile form on one block: segments of 0 to
+        90 ids, an owner cut into many column chunks (``width`` columns of
+        the workspace), and a forced hash tie — two ids given one
+        ``reduced`` value make up an owner's whole segment, so every one of
+        its samplers ties, across chunks when ``width`` is 1.  Both forms
+        return the same arrays, equal to ``((a·r + b) % p) << 32 | id`` in
+        Python ints, and the tie goes to the smaller id."""
+        import numpy as np
+
+        from repro.shard import build_state, engine
+
+        config = ShardConfig(protocol="brahms", n_nodes=300, seed=7,
+                             n_byzantine=30, view_size=12, sample_size=16,
+                             alpha_count=5, beta_count=5, gamma_count=2)
+        state = build_state(config)
+        l2 = config.sample_size
+        tie_lo, tie_hi = 41, 250
+        state.reduced[tie_hi] = state.reduced[tie_lo]
+        node_a, node_b = 40, 52
+        rng = np.random.default_rng(3)
+        lengths = [0, 1, 90, 5, 0, 33, 2, 60, 17, 0, 3, 75]
+        segments = [np.sort(rng.choice(config.n_nodes, size, replace=False))
+                    for size in lengths]
+        segments[6] = np.asarray([tie_lo, tie_hi])
+        owner = np.repeat(np.arange(node_a, node_b), lengths)
+        ids = np.concatenate(segments)
+        if width is not None:
+            monkeypatch.setattr(engine, "_FEED_TILE_ELEMENTS", width * l2)
+
+        outputs = []
+        for elements in (0, ids.size * l2 + 1):  # every owner; no owner
+            monkeypatch.setattr(engine, "_FEED_OWNER_ELEMENTS", elements)
+            outputs.append([column.tolist() for column in
+                            engine._sampler_feed_numpy(state, node_a, node_b,
+                                                       owner, ids)])
+        assert outputs[0] == outputs[1]
+
+        p = MERSENNE_PRIME_31
+        expected = []
+        for local, segment in enumerate(segments):
+            node = node_a + local
+            for j in range(l2):
+                a, b = int(state.samp_a[node, j]), int(state.samp_b[node, j])
+                best = min([((a * int(state.reduced[c]) + b) % p) << 32 | int(c)
+                            for c in segment.tolist()], default=EMPTY_SAMPLE)
+                if best < int(state.samp_best[node, j]):
+                    expected.append((node, j, best))
+        assert list(zip(*outputs[0])) == expected
+        tied = [value for node, _, value in expected if node == node_a + 6]
+        assert len(tied) == l2
+        assert all(value & 0xFFFFFFFF == tie_lo for value in tied)
+
+    def test_feed_form_selection_is_invisible(self, monkeypatch):
+        """Every owner in the owner form (threshold 0), the default rule, a
+        threshold that splits round 1's owners between the forms, and every
+        owner in tiles (threshold above any segment): the same deltas,
+        equal to the pure backend's."""
+        from repro.shard import engine
+
+        config = _flood_config()
+        pure = _recorded_deltas(monkeypatch, config, use_numpy=False, rounds=4,
+                                shards=2)
+        lengths = sorted(Counter(
+            owner for delta in pure[:2] for owner, _ in delta["known"]
+        ).values())
+        middle = lengths[len(lengths) // 2]
+        assert lengths[0] < middle < lengths[-1]
+        for elements in (0, engine._FEED_OWNER_ELEMENTS,
+                         middle * config.sample_size,
+                         lengths[-1] * config.sample_size + 1):
+            monkeypatch.setattr(engine, "_FEED_OWNER_ELEMENTS", elements)
+            assert _recorded_deltas(monkeypatch, config, use_numpy=True,
+                                    rounds=4, shards=2) == pure, elements
+
     def test_threads_feed_from_their_own_workspace(self, monkeypatch):
         """shards=4 on two threads, several tiles per call: a workspace
         shared between calls (or one carried over stale) would let one
@@ -317,13 +393,16 @@ class TestSegmentKernel:
 
     def test_feed_allocation_does_not_grow_with_the_flood(self, monkeypatch):
         """The feed's peak traced allocation is the workspace plus per-owner
-        arrays: feeding four times the fresh pairs must not raise it."""
+        arrays: feeding four times the fresh pairs must not raise it, in
+        the tile form (the default rule at these sizes) or the owner form
+        (threshold 0, a long owner taken in column chunks)."""
         import numpy as np
 
         from repro.shard import build_state, engine
 
         config = ShardConfig(protocol="brahms", n_nodes=600, seed=5,
-                             n_byzantine=60, view_size=12, sample_size=16)
+                             n_byzantine=60, view_size=12, sample_size=16,
+                             alpha_count=5, beta_count=5, gamma_count=2)
         state = build_state(config)
         node_a, node_b = 100, 140
         monkeypatch.setattr(engine, "_FEED_TILE_ELEMENTS", 32 * 16)
@@ -339,9 +418,11 @@ class TestSegmentKernel:
                 tracemalloc.stop()
 
         workspace = 2 * 32 * 16 * 8
-        small, large = peak(120), peak(480)
-        assert small >= workspace
-        assert large <= small + 1024
+        for elements in (engine._FEED_OWNER_ELEMENTS, 0):
+            monkeypatch.setattr(engine, "_FEED_OWNER_ELEMENTS", elements)
+            small, large = peak(120), peak(480)
+            assert small >= workspace
+            assert large <= small + 1024, elements
 
     def test_delta_does_not_grow_with_the_flood(self, monkeypatch):
         """A round-1 flood at N = 1,200 comes back as one packed row per
@@ -523,7 +604,8 @@ class TestBootstrap:
         from repro.shard import state
 
         config = ShardConfig(protocol="brahms", n_nodes=70, seed=9,
-                             n_byzantine=7, view_size=11)
+                             n_byzantine=7, view_size=11, alpha_count=4,
+                             beta_count=4, gamma_count=3)
         mask = (1 << key_bits) - 1
         with mock.patch.object(
             state, "key64", lambda *coords: key64(*coords) & mask
@@ -538,7 +620,8 @@ class TestBootstrap:
     def test_view_may_hold_everyone_else(self):
         from repro.shard import state
 
-        config = ShardConfig(protocol="brahms", n_nodes=9, seed=3, view_size=8)
+        config = ShardConfig(protocol="brahms", n_nodes=9, seed=3, view_size=8,
+                             alpha_count=3, beta_count=3, gamma_count=2)
         assert state._bootstrap_matrix_numpy(config).tolist() == [
             state._bootstrap_row(config, node) for node in range(9)
         ]
@@ -582,7 +665,8 @@ class TestAdversaryAssignment:
     @given(
         n_byzantine=st.integers(min_value=0, max_value=6),
         n_correct=st.integers(min_value=0, max_value=14),
-        push_limit=st.integers(min_value=0, max_value=5),
+        # A zero budget is the multiplier's 0: the config refuses push_limit 0.
+        push_limit=st.integers(min_value=1, max_value=5),
         multiplier=st.integers(min_value=0, max_value=3),
         round_no=st.integers(min_value=1, max_value=500),
         seed=st.integers(min_value=0, max_value=2 ** 32),
@@ -595,10 +679,11 @@ class TestAdversaryAssignment:
                                        multiplier, round_no, seed, key_bits, data):
         from repro.shard import engine, rand, state
 
-        n_nodes = max(2, n_byzantine + n_correct)
+        n_nodes = max(3, n_byzantine + n_correct)
         config = ShardConfig(
             protocol="brahms", n_nodes=n_nodes, seed=seed,
-            n_byzantine=n_byzantine, push_limit=push_limit,
+            n_byzantine=n_byzantine, push_limit=push_limit, view_size=2,
+            alpha_count=1, beta_count=1, gamma_count=0,
         )
         alive = data.draw(st.one_of(
             st.lists(st.booleans(), min_size=n_nodes, max_size=n_nodes),
@@ -765,6 +850,31 @@ class TestWorkersValidation:
         exit_code = main(["run", "--nodes", "60", "--rounds", "2", "--shards", "0"])
         assert exit_code == 2
         assert "--shards must be at least 1" in capsys.readouterr().err
+
+
+class TestConfigValidation:
+    """`ShardConfig` refuses, naming the field, what the per-node configs
+    refuse; each of these used to run silently or die mid-run."""
+
+    _VALID = dict(protocol="raptee", n_nodes=20, seed=1, n_byzantine=2,
+                  n_trusted=2, view_size=4, sample_size=2, alpha_count=2,
+                  beta_count=1, gamma_count=1)
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"n_trusted": -2}, "n_trusted"),
+        ({"n_byzantine": -3}, "n_byzantine"),
+        ({"validation_period": -1}, "validation_period"),
+        ({"push_limit": 0}, "push_limit"),
+        ({"view_size": 20}, "view_size"),
+        ({"view_size": 25}, "view_size"),
+        ({"alpha_count": 2, "beta_count": 2}, r"alpha_count \+ beta_count"),
+        ({"gamma_count": 2}, r"alpha_count \+ beta_count \+ gamma_count"),
+    ], ids=["n_trusted", "n_byzantine", "validation_period", "push_limit",
+            "view_is_population", "view_over_population", "counts_over_view",
+            "gamma_over_view"])
+    def test_refused_at_construction(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            ShardConfig(**{**self._VALID, **overrides})
 
 
 class TestFaultScheduleValidation:

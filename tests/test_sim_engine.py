@@ -124,6 +124,7 @@ class TestBandedKinds:
         config = ShardConfig(
             protocol="raptee", n_nodes=10, seed=1,
             n_byzantine=3, n_trusted=2, view_size=4, sample_size=2,
+            alpha_count=2, beta_count=1, gamma_count=1,
         )
         assert [config.kind_of(i) for i in range(6)] == [
             "byzantine", "byzantine", "byzantine", "trusted", "trusted",
