@@ -54,10 +54,14 @@ loop.  Data layout of a numpy round:
   ``(src, dst, seq)`` key);
 * **apply** is a segment kernel over flat ``(owner, id)`` arrays: pulled
   batches are gathered as a ``[batches, l1]`` view-matrix slice in stream
-  order, novelty and per-owner uniqueness fall out of one dense
-  ``[owners, N]`` mark-and-scan against unpacked ``known`` rows, keyed
-  subsets are a per-segment keyed rank, and the delta comes back as arrays
-  (fresh ids as packed rows) that ``_integrate`` writes once per field.
+  order and turned, in place, into one column of flat cells
+  ``(owner − node_a) · N + id`` — owner-ascending, so one ``searchsorted``
+  gives each owner's segment, the trusted owners' eviction runs over a
+  prefix, and the cells index the marks directly.  Novelty and per-owner
+  uniqueness fall out of one dense ``[owners, N]`` mark-and-scan against
+  unpacked ``known`` rows, keyed subsets are a per-segment keyed rank,
+  and the delta comes back as arrays (fresh ids as packed rows) that
+  ``_integrate`` writes once per field.
   Owners are processed in blocks under :data:`_BLOCK_ELEMENTS`, and fresh
   ``(owner, id)`` pairs never leave their block, so no array grows with
   the round-1 flood.
@@ -821,11 +825,17 @@ def _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
 
 
 #: Element budget for the segment kernel's per-block temporaries: owners
-#: are processed in blocks whose gathered ``[batches, l1]`` ids plus dense
-#: ``[owners, N]`` marks stay under it.  2 MiB of int64 keeps a block's
-#: passes in cache while one block still covers a whole N = 1,000
-#: partition.
-_BLOCK_ELEMENTS = 1 << 18
+#: are processed in blocks whose gathered ``[batches, l1]`` cells plus
+#: dense ``[owners, N]`` marks stay under it, so one block covers a whole
+#: N = 1,000 partition (250 owners at l1 = 20: ~290 k elements).  On a
+#: 2-vCPU Xeon @ 2.1 GHz, 2^18 / 2^19 / 2^20 / 2^21 gave `shard-raptee-1k`
+#: `run_s` 0.312 / 0.269 / 0.270 / 0.272 s and `shard-brahms-4k` 1.81 /
+#: 1.78 / 1.79 / 1.89 s (medians of six round-robin ledger runs), the
+#: latter peaking at 91 / 96 / 104 / 128 MiB; the N = 10,000 apply phase
+#: (round 5, shards = 4) took 2.39 / 2.26 / 2.02 / 2.37 s (medians of 12
+#: interleaved runs on one frozen state).  Past 2^19 the saved numpy calls
+#: stop paying for the spilled cache and round 1's larger fresh blocks.
+_BLOCK_ELEMENTS = 1 << 19
 #: Elements of one sampler-feed tile (``tile // l2`` rows of the
 #: ``[fresh, l2]`` hash matrix).  The feed makes a dozen elementwise
 #: passes over its two uint64 workspace buffers, so both should sit in
@@ -1017,44 +1027,51 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
             start.astype(np.int64)[:, None] + window[None, :]
         ) % n_byz
     valid = (ids >= 0) & (ids != b_owner[:, None])
-    per_batch = valid.sum(axis=1)
-    e_id = ids[valid]
-    e_owner = np.repeat(b_owner, per_batch)
+    # Each id becomes its flat cell ``(owner − node_a) · N + id`` of the
+    # block's ``[owners, N]`` marks, in place, and one compress leaves the
+    # pulled stream as one column.  Cells ascend by owner (not by id inside
+    # an owner), so ``cell < o · N`` holds on a prefix and one searchsorted
+    # finds every owner's segment.  The gather is the block's largest
+    # temporary: it goes as soon as the cells exist.
+    n = config.n_nodes
+    ids += ((b_owner - node_a) * n)[:, None]
+    cells = ids[valid]
+    del ids
 
     # Byzantine eviction (§IV-C): trusted owners drop a keyed share of
-    # their untrusted ids.
-    if config.eviction_kind != "none" and config.n_trusted:
-        t_hi = n_byz + config.n_trusted
-        at_risk = np.flatnonzero(
-            ~np.repeat(b_trusted, per_batch) & (e_owner < t_hi)
-        )
+    # their untrusted ids.  Trusted ids ``[n_byz, n_byz + n_trusted)`` are
+    # the lowest correct ids and a block starts at or above ``n_byz``, so
+    # their batches and their cells are prefixes of the block's.
+    t_owners = min(n_byz + config.n_trusted, node_b) - node_a
+    if config.eviction_kind != "none" and t_owners > 0:
+        t_batches = int(np.searchsorted(b_owner, node_a + t_owners))
+        at_risk = np.flatnonzero(np.repeat(
+            ~b_trusted[:t_batches], valid[:t_batches].sum(axis=1),
+        ))
         if at_risk.size:
-            r_owner = e_owner[at_risk]
-            r_local = r_owner - node_a
-            index, total = _segment_index(r_local, owners)
-            share = np.divide(trusted_contacts, contacts,
-                              out=np.zeros(owners), where=contacts > 0)
+            r_local = cells[at_risk] // n
+            index, total = _segment_index(r_local, t_owners)
+            share = np.divide(trusted_contacts[:t_owners], contacts[:t_owners],
+                              out=np.zeros(t_owners),
+                              where=contacts[:t_owners] > 0)
             keep = total - np.rint(
                 config.eviction_rates(share) * total
             ).astype(np.int64)
             delta.evicted += int((total - np.maximum(keep, 0)).sum())
-            dropped = at_risk[~_keyed_keep_numpy(
-                config, round_no, Purpose.EVICT_KEEP, r_owner, index,
+            cells = np.delete(cells, at_risk[~_keyed_keep_numpy(
+                config, round_no, Purpose.EVICT_KEEP, r_local + node_a, index,
                 keep[r_local],
-            )]
-            kept = np.ones(e_id.size, dtype=bool)
-            kept[dropped] = False
-            e_id, e_owner = e_id[kept], e_owner[kept]
-    pull_len = np.bincount(e_owner - node_a, minlength=owners)
+            )])
+    pull_bounds = np.searchsorted(cells, np.arange(owners + 1) * n)
+    pull_len = np.diff(pull_bounds)
 
     # Novelty + per-owner sorted unique in one pass: mark every observed
     # (owner, id), clear what the owner already knew (for bools ``>`` is
     # "and not", with no ``~known`` temporary), scan.  Flat indices: the
     # 1-D scatter and scan are several times faster than their 2-D forms.
-    n = config.n_nodes
     marks = np.zeros(owners * n, dtype=bool)
     marks[(p_owner - node_a) * n + p_src] = True
-    marks[(e_owner - node_a) * n + e_id] = True
+    marks[cells] = True
     known = np.unpackbits(state.known[node_a:node_b], axis=1, count=n)
     np.greater(marks, known.view(bool).reshape(-1), out=marks)
     hit = np.flatnonzero(marks)
@@ -1091,9 +1108,8 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
         rows[row_of[u_owner - node_a], u_index] = u_src
         alpha_len = u_count[r_local]
 
-        # β: keyed picks from the owner's pulled segment.
+        # β: keyed picks from the owner's pulled segment, cells back to ids.
         node_col = r_nodes.astype(np.uint64)[:, None]
-        pull_first = (np.cumsum(pull_len) - pull_len)[r_local]
         beta_keys = key_array(
             seed, Purpose.RENEW_PULL, round_no, node_col,
             np.arange(config.beta_count, dtype=np.uint64)[None, :],
@@ -1101,7 +1117,10 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
         picks = (beta_keys % pull_len[r_local].astype(np.uint64)[:, None])
         beta_cols = alpha_len[:, None] + np.arange(config.beta_count)[None, :]
         row_col = np.arange(r_local.size)[:, None]
-        rows[row_col, beta_cols] = e_id[pull_first[:, None] + picks.astype(np.int64)]
+        rows[row_col, beta_cols] = (
+            cells[pull_bounds[r_local][:, None] + picks.astype(np.int64)]
+            - (r_local * n)[:, None]
+        )
         lens = alpha_len + config.beta_count
 
         # γ: keyed picks among the non-empty samplers (start-of-round

@@ -180,6 +180,41 @@ def _flood_config() -> ShardConfig:
     return shard_config(topology, seed=23, protocol="brahms")
 
 
+@st.composite
+def _tiny_configs(draw):
+    """A random valid ``ShardConfig`` at N <= 40 and a shard count: any
+    α/β/γ split, up to N/2 Byzantine nodes, RAPTEE with no, fixed or
+    adaptive eviction, loss, sampler validation and push limits."""
+    n = draw(st.integers(3, 40))
+    view_size = draw(st.integers(2, n - 1))
+    alpha = draw(st.integers(1, view_size - 1))
+    beta = draw(st.integers(1, view_size - alpha))
+    gamma = draw(st.integers(0, view_size - alpha - beta))
+    n_byzantine = draw(st.integers(0, n // 2))
+    protocol = draw(st.sampled_from(["brahms", "raptee"]))
+    raptee = {}
+    if protocol == "raptee":
+        kind, params = draw(st.sampled_from([
+            ("none", ()), ("fixed", (0.4,)), ("fixed", (1.0,)),
+            ("adaptive", (0.2, 0.8, 0.2, 0.8)),
+            ("adaptive", (0.0, 0.5, 0.0, 1.0)),
+        ]))
+        raptee = {"n_trusted": draw(st.integers(0, n - n_byzantine)),
+                  "eviction_kind": kind, "eviction_params": params,
+                  "trusted_exchange": draw(st.booleans())}
+    config = ShardConfig(
+        protocol=protocol, n_nodes=n, seed=draw(st.integers(0, 2 ** 16)),
+        n_byzantine=n_byzantine, view_size=view_size,
+        sample_size=draw(st.integers(1, 6)), alpha_count=alpha,
+        beta_count=beta, gamma_count=gamma,
+        blocking_enabled=draw(st.booleans()),
+        validation_period=draw(st.sampled_from([0, 1, 2])),
+        push_limit=draw(st.one_of(st.none(), st.integers(1, 4))),
+        loss_rate=draw(st.sampled_from([0.0, 0.1, 0.3])), **raptee,
+    )
+    return config, draw(st.integers(1, 4))
+
+
 def _recorded_deltas(monkeypatch, config, use_numpy, rounds=6, shards=3):
     """Run ``rounds`` rounds and return every ``apply_partition`` delta in
     canonical form, per (round, partition).  Records at the
@@ -266,6 +301,65 @@ class TestSegmentKernel:
         odd = _recorded_deltas(monkeypatch, config, use_numpy=True)
         assert tiny == whole
         assert odd == whole
+
+        # ~5-owner blocks: some start inside the trusted band and end past
+        # it, so the eviction prefix is strict and non-empty.
+        real_block = engine._apply_block_numpy
+        spans = []
+
+        def recording_block(config, state, round_no, node_a, node_b, *rest):
+            spans.append((node_a, node_b))
+            return real_block(config, state, round_no, node_a, node_b, *rest)
+
+        monkeypatch.setattr(engine, "_apply_block_numpy", recording_block)
+        monkeypatch.setattr(engine, "_BLOCK_ELEMENTS",
+                            5 * (config.n_nodes + 4 * config.view_size))
+        banded = _recorded_deltas(monkeypatch, config, use_numpy=True)
+        t_hi = config.n_byzantine + config.n_trusted
+        assert config.eviction_kind == "adaptive"
+        assert any(a < t_hi < b for a, b in spans), sorted(set(spans))
+        assert banded == whole
+
+    def test_a_ledger_partition_is_one_block(self, monkeypatch):
+        """The `shard-raptee-1k` shape (N = 1,000, l1 = 20, shards = 4):
+        :data:`_BLOCK_ELEMENTS` covers a whole partition, so each apply
+        runs one block, as the constant's comment says."""
+        from repro.shard import ShardSimulation, engine
+
+        topology = {"n_nodes": 1000, "byzantine_fraction": 0.1,
+                    "trusted_fraction": 0.01, "view_ratio": 0.02,
+                    "transport_encryption": True}
+        config = shard_config(topology, seed=14000, protocol="raptee")
+        assert config.view_size == 20
+        real_blocks = engine._owner_blocks
+        cuts = []
+
+        def recording_blocks(cost, budget):
+            cuts.append(real_blocks(cost, budget))
+            return cuts[-1]
+
+        monkeypatch.setattr(engine, "_owner_blocks", recording_blocks)
+        ShardSimulation(config, shards=4).run(3)
+        assert len(cuts) == 3 * 4
+        assert all(len(blocks) == 1 for blocks in cuts), cuts
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_tiny_configs())
+    def test_numpy_matches_pure_on_random_configs(self, case):
+        """Four rounds of a random tiny config on both backends: the same
+        final views and the same sampler ids."""
+        from repro.shard import ShardSimulation
+
+        config, shards = case
+        runs = [ShardSimulation(config, shards=shards, use_numpy=use_numpy)
+                for use_numpy in (True, False)]
+        for simulation in runs:
+            simulation.run(4)
+        vector, scalar = runs
+        assert vector.final_views() == scalar.final_views()
+        for node in range(config.n_byzantine, config.n_nodes):
+            assert (vector.state.sample_ids(node)
+                    == scalar.state.sample_ids(node)), node
 
     def test_feed_tile_size_is_invisible(self, monkeypatch):
         from repro.shard import engine
