@@ -138,11 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "or the event-driven engine (repro.events)")
     run_parser.add_argument("--shards", type=int, default=None, metavar="N",
                             help="run on the sharded batch engine "
-                                 "(repro.shard) with N partitions; output is "
-                                 "byte-identical for any N")
+                                 "(repro.shard) with at most N partitions "
+                                 "(--shard-workers cuts min(N, W)); output "
+                                 "is byte-identical for any N")
     run_parser.add_argument("--shard-workers", type=int, default=1, metavar="W",
-                            help="threads for the shard partition phases "
-                                 "(default 1 = inline)")
+                            help="threads for the shard partition phases, one "
+                                 "partition each (default 1 = inline, one "
+                                 "partition)")
     run_parser.add_argument("--loss", type=float, default=0.0,
                             help="uniform message loss rate")
     run_parser.add_argument("--latency-model", default=None, metavar="SPEC",

@@ -108,8 +108,8 @@ def compile_spec(spec: ScenarioSpec, workers: int = 1):
 
 def shard_simulation_from_spec(spec: ScenarioSpec, workers: int = 1):
     """Compile a ``kind='shard'`` spec into a ready
-    :class:`~repro.shard.engine.ShardSimulation` (partition count comes
-    from ``spec.engine.shards``).  Raises
+    :class:`~repro.shard.engine.ShardSimulation` (``min(spec.engine.shards,
+    workers)`` partitions).  Raises
     :class:`~repro.shard.compile.ShardUnsupportedError` for features the
     batch engine does not model."""
     from repro.shard.compile import shard_config_from_spec

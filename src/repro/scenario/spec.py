@@ -258,11 +258,12 @@ class EngineSpec:
     JSON-typed data.  ``mode='barrier'`` is the lockstep round loop under
     the events kind: it compiles to no event engine, so it takes none of
     the clock knobs.  ``kind='shard'`` selects the bulk-synchronous
-    struct-of-arrays engine (:mod:`repro.shard`); ``shards`` partitions
-    the population — a pure performance knob, since the shard engine's
-    ordering barrier makes every output byte-identical across shard
-    counts (``shards`` is only meaningful there and must stay 1 for the
-    other kinds).
+    struct-of-arrays engine (:mod:`repro.shard`); ``shards`` caps the
+    partitions of the population, which the run's worker count cuts
+    (``min(shards, workers)``, so an inline run is one partition) — a pure
+    performance knob, since the shard engine's ordering barrier makes
+    every output byte-identical across shard counts (``shards`` is only
+    meaningful there and must stay 1 for the other kinds).
     """
 
     kind: str = "rounds"

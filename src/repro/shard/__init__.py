@@ -5,8 +5,9 @@ The per-node engines keep one Python object per node and one callback per
 message — the right shape for protocol fidelity, the wrong one for
 N = 10,000.  This package stores the whole population as struct-of-arrays
 (:mod:`repro.shard.state`), batches each round's push/pull traffic per
-partition (:mod:`repro.shard.engine`), and runs partitions on threads over
-that one shared state (:mod:`repro.shard.pool`) — the process pool of the
+partition (:mod:`repro.shard.engine`), and runs one partition per worker
+thread over that one shared state (:mod:`repro.shard.pool`; ``shards``
+caps the partitions, so an inline run is one) — the process pool of the
 experiment sweeps is not involved.  A deterministic cross-shard ordering
 barrier — a stable ``(round, src, dst, seq)`` sort over the merged message
 stream — makes every run byte-identical regardless of shard count, worker

@@ -20,9 +20,13 @@ One round is three phases, each a pure function of start-of-round state:
    view renewal, writing *new* state that becomes visible only at the next
    round.
 
+A partition is one worker's share: the driver cuts ``min(shards,
+workers)`` of them, so an inline round runs each phase once over the whole
+population.
+
 Deliberate, documented differences from the legacy object engine (the
-shard engine has its own differential suite — shards=1 vs shards=4 must be
-byte-identical; it does not reproduce legacy byte streams):
+shard engine has its own differential suite — one partition vs four must
+be byte-identical; it does not reproduce legacy byte streams):
 
 * Trusted swaps never mutate a view mid-round; both halves of a swap land
   in the pulled pool and take effect at renewal (BSP discipline).
@@ -38,7 +42,8 @@ byte-identical; it does not reproduce legacy byte streams):
   any shard count agree exactly.
 * System discovery counts what a node *observed* — its ``known`` row
   (pushed and pulled ids, after eviction) plus itself; the per-node
-  engines also count the bootstrap view and evicted ids.  The metric
+  engines also count the bootstrap view and evicted ids
+  (``tests/test_shard_engine.py::TestDiscoveryCounting`` pins this).  The metric
   definitions themselves are :mod:`repro.analysis.metrics`' on every engine.
 
 Backend strategy: the pure-Python paths are the readable reference, run
@@ -52,19 +57,20 @@ loop.  Data layout of a numpy round:
   matrices (Brahms is the pull pair of the same masks);
 * **barrier** concatenates them and sorts the pushes once (one packed
   ``(src, dst, seq)`` key);
-* **apply** is a segment kernel over flat ``(owner, id)`` arrays: pulled
-  batches are gathered as a ``[batches, l1]`` view-matrix slice in stream
+* **apply** is a segment kernel over flat ``(owner, id)`` arrays, run in
+  owner blocks under :data:`_BLOCK_ELEMENTS` cut from per-owner batch
+  counts read off the session masks.  Each block builds its own pulled
+  batches, gathered as a ``[batches, l1]`` view-matrix slice in stream
   order and turned, in place, into one column of flat cells
   ``(owner − node_a) · N + id`` — owner-ascending, so one ``searchsorted``
   gives each owner's segment, the trusted owners' eviction runs over a
   prefix, and the cells index the marks directly.  Novelty and per-owner
   uniqueness fall out of one dense ``[owners, N]`` mark-and-scan against
   unpacked ``known`` rows, keyed subsets are a per-segment keyed rank,
-  and the delta comes back as arrays (fresh ids as packed rows) that
-  ``_integrate`` writes once per field.
-  Owners are processed in blocks under :data:`_BLOCK_ELEMENTS`, and fresh
-  ``(owner, id)`` pairs never leave their block, so no array grows with
-  the round-1 flood.
+  and each block's delta comes back as arrays (fresh ids as packed rows)
+  that ``_integrate`` writes a block at a time.  No per-batch array spans
+  more than a block, and fresh ``(owner, id)`` pairs never leave their
+  block, so no array grows with the population or the round-1 flood.
 * the **sampler feed** closes each owner block: the ``[fresh, l2]``
   min-wise hash matrix of the block's fresh pairs, min-reduced per owner
   segment, in one of two forms chosen per owner by segment size.  An
@@ -625,12 +631,27 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
 # -- apply phase --------------------------------------------------------------
 
 
+class BlockDelta(NamedTuple):
+    """One owner block's writes on the numpy backend, for owners
+    ``[node_a, node_a + len(known_bits))``."""
+
+    node_a: int
+    #: (nodes[r], rows[r, l1] padded with -1, lens[r]); None if none renewed.
+    views: Optional[Tuple]
+    #: flat (node, sampler index, packed value) triples; None if none improved.
+    samples: Optional[Tuple]
+    #: the fresh ids, one packed row per owner (uint8, the layout of
+    #: ``ShardState.known``).
+    known_bits: np.ndarray
+
+
 @dataclass
 class PartitionDelta:
     """State changes computed by one partition's apply pass.
 
-    The pure backend fills the per-node lists; the numpy backend the
-    ``*_arrays`` and ``known_bits``, which ``_integrate`` writes once each.
+    The pure backend fills the per-node lists; the numpy backend appends
+    one :class:`BlockDelta` per owner block, which ``_integrate`` writes a
+    block at a time.
     """
 
     lo: int
@@ -641,13 +662,7 @@ class PartitionDelta:
         default_factory=list
     )
     known_additions: List[Tuple[int, Sequence[int]]] = field(default_factory=list)
-    #: numpy: (nodes[r], rows[r, l1] padded with -1, lens[r]).
-    view_arrays: Optional[Tuple] = None
-    #: numpy: flat (node, sampler index, packed value) triples.
-    samp_arrays: Optional[Tuple] = None
-    #: numpy: the fresh ids of owners ``[max(lo, n_byzantine), hi)``, one
-    #: packed row each (uint8, the layout of ``ShardState.known``).
-    known_bits: Optional[np.ndarray] = None
+    blocks: List[BlockDelta] = field(default_factory=list)
     samp_resets: List[Tuple[int, int, int, int, int]] = field(default_factory=list)
     renewals: int = 0
     blocked: int = 0
@@ -826,15 +841,19 @@ def _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
 
 #: Element budget for the segment kernel's per-block temporaries: owners
 #: are processed in blocks whose gathered ``[batches, l1]`` cells plus
-#: dense ``[owners, N]`` marks stay under it, so one block covers a whole
-#: N = 1,000 partition (250 owners at l1 = 20: ~290 k elements).  On a
-#: 2-vCPU Xeon @ 2.1 GHz, 2^18 / 2^19 / 2^20 / 2^21 gave `shard-raptee-1k`
+#: dense ``[owners, N]`` marks stay under it, so an N = 1,000 population
+#: (900 correct owners at l1 = 20, ~1.1 k elements each), one partition
+#: inline, is two blocks.  On a 2-vCPU Xeon @ 2.1 GHz, with four
+#: partitions a round, 2^18 / 2^19 / 2^20 / 2^21 gave `shard-raptee-1k`
 #: `run_s` 0.312 / 0.269 / 0.270 / 0.272 s and `shard-brahms-4k` 1.81 /
 #: 1.78 / 1.79 / 1.89 s (medians of six round-robin ledger runs), the
 #: latter peaking at 91 / 96 / 104 / 128 MiB; the N = 10,000 apply phase
 #: (round 5, shards = 4) took 2.39 / 2.26 / 2.02 / 2.37 s (medians of 12
 #: interleaved runs on one frozen state).  Past 2^19 the saved numpy calls
 #: stop paying for the spilled cache and round 1's larger fresh blocks.
+#: With one partition, the N = 1,000 apply (one frozen round, best of
+#: 300) took ~6.3 / 5.3 / 5.2 ms at 2^18 / 2^19 / 2^20: one block instead
+#: of two saves nothing measurable, and 2^20 costs the 4k workload RSS.
 _BLOCK_ELEMENTS = 1 << 19
 #: Elements of one sampler-feed tile (``tile // l2`` rows of the
 #: ``[fresh, l2]`` hash matrix).  The feed makes a dozen elementwise
@@ -900,8 +919,40 @@ def _keyed_keep_numpy(config: ShardConfig, round_no: int, purpose: int,
     return rank < keep
 
 
-def _pulled_batches_numpy(sess: SessionArrays, base: int, hi: int):
-    """The pulled batches owed to owners in ``[base, hi)``, in stream order.
+def _callee_effects(sess: SessionArrays, base: int, hi: int) -> Tuple:
+    """The callee-side swap effects owed to owners in ``[base, hi)`` as
+    ``(owner, caller, slot)`` columns in ``(owner, caller, k)`` order: one
+    ``nonzero`` over the round's (sparse) effect mask, sorted by owner."""
+    e_row, e_slot = np.nonzero(sess.callee_effect)
+    e_owner = sess.dst[e_row, e_slot]
+    mine = np.flatnonzero((e_owner >= base) & (e_owner < hi))
+    order = mine[np.argsort(e_owner[mine], kind="stable")]
+    return e_owner[order], sess.src[e_row[order]], e_slot[order]
+
+
+def _batch_counts(sess: SessionArrays, effects: Tuple, base: int, hi: int):
+    """Per owner in ``[base, hi)``, straight from the session masks: the
+    pulled batches, the ``contacts`` and ``trusted_contacts`` eviction
+    counts, and the number of completed caller swaps in the range."""
+    span = hi - base
+    first, last = np.searchsorted(sess.src, (base, hi))
+    local = sess.src[first:last] - base
+    answered, trusted, swapped = (
+        np.zeros(span, dtype=np.int64) for _ in range(3)
+    )
+    answered[local] = np.count_nonzero(sess.answered[first:last], axis=1)
+    trusted[local] = np.count_nonzero(sess.trusted_batch[first:last], axis=1)
+    swapped[local] = np.count_nonzero(sess.caller_swap[first:last], axis=1)
+    callee = np.bincount(effects[0] - base, minlength=span)
+    contacts = answered + callee
+    return contacts + swapped, contacts, trusted + callee, int(swapped.sum())
+
+
+def _pulled_batches_numpy(sess: SessionArrays, effects: Tuple, node_a: int,
+                          node_b: int):
+    """The pulled batches owed to owners in ``[node_a, node_b)``, in
+    stream order (``effects`` is `_callee_effects` of a range covering
+    them).
 
     Returns parallel per-batch columns ``(owner, peer, slot, trusted)`` —
     ``peer`` is the node whose view the batch carries (a Byzantine peer
@@ -909,42 +960,33 @@ def _pulled_batches_numpy(sess: SessionArrays, base: int, hi: int):
     per owner, in the order `_apply_nodes_pure` streams them: trusted
     batches first (pull answers by slot with the caller half of a swap
     right behind its answer, then callee-side swap effects in (caller, k)
-    order), untrusted answers by slot after them.  Also returns per-owner
-    ``contacts`` / ``trusted_contacts`` counts and the number of completed
-    caller swaps.
+    order), untrusted answers by slot after them.
     """
-    span = hi - base
-    first, last = np.searchsorted(sess.src, (base, hi))
+    first, last = np.searchsorted(sess.src, (node_a, node_b))
     src, dst = sess.src[first:last], sess.dst[first:last]
     a_row, a_slot = np.nonzero(sess.answered[first:last])
     a_trusted = sess.trusted_batch[first:last][a_row, a_slot]
     c_row, c_slot = np.nonzero(sess.caller_swap[first:last])
-    e_row, e_slot = np.nonzero(
-        sess.callee_effect & (sess.dst >= base) & (sess.dst < hi)
-    )
-    e_owner = sess.dst[e_row, e_slot]
+    e_first, e_last = np.searchsorted(effects[0], (node_a, node_b))
+    e_owner, e_peer, e_slot = (column[e_first:e_last] for column in effects)
     owner = np.concatenate([src[a_row], src[c_row], e_owner])
-    peer = np.concatenate([dst[a_row, a_slot], dst[c_row, c_slot], sess.src[e_row]])
+    peer = np.concatenate([dst[a_row, a_slot], dst[c_row, c_slot], e_peer])
     slot = np.concatenate([a_slot, c_slot, e_slot])
     trusted = np.concatenate([
-        a_trusted, np.ones(c_row.size + e_row.size, dtype=bool),
+        a_trusted, np.ones(c_row.size + e_owner.size, dtype=bool),
     ])
     group = np.concatenate([
         np.where(a_trusted, 0, 2), np.zeros(c_row.size, dtype=np.int64),
-        np.ones(e_row.size, dtype=np.int64),
+        np.ones(e_owner.size, dtype=np.int64),
     ])
     within = np.concatenate([
-        2 * a_slot, 2 * c_slot + 1, np.arange(e_row.size, dtype=np.int64),
+        2 * a_slot, 2 * c_slot + 1, np.arange(e_owner.size, dtype=np.int64),
     ])
-    order = np.lexsort((within, group, owner))
-    a_local = src[a_row] - base
-    callee_swaps = np.bincount(e_owner - base, minlength=span)
-    contacts = np.bincount(a_local, minlength=span) + callee_swaps
-    trusted_contacts = (
-        np.bincount(a_local[a_trusted], minlength=span) + callee_swaps
-    )
-    return ((owner[order], peer[order], slot[order], trusted[order]),
-            contacts, trusted_contacts, int(c_row.size))
+    # One packed (owner, group, within) key: unique per batch, so any sort
+    # yields the one stream order.
+    width = int(within.max(initial=0)) + 1
+    order = np.argsort(((owner - node_a) * 3 + group) * width + within)
+    return owner[order], peer[order], slot[order], trusted[order]
 
 
 def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
@@ -954,43 +996,33 @@ def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
     in the same element order, and every keyed draw uses the same
     coordinates.  Dead owners need no filter: nothing is delivered to, and
     no session starts from, a node that was dead at the start of the round.
+
+    Owner blocks are cut from per-owner batch counts read off the session
+    masks, and each block gathers its own pulled batches, so no per-batch
+    array spans the partition.
     """
     base = max(lo, config.n_byzantine)
     if base >= hi:
         return
-    batches, contacts, trusted_contacts, delta.trusted_exchanges = (
-        _pulled_batches_numpy(barrier.sess_arrays, base, hi)
+    sess = barrier.sess_arrays
+    effects = _callee_effects(sess, base, hi)
+    batch_count, contacts, trusted_contacts, delta.trusted_exchanges = (
+        _batch_counts(sess, effects, base, hi)
     )
-    batch_end = np.searchsorted(batches[0], np.arange(base, hi) + 1)
-    batch_count = np.diff(batch_end, prepend=0)
     cost = batch_count * config.view_size + config.n_nodes
-    views, samples, known = [], [], []
     for a, b in _owner_blocks(cost, _BLOCK_ELEMENTS):
-        first = int(batch_end[a - 1]) if a else 0
-        block = tuple(column[first:int(batch_end[b - 1])] for column in batches)
+        node_a, node_b = base + a, base + b
         renewed, bits, fresh = _apply_block_numpy(
-            config, state, round_no, base + a, base + b, barrier.push_by_dst,
-            block, contacts[a:b], trusted_contacts[a:b], delta,
+            config, state, round_no, node_a, node_b, barrier.push_by_dst,
+            _pulled_batches_numpy(sess, effects, node_a, node_b),
+            contacts[a:b], trusted_contacts[a:b], delta,
         )
-        if renewed is not None:
-            views.append(renewed)
-        known.append(bits)
-        if fresh[1].size:
-            samples.append(_sampler_feed_numpy(state, base + a, base + b, *fresh))
+        samples = (_sampler_feed_numpy(state, node_a, node_b, *fresh)
+                   if fresh[1].size else None)
+        delta.blocks.append(BlockDelta(node_a, renewed, samples, bits))
         if validate:
-            _validate_block_numpy(config, state, round_no, base + a, base + b,
+            _validate_block_numpy(config, state, round_no, node_a, node_b,
                                   fresh, delta)
-    delta.view_arrays = _concat_columns(views)
-    delta.samp_arrays = _concat_columns(samples)
-    delta.known_bits = np.concatenate(known)
-
-
-def _concat_columns(blocks: List[Tuple]) -> Optional[Tuple]:
-    """Per-block tuples of parallel arrays → one tuple (None if no block
-    produced any)."""
-    if len(blocks) <= 1:
-        return blocks[0] if blocks else None
-    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
@@ -1383,11 +1415,13 @@ def _adversary_assignment(config: ShardConfig, alive, round_no: int) -> Tuple:
 class ShardSimulation:
     """Drives :class:`ShardState` through bulk-synchronous rounds.
 
-    ``shards`` controls partitioning, ``workers`` how many threads run the
-    partition phases over the shared state (``1`` → inline; see
-    :mod:`repro.shard.pool`).  Both are *performance* knobs: the barrier
-    makes every output byte-identical across any combination — that is the
-    property the shard differential suite pins.
+    ``workers`` threads run the partition phases over the shared state
+    (``1`` → inline; see :mod:`repro.shard.pool`) and the population is
+    cut into ``min(shards, workers)`` partitions: ``shards`` is a cap, and
+    a partition exists only to be handed to a worker, so an inline round
+    plans and applies the population once.  Both are *performance* knobs:
+    the barrier makes every output byte-identical across any combination —
+    that is the property the shard differential suite pins.
     """
 
     def __init__(
@@ -1410,7 +1444,7 @@ class ShardSimulation:
         self.round_number = 0
         self.telemetry = telemetry
         self.trace_records: List[Dict[str, object]] = []
-        self._bounds = partition_bounds(config.n_nodes, shards)
+        self._bounds = partition_bounds(config.n_nodes, min(shards, workers))
         # What the paper's metrics are read from, per correct node: each
         # round's Byzantine view shares (NaN while the node is down) and
         # the round it discovered the system.
@@ -1456,8 +1490,9 @@ class ShardSimulation:
             self.telemetry.begin_round(round_no)
         self._apply_crash_schedule()
         eff_loss = self._effective_loss()
-        plans = self._run_plans(round_no, eff_loss)
-        barrier = merge_plans(plans, self.state.use_numpy)
+        # The barrier copies what it keeps of the plans, so they go here.
+        barrier = merge_plans(self._run_plans(round_no, eff_loss),
+                              self.state.use_numpy)
         self._record_barrier(round_no, barrier)
         deltas = self._run_applies(round_no, barrier)
         self._integrate(deltas)
@@ -1503,16 +1538,16 @@ class ShardSimulation:
                     state.samp_best[node][j] = value
             for node, fresh in delta.known_additions:
                 state.known[node].update(fresh)
-            if delta.view_arrays is not None:
-                nodes, rows, lens = delta.view_arrays
-                state.view[nodes] = rows
-                state.view_len[nodes] = lens
-            if delta.samp_arrays is not None:
-                nodes, slots, packed = delta.samp_arrays
-                state.samp_best[nodes, slots] = packed
-            if delta.known_bits is not None:
-                bits = delta.known_bits
-                state.known[delta.hi - len(bits):delta.hi] |= bits
+            for block in delta.blocks:
+                if block.views is not None:
+                    nodes, rows, lens = block.views
+                    state.view[nodes] = rows
+                    state.view_len[nodes] = lens
+                if block.samples is not None:
+                    nodes, slots, packed = block.samples
+                    state.samp_best[nodes, slots] = packed
+                bits = block.known_bits
+                state.known[block.node_a:block.node_a + len(bits)] |= bits
             # After the feeds: a reset replaces whatever its sampler held.
             for node, j, new_a, new_b, packed in delta.samp_resets:
                 state.samp_a[node][j] = new_a

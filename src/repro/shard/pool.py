@@ -1,8 +1,10 @@
 """Partition dispatch for the sharded engine.
 
 Partitions are the tasks, :func:`~repro.shard.engine.plan_partition` /
-:func:`~repro.shard.engine.apply_partition` the function.  ``workers <= 1``
-runs them inline in partition order (the default); more workers run them on
+:func:`~repro.shard.engine.apply_partition` the function.  The engine cuts
+``min(shards, workers)`` partitions — ``shards`` is a cap, and a partition
+exists only to be handed to a worker — so ``workers = 1`` (the default)
+is one inline task a phase, and more workers run one partition each on
 threads over the one in-process :class:`~repro.shard.state.ShardState` —
 nothing is pickled, nothing copied, and no worker outlives the call.
 
@@ -15,8 +17,9 @@ every partition finished.
 Threads overlap only where the interpreter lock is released, i.e. inside
 numpy's kernels: the numpy backend gains with population size (N = 1,000
 partitions are still mostly lock-bound, N >= 4,000 ones are not); the pure
-backend gains nothing from ``workers > 1``.  Either way the barrier makes
-the output byte-identical.
+backend gains nothing from ``workers > 1``.  Inline, more partitions would
+only repeat each phase's fixed numpy-call cost.  Either way the barrier
+makes the output byte-identical.
 """
 
 from __future__ import annotations

@@ -187,20 +187,21 @@ class ShardConfig:
 
     def eviction_rates(self, trusted_shares):
         """:meth:`eviction_rate` over a float64 array — the same float
-        operations in the same order as the policies' scalar ``rate``, so
-        every rate is bit-identical (``tests/test_shard_engine.py``)."""
+        operations in the same order as the policies' scalar ``rate``, and
+        the line only where the scalar rule takes it (strictly between the
+        anchors), so every rate is bit-identical
+        (``tests/test_shard_engine.py``)."""
         if self.eviction_kind == "fixed":
             return np.full(trusted_shares.shape, self.eviction_params[0])
         if self.eviction_kind == "adaptive":
             low_share, high_share, low_rate, high_rate = self.eviction_params
-            slope = (low_rate - high_rate) / (high_share - low_share)
-            return np.where(
-                trusted_shares <= low_share, high_rate,
-                np.where(
-                    trusted_shares >= high_share, low_rate,
-                    high_rate + slope * (trusted_shares - low_share),
-                ),
-            )
+            rates = np.full(trusted_shares.shape, float(low_rate))
+            rates[trusted_shares <= low_share] = high_rate
+            inside = (trusted_shares > low_share) & (trusted_shares < high_share)
+            if inside.any():
+                slope = (low_rate - high_rate) / (high_share - low_share)
+                rates[inside] = high_rate + slope * (trusted_shares[inside] - low_share)
+            return rates
         return np.zeros(trusted_shares.shape)
 
 

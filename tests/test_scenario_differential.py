@@ -231,7 +231,7 @@ class TestShardSpecsTakeTheSameRoad:
 
     def test_sections_ignore_shard_and_worker_counts(self):
         runs = []
-        for shards, workers in ((1, 1), (4, 1), (3, 2)):
+        for shards, workers in ((1, 1), (4, 4), (3, 2)):
             sections = artifact_sections(
                 run_scenario(_shard_spec(shards), workers=workers)
             )

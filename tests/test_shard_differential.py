@@ -170,12 +170,14 @@ SCENARIOS = {
 
 #: ``(scenario, shards, workers, use_numpy)`` rows of the retired CI matrix
 #: that the three generic tests below do not run: workers >= shards, and
-#: the pure backend on threads or at another shard count.
+#: the pure backend on threads or at another shard count.  A run cuts
+#: ``min(shards, workers)`` partitions, so a row that compares shard
+#: counts passes ``workers = shards``; 4/2 and 7/2 cut two.
 EXTRA_ROWS = [
     (name, shards, workers, use_numpy)
     for name in ("raptee-few-trusted", "raptee-many-trusted")
     for shards, workers, use_numpy in ((4, 4, True), (7, 2, False))
-] + [("brahms-flood", 4, 2, True), ("brahms-flood", 3, 1, False)]
+] + [("brahms-flood", 4, 2, True), ("brahms-flood", 3, 3, False)]
 
 
 def _assert_identical(probe: ScenarioArtifacts, baseline: ScenarioArtifacts,
@@ -205,8 +207,9 @@ class TestShardCountInvariance:
     def test_shards_are_byte_invisible(self, baseline, shards):
         name, rounds, reference = baseline
         build, _ = SCENARIOS[name]
+        # Workers cut the partitions: inline, any shard count is one.
         probe = run_shard_config(build(), rounds=rounds, shards=shards,
-                            trace_messages=True)
+                                 workers=shards, trace_messages=True)
         _assert_identical(probe, reference, f"{name} shards={shards}")
 
     def test_workers_are_byte_invisible(self, baseline):
@@ -219,8 +222,8 @@ class TestShardCountInvariance:
     def test_pure_backend_matches_numpy(self, baseline):
         name, rounds, reference = baseline
         build, _ = SCENARIOS[name]
-        probe = run_shard_config(build(), rounds=rounds, shards=2, use_numpy=False,
-                            trace_messages=True)
+        probe = run_shard_config(build(), rounds=rounds, shards=2, workers=2,
+                                 use_numpy=False, trace_messages=True)
         _assert_identical(probe, reference, f"{name} pure backend")
 
 
@@ -262,7 +265,8 @@ class TestEdgeScenariosBite:
 
     def _state(self, name, shards=1):
         build, rounds = SCENARIOS[name]
-        return run_shard_config(build(), rounds=rounds, shards=shards).bundle
+        return run_shard_config(build(), rounds=rounds, shards=shards,
+                                workers=shards).bundle
 
     def test_byzantine_only_partition_exists(self):
         build, _ = SCENARIOS["byzantine-only-partition"]
@@ -271,7 +275,9 @@ class TestEdgeScenariosBite:
 
         lo, hi = partition_bounds(config.n_nodes, 7)[0]
         assert hi <= config.n_byzantine
-        assert self._state("byzantine-only-partition", shards=7).state.renewals > 0
+        simulation = self._state("byzantine-only-partition", shards=7)
+        assert simulation._bounds[0] == (lo, hi)
+        assert simulation.state.renewals > 0
 
     def test_no_byzantine_still_evicts_and_swaps(self):
         simulation = self._state("no-byzantine")
@@ -361,7 +367,7 @@ class TestPaperScale:
                     "view_ratio": 0.05, "loss_rate": 0.01}
         config = shard_config(topology, seed=1, protocol="brahms")
         reference = run_shard_config(config, rounds=3, shards=1)
-        probe = run_shard_config(config, rounds=3, shards=8)
+        probe = run_shard_config(config, rounds=3, shards=8, workers=8)
         _assert_identical(probe, reference, "n=400 shards=8")
 
     @pytest.mark.skipif(

@@ -182,9 +182,10 @@ def _flood_config() -> ShardConfig:
 
 @st.composite
 def _tiny_configs(draw):
-    """A random valid ``ShardConfig`` at N <= 40 and a shard count: any
-    α/β/γ split, up to N/2 Byzantine nodes, RAPTEE with no, fixed or
-    adaptive eviction, loss, sampler validation and push limits."""
+    """A random valid ``ShardConfig`` at N <= 40, a shard count and a
+    worker count (together, the partition count): any α/β/γ split, up to
+    N/2 Byzantine nodes, RAPTEE with no, fixed or adaptive eviction, loss,
+    sampler validation and push limits."""
     n = draw(st.integers(3, 40))
     view_size = draw(st.integers(2, n - 1))
     alpha = draw(st.integers(1, view_size - 1))
@@ -212,14 +213,16 @@ def _tiny_configs(draw):
         push_limit=draw(st.one_of(st.none(), st.integers(1, 4))),
         loss_rate=draw(st.sampled_from([0.0, 0.1, 0.3])), **raptee,
     )
-    return config, draw(st.integers(1, 4))
+    return config, draw(st.integers(1, 4)), draw(st.integers(1, 4))
 
 
-def _recorded_deltas(monkeypatch, config, use_numpy, rounds=6, shards=3):
+def _recorded_deltas(monkeypatch, config, use_numpy, rounds=6, shards=3,
+                     workers=1):
     """Run ``rounds`` rounds and return every ``apply_partition`` delta in
     canonical form, per (round, partition).  Records at the
     ``map_partitions`` seam, so each delta is what the kernel computed from
-    that round's frozen state and barrier."""
+    that round's frozen state and barrier.  ``min(shards, workers)``
+    partitions: inline, the whole population is one."""
     from repro.shard import ShardSimulation, pool
     from repro.shard.engine import apply_partition
 
@@ -234,7 +237,8 @@ def _recorded_deltas(monkeypatch, config, use_numpy, rounds=6, shards=3):
 
     with monkeypatch.context() as patch:
         patch.setattr(pool, "map_partitions", recording_map)
-        ShardSimulation(config, shards=shards, use_numpy=use_numpy).run(rounds)
+        ShardSimulation(config, shards=shards, workers=workers,
+                        use_numpy=use_numpy).run(rounds)
     return recorded
 
 
@@ -247,18 +251,19 @@ def _canonical_delta(delta):
         for slot, value in zip(slots, values)
     }
     known = {(node, int(v)) for node, ids in delta.known_additions for v in ids}
-    if delta.view_arrays is not None:
-        nodes, rows, lens = delta.view_arrays
-        for node, row, length in zip(nodes.tolist(), rows.tolist(), lens.tolist()):
-            assert all(v == -1 for v in row[length:])
-            views[node] = row[:length]
-    if delta.samp_arrays is not None:
-        nodes, slots, packed = (column.tolist() for column in delta.samp_arrays)
-        samples.update(zip(zip(nodes, slots), packed))
-    if delta.known_bits is not None:
-        bits = delta.known_bits
+    for block in delta.blocks:
+        if block.views is not None:
+            nodes, rows, lens = block.views
+            for node, row, length in zip(nodes.tolist(), rows.tolist(),
+                                         lens.tolist()):
+                assert all(v == -1 for v in row[length:])
+                views[node] = row[:length]
+        if block.samples is not None:
+            nodes, slots, packed = (column.tolist() for column in block.samples)
+            samples.update(zip(zip(nodes, slots), packed))
+        bits = block.known_bits
         rows = known_ids(bits, 8 * bits.shape[1])
-        for owner, ids in enumerate(rows, start=delta.hi - len(rows)):
+        for owner, ids in enumerate(rows, start=block.node_a):
             known.update((owner, v) for v in ids)
     return {
         "bounds": (delta.lo, delta.hi),
@@ -274,8 +279,8 @@ def _canonical_delta(delta):
 class TestSegmentKernel:
     def test_deltas_match_pure_backend_field_by_field(self, monkeypatch):
         config = _kernel_config()
-        vector = _recorded_deltas(monkeypatch, config, use_numpy=True)
-        scalar = _recorded_deltas(monkeypatch, config, use_numpy=False)
+        vector = _recorded_deltas(monkeypatch, config, use_numpy=True, workers=3)
+        scalar = _recorded_deltas(monkeypatch, config, use_numpy=False, workers=3)
         assert len(vector) == len(scalar) == 6 * 3
         for got, expected in zip(vector, scalar):
             for name in expected:
@@ -320,10 +325,12 @@ class TestSegmentKernel:
         assert any(a < t_hi < b for a, b in spans), sorted(set(spans))
         assert banded == whole
 
-    def test_a_ledger_partition_is_one_block(self, monkeypatch):
-        """The `shard-raptee-1k` shape (N = 1,000, l1 = 20, shards = 4):
-        :data:`_BLOCK_ELEMENTS` covers a whole partition, so each apply
-        runs one block, as the constant's comment says."""
+    def test_the_ledger_population_is_one_partition_of_two_blocks(
+            self, monkeypatch):
+        """The `shard-raptee-1k` shape (N = 1,000, l1 = 20, shards = 4,
+        inline): the round applies one partition, which
+        :data:`_BLOCK_ELEMENTS` cuts into two owner blocks, as the
+        constant's comment says."""
         from repro.shard import ShardSimulation, engine
 
         topology = {"n_nodes": 1000, "byzantine_fraction": 0.1,
@@ -339,9 +346,11 @@ class TestSegmentKernel:
             return cuts[-1]
 
         monkeypatch.setattr(engine, "_owner_blocks", recording_blocks)
-        ShardSimulation(config, shards=4).run(3)
-        assert len(cuts) == 3 * 4
-        assert all(len(blocks) == 1 for blocks in cuts), cuts
+        simulation = ShardSimulation(config, shards=4)
+        assert simulation._bounds == [(0, config.n_nodes)]
+        simulation.run(3)
+        assert len(cuts) == 3
+        assert all(len(blocks) == 2 for blocks in cuts), cuts
 
     @settings(max_examples=80, deadline=None)
     @given(case=_tiny_configs())
@@ -350,8 +359,9 @@ class TestSegmentKernel:
         final views and the same sampler ids."""
         from repro.shard import ShardSimulation
 
-        config, shards = case
-        runs = [ShardSimulation(config, shards=shards, use_numpy=use_numpy)
+        config, shards, workers = case
+        runs = [ShardSimulation(config, shards=shards, workers=workers,
+                                use_numpy=use_numpy)
                 for use_numpy in (True, False)]
         for simulation in runs:
             simulation.run(4)
@@ -520,7 +530,8 @@ class TestSegmentKernel:
 
     def test_delta_does_not_grow_with_the_flood(self, monkeypatch):
         """A round-1 flood at N = 1,200 comes back as one packed row per
-        owner: no array of a delta is as long as its fresh-pair count."""
+        owner, in owner blocks that tile the partition: no array of a block
+        is as long as its fresh-pair count."""
         import numpy as np
 
         from repro.shard import ShardSimulation, pool
@@ -541,15 +552,19 @@ class TestSegmentKernel:
         monkeypatch.setattr(pool, "map_partitions", recording_map)
         ShardSimulation(config, shards=3).run(1)
         width = -(-config.n_nodes // 8)
+        assert deltas
         for delta in deltas:
-            base = max(delta.lo, config.n_byzantine)
-            bits = delta.known_bits
-            assert bits.dtype == np.uint8
-            assert bits.shape == (delta.hi - base, width)
-            fresh = int(np.bitwise_count(bits).sum())
-            assert fresh > 20 * (delta.hi - base)  # a flood, not a trickle
-            arrays = [bits, *(delta.view_arrays or ()), *(delta.samp_arrays or ())]
-            assert all(len(array) != fresh for array in arrays), fresh
+            starts = [block.node_a for block in delta.blocks]
+            ends = [block.node_a + len(block.known_bits) for block in delta.blocks]
+            assert starts[0] == max(delta.lo, config.n_byzantine)
+            assert starts[1:] == ends[:-1] and ends[-1] == delta.hi
+            for block in delta.blocks:
+                bits = block.known_bits
+                assert bits.dtype == np.uint8 and bits.shape[1] == width
+                fresh = int(np.bitwise_count(bits).sum())
+                assert fresh > 20 * len(bits)  # a flood, not a trickle
+                arrays = [bits, *(block.views or ()), *(block.samples or ())]
+                assert all(len(array) != fresh for array in arrays), fresh
 
     def test_packed_known_matches_the_pure_sets(self):
         """Node by node and round by round on a crash run whose sampler
@@ -623,6 +638,27 @@ class TestSegmentKernel:
             assert config.eviction_rates(shares).tolist() == expected
             assert [config.eviction_rate(share)
                     for share in shares.tolist()] == expected
+
+    def test_eviction_rates_evaluate_the_line_inside_its_interval_only(self):
+        """Anchors ``(0, 5e-324)`` make the slope −inf; the scalar rule
+        never computes it (no share lies strictly between), so the array
+        twin must not either — at a share on an anchor, −inf · 0 is a NaN
+        and an ``invalid value`` warning."""
+        import warnings
+
+        import numpy as np
+
+        from repro.core.eviction import AdaptiveEviction
+
+        policy = AdaptiveEviction(0.0, 5e-324, 0.0, 1.0)
+        kind, params = eviction_fields(policy)
+        config = _kernel_config(eviction_kind=kind, eviction_params=params)
+        shares = np.asarray([0.0, 5e-324, 1e-300, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = config.eviction_rates(shares).tolist()
+        assert rates == [policy.rate(share) for share in shares.tolist()]
+        assert rates == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def _saturated_brahms(seed: int, use_numpy: bool):
@@ -919,6 +955,58 @@ class TestPartitionDispatch:
         assert threaded.final_views == inline.final_views
         assert threaded.network_totals == inline.network_totals
         assert multiprocessing.active_children() == []
+
+
+class TestPartitionCount:
+    """``shards`` caps the partitions and ``workers`` cuts them: a round
+    maps ``min(shards, workers)`` partition tasks, so an inline round plans
+    and applies the population once."""
+
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "pure"])
+    @pytest.mark.parametrize("shards, workers", [
+        (1, 1), (4, 1), (4, 2), (3, 8), (7, 7),
+    ])
+    def test_one_partition_per_worker_up_to_shards(self, monkeypatch, shards,
+                                                   workers, use_numpy):
+        from repro.shard import ShardSimulation, pool
+
+        real_map = pool.map_partitions
+        counts = []
+
+        def counting_map(fn, tasks, workers):
+            counts.append(len(tasks))
+            return real_map(fn, tasks, workers)
+
+        monkeypatch.setattr(pool, "map_partitions", counting_map)
+        ShardSimulation(_kernel_config(), shards=shards, workers=workers,
+                        use_numpy=use_numpy).run(2)
+        assert counts == [min(shards, workers)] * 4
+
+
+class TestDiscoveryCounting:
+    def test_only_the_per_node_engines_count_the_bootstrap_view(self):
+        """A named modelling difference (DESIGN.md §8): discovery on the
+        per-node engines counts what a node *knows*, its bootstrap view
+        included; the shard engine counts what it *observed* in gossip.
+        Before any gossip, on one Brahms spec, every per-node
+        ``known_ids()`` is the node plus its l1 bootstrap ids, while every
+        shard ``known`` row is empty and `_known_poll` counts 0 (the shard
+        discovery count adds the node itself)."""
+        from repro.scenario import compile_spec, spec_from_dict
+
+        spec = {"name": "discovery-count", "protocol": "brahms", "seed": 5,
+                "rounds": 1, "adversary_strategy": "balanced",
+                "topology": {"n_nodes": 40, "byzantine_fraction": 0.10,
+                             "view_ratio": 0.20}}
+        per_node = compile_spec(spec_from_dict(spec)).simulation
+        shard = compile_spec(spec_from_dict({**spec, "engine": {"kind": "shard"}}))
+        correct = per_node.correct_nodes()
+        assert len(correct) == 36
+        for node in correct:
+            assert len(node.view_ids()) == shard.config.view_size == 8
+            assert set(node.known_ids()) == {node.node_id, *node.view_ids()}
+        assert not shard.state.known.any()
+        assert shard._known_poll().tolist() == [0] * 36
 
 
 class TestWorkersValidation:
