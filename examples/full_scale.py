@@ -5,9 +5,10 @@ This is the exact Grid'5000 setting of §V-B.  The measured cost on a stock
 CPython box is:
 
 * N = 500  (``--nodes 500``):   ~0.2 s per round — seconds per run;
-* N = 1,000, encrypted transport: seconds per round, about half of it
-  the AES-CTR transport even with a session's keystream computed in one
-  batched numpy pass — the layer the perf ledger prices as
+* N = 1,000, encrypted transport: encryption is accounted, not executed
+  (the adversary never reads the wire), so it costs one pickle per
+  request and reply to count the bytes AES-CTR would produce; the crypto
+  left in a round is the auth handshake, which the perf ledger prices as
   ``pernode-raptee-enc`` ``crypto.self_s`` (see BENCHMARK.json; run
   ``python benchmarks/ledger/run.py``);
 * N = 10,000 (the full paper scale): ~12 min per round, so one 200-round

@@ -7,7 +7,7 @@ samplers and a deterministic PRNG for reproducible simulation.
 """
 
 from repro.crypto.aes import AES128, BLOCK_SIZE
-from repro.crypto.ctr import AesCtr, NONCE_SIZE, keystream_rows
+from repro.crypto.ctr import AesCtr, NONCE_SIZE
 from repro.crypto.hashing import (
     concat_hash,
     constant_time_equal,
@@ -37,7 +37,6 @@ __all__ = [
     "BLOCK_SIZE",
     "AesCtr",
     "NONCE_SIZE",
-    "keystream_rows",
     "concat_hash",
     "constant_time_equal",
     "hkdf",

@@ -8,34 +8,26 @@ The S-box and its inverse are derived programmatically from the GF(2^8)
 multiplicative inverse and the FIPS-197 affine transform rather than being
 transcribed as literal tables, which makes the derivation itself testable.
 
-Three encryption paths coexist, one per calling pattern:
+Two encryption paths coexist:
 
 * the *reference* path — per-operation SubBytes/ShiftRows/MixColumns over
   the flat byte state, a readable transliteration of FIPS-197;
 * a *T-table* path — the classic software-AES optimisation that merges the
   three round operations into four 256-entry 32-bit word tables, derived
-  here from the same S-box and GF tables rather than transcribed;
-* a *batch* path — the same T-tables as one flat numpy array, applied to a
-  ``[B, 16]`` matrix of blocks at once.  A numpy pass costs ~100 µs
-  however few blocks it gets (about what seven blocks cost on the T-table
-  path), so it pays only where a caller has many blocks under one key.
+  here from the same S-box and GF tables rather than transcribed.
 
-``encrypt_block`` runs the T-table path, for the few-block callers (sealed
-storage, ``auth_mode="aes-ctr"`` proofs); ``encrypt_blocks`` is the batch
-path, reached through :func:`repro.crypto.ctr.keystream_rows` by the
-simulated wire (:mod:`repro.sim.network`), which needs a whole pull
-session's keystream under one pair key; ``_encrypt_block_reference`` stays
-as the FIPS-197 oracle the tests hold both of the others to
-(``tests/test_perf_kernels.py``, ``tests/test_crypto_aes.py``).
+``encrypt_block`` runs the T-table path, for every caller (sealed storage,
+``auth_mode="aes-ctr"`` proofs, through :class:`repro.crypto.ctr.AesCtr`);
+``_encrypt_block_reference`` stays as the FIPS-197 oracle the tests hold it
+to (``tests/test_perf_kernels.py``, ``tests/test_crypto_aes.py``).
 
 The expanded key is stored once per cipher, as the 176 bytes of FIPS-197's
-44 big-endian words: the batch path views them in place, the reference
-path slices them per call, and the T-table path unpacks them to Python ints
-the first time a cipher encrypts a single block.  Constructing a cipher
-leaves nothing behind in module state — callers that see the same key again
-keep the cipher (:class:`repro.crypto.ctr.AesCtr` for proof and sealing
-keys, ``Network._pair_ciphers`` for pair keys), so dropping it retires the
-key.
+44 big-endian words: the reference path slices them per call, and the
+T-table path unpacks them to Python ints the first time a cipher encrypts a
+block.  Constructing a cipher leaves nothing behind in module state —
+callers that see the same key again keep the cipher
+(:class:`repro.crypto.ctr.AesCtr` for proof and sealing keys), so dropping
+it retires the key.
 """
 
 from __future__ import annotations
@@ -43,8 +35,6 @@ from __future__ import annotations
 import struct
 from functools import cached_property
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 __all__ = ["AES128", "BLOCK_SIZE"]
 
@@ -149,22 +139,6 @@ def _build_t_tables() -> Tuple[Tuple[int, ...], ...]:
 
 _TE0, _TE1, _TE2, _TE3 = _build_t_tables()
 
-# The batch path's tables.  Column words are laid out big-endian in memory
-# (byte k of a word is state row k, as in the T-table path) and only ever
-# XORed, gathered or viewed as bytes, so what matters is their memory, never
-# their value: every word dtype is spelled with its byte order, and no
-# result depends on the host's.  "<u4" over that memory keeps the XORs
-# native on little-endian hosts.
-_TE_FLAT = np.array(_TE0 + _TE1 + _TE2 + _TE3, dtype=">u4").view("<u4")
-# State byte 4c + r (row r of column c) is looked up in table r.
-_TE_OFFSETS = np.tile(np.arange(4, dtype=np.uint16) * 256, 4)
-# ShiftRows as a gather over the flat column-major state: output byte
-# (row r, column c) is input byte (row r, column c + r).
-_SHIFT_ROWS = np.array(
-    [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)], dtype=np.intp
-)
-_SBOX_BYTES = np.array(SBOX, dtype=np.uint8)
-
 
 class AES128:
     """AES with a 128-bit key (10 rounds), FIPS-197 compliant.
@@ -209,9 +183,7 @@ class AES128:
 
     @cached_property
     def _round_words(self) -> List[Tuple[int, int, int, int]]:
-        """The schedule as Python ints (T-table path), unpacked on first use:
-        a cipher that only feeds the batch path — every transport pair
-        cipher — never builds it."""
+        """The schedule as Python ints (T-table path), unpacked on first use."""
         return list(struct.iter_unpack(">4I", self._schedule))
 
     # -- state helpers ----------------------------------------------------
@@ -328,40 +300,6 @@ class AES128:
         t3 = ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
               | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ rk[3]
         return ((t0 << 96) | (t1 << 64) | (t2 << 32) | t3).to_bytes(16, "big")
-
-    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Encrypt a ``[B, 16]`` uint8 matrix, one block per row (batch path).
-
-        The T-table round over all rows at once: the state is ``[B, 4]``
-        column words; per round one ShiftRows gather of its bytes, one
-        ``take`` from the flat table, three XORs folding each column's four
-        lookups and one with the round key.  The last round has no
-        MixColumns and goes through the S-box instead.
-        """
-        if blocks.dtype != np.uint8 or blocks.shape[1:] != (BLOCK_SIZE,):
-            raise ValueError(
-                f"blocks must be a [B, {BLOCK_SIZE}] uint8 matrix, got "
-                f"{blocks.dtype} {blocks.shape}"
-            )
-        round_keys = np.frombuffer(self._schedule, dtype="<u4").reshape(-1, 4)
-        # Every XOR writes into this one explicitly typed state: an array
-        # numpy allocates for a result comes back in the host's byte order,
-        # and the byte view below must not depend on it.
-        state = np.empty((len(blocks), 4), dtype="<u4")
-        state_bytes = state.view(np.uint8)
-        np.bitwise_xor(
-            np.ascontiguousarray(blocks).view("<u4"), round_keys[0], out=state
-        )
-        for round_key in round_keys[1 : self.ROUNDS]:
-            shifted = state_bytes.take(_SHIFT_ROWS, axis=1)
-            lookups = _TE_FLAT.take(shifted + _TE_OFFSETS).reshape(-1, 4, 4)
-            np.bitwise_xor(lookups[:, :, 0], lookups[:, :, 1], out=state)
-            state ^= lookups[:, :, 2]
-            state ^= lookups[:, :, 3]
-            state ^= round_key
-        last = _SBOX_BYTES.take(state_bytes.take(_SHIFT_ROWS, axis=1)).view("<u4")
-        np.bitwise_xor(last, round_keys[self.ROUNDS], out=state)
-        return state_bytes
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""

@@ -4,38 +4,27 @@ CTR turns the AES block cipher into a stream cipher: the keystream is the
 encryption of successive counter blocks (nonce || counter), XORed with the
 message.  Encryption and decryption are the same operation.
 
-Two entry points, one per calling pattern (see :mod:`repro.crypto.aes`):
-
-* :class:`AesCtr` — one message under one ``(key, nonce)``, block by block
-  on the T-table path.  Its callers (authentication proofs, sealed storage)
-  come back with the same few long-lived keys, so the constructor keeps the
-  expanded cipher per key.
-* :func:`keystream_rows` — the batch entry point: the keystream of several
-  *consecutive nonces* under one cipher in a single numpy pass.  The
-  keystream depends on ``(key, nonce, counter)`` only, so it may be computed
-  before the plaintext exists (NIST SP 800-38A §6.5); the simulated wire
-  uses that to read a whole session's keystream ahead.  Row ``i`` equals
-  ``AesCtr(key, first_nonce + i).keystream(16 * blocks)`` byte for byte.
+:class:`AesCtr` encrypts one message under one ``(key, nonce)``, block by
+block on the T-table path of :mod:`repro.crypto.aes`.  Its callers
+(``auth_mode="aes-ctr"`` proofs, sealed storage) come back with the same
+few long-lived keys, so the constructor keeps the expanded cipher per key.
+The simulated wire runs no cipher at all: it counts the bytes it would
+encrypt (:mod:`repro.sim.network`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from repro.crypto.aes import AES128, BLOCK_SIZE
 
-__all__ = ["AesCtr", "NONCE_SIZE", "keystream_rows"]
+__all__ = ["AesCtr", "NONCE_SIZE"]
 
 NONCE_SIZE = 8
 
-_NONCE_LIMIT = 1 << (8 * NONCE_SIZE)
-
 # One expansion per proof / sealing key instead of one per message: a node
 # proves with one key for its whole life.  Bounded, so adversarially many
-# distinct keys cannot grow it; transport pair keys never come through here
-# (the network owns its ciphers and drops them with the pair).
+# distinct keys cannot grow it.
 _cipher_for_key = lru_cache(maxsize=4096)(AES128)
 
 
@@ -78,30 +67,3 @@ class AesCtr:
 
     # CTR is an involution: decrypting is encrypting the ciphertext.
     decrypt = encrypt
-
-
-def keystream_rows(
-    cipher: AES128, first_nonce: int, rows: int, blocks: int
-) -> np.ndarray:
-    """Keystream for ``rows`` consecutive nonces, ``blocks`` blocks each.
-
-    Returns a ``[rows, 16 * blocks]`` uint8 matrix: row ``i`` is the
-    keystream of nonce ``first_nonce + i`` from block counter 0.  A nonce
-    that does not fit its 8 bytes raises :class:`OverflowError`, as
-    ``int.to_bytes(8, "big")`` does on the per-message path — CTR must
-    never wrap a nonce around.
-    """
-    if first_nonce < 0 or first_nonce + rows > _NONCE_LIMIT:
-        raise OverflowError(
-            f"nonces {first_nonce}..{first_nonce + rows - 1} do not fit "
-            f"{NONCE_SIZE} bytes"
-        )
-    counter_blocks = np.empty((rows, blocks, 2), dtype=">u8")
-    counter_blocks[:, :, 0] = (
-        np.uint64(first_nonce) + np.arange(rows, dtype=np.uint64)
-    )[:, None]
-    counter_blocks[:, :, 1] = np.arange(blocks, dtype=np.uint64)
-    keystream = cipher.encrypt_blocks(
-        counter_blocks.view(np.uint8).reshape(rows * blocks, BLOCK_SIZE)
-    )
-    return keystream.reshape(rows, blocks * BLOCK_SIZE)

@@ -2,7 +2,7 @@
 
 :class:`LatencyNetwork` sits between nodes and the existing
 :class:`~repro.sim.network.Network`.  All of that machinery — loss,
-reachability, per-message fault hooks, per-pair AES-CTR ciphers,
+reachability, per-message fault hooks, encrypted-byte accounting,
 push/pull statistics, telemetry counters — keeps working unchanged; the
 adapter only decides *when* the underlying delivery runs:
 

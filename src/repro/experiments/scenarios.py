@@ -84,9 +84,10 @@ class TopologySpec:
     poisoned_fraction: float = 0.0
     view_ratio: float = 0.06
     loss_rate: float = 0.0
-    #: AES-CTR-encrypt every payload under per-pair keys, as the deployed
-    #: system does (§III-B).  Off by default: it changes no protocol-visible
-    #: behaviour, and sweeps that don't measure the crypto path skip it.
+    #: Count every request and reply as AES-CTR-encrypted, as the deployed
+    #: system encrypts all pairwise traffic (§III-B); the adversary never
+    #: reads the wire, so nothing is ciphered (``repro.sim.network``).  Off
+    #: by default: it changes no protocol-visible behaviour.
     transport_encryption: bool = False
 
     def __post_init__(self) -> None:

@@ -16,8 +16,7 @@ so a node degraded here can start re-attesting the same round).  It
 3. **propagates the membership log** — a seeded handful of nodes sync
    straight from the service, then every trusted node anti-entropies with
    peers from its own Brahms view (skipping links the active fault plan
-   cuts), so revocations reach the whole trusted set epidemically;
-4. invalidates the network's per-pair cipher memo when the epoch moved.
+   cuts), so revocations reach the whole trusted set epidemically.
 
 All of the director's randomness comes from its own seeded stream — the
 protocol RNGs never see a membership draw, which is what keeps the four
@@ -78,7 +77,6 @@ class MembershipDirector:
         self._injector: Optional["FaultInjector"] = None
         self._recovery: Optional["EnclaveRecoveryManager"] = None
         self._telemetry: Optional["Telemetry"] = None
-        self._last_epoch = service.chain.current.number
         self.stats = MembershipStats()
 
     # -- wiring ---------------------------------------------------------------
@@ -115,15 +113,6 @@ class MembershipDirector:
     def tick(self, simulation: "Simulation") -> None:
         round_number = simulation.round_number
         self._apply_trusted_churn(simulation, round_number)
-        current = self.service.chain.current.number
-        if current != self._last_epoch:
-            # Re-key the transport layer: per-pair keys (and the cached
-            # cipher contexts built from them) derive from the retiring
-            # epoch, so the memo must be invalidated on rotation.
-            simulation.network.rekey_pairs(
-                b"epoch" + current.to_bytes(8, "big")
-            )
-            self._last_epoch = current
         self._enforce_epochs(simulation)
         self._propagate(simulation, round_number)
         if self._telemetry is not None:

@@ -160,7 +160,7 @@ class Simulation:
         if node is None:
             # Unknown ID: explicit no-op.  Touching the network here would
             # be wrong — another registry (or nothing) may own that ID, and
-            # unregister also drops per-pair key material by ID.
+            # unregister drops whatever the network holds under it.
             return
         node.alive = False
         self.network.unregister(node_id)

@@ -9,29 +9,14 @@ request-response sessions (pull, auth, trusted swap).  It models:
   :class:`repro.faults.injector.FaultInjector`) is consulted per message and
   per direction, which is how partitions, eclipse cuts, per-link loss
   overrides, loss bursts and omission nodes are realised;
-* optional transport encryption — the paper encrypts *all* pairwise
-  communication with symmetric keys against an eavesdropping adversary
-  (§III-B).  When enabled, every payload is serialized and AES-CTR-encrypted
-  under a per-pair key, with one global nonce counter.  The per-pair block
-  cipher is cached, the CTR involution lets one keystream serve both wire
-  directions, and the keystream itself is read ahead a session at a time
-  (below), which is what makes encrypted paper-scale runs feasible.
-
-Keystream read-ahead.  A RAPTEE pull session is six encrypted messages on
-*one* pair under *consecutive* nonces (``AuthChallenge`` / ``AuthResponse``,
-``AuthConfirm`` / ``AuthResult``, ``PullRequest`` / ``PullReply``; a trusted
-pair adds a swap request and reply), 5 to 9 AES blocks each, and CTR
-keystream depends on (key, nonce, counter) only.  So the wire asks
-:func:`repro.crypto.ctr.keystream_rows` for a *window* — the keystream of
-the next ``_WINDOW_ROWS`` nonces under the current pair's cipher, one numpy
-pass that costs about what a single message costs block by block — and the
-session's remaining messages take their rows from it.  Invariants: a row is
-served only to the exact ``(pair, nonce)`` it was computed for, under the
-key current at that message (the window is dropped by ``rekey_pairs`` and
-``unregister``); anything else recomputes the window from its own nonce, so
-unused rows are simply dropped; at most one window exists; it is a memo and
-is left out of snapshots like the cipher cache.  The ciphertext is byte for
-byte what per-message :class:`repro.crypto.ctr.AesCtr` produces.
+* transport encryption, accounted rather than executed — the paper encrypts
+  *all* pairwise communication with symmetric keys against an eavesdropping
+  adversary (§III-B).  The adversary modelled here is a global-knowledge
+  coordinator that never reads the wire, so no ciphertext would ever be
+  read.  An encrypted network therefore counts the bytes it would encrypt
+  — the pickled length of each request and reply that reaches the other
+  side, which is the AES-CTR ciphertext length, since CTR preserves
+  length — and hands the message object over as is.
 
 All traffic is counted — total and per round.  Per-round tallies are
 applied eagerly, message by message: a lazy flush would leave the shared
@@ -47,13 +32,8 @@ import pickle
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-import numpy as np
-
-from repro.crypto.aes import AES128, BLOCK_SIZE
-from repro.crypto.ctr import keystream_rows
-from repro.crypto.hashing import hkdf
 from repro.sim.messages import Message
 from repro.sim.node import NodeBase
 
@@ -65,20 +45,6 @@ __all__ = ["Network", "NetworkStats", "FaultHook"]
 
 #: Per-message injection gate: ``(src, dst, round_number)`` → truthy to drop.
 FaultHook = Callable[[int, int, int], object]
-
-#: Consecutive nonces one keystream window covers.  Sized to the measured
-#: session: on the ledger's ``pernode-raptee-enc`` spec (N = 200, t = 5%,
-#: seed 1, 2 rounds, 12,974 messages of 5 / 6 / 7 / 9 blocks) the 2,167
-#: sessions are 6 messages on one pair under consecutive nonces (auth x 4,
-#: pull x 2) 2,160 times and 8 messages (the same plus a trusted swap) 7
-#: times; 8 covers both.  The two rows a plain session leaves over cost
-#: ~5 µs of a ~100 µs pass, and they are the first two messages of the next
-#: session when it is on the same pair (127 times).  Measured hit rate:
-#: 10,813 / 12,974 = 5/6, one miss per session.
-_WINDOW_ROWS = 8
-
-#: ``(pair, first nonce, [rows, width] keystream bytes)``.
-_Window = Tuple[Tuple[int, int], int, np.ndarray]
 
 
 @dataclass
@@ -104,7 +70,6 @@ class Network:
         rng: random.Random,
         loss_rate: float = 0.0,
         encrypt: bool = False,
-        transport_secret: bytes = b"\x00" * 16,
     ):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
@@ -112,17 +77,6 @@ class Network:
         self._rng = rng
         self._loss_rate = loss_rate
         self._encrypt = encrypt
-        self._transport_secret = transport_secret
-        self._pair_keys: Dict[Tuple[int, int], bytes] = {}
-        self._pair_ciphers: Dict[Tuple[int, int], AES128] = {}
-        # Keystream read-ahead (module docstring): the one current window,
-        # and its width in blocks — the largest message carried so far.
-        self._window: Optional[_Window] = None
-        self._window_blocks = 1
-        # Group-key-epoch salt (see repro.membership): b"" reproduces the
-        # legacy pair-key derivation byte for byte.
-        self._pair_salt = b""
-        self._nonce_counter = 0
         self._fault_hook: Optional[FaultHook] = None
         self._stats = NetworkStats()
         self._current_round = 0
@@ -135,28 +89,6 @@ class Network:
         self._ctr_messages_lost: Optional["MetricCounter"] = None
         self._ctr_requests_sent: Dict[str, "MetricCounter"] = {}
         self._ctr_replies_delivered: Dict[str, "MetricCounter"] = {}
-
-    # -- snapshot support ------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle the network with the cipher cache and the keystream
-        read-ahead dropped.
-
-        Both are pure memos over ``_pair_keys`` (each entry is re-derived
-        on demand from the kept key), so dropping them shrinks snapshots
-        without changing a single observable byte of a resumed run.
-        Tallies are eager, so the serialized :class:`NetworkStats` is
-        exactly what a reader of :attr:`stats` sees.
-        """
-        state = dict(self.__dict__)
-        state["_pair_ciphers"] = {}
-        del state["_window"], state["_window_blocks"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._window = None
-        self._window_blocks = 1
-        self.__dict__.update(state)
 
     def set_telemetry(self, telemetry: Optional["Telemetry"]) -> None:
         """Mirror traffic counters (and per-message events) into a hub."""
@@ -202,13 +134,6 @@ class Network:
 
     def unregister(self, node_id: int) -> None:
         self._nodes.pop(node_id, None)
-        # Departed nodes never talk again; dropping their pair keys keeps
-        # long churny encrypted runs from accumulating dead key material.
-        stale = [pair for pair in self._pair_keys if node_id in pair]
-        for pair in stale:
-            del self._pair_keys[pair]
-            self._pair_ciphers.pop(pair, None)
-        self._window = None
 
     def node(self, node_id: int) -> Optional[NodeBase]:
         return self._nodes.get(node_id)
@@ -225,82 +150,13 @@ class Network:
 
     # -- encryption ------------------------------------------------------------
 
-    def rekey_pairs(self, salt: bytes) -> None:
-        """Re-derive every per-pair transport key under a new salt.
-
-        Called on a group-key-epoch rotation: every memo layer (the derived
-        keys, the expanded cipher contexts built from them *and* the
-        keystream read ahead under one of them) is invalidated, so no
-        message is ever protected by key material tied to a retired epoch.
-        """
-        self._pair_salt = salt
-        self._pair_keys.clear()
-        self._pair_ciphers.clear()
-        self._window = None
-
-    def _pair_key(self, a: int, b: int) -> bytes:
-        pair = (a, b) if a <= b else (b, a)
-        key = self._pair_keys.get(pair)
-        if key is None:
-            info = (
-                b"pair"
-                + pair[0].to_bytes(8, "big")
-                + pair[1].to_bytes(8, "big")
-                + self._pair_salt
-            )
-            key = hkdf(self._transport_secret, info, length=16)
-            self._pair_keys[pair] = key
-        return key
-
-    def _pair_cipher(self, a: int, b: int) -> AES128:
-        """The pair's block cipher, expanded once and re-nonced per message."""
-        pair = (a, b) if a <= b else (b, a)
-        cipher = self._pair_ciphers.get(pair)
-        if cipher is None:
-            cipher = AES128(self._pair_key(a, b))
-            self._pair_ciphers[pair] = cipher
-        return cipher
-
-    def _keystream(self, src: int, dst: int, nonce: int, length: int) -> bytes:
-        """``length`` bytes of the pair's keystream under ``nonce``: the
-        message's row of the current window, or of a new one starting here."""
-        pair = (src, dst) if src <= dst else (dst, src)
-        window = self._window
-        if window is not None:
-            window_pair, first_nonce, rows = window
-            row = nonce - first_nonce
-            if (
-                window_pair == pair
-                and 0 <= row < rows.shape[0]
-                and length <= rows.shape[1]
-            ):
-                return rows[row, :length].tobytes()
-        self._window_blocks = max(self._window_blocks, -(-length // BLOCK_SIZE))
-        rows = keystream_rows(
-            self._pair_cipher(src, dst), nonce, _WINDOW_ROWS, self._window_blocks
-        )
-        self._window = (pair, nonce, rows)
-        return rows[0, :length].tobytes()
-
-    def _through_wire(self, src: int, dst: int, message: Message) -> Message:
-        """Simulate serialization + encryption + decryption of a payload.
+    def _through_wire(self, message: Message) -> Message:
+        """Count the bytes encrypting ``message`` would take and deliver it.
 
         Called on an encrypted network only; an unencrypted one hands the
-        message object over as is."""
-        self._nonce_counter += 1
-        plaintext = pickle.dumps(message)
-        keystream = self._keystream(src, dst, self._nonce_counter, len(plaintext))
-        ks_int = int.from_bytes(keystream, "big")
-        ciphertext = (int.from_bytes(plaintext, "big") ^ ks_int).to_bytes(
-            len(plaintext), "big"
-        )
-        self._stats.bytes_encrypted += len(ciphertext)
-        # CTR is an involution, so the decrypt half of the round trip
-        # reuses the keystream instead of re-running AES over it.
-        decrypted = (int.from_bytes(ciphertext, "big") ^ ks_int).to_bytes(
-            len(ciphertext), "big"
-        )
-        return pickle.loads(decrypted)
+        message object over uncounted."""
+        self._stats.bytes_encrypted += len(pickle.dumps(message))
+        return message
 
     # -- delivery ------------------------------------------------------------
     #
@@ -389,7 +245,7 @@ class Network:
             return None
         encrypt = self._encrypt
         reply = node.handle_request(
-            self._through_wire(src, dst, message) if encrypt else message
+            self._through_wire(message) if encrypt else message
         )
         if reply is None:
             if self._trace_messages:
@@ -418,4 +274,4 @@ class Network:
                 "dst": dst, "delivered": True, "message": kind,
                 "answered": True, "reply_delivered": True,
             })
-        return self._through_wire(dst, src, reply) if encrypt else reply
+        return self._through_wire(reply) if encrypt else reply

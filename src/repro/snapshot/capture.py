@@ -9,9 +9,8 @@ to a straight-through run — and nothing it does not:
 * every PRNG in the graph — the Mersenne-Twister protocol streams and the
   :class:`~repro.crypto.prng.Sha256Prng` key-material streams both travel
   through their ``getstate``/``setstate`` when pickled;
-* the network: per-pair transport keys, nonce counter, loss/fault hooks,
-  lifetime and per-round traffic stats (the derived block-cipher cache is
-  dropped and rebuilt lazily — see ``Network.__getstate__``);
+* the network: loss/fault hooks, lifetime and per-round traffic stats
+  (the encrypted-byte count among them);
 * SGX state: sealed blobs, group/device keys, attestation registry and
   outage flags, enclave crash/provisioning status, cycle accountants;
 * fault-plan progress: the injector the bundle holds as ``faults`` — its

@@ -2,7 +2,7 @@
 
 Hypothesis drives random inputs through both implementations of each
 accelerated primitive — count-min updates/estimates/decay, the input
-scramble, the T-table and batch AES-CTR, the word-wise key expansion — and
+scramble, the T-table AES-CTR, the word-wise key expansion — and
 requires integer-for-integer (or byte-for-byte) equality, not approximate
 agreement.  Each reference is called directly:
 ``CountMinSketch(use_numpy=False)``, scalar ``scramble64``,
@@ -19,7 +19,6 @@ import random
 from collections import Counter
 from typing import List
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +26,7 @@ from hypothesis import strategies as st
 from repro.brahms.countmin import CountMinSketch, StreamUnbiaser
 from repro.crypto import ctr
 from repro.crypto.aes import _RCON, AES128, SBOX
-from repro.crypto.ctr import AesCtr, keystream_rows
+from repro.crypto.ctr import AesCtr
 from repro.crypto.minwise import scramble64
 from repro.perf import kernels
 from repro.scenario.compile import compile_spec, shard_simulation_from_spec
@@ -248,8 +247,7 @@ class TestAesCtrFastPath:
 
     def test_encrypted_aes_scenario_expands_each_key_once(self, monkeypatch):
         # ``auth_mode="aes-ctr"`` builds an ``AesCtr(key, nonce)`` per proof:
-        # the per-key memo must keep that at one expansion per node key (and
-        # the network's per-pair ciphers at one per pair key).
+        # the per-key memo must keep that at one expansion per node key.
         from repro.core.auth import AuthScheme
         from repro.scenario.catalog import get_spec
         from repro.scenario.run import run_scenario
@@ -270,7 +268,7 @@ class TestAesCtrFastPath:
         monkeypatch.setattr(AuthScheme, "_proof", counting_proof)
         ctr._cipher_for_key.cache_clear()
         run_scenario(get_spec("raptee-encrypted-aes"))
-        assert set(proofs) <= set(expanded)
+        assert set(proofs) == set(expanded)  # the wire expands no cipher
         assert len(proofs) > 10 * len(set(proofs))  # keys do repeat
         assert Counter(expanded).most_common(1)[0][1] == 1
 
@@ -293,68 +291,8 @@ F51_CIPHERTEXT = bytes.fromhex(
 )
 
 
-def _reference_blocks(cipher: AES128, blocks: bytes) -> bytes:
-    return b"".join(
-        cipher._encrypt_block_reference(blocks[i : i + 16])
-        for i in range(0, len(blocks), 16)
-    )
-
-
 class TestAesBatchKernel:
-    """``AES128.encrypt_blocks`` / ``keystream_rows`` against the per-block
-    and per-message paths they stand in for on the wire."""
-
-    @COMMON
-    @given(
-        key=st.binary(min_size=16, max_size=16),
-        # B = 0, 1, odd, and more rows than a table has entries.
-        count=st.sampled_from([0, 1, 2, 7, 33, 255, 257, 301])
-        | st.integers(min_value=0, max_value=64),
-        seed=st.integers(min_value=0, max_value=2**32),
-    )
-    def test_batch_blocks_match_reference_blocks(self, key, count, seed):
-        data = random.Random(seed).randbytes(16 * count)
-        blocks = np.frombuffer(data, dtype=np.uint8).reshape(count, 16)
-        cipher = AES128(key)
-        encrypted = cipher.encrypt_blocks(blocks)
-        assert encrypted.shape == (count, 16) and encrypted.dtype == np.uint8
-        assert encrypted.tobytes() == _reference_blocks(cipher, data)
-        assert blocks.tobytes() == data  # the input is not the workspace
-
-    @COMMON
-    @given(
-        key=st.binary(min_size=16, max_size=16),
-        first_nonce=st.integers(min_value=0, max_value=2**32)
-        | st.integers(min_value=2**32, max_value=2**63)
-        | st.integers(min_value=2**63, max_value=2**64 - 12),
-        rows=st.integers(min_value=0, max_value=12),
-        blocks=st.integers(min_value=0, max_value=12),
-    )
-    def test_ctr_rows_match_per_message_keystream(self, key, first_nonce, rows,
-                                                  blocks):
-        matrix = keystream_rows(AES128(key), first_nonce, rows, blocks)
-        assert matrix.shape == (rows, 16 * blocks) and matrix.dtype == np.uint8
-        for row in range(rows):
-            nonce = (first_nonce + row).to_bytes(8, "big")
-            assert matrix[row].tobytes() == AesCtr(key, nonce).keystream(16 * blocks)
-
-    def test_ctr_rows_refuse_to_wrap_the_nonce(self):
-        cipher = AES128(F51_KEY)
-        last = keystream_rows(cipher, 2**64 - 3, 3, 2)  # ends on 2^64 - 1
-        assert last[2].tobytes() == AesCtr(F51_KEY, b"\xff" * 8).keystream(32)
-        with pytest.raises(OverflowError):
-            keystream_rows(cipher, 2**64 - 3, 4, 2)
-        with pytest.raises(OverflowError):
-            keystream_rows(cipher, -1, 2, 2)
-        with pytest.raises(OverflowError):
-            (2**64).to_bytes(8, "big")  # what the per-message path does
-
-    def test_batch_rejects_anything_but_a_block_matrix(self):
-        cipher = AES128(F51_KEY)
-        for bad in (np.zeros(16, np.uint8), np.zeros((2, 15), np.uint8),
-                    np.zeros((2, 16), np.uint16)):
-            with pytest.raises(ValueError):
-                cipher.encrypt_blocks(bad)
+    """NIST SP 800-38A F.5.1 on the per-message CTR path."""
 
     def test_nist_sp800_38a_f51_on_the_per_message_path(self):
         stream = AesCtr(F51_KEY, F51_NONCE)
@@ -362,17 +300,6 @@ class TestAesBatchKernel:
         assert stream.keystream(64, F51_COUNTER) == bytes(
             p ^ c for p, c in zip(F51_PLAINTEXT, F51_CIPHERTEXT)
         )
-
-    def test_nist_sp800_38a_f51_through_the_batch_kernel(self):
-        # The four counter blocks of F.5.1, fed directly.
-        counter_blocks = np.frombuffer(
-            b"".join(F51_NONCE + (F51_COUNTER + i).to_bytes(8, "big")
-                     for i in range(4)),
-            dtype=np.uint8,
-        ).reshape(4, 16)
-        keystream = AES128(F51_KEY).encrypt_blocks(counter_blocks)
-        plaintext = np.frombuffer(F51_PLAINTEXT, dtype=np.uint8).reshape(4, 16)
-        assert (keystream ^ plaintext).tobytes() == F51_CIPHERTEXT
 
 
 def _expand_key_lists(key: bytes) -> List[List[int]]:

@@ -155,7 +155,8 @@ class TestMembership:
 
     def test_remove_unknown_node_is_noop(self):
         # Regression: removing an ID that was never registered used to call
-        # network.unregister anyway, which drops per-pair key material by ID.
+        # network.unregister anyway, which drops whatever the network holds
+        # under that ID.
         sim, _log = make_sim(n=3)
         unregistered = []
         original = sim.network.unregister

@@ -8,7 +8,7 @@ the same final views, checked in-process).
 
 Pinned scenarios cover the state families the snapshot must carry:
 the Brahms baseline under message loss, RAPTEE with encrypted transport
-(per-pair key caches + nonce counter), RAPTEE under an active fault plan
+(its byte count), RAPTEE under an active fault plan
 with an in-flight crash (injector revive schedule, enclave recovery,
 telemetry mid-window), churn with arrivals (node factory and the
 engine's ID allocator), and RAPTEE with dynamic trusted-set membership
@@ -87,9 +87,9 @@ _SCENARIOS = {
         # The rotation lands one round before the checkpoint, inside an
         # attestation outage: every trusted enclave is degraded on a stale
         # epoch and mid-backoff at the checkpoint round, so the pending
-        # epoch, the recovery ladder, and the re-keyed per-pair transport
-        # keys all have to survive the seam.  The revocation fires after
-        # the resume and must propagate through the restored log.
+        # epoch and the recovery ladder both have to survive the seam.  The
+        # revocation fires after the resume and must propagate through the
+        # restored log.
         "faults": [
             {"kind": "epoch-rotation", "at_round": 2},
             {"kind": "attestation-outage", "window": {"start": 2, "end": 4}},
@@ -186,6 +186,33 @@ def test_checkpoint_resume_in_process_full_state(name, tmp_path):
     resumed.run_chunk(resumed.rounds_remaining)
 
     assert _artifacts(resumed) == reference
+
+
+def test_checkpoint_carrying_transport_keys_resumes_identically(tmp_path):
+    """A checkpoint whose network carries the per-pair transport key state
+    an executed cipher kept (keys, epoch salt, nonce counter, secret)
+    restores with those fields as dead attributes, and the resumed run is
+    byte-identical to a straight run — the encrypted-byte count included."""
+    straight = _state("raptee-encrypted")
+    straight.run_chunk(ROUNDS)
+
+    state = _state("raptee-encrypted")
+    state.run_chunk(CHECKPOINT_AT)
+    vars(state.simulation.network).update(
+        _pair_keys={(1, 2): bytes(range(16))}, _pair_ciphers={},
+        _pair_salt=b"epoch" + bytes(8), _nonce_counter=4321,
+        _transport_secret=bytes(16),
+    )
+    snapshot_path = tmp_path / "keyed-network.snapshot"
+    save(state, str(snapshot_path))
+
+    resumed = restore(str(snapshot_path))
+    assert resumed.simulation.network._nonce_counter == 4321  # crossed the seam
+    resumed.run_chunk(resumed.rounds_remaining)
+    assert _artifacts(resumed) == _artifacts(straight)
+    stats = resumed.simulation.network.stats
+    assert stats == straight.simulation.network.stats
+    assert stats.bytes_encrypted > 0
 
 
 def test_churn_scenario_actually_churns():

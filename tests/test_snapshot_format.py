@@ -11,7 +11,6 @@ import pytest
 
 from repro.crypto.prng import Sha256Prng
 from repro.sim.engine import Simulation
-from repro.sim.network import Network
 from repro.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     RunState,
@@ -151,15 +150,6 @@ class TestPrngPickleFidelity:
         assert [clone.random() for _ in range(50)] == [
             rng.random() for _ in range(50)
         ]
-
-    def test_network_pickle_drops_cipher_cache_but_keeps_keys(self):
-        network = Network(random.Random(7), loss_rate=0.0, encrypt=True)
-        key = network._pair_key(1, 2)
-        network._pair_cipher(1, 2)
-        assert network._pair_ciphers
-        clone = pickle.loads(pickle.dumps(network))
-        assert clone._pair_ciphers == {}
-        assert clone._pair_key(1, 2) == key
 
 
 class TestTraceLayout:
