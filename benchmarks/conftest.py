@@ -6,20 +6,18 @@ topology (see DESIGN.md §5) and registers the rendered rows here; the
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures the
 reproduced series alongside the timing numbers.
 
-The Brahms baselines are shared through a session-scoped cache: Figs. 5-9
-and 13 all compare against the same Fig. 3 runs.
+Every bench runs a ``FigureDef`` through ``run_figure``, sharing one
+session-scoped memo keyed by each cell's spec and seeds: a Brahms baseline
+cell that Figs. 3, 5-9, 13 and the ablations have in common runs once.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import pytest
 
-from repro.experiments.figures import BENCH_SCALE, BaselineCache, Scale
-from repro.experiments.runner import RunMetrics
-from repro.experiments.scenarios import TopologySpec
-from repro.scenario import ScenarioSpec, run_scenario
+from repro.experiments.figures import BENCH_SCALE, Scale
 
 _REPORTS: List[str] = []
 
@@ -28,31 +26,14 @@ def record_report(text: str) -> None:
     _REPORTS.append(text)
 
 
-def bench_metrics(scale: Scale, protocol: str, byzantine_fraction: float,
-                  trusted_fraction: float = 0.0, **sections) -> RunMetrics:
-    """The paper's three metrics of one ablation cell: a spec at ``scale``
-    (its base seed and round count); ``sections`` are the spec's
-    ``brahms`` / ``raptee`` fields."""
-    spec = ScenarioSpec(
-        name="ablation", protocol=protocol, seed=scale.base_seed,
-        rounds=scale.rounds,
-        topology=TopologySpec(
-            n_nodes=scale.n_nodes, byzantine_fraction=byzantine_fraction,
-            trusted_fraction=trusted_fraction, view_ratio=scale.view_ratio,
-        ),
-        **sections,
-    )
-    return run_scenario(spec, telemetry=None).metrics
-
-
 @pytest.fixture(scope="session")
 def bench_scale() -> Scale:
     return BENCH_SCALE
 
 
 @pytest.fixture(scope="session")
-def baseline_cache() -> BaselineCache:
-    return BaselineCache(BENCH_SCALE)
+def memo() -> Dict:
+    return {}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

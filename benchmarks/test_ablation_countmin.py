@@ -7,40 +7,33 @@ exactly that: RAPTEE with and without the sketch flattening the pulled-ID
 stream before view renewal, at two eviction settings.
 """
 
-from conftest import bench_metrics, record_report
+from conftest import record_report
 
 from repro.analysis.metrics import resilience_improvement
 from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.experiments.figures import FigureResult
-from repro.scenario import RapteeOptions
+from repro.experiments.figures import FigureDef, run_figure
 
 F = 0.20
 T = 0.10
 
+SKETCH = FigureDef(
+    "Ablation — count-min stream unbiasing (future work, f=20%, t=10%)",
+    ("eviction", "sketch", "improvement %"),
+    lambda cell, values, baseline: [[
+        cell["eviction"].describe(),
+        "on" if cell["sketch_unbias_enabled"] else "off",
+        f"{resilience_improvement(baseline[0], values[0]):+.1f}",
+    ]],
+    {"protocol": "raptee", "byzantine_fraction": F, "trusted_fraction": T},
+    {"eviction": (FixedEviction(0.0), AdaptiveEviction()), "sketch_unbias_enabled": (False, True)},
+    baseline=lambda cell: {"protocol": "brahms", "byzantine_fraction": F},
+)
 
-def test_ablation_countmin_unbiasing(benchmark, bench_scale):
-    def run():
-        baseline = bench_metrics(bench_scale, "brahms", F)
-        result = FigureResult(
-            figure_id="Ablation — count-min stream unbiasing (future work, f=20%, t=10%)",
-            headers=["eviction", "sketch", "improvement %"],
-        )
-        for policy in (FixedEviction(0.0), AdaptiveEviction()):
-            for sketch in (False, True):
-                options = RapteeOptions(eviction=policy,
-                                        sketch_unbias_enabled=sketch)
-                metrics = bench_metrics(bench_scale, "raptee", F, T,
-                                        raptee=options)
-                result.rows.append(
-                    [
-                        policy.describe(),
-                        "on" if sketch else "off",
-                        f"{resilience_improvement(baseline.resilience, metrics.resilience):+.1f}",
-                    ]
-                )
-        return result
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_countmin_unbiasing(benchmark, bench_scale, memo):
+    result = benchmark.pedantic(
+        lambda: run_figure(SKETCH, bench_scale, memo), rounds=1, iterations=1
+    )
     record_report(result.render())
     improvements = {(row[0], row[1]): float(row[2]) for row in result.rows}
     # The sketch must not *hurt* materially; directionally it should help

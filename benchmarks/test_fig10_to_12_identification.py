@@ -7,8 +7,8 @@ high-eviction configurations.
 
 from conftest import record_report
 
-from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.experiments.figures import identification_figure
+from repro.core.eviction import FixedEviction
+from repro.experiments.figures import FIGURES, run_figure
 
 POLICIES = (FixedEviction(0.0), FixedEviction(0.6), FixedEviction(1.0))
 T_VALUES = (0.10, 0.30)
@@ -21,9 +21,8 @@ def _mean_f1(result, policy_label):
 
 def test_fig10_identification_f10(benchmark, bench_scale):
     result = benchmark.pedantic(
-        lambda: identification_figure(
-            "Fig. 10 — identification attack, f = 10%",
-            0.10, bench_scale, policies=POLICIES, t_values=T_VALUES,
+        lambda: run_figure(
+            FIGURES["fig10"], bench_scale, eviction=POLICIES, trusted_fraction=T_VALUES,
         ),
         rounds=1,
         iterations=1,
@@ -35,9 +34,8 @@ def test_fig10_identification_f10(benchmark, bench_scale):
 
 def test_fig11_identification_f30(benchmark, bench_scale):
     result = benchmark.pedantic(
-        lambda: identification_figure(
-            "Fig. 11 — identification attack, f = 30%",
-            0.30, bench_scale, policies=POLICIES, t_values=T_VALUES,
+        lambda: run_figure(
+            FIGURES["fig11"], bench_scale, eviction=POLICIES, trusted_fraction=T_VALUES,
         ),
         rounds=1,
         iterations=1,
@@ -48,10 +46,8 @@ def test_fig11_identification_f30(benchmark, bench_scale):
 
 def test_fig12_identification_adaptive(benchmark, bench_scale):
     result = benchmark.pedantic(
-        lambda: identification_figure(
-            "Fig. 12 — identification attack, adaptive eviction",
-            0.10, bench_scale, policies=(AdaptiveEviction(),),
-            t_values=(0.02, 0.10, 0.30),
+        lambda: run_figure(
+            FIGURES["fig12"], bench_scale, trusted_fraction=(0.02, 0.10, 0.30),
         ),
         rounds=1,
         iterations=1,

@@ -8,21 +8,20 @@ the benefit disappears as t grows.
 
 from conftest import record_report
 
-from repro.experiments.figures import figure13_poisoned_injection
+from repro.experiments.figures import FIGURES, run_figure
 
 T_VALUES = (0.02, 0.10)
 POISON_VALUES = (0.0, 0.05, 0.20)
 F_VALUES = (0.10, 0.30)
 
 
-def test_fig13_poisoned_injection(benchmark, bench_scale, baseline_cache):
+def test_fig13_poisoned_injection(benchmark, bench_scale, memo):
     result = benchmark.pedantic(
-        lambda: figure13_poisoned_injection(
-            bench_scale,
-            t_values=T_VALUES,
-            poison_values=POISON_VALUES,
-            f_values=F_VALUES,
-            cache=baseline_cache,
+        lambda: run_figure(
+            FIGURES["fig13"], bench_scale, memo,
+            trusted_fraction=T_VALUES,
+            poisoned_fraction=POISON_VALUES,
+            byzantine_fraction=F_VALUES,
         ),
         rounds=1,
         iterations=1,

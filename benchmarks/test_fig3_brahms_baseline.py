@@ -7,14 +7,14 @@ f grows.
 
 from conftest import record_report
 
-from repro.experiments.figures import figure3_brahms_baseline
+from repro.experiments.figures import FIGURES, run_figure
 
 F_VALUES = (0.10, 0.14, 0.18, 0.22, 0.26, 0.30)
 
 
-def test_fig3_brahms_baseline(benchmark, bench_scale, baseline_cache):
+def test_fig3_brahms_baseline(benchmark, bench_scale, memo):
     result = benchmark.pedantic(
-        lambda: figure3_brahms_baseline(bench_scale, F_VALUES, cache=baseline_cache),
+        lambda: run_figure(FIGURES["fig3"], bench_scale, memo, byzantine_fraction=F_VALUES),
         rounds=1,
         iterations=1,
     )

@@ -6,16 +6,17 @@ resilience while keeping overheads near the 0 %-eviction level.
 
 from conftest import record_report
 
-from repro.experiments.figures import figure9_adaptive
+from repro.experiments.figures import FIGURES, run_figure
 
 F_VALUES = (0.10, 0.20, 0.30)
 T_VALUES = (0.02, 0.10, 0.30)
 
 
-def test_fig9_adaptive_eviction(benchmark, bench_scale, baseline_cache):
+def test_fig9_adaptive_eviction(benchmark, bench_scale, memo):
     result = benchmark.pedantic(
-        lambda: figure9_adaptive(
-            bench_scale, f_values=F_VALUES, t_values=T_VALUES, cache=baseline_cache
+        lambda: run_figure(
+            FIGURES["fig9"], bench_scale, memo,
+            byzantine_fraction=F_VALUES, trusted_fraction=T_VALUES,
         ),
         rounds=1,
         iterations=1,

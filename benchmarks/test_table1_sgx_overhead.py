@@ -8,13 +8,13 @@ per-invocation Gaussian costs during a real simulation).
 
 from conftest import record_report
 
-from repro.experiments.figures import table1_sgx_overhead
+from repro.experiments.figures import FIGURES, run_figure
 from repro.sgx.cycles import TABLE_I, PeerSamplingFunction
 
 
 def test_table1_sgx_overhead(benchmark, bench_scale):
     result = benchmark.pedantic(
-        lambda: table1_sgx_overhead(bench_scale),
+        lambda: run_figure(FIGURES["table1"], bench_scale),
         rounds=1,
         iterations=1,
     )

@@ -52,20 +52,7 @@ from typing import List, Optional
 
 from repro.adversary.identification import IdentificationAttack
 from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
-from repro.experiments.figures import (
-    BENCH_SCALE,
-    TEST_SCALE,
-    Scale,
-    figure3_brahms_baseline,
-    figure9_adaptive,
-    figure13_poisoned_injection,
-    fixed_eviction_figure,
-    identification_figure,
-    membership_churn_figure,
-    slo_figure,
-    straggler_figure,
-    table1_sgx_overhead,
-)
+from repro.experiments.figures import BENCH_SCALE, FIGURES, TEST_SCALE, run_figure
 from repro.experiments.runner import bundle_metrics
 from repro.experiments.scenarios import TopologySpec
 from repro.faults.drills import DRILLS, run_drill
@@ -170,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser = subparsers.add_parser("figure", help="regenerate a paper figure")
     figure_parser.add_argument(
         "figure_id",
-        choices=("fig3", "table1", "fig5", "fig6", "fig7", "fig8", "fig9",
-                 "fig10", "fig11", "fig12", "fig13", "churn", "slo",
-                 "straggler"),
+        choices=tuple(FIGURES),
     )
     figure_parser.add_argument("--scale", choices=sorted(_SCALES), default="test")
 
@@ -467,29 +452,7 @@ def _command_run(args) -> int:
 
 
 def _command_figure(args) -> int:
-    scale: Scale = _SCALES[args.scale]
-    builders = {
-        "fig3": lambda: figure3_brahms_baseline(scale),
-        "table1": lambda: table1_sgx_overhead(scale),
-        "fig5": lambda: fixed_eviction_figure(0.0, scale),
-        "fig6": lambda: fixed_eviction_figure(0.4, scale),
-        "fig7": lambda: fixed_eviction_figure(0.6, scale),
-        "fig8": lambda: fixed_eviction_figure(1.0, scale),
-        "fig9": lambda: figure9_adaptive(scale),
-        "fig10": lambda: identification_figure(
-            "Fig. 10 — identification attack, f = 10%", 0.10, scale),
-        "fig11": lambda: identification_figure(
-            "Fig. 11 — identification attack, f = 30%", 0.30, scale),
-        "fig12": lambda: identification_figure(
-            "Fig. 12 — identification attack, adaptive", 0.10, scale,
-            policies=(AdaptiveEviction(),)),
-        "fig13": lambda: figure13_poisoned_injection(scale),
-        "churn": lambda: membership_churn_figure(scale),
-        "slo": lambda: slo_figure(scale),
-        "straggler": lambda: straggler_figure(scale),
-    }
-    result = builders[args.figure_id]()
-    print(result.render())
+    print(run_figure(FIGURES[args.figure_id], _SCALES[args.scale]).render())
     return 0
 
 

@@ -1,50 +1,37 @@
-"""Per-figure reproduction entry points.
+"""The paper's tables and figures as data, and the one runner that makes them.
 
-Each public function regenerates one table or figure of the paper and
-returns a :class:`FigureResult` whose rows mirror the paper's series.  The
-benchmarks under ``benchmarks/`` call these with a scaled-down
-:class:`Scale`; ``examples/full_scale.py`` shows the paper-sized settings.
+Each table and figure (§V's Fig. 3, Table I and Figs. 5-13; the churn, SLO
+and straggler extensions) is a :class:`FigureDef` in :data:`FIGURES` under
+its ``repro figure`` id.  :func:`run_figure` builds each of its cells with
+:func:`cell_spec` and sweeps it over the scale's seeds (``repeat`` for the
+paper's three metrics, ``map_ordered`` for a measure) before formatting it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.adversary.identification import IdentificationAttack, IdentificationReport
-from repro.analysis.metrics import (
-    overhead_percent,
-    resilience_improvement,
-)
+from repro.adversary.identification import IdentificationAttack
+from repro.analysis.metrics import overhead_percent, resilience_improvement
 from repro.analysis.stats import summarize
-from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunMetrics, map_ordered, repeat
+from repro.brahms.config import BrahmsConfig
+from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.events import parse_straggler
+from repro.events.network import LATENCY_BUCKETS_MS
+from repro.experiments.reporting import FigureResult
+from repro.experiments.runner import map_ordered, repeat
 from repro.experiments.scenarios import TopologySpec
 from repro.membership.service import MembershipConfig
-from repro.sgx.cycles import PeerSamplingFunction, TABLE_I
+from repro.scenario.run import ScenarioArtifacts, run_scenario
+from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec
+from repro.sgx.cycles import TABLE_I, PeerSamplingFunction
+from repro.telemetry import TelemetryConfig
 
-if TYPE_CHECKING:  # pragma: no cover - repro.scenario imports this package
-    from repro.scenario.run import ScenarioArtifacts
-    from repro.scenario.spec import ScenarioSpec
-
-__all__ = [
-    "Scale",
-    "TEST_SCALE",
-    "BENCH_SCALE",
-    "PAPER_SCALE",
-    "FigureResult",
-    "BaselineCache",
-    "figure3_brahms_baseline",
-    "table1_sgx_overhead",
-    "eviction_figure",
-    "identification_figure",
-    "figure13_poisoned_injection",
-    "membership_churn_figure",
-    "slo_figure",
-    "straggler_figure",
-]
+__all__ = ["Scale", "TEST_SCALE", "BENCH_SCALE", "PAPER_SCALE", "FigureResult", "FigureDef",
+           "FIGURES", "cell_spec", "run_figure"]
 
 
 @dataclass(frozen=True)
@@ -69,521 +56,265 @@ BENCH_SCALE = Scale(n_nodes=300, rounds=80, repetitions=1, view_ratio=0.08, base
 #: The paper's setting: 10,000 nodes, view 200, 200 rounds, 10 repetitions.
 PAPER_SCALE = Scale(n_nodes=10_000, rounds=200, repetitions=10, view_ratio=0.02)
 
+Cell = Mapping[str, object]
+Values = Tuple[float, ...]
+_LINK = "lognormal:40:0.6"
+_SLO_MS = 200.0
 
-@dataclass
-class FigureResult:
-    """Rows of one regenerated table/figure, renderable as ASCII."""
-
-    figure_id: str
-    headers: List[str]
-    rows: List[List[object]] = field(default_factory=list)
-
-    def render(self) -> str:
-        return format_table(self.headers, self.rows, title=self.figure_id)
-
-    def column(self, name: str) -> List[object]:
-        index = self.headers.index(name)
-        return [row[index] for row in self.rows]
+_SECTIONS = {"topology": TopologySpec, "raptee": RapteeOptions, "engine": EngineSpec}
+#: The section whose field a cell key names; other keys are spec fields.
+_SECTION_OF = {item.name: name for name, schema in _SECTIONS.items() for item in fields(schema)}
 
 
-def _scenario(
-    scale: Scale,
-    protocol: str,
-    byzantine_fraction: float,
-    trusted_fraction: float = 0.0,
-    poisoned_fraction: float = 0.0,
-    **sections,
-) -> "ScenarioSpec":
-    """One cell of a figure: a deployment at ``scale`` as a runnable
-    :class:`~repro.scenario.spec.ScenarioSpec` carrying the scale's base
-    seed (:func:`_run` re-seeds it per repetition); ``sections`` are its
-    ``raptee`` / ``membership`` / ``engine`` fields."""
-    from repro.scenario.spec import ScenarioSpec
-
-    return ScenarioSpec(
-        name="figure",
-        protocol=protocol,
-        seed=scale.base_seed,
-        rounds=scale.rounds,
-        topology=TopologySpec(
-            n_nodes=scale.n_nodes,
-            byzantine_fraction=byzantine_fraction,
-            trusted_fraction=trusted_fraction,
-            poisoned_fraction=poisoned_fraction,
-            view_ratio=scale.view_ratio,
-        ),
-        **sections,
-    )
+def cell_spec(scale: Scale, cell: Cell) -> ScenarioSpec:
+    """One figure cell as a spec at ``scale`` with its base seed.  A key names
+    a spec, topology, ``raptee`` or ``engine`` field and a value may be a
+    function of the scale; a section no key names keeps its default."""
+    keys = {"name": "figure", "seed": scale.base_seed, "rounds": scale.rounds,
+            "n_nodes": scale.n_nodes, "view_ratio": scale.view_ratio,
+            **{key: value(scale) if callable(value) else value for key, value in cell.items()}}
+    spec = {key: value for key, value in keys.items() if key not in _SECTION_OF}
+    for section, schema in _SECTIONS.items():
+        named = {key: value for key, value in keys.items() if _SECTION_OF.get(key) == section}
+        if named:
+            spec[section] = schema(**named)
+    return ScenarioSpec(**spec)
 
 
-def _run(spec: "ScenarioSpec", seed: int, telemetry=None, **wiring) -> "ScenarioArtifacts":
-    """Run one seed of one cell — the only way a figure runs anything —
-    without a telemetry hub unless given one; ``wiring`` is ``run_scenario``'s."""
-    from repro.scenario.run import run_scenario
+@dataclass(frozen=True)
+class FigureDef:
+    """A table or figure: a grid of cells, each swept over a scale's seeds."""
 
-    return run_scenario(replace(spec, seed=seed), telemetry=telemetry, **wiring)
-
-
-def _cell_metrics(spec: "ScenarioSpec", seed: int) -> RunMetrics:
-    # Module-level (as are the other per-seed cell functions below) so that
-    # ``partial(fn, spec)`` stays picklable for a ``repeat`` worker pool.
-    return _run(spec, seed).metrics
-
-
-def _mean_metrics(scale: Scale, spec: "ScenarioSpec") -> Tuple[float, float, float]:
-    """(resilience, discovery, stability) of one cell averaged over the
-    scale's seeds; a milestone no seed reached reports -1."""
-    runs = repeat(partial(_cell_metrics, spec), scale.seeds())
-    return (
-        runs.resilience.mean,
-        runs.discovery_round.mean if runs.discovery_round else -1.0,
-        runs.stability_round.mean if runs.stability_round else -1.0,
-    )
+    title: str
+    headers: Tuple[str, ...]
+    #: A cell's rows (one, but Table I's one per SGX function) from its seed
+    #: means and its reference cell's (None without a baseline).
+    rows: Callable[[Cell, Values, Optional[Values]], List[List[str]]]
+    #: :func:`cell_spec` keys every cell shares.
+    cell: Cell = field(default_factory=dict)
+    #: Swept keys and their values; the grid is their product, first outermost.
+    axes: Mapping[str, Sequence] = field(default_factory=dict)
+    #: A cell's reference cell, run beside it.
+    baseline: Optional[Callable[[Cell], Cell]] = None
+    #: One seed's numbers; None is the paper's (resilience, discovery,
+    #: stability), whose -1 "never reached" ``repeat`` leaves out of the mean.
+    measure: Optional[Callable[[ScenarioArtifacts], Values]] = None
+    #: ``run_scenario`` keywords; by default a cell runs without a telemetry hub.
+    wiring: Mapping[str, object] = field(default_factory=dict)
 
 
-class BaselineCache:
-    """Brahms baselines at one scale, keyed by f — shared across figures."""
-
-    def __init__(self, scale: Scale):
-        self.scale = scale
-        self._cache: Dict[float, Tuple[float, float, float]] = {}
-
-    def mean_metrics(self, byzantine_fraction: float) -> Tuple[float, float, float]:
-        """(resilience, discovery, stability) averaged over the seeds."""
-        if byzantine_fraction not in self._cache:
-            self._cache[byzantine_fraction] = _mean_metrics(
-                self.scale, _scenario(self.scale, "brahms", byzantine_fraction)
-            )
-        return self._cache[byzantine_fraction]
+def _seed_run(measure, wiring, spec: ScenarioSpec, seed: int):
+    """One seed of one cell: the only way a figure runs anything."""
+    artifacts = run_scenario(replace(spec, seed=seed), **{"telemetry": None, **wiring})
+    return artifacts.metrics if measure is None else measure(artifacts)
 
 
-# ---------------------------------------------------------------------------
-# Fig. 3 — Brahms baseline
-# ---------------------------------------------------------------------------
+def run_figure(figure: FigureDef, scale: Scale, memo: Optional[Dict] = None,
+               **axes: Sequence) -> FigureResult:
+    """Run every cell of ``figure`` at ``scale`` and format its rows; ``axes``
+    replace the def's axis of that key or sweep a key its cell fixes.  ``memo``
+    keeps each cell's seed means by (measure, spec, seeds): a dict shared
+    between figures, at any scales, runs each cell and each baseline once."""
+    memo = {} if memo is None else memo
+    seeds = tuple(scale.seeds())
 
-def figure3_brahms_baseline(
-    scale: Scale,
-    f_values: Sequence[float] = (0.10, 0.14, 0.18, 0.22, 0.26, 0.30),
-    cache: Optional[BaselineCache] = None,
-) -> FigureResult:
-    """Brahms resilience / discovery / stability vs Byzantine share."""
-    cache = cache or BaselineCache(scale)
-    result = FigureResult(
-        figure_id="Fig. 3 — Brahms under Byzantine faults",
-        headers=["f", "byz-in-views %", "discovery rounds", "stability rounds"],
-    )
-    for f in f_values:
-        resilience, discovery, stability = cache.mean_metrics(f)
-        result.rows.append(
-            [f"{f:.0%}", f"{100 * resilience:.1f}", f"{discovery:.0f}", f"{stability:.0f}"]
-        )
+    def values(cell: Cell) -> Values:
+        spec = cell_spec(scale, cell)
+        key = (figure.measure, spec, seeds)
+        if key not in memo:
+            task = partial(_seed_run, figure.measure, figure.wiring, spec)
+            if figure.measure is None:
+                runs = repeat(task, list(seeds))
+                milestones = (runs.discovery_round, runs.stability_round)
+                memo[key] = (runs.resilience.mean,
+                             *(-1.0 if summary is None else summary.mean for summary in milestones))
+            else:
+                columns = zip(*map_ordered(task, seeds))
+                memo[key] = tuple(summarize(column).mean for column in columns)
+        return memo[key]
+
+    grid = {**figure.axes, **axes}
+    result = FigureResult(figure.title, list(figure.headers))
+    for point in product(*grid.values()):
+        cell = {**figure.cell, **dict(zip(grid, point))}
+        reference = values(figure.baseline(cell)) if figure.baseline else None
+        result.rows.extend(figure.rows(cell, values(cell), reference))
     return result
 
 
-# ---------------------------------------------------------------------------
-# Table I — SGX per-function overhead
-# ---------------------------------------------------------------------------
-
-_TABLE1_LABELS = {
-    PeerSamplingFunction.PULL_REQUEST: "Pull request",
-    PeerSamplingFunction.PUSH_MESSAGE: "Push message",
-    PeerSamplingFunction.TRUSTED_COMMUNICATIONS: "Trusted communications",
-    PeerSamplingFunction.SAMPLE_LIST_COMPUTATION: "Sample list comput.",
-    PeerSamplingFunction.DYNAMIC_VIEW_COMPUTATION: "Dynamic view comput.",
-}
+def _brahms(cell: Cell) -> Cell:
+    """A cell's Brahms baseline: the same Byzantine share, nothing trusted."""
+    return {"protocol": "brahms", "byzantine_fraction": cell["byzantine_fraction"]}
 
 
-def table1_sgx_overhead(
-    scale: Scale,
-    rounds: Optional[int] = None,
-    trusted_fraction: float = 0.5,
-) -> FigureResult:
-    """The micro-benchmark of §V-A: per-function cycles, standard vs SGX.
-
-    Mirrors the paper's two experiment sets — the same deployment run once
-    with trusted nodes paying the enclave overhead and once with the plain
-    (emulated-standard) cost — then reports per-function means and the
-    overhead's relative standard deviation.
-    """
-    from repro.scenario.spec import RapteeOptions
-
-    micro = replace(
-        scale, n_nodes=min(scale.n_nodes, 200), rounds=rounds or max(20, scale.rounds // 3)
-    )
-
-    def collect(cycle_mode: str) -> Dict[str, List[float]]:
-        options = RapteeOptions(with_cycle_accounting=True, cycle_mode=cycle_mode)
-        bundle = _run(
-            _scenario(micro, "raptee", 0.0, trusted_fraction, raptee=options),
-            micro.base_seed,
-        ).bundle
-        per_function: Dict[str, List[float]] = {}
-        for node_id in bundle.trusted_ids:
-            accountant = bundle.cycle_accountants.get(node_id)
-            if accountant is None:
-                continue
-            for function in PeerSamplingFunction.ALL:
-                if accountant.invocations.get(function):
-                    per_function.setdefault(function, []).append(
-                        accountant.mean_cost(function)
-                    )
-        return per_function
-
-    sgx = collect("sgx")
-    standard = collect("standard")
-
-    result = FigureResult(
-        figure_id="Table I — SGX performance overhead (CPU cycles)",
-        headers=["Peer sampling function", "Standard", "SGX", "Mean overhead", "Std dev"],
-    )
-    for function in PeerSamplingFunction.ALL:
-        standard_summary = summarize(standard.get(function, []))
-        sgx_summary = summarize(sgx.get(function, []))
-        if standard_summary is None or sgx_summary is None:
-            continue
-        overhead = sgx_summary.mean - standard_summary.mean
-        reference = TABLE_I[function]
-        result.rows.append(
-            [
-                _TABLE1_LABELS[function],
-                f"{standard_summary.mean:,.0f}",
-                f"{sgx_summary.mean:,.0f}",
-                f"{overhead:,.0f}",
-                f"{100 * reference.std_fraction:.0f}%",
-            ]
-        )
-    return result
+def _percents(cell: Cell, *keys: str) -> List[str]:
+    return [f"{cell[key]:.0%}" for key in keys]
 
 
-# ---------------------------------------------------------------------------
-# Figs. 5-9 — resilience improvement + overheads per eviction configuration
-# ---------------------------------------------------------------------------
-
-def eviction_figure(
-    figure_id: str,
-    eviction: EvictionPolicy,
-    scale: Scale,
-    f_values: Sequence[float] = (0.10, 0.20, 0.30),
-    t_values: Sequence[float] = (0.01, 0.10, 0.30),
-    cache: Optional[BaselineCache] = None,
-) -> FigureResult:
-    """One of Figs. 5-9: subfigures (a) resilience improvement,
-    (b) system-discovery overhead, (c) view-stability overhead, as rows
-    over the f × t grid for one eviction configuration."""
-    from repro.scenario.spec import RapteeOptions
-
-    cache = cache or BaselineCache(scale)
-    options = RapteeOptions(eviction=eviction)
-    result = FigureResult(
-        figure_id=figure_id,
-        headers=[
-            "f", "t",
-            "improvement %", "discovery overhead %", "stability overhead %",
-        ],
-    )
-    for f in f_values:
-        base_resilience, base_discovery, base_stability = cache.mean_metrics(f)
-        for t in t_values:
-            resilience, discovery, stability = _mean_metrics(
-                scale, _scenario(scale, "raptee", f, t, raptee=options)
-            )
-            improvement = resilience_improvement(base_resilience, resilience)
-            discovery_overhead = overhead_percent(int(base_discovery), int(discovery))
-            stability_overhead = overhead_percent(int(base_stability), int(stability))
-            result.rows.append(
-                [
-                    f"{f:.0%}",
-                    f"{t:.0%}",
-                    f"{improvement:+.1f}",
-                    "n/r" if discovery_overhead is None else f"{discovery_overhead:+.1f}",
-                    "n/r" if stability_overhead is None else f"{stability_overhead:+.1f}",
-                ]
-            )
-    return result
+def _eviction_rows(cell: Cell, values: Values, baseline: Values) -> List[List[str]]:
+    """Figs. 5-9 (a) improvement over Brahms, (b)/(c) discovery/stability overhead."""
+    overheads = (overhead_percent(int(base), int(value))
+                 for base, value in zip(baseline[1:], values[1:]))
+    return [_percents(cell, "byzantine_fraction", "trusted_fraction") + [
+        f"{resilience_improvement(baseline[0], values[0]):+.1f}",
+        *("n/r" if overhead is None else f"{overhead:+.1f}" for overhead in overheads),
+    ]]
 
 
-def fixed_eviction_figure(rate: float, scale: Scale, **kwargs) -> FigureResult:
-    """Figs. 5 (0 %), 6 (40 %), 7 (60 %), 8 (100 %)."""
-    labels = {0.0: "Fig. 5", 0.4: "Fig. 6", 0.6: "Fig. 7", 1.0: "Fig. 8"}
-    figure_id = (
-        f"{labels.get(rate, 'Fig. 5-8')} — eviction rate {rate:.0%}"
-    )
-    return eviction_figure(figure_id, FixedEviction(rate), scale, **kwargs)
+def _cycle_costs(artifacts: ScenarioArtifacts) -> Values:
+    """Per SGX function, the trusted nodes' mean cycles per call."""
+    accountants = artifacts.bundle.cycle_accountants
+    found = [accountants[node] for node in artifacts.bundle.trusted_ids if node in accountants]
+    return tuple(summarize([each.mean_cost(function) for each in found
+                            if each.invocations.get(function)]).mean
+                 for function in PeerSamplingFunction.ALL)
 
 
-def figure9_adaptive(scale: Scale, **kwargs) -> FigureResult:
-    return eviction_figure(
-        "Fig. 9 — adaptive eviction rate", AdaptiveEviction(), scale, **kwargs
-    )
+def _table1_rows(cell: Cell, sgx: Values, standard: Values) -> List[List[str]]:
+    labels = ("Pull request", "Push message", "Trusted communications",
+              "Sample list comput.", "Dynamic view comput.")  # in ALL's order
+    functions = zip(PeerSamplingFunction.ALL, labels, sgx, standard)
+    return [[label, f"{plain:,.0f}", f"{enclave:,.0f}", f"{enclave - plain:,.0f}",
+             f"{100 * TABLE_I[function].std_fraction:.0f}%"]
+            for function, label, enclave, plain in functions]
 
 
-# ---------------------------------------------------------------------------
-# Figs. 10-12 — trusted-node identification attack
-# ---------------------------------------------------------------------------
-
-def _identification_cell(spec: "ScenarioSpec", seed: int) -> IdentificationReport:
-    """The attack's classification over the pre-stability window of one seed."""
-    artifacts = _run(spec, seed)
+def _identification(artifacts: ScenarioArtifacts) -> Values:
+    """The attack's precision, recall and F1 over the pre-stability window."""
     stability = artifacts.metrics.stability_round
-    return IdentificationAttack(artifacts.bundle.coordinator).classify(
-        artifacts.bundle.trusted_ids,
-        since_round=1,
-        until_round=stability if stability > 0 else spec.rounds // 2,
+    report = IdentificationAttack(artifacts.bundle.coordinator).classify(
+        artifacts.bundle.trusted_ids, since_round=1,
+        until_round=stability if stability > 0 else artifacts.spec.rounds // 2,
     )
+    return report.precision, report.recall, report.f1
 
 
-def identification_figure(
-    figure_id: str,
-    byzantine_fraction: float,
-    scale: Scale,
-    policies: Sequence[EvictionPolicy] = (
-        FixedEviction(0.0),
-        FixedEviction(0.4),
-        FixedEviction(0.6),
-        FixedEviction(1.0),
-    ),
-    t_values: Sequence[float] = (0.01, 0.10, 0.30),
-) -> FigureResult:
-    """Figs. 10/11 (fixed rates at f = 10 %/30 %) and Fig. 12 (adaptive).
-
-    Byzantine nodes issue β·l1 pull probes per round; the classifier runs
-    over the pre-stability window, where the paper shows the attack is
-    strongest.
-    """
-    from repro.scenario.spec import RapteeOptions
-
-    result = FigureResult(
-        figure_id=figure_id,
-        headers=["ER", "t", "precision", "recall", "F1"],
-    )
-    for policy in policies:
-        for t in t_values:
-            spec = _scenario(scale, "raptee", byzantine_fraction, t)
-            probes = spec.topology.brahms_config().beta_count
-            spec = replace(spec, raptee=RapteeOptions(eviction=policy, probe_pulls=probes))
-            reports = map_ordered(partial(_identification_cell, spec), scale.seeds())
-            result.rows.append(
-                [
-                    policy.describe(),
-                    f"{t:.0%}",
-                    f"{summarize([report.precision for report in reports]).mean:.2f}",
-                    f"{summarize([report.recall for report in reports]).mean:.2f}",
-                    f"{summarize([report.f1 for report in reports]).mean:.2f}",
-                ]
-            )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Fig. 13 — view-poisoned trusted-node injection
-# ---------------------------------------------------------------------------
-
-def figure13_poisoned_injection(
-    scale: Scale,
-    t_values: Sequence[float] = (0.01, 0.10, 0.30),
-    poison_values: Sequence[float] = (0.0, 0.01, 0.05, 0.10, 0.20, 0.30),
-    f_values: Sequence[float] = (0.10, 0.20, 0.30),
-    cache: Optional[BaselineCache] = None,
-) -> FigureResult:
-    """Resilience improvement vs f, for honest-trusted shares t and several
-    shares of injected view-poisoned trusted nodes (0 = the paper's black
-    baseline line)."""
-    cache = cache or BaselineCache(scale)
-    result = FigureResult(
-        figure_id="Fig. 13 — corrupted trusted node injection",
-        headers=["t", "poisoned", "f", "improvement %"],
-    )
-    for t in t_values:
-        for poisoned in poison_values:
-            for f in f_values:
-                base_resilience, _, _ = cache.mean_metrics(f)
-                # No ``raptee`` section: adaptive eviction is the default.
-                resilience, _, _ = _mean_metrics(
-                    scale, _scenario(scale, "raptee", f, t, poisoned)
-                )
-                result.rows.append(
-                    [
-                        f"{t:.0%}",
-                        f"{poisoned:.0%}",
-                        f"{f:.0%}",
-                        f"{resilience_improvement(base_resilience, resilience):+.1f}",
-                    ]
-                )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Extension — pollution rate under trusted-set churn (dynamic membership)
-# ---------------------------------------------------------------------------
-
-def _churn_cell(spec: "ScenarioSpec", seed: int) -> Tuple[float, int, int, int]:
-    """(resilience, epochs, joins, leaves) of one seed under trusted-set churn."""
-    artifacts = _run(spec, seed)
+def _churn(artifacts: ScenarioArtifacts) -> Values:
+    """Resilience, group-key epochs, joins and leaves of one run."""
     director = artifacts.bundle.membership
-    return (
-        artifacts.metrics.resilience,
-        director.service.chain.current.number,
-        director.stats.joins,
-        director.stats.leaves,
+    return (artifacts.metrics.resilience, director.service.chain.current.number,
+            director.stats.joins, director.stats.leaves)
+
+
+def _slo(artifacts: ScenarioArtifacts) -> Values:
+    """Served, failed, p50, p95, % within the SLO, % Byzantine and req/s."""
+    registry = artifacts.bundle.telemetry.registry
+    served = registry.value("load.requests")
+    latency = registry.histogram("load.latency_ms", LATENCY_BUCKETS_MS)
+    within = sum(count for bound, count in zip(latency.buckets, latency.bucket_counts)
+                 if bound <= _SLO_MS)
+    shares = (100.0 * count / served if served else 0.0
+              for count in (within, registry.value("load.byzantine_samples")))
+    return (served, registry.value("load.failures"), latency.percentile(0.50),
+            latency.percentile(0.95), *shares,
+            served / (artifacts.spec.rounds * artifacts.spec.engine.tick_interval))
+
+
+def _straggler(artifacts: ScenarioArtifacts) -> Values:
+    """Pollution, gossip cycles, late-cycle % and invariant violations."""
+    engine = artifacts.bundle.engine
+    return (artifacts.metrics.resilience_percent, engine.cycles,
+            100.0 * engine.late_fraction, len(artifacts.checker.violations))
+
+
+def _straggler_label(straggler: Optional[str]) -> str:
+    profile = straggler and parse_straggler(straggler)
+    return f"{100.0 * profile.fraction:g}% @ {profile.slowdown:g}x" if profile else "none"
+
+
+def _eviction_figure(title: str, eviction) -> FigureDef:
+    """One of Figs. 5-9: RAPTEE over the f × t grid against Brahms."""
+    return FigureDef(
+        title, ("f", "t", "improvement %", "discovery overhead %", "stability overhead %"),
+        _eviction_rows, {"protocol": "raptee", "eviction": eviction},
+        {"byzantine_fraction": (0.10, 0.20, 0.30), "trusted_fraction": (0.01, 0.10, 0.30)},
+        baseline=_brahms,
     )
 
 
-def membership_churn_figure(
-    scale: Scale,
-    churn_rates: Sequence[float] = (0.0, 0.02, 0.05),
-    byzantine_fraction: float = 0.10,
-    trusted_fraction: float = 0.20,
-) -> FigureResult:
-    """Pollution vs trusted-set churn rate (beyond the paper's static set).
+_IDENTIFICATION = FigureDef(
+    "Fig. 10 — identification attack, f = 10%", ("ER", "t", "precision", "recall", "F1"),
+    lambda cell, values, _: [[cell["eviction"].describe(), *_percents(cell, "trusted_fraction"),
+                              *(f"{value:.2f}" for value in values)]],
+    # Byzantine nodes issue β·l1 pull probes a round.
+    {"protocol": "raptee", "byzantine_fraction": 0.10, "probe_pulls": lambda scale: (
+        BrahmsConfig().scaled(scale.n_nodes, scale.view_ratio).beta_count)},
+    {"eviction": tuple(FixedEviction(rate) for rate in (0.0, 0.4, 0.6, 1.0)),
+     "trusted_fraction": (0.01, 0.10, 0.30)},
+    measure=_identification,
+)
+_EVENTS = {"protocol": "raptee", "byzantine_fraction": 0.10, "trusted_fraction": 0.10,
+           "kind": "events", "latency": _LINK}
 
-    Each row runs the full RAPTEE deployment with dynamic membership: a
-    per-round probability ``rate`` of one trusted node joining and one
-    leaving, every leave forcing a group-key rotation the surviving
-    trusted set must re-attest through.  The pollution column shows how
-    much Byzantine presence the overlay absorbs while the trusted set is
-    repeatedly re-keying — the cost of revocation-capable membership.
-    """
-    result = FigureResult(
-        figure_id="Churn — pollution under trusted-set churn",
-        headers=["churn/round", "byz-in-views %", "epochs", "joins", "leaves"],
-    )
-    for rate in churn_rates:
-        # The membership section brings the fault layer with it, whose
-        # per-round hook ticks the director — which drives the churn.
-        spec = _scenario(
-            scale, "raptee", byzantine_fraction, trusted_fraction,
-            membership=MembershipConfig(join_rate=rate, leave_rate=rate),
-        )
-        resilience, epochs, joins, leaves = (
-            summarize(column).mean
-            for column in zip(*map_ordered(partial(_churn_cell, spec), scale.seeds()))
-        )
-        result.rows.append(
-            [
-                f"{rate:.0%}",
-                f"{100 * resilience:.1f}",
-                f"{epochs:.1f}",
-                f"{joins:.1f}",
-                f"{leaves:.1f}",
-            ]
-        )
-    return result
-
-
-def _histogram_percentile(histogram, quantile: float) -> float:
-    """Smallest bucket bound covering ``quantile`` of the observations.
-
-    Registry histograms are fixed-bucket (no raw samples), so percentiles
-    are upper bounds — deterministic and monotone, which is all the SLO
-    curve needs.  Observations above the last bound report that bound.
-    """
-    if histogram.count == 0:
-        return 0.0
-    target = quantile * histogram.count
-    cumulative = 0
-    for index, bound in enumerate(histogram.buckets):
-        cumulative += histogram.bucket_counts[index]
-        if cumulative >= target:
-            return bound
-    return histogram.buckets[-1]
-
-
-def slo_figure(
-    scale: Scale,
-    loads: Sequence[Tuple[int, float]] = ((10, 30.0), (40, 30.0), (160, 30.0)),
-    latency_spec: str = "lognormal:40:0.6",
-    slo_ms: float = 200.0,
-    byzantine_fraction: float = 0.10,
-    trusted_fraction: float = 0.10,
-) -> FigureResult:
-    """Latency/throughput SLO curve under client load (event engine).
-
-    Sweeps offered load (clients × requests/minute) over one RAPTEE
-    deployment running continuously with per-link latency; every column
-    is computed from the telemetry registry (``load.*`` series), so the
-    figure doubles as an end-to-end check that the event engine's
-    metrics surface is complete.
-    """
-    from repro.events.network import LATENCY_BUCKETS_MS
-    from repro.scenario.spec import EngineSpec
-    from repro.telemetry import TelemetryConfig
-
-    result = FigureResult(
-        figure_id=f"SLO — sampling latency/throughput (link {latency_spec})",
-        headers=["load", "served", "failed", "p50 ms", "p95 ms",
-                 f"<= {slo_ms:g} ms %", "byz %", "req/s"],
-    )
-    for clients, per_minute in loads:
-        spec = _scenario(
-            scale, "raptee", byzantine_fraction, trusted_fraction,
-            engine=EngineSpec(
-                kind="events", latency=latency_spec,
-                load=f"{clients}:{per_minute!r}",
-            ),
-        )
-        artifacts = _run(spec, scale.base_seed, telemetry=TelemetryConfig(tracing=False))
-        registry = artifacts.bundle.telemetry.registry
-        served = registry.value("load.requests")
-        failed = registry.value("load.failures")
-        byzantine = registry.value("load.byzantine_samples")
-        latency = registry.histogram("load.latency_ms", LATENCY_BUCKETS_MS)
-        within = 0
-        for index, bound in enumerate(latency.buckets):
-            if bound <= slo_ms:
-                within += latency.bucket_counts[index]
-        duration = scale.rounds * spec.engine.tick_interval
-        result.rows.append([
-            f"{clients}x{per_minute:g}",
-            f"{served:.0f}",
-            f"{failed:.0f}",
-            f"{_histogram_percentile(latency, 0.50):g}",
-            f"{_histogram_percentile(latency, 0.95):g}",
-            f"{100.0 * within / served if served else 0.0:.1f}",
-            f"{100.0 * byzantine / served if served else 0.0:.1f}",
-            f"{served / duration:.1f}",
-        ])
-    return result
-
-
-def straggler_figure(
-    scale: Scale,
-    profiles: Sequence[Tuple[float, float]] = ((0.0, 1.0), (0.1, 4.0), (0.1, 16.0)),
-    latency_spec: str = "lognormal:40:0.6",
-    byzantine_fraction: float = 0.10,
-    trusted_fraction: float = 0.10,
-) -> FigureResult:
-    """Overlay health vs straggler severity (event engine).
-
-    Each row slows a deterministic subset of nodes by the given factor:
-    their gossip cycles stretch past the round period, they exchange
-    less, and the figure reports what that costs — pollution, late-cycle
-    share, and protocol invariant violations observed at round
-    boundaries by a record-only checker.
-    """
-    from repro.scenario.spec import EngineSpec
-
-    result = FigureResult(
-        figure_id=f"Stragglers — overlay health (link {latency_spec})",
-        headers=["stragglers", "byz-in-views %", "cycles", "late %", "violations"],
-    )
-    for fraction, slowdown in profiles:
-        spec = _scenario(
-            scale, "raptee", byzantine_fraction, trusted_fraction,
-            engine=EngineSpec(
-                kind="events", latency=latency_spec,
-                straggler=f"{fraction!r}:{slowdown!r}" if fraction > 0 else None,
-            ),
-        )
-        artifacts = _run(spec, scale.base_seed, check_invariants=True)
-        metrics = artifacts.metrics
-        engine = artifacts.bundle.engine
-        label = (f"{100.0 * fraction:g}% @ {slowdown:g}x" if fraction > 0
-                 else "none")
-        result.rows.append([
-            label,
-            f"{metrics.resilience_percent:.1f}",
-            f"{engine.cycles}",
-            f"{100.0 * engine.late_fraction:.1f}",
-            f"{len(artifacts.checker.violations)}",
-        ])
-    return result
+#: Every table and figure ``repro figure`` regenerates, by its id.
+FIGURES: Dict[str, FigureDef] = {
+    "fig3": FigureDef(
+        "Fig. 3 — Brahms under Byzantine faults",
+        ("f", "byz-in-views %", "discovery rounds", "stability rounds"),
+        lambda cell, values, _: [_percents(cell, "byzantine_fraction") + [
+            f"{100 * values[0]:.1f}", f"{values[1]:.0f}", f"{values[2]:.0f}"]],
+        {"protocol": "brahms"}, {"byzantine_fraction": (0.10, 0.14, 0.18, 0.22, 0.26, 0.30)},
+    ),
+    # §V-A's micro-benchmark (at most 200 nodes, a third of the rounds but
+    # at least 20) paying the enclave overhead, against the plain cost.
+    "table1": FigureDef(
+        "Table I — SGX performance overhead (CPU cycles)",
+        ("Peer sampling function", "Standard", "SGX", "Mean overhead", "Std dev"), _table1_rows,
+        {"protocol": "raptee", "byzantine_fraction": 0.0, "trusted_fraction": 0.5,
+         "with_cycle_accounting": True, "cycle_mode": "sgx",
+         "n_nodes": lambda scale: min(scale.n_nodes, 200),
+         "rounds": lambda scale: max(20, scale.rounds // 3)},
+        baseline=lambda cell: {**cell, "cycle_mode": "standard"}, measure=_cycle_costs,
+    ),
+    "fig5": _eviction_figure("Fig. 5 — eviction rate 0%", FixedEviction(0.0)),
+    "fig6": _eviction_figure("Fig. 6 — eviction rate 40%", FixedEviction(0.4)),
+    "fig7": _eviction_figure("Fig. 7 — eviction rate 60%", FixedEviction(0.6)),
+    "fig8": _eviction_figure("Fig. 8 — eviction rate 100%", FixedEviction(1.0)),
+    "fig9": _eviction_figure("Fig. 9 — adaptive eviction rate", AdaptiveEviction()),
+    "fig10": _IDENTIFICATION,
+    "fig11": replace(_IDENTIFICATION, title="Fig. 11 — identification attack, f = 30%",
+                     cell={**_IDENTIFICATION.cell, "byzantine_fraction": 0.30}),
+    "fig12": replace(_IDENTIFICATION, title="Fig. 12 — identification attack, adaptive",
+                     axes={**_IDENTIFICATION.axes, "eviction": (AdaptiveEviction(),)}),
+    # Injected view-poisoned trusted nodes (0: the paper's black line).
+    "fig13": FigureDef(
+        "Fig. 13 — corrupted trusted node injection", ("t", "poisoned", "f", "improvement %"),
+        lambda cell, values, baseline: [
+            _percents(cell, "trusted_fraction", "poisoned_fraction", "byzantine_fraction")
+            + [f"{resilience_improvement(baseline[0], values[0]):+.1f}"]],
+        {"protocol": "raptee"},
+        {"trusted_fraction": (0.01, 0.10, 0.30),
+         "poisoned_fraction": (0.0, 0.01, 0.05, 0.10, 0.20, 0.30),
+         "byzantine_fraction": (0.10, 0.20, 0.30)},
+        baseline=_brahms,
+    ),
+    # Each round one trusted node joins and one leaves with probability
+    # ``rate``; every leave rotates the group key.
+    "churn": FigureDef(
+        "Churn — pollution under trusted-set churn",
+        ("churn/round", "byz-in-views %", "epochs", "joins", "leaves"),
+        lambda cell, values, _: [[f"{cell['membership'].join_rate:.0%}", f"{100 * values[0]:.1f}",
+                                  *(f"{count:.1f}" for count in values[1:])]],
+        {"protocol": "raptee", "byzantine_fraction": 0.10, "trusted_fraction": 0.20},
+        {"membership": tuple(MembershipConfig(join_rate=rate, leave_rate=rate)
+                             for rate in (0.0, 0.02, 0.05))},
+        measure=_churn,
+    ),
+    "slo": FigureDef(
+        f"SLO — sampling latency/throughput (link {_LINK})",
+        ("load", "served", "failed", "p50 ms", "p95 ms", f"<= {_SLO_MS:g} ms %", "byz %",
+         "req/s"),
+        lambda cell, values, _: [[cell["load"].replace(":", "x"), *map(
+            format, values, (".0f", ".0f", "g", "g", ".1f", ".1f", ".1f"))]],
+        _EVENTS, {"load": ("10:30", "40:30", "160:30")},
+        measure=_slo, wiring={"telemetry": TelemetryConfig(tracing=False)},
+    ),
+    "straggler": FigureDef(
+        f"Stragglers — overlay health (link {_LINK})",
+        ("stragglers", "byz-in-views %", "cycles", "late %", "violations"),
+        lambda cell, values, _: [[_straggler_label(cell["straggler"]),
+                                  *map(format, values, (".1f", ".0f", ".1f", ".0f"))]],
+        _EVENTS, {"straggler": (None, "0.1:4", "0.1:16")},
+        measure=_straggler, wiring={"check_invariants": True},
+    ),
+}

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_percent", "format_round"]
+__all__ = ["FigureResult", "format_table", "format_percent", "format_round"]
 
 
 def format_percent(value: Optional[float], decimals: int = 1) -> str:
@@ -38,3 +39,19 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     lines.append("  ".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in materialized)
     return "\n".join(lines)
+
+
+@dataclass
+class FigureResult:
+    """Rows of one regenerated table/figure, renderable as ASCII."""
+
+    figure_id: str
+    headers: List[str]
+    rows: List[List[object]] = field(default_factory=list)
+
+    def render(self) -> str:
+        return format_table(self.headers, self.rows, title=self.figure_id)
+
+    def column(self, name: str) -> List[object]:
+        index = self.headers.index(name)
+        return [row[index] for row in self.rows]

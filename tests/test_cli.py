@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main, parse_eviction
 from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.experiments.figures import FIGURES
 
 
 class TestParseEviction:
@@ -38,6 +39,15 @@ class TestParser:
         assert args.figure_id == "fig9"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
+
+    def test_figure_choices_are_the_registry(self):
+        import argparse
+
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        (figure_id,) = [action for action in commands.choices["figure"]._actions
+                        if action.dest == "figure_id"]
+        assert tuple(figure_id.choices) == tuple(FIGURES)
 
 
 class TestCommands:

@@ -255,12 +255,12 @@ class TestCrossProcessDeterminism:
 
 class TestSloFigure:
     def test_slo_figure_is_deterministic_and_non_degenerate(self):
-        from repro.experiments.figures import Scale, slo_figure
+        from repro.experiments.figures import FIGURES, Scale, run_figure
 
         scale = Scale(n_nodes=40, rounds=8, repetitions=1, view_ratio=0.10)
-        loads = ((5, 30.0), (20, 30.0))
-        first = slo_figure(scale, loads=loads)
-        second = slo_figure(scale, loads=loads)
+        loads = ("5:30", "20:30")
+        first = run_figure(FIGURES["slo"], scale, load=loads)
+        second = run_figure(FIGURES["slo"], scale, load=loads)
         assert first.rows == second.rows
         served = [float(row[1]) for row in first.rows]
         assert all(count > 0 for count in served)
@@ -268,7 +268,7 @@ class TestSloFigure:
         assert served[1] > served[0]
         # Non-degenerate latency: p95 is a positive bucket bound.
         assert all(float(row[4]) > 0 for row in first.rows)
-        # The bytes the figure rendered before it went through _scenario/_run.
+        # The bytes the figure rendered before it went through the spec pipeline.
         assert hashlib.sha256(first.render().encode("utf-8")).hexdigest() == (
             "47501c9c8ef1cbd9967b6426d51fb604c999902fa19d19c6fe347243d127c875"
         )

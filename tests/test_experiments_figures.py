@@ -1,30 +1,24 @@
 """Figure-reproduction harness tests at tiny scale.
 
-These exercise the per-figure entry points end-to-end (tiny topologies, few
-rounds) — the real reproductions live in ``benchmarks/``.  Every figure
-family also carries the sha256 of its rendered table, recorded at the last
-commit whose figures wired and looped seeds by hand: the one
-spec → ``run_scenario`` → ``repeat`` path must print the same bytes.
+These run the ``FIGURES`` registry's defs through ``run_figure`` end to end
+(tiny topologies, few rounds; a non-default grid is an axis override or a
+``dataclasses.replace`` on the def) — the real reproductions live in
+``benchmarks/``.  Every figure family also carries the sha256 of its
+rendered table, recorded at the last commit whose figures wired and looped
+seeds by hand: the one def → spec → ``run_scenario`` → ``repeat`` path must
+print the same bytes.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.core.eviction import FixedEviction
 from repro.experiments import figures
-from repro.experiments.figures import (
-    BaselineCache,
-    Scale,
-    eviction_figure,
-    figure3_brahms_baseline,
-    figure13_poisoned_injection,
-    identification_figure,
-    membership_churn_figure,
-    straggler_figure,
-    table1_sgx_overhead,
-)
+from repro.experiments.figures import FIGURES, Scale, run_figure
 from repro.experiments.reporting import format_percent, format_round, format_table
+from repro.membership.service import MembershipConfig
 
 TINY = Scale(n_nodes=100, rounds=25, repetitions=1, view_ratio=0.1, base_seed=5)
 #: Two seeds, so the pins cover the seed sweep's mean and ordering too.
@@ -36,8 +30,9 @@ def _sha256(result) -> str:
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return BaselineCache(TINY)
+def memo():
+    """One seed-mean memo shared by the module's TINY figures."""
+    return {}
 
 
 class TestReporting:
@@ -59,8 +54,8 @@ class TestReporting:
 
 
 class TestFigure3:
-    def test_rows_and_render(self, cache):
-        result = figure3_brahms_baseline(TINY, f_values=(0.10, 0.30), cache=cache)
+    def test_rows_and_render(self, memo):
+        result = run_figure(FIGURES["fig3"], TINY, memo, byzantine_fraction=(0.10, 0.30))
         assert len(result.rows) == 2
         rendered = result.render()
         assert "Fig. 3" in rendered
@@ -72,34 +67,43 @@ class TestFigure3:
         )
 
     def test_baseline_cache_reuses_runs(self, monkeypatch):
-        cache = BaselineCache(PAIR)
-        result = figure3_brahms_baseline(PAIR, f_values=(0.10, 0.30), cache=cache)
+        memo = {}
+        result = run_figure(FIGURES["fig3"], PAIR, memo, byzantine_fraction=(0.10, 0.30))
         assert _sha256(result) == (
             "9f0623923fa0fbbfdeb9b0b9b70b5446db5c8e74ab39878626a63771b54c4bfb"
         )
-        first = cache.mean_metrics(0.10)
 
         def no_run(*args, **kwargs):
-            raise AssertionError("a cached baseline was run again")
+            raise AssertionError("a memoised cell was run again")
 
-        # A second request for the same f runs nothing.
-        monkeypatch.setattr(figures, "_run", no_run)
-        assert cache.mean_metrics(0.10) is first
+        # A second figure over the same Brahms cells runs nothing.
+        monkeypatch.setattr(figures, "run_scenario", no_run)
+        again = run_figure(FIGURES["fig3"], PAIR, memo, byzantine_fraction=(0.10,))
+        assert again.rows == result.rows[:1]
 
+    def test_a_memo_filled_at_another_scale_changes_nothing(self, memo):
+        """The memo is keyed by each cell's spec and seeds, so one filled at
+        TINY answers nothing at PAIR: a figure sharing it prints the bytes
+        of a fresh run, baseline included."""
+        run_figure(FIGURES["fig3"], TINY, memo, byzantine_fraction=(0.10,))
+        f = {"byzantine_fraction": (0.10,)}
+        for figure, axes in ((FIGURES["fig3"], f),
+                             (FIGURES["fig7"], {**f, "trusted_fraction": (0.10,)})):
+            shared = run_figure(figure, PAIR, memo, **axes)
+            assert shared.render() == run_figure(figure, PAIR, **axes).render()
 
     def test_a_cell_runs_on_the_shard_engine(self):
         """The figure runner has no engine of its own: a cell whose spec
-        says ``kind="shard"`` goes down the same ``_run`` → ``repeat`` road,
-        and the partition count is invisible in its numbers."""
+        says ``kind="shard"`` goes down the same ``run_figure`` → ``repeat``
+        road, and the partition count is invisible in its numbers."""
         import math
 
-        from repro.scenario.spec import EngineSpec
-
         def cell(shards):
-            return figures._mean_metrics(PAIR, figures._scenario(
-                PAIR, "brahms", 0.10, adversary_strategy="balanced",
-                engine=EngineSpec(kind="shard", shards=shards),
-            ))
+            memo = {}
+            run_figure(FIGURES["fig3"], PAIR, memo, byzantine_fraction=(0.10,),
+                       adversary_strategy=("balanced",), kind=("shard",), shards=(shards,))
+            (values,) = memo.values()
+            return values
 
         sharded = cell(4)
         assert all(math.isfinite(value) for value in sharded)
@@ -109,7 +113,7 @@ class TestFigure3:
 
 class TestTable1:
     def test_all_five_functions_reported(self):
-        result = table1_sgx_overhead(TINY, rounds=12)
+        result = run_figure(FIGURES["table1"], TINY, rounds=(12,))
         assert len(result.rows) == 5
         for row in result.rows:
             standard = float(str(row[1]).replace(",", ""))
@@ -121,10 +125,10 @@ class TestTable1:
 
 
 class TestEvictionFigure:
-    def test_grid_rows(self, cache):
-        result = eviction_figure(
-            "test", FixedEviction(0.6), TINY,
-            f_values=(0.10,), t_values=(0.10,), cache=cache,
+    def test_grid_rows(self, memo):
+        result = run_figure(
+            dataclasses.replace(FIGURES["fig7"], title="test"), TINY, memo,
+            byzantine_fraction=(0.10,), trusted_fraction=(0.10,),
         )
         assert len(result.rows) == 1
         row = result.rows[0]
@@ -137,9 +141,9 @@ class TestEvictionFigure:
 
 class TestIdentificationFigure:
     def test_metrics_in_unit_interval(self):
-        result = identification_figure(
-            "test", 0.20, TINY,
-            policies=(FixedEviction(1.0),), t_values=(0.2,),
+        result = run_figure(
+            dataclasses.replace(FIGURES["fig10"], title="test"), TINY,
+            byzantine_fraction=(0.20,), eviction=(FixedEviction(1.0),), trusted_fraction=(0.2,),
         )
         assert len(result.rows) == 1
         _policy, _t, precision, recall, f1 = result.rows[0]
@@ -151,10 +155,10 @@ class TestIdentificationFigure:
 
 
 class TestFigure13:
-    def test_rows_cover_grid(self, cache):
-        result = figure13_poisoned_injection(
-            TINY, t_values=(0.05,), poison_values=(0.0, 0.10), f_values=(0.10,),
-            cache=cache,
+    def test_rows_cover_grid(self, memo):
+        result = run_figure(
+            FIGURES["fig13"], TINY, memo, trusted_fraction=(0.05,),
+            poisoned_fraction=(0.0, 0.10), byzantine_fraction=(0.10,),
         )
         assert len(result.rows) == 2
         assert {row[1] for row in result.rows} == {"0%", "10%"}
@@ -166,8 +170,9 @@ class TestFigure13:
 class TestMembershipChurnFigure:
     def test_churn_fires_and_renders_the_pinned_table(self):
         scale = Scale(n_nodes=40, rounds=12, repetitions=2, view_ratio=0.1, base_seed=5)
-        result = membership_churn_figure(
-            scale, churn_rates=(0.5,), trusted_fraction=0.1
+        result = run_figure(
+            FIGURES["churn"], scale, trusted_fraction=(0.1,),
+            membership=(MembershipConfig(join_rate=0.5, leave_rate=0.5),),
         )
         (row,) = result.rows
         # The mechanism under test fired: the trusted set did churn.
@@ -181,7 +186,7 @@ class TestMembershipChurnFigure:
 class TestStragglerFigure:
     def test_stragglers_run_late_and_render_the_pinned_table(self):
         scale = Scale(n_nodes=60, rounds=12, repetitions=1, view_ratio=0.1, base_seed=5)
-        result = straggler_figure(scale, profiles=((0.0, 1.0), (0.2, 8.0)))
+        result = run_figure(FIGURES["straggler"], scale, straggler=(None, "0.2:8"))
         assert [row[0] for row in result.rows] == ["none", "20% @ 8x"]
         healthy, slowed = result.rows
         # Slowed nodes complete fewer cycles, and more of them late.

@@ -358,8 +358,9 @@ def test_reading_a_finished_run_never_asks_which_engine_ran():
 
 
 def test_every_stage_of_the_pipeline_exists_once():
-    """The figures neither build, wire nor loop seeds by hand; the spec has
-    no checker table beside its dataclasses; the seed sweep has callers."""
+    """The figures neither build, wire nor loop seeds by hand, and one
+    function of theirs — the runner — sweeps seeds; the spec has no checker
+    table beside its dataclasses; the seed sweep has callers."""
     trees = dict(_package_trees())
     figures = list(ast.walk(trees["experiments/figures.py"]))
     seed_loops = [
@@ -368,6 +369,15 @@ def test_every_stage_of_the_pipeline_exists_once():
         and getattr(node.target, "id", None) == "seed"
     ]
     assert not seed_loops
+
+    def sweeps(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("repeat", "map_ordered")]
+
+    (runner,) = [node for node in trees["experiments/figures.py"].body
+                 if isinstance(node, ast.FunctionDef) and sweeps(node)]
+    assert runner.name == "run_figure"
+    assert len(sweeps(runner)) == len(sweeps(trees["experiments/figures.py"]))
     assigned = {
         node.id for node in ast.walk(trees["scenario/spec.py"])
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
