@@ -76,6 +76,12 @@ class BrahmsNode(NodeBase):
         # Per-round buffers.
         self._received_pushes: List[int] = []
         self._pulled: List[PulledBatch] = []
+        # Messages are frozen, so the pull request is built once and the
+        # pull reply once per view object: every writer of ``self.view``
+        # assigns a new list rather than mutating the current one.
+        self._pull_request = PullRequest(node_id)
+        self._reply_view: Optional[List[int]] = None
+        self._reply: Optional[PullReply] = None
 
     # -- NodeBase introspection -------------------------------------------
 
@@ -131,7 +137,7 @@ class BrahmsNode(NodeBase):
     def _do_pull(self, ctx: RoundContext, target: int) -> Optional[PulledBatch]:
         """One pull session; RAPTEE overrides to run auth + trusted swap."""
         self._charge(PeerSamplingFunction.PULL_REQUEST)
-        reply = ctx.request(self.node_id, target, PullRequest(self.node_id))
+        reply = ctx.request(self.node_id, target, self._pull_request)
         if not isinstance(reply, PullReply):
             return None
         return PulledBatch(source=target, ids=reply.ids)
@@ -144,7 +150,10 @@ class BrahmsNode(NodeBase):
 
     def handle_request(self, message: Message) -> Optional[Message]:
         if isinstance(message, PullRequest):
-            return PullReply(sender=self.node_id, ids=tuple(self.view))
+            if self._reply_view is not self.view:
+                self._reply_view = self.view
+                self._reply = PullReply(sender=self.node_id, ids=tuple(self.view))
+            return self._reply
         return None
 
     # -- round-end update ---------------------------------------------------------

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.ctr import AesCtr
-from repro.crypto.hashing import concat_hash, constant_time_equal, hmac_sha256
+from repro.crypto.hashing import FramedHash, constant_time_equal, hmac_sha256
 
 __all__ = ["AuthScheme", "NONCE_BYTES", "KEY_BYTES"]
 
@@ -39,6 +39,10 @@ NONCE_BYTES = 16
 KEY_BYTES = 16
 
 _SCHEMES = ("hmac", "aes-ctr")
+
+# H(first‖second) is ``concat_hash(b"raptee-auth", first, second)``; the
+# label's framing is hashed once per process, not once per proof.
+_AUTH_HASH = FramedHash(b"raptee-auth")
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class AuthScheme:
 
     def _proof(self, key: bytes, first: bytes, second: bytes) -> bytes:
         """[H(first‖second)]_key."""
-        digest = concat_hash(b"raptee-auth", first, second)
+        digest = _AUTH_HASH(first, second)
         if self.mode == "hmac":
             return hmac_sha256(key, digest)
         # aes-ctr: encrypt the digest; the nonce comes from the *second*

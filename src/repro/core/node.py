@@ -48,7 +48,6 @@ from repro.sim.messages import (
     AuthResult,
     Message,
     PullReply,
-    PullRequest,
     TrustedSwapReply,
     TrustedSwapRequest,
 )
@@ -245,7 +244,7 @@ class RapteeNode(BrahmsNode):
 
         # Ordinary Brahms pull (all node types issue it identically — a
         # trusted node that skipped it would be trivially identifiable).
-        reply = ctx.request(self.node_id, target, PullRequest(self.node_id))
+        reply = ctx.request(self.node_id, target, self._pull_request)
         batch: Optional[PulledBatch] = None
         if isinstance(reply, PullReply):
             batch = PulledBatch(

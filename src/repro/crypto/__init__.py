@@ -9,6 +9,7 @@ samplers and a deterministic PRNG for reproducible simulation.
 from repro.crypto.aes import AES128, BLOCK_SIZE
 from repro.crypto.ctr import AesCtr, NONCE_SIZE
 from repro.crypto.hashing import (
+    FramedHash,
     concat_hash,
     constant_time_equal,
     hkdf,
@@ -37,6 +38,7 @@ __all__ = [
     "BLOCK_SIZE",
     "AesCtr",
     "NONCE_SIZE",
+    "FramedHash",
     "concat_hash",
     "constant_time_equal",
     "hkdf",

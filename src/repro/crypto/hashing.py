@@ -13,6 +13,7 @@ import hmac as _hmac
 __all__ = [
     "sha256",
     "concat_hash",
+    "FramedHash",
     "hmac_sha256",
     "hkdf",
     "constant_time_equal",
@@ -32,30 +33,69 @@ def concat_hash(*parts: bytes) -> bytes:
     ambiguity where ``H(a || b) == H(a' || b')`` for different splits.
 
     One join + one C-level update hashes the identical byte stream that
-    per-part updates would, at a fraction of the call overhead — this sits
-    on the auth hot path (every proof hashes framed nonces).
+    per-part updates would, at a fraction of the call overhead.  A hot
+    caller with a fixed first part (the auth proofs' label) uses
+    :class:`FramedHash` for the same bytes.
     """
     return hashlib.sha256(
         b"".join(len(part).to_bytes(4, "big") + part for part in parts)
     ).digest()
 
 
+class FramedHash:
+    """``concat_hash(label, *parts)`` with the label's framing hashed once.
+
+    The SHA-256 state after the framed label is kept; each call copies it
+    and feeds the framed parts in one update.  The auth proofs hash every
+    nonce pair under one fixed label, so the label is never rehashed.
+    """
+
+    __slots__ = ("_prefix",)
+
+    def __init__(self, label: bytes):
+        self._prefix = hashlib.sha256(len(label).to_bytes(4, "big") + label)
+
+    def __call__(self, *parts: bytes) -> bytes:
+        # A flat loop, not a generator: no extra frame per part.
+        framed = b""
+        for part in parts:
+            framed += len(part).to_bytes(4, "big") + part
+        state = self._prefix.copy()
+        state.update(framed)
+        return state.digest()
+
+
 # HMAC pads and hashes the key on every call; the simulator computes
-# millions of proofs under a handful of long-lived keys, so keyed
-# prototypes are cached and copied (hmac.HMAC.copy is cheap).
-_HMAC_PROTOTYPES: dict = {}
+# millions of proofs under a handful of long-lived keys, so the two
+# RFC 2104 pad states of each key are cached as SHA-256 objects and an
+# HMAC is two C-level copy/update/digest triples.
+_BLOCK_BYTES = 64
+_HMAC_PADS: dict = {}
+
+
+def _hmac_pads(key: bytes) -> tuple:
+    """The (inner, outer) SHA-256 states after ``key ^ ipad`` / ``key ^ opad``."""
+    if len(key) > _BLOCK_BYTES:
+        key = hashlib.sha256(key).digest()
+    block = key.ljust(_BLOCK_BYTES, b"\x00")
+    return (
+        hashlib.sha256(block.translate(_hmac.trans_36)),
+        hashlib.sha256(block.translate(_hmac.trans_5C)),
+    )
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 (with per-key prototype caching)."""
-    prototype = _HMAC_PROTOTYPES.get(key)
-    if prototype is None:
-        prototype = _hmac.new(key, None, hashlib.sha256)
-        if len(_HMAC_PROTOTYPES) < 4096:
-            _HMAC_PROTOTYPES[key] = prototype
-    mac = prototype.copy()
-    mac.update(message)
-    return mac.digest()
+    """HMAC-SHA256 (RFC 2104, with per-key pad-state caching)."""
+    pads = _HMAC_PADS.get(key)
+    if pads is None:
+        pads = _hmac_pads(key)
+        if len(_HMAC_PADS) < 4096:
+            _HMAC_PADS[key] = pads
+    inner = pads[0].copy()
+    inner.update(message)
+    outer = pads[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def hkdf(key_material: bytes, info: bytes, length: int = 16, salt: bytes = b"") -> bytes:

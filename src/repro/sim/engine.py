@@ -9,10 +9,13 @@ nodes:
    and runs its pull/auth/swap sessions synchronously;
 3. **end** — every node integrates received IDs into its view and samplers.
 
-Because views only change in phase 3, the order of nodes inside phase 2 has
-no effect on the information available to any node — every pull reply is
-computed from start-of-round state — which makes runs independent of
-iteration order and therefore reproducible under a seed.
+In a Brahms-only population views change only in phase 3, so every pull
+reply is computed from start-of-round state and the order of nodes inside
+phase 2 has no effect on what any node learns.  Under RAPTEE that does not
+hold: a trusted swap (§IV-B) reassigns both partners' views during phase 2,
+so a later pull sees the swapped view and the outcome depends on the gossip
+order.  That order is the seeded shuffle, which is what makes every run
+reproducible under its seed.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Brahms node behaviour: gossip flows, defenses, view renewal."""
 
+import pickle
 import random
 
 from repro.brahms.config import BrahmsConfig
 from repro.brahms.node import BrahmsNode, PulledBatch
-from repro.sim.engine import Simulation
+from repro.sim.engine import RoundContext, Simulation
 from repro.sim.messages import PullReply, PullRequest, Push
 from repro.sim.network import Network
 from repro.sim.node import NodeKind
@@ -46,6 +47,57 @@ class TestPassiveBehaviour:
         node.on_push(6)
         assert node._received_pushes == [5, 6]
         assert {5, 6} <= node.known
+
+
+class TestPullReplyReuse:
+    """A responder answers from one ``PullReply`` per view object."""
+
+    def test_two_pulls_to_one_responder_in_a_round_get_equal_ids(self):
+        sim, nodes, _config = build_small_world()
+        ctx = RoundContext(sim, 1)
+        first = nodes[0]._do_pull(ctx, 1)
+        second = nodes[2]._do_pull(ctx, 1)
+        assert first.ids == second.ids == tuple(nodes[1].view)
+
+    def test_next_pull_after_a_view_renewal_sees_the_new_view(self):
+        config = BrahmsConfig(view_size=8, sample_size=4, blocking_enabled=False)
+        node = BrahmsNode(0, NodeKind.HONEST, config, random.Random(1))
+        node.seed_view([1, 2, 3])
+        before = node.handle_request(PullRequest(sender=9))
+
+        class FakeCtx:
+            round_number = 1
+
+            class network:
+                @staticmethod
+                def is_reachable(node_id):
+                    return True
+
+        node.begin_round(FakeCtx)
+        for sender in range(100, 120):
+            node.on_push(sender)
+        node._pulled.append(PulledBatch(source=1, ids=(2, 3)))
+        node.end_round(FakeCtx)
+        after = node.handle_request(PullRequest(sender=9))
+        assert before.ids == (1, 2, 3)
+        assert after.ids == tuple(node.view) != before.ids
+
+    def test_encrypted_bytes_are_the_same_for_a_reused_and_a_fresh_reply(self):
+        config = BrahmsConfig(view_size=8, sample_size=4)
+        network = Network(random.Random(0), encrypt=True)
+        nodes = [
+            BrahmsNode(i, NodeKind.HONEST, config, random.Random(i)) for i in range(2)
+        ]
+        nodes[0].seed_view([1])
+        nodes[1].seed_view([0, 5, 6, 7])
+        ctx = RoundContext(Simulation(network, nodes, random.Random(0)), 1)
+        counted = []
+        for _ in range(2):  # the second pull is answered by the cached reply
+            before = network.stats.bytes_encrypted
+            nodes[0]._do_pull(ctx, 1)
+            counted.append(network.stats.bytes_encrypted - before)
+        fresh = PullRequest(0), PullReply(sender=1, ids=(0, 5, 6, 7))
+        assert counted[0] == counted[1] == sum(len(pickle.dumps(m)) for m in fresh)
 
 
 class TestRoundDynamics:

@@ -10,6 +10,7 @@ from repro.core.config import RapteeConfig
 from repro.core.node import RapteeNode
 from repro.brahms.config import BrahmsConfig
 from repro.sim.engine import RoundContext, Simulation
+from repro.sim.messages import PullRequest
 from repro.sim.network import Network
 from repro.sim.node import NodeKind
 
@@ -48,6 +49,27 @@ class TestTrustedToTrustedSession:
         assert any(peer in (20, 21, 22, 2) for peer in a.view)
         # B received a trusted batch containing A's self-insertion or view.
         assert any(entry.trusted_source for entry in b._pulled)
+
+    def test_next_pull_after_a_swap_sees_the_new_view_on_both_sides(
+        self, config, infrastructure
+    ):
+        enclave_a, _ = infrastructure.new_trusted_enclave(1)
+        enclave_b, _ = infrastructure.new_trusted_enclave(2)
+        a = RapteeNode(1, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave_a)
+        b = RapteeNode(2, NodeKind.TRUSTED, config, random.Random(2), enclave=enclave_b)
+        a.seed_view([2, 10, 11, 12])
+        b.seed_view([1, 20, 21, 22])
+        _sim, ctx = micro_world([a, b])
+        # Both responders cache a reply built from the pre-swap views (B's
+        # is built by the pull that precedes the swap).
+        before_a = a.handle_request(PullRequest(sender=5))
+        batch = a._do_pull(ctx, 2)
+        assert batch.ids == (1, 20, 21, 22)
+        assert a.trusted_exchanges_total == b.trusted_exchanges_total == 1
+        # The swap reassigned both views mid-gossip: the next pull sees them.
+        for node, before in ((a, before_a.ids), (b, batch.ids)):
+            after = node.handle_request(PullRequest(sender=5)).ids
+            assert after == tuple(node.view) != before
 
     def test_counts_feed_adaptive_rate(self, config, infrastructure):
         enclave_a, _ = infrastructure.new_trusted_enclave(3)

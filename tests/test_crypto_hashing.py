@@ -4,9 +4,12 @@ import hashlib
 import hmac as stdlib_hmac
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from repro.core.auth import AuthScheme
+from repro.crypto.ctr import AesCtr
 from repro.crypto.hashing import (
+    FramedHash,
     concat_hash,
     constant_time_equal,
     hkdf,
@@ -50,10 +53,51 @@ class TestHmac:
         assert hmac_sha256(key, b"m1") == first
         assert first != second
 
-    @given(key=st.binary(min_size=1, max_size=64), message=st.binary(max_size=128))
+    # Keys of 0-200 bytes pin the RFC 2104 empty-key, zero-padded and
+    # hashed-first (over one 64-byte block) paths against the stdlib; the
+    # length is drawn first so that long keys are drawn at all, and the
+    # block edges are always tried.
+    @given(
+        key=st.integers(0, 200).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+        message=st.binary(max_size=128),
+    )
+    @example(key=b"", message=b"m")
+    @example(key=b"k" * 64, message=b"m")
+    @example(key=b"k" * 65, message=b"m")
+    @example(key=b"k" * 200, message=b"")
     def test_always_matches_stdlib(self, key, message):
         expected = stdlib_hmac.new(key, message, hashlib.sha256).digest()
         assert hmac_sha256(key, message) == expected
+
+
+class TestFramedHash:
+    @given(label=st.binary(max_size=40), parts=st.lists(st.binary(max_size=40), max_size=5))
+    def test_equals_concat_hash(self, label, parts):
+        assert FramedHash(label)(*parts) == concat_hash(label, *parts)
+
+    def test_prefix_state_does_not_leak_between_calls(self):
+        framed = FramedHash(b"label")
+        first = framed(b"a", b"b")
+        assert framed(b"c") == concat_hash(b"label", b"c")
+        assert framed(b"a", b"b") == first
+
+
+class TestAuthProof:
+    """``AuthScheme._proof`` is ``[concat_hash("raptee-auth", first, second)]_key``."""
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        first=st.binary(min_size=16, max_size=16),
+        second=st.binary(min_size=16, max_size=16),
+    )
+    def test_both_modes_equal_the_concat_hash_construction(self, key, first, second):
+        digest = concat_hash(b"raptee-auth", first, second)
+        assert AuthScheme("hmac")._proof(key, first, second) == (
+            stdlib_hmac.new(key, digest, hashlib.sha256).digest()
+        )
+        assert AuthScheme("aes-ctr")._proof(key, first, second) == (
+            AesCtr(key, second[:8]).encrypt(digest)
+        )
 
 
 class TestHkdf:
