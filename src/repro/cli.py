@@ -20,8 +20,6 @@ the engine.  The commands:
   and print the recovery/invariant report;
 * ``trace`` — run one scenario with telemetry wired
   (:mod:`repro.telemetry`) and export the JSONL trace / CSV metrics;
-* ``lint`` — run the :mod:`repro.lint` invariant checks (determinism,
-  enclave boundary, crypto hygiene, sim purity);
 * ``vectors`` — generate/verify the conformance vector suite
   (forwards to ``python -m repro.scenario``).
 
@@ -39,7 +37,6 @@ Examples::
     python -m repro faults --drill enclave-outage --nodes 200 --rounds 50
     python -m repro faults --drill membership-churn --trace-out churn.jsonl
     python -m repro trace --nodes 50 --rounds 30 --seed 7 --out trace.jsonl
-    python -m repro lint src tests --format json
     python -m repro vectors generate
     python -m repro vectors verify --report drift.json
 """
@@ -59,7 +56,7 @@ from repro.faults.drills import DRILLS, run_drill
 from repro.scenario.compile import compile_spec
 from repro.scenario.errors import ScenarioSpecError
 from repro.scenario.run import run_scenario
-from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec
+from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec, _construct
 from repro.shard.compile import ShardUnsupportedError
 from repro.telemetry import TelemetryConfig
 
@@ -219,14 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arguments forwarded to python -m repro.snapshot",
     )
 
-    lint_parser = subparsers.add_parser(
-        "lint", help="run the static invariant checks (see repro.lint)"
-    )
-    lint_parser.add_argument(
-        "lint_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to python -m repro.lint",
-    )
-
     vectors_parser = subparsers.add_parser(
         "vectors",
         help="generate/verify conformance vectors (see repro.scenario)",
@@ -242,18 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args) -> ScenarioSpec:
     """The scenario a ``run`` / ``trace`` / ``attack`` command line describes
     — the only place flags become a scenario.  A flag the subcommand lacks
-    keeps the spec's default; ``EngineSpec`` validates the engine strings."""
+    keeps the spec's default; ``EngineSpec`` validates the engine strings
+    and a refused topology value names its ``topology.<field>``."""
     flags = vars(args)
     protocol = flags.get("protocol", "raptee")
     raptee = protocol == "raptee"
-    topology = TopologySpec(
+    topology = _construct(TopologySpec, dict(
         n_nodes=args.nodes,
         byzantine_fraction=args.f,
         trusted_fraction=args.t if raptee else 0.0,
         poisoned_fraction=flags.get("poisoned", 0.0) if raptee else 0.0,
         view_ratio=args.view_ratio,
         loss_rate=flags.get("loss", 0.0),
-    )
+    ), "topology")
     if flags.get("shards") is not None:
         engine = EngineSpec(kind="shard", shards=args.shards)
     elif flags.get("engine") == "events":
@@ -380,6 +370,9 @@ def _command_run(args) -> int:
         if value is not None and value < 1:
             print(f"error: {flag} must be at least 1", file=sys.stderr)
             return 2
+    if args.checkpoint_every < 0:
+        print("error: --checkpoint-every must be non-negative", file=sys.stderr)
+        return 2
     if args.engine != "events":
         for flag, given in (
             ("--latency-model", args.latency_model is not None),
@@ -513,12 +506,6 @@ def _command_snapshot(args) -> int:
     return snapshot_main(args.snapshot_args)
 
 
-def _command_lint(args) -> int:
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(args.lint_args)
-
-
 def _command_vectors(args) -> int:
     from repro.scenario.cli import main as vectors_main
 
@@ -534,7 +521,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "faults": _command_faults,
         "trace": _command_trace,
         "snapshot": _command_snapshot,
-        "lint": _command_lint,
         "vectors": _command_vectors,
     }
     try:

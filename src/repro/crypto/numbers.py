@@ -30,7 +30,7 @@ that applies to each:
 from __future__ import annotations
 
 import math
-import random  # lint: disable=crypto-stdlib-random -- Miller-Rabin witness fallback is seeded from n, never from global state
+import random
 from typing import List, Optional, Tuple
 
 __all__ = [

@@ -11,7 +11,7 @@ anywhere a standard library ``Random`` is expected (e.g. RSA key generation).
 from __future__ import annotations
 
 import hashlib
-import random  # lint: disable=crypto-stdlib-random -- Sha256Prng IS the sanctioned random.Random subclass
+import random
 from typing import Optional
 
 __all__ = ["Sha256Prng", "derive_seed"]

@@ -222,17 +222,21 @@ def run_drill(
     JSON Lines (``trace_jsonl``) — callers that want it on disk write it
     themselves (this module performs no file I/O).
     """
+    from repro.scenario.errors import ScenarioSpecError
     from repro.scenario.run import run_scenario
-    from repro.scenario.spec import ScenarioSpec
+    from repro.scenario.spec import ScenarioSpec, _construct
 
     if name not in DRILLS:
         raise ValueError(
             f"unknown drill {name!r}; available: {', '.join(sorted(DRILLS))}"
         )
-    topology = TopologySpec(
+    if rounds < 1:
+        # Before the fault windows, which are cut from [1, rounds].
+        raise ScenarioSpecError(f"a drill runs at least one round, got {rounds}", "rounds")
+    topology = _construct(TopologySpec, dict(
         n_nodes=nodes, byzantine_fraction=0.10, trusted_fraction=0.30,
         view_ratio=0.08,
-    )
+    ), "topology")
     spec = ScenarioSpec(
         name=f"drill-{name}",
         protocol="raptee",

@@ -11,8 +11,9 @@ revocation; anti-entropy between two views is "replay the suffix the peer
 has already verified".
 
 Digest and signature comparisons go through ``constant_time_equal`` —
-the same discipline the auth protocol uses (and that ``repro.lint``'s
-``crypto-digest-compare`` rule enforces).
+the same discipline the auth protocol uses (and that the
+``crypto-digest-compare`` rule of ``tests/test_source_invariants.py``
+enforces).
 """
 
 from __future__ import annotations

@@ -14,9 +14,6 @@ missing directory/file).
 
 from __future__ import annotations
 
-# lint: disable-file=purity-print -- this module IS the CLI; like repro.cli,
-# reporting to stdout is its job.
-
 import argparse
 import json
 import os

@@ -13,9 +13,6 @@ honest form of the byte-identical-resume claim.
 
 from __future__ import annotations
 
-# lint: disable-file=purity-print -- this module IS the CLI; like repro.cli,
-# reporting to stdout is its job.
-
 import argparse
 import sys
 from typing import List, Optional

@@ -1,9 +1,9 @@
 """Exporters: JSONL traces, CSV metric snapshots, human summary tables.
 
 Everything here is string-in/string-out — the telemetry package performs no
-I/O (the same purity discipline the simulation core obeys; see
-``[tool.repro-lint]``).  File writing belongs to the CLI and experiments
-layers.
+I/O (the same purity discipline the simulation core obeys: the
+``purity-io`` rule of ``tests/test_source_invariants.py``).  File writing
+belongs to the CLI.
 
 Determinism: JSONL lines use ``sort_keys`` and compact separators, and the
 metrics CSV is emitted from the registry's sorted snapshot, so identical

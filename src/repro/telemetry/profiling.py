@@ -1,6 +1,3 @@
-# lint: disable-file=det-wall-clock -- the profiler is the one sanctioned
-# wall-clock consumer: it is opt-in, feeds nothing back into the protocol,
-# and its numbers are excluded from traces and metrics snapshots.
 """Opt-in wall-clock profiling hooks for hot paths.
 
 The telemetry trace and the metrics registry are part of the deterministic

@@ -197,6 +197,27 @@ class TestRunFlagWiring:
         assert "finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, flags, field", [
+        ("run", ["--nodes", "5"], "topology.n_nodes:"),
+        ("run", ["--f", "1.5"], "topology.byzantine_fraction:"),
+        ("run", ["--t", "0.95", "--f", "0.1"], "topology:"),
+        ("run", ["--view-ratio", "0"], "topology.view_ratio:"),
+        ("run", ["--loss", "2"], "topology.loss_rate:"),
+        ("attack", ["--nodes", "5"], "topology.n_nodes:"),
+        ("trace", ["--nodes", "5"], "topology.n_nodes:"),
+        ("faults", ["--nodes", "5"], "topology.n_nodes:"),
+        ("faults", ["--rounds", "0"], "rounds:"),
+        ("run", ["--checkpoint-every", "-1"], "--checkpoint-every"),
+    ], ids=["run-nodes", "run-f", "run-t-and-f", "run-view-ratio", "run-loss", "attack-nodes",
+            "trace-nodes", "faults-nodes", "faults-rounds", "run-checkpoint-every"])
+    def test_refused_flag_exits_two_naming_the_field(self, capsys, command, flags, field):
+        # Each of these used to escape as a ValueError traceback and exit 1.
+        exit_code = main([command, *flags])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith(f"error: {field}")
+        assert captured.out == ""
+
     def test_shard_gate_speaks_for_the_cli(self, capsys):
         """`run --shards` refuses what `shard_config_from_spec` refuses, in
         its words — the CLI holds no gate of its own."""
@@ -255,7 +276,7 @@ class TestSubcommandSurface:
 
     @pytest.mark.parametrize("command", [
         "run", "figure", "attack", "faults", "trace",
-        "snapshot", "lint", "vectors",
+        "snapshot", "vectors",
     ])
     def test_help_exits_zero(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:

@@ -4,8 +4,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = [ROOT / name for name in
-        ("README.md", "DESIGN.md", "EXPERIMENTS.md", "src/repro/lint/README.md")]
+DOCS = [ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
 _PATH = re.compile(
     r"(?<![\w/.-])((?:benchmarks|tests|examples|src|vectors)/[\w./-]*\.(?:py|md|vec|json|toml))"
 )
