@@ -1,17 +1,18 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``repro <command>`` (or ``python -m repro``).
 
-Argument wiring over the scenario pipeline: flags become one
+The package's one parser and one ``main``, and its only module that prints
+or writes the files a flag names.  Flags become one
 :class:`~repro.scenario.spec.ScenarioSpec` (:func:`_spec_from_args`), run
 by :func:`~repro.scenario.run.run_scenario` on any of the three engines —
 or built by ``compile_spec`` where the command drives the rounds itself
-(checkpointing).  ``run`` prints one report (:func:`_report`) whatever
-the engine.  The commands:
+(checkpointing, :func:`_run_to_target`).  ``run`` prints one report
+(:func:`_report`) whatever the engine.  The commands:
 
 * ``run`` — execute one Brahms or RAPTEE simulation and print the paper's
   three metrics; ``--checkpoint-every N`` saves a resumable snapshot every
   N rounds and ``--resume PATH`` continues one (:mod:`repro.snapshot`);
-* ``snapshot`` — inspect or resume snapshots
-  (forwards to ``python -m repro.snapshot``);
+* ``snapshot info|resume`` — print a snapshot's header, or run a
+  checkpoint to its target headless and export its trace / metrics;
 * ``figure`` — regenerate one paper table/figure (scaled topology) and
   print its rows;
 * ``attack`` — run the §VI-A trusted-node identification attack and print
@@ -20,30 +21,37 @@ the engine.  The commands:
   and print the recovery/invariant report;
 * ``trace`` — run one scenario with telemetry wired
   (:mod:`repro.telemetry`) and export the JSONL trace / CSV metrics;
-* ``vectors`` — generate/verify the conformance vector suite
-  (forwards to ``python -m repro.scenario``).
+* ``vectors generate|verify|list`` — the conformance vector suite
+  (:mod:`repro.scenario.vectors`): exit 0 when every vector matches, 1 on
+  drift or an integrity failure, 2 on a usage error.
+
+A refused flag value exits 2 with ``error: <flag or spec field>: …`` on
+stderr; a corrupt, missing or mismatched snapshot exits 1.
 
 Examples::
 
-    python -m repro run --protocol raptee --nodes 300 --f 0.1 --t 0.1
-    python -m repro run --nodes 300 --rounds 200 --checkpoint-every 20
-    python -m repro run --shards 8 --nodes 10000 --view-ratio 0.02 --rounds 5
-    python -m repro run --engine events --latency-model lognormal:40:0.6 \\
+    repro run --protocol raptee --nodes 300 --f 0.1 --t 0.1
+    repro run --nodes 300 --rounds 200 --checkpoint-every 20
+    repro run --shards 8 --nodes 10000 --view-ratio 0.02 --rounds 5
+    repro run --engine events --latency-model lognormal:40:0.6 \\
         --load 40:30 --straggler 0.1:8 --events-trace-out latency.jsonl
-    python -m repro run --resume repro-run.snapshot
-    python -m repro snapshot info repro-run.snapshot
-    python -m repro figure fig9 --scale test
-    python -m repro attack --f 0.2 --t 0.2 --eviction 1.0
-    python -m repro faults --drill enclave-outage --nodes 200 --rounds 50
-    python -m repro faults --drill membership-churn --trace-out churn.jsonl
-    python -m repro trace --nodes 50 --rounds 30 --seed 7 --out trace.jsonl
-    python -m repro vectors generate
-    python -m repro vectors verify --report drift.json
+    repro run --resume repro-run.snapshot
+    repro snapshot info repro-run.snapshot
+    repro snapshot resume repro-run.snapshot --trace-out trace.jsonl
+    repro figure fig9 --scale test
+    repro attack --f 0.2 --t 0.2 --eviction 1.0
+    repro faults --drill enclave-outage --nodes 200 --rounds 50
+    repro faults --drill membership-churn --trace-out churn.jsonl
+    repro trace --nodes 50 --rounds 30 --seed 7 --out trace.jsonl
+    repro vectors generate
+    repro vectors verify --report drift.json
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from typing import List, Optional
 
@@ -53,12 +61,29 @@ from repro.experiments.figures import BENCH_SCALE, FIGURES, TEST_SCALE, run_figu
 from repro.experiments.runner import bundle_metrics
 from repro.experiments.scenarios import TopologySpec
 from repro.faults.drills import DRILLS, run_drill
+from repro.scenario.catalog import CATALOG, catalog_specs, get_spec
 from repro.scenario.compile import compile_spec
-from repro.scenario.errors import ScenarioSpecError
+from repro.scenario.errors import ScenarioSpecError, VectorError
 from repro.scenario.run import run_scenario
 from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec, _construct
+from repro.scenario.vectors import (
+    DEFAULT_VECTOR_DIR,
+    VECTOR_SUFFIX,
+    drift_report,
+    generate_vector,
+    vector_files,
+    vector_path,
+    verify_vector,
+)
 from repro.shard.compile import ShardUnsupportedError
-from repro.telemetry import TelemetryConfig
+from repro.snapshot import RunState, SnapshotError, describe, restore, run_with_checkpoints
+from repro.telemetry import (
+    TelemetryConfig,
+    metrics_to_csv,
+    render_profile,
+    render_summary,
+    trace_to_jsonl,
+)
 
 __all__ = ["main", "build_parser", "parse_eviction"]
 
@@ -86,32 +111,61 @@ def parse_eviction(value: str) -> EvictionPolicy:
     return FixedEviction(rate)
 
 
+#: Every flag more than one command takes, declared once.  A command takes
+#: the ones it names through :func:`_flags` and sets its own defaults for
+#: ``--nodes`` / ``--f`` / ``--t`` / ``--rounds`` with ``set_defaults``.
+_FLAGS = {
+    "--protocol": dict(choices=("brahms", "raptee"), default="raptee"),
+    "--nodes": dict(type=int),
+    "--f": dict(type=float, help="Byzantine fraction"),
+    "--t": dict(type=float, help="trusted fraction"),
+    "--rounds": dict(type=int, help="total round target, counted from round 0"),
+    "--seed": dict(type=int, default=1),
+    "--view-ratio": dict(type=float, default=0.08),
+    "--eviction": dict(type=parse_eviction, default=AdaptiveEviction(),
+                       help="'adaptive' (default) or a fixed rate in [0, 1]"),
+    "--checkpoint-every": dict(type=int, default=0, metavar="N",
+                               help="save a resumable snapshot every N rounds"),
+    "--checkpoint-out": dict(metavar="PATH",
+                             help=f"snapshot path (default: {DEFAULT_CHECKPOINT}, "
+                                  "or the resumed file)"),
+    "--trace-out": dict(metavar="PATH",
+                        help="also write the telemetry trace here as JSON Lines"),
+    "--metrics-out": dict(metavar="PATH",
+                          help="also write the metrics registry CSV here"),
+    "--dir": dict(default=DEFAULT_VECTOR_DIR,
+                  help=f"vector directory (default: {DEFAULT_VECTOR_DIR}/)"),
+}
+_TOPOLOGY = ("--nodes", "--f", "--t", "--seed", "--view-ratio", "--eviction")
+_CHECKPOINT = ("--rounds", "--checkpoint-every", "--checkpoint-out")
+
+
+def _flags(*names: str) -> argparse.ArgumentParser:
+    """A parent parser with the shared flags ``names``.  Built fresh for
+    each command: argparse hands a parent's actions to every child, so one
+    shared parent would make one command's ``set_defaults`` everyone's."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        parent.add_argument(name, **_FLAGS[name])
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="RAPTEE reproduction toolkit"
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = subparsers.add_parser("run", help="run one simulation")
-    run_parser.add_argument("--protocol", choices=("brahms", "raptee"), default="raptee")
-    run_parser.add_argument("--nodes", type=int, default=300)
-    run_parser.add_argument("--f", type=float, default=0.10, help="Byzantine fraction")
-    run_parser.add_argument("--t", type=float, default=0.10, help="trusted fraction")
+    run_parser = commands.add_parser(
+        "run", help="run one simulation",
+        parents=[_flags("--protocol", *_TOPOLOGY, *_CHECKPOINT)],
+    )
+    # --rounds unset: 80, or the stored target when resuming.
+    run_parser.set_defaults(handler=_command_run, nodes=300, f=0.10, t=0.10)
     run_parser.add_argument("--poisoned", type=float, default=0.0,
                             help="injected view-poisoned trusted fraction")
-    run_parser.add_argument("--rounds", type=int, default=None,
-                            help="total round target (default: 80, or the "
-                                 "stored target when resuming)")
-    run_parser.add_argument("--seed", type=int, default=1)
-    run_parser.add_argument("--view-ratio", type=float, default=0.08)
-    run_parser.add_argument("--eviction", type=parse_eviction, default=AdaptiveEviction())
     run_parser.add_argument("--sketch-unbias", action="store_true",
                             help="enable count-min stream unbiasing (future work)")
-    run_parser.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                            help="save a resumable snapshot every N rounds "
-                                 "(see repro.snapshot)")
-    run_parser.add_argument("--checkpoint-out", default=None, metavar="PATH",
-                            help=f"snapshot path (default: {DEFAULT_CHECKPOINT})")
     run_parser.add_argument("--resume", default=None, metavar="PATH",
                             help="restore a snapshot and continue it "
                                  "(topology flags are ignored; state comes "
@@ -151,56 +205,35 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the per-request latency trace (JSON "
                                  "Lines) of --engine events --load here")
 
-    figure_parser = subparsers.add_parser("figure", help="regenerate a paper figure")
-    figure_parser.add_argument(
-        "figure_id",
-        choices=tuple(FIGURES),
-    )
+    figure_parser = commands.add_parser("figure", help="regenerate a paper figure")
+    figure_parser.set_defaults(handler=_command_figure)
+    figure_parser.add_argument("figure_id", choices=tuple(FIGURES))
     figure_parser.add_argument("--scale", choices=sorted(_SCALES), default="test")
 
-    attack_parser = subparsers.add_parser(
-        "attack", help="run the trusted-node identification attack"
+    attack_parser = commands.add_parser(
+        "attack", help="run the trusted-node identification attack",
+        parents=[_flags(*_TOPOLOGY, "--rounds")],
     )
-    attack_parser.add_argument("--nodes", type=int, default=200)
-    attack_parser.add_argument("--f", type=float, default=0.20)
-    attack_parser.add_argument("--t", type=float, default=0.20)
-    attack_parser.add_argument("--rounds", type=int, default=20)
-    attack_parser.add_argument("--seed", type=int, default=1)
-    attack_parser.add_argument("--view-ratio", type=float, default=0.08)
-    attack_parser.add_argument("--eviction", type=parse_eviction, default=AdaptiveEviction())
+    attack_parser.set_defaults(handler=_command_attack, nodes=200, f=0.20, t=0.20,
+                               rounds=20)
 
-    faults_parser = subparsers.add_parser(
-        "faults", help="run a named fault-injection drill (see repro.faults)"
+    faults_parser = commands.add_parser(
+        "faults", help="run a named fault-injection drill (see repro.faults)",
+        parents=[_flags("--nodes", "--rounds", "--seed", "--trace-out")],
     )
+    faults_parser.set_defaults(handler=_command_faults, nodes=200, rounds=50)
     faults_parser.add_argument(
         "--drill", choices=sorted(DRILLS), default="enclave-outage"
     )
-    faults_parser.add_argument("--nodes", type=int, default=200)
-    faults_parser.add_argument("--rounds", type=int, default=50)
-    faults_parser.add_argument("--seed", type=int, default=1)
-    faults_parser.add_argument("--trace-out", default=None, metavar="PATH",
-                               help="also write the drill's telemetry trace "
-                                    "here as JSON Lines")
 
-    trace_parser = subparsers.add_parser(
-        "trace", help="run one scenario with telemetry and export the trace"
+    trace_parser = commands.add_parser(
+        "trace", help="run one scenario with telemetry and export the trace",
+        parents=[_flags("--protocol", *_TOPOLOGY, "--rounds", "--metrics-out")],
     )
-    trace_parser.add_argument("--protocol", choices=("brahms", "raptee"),
-                              default="raptee")
-    trace_parser.add_argument("--nodes", type=int, default=50)
-    trace_parser.add_argument("--f", type=float, default=0.10,
-                              help="Byzantine fraction")
-    trace_parser.add_argument("--t", type=float, default=0.10,
-                              help="trusted fraction")
-    trace_parser.add_argument("--rounds", type=int, default=30)
-    trace_parser.add_argument("--seed", type=int, default=1)
-    trace_parser.add_argument("--view-ratio", type=float, default=0.08)
-    trace_parser.add_argument("--eviction", type=parse_eviction,
-                              default=AdaptiveEviction())
+    trace_parser.set_defaults(handler=_command_trace, nodes=50, f=0.10, t=0.10,
+                              rounds=30)
     trace_parser.add_argument("--out", default="trace.jsonl",
                               help="JSONL trace output path")
-    trace_parser.add_argument("--metrics-out", default=None,
-                              help="also write a CSV metrics snapshot here")
     trace_parser.add_argument("--no-message-events", action="store_true",
                               help="omit per-message net.*/fault.drop events")
     trace_parser.add_argument("--ecall-events", action="store_true",
@@ -208,24 +241,53 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--profile", action="store_true",
                               help="enable wall-clock profiling of hot paths")
 
-    snapshot_parser = subparsers.add_parser(
+    snapshot_parser = commands.add_parser(
         "snapshot", help="inspect or resume run snapshots (see repro.snapshot)"
     )
-    snapshot_parser.add_argument(
-        "snapshot_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to python -m repro.snapshot",
+    # A nested subcommand takes over `command`: the leaf names what runs.
+    snapshot_commands = snapshot_parser.add_subparsers(dest="command", required=True)
+    info_parser = snapshot_commands.add_parser("info", help="print a snapshot header")
+    info_parser.set_defaults(handler=_command_snapshot_info)
+    info_parser.add_argument("path")
+    resume_parser = snapshot_commands.add_parser(
+        "resume", help="restore a checkpoint and run it to completion",
+        parents=[_flags(*_CHECKPOINT, "--trace-out", "--metrics-out")],
     )
+    resume_parser.set_defaults(handler=_command_snapshot_resume)
+    resume_parser.add_argument("path")
 
-    vectors_parser = subparsers.add_parser(
-        "vectors",
-        help="generate/verify conformance vectors (see repro.scenario)",
+    vectors_parser = commands.add_parser(
+        "vectors", help="generate/verify conformance vectors (see repro.scenario)"
     )
-    vectors_parser.add_argument(
-        "vectors_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to python -m repro.scenario",
+    vectors_commands = vectors_parser.add_subparsers(dest="command", required=True)
+    generate_parser = vectors_commands.add_parser(
+        "generate", help="run catalog scenarios and write golden vectors",
+        parents=[_flags("--dir")],
     )
+    generate_parser.set_defaults(handler=_command_vectors_generate)
+    generate_parser.add_argument("--only", action="append", default=None,
+                                 metavar="NAME",
+                                 help="generate only this scenario "
+                                      "(repeatable; default: whole catalog)")
+    verify_parser = vectors_commands.add_parser(
+        "verify", help="replay committed vectors and report drift",
+        parents=[_flags("--dir")],
+    )
+    verify_parser.set_defaults(handler=_command_vectors_verify)
+    verify_parser.add_argument("--report", default=None, metavar="PATH",
+                               help="write a JSON drift report here")
+    list_parser = vectors_commands.add_parser(
+        "list", help="list catalog scenarios and committed vectors",
+        parents=[_flags("--dir")],
+    )
+    list_parser.set_defaults(handler=_command_vectors_list)
 
     return parser
+
+
+class _UsageError(Exception):
+    """A flag value or combination a command refuses: :func:`main` prints
+    it as ``error: …`` and exits 2, like a spec field the scenario refuses."""
 
 
 def _spec_from_args(args) -> ScenarioSpec:
@@ -321,8 +383,6 @@ def _events_lines(engine):
 
 
 def _command_run_events(args) -> int:
-    import json
-
     artifacts = run_scenario(
         _spec_from_args(args), telemetry=TelemetryConfig(tracing=False)
     )
@@ -357,22 +417,37 @@ def _command_shard_run(args) -> int:
     return 0
 
 
-def _command_run(args) -> int:
-    from repro.snapshot import RunState, restore, run_with_checkpoints
+def _run_to_target(args, state: RunState, default_checkpoint: str) -> Optional[str]:
+    """The resume rule, one copy for ``run``, ``run --resume`` and
+    ``snapshot resume``: run ``state`` to ``--rounds`` (unset: its stored
+    target), saving every ``--checkpoint-every`` rounds to
+    ``--checkpoint-out``, else to ``default_checkpoint`` — the resumed file
+    itself when resuming.  Returns where it saved, ``None`` if nowhere."""
+    if args.rounds is not None and args.rounds < 1:
+        raise _UsageError(f"--rounds: must be a positive round target, got {args.rounds}")
+    if args.checkpoint_every < 0:
+        raise _UsageError(
+            f"--checkpoint-every: must be non-negative, got {args.checkpoint_every}")
+    checkpoint_path = args.checkpoint_out or (
+        default_checkpoint if args.checkpoint_every else None
+    )
+    run_with_checkpoints(
+        state,
+        rounds=args.rounds,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_path=checkpoint_path,
+    )
+    return checkpoint_path
 
+
+def _command_run(args) -> int:
     # A flag for an engine that was not selected would be silently ignored.
     if args.shards is None and args.shard_workers != 1:
-        print("error: --shard-workers only applies with --shards N",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("--shard-workers only applies with --shards N")
     for flag, value in (("--shards", args.shards),
                         ("--shard-workers", args.shard_workers)):
         if value is not None and value < 1:
-            print(f"error: {flag} must be at least 1", file=sys.stderr)
-            return 2
-    if args.checkpoint_every < 0:
-        print("error: --checkpoint-every must be non-negative", file=sys.stderr)
-        return 2
+            raise _UsageError(f"{flag} must be at least 1")
     if args.engine != "events":
         for flag, given in (
             ("--latency-model", args.latency_model is not None),
@@ -382,62 +457,36 @@ def _command_run(args) -> int:
             ("--events-trace-out", args.events_trace_out is not None),
         ):
             if given:
-                print(f"error: {flag} only applies with --engine events",
-                      file=sys.stderr)
-                return 2
+                raise _UsageError(f"{flag} only applies with --engine events")
     if args.shards is not None and args.engine == "events":
-        print("error: --shards selects the sharded rounds engine; it has no "
-              "event clock (drop --engine events)", file=sys.stderr)
-        return 2
+        raise _UsageError("--shards selects the sharded rounds engine; it has no "
+                          "event clock (drop --engine events)")
     other_engine = ("the shard engine" if args.shards is not None
                     else "--engine events" if args.engine == "events" else None)
     if other_engine and (args.resume or args.checkpoint_every):
-        print(f"error: {other_engine} has no snapshot support; use the "
-              "default rounds engine with --resume/--checkpoint-every",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"{other_engine} has no snapshot support; use the "
+                          "default rounds engine with --resume/--checkpoint-every")
     if args.shards is not None:
         return _command_shard_run(args)
     if args.engine == "events":
         return _command_run_events(args)
     if args.resume:
-        from repro.snapshot import SnapshotError
-
         try:
             state = restore(args.resume)
         except (SnapshotError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        protocol = state.label or "raptee"
-        rounds = args.rounds if args.rounds is not None else state.rounds_total
-        # Keep checkpointing to the same file unless redirected.
-        checkpoint_path = args.checkpoint_out or (
-            args.resume if args.checkpoint_every else None
-        )
+            raise _UsageError(error) from error
+        if state.bundle is None:
+            raise _UsageError("this snapshot holds a bare simulation (no metric "
+                              "observers); resume it with repro snapshot resume")
+        default_checkpoint = args.resume
     else:
-        protocol = args.protocol
         scenario = _spec_from_args(args)
-        rounds = scenario.rounds
         bundle = compile_spec(scenario)
-        state = RunState(
-            simulation=bundle.simulation, bundle=bundle, label=protocol
-        )
-        checkpoint_path = args.checkpoint_out or (
-            DEFAULT_CHECKPOINT if args.checkpoint_every else None
-        )
-
-    if state.bundle is None:
-        print("error: this snapshot holds a bare simulation (no metric "
-              "observers); resume it with python -m repro.snapshot resume",
-              file=sys.stderr)
-        return 2
-    run_with_checkpoints(
-        state,
-        rounds=max(rounds, state.rounds_completed),
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-    _report(protocol, state.bundle.spec, state.rounds_completed,
+        state = RunState(simulation=bundle.simulation, bundle=bundle,
+                         rounds_total=scenario.rounds, label=args.protocol)
+        default_checkpoint = DEFAULT_CHECKPOINT
+    checkpoint_path = _run_to_target(args, state, default_checkpoint)
+    _report(state.label or "raptee", state.bundle.spec, state.rounds_completed,
             bundle_metrics(state.bundle, state.rounds_completed))
     if checkpoint_path:
         _line("checkpoint", checkpoint_path)
@@ -476,8 +525,6 @@ def _command_faults(args) -> int:
 
 
 def _command_trace(args) -> int:
-    from repro.telemetry import render_profile, render_summary
-
     config = TelemetryConfig(
         trace_messages=not args.no_message_events,
         trace_ecalls=args.ecall_events,
@@ -500,37 +547,132 @@ def _command_trace(args) -> int:
     return 0
 
 
-def _command_snapshot(args) -> int:
-    from repro.snapshot.__main__ import main as snapshot_main
+def _command_snapshot_info(args) -> int:
+    header = describe(args.path)
+    meta = header.get("meta", {})
+    print(f"snapshot:           {args.path}")
+    print(f"format version:     {header['format_version']}")
+    print(f"kind:               {header['kind']}")
+    print(f"payload bytes:      {header['payload_bytes']}")
+    for key in sorted(meta):
+        print(f"{key + ':':<20}{meta[key]}")
+    return 0
 
-    return snapshot_main(args.snapshot_args)
+
+def _command_snapshot_resume(args) -> int:
+    """Restore a checkpoint in this process and run it to its target: the
+    honest form of the byte-identical-resume claim, which the snapshot
+    differential test and CI drive in a fresh interpreter."""
+    state = restore(args.path)
+    before = state.rounds_completed
+    _run_to_target(args, state, args.path)
+    print(f"resumed:            round {before} -> {state.rounds_completed}"
+          + (f" ({state.label})" if state.label else ""))
+
+    if args.trace_out or args.metrics_out:
+        telemetry = state.simulation.telemetry
+        if telemetry is None:
+            print("error: snapshot has no telemetry wired; nothing to export",
+                  file=sys.stderr)
+            return 1
+        if args.trace_out:
+            if telemetry.trace is None:
+                print("error: tracing was disabled in this run", file=sys.stderr)
+                return 1
+            with open(args.trace_out, "w", encoding="utf-8") as stream:
+                stream.write(trace_to_jsonl(telemetry.trace.events))
+            print(f"trace:              {args.trace_out} "
+                  f"({len(telemetry.trace)} events)")
+        if args.metrics_out:
+            with open(args.metrics_out, "w", encoding="utf-8") as stream:
+                stream.write(metrics_to_csv(telemetry.registry))
+            print(f"metrics:            {args.metrics_out}")
+    return 0
 
 
-def _command_vectors(args) -> int:
-    from repro.scenario.cli import main as vectors_main
+def _command_vectors_generate(args) -> int:
+    try:
+        specs = [get_spec(name) for name in args.only] if args.only else catalog_specs()
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    os.makedirs(args.dir, exist_ok=True)
+    for spec in specs:
+        path = vector_path(args.dir, spec.name)
+        sections = generate_vector(spec, path)
+        print(f"generated {path}  "
+              f"(trace {sections['trace_digest']['sha256'][:12]}, "
+              f"metrics {sections['metrics_digest']['sha256'][:12]})")
+    print(f"{len(specs)} vector(s) written to {args.dir}/")
+    return 0
 
-    return vectors_main(args.vectors_args)
+
+def _command_vectors_verify(args) -> int:
+    if not os.path.isdir(args.dir):
+        print(f"error: vector directory {args.dir!r} does not exist",
+              file=sys.stderr)
+        return 2
+    paths = vector_files(args.dir)
+    if not paths:
+        print(f"error: no {VECTOR_SUFFIX} files in {args.dir!r}",
+              file=sys.stderr)
+        return 2
+    results = []
+    failed = False
+    for path in paths:
+        try:
+            result = verify_vector(path)
+        except (VectorError, SnapshotError, ScenarioSpecError) as exc:
+            print(f"FAIL  {path}: {exc}")
+            failed = True
+            continue
+        results.append(result)
+        if result.ok:
+            print(f"ok    {result.name}")
+        else:
+            failed = True
+            drifted = ", ".join(sorted(result.drifted))
+            print(f"DRIFT {result.name}: sections [{drifted}]")
+    if args.report is not None:
+        with open(args.report, "w", encoding="utf-8") as stream:
+            json.dump(drift_report(results), stream, indent=2, sort_keys=True)
+            stream.write("\n")
+        print(f"report: {args.report}")
+    matched = sum(1 for result in results if result.ok)
+    print(f"{matched}/{len(paths)} vector(s) match")
+    return 1 if failed else 0
+
+
+def _command_vectors_list(args) -> int:
+    committed = set()
+    if os.path.isdir(args.dir):
+        committed = {
+            os.path.basename(path)[: -len(VECTOR_SUFFIX)]
+            for path in vector_files(args.dir)
+        }
+    for spec in catalog_specs():
+        marker = "*" if spec.name in committed else " "
+        print(f"{marker} {spec.name:40s} {spec.describe()}")
+    extras = committed - {entry["name"] for entry in CATALOG}
+    for name in sorted(extras):
+        print(f"+ {name:40s} (committed vector not in the catalog)")
+    print(f"{len(CATALOG)} catalog scenario(s), {len(committed)} committed "
+          f"vector(s) in {args.dir}/ (* = committed, + = extra)")
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _command_run,
-        "figure": _command_figure,
-        "attack": _command_attack,
-        "faults": _command_faults,
-        "trace": _command_trace,
-        "snapshot": _command_snapshot,
-        "vectors": _command_vectors,
-    }
     try:
-        return handlers[args.command](args)
-    except (ScenarioSpecError, ShardUnsupportedError) as error:
-        # A flag value the spec rejects, or a feature `--shards` does not
-        # model: report the field or the feature, like any misuse.
+        return args.handler(args)
+    except (_UsageError, ScenarioSpecError, ShardUnsupportedError) as error:
+        # A flag value the command or the spec rejects, or a feature
+        # `--shards` does not model: report the flag, field or feature.
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - module CLI shim
-    sys.exit(main())
+    except (SnapshotError, OSError) as error:
+        # A corrupt, missing or version-mismatched snapshot (or a path the
+        # command cannot read or write) is an operator-facing failure, not
+        # a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 1

@@ -8,33 +8,25 @@ The S-box and its inverse are derived programmatically from the GF(2^8)
 multiplicative inverse and the FIPS-197 affine transform rather than being
 transcribed as literal tables, which makes the derivation itself testable.
 
-Two encryption paths coexist:
-
-* the *reference* path — per-operation SubBytes/ShiftRows/MixColumns over
-  the flat byte state, a readable transliteration of FIPS-197;
-* a *T-table* path — the classic software-AES optimisation that merges the
-  three round operations into four 256-entry 32-bit word tables, derived
-  here from the same S-box and GF tables rather than transcribed.
-
-``encrypt_block`` runs the T-table path, for every caller (sealed storage,
-``auth_mode="aes-ctr"`` proofs, through :class:`repro.crypto.ctr.AesCtr`);
-``_encrypt_block_reference`` stays as the FIPS-197 oracle the tests hold it
-to (``tests/test_perf_kernels.py``, ``tests/test_crypto_aes.py``).
+``encrypt_block`` is a readable transliteration of FIPS-197 — per-operation
+SubBytes/ShiftRows/MixColumns over the flat byte state — and the one block
+path every caller runs (sealed storage, ``auth_mode="aes-ctr"`` proofs,
+through :class:`repro.crypto.ctr.AesCtr`).  No simulated wire runs a
+cipher, so nothing here is on a round's hot path; the FIPS-197 and NIST
+SP 800-38A known answers pin it (``tests/test_crypto_aes.py``,
+``tests/test_perf_kernels.py``).
 
 The expanded key is stored once per cipher, as the 176 bytes of FIPS-197's
-44 big-endian words: the reference path slices them per call, and the
-T-table path unpacks them to Python ints the first time a cipher encrypts a
-block.  Constructing a cipher leaves nothing behind in module state —
-callers that see the same key again keep the cipher
-(:class:`repro.crypto.ctr.AesCtr` for proof and sealing keys), so dropping
-it retires the key.
+44 big-endian words, sliced into round keys per call.  Constructing a
+cipher leaves nothing behind in module state — callers that see the same
+key again keep the cipher (:class:`repro.crypto.ctr.AesCtr` for proof and
+sealing keys), so dropping it retires the key.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 __all__ = ["AES128", "BLOCK_SIZE"]
 
@@ -118,28 +110,6 @@ _MUL13 = tuple(_gf_mul(x, 13) for x in range(256))
 _MUL14 = tuple(_gf_mul(x, 14) for x in range(256))
 
 
-def _build_t_tables() -> Tuple[Tuple[int, ...], ...]:
-    """Encryption T-tables: SubBytes + ShiftRows + MixColumns fused.
-
-    ``te_i[a]`` is the contribution of S-box output ``S(a)`` to output
-    column word position ``i`` — four byte-rotations of the MixColumns
-    column ``(2·S(a), S(a), S(a), 3·S(a))``.  One table lookup + XOR per
-    input byte replaces three separate per-byte passes.
-    """
-    te0, te1, te2, te3 = [], [], [], []
-    for value in range(256):
-        s = SBOX[value]
-        s2, s3 = _MUL2[s], _MUL3[s]
-        te0.append((s2 << 24) | (s << 16) | (s << 8) | s3)
-        te1.append((s3 << 24) | (s2 << 16) | (s << 8) | s)
-        te2.append((s << 24) | (s3 << 16) | (s2 << 8) | s)
-        te3.append((s << 24) | (s << 16) | (s3 << 8) | s2)
-    return tuple(te0), tuple(te1), tuple(te2), tuple(te3)
-
-
-_TE0, _TE1, _TE2, _TE3 = _build_t_tables()
-
-
 class AES128:
     """AES with a 128-bit key (10 rounds), FIPS-197 compliant.
 
@@ -177,14 +147,9 @@ class AES128:
         return struct.pack(">44I", *words)
 
     def _round_keys(self) -> List[bytes]:
-        """The schedule as 11 flat 16-byte round keys (reference path)."""
+        """The schedule as 11 flat 16-byte round keys."""
         schedule = self._schedule
         return [schedule[i : i + BLOCK_SIZE] for i in range(0, 176, BLOCK_SIZE)]
-
-    @cached_property
-    def _round_words(self) -> List[Tuple[int, int, int, int]]:
-        """The schedule as Python ints (T-table path), unpacked on first use."""
-        return list(struct.iter_unpack(">4I", self._schedule))
 
     # -- state helpers ----------------------------------------------------
     # The state is held column-major as a flat list of 16 ints, matching the
@@ -245,13 +210,10 @@ class AES128:
     # -- public API --------------------------------------------------------
 
     def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt exactly one 16-byte block."""
+        """Encrypt exactly one 16-byte block: FIPS-197 §5.1, one pass per
+        round operation."""
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        return self._encrypt_block_ttable(block)
-
-    def _encrypt_block_reference(self, block: bytes) -> bytes:
-        """The readable FIPS-197 path: one pass per round operation."""
         round_keys = self._round_keys()
         state = list(block)
         self._add_round_key(state, round_keys[0])
@@ -264,42 +226,6 @@ class AES128:
         self._shift_rows(state)
         self._add_round_key(state, round_keys[self.ROUNDS])
         return bytes(state)
-
-    def _encrypt_block_ttable(self, block: bytes) -> bytes:
-        """Fused-table path: 16 lookups + XORs per round on 32-bit words.
-
-        State words are big-endian columns; each output word pulls the
-        ShiftRows-selected byte from each input column, exactly as in the
-        per-byte path (column c reads rows from columns c, c+1, c+2, c+3).
-        """
-        words = self._round_words
-        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
-        rk = words[0]
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-        for rk in words[1 : self.ROUNDS]:
-            t0 = (te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
-                  ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[0])
-            t1 = (te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
-                  ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[1])
-            t2 = (te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
-                  ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[2])
-            t3 = (te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
-                  ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[3])
-            s0, s1, s2, s3 = t0, t1, t2, t3
-        sbox = SBOX
-        rk = words[self.ROUNDS]
-        t0 = ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
-              | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ rk[0]
-        t1 = ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
-              | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ rk[1]
-        t2 = ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
-              | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ rk[2]
-        t3 = ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
-              | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ rk[3]
-        return ((t0 << 96) | (t1 << 64) | (t2 << 32) | t3).to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""

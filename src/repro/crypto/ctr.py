@@ -4,8 +4,8 @@ CTR turns the AES block cipher into a stream cipher: the keystream is the
 encryption of successive counter blocks (nonce || counter), XORed with the
 message.  Encryption and decryption are the same operation.
 
-:class:`AesCtr` encrypts one message under one ``(key, nonce)``, block by
-block on the T-table path of :mod:`repro.crypto.aes`.  Its callers
+:class:`AesCtr` encrypts one message under one ``(key, nonce)``, one
+:meth:`repro.crypto.aes.AES128.encrypt_block` per 16 bytes.  Its callers
 (``auth_mode="aes-ctr"`` proofs, sealed storage) come back with the same
 few long-lived keys, so the constructor keeps the expanded cipher per key.
 The simulated wire runs no cipher at all: it counts the bytes it would

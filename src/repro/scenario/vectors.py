@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -35,6 +36,8 @@ from repro.scenario.spec import ScenarioSpec, spec_from_dict
 from repro.snapshot.format import read_envelope, write_envelope
 
 __all__ = [
+    "DEFAULT_VECTOR_DIR",
+    "VECTOR_SUFFIX",
     "VECTOR_KIND",
     "VECTOR_VERSION",
     "VectorVerification",
@@ -43,6 +46,8 @@ __all__ = [
     "generate_vector",
     "verify_vector",
     "drift_report",
+    "vector_path",
+    "vector_files",
 ]
 
 #: Envelope ``kind`` tag for conformance vectors.
@@ -50,6 +55,22 @@ VECTOR_KIND = "conformance-vector"
 #: Bumped when the *section* layout changes incompatibly (the envelope
 #: format itself is versioned separately by the snapshot layer).
 VECTOR_VERSION = 1
+#: Repo-relative home of the committed golden vectors.
+DEFAULT_VECTOR_DIR = "vectors"
+VECTOR_SUFFIX = ".vec"
+
+
+def vector_path(directory: str, name: str) -> str:
+    return os.path.join(directory, f"{name}{VECTOR_SUFFIX}")
+
+
+def vector_files(directory: str) -> List[str]:
+    """The vector files in ``directory``, sorted."""
+    return sorted(
+        os.path.join(directory, entry)
+        for entry in os.listdir(directory)
+        if entry.endswith(VECTOR_SUFFIX)
+    )
 
 
 def _canonical_json(value: Any) -> str:

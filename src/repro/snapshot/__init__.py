@@ -26,8 +26,8 @@ Typical use::
     state = snapshot.restore("run.snapshot")
     snapshot.run_with_checkpoints(state)  # finishes the stored target
 
-CLI: ``repro run --checkpoint-every N [--checkpoint-out P]`` and
-``repro run --resume P``; ``python -m repro.snapshot info|resume`` for
+CLI (:mod:`repro.cli`): ``repro run --checkpoint-every N [--checkpoint-out
+P]`` and ``repro run --resume P``; ``repro snapshot info|resume`` for
 inspection and headless resumption.
 """
 

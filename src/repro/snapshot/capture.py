@@ -60,7 +60,7 @@ class RunState:
     rounds_total: int = 0
     label: str = ""
     #: Free-form experiment context carried in the envelope header as well,
-    #: so `python -m repro.snapshot info` can show it without unpickling.
+    #: so `repro snapshot info` can show it without unpickling.
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def __setstate__(self, state: Dict[str, Any]) -> None:

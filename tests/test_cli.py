@@ -24,15 +24,38 @@ class TestParseEviction:
             parse_eviction("1.5")
 
 
+#: The flags several commands share, by their argparse ``dest``.
+_SHARED = ("protocol", "nodes", "f", "t", "rounds", "seed", "view_ratio", "eviction",
+           "checkpoint_every", "checkpoint_out", "trace_out", "metrics_out")
+_SCENARIO = dict(seed=1, view_ratio=0.08, eviction=AdaptiveEviction())
+#: command -> the default of each shared flag it takes (a missing one: it
+#: does not take the flag).
+_DEFAULTS = {
+    "run": dict(protocol="raptee", nodes=300, f=0.10, t=0.10, rounds=None, **_SCENARIO,
+                checkpoint_every=0, checkpoint_out=None),
+    "attack": dict(nodes=200, f=0.20, t=0.20, rounds=20, **_SCENARIO),
+    "trace": dict(protocol="raptee", nodes=50, f=0.10, t=0.10, rounds=30, **_SCENARIO,
+                  metrics_out=None),
+    "faults": dict(nodes=200, rounds=50, seed=1, trace_out=None),
+}
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_run_defaults(self):
-        args = build_parser().parse_args(["run"])
-        assert args.protocol == "raptee"
-        assert args.nodes == 300
+    @pytest.mark.parametrize("command, dest", [
+        (command, dest) for command in _DEFAULTS for dest in _SHARED
+    ])
+    def test_parser_defaults(self, command, dest):
+        """Each command keeps its own default for every shared flag it
+        takes, and takes no shared flag it did not declare."""
+        args = vars(build_parser().parse_args([command]))
+        if dest in _DEFAULTS[command]:
+            assert args[dest] == _DEFAULTS[command][dest]
+        else:
+            assert dest not in args
 
     def test_figure_choices(self):
         args = build_parser().parse_args(["figure", "fig9"])
@@ -81,10 +104,8 @@ class TestCommands:
 
 class TestFaultsCommand:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["faults"])
-        assert args.drill == "enclave-outage"
-        assert args.nodes == 200
-        assert args.rounds == 50
+        # The shared flags' defaults are TestParser's table.
+        assert build_parser().parse_args(["faults"]).drill == "enclave-outage"
 
     def test_unknown_drill_rejected(self):
         with pytest.raises(SystemExit):
@@ -103,12 +124,9 @@ class TestFaultsCommand:
 
 class TestTraceCommand:
     def test_parser_defaults(self):
+        # The shared flags' defaults are TestParser's table.
         args = build_parser().parse_args(["trace"])
-        assert args.protocol == "raptee"
-        assert args.nodes == 50
-        assert args.rounds == 30
         assert args.out == "trace.jsonl"
-        assert args.metrics_out is None
         assert not args.profile
 
     def test_trace_smoke(self, capsys, tmp_path):
@@ -218,6 +236,31 @@ class TestRunFlagWiring:
         assert captured.err.startswith(f"error: {field}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--nodes", "40", "--rounds", "0"], "--rounds"),
+        (["run", "--resume", "SNAPSHOT", "--rounds", "0"], "--rounds"),
+        (["snapshot", "resume", "SNAPSHOT", "--rounds", "0"], "--rounds"),
+        (["snapshot", "resume", "SNAPSHOT", "--rounds", "-1"], "--rounds"),
+        (["snapshot", "resume", "SNAPSHOT", "--checkpoint-every", "-1"],
+         "--checkpoint-every"),
+    ], ids=["run", "run-resume", "snapshot-resume-0", "snapshot-resume-negative",
+            "snapshot-resume-checkpoint-every"])
+    def test_refused_round_flag_on_the_checkpoint_path(self, capsys, tmp_path, argv, flag):
+        # The rounds engine's run and both resumes share one checkpointed
+        # path: it names the refused flag before any round runs or any
+        # checkpoint is written.
+        snapshot = tmp_path / "run.snapshot"
+        assert main(["run", "--nodes", "40", "--rounds", "2", "--checkpoint-every", "1",
+                     "--checkpoint-out", str(snapshot)]) == 0
+        saved = snapshot.read_bytes()
+        capsys.readouterr()
+        exit_code = main([str(snapshot) if arg == "SNAPSHOT" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert captured.out == ""
+        assert snapshot.read_bytes() == saved
+
     def test_shard_gate_speaks_for_the_cli(self, capsys):
         """`run --shards` refuses what `shard_config_from_spec` refuses, in
         its words — the CLI holds no gate of its own."""
@@ -276,10 +319,11 @@ class TestSubcommandSurface:
 
     @pytest.mark.parametrize("command", [
         "run", "figure", "attack", "faults", "trace",
-        "snapshot", "vectors",
+        "snapshot", "snapshot info", "snapshot resume",
+        "vectors", "vectors generate", "vectors verify", "vectors list",
     ])
     def test_help_exits_zero(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "--help"])
+            main([*command.split(), "--help"])
         assert excinfo.value.code == 0
         assert command in capsys.readouterr().out

@@ -2,12 +2,12 @@
 
 Hypothesis drives random inputs through both implementations of each
 accelerated primitive — count-min updates/estimates/decay, the input
-scramble, the T-table AES-CTR, the word-wise key expansion — and
-requires integer-for-integer (or byte-for-byte) equality, not approximate
+scramble, AES-CTR, the word-wise key expansion — and requires
+integer-for-integer (or byte-for-byte) equality, not approximate
 agreement.  Each reference is called directly:
-``CountMinSketch(use_numpy=False)``, scalar ``scramble64``,
-``AES128._encrypt_block_reference``, an in-test per-byte XOR, the list-based
-key expansion kept below.  Keystreams are always compared to the reference
+``CountMinSketch(use_numpy=False)``, scalar ``scramble64``, an in-test
+per-byte CTR XOR over ``AES128.encrypt_block``, the list-based key
+expansion kept below.  Keystreams are always compared to the reference
 stream, never to a round trip: CTR XORs the same keystream in and out, so a
 wrong keystream round-trips perfectly.
 """
@@ -199,11 +199,12 @@ class TestAesCtrFastPath:
     )
     def test_fast_and_reference_ciphertexts_equal(self, key, nonce, plaintext,
                                                   counter):
-        # The oracle shares no code with the stream: FIPS-197 reference
-        # blocks over nonce || counter, XORed byte by byte.
+        # The oracle shares only the block cipher with the stream (the
+        # FIPS-197 known answers pin it): one block per nonce || counter,
+        # XORed byte by byte.
         cipher = AES128(key)
         keystream = b"".join(
-            cipher._encrypt_block_reference(nonce + (counter + i).to_bytes(8, "big"))
+            cipher.encrypt_block(nonce + (counter + i).to_bytes(8, "big"))
             for i in range(-(-len(plaintext) // 16))
         )
         slow = bytes(p ^ k for p, k in zip(plaintext, keystream))
@@ -219,22 +220,17 @@ class TestAesCtrFastPath:
         stream = AesCtr(key, nonce)
         assert stream.decrypt(stream.encrypt(plaintext)) == plaintext
 
-    @COMMON
-    @given(key=st.binary(min_size=16, max_size=16),
-           block=st.binary(min_size=16, max_size=16))
-    def test_ttable_block_matches_reference_block(self, key, block):
-        cipher = AES128(key)
-        fast = cipher._encrypt_block_ttable(block)
-        assert fast == cipher._encrypt_block_reference(block)
-        assert cipher.decrypt_block(fast) == block
-
     def test_both_block_paths_match_fips197_appendix_c1(self):
+        # The block cipher both sides of the CTR oracle above share: its
+        # forward and inverse paths pinned to the known answer.
         cipher = AES128(bytes(range(16)))
         block = bytes.fromhex("00112233445566778899aabbccddeeff")
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-        assert cipher._encrypt_block_reference(block) == expected
-        assert cipher._encrypt_block_ttable(block) == expected
         assert cipher.encrypt_block(block) == expected
+        assert cipher.decrypt_block(expected) == block
+        counter = int.from_bytes(block[8:], "big")
+        stream = AesCtr(bytes(range(16)), block[:8])
+        assert stream.encrypt(bytes(16), counter) == expected
 
     def test_cached_and_uncached_schedules_equal(self):
         # The key-taking constructor keeps one expanded cipher per key; it
@@ -330,10 +326,6 @@ class TestKeyExpansion:
         cipher = AES128(key)
         assert cipher._schedule == bytes(b for rk in expected for b in rk)
         assert [list(rk) for rk in cipher._round_keys()] == expected
-        assert cipher._round_words == [
-            tuple(int.from_bytes(bytes(rk[j : j + 4]), "big") for j in (0, 4, 8, 12))
-            for rk in expected
-        ]
 
     def test_fips197_appendix_a1_expansion(self):
         schedule = AES128._expand_key(F51_KEY)  # A.1 uses the same key

@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.brahms.config import BrahmsConfig
+from repro.cli import main
 from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.experiments.scenarios import TopologySpec
 from repro.faults.plan import RoundWindow
@@ -38,7 +39,6 @@ from repro.scenario import (
     spec_to_dict,
 )
 from repro.scenario.spec import FAULT_KINDS, ChurnSpec, EngineSpec, RapteeOptions
-from repro.scenario.cli import main as vectors_main
 from repro.scenario.vectors import generate_vector, read_vector, write_vector
 from repro.snapshot.format import SnapshotVersionError
 
@@ -535,7 +535,7 @@ class TestVectorEnvelope:
 class TestCliExitCodes:
     def test_verify_clean_directory_exits_0(self, tmp_path, capsys):
         _generate_probe(tmp_path)
-        assert vectors_main(["verify", "--dir", str(tmp_path)]) == 0
+        assert main(["vectors", "verify", "--dir", str(tmp_path)]) == 0
         assert "1/1 vector(s) match" in capsys.readouterr().out
 
     def test_verify_drifted_vector_exits_1(self, tmp_path, capsys):
@@ -543,8 +543,8 @@ class TestCliExitCodes:
         sections["pollution"]["network"]["pushes_sent"] += 1
         write_vector(str(path), sections)
         report = tmp_path / "drift.json"
-        assert vectors_main(
-            ["verify", "--dir", str(tmp_path), "--report", str(report)]
+        assert main(
+            ["vectors", "verify", "--dir", str(tmp_path), "--report", str(report)]
         ) == 1
         out = capsys.readouterr().out
         assert "DRIFT probe" in out
@@ -557,34 +557,32 @@ class TestCliExitCodes:
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert vectors_main(["verify", "--dir", str(tmp_path)]) == 1
+        assert main(["vectors", "verify", "--dir", str(tmp_path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_verify_missing_directory_exits_2(self, tmp_path):
-        assert vectors_main(
-            ["verify", "--dir", str(tmp_path / "nope")]
-        ) == 2
+        assert main(["vectors", "verify", "--dir", str(tmp_path / "nope")]) == 2
 
     def test_verify_empty_directory_exits_2(self, tmp_path):
-        assert vectors_main(["verify", "--dir", str(tmp_path)]) == 2
+        assert main(["vectors", "verify", "--dir", str(tmp_path)]) == 2
 
     def test_generate_unknown_scenario_exits_2(self, tmp_path):
-        assert vectors_main(
-            ["generate", "--dir", str(tmp_path), "--only", "no-such-scenario"]
+        assert main(
+            ["vectors", "generate", "--dir", str(tmp_path), "--only", "no-such-scenario"]
         ) == 2
 
     def test_generate_only_writes_and_verifies(self, tmp_path, capsys):
-        assert vectors_main(
-            ["generate", "--dir", str(tmp_path), "--only", "brahms-f05"]
+        assert main(
+            ["vectors", "generate", "--dir", str(tmp_path), "--only", "brahms-f05"]
         ) == 0
         assert (tmp_path / "brahms-f05.vec").exists()
-        assert vectors_main(["verify", "--dir", str(tmp_path)]) == 0
+        assert main(["vectors", "verify", "--dir", str(tmp_path)]) == 0
 
     def test_list_marks_committed_vectors(self, tmp_path, capsys):
-        assert vectors_main(
-            ["generate", "--dir", str(tmp_path), "--only", "brahms-f05"]
+        assert main(
+            ["vectors", "generate", "--dir", str(tmp_path), "--only", "brahms-f05"]
         ) == 0
         capsys.readouterr()
-        assert vectors_main(["list", "--dir", str(tmp_path)]) == 0
+        assert main(["vectors", "list", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "* brahms-f05" in out

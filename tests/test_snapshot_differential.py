@@ -154,7 +154,7 @@ def test_checkpoint_resume_fresh_process_byte_identical(name, tmp_path):
     metrics_out = tmp_path / "resumed-metrics.csv"
     result = subprocess.run(
         [
-            sys.executable, "-m", "repro.snapshot", "resume",
+            sys.executable, "-m", "repro", "snapshot", "resume",
             str(snapshot_path),
             "--trace-out", str(trace_out),
             "--metrics-out", str(metrics_out),

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.cli import main
 from repro.crypto.prng import Sha256Prng
 from repro.sim.engine import Simulation
 from repro.snapshot import (
@@ -303,35 +304,29 @@ class TestRunWithCheckpoints:
 
 class TestSnapshotCli:
     def test_info_prints_header(self, tmp_path, capsys):
-        from repro.snapshot.__main__ import main
-
         path = tmp_path / "run.snapshot"
         simulation = _small_sim(seed=3)
         simulation.run(1)
         save(RunState(simulation=simulation, rounds_total=4, label="demo"),
              str(path))
-        assert main(["info", str(path)]) == 0
+        assert main(["snapshot", "info", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"format version:     {SNAPSHOT_FORMAT_VERSION}" in out
         assert "label:              demo" in out
 
     def test_version_mismatch_is_a_clean_error(self, tmp_path, capsys):
-        from repro.snapshot.__main__ import main
-
         path = tmp_path / "old.snapshot"
         _write_sample(path, kind="run-state")
         _rewrite_header(path, lambda h: h.update(format_version=99))
-        assert main(["info", str(path)]) == 1
+        assert main(["snapshot", "info", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "version 99" in err
 
     def test_resume_of_garbage_file_is_a_clean_error(self, tmp_path, capsys):
-        from repro.snapshot.__main__ import main
-
         path = tmp_path / "garbage"
         path.write_bytes(b"not a snapshot at all")
-        assert main(["resume", str(path)]) == 1
+        assert main(["snapshot", "resume", str(path)]) == 1
         assert "bad magic" in capsys.readouterr().err
 
 

@@ -258,7 +258,7 @@ SCOPES = {
 
 _CLI = "it is a command line: reporting to stdout is its job"
 _OUT = "it writes the files its flags name"
-_CLIS = ("repro/cli.py", "repro/scenario/cli.py", "repro/snapshot/__main__.py")
+_CLIS = ("repro/cli.py",)
 #: (path, rule) -> why this file breaks the rule on purpose.
 ALLOWED = {
     **{(path, "purity-print"): _CLI for path in _CLIS},
