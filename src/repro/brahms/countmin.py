@@ -19,8 +19,7 @@ per-ID exact counters.
 :class:`StreamUnbiaser` packages the sketch into the exact operation the
 view renewal needs: a frequency-weighted sub-sampling of a batch of IDs.
 RAPTEE nodes enable it with ``RapteeConfig(sketch_unbias_enabled=True)``;
-the ablation bench ``benchmarks/test_ablation_countmin.py`` quantifies the
-effect.
+``repro figure ablation-countmin --scale bench`` quantifies the effect.
 """
 
 from __future__ import annotations
@@ -28,10 +27,50 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Sequence
 
-from repro.crypto.minwise import scramble64
-from repro.perf import kernels as _kernels
+import numpy as np
+
+from repro.crypto.minwise import scramble64, splitmix64_array
 
 __all__ = ["CountMinSketch", "StreamUnbiaser"]
+
+
+def decay_ratio(factor: float):
+    """A float factor as the dyadic rational ``(num, shift)``: factor ==
+    num / 2**shift exactly.  Shared by both backends so they truncate
+    the *same* exact product."""
+    num, den = float(factor).as_integer_ratio()
+    # For any finite positive float, as_integer_ratio() returns lowest
+    # terms with a power-of-two denominator.
+    return num, den.bit_length() - 1
+
+
+def decay_value(value: int, num: int, shift: int) -> int:
+    """Exact ⌊value · num / 2**shift⌋ for a non-negative counter."""
+    return (value * num) >> shift
+
+
+def countmin_decay(tables, factor: float) -> None:
+    """In-place exact ⌊value · factor⌋ on every counter of a numpy table.
+
+    The factor is decomposed into ``num / 2**shift`` (exact for any float)
+    and applied as an integer multiply + right shift.  A float multiply
+    would diverge from exact truncation once the counter needs more than
+    53 mantissa bits — e.g. ``int((2**55 + 3) * 0.5)`` is 2**54 (the
+    counter is rounded before the multiply), one *below* the exact
+    ⌊·⌋ = 2**54 + 1.
+
+    The vectorised path runs only while ``value * num`` fits int64 (and the
+    shift is a valid int64 shift count); otherwise the loop falls back to
+    Python big ints, still exact, still in place.
+    """
+    num, shift = decay_ratio(factor)
+    max_value = int(tables.max())
+    if 0 <= shift <= 62 and (max_value == 0 or num <= ((1 << 63) - 1) // max_value):
+        tables[:] = (tables * np.int64(num)) >> np.int64(shift)
+        return
+    flat = tables.reshape(-1)
+    for index in range(flat.shape[0]):
+        flat[index] = decay_value(int(flat[index]), num, shift)
 
 
 class CountMinSketch:
@@ -45,8 +84,9 @@ class CountMinSketch:
     ``use_numpy=False`` selects the pure-Python counter tables, the
     reference the differential tests compare against.  Both backends
     compute identical integers — same hashes, same counters, same estimates
-    (``tests/test_perf_kernels.py`` proves it property-wise); the numpy one
-    batches whole-view updates into vector adds.
+    (``tests/test_perf_kernels.py`` proves it property-wise): the numpy one
+    batches whole-view updates into exact int64 adds and minima over
+    :func:`splitmix64_array` columns.
     """
 
     def __init__(self, width: int, depth: int, rng: random.Random,
@@ -57,7 +97,8 @@ class CountMinSketch:
         self.depth = depth
         self.use_numpy = use_numpy
         if self.use_numpy:
-            self._tables = _kernels.countmin_new_tables(depth, width)
+            # int64: counts are bounded by the stream length.
+            self._tables = np.zeros((depth, width), dtype=np.int64)
         else:
             self._tables = [[0] * width for _ in range(depth)]
         # Per-row salts drive independent hash functions (scramble + salt).
@@ -67,6 +108,12 @@ class CountMinSketch:
     def _cells(self, item: int):
         for row, salt in enumerate(self._salts):
             yield row, scramble64(item ^ salt) % self.width
+
+    def _columns(self, items: Sequence[int]):
+        """:meth:`_cells` for a batch: column indices, shape (depth, items)."""
+        salts = np.asarray(self._salts, dtype=np.uint64).reshape(-1, 1)
+        hashed = splitmix64_array(np.asarray(items, dtype=np.uint64) ^ salts)
+        return (hashed % np.uint64(self.width)).astype(np.int64)
 
     def update(self, item: int, count: int = 1) -> None:
         """Record ``count`` occurrences of ``item``."""
@@ -84,7 +131,11 @@ class CountMinSketch:
         if self.use_numpy:
             batch = list(items)
             if batch:
-                _kernels.countmin_update_batch(self._tables, self._salts, batch)
+                columns = self._columns(batch)
+                for row in range(self.depth):
+                    # bincount aggregates duplicate columns before the add —
+                    # repeated ``+= 1`` without add.at's slow path.
+                    self._tables[row] += np.bincount(columns[row], minlength=self.width)
                 self.total += len(batch)
             return
         for item in items:
@@ -93,15 +144,14 @@ class CountMinSketch:
     def estimate(self, item: int) -> int:
         """Upper-bound estimate of how often ``item`` was recorded."""
         if self.use_numpy:
-            return _kernels.countmin_estimate(self._tables, self._salts, item)
+            return self.estimate_batch([item])[0]
         return min(self._tables[row][column] for row, column in self._cells(item))
 
     def estimate_batch(self, items: Sequence[int]) -> List[int]:
         """Estimates for a batch of items, in input order."""
         if self.use_numpy and items:
-            return _kernels.countmin_estimate_batch(
-                self._tables, self._salts, list(items)
-            )
+            rows = np.arange(self.depth).reshape(-1, 1)
+            return [int(v) for v in self._tables[rows, self._columns(items)].min(axis=0)]
         return [self.estimate(item) for item in items]
 
     def decay(self, factor: float = 0.5) -> None:
@@ -115,14 +165,14 @@ class CountMinSketch:
         """
         if not 0.0 < factor < 1.0:
             raise ValueError("factor must be in (0, 1)")
-        num, shift = _kernels.decay_ratio(factor)
+        num, shift = decay_ratio(factor)
         if self.use_numpy:
-            _kernels.countmin_decay(self._tables, factor)
+            countmin_decay(self._tables, factor)
         else:
             for table in self._tables:
                 for index, value in enumerate(table):
-                    table[index] = _kernels.decay_value(value, num, shift)
-        self.total = _kernels.decay_value(self.total, num, shift)
+                    table[index] = decay_value(value, num, shift)
+        self.total = decay_value(self.total, num, shift)
 
 
 class StreamUnbiaser:

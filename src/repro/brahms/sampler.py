@@ -25,8 +25,7 @@ from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
-from repro.crypto.minwise import MERSENNE_PRIME_31, MinWiseFamily
-from repro.perf.kernels import splitmix64_array
+from repro.crypto.minwise import MERSENNE_PRIME_31, MinWiseFamily, splitmix64_array
 
 __all__ = ["Sampler", "SamplerGroup"]
 
@@ -152,15 +151,6 @@ class SamplerGroup:
         for index in range(self._size):
             current = int(self._current_id[index])
             if current >= 0 and not is_alive(current):
-                self._reset_index(index)
-                reset_count += 1
-        return reset_count
-
-    def invalidate_id(self, node_id: int) -> int:
-        """Reset samplers currently holding ``node_id`` (targeted removal)."""
-        reset_count = 0
-        for index in range(self._size):
-            if int(self._current_id[index]) == node_id:
                 self._reset_index(index)
                 reset_count += 1
         return reset_count

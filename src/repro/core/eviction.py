@@ -55,7 +55,8 @@ class AdaptiveEviction(EvictionPolicy):
 
     ``rate(share)`` is ``high_rate`` for shares at or below ``low_share``,
     ``low_rate`` for shares at or above ``high_share``, and linear between.
-    The paper's anchors are the defaults; the ablation bench sweeps them.
+    The paper's anchors are the defaults; ``repro figure ablation-anchors``
+    sweeps them.
     """
 
     low_share: float = 0.2

@@ -4,17 +4,18 @@ RAPTEE's implementation uses Intel's OpenSSL SGX port with AES in CTR mode
 for all symmetric encryption (paper §V).  This module provides the block
 cipher; :mod:`repro.crypto.ctr` layers the CTR stream mode on top.
 
-The S-box and its inverse are derived programmatically from the GF(2^8)
-multiplicative inverse and the FIPS-197 affine transform rather than being
-transcribed as literal tables, which makes the derivation itself testable.
+The S-box is derived programmatically from the GF(2^8) multiplicative
+inverse and the FIPS-197 affine transform rather than being transcribed as
+a literal table, which makes the derivation itself testable.
 
-``encrypt_block`` is a readable transliteration of FIPS-197 — per-operation
-SubBytes/ShiftRows/MixColumns over the flat byte state — and the one block
-path every caller runs (sealed storage, ``auth_mode="aes-ctr"`` proofs,
-through :class:`repro.crypto.ctr.AesCtr`).  No simulated wire runs a
-cipher, so nothing here is on a round's hot path; the FIPS-197 and NIST
-SP 800-38A known answers pin it (``tests/test_crypto_aes.py``,
-``tests/test_perf_kernels.py``).
+There is no inverse cipher: CTR mode decrypts by encrypting the same
+keystream.  ``encrypt_block`` is a readable transliteration of FIPS-197 —
+per-operation SubBytes/ShiftRows/MixColumns over the flat byte state — and
+the one block path every caller runs (sealed storage,
+``auth_mode="aes-ctr"`` proofs, through :class:`repro.crypto.ctr.AesCtr`).
+No simulated wire runs a cipher, so nothing here is on a round's hot path;
+the FIPS-197 and NIST SP 800-38A known answers pin it
+(``tests/test_crypto_aes.py``, ``tests/test_perf_kernels.py``).
 
 The expanded key is stored once per cipher, as the 176 bytes of FIPS-197's
 44 big-endian words, sliced into round keys per call.  Constructing a
@@ -86,15 +87,7 @@ def _build_sbox() -> List[int]:
     return sbox
 
 
-def _invert_sbox(sbox: Sequence[int]) -> List[int]:
-    inverse = [0] * 256
-    for index, value in enumerate(sbox):
-        inverse[value] = index
-    return inverse
-
-
 SBOX: Sequence[int] = tuple(_build_sbox())
-INV_SBOX: Sequence[int] = tuple(_invert_sbox(SBOX))
 
 # Round constants for key expansion: rcon[i] = x^(i-1) in GF(2^8).
 _RCON = [0x01]
@@ -104,10 +97,6 @@ for _ in range(9):
 # Precomputed xtime tables speed up MixColumns noticeably in pure Python.
 _MUL2 = tuple(_gf_mul(x, 2) for x in range(256))
 _MUL3 = tuple(_gf_mul(x, 3) for x in range(256))
-_MUL9 = tuple(_gf_mul(x, 9) for x in range(256))
-_MUL11 = tuple(_gf_mul(x, 11) for x in range(256))
-_MUL13 = tuple(_gf_mul(x, 13) for x in range(256))
-_MUL14 = tuple(_gf_mul(x, 14) for x in range(256))
 
 
 class AES128:
@@ -166,24 +155,11 @@ class AES128:
             state[i] = SBOX[state[i]]
 
     @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = INV_SBOX[state[i]]
-
-    @staticmethod
     def _shift_rows(state: List[int]) -> None:
         # Row r (bytes r, r+4, r+8, r+12) rotates left by r.
         for r in range(1, 4):
             row = [state[r + 4 * c] for c in range(4)]
             row = row[r:] + row[:r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
             for c in range(4):
                 state[r + 4 * c] = row[c]
 
@@ -196,16 +172,6 @@ class AES128:
             state[i + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
             state[i + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
             state[i + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            i = 4 * c
-            a0, a1, a2, a3 = state[i], state[i + 1], state[i + 2], state[i + 3]
-            state[i] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            state[i + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            state[i + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            state[i + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
 
     # -- public API --------------------------------------------------------
 
@@ -225,21 +191,4 @@ class AES128:
         self._sub_bytes(state)
         self._shift_rows(state)
         self._add_round_key(state, round_keys[self.ROUNDS])
-        return bytes(state)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        round_keys = self._round_keys()
-        state = list(block)
-        self._add_round_key(state, round_keys[self.ROUNDS])
-        for round_index in range(self.ROUNDS - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, round_keys[round_index])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, round_keys[0])
         return bytes(state)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
     import random  # annotation-only: the family draw rng is always injected
 
@@ -25,6 +27,8 @@ __all__ = [
     "MinWiseFamily",
     "MERSENNE_PRIME_31",
     "MERSENNE_PRIME_61",
+    "scramble64",
+    "splitmix64_array",
 ]
 
 MERSENNE_PRIME_31 = (1 << 31) - 1
@@ -45,12 +49,21 @@ _WORD_MASK = (1 << 64) - 1
 
 def scramble64(value: int) -> int:
     """Fixed bijective 64-bit input scramble applied before linear hashing:
-    the SplitMix64 finaliser (scalar reference of
-    :func:`repro.perf.kernels.splitmix64_array`)."""
+    the SplitMix64 finaliser (scalar reference of :func:`splitmix64_array`)."""
     x = value & _WORD_MASK
     x = ((x ^ (x >> 30)) * SPLITMIX64_M1) & _WORD_MASK
     x = ((x ^ (x >> 27)) * SPLITMIX64_M2) & _WORD_MASK
     return x ^ (x >> 31)
+
+
+def splitmix64_array(values):
+    """Vectorised :func:`scramble64` over a uint64 array: uint64 arithmetic
+    wraps modulo 2^64, so the xor-shift/multiply pipeline computes the
+    masked scalar's integers exactly (``tests/test_perf_kernels.py``)."""
+    x = np.asarray(values, dtype=np.uint64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(SPLITMIX64_M1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(SPLITMIX64_M2)
+    return x ^ (x >> np.uint64(31))
 
 
 @dataclass(frozen=True)

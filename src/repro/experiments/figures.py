@@ -1,10 +1,11 @@
 """The paper's tables and figures as data, and the one runner that makes them.
 
-Each table and figure (§V's Fig. 3, Table I and Figs. 5-13; the churn, SLO
-and straggler extensions) is a :class:`FigureDef` in :data:`FIGURES` under
-its ``repro figure`` id.  :func:`run_figure` builds each of its cells with
-:func:`cell_spec` and sweeps it over the scale's seeds (``repeat`` for the
-paper's three metrics, ``map_ordered`` for a measure) before formatting it.
+Each table and figure (§V's Fig. 3, Table I and Figs. 5-13; the four
+ablations; the churn, SLO and straggler extensions) is a :class:`FigureDef`
+in :data:`FIGURES` under its ``repro figure`` id.  :func:`run_figure` builds
+each of its cells with :func:`cell_spec` and sweeps it over the scale's
+seeds (``repeat`` for the paper's three metrics, ``map_ordered`` for a
+measure) before formatting it.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ class Scale:
 
 
 TEST_SCALE = Scale(n_nodes=150, rounds=40, repetitions=1, view_ratio=0.08)
-#: The scale of every number in EXPERIMENTS.md (``benchmarks/`` and
-#: ``repro figure --scale bench``): view size 24 keeps the paper's
-#: trusted-meeting dynamics while a full sweep stays tractable.
+#: The scale of every number in EXPERIMENTS.md (``repro figure --scale
+#: bench``; ``benchmarks/test_paper_shape.py`` checks its shapes): view size
+#: 24 keeps the paper's trusted-meeting dynamics while a full sweep stays
+#: tractable.
 BENCH_SCALE = Scale(n_nodes=300, rounds=80, repetitions=1, view_ratio=0.08, base_seed=2024)
 #: The paper's setting: 10,000 nodes, view 200, 200 rounds, 10 repetitions.
 PAPER_SCALE = Scale(n_nodes=10_000, rounds=200, repetitions=10, view_ratio=0.02)
@@ -151,12 +153,20 @@ def _percents(cell: Cell, *keys: str) -> List[str]:
     return [f"{cell[key]:.0%}" for key in keys]
 
 
+def _improvement(values: Values, baseline: Values) -> str:
+    return f"{resilience_improvement(baseline[0], values[0]):+.1f}"
+
+
+def _on(flag: bool) -> str:
+    return "on" if flag else "off"
+
+
 def _eviction_rows(cell: Cell, values: Values, baseline: Values) -> List[List[str]]:
     """Figs. 5-9 (a) improvement over Brahms, (b)/(c) discovery/stability overhead."""
     overheads = (overhead_percent(int(base), int(value))
                  for base, value in zip(baseline[1:], values[1:]))
     return [_percents(cell, "byzantine_fraction", "trusted_fraction") + [
-        f"{resilience_improvement(baseline[0], values[0]):+.1f}",
+        _improvement(values, baseline),
         *("n/r" if overhead is None else f"{overhead:+.1f}" for overhead in overheads),
     ]]
 
@@ -243,6 +253,22 @@ _IDENTIFICATION = FigureDef(
      "trusted_fraction": (0.01, 0.10, 0.30)},
     measure=_identification,
 )
+
+
+@dataclass(frozen=True)
+class _HistoryShare:
+    """A γ-ablation point: Brahms at a scale with history-sample share γ,
+    α and β splitting the rest."""
+
+    gamma: float
+
+    def __call__(self, scale: Scale) -> BrahmsConfig:
+        rest = (1.0 - self.gamma) / 2.0
+        return replace(BrahmsConfig().scaled(scale.n_nodes, scale.view_ratio),
+                       alpha=rest, beta=rest, gamma=self.gamma)
+
+
+_ABLATION = {"protocol": "raptee", "byzantine_fraction": 0.20, "trusted_fraction": 0.20}
 _EVENTS = {"protocol": "raptee", "byzantine_fraction": 0.10, "trusted_fraction": 0.10,
            "kind": "events", "latency": _LINK}
 
@@ -281,11 +307,53 @@ FIGURES: Dict[str, FigureDef] = {
         "Fig. 13 — corrupted trusted node injection", ("t", "poisoned", "f", "improvement %"),
         lambda cell, values, baseline: [
             _percents(cell, "trusted_fraction", "poisoned_fraction", "byzantine_fraction")
-            + [f"{resilience_improvement(baseline[0], values[0]):+.1f}"]],
+            + [_improvement(values, baseline)]],
         {"protocol": "raptee"},
         {"trusted_fraction": (0.01, 0.10, 0.30),
          "poisoned_fraction": (0.0, 0.01, 0.05, 0.10, 0.20, 0.30),
          "byzantine_fraction": (0.10, 0.20, 0.30)},
+        baseline=_brahms,
+    ),
+    # Ablations beyond the paper (DESIGN.md §7).  γ: Brahms defense (iv)
+    # bounds the pollution spiral.
+    "ablation-gamma": FigureDef(
+        "Ablation — history-sample share γ (Brahms defense iv)", ("gamma", "byz-in-views %"),
+        lambda cell, values, _: [[f"{cell['brahms'].gamma:.1f}", f"{100 * values[0]:.1f}"]],
+        {"protocol": "brahms", "byzantine_fraction": 0.20},
+        {"brahms": tuple(_HistoryShare(share) for share in (0.0, 0.1, 0.2, 0.3))},
+    ),
+    # RAPTEE's gain attributed to its two mechanisms.
+    "ablation-components": FigureDef(
+        "Ablation — RAPTEE component attribution (f=20%, t=20%)",
+        ("trusted exchange", "eviction", "improvement %"),
+        lambda cell, values, baseline: [[
+            _on(cell["trusted_exchange_enabled"]), _on(cell["eviction_enabled"]),
+            _improvement(values, baseline)]],
+        _ABLATION, {"trusted_exchange_enabled": (False, True), "eviction_enabled": (False, True)},
+        baseline=_brahms,
+    ),
+    # The adaptive rule's anchor rates around the paper's 20/80.
+    "ablation-anchors": FigureDef(
+        "Ablation — adaptive eviction anchors (low rate / high rate)",
+        ("low rate", "high rate", "improvement %"),
+        lambda cell, values, baseline: [[
+            f"{cell['eviction'].low_rate:.1f}", f"{cell['eviction'].high_rate:.1f}",
+            _improvement(values, baseline)]],
+        _ABLATION, {"eviction": tuple(AdaptiveEviction(low_rate=low, high_rate=high)
+                                      for low, high in ((0.0, 1.0), (0.2, 0.8), (0.4, 0.6)))},
+        baseline=_brahms,
+    ),
+    # §VIII's future work: a count-min sketch flattens the pulled-ID stream
+    # before view renewal.
+    "ablation-countmin": FigureDef(
+        "Ablation — count-min stream unbiasing (future work, f=20%, t=10%)",
+        ("eviction", "sketch", "improvement %"),
+        lambda cell, values, baseline: [[
+            cell["eviction"].describe(), _on(cell["sketch_unbias_enabled"]),
+            _improvement(values, baseline)]],
+        {**_ABLATION, "trusted_fraction": 0.10},
+        {"eviction": (FixedEviction(0.0), AdaptiveEviction()),
+         "sketch_unbias_enabled": (False, True)},
         baseline=_brahms,
     ),
     # Each round one trusted node joins and one leaves with probability

@@ -3,26 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
-__all__ = ["FigureResult", "format_table", "format_percent", "format_round"]
-
-
-def format_percent(value: Optional[float], decimals: int = 1) -> str:
-    if value is None:
-        return "—"
-    return f"{value:.{decimals}f}%"
-
-
-def format_round(value: Optional[float]) -> str:
-    if value is None or value < 0:
-        return "n/r"  # not reached within the simulated horizon
-    return f"{value:.0f}"
+__all__ = ["FigureResult", "format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
                  title: str = "") -> str:
-    """Render an aligned ASCII table (the benches print these)."""
+    """Render an aligned ASCII table (every ``repro figure`` prints one)."""
     materialized: List[List[str]] = [[str(cell) for cell in row] for row in rows]
     widths = [len(header) for header in headers]
     for row in materialized:

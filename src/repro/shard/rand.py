@@ -20,7 +20,7 @@ processes agree.
 The scalar path below is pure Python (``mix64`` is the masked 64-bit
 finalizer the min-wise hashes scramble their input with,
 :func:`repro.crypto.minwise.scramble64`); the vectorized path in
-:func:`key_array` runs on :func:`repro.perf.kernels.splitmix64_array` and
+:func:`key_array` runs on :func:`repro.crypto.minwise.splitmix64_array` and
 computes the *same* integers (uint64 wrap-around is the mask).  ``tests/test_shard_engine.py``
 pins the scalar/vector agreement.
 """
@@ -31,8 +31,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.crypto.minwise import scramble64 as mix64
-from repro.perf.kernels import splitmix64_array
+from repro.crypto.minwise import scramble64 as mix64, splitmix64_array
 
 __all__ = [
     "mix64",

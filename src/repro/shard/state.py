@@ -36,8 +36,7 @@ import numpy as np
 
 from repro.brahms.config import BYZANTINE_PUSH_LIMIT_MULTIPLIER
 from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.crypto.minwise import MERSENNE_PRIME_31, scramble64
-from repro.perf.kernels import splitmix64_array
+from repro.crypto.minwise import MERSENNE_PRIME_31, scramble64, splitmix64_array
 from repro.shard.rand import Purpose, key64, key_array
 
 __all__ = ["ShardConfig", "ShardState", "EMPTY_SAMPLE", "build_state", "partition_bounds"]
@@ -159,15 +158,6 @@ class ShardConfig:
     @property
     def byz_push_limit(self) -> int:
         return self.effective_push_limit * BYZANTINE_PUSH_LIMIT_MULTIPLIER
-
-    def kind_of(self, node_id: int) -> str:
-        """Role name for a node id, from the one banded-layout definition
-        both engines share (:meth:`repro.sim.node.NodeKind.for_banded_id`)."""
-        from repro.sim.node import NodeKind
-
-        return NodeKind.for_banded_id(
-            node_id, self.n_byzantine, self.n_trusted
-        ).value
 
     def is_byzantine(self, node_id: int) -> bool:
         return node_id < self.n_byzantine

@@ -163,14 +163,6 @@ class TestSamplerGroup:
         assert group.validate(lambda node_id: True) == 0
         assert group.sample_list() == before
 
-    def test_invalidate_specific_id(self, family):
-        group = SamplerGroup(6, family)
-        group.update(range(10))
-        victim = group.sample_list()[0]
-        reset = group.invalidate_id(victim)
-        assert reset >= 1
-        assert victim not in group.sample_list()
-
     @given(stream=st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_samples_always_from_stream(self, stream):

@@ -2,11 +2,11 @@
 
 These run the ``FIGURES`` registry's defs through ``run_figure`` end to end
 (tiny topologies, few rounds; a non-default grid is an axis override or a
-``dataclasses.replace`` on the def) — the real reproductions live in
-``benchmarks/``.  Every figure family also carries the sha256 of its
-rendered table, recorded at the last commit whose figures wired and looped
-seeds by hand: the one def → spec → ``run_scenario`` → ``repeat`` path must
-print the same bytes.
+``dataclasses.replace`` on the def) — the bench-scale shape checks live in
+``benchmarks/test_paper_shape.py``.  Every figure family also carries the
+sha256 of its rendered table, recorded at the last commit whose figures
+wired and looped seeds by hand: the one def → spec → ``run_scenario`` →
+``repeat`` path must print the same bytes.
 """
 
 import dataclasses
@@ -17,12 +17,15 @@ import pytest
 from repro.core.eviction import FixedEviction
 from repro.experiments import figures
 from repro.experiments.figures import FIGURES, Scale, run_figure
-from repro.experiments.reporting import format_percent, format_round, format_table
+from repro.experiments.reporting import format_table
 from repro.membership.service import MembershipConfig
 
 TINY = Scale(n_nodes=100, rounds=25, repetitions=1, view_ratio=0.1, base_seed=5)
 #: Two seeds, so the pins cover the seed sweep's mean and ordering too.
 PAIR = Scale(n_nodes=60, rounds=12, repetitions=2, view_ratio=0.1, base_seed=7)
+#: View 10 (not the clamped minimum 8, so the γ points' scaling shows); the
+#: four ablation tables together run in ~3 s.
+ABLATION = Scale(n_nodes=50, rounds=8, repetitions=1, view_ratio=0.2, base_seed=5)
 
 
 def _sha256(result) -> str:
@@ -42,15 +45,6 @@ class TestReporting:
         assert lines[0] == "T"
         assert "long header" in lines[1]
         assert len(lines) == 5  # title + header + separator + 2 rows
-
-    def test_format_percent(self):
-        assert format_percent(12.345) == "12.3%"
-        assert format_percent(None) == "—"
-
-    def test_format_round(self):
-        assert format_round(17) == "17"
-        assert format_round(-1) == "n/r"
-        assert format_round(None) == "n/r"
 
 
 class TestFigure3:
@@ -165,6 +159,22 @@ class TestFigure13:
         assert _sha256(result) == (
             "44236fa8808886825cc00221c684a60f84b9f1a496be4962cde037ec6ee281fb"
         )
+
+
+class TestAblations:
+    """The four ablation tables, pinned to the bytes their defs rendered at
+    ABLATION when each was built inside its bench test."""
+
+    PINS = {
+        "ablation-gamma": "bc7c867a11335e8b1649c363dbb1ee8c30fe68f26190b9e4974928279b76738a",
+        "ablation-components": "4ad04eb6d43a02b8cce93df7d7edd6884af57212b79bbb9fcf182c0bea51af02",
+        "ablation-anchors": "1e73d097519a54f2d9ab686f0158c2d9b6ab7540bee4c44012e98ae33ee901e5",
+        "ablation-countmin": "f9524d4ca44f2a97948c265ed884b4a19d158b16bc2ced6a396ffa46534b3eb9",
+    }
+
+    @pytest.mark.parametrize("figure_id", list(PINS))
+    def test_renders_the_pinned_table(self, figure_id, memo):
+        assert _sha256(run_figure(FIGURES[figure_id], ABLATION, memo)) == self.PINS[figure_id]
 
 
 class TestMembershipChurnFigure:

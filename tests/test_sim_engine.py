@@ -126,12 +126,10 @@ class TestBandedKinds:
             n_byzantine=3, n_trusted=2, view_size=4, sample_size=2,
             alpha_count=2, beta_count=1, gamma_count=1,
         )
-        assert [config.kind_of(i) for i in range(6)] == [
-            "byzantine", "byzantine", "byzantine", "trusted", "trusted",
-            "honest",
-        ]
-        assert config.is_byzantine(2) and not config.is_byzantine(3)
-        assert config.is_trusted(4) and not config.is_trusted(5)
+        for node in range(6):
+            kind = NodeKind.for_banded_id(node, 3, 2)
+            assert config.is_byzantine(node) == (kind is NodeKind.BYZANTINE)
+            assert config.is_trusted(node) == (kind is NodeKind.TRUSTED)
 
 
 class TestMembership:
