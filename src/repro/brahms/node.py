@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.brahms.config import BrahmsConfig
 from repro.brahms.sampler import SamplerGroup
@@ -40,7 +40,7 @@ from repro.crypto.minwise import MinWiseFamily
 from repro.sgx.cycles import CycleAccountant, PeerSamplingFunction
 from repro.sim.engine import RoundContext
 from repro.sim.messages import Message, PullReply, PullRequest
-from repro.sim.node import NodeBase, NodeKind
+from repro.sim.node import KnownIds, NodeBase, NodeKind
 
 __all__ = ["BrahmsNode", "PulledBatch"]
 
@@ -71,7 +71,7 @@ class BrahmsNode(NodeBase):
         self.cycles = cycle_accountant
         self.view: List[int] = []
         self.samplers = SamplerGroup(config.sample_size, MinWiseFamily(rng))
-        self.known: Set[int] = {node_id}
+        self.known = KnownIds((node_id,))
         self.blocked_rounds = 0
         # Per-round buffers.
         self._received_pushes: List[int] = []
@@ -83,6 +83,13 @@ class BrahmsNode(NodeBase):
         self._reply_view: Optional[List[int]] = None
         self._reply: Optional[PullReply] = None
 
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # A checkpoint written while ``known`` was a ``set`` resumes as is:
+        # the map holds the same ids, and nothing reads their order.
+        if not isinstance(state["known"], KnownIds):
+            state["known"] = KnownIds(state["known"])
+        self.__dict__.update(state)
+
     # -- NodeBase introspection -------------------------------------------
 
     def view_ids(self) -> List[int]:
@@ -90,6 +97,9 @@ class BrahmsNode(NodeBase):
 
     def known_ids(self) -> AbstractSet[int]:
         return self.known
+
+    def count_known(self, outside: int) -> int:
+        return self.known.count_outside(outside)
 
     def seed_view(self, ids: List[int]) -> None:
         self.view = [peer for peer in ids if peer != self.node_id]

@@ -37,8 +37,10 @@ def _reduce(batch: np.ndarray) -> np.ndarray:
 #: ``scramble64(id) mod p`` for ids below 2^14 (past the paper's N = 10,000;
 #: 0.3 ms at import, 128 KiB): the id-only half of ``MinWiseHash.__call__``,
 #: tabulated as ``repro.shard.state.ShardState.reduced`` is.  An update is a
-#: ≤ 30-id batch on which each numpy op costs ~1 µs whatever it computes: one
-#: ``take`` replaces the finaliser's dozen.
+#: node's round: its α·l1 pushes plus its β·l1 pulled views, 156 ids in the
+#: median on the ``pernode-brahms-1k`` ledger workload (l1 = 20).  At that
+#: size a numpy op still costs about its ~1 µs call overhead whatever it
+#: computes, so one ``take`` replaces the finaliser's dozen.
 _REDUCED_TABLE = _reduce(np.arange(1 << 14))
 
 

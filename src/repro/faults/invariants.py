@@ -114,7 +114,10 @@ class InvariantChecker(Observer):
         if unknown:
             self._fail(simulation, "registered-ids", node.node_id,
                        f"view cites never-registered IDs {unknown}")
-        missing = sorted(set(view).difference(node.known_ids()))
+        # Membership probes of the view's ids: a ``difference`` would walk
+        # the whole known map.
+        known = node.known_ids()
+        missing = [peer for peer in sorted(set(view)) if peer not in known]
         if missing:
             self._fail(simulation, "view-known", node.node_id,
                        f"view entries {missing} missing from known-ID set")

@@ -16,9 +16,13 @@ when messages arrive.
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, AbstractSet, ContextManager, List, Optional
+from itertools import compress, count
+from typing import (
+    TYPE_CHECKING, AbstractSet, ContextManager, Iterable, Iterator, List, Optional,
+)
 
 from repro.sim.messages import Message
 
@@ -26,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import RoundContext
     from repro.telemetry.hub import Telemetry
 
-__all__ = ["NodeKind", "NodeBase"]
+__all__ = ["NodeKind", "NodeBase", "KnownIds"]
 
 
 class NodeKind(enum.Enum):
@@ -67,6 +71,76 @@ class NodeKind(enum.Enum):
         if node_id < n_byzantine + n_trusted:
             return cls.TRUSTED
         return cls.HONEST
+
+
+class KnownIds(collections.abc.Set):
+    """A set of non-negative node ids held as one byte per id.
+
+    Byte ``i`` of one ``bytearray`` is 1 when id ``i`` is in the set: a
+    node's ever-seen ids cost N bytes, where a Python ``set`` of them costs
+    ~51 bytes an entry.  The map's length is a power of two; an id past the
+    end (a churn arrival's) grows it to the next power of two above that
+    id, so at least doubles it.  A negative id is refused with
+    ``ValueError`` rather than indexing the map from its end.
+
+    ``add`` and ``update`` are those of ``set``; iteration is in ascending
+    id order.
+    """
+
+    __slots__ = ("_map",)
+
+    def __init__(self, ids: Iterable[int] = ()):
+        self._map = bytearray()
+        self.update(ids)
+
+    def __contains__(self, node_id: int) -> bool:
+        return 0 <= node_id < len(self._map) and self._map[node_id] == 1
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(count(), self._map)
+
+    def __len__(self) -> int:
+        return self._map.count(1)
+
+    def __repr__(self) -> str:
+        return f"KnownIds({list(self)})"
+
+    def _grow(self, top: int) -> None:
+        """Lengthen the map to the power of two above id ``top``."""
+        self._map.extend(bytes((1 << top.bit_length()) - len(self._map)))
+
+    def add(self, node_id: int) -> None:
+        if node_id < 0:
+            raise ValueError(f"node ids are non-negative, got {node_id}")
+        try:
+            self._map[node_id] = 1
+        except IndexError:
+            self._grow(node_id)
+            self._map[node_id] = 1
+
+    def update(self, ids: Iterable[int]) -> None:
+        ids = tuple(ids)
+        if ids and min(ids) < 0:
+            raise ValueError(f"node ids are non-negative, got {min(ids)}")
+        known = self._map
+        try:
+            for node_id in ids:
+                known[node_id] = 1
+        except IndexError:  # an id past the end: grow, then mark them all
+            self._grow(max(ids))
+            for node_id in ids:
+                known[node_id] = 1
+
+    def mask(self) -> int:
+        """The map read as one little-endian int: bit ``8·i`` is set
+        exactly when id ``i`` is in the set."""
+        return int.from_bytes(self._map, "little")
+
+    def count_outside(self, outside: int) -> int:
+        """How many ids in the set are not in ``outside``, another set's
+        :meth:`mask`: two C-level passes over the map and one AND, with
+        no Python step per id."""
+        return self._map.count(1) - (self.mask() & outside).bit_count()
 
 
 class NodeBase:
@@ -118,14 +192,23 @@ class NodeBase:
     def known_ids(self) -> AbstractSet[int]:
         """Every distinct ID this node has ever learned (discovery metric).
 
-        The node's own live set, not a copy: it is read after every round
-        by :class:`~repro.sim.observers.DiscoveryObserver` and the
-        invariant checker, and callers must not mutate it.  Every id in it
-        was at some point registered with the simulation (a subset of
-        :attr:`~repro.sim.engine.Simulation.ever_registered`), which is
-        what lets discovery be counted from the non-correct side.
+        The node's own live state, not a copy (a Brahms node's
+        :class:`KnownIds` bytemap): the invariant checker tests its view's
+        ids against it after every round, and callers must not mutate it.
+        Every id in it was at some point registered with the simulation (a
+        subset of :attr:`~repro.sim.engine.Simulation.ever_registered`),
+        which is what lets discovery be counted from the non-correct side
+        (:meth:`count_known`).
         """
         raise NotImplementedError
+
+    def count_known(self, outside: int) -> int:
+        """How many of :meth:`known_ids` are not in ``outside``, a
+        :meth:`KnownIds.mask` (the discovery count, read after every round
+        by :class:`~repro.sim.observers.DiscoveryObserver`).  This default
+        copies :meth:`known_ids` into a map first; a node that keeps a
+        :class:`KnownIds` answers from it directly."""
+        return KnownIds(self.known_ids()).count_outside(outside)
 
     def seed_view(self, ids: List[int]) -> None:
         """Install the bootstrap view (uniform sample of global membership)."""

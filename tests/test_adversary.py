@@ -12,6 +12,8 @@ from repro.adversary.identification import IdentificationAttack, IdentificationR
 from repro.adversary.poisoned import build_poisoned_trusted_node, poison_initial_state
 from repro.core.config import RapteeConfig
 from repro.core.node import RapteeNode
+from repro.experiments.scenarios import PollutionProbe
+from repro.scenario import compile_spec, spec_from_dict
 from repro.sim.messages import AuthChallenge, AuthResponse, PullReply, PullRequest
 from repro.sim.node import NodeKind
 
@@ -85,6 +87,54 @@ class TestCoordinator:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             make_coordinator(strategy="chaotic")
+
+
+def _probe_and_record_means(protocol):
+    """The adaptive adversary's pollution readings, one per round, beside
+    each round's closing ``RoundRecord`` mean, on the ``pernode-raptee-enc``
+    ledger spec (seed 11001, transport encryption off, 12 rounds)."""
+    topology = {"n_nodes": 200, "byzantine_fraction": 0.1, "view_ratio": 0.08}
+    if protocol == "raptee":
+        topology["trusted_fraction"] = 0.05
+    bundle = compile_spec(spec_from_dict({
+        "name": "probe-timing", "protocol": protocol, "seed": 11001,
+        "rounds": 12, "adversary_strategy": "adaptive_balanced",
+        "topology": topology,
+    }))
+    probe = PollutionProbe(bundle.simulation,
+                           frozenset(bundle.coordinator.byzantine_ids))
+    readings = []
+
+    def recording_probe():
+        readings.append(probe())
+        return readings[-1]
+
+    bundle.coordinator.set_pollution_probe(recording_probe)
+    bundle.run(12)
+    means = [record.mean_byzantine_fraction for record in bundle.trace.records]
+    assert len(readings) == len(means) == 12  # read once a round
+    # Round r's reading against round r - 1's closing record.
+    return {round_number: reading - mean for round_number, (reading, mean)
+            in enumerate(zip(readings[1:], means), start=2)}
+
+
+class TestPollutionProbeTiming:
+    """Where the adaptive budget reads pollution: at the round's first
+    Byzantine push assignment, mid-gossip — after any trusted swaps that
+    came earlier in the shuffled order.  So a recorded round frame is not
+    a drop-in source for it: reading the previous round's record instead
+    moves RAPTEE's budgets, and with them the pinned eviction-figure and
+    ablation tables of ``tests/test_experiments_figures.py``."""
+
+    def test_raptee_reading_differs_from_the_last_record_once(self):
+        offsets = _probe_and_record_means("raptee")
+        moved = {r: offset for r, offset in offsets.items() if offset != 0.0}
+        assert list(moved) == [7]
+        assert moved[7] == pytest.approx(-1.0684e-4, rel=1e-3)
+
+    def test_brahms_reading_is_the_last_record(self):
+        # Brahms views change only at round end, so the two always agree.
+        assert set(_probe_and_record_means("brahms").values()) == {0.0}
 
 
 class TestByzantineNode:

@@ -4,6 +4,7 @@ import random
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.events.harness import wire_events
 from repro.faults.harness import wire_faults
@@ -15,7 +16,7 @@ from repro.sim.churn import ChurnEvent, CatastrophicFailure, NoChurn, UniformChu
 from repro.sim.engine import Observer, Simulation
 from repro.sim.messages import Message
 from repro.sim.network import Network
-from repro.sim.node import NodeBase, NodeKind
+from repro.sim.node import KnownIds, NodeBase, NodeKind
 from repro.sim.observers import DiscoveryObserver, ViewTraceObserver
 
 
@@ -43,7 +44,8 @@ class PhaseRecorder(NodeBase):
         return list(self._view)
 
     def known_ids(self):
-        # A set, as NodeBase.known_ids requires: discovery takes its len().
+        # A plain set: NodeBase.count_known's default copies it into a
+        # KnownIds map to count it, so set-based nodes still discover.
         return set(self._view)
 
     def seed_view(self, ids):
@@ -369,7 +371,7 @@ class DiscoveryAudit(Observer):
     def on_round_end(self, simulation):
         self.rounds += 1
         target = self.discovery._target_ids
-        others = simulation.ever_registered - target
+        others = KnownIds(simulation.ever_registered - target).mask()
         for node in simulation.correct_nodes():
             known = node.known_ids()
             # The counting-from-the-other-side identity rests on this.
@@ -430,3 +432,60 @@ class TestDiscoveryCount:
         bundle, audit = _audited_run(spec)
         assert audit.arrivals_counted > 0
         assert bundle.discovery.discovery_round
+
+
+_IDS = st.integers(min_value=0, max_value=300)
+#: Random add/update sequences; ids up to 300 outgrow the map the first
+#: call sizes whenever that call's largest id is below 256.
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _IDS),
+    st.tuples(st.just("update"), st.lists(_IDS, max_size=12)),
+), max_size=40)
+
+
+class TestKnownIds:
+    @given(ops=_OPS, probes=st.lists(st.integers(-3, 700), max_size=20),
+           outside=st.sets(_IDS, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_set(self, ops, probes, outside):
+        known, reference = KnownIds(), set()
+        for op, arg in ops:
+            getattr(known, op)(arg)
+            getattr(reference, op)(arg)
+        assert len(known) == len(reference)
+        assert list(known) == sorted(reference)
+        assert known == reference and reference == known
+        # Past the end, never added, negative: membership is the set's.
+        for probe in probes + [701, 10 ** 6]:
+            assert (probe in known) == (probe in reference), probe
+        # The subset forms the tests use, e.g. ``{5, 6} <= node.known``.
+        assert reference <= known and known <= reference
+        assert known >= reference and reference >= known
+        assert not (reference | {999}) <= known
+        assert known.count_outside(KnownIds(outside).mask()) == len(
+            reference - outside)
+
+    def test_grows_past_its_first_size(self):
+        known = KnownIds([3])
+        known.add(4)
+        known.update([5, 1000])
+        known.add(5000)
+        assert list(known) == [3, 4, 5, 1000, 5000]
+        assert 999 not in known and 1001 not in known and 4999 not in known
+
+    @given(ids=st.lists(_IDS, max_size=12), negative=st.integers(max_value=-1))
+    @settings(max_examples=50, deadline=None)
+    def test_a_negative_id_is_refused(self, ids, negative):
+        known = KnownIds(ids)
+        with pytest.raises(ValueError):
+            known.add(negative)
+        with pytest.raises(ValueError):
+            known.update(ids + [negative])
+        with pytest.raises(ValueError):
+            KnownIds([negative])
+        assert list(known) == sorted(set(ids))  # nothing marked
+
+    def test_set_based_nodes_count_through_the_default(self):
+        node = PhaseRecorder(0, [])
+        node.seed_view([0, 2, 5, 9])
+        assert node.count_known(KnownIds([2, 7]).mask()) == 3

@@ -25,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.brahms.node import BrahmsNode
 from repro.faults.harness import wire_faults
+from repro.sim.node import KnownIds
 from repro.snapshot import RunState, restore, save
 from repro.telemetry import (
     TelemetryConfig,
@@ -213,6 +215,35 @@ def test_checkpoint_carrying_transport_keys_resumes_identically(tmp_path):
     stats = resumed.simulation.network.stats
     assert stats == straight.simulation.network.stats
     assert stats.bytes_encrypted > 0
+
+
+@pytest.mark.parametrize("name", ["brahms-churn", "raptee-encrypted"])
+def test_checkpoint_with_set_known_ids_resumes_identically(name, tmp_path):
+    """A checkpoint written while ``BrahmsNode.known`` was a ``set`` (the
+    layout before the ``KnownIds`` bytemap, under the same format version)
+    restores with each set rebuilt as a map, and the resumed run is
+    byte-identical to a straight run, discovery rounds included."""
+    straight = _state(name)
+    straight.run_chunk(ROUNDS)
+
+    state = _state(name)
+    state.run_chunk(CHECKPOINT_AT)
+    nodes = [node for node in state.simulation.nodes.values()
+             if isinstance(node, BrahmsNode)]
+    assert nodes
+    for node in nodes:
+        node.known = set(node.known)
+    snapshot_path = tmp_path / "set-known.snapshot"
+    save(state, str(snapshot_path))
+
+    resumed = restore(str(snapshot_path))
+    assert all(isinstance(node.known, KnownIds)
+               for node in resumed.simulation.nodes.values()
+               if isinstance(node, BrahmsNode))
+    resumed.run_chunk(resumed.rounds_remaining)
+    assert _artifacts(resumed) == _artifacts(straight)
+    assert (resumed.bundle.discovery.discovery_round
+            == straight.bundle.discovery.discovery_round)
 
 
 def test_churn_scenario_actually_churns():
