@@ -17,10 +17,11 @@ or built by ``compile_spec`` where the command drives the rounds itself
   print its rows;
 * ``attack`` — run the §VI-A trusted-node identification attack and print
   precision/recall/F1;
-* ``faults`` — run a named fault-injection drill (:mod:`repro.faults`)
-  and print the recovery/invariant report;
 * ``trace`` — run one scenario with telemetry wired
   (:mod:`repro.telemetry`) and export the JSONL trace / CSV metrics;
+  ``--scenario NAME`` runs a catalog entry instead of the flags, and a
+  fault list there (the ``drill-*`` entries) also runs the invariant
+  checker: any violation exits 1;
 * ``vectors generate|verify|list`` — the conformance vector suite
   (:mod:`repro.scenario.vectors`): exit 0 when every vector matches, 1 on
   drift or an integrity failure, 2 on a usage error.
@@ -40,9 +41,9 @@ Examples::
     repro snapshot resume repro-run.snapshot --trace-out trace.jsonl
     repro figure fig9 --scale test
     repro attack --f 0.2 --t 0.2 --eviction 1.0
-    repro faults --drill enclave-outage --nodes 200 --rounds 50
-    repro faults --drill membership-churn --trace-out churn.jsonl
     repro trace --nodes 50 --rounds 30 --seed 7 --out trace.jsonl
+    repro trace --scenario drill-enclave-outage
+    repro trace --scenario drill-membership-churn --out churn.jsonl
     repro vectors generate
     repro vectors verify --report drift.json
 """
@@ -60,7 +61,6 @@ from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
 from repro.experiments.figures import BENCH_SCALE, FIGURES, TEST_SCALE, run_figure
 from repro.experiments.runner import bundle_metrics
 from repro.experiments.scenarios import TopologySpec
-from repro.faults.drills import DRILLS, run_drill
 from repro.scenario.catalog import CATALOG, catalog_specs, get_spec
 from repro.scenario.compile import compile_spec
 from repro.scenario.errors import ScenarioSpecError, VectorError
@@ -217,21 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     attack_parser.set_defaults(handler=_command_attack, nodes=200, f=0.20, t=0.20,
                                rounds=20)
 
-    faults_parser = commands.add_parser(
-        "faults", help="run a named fault-injection drill (see repro.faults)",
-        parents=[_flags("--nodes", "--rounds", "--seed", "--trace-out")],
-    )
-    faults_parser.set_defaults(handler=_command_faults, nodes=200, rounds=50)
-    faults_parser.add_argument(
-        "--drill", choices=sorted(DRILLS), default="enclave-outage"
-    )
-
     trace_parser = commands.add_parser(
         "trace", help="run one scenario with telemetry and export the trace",
         parents=[_flags("--protocol", *_TOPOLOGY, "--rounds", "--metrics-out")],
     )
     trace_parser.set_defaults(handler=_command_trace, nodes=50, f=0.10, t=0.10,
                               rounds=30)
+    trace_parser.add_argument("--scenario", default=None, metavar="NAME",
+                              help="run this catalog scenario (repro vectors "
+                                   "list); --protocol, --rounds and the "
+                                   "topology flags are then ignored")
     trace_parser.add_argument("--out", default="trace.jsonl",
                               help="JSONL trace output path")
     trace_parser.add_argument("--no-message-events", action="store_true",
@@ -511,26 +506,22 @@ def _command_attack(args) -> int:
     return 0
 
 
-def _command_faults(args) -> int:
-    report = run_drill(
-        args.drill, nodes=args.nodes, rounds=args.rounds, seed=args.seed,
-        capture_trace=bool(args.trace_out),
-    )
-    print(report.render())
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as stream:
-            stream.write(report.trace_jsonl or "")
-        print(f"trace:              {args.trace_out}")
-    return 0 if report.violations == 0 else 1
-
-
 def _command_trace(args) -> int:
     config = TelemetryConfig(
         trace_messages=not args.no_message_events,
         trace_ecalls=args.ecall_events,
         profiling=args.profile,
     )
-    artifacts = run_scenario(_spec_from_args(args), telemetry=config)
+    if args.scenario is None:
+        spec = _spec_from_args(args)
+    else:
+        try:
+            spec = get_spec(args.scenario)
+        except KeyError as error:
+            raise _UsageError(f"--scenario: {error.args[0]}") from None
+    # A fault list on a per-node engine is a drill: audit every round.
+    check = bool(spec.faults) and spec.engine.kind != "shard"
+    artifacts = run_scenario(spec, telemetry=config, check_invariants=check)
     telemetry = artifacts.bundle.telemetry
     with open(args.out, "w", encoding="utf-8") as stream:
         stream.write(artifacts.trace_jsonl)
@@ -544,7 +535,15 @@ def _command_trace(args) -> int:
     if args.profile:
         print()
         print(render_profile(telemetry.profiler))
-    return 0
+    checker = artifacts.checker
+    if checker is None:
+        return 0
+    print()
+    for violation in checker.violations:
+        print(violation.describe())
+    print(f"invariants: {checker.rounds_checked} rounds checked, "
+          f"{len(checker.violations)} violation(s)")
+    return 1 if checker.violations else 0
 
 
 def _command_snapshot_info(args) -> int:

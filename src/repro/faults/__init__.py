@@ -12,10 +12,11 @@ machinery in :mod:`repro.core.recovery` and audited every round by the
 :class:`~repro.faults.invariants.InvariantChecker`.
 
 Everything is deterministic: the same seed and the same plan reproduce the
-same run, faults included.
+same run, faults included.  The canned drills are catalog scenarios
+(``drill-*`` in :mod:`repro.scenario.catalog`), run with the checker by
+``repro trace --scenario drill-enclave-outage``.
 """
 
-from repro.faults.drills import DRILLS, DrillReport, run_drill
 from repro.faults.harness import wire_faults
 from repro.faults.injector import FaultInjector, InjectionStats
 from repro.faults.invariants import InvariantChecker, InvariantViolation, Violation
@@ -37,9 +38,6 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "DRILLS",
-    "DrillReport",
-    "run_drill",
     "wire_faults",
     "FaultInjector",
     "InjectionStats",

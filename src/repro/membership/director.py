@@ -16,7 +16,9 @@ so a node degraded here can start re-attesting the same round).  It
 3. **propagates the membership log** — a seeded handful of nodes sync
    straight from the service, then every trusted node anti-entropies with
    peers from its own Brahms view (skipping links the active fault plan
-   cuts), so revocations reach the whole trusted set epidemically.
+   cuts), so revocations reach the whole trusted set epidemically; a view
+   still missing a record ``staleness_bound - 1`` rounds old then syncs
+   from the service, which bounds the lag whatever the gossip reached.
 
 All of the director's randomness comes from its own seeded stream — the
 protocol RNGs never see a membership draw, which is what keeps the four
@@ -261,8 +263,6 @@ class MembershipDirector:
             for node_id in sorted(self._rng.sample(candidates, contacts)):
                 self.stats.gossip_syncs += self._views[node_id].catch_up()
         # 2. Epidemic anti-entropy along each node's own Brahms view.
-        if self.config.gossip_fanout == 0:
-            return
         for node_id in candidates:
             view = self._views[node_id]
             node = simulation.nodes[node_id]
@@ -285,6 +285,16 @@ class MembershipDirector:
                 contacted += 1
                 synced = view.sync_with(peer_view) + peer_view.sync_with(view)
                 self.stats.gossip_syncs += synced
+        # 3. Staleness fallback: a view that has not advanced past a record
+        #    for ``staleness_bound - 1`` rounds catches up from the service,
+        #    so the bound holds even when no contact or gossip peer reached
+        #    it (a node whose view holds no alive trusted peer).
+        deadline = round_number - (self.config.staleness_bound - 1)
+        for node_id in candidates:
+            view = self._views[node_id]
+            oldest = log.records_since(view.applied_seq, view.applied_seq + 1)
+            if oldest and oldest[0].round_number <= deadline:
+                self.stats.gossip_syncs += view.catch_up()
 
     def _blocked(self, src: int, dst: int, round_number: int) -> bool:
         injector = self._injector

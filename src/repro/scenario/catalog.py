@@ -15,6 +15,12 @@ Populations are 40-80 nodes and 6 rounds (one shard entry runs 40, long
 enough to reach system discovery) so the whole suite replays in seconds —
 pollution *dynamics* at this scale are not the paper's numbers, but their
 byte-exact reproducibility is what a conformance vector pins.
+
+The last block holds the four fault drills, ``drill-enclave-outage``,
+``drill-partition``, ``drill-flaky-provisioning`` and
+``drill-membership-churn``: RAPTEE at 60 nodes for 16 rounds, with every
+victim id and round written out.  ``repro trace --scenario NAME`` runs
+one with the invariant checker and exits 1 on a violation.
 """
 
 from __future__ import annotations
@@ -59,6 +65,12 @@ def _raptee(name: str, seed: int, *, n_nodes: int = 40, f: float = 0.10,
     }
     spec.update(extra)
     return spec
+
+
+def _drill(name: str, seed: int, **extra: Any) -> Dict[str, Any]:
+    """A fault drill: RAPTEE at N = 60 (f = 0.10, t = 0.30) for 16 rounds."""
+    return _raptee(name, seed, n_nodes=60, t=0.30, rounds=16,
+                   topology={"view_ratio": 0.08}, **extra)
 
 
 _WINDOW_2_4 = {"start": 2, "end": 4}
@@ -197,6 +209,47 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
     _raptee("shard-fault-crash", 405, t=0.20,
             faults=[{"kind": "crash-restart", "node_id": 5, "at_round": 2,
                      "down_rounds": 2}], **_shard(5)),
+    # --- Fault drills (``repro trace --scenario drill-…``) -------------
+    # Ids 0-5 are Byzantine and 6-23 trusted; every drill enables the
+    # invariant checker when run through ``trace``.
+    # 30 % of the trusted enclaves crash into an attestation outage, a
+    # third of them with a corrupted sealed backup.
+    _drill("drill-enclave-outage", 501,
+           faults=[{"kind": "attestation-outage",
+                    "window": {"start": 3, "end": 11}},
+                   *({"kind": "enclave-crash", "node_id": node, "at_round": 3}
+                     for node in range(6, 12)),
+                   *({"kind": "sealed-blob-corruption", "node_id": node,
+                      "at_round": 3} for node in (6, 9))]),
+    # The correct population splits in halves under a loss burst.
+    _drill("drill-partition", 502,
+           faults=[{"kind": "partition", "group_a": list(range(6, 33)),
+                    "group_b": list(range(33, 60)),
+                    "window": {"start": 4, "end": 8}},
+                   {"kind": "loss-burst", "window": {"start": 4, "end": 8},
+                    "loss_rate": 0.10}]),
+    # Trusted nodes crash-restart with corrupted backups while the
+    # provisioning service refuses most requests until the end.
+    _drill("drill-flaky-provisioning", 503,
+           faults=[{"kind": "provisioning-flakiness",
+                    "window": {"start": 2, "end": 16}, "failure_rate": 0.60},
+                   *({"kind": "crash-restart", "node_id": node,
+                      "at_round": 2, "down_rounds": 2} for node in (6, 7, 8)),
+                   *({"kind": "sealed-blob-corruption", "node_id": node,
+                      "at_round": 2} for node in (6, 7, 8))]),
+    # Dynamic membership under compound failure: a provisioner replica
+    # crashes, a trusted device is revoked (a forced re-key), and a
+    # scheduled rotation lands inside an attestation outage, over
+    # background trusted-set churn.
+    _drill("drill-membership-churn", 504,
+           membership={"replica_count": 3, "join_rate": 0.04,
+                       "leave_rate": 0.03},
+           faults=[{"kind": "provisioner-replica-crash", "replica_id": 0,
+                    "at_round": 3, "down_rounds": 6},
+                   {"kind": "device-revocation", "node_id": 6, "at_round": 3},
+                   {"kind": "attestation-outage",
+                    "window": {"start": 5, "end": 8}},
+                   {"kind": "epoch-rotation", "at_round": 6}]),
 )
 
 

@@ -2,10 +2,11 @@
 
 :func:`run_scenario` is what every front-end calls, for all three engines
 (CLI ``run`` with ``--engine events`` or ``--shards`` / ``trace`` /
-``attack``, figures, fault drills, the vector generator and conformance
-runner): compile the spec, then either wire the per-node instrumentation
-stack (telemetry → faults → events) and run whichever per-node engine
-ended up attached, or hand the shard engine its hub and run it.  No other
+``attack``, figures, the vector generator and conformance runner; a fault
+drill is a catalog entry run by ``trace --scenario``): compile the spec,
+then either wire the per-node instrumentation stack (telemetry → faults →
+events) and run whichever per-node engine ended up attached, or hand the
+shard engine its hub and run it.  No other
 module under ``src/repro`` calls ``wire_telemetry`` / ``wire_faults`` /
 ``wire_events`` (``tests/test_scenario_differential.py`` checks).
 

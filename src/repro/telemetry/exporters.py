@@ -165,6 +165,21 @@ _SUMMARY_FAMILIES = (
     ("faults.drops", "fault-injected drops"),
     ("raptee.degradations", "trusted-node degradations"),
     ("raptee.promotions", "trusted-node promotions"),
+    # The fault drills' families: zero, so absent, without faults or membership.
+    ("raptee.degraded_nodes", "still degraded (final)"),
+    ("faults.crashes", "node crashes"),
+    ("faults.restarts", "node restarts"),
+    ("faults.enclave_crashes", "enclave crashes"),
+    ("faults.blob_corruptions", "sealed blobs corrupted"),
+    ("recovery.restores_from_seal", "sealed restores"),
+    ("recovery.reprovisions", "re-provisionings"),
+    ("recovery.failed_attempts", "failed recovery attempts"),
+    ("membership.rotations", "group-key rotations"),
+    ("membership.epoch", "group-key epoch (final)"),
+    ("membership.revocations", "membership revocations"),
+    ("membership.joins", "membership joins"),
+    ("membership.leaves", "membership leaves"),
+    ("membership.stale_degrades", "stale-epoch degrades"),
 )
 
 

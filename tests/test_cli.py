@@ -36,7 +36,6 @@ _DEFAULTS = {
     "attack": dict(nodes=200, f=0.20, t=0.20, rounds=20, **_SCENARIO),
     "trace": dict(protocol="raptee", nodes=50, f=0.10, t=0.10, rounds=30, **_SCENARIO,
                   metrics_out=None),
-    "faults": dict(nodes=200, rounds=50, seed=1, trace_out=None),
 }
 
 
@@ -102,24 +101,75 @@ class TestCommands:
         assert "precision" in out and "F1" in out
 
 
-class TestFaultsCommand:
-    def test_parser_defaults(self):
-        # The shared flags' defaults are TestParser's table.
-        assert build_parser().parse_args(["faults"]).drill == "enclave-outage"
+#: ``repro trace --nodes 30 --rounds 6 --seed 2 --out t.jsonl
+#: --no-message-events`` as it printed before ``--scenario`` existed.
+_TRACE_WITHOUT_SCENARIO = """\
+trace:              t.jsonl (48 events)
 
-    def test_unknown_drill_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults", "--drill", "nope"])
+metric             total
+-----------------  -----
+rounds executed    6
+pushes sent        564
+pushes delivered   564
+requests sent      1465
+replies delivered  1465
+SGX ECALLs         228
+trace events       48
+"""
 
-    def test_drill_smoke(self, capsys):
-        exit_code = main([
-            "faults", "--drill", "enclave-outage",
-            "--nodes", "60", "--rounds", "12", "--seed", "2",
-        ])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "fault drill:        enclave-outage" in out
-        assert "0 violation(s)" in out
+
+class TestTraceScenario:
+    """``repro trace --scenario NAME``: a catalog entry instead of the
+    topology flags; a fault list makes it a drill with the invariant
+    checker observing every round."""
+
+    def test_unknown_scenario_exits_two(self, capsys):
+        exit_code = main(["trace", "--scenario", "drill-nope"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: --scenario: ")
+        assert "drill-nope" in captured.err
+        assert captured.out == ""
+
+    def test_without_scenario_the_output_is_unchanged(self, capsys, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "--nodes", "30", "--rounds", "6", "--seed", "2",
+                     "--out", "t.jsonl", "--no-message-events"]) == 0
+        assert capsys.readouterr().out == _TRACE_WITHOUT_SCENARIO
+
+    def test_drill_prints_recovery_rows_and_invariants(self, capsys, tmp_path):
+        from repro.telemetry import validate_trace_jsonl
+
+        out = tmp_path / "drill.jsonl"
+        exit_code = main(["trace", "--scenario", "drill-enclave-outage",
+                          "--nodes", "5", "--no-message-events", "--out", str(out)])
+        printed = capsys.readouterr().out
+        assert exit_code == 0  # --nodes 5 would be refused: it is ignored
+        for row in ("rounds executed            16", "enclave crashes",
+                    "sealed restores", "re-provisionings"):
+            assert row in printed
+        assert printed.endswith("invariants: 16 rounds checked, 0 violation(s)\n")
+        assert validate_trace_jsonl(out.read_text(encoding="utf-8")) > 0
+
+    def test_a_violation_exits_one(self, capsys, tmp_path, monkeypatch):
+        from repro.faults.invariants import InvariantChecker
+
+        checked = InvariantChecker.on_round_end
+
+        def planted(self, simulation):
+            checked(self, simulation)
+            if simulation.round_number == 4:
+                self._fail(simulation, "planted", None, "a test violation")
+
+        monkeypatch.setattr(InvariantChecker, "on_round_end", planted)
+        exit_code = main(["trace", "--scenario", "raptee-fault-crash",
+                          "--no-message-events", "--out", str(tmp_path / "t.jsonl")])
+        printed = capsys.readouterr().out
+        assert exit_code == 1
+        assert ("round 4: invariant 'planted' violated at overlay: "
+                "a test violation\n") in printed
+        assert printed.endswith("invariants: 6 rounds checked, 1 violation(s)\n")
 
 
 class TestTraceCommand:
@@ -223,11 +273,10 @@ class TestRunFlagWiring:
         ("run", ["--loss", "2"], "topology.loss_rate:"),
         ("attack", ["--nodes", "5"], "topology.n_nodes:"),
         ("trace", ["--nodes", "5"], "topology.n_nodes:"),
-        ("faults", ["--nodes", "5"], "topology.n_nodes:"),
-        ("faults", ["--rounds", "0"], "rounds:"),
+        ("trace", ["--rounds", "0"], "rounds:"),
         ("run", ["--checkpoint-every", "-1"], "--checkpoint-every"),
     ], ids=["run-nodes", "run-f", "run-t-and-f", "run-view-ratio", "run-loss", "attack-nodes",
-            "trace-nodes", "faults-nodes", "faults-rounds", "run-checkpoint-every"])
+            "trace-nodes", "trace-rounds", "run-checkpoint-every"])
     def test_refused_flag_exits_two_naming_the_field(self, capsys, command, flags, field):
         # Each of these used to escape as a ValueError traceback and exit 1.
         exit_code = main([command, *flags])
@@ -318,7 +367,7 @@ class TestSubcommandSurface:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        "run", "figure", "attack", "faults", "trace",
+        "run", "figure", "attack", "trace",
         "snapshot", "snapshot info", "snapshot resume",
         "vectors", "vectors generate", "vectors verify", "vectors list",
     ])

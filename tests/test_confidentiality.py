@@ -18,13 +18,13 @@ import pickle
 import pytest
 
 import repro.core.enclave as core_enclave
-from repro.faults.drills import run_drill
 from repro.scenario.catalog import get_spec
 from repro.scenario.run import run_scenario
 from repro.sgx.enclave import SgxDevice
 from repro.sgx.provisioning import GroupKeyProvisioner
 from repro.sim.network import Network
 from repro.sim.node import NodeKind
+from repro.telemetry import render_summary
 
 
 def _encodings(secret: bytes):
@@ -153,12 +153,16 @@ def test_no_key_material_on_any_export_surface(name, held_secrets, wire):
 
 
 def test_no_key_material_in_a_drill_report(held_secrets):
-    report = run_drill("enclave-outage", nodes=40, rounds=12, capture_trace=True)
-    assert report.enclave_crashes and report.restores_from_seal
+    artifacts = run_scenario(get_spec("drill-enclave-outage"), check_invariants=True)
+    telemetry = artifacts.bundle.telemetry
+    registry = telemetry.registry
+    assert (registry.value("faults.enclave_crashes")
+            and registry.value("recovery.restores_from_seal"))
     assert {"bootstrap group key", "device sealing key",
             "unsealed blob plaintext"} <= {label for label, _ in held_secrets}
     surfaces = [
-        ("report", report.render().encode("utf-8")),
-        ("trace_jsonl", report.trace_jsonl.encode("utf-8")),
+        ("report", render_summary(telemetry).encode("utf-8")),
+        ("trace_jsonl", artifacts.trace_jsonl.encode("utf-8")),
+        ("metrics_csv", artifacts.metrics_csv.encode("utf-8")),
     ]
     assert _leaks(held_secrets, surfaces) == []

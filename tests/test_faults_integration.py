@@ -1,5 +1,6 @@
 """End-to-end fault drills over full RAPTEE deployments."""
 
+import functools
 import math
 import pickle
 
@@ -7,7 +8,6 @@ import pytest
 
 from repro.core.node import RapteeNode
 from repro.experiments.scenarios import TopologySpec
-from repro.faults.drills import run_drill
 from repro.faults.harness import wire_faults
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import (
@@ -18,7 +18,8 @@ from repro.faults.plan import (
     RoundWindow,
     SealedBlobCorruptionFault,
 )
-from repro.scenario import ScenarioSpec, compile_spec
+from repro.scenario import ScenarioSpec, compile_spec, get_spec, run_scenario
+from repro.telemetry import TelemetryConfig, render_summary
 
 
 def build_bundle(n_nodes, seed=1):
@@ -146,19 +147,26 @@ class TestDeterminism:
         assert self._fingerprint(7) != self._fingerprint(8)
 
 
+@functools.lru_cache(maxsize=None)
+def _drill(name):
+    """A catalog drill, run as ``repro trace --scenario`` runs it: with the
+    invariant checker observing every round (read-only, so shared)."""
+    return run_scenario(get_spec(f"drill-{name}"),
+                        telemetry=TelemetryConfig(tracing=False), check_invariants=True)
+
+
 class TestDrills:
     def test_every_drill_runs_clean_at_small_scale(self):
         for name in ("enclave-outage", "partition", "flaky-provisioning"):
-            report = run_drill(name, nodes=60, rounds=16, seed=2)
-            assert report.violations == 0, f"{name}: {report.render()}"
-            assert report.rounds_checked == 16
+            checker = _drill(name).checker
+            assert checker.violations == [], f"{name}: {checker.violations}"
+            assert checker.rounds_checked == 16
 
     def test_unknown_drill_rejected(self):
-        with pytest.raises(ValueError, match="unknown drill"):
-            run_drill("nope")
+        with pytest.raises(KeyError, match="no catalog scenario"):
+            get_spec("drill-nope")
 
     def test_drill_report_renders(self):
-        report = run_drill("enclave-outage", nodes=60, rounds=12, seed=3)
-        text = report.render()
-        assert "fault drill:        enclave-outage" in text
-        assert "invariants:" in text
+        text = render_summary(_drill("enclave-outage").bundle.telemetry)
+        assert "enclave crashes" in text
+        assert "sealed restores" in text

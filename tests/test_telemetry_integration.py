@@ -10,8 +10,7 @@ import re
 from pathlib import Path
 
 from repro.experiments.scenarios import TopologySpec
-from repro.faults.drills import run_drill
-from repro.scenario import ScenarioSpec, run_scenario
+from repro.scenario import ScenarioSpec, get_spec, run_scenario
 from repro.telemetry import (
     TelemetryConfig,
     metrics_to_csv,
@@ -101,11 +100,17 @@ class TestRegistryContents:
 
 class TestDrillDeterminism:
     def test_drill_reports_are_reproducible(self):
-        first = run_drill("enclave-outage", nodes=40, rounds=12, seed=3)
-        second = run_drill("enclave-outage", nodes=40, rounds=12, seed=3)
-        assert first == second
-        assert first.enclave_crashes > 0
-        assert first.degradations >= first.enclave_crashes
+        first, second = (
+            run_scenario(get_spec("drill-enclave-outage"),
+                         telemetry=TelemetryConfig(tracing=False), check_invariants=True)
+            for _ in range(2)
+        )
+        assert first.metrics_csv == second.metrics_csv
+        assert first.checker.violations == second.checker.violations
+        registry = first.bundle.telemetry.registry
+        assert registry.value("faults.enclave_crashes") > 0
+        assert (registry.value("raptee.degradations")
+                >= registry.value("faults.enclave_crashes"))
 
 
 class TestReadmeSnippet:
