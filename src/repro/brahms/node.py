@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import AbstractSet, List, Optional, Tuple
 
 from repro.brahms.config import BrahmsConfig
 from repro.brahms.sampler import SamplerGroup
@@ -82,13 +82,6 @@ class BrahmsNode(NodeBase):
         self._pull_request = PullRequest(node_id)
         self._reply_view: Optional[List[int]] = None
         self._reply: Optional[PullReply] = None
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # A checkpoint written while ``known`` was a ``set`` resumes as is:
-        # the map holds the same ids, and nothing reads their order.
-        if not isinstance(state["known"], KnownIds):
-            state["known"] = KnownIds(state["known"])
-        self.__dict__.update(state)
 
     # -- NodeBase introspection -------------------------------------------
 

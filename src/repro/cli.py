@@ -4,15 +4,16 @@ The package's one parser and one ``main``, and its only module that prints
 or writes the files a flag names.  Flags become one
 :class:`~repro.scenario.spec.ScenarioSpec` (:func:`_spec_from_args`), run
 by :func:`~repro.scenario.run.run_scenario` on any of the three engines —
-or built by ``compile_spec`` where the command drives the rounds itself
-(checkpointing, :func:`_run_to_target`).  ``run`` prints one report
-(:func:`_report`) whatever the engine.  The commands:
+or, for ``run`` on the default rounds engine, built by ``compile_spec`` and
+run by :func:`~repro.snapshot.run_with_checkpoints`, which checkpoints and
+resumes.  ``run`` prints one report (:func:`_report`) whatever the engine.
+The commands:
 
 * ``run`` — execute one Brahms or RAPTEE simulation and print the paper's
-  three metrics; ``--checkpoint-every N`` saves a resumable snapshot every
-  N rounds and ``--resume PATH`` continues one (:mod:`repro.snapshot`);
-* ``snapshot info|resume`` — print a snapshot's header, or run a
-  checkpoint to its target headless and export its trace / metrics;
+  three metrics; ``--checkpoint-every N`` saves a resumable checkpoint
+  every N rounds and ``--resume PATH`` continues one (:mod:`repro.snapshot`):
+  a resumed run prints what the straight run prints;
+* ``snapshot info`` — print a snapshot's header without unpickling it;
 * ``figure`` — regenerate one paper table/figure (scaled topology) and
   print its rows;
 * ``attack`` — run the §VI-A trusted-node identification attack and print
@@ -38,7 +39,6 @@ Examples::
         --load 40:30 --straggler 0.1:8 --events-trace-out latency.jsonl
     repro run --resume repro-run.snapshot
     repro snapshot info repro-run.snapshot
-    repro snapshot resume repro-run.snapshot --trace-out trace.jsonl
     repro figure fig9 --scale test
     repro attack --f 0.2 --t 0.2 --eviction 1.0
     repro trace --nodes 50 --rounds 30 --seed 7 --out trace.jsonl
@@ -76,14 +76,8 @@ from repro.scenario.vectors import (
     verify_vector,
 )
 from repro.shard.compile import ShardUnsupportedError
-from repro.snapshot import RunState, SnapshotError, describe, restore, run_with_checkpoints
-from repro.telemetry import (
-    TelemetryConfig,
-    metrics_to_csv,
-    render_profile,
-    render_summary,
-    trace_to_jsonl,
-)
+from repro.snapshot import SnapshotError, describe, restore, run_with_checkpoints
+from repro.telemetry import TelemetryConfig, render_profile, render_summary
 
 __all__ = ["main", "build_parser", "parse_eviction"]
 
@@ -124,20 +118,10 @@ _FLAGS = {
     "--view-ratio": dict(type=float, default=0.08),
     "--eviction": dict(type=parse_eviction, default=AdaptiveEviction(),
                        help="'adaptive' (default) or a fixed rate in [0, 1]"),
-    "--checkpoint-every": dict(type=int, default=0, metavar="N",
-                               help="save a resumable snapshot every N rounds"),
-    "--checkpoint-out": dict(metavar="PATH",
-                             help=f"snapshot path (default: {DEFAULT_CHECKPOINT}, "
-                                  "or the resumed file)"),
-    "--trace-out": dict(metavar="PATH",
-                        help="also write the telemetry trace here as JSON Lines"),
-    "--metrics-out": dict(metavar="PATH",
-                          help="also write the metrics registry CSV here"),
     "--dir": dict(default=DEFAULT_VECTOR_DIR,
                   help=f"vector directory (default: {DEFAULT_VECTOR_DIR}/)"),
 }
 _TOPOLOGY = ("--nodes", "--f", "--t", "--seed", "--view-ratio", "--eviction")
-_CHECKPOINT = ("--rounds", "--checkpoint-every", "--checkpoint-out")
 
 
 def _flags(*names: str) -> argparse.ArgumentParser:
@@ -158,18 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser(
         "run", help="run one simulation",
-        parents=[_flags("--protocol", *_TOPOLOGY, *_CHECKPOINT)],
+        parents=[_flags("--protocol", *_TOPOLOGY, "--rounds")],
     )
     # --rounds unset: 80, or the stored target when resuming.
     run_parser.set_defaults(handler=_command_run, nodes=300, f=0.10, t=0.10)
+    run_parser.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
+                            help="save a resumable checkpoint every N rounds")
+    run_parser.add_argument("--checkpoint-out", metavar="PATH",
+                            help="where --checkpoint-every saves (default: "
+                                 f"{DEFAULT_CHECKPOINT}, or the resumed file)")
     run_parser.add_argument("--poisoned", type=float, default=0.0,
                             help="injected view-poisoned trusted fraction")
     run_parser.add_argument("--sketch-unbias", action="store_true",
                             help="enable count-min stream unbiasing (future work)")
     run_parser.add_argument("--resume", default=None, metavar="PATH",
-                            help="restore a snapshot and continue it "
-                                 "(topology flags are ignored; state comes "
-                                 "from the snapshot)")
+                            help="restore a checkpoint and continue it to "
+                                 "--rounds, else its stored target (topology "
+                                 "flags are ignored; state comes from the "
+                                 "checkpoint)")
     run_parser.add_argument("--engine", choices=("rounds", "events"),
                             default="rounds",
                             help="simulation clock: lockstep rounds (default) "
@@ -219,10 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = commands.add_parser(
         "trace", help="run one scenario with telemetry and export the trace",
-        parents=[_flags("--protocol", *_TOPOLOGY, "--rounds", "--metrics-out")],
+        parents=[_flags("--protocol", *_TOPOLOGY, "--rounds")],
     )
     trace_parser.set_defaults(handler=_command_trace, nodes=50, f=0.10, t=0.10,
                               rounds=30)
+    trace_parser.add_argument("--metrics-out", metavar="PATH",
+                              help="also write the metrics registry CSV here")
     trace_parser.add_argument("--scenario", default=None, metavar="NAME",
                               help="run this catalog scenario (repro vectors "
                                    "list); --protocol, --rounds and the "
@@ -237,19 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="enable wall-clock profiling of hot paths")
 
     snapshot_parser = commands.add_parser(
-        "snapshot", help="inspect or resume run snapshots (see repro.snapshot)"
+        "snapshot", help="inspect run snapshots (see repro.snapshot)"
     )
     # A nested subcommand takes over `command`: the leaf names what runs.
     snapshot_commands = snapshot_parser.add_subparsers(dest="command", required=True)
     info_parser = snapshot_commands.add_parser("info", help="print a snapshot header")
     info_parser.set_defaults(handler=_command_snapshot_info)
     info_parser.add_argument("path")
-    resume_parser = snapshot_commands.add_parser(
-        "resume", help="restore a checkpoint and run it to completion",
-        parents=[_flags(*_CHECKPOINT, "--trace-out", "--metrics-out")],
-    )
-    resume_parser.set_defaults(handler=_command_snapshot_resume)
-    resume_parser.add_argument("path")
 
     vectors_parser = commands.add_parser(
         "vectors", help="generate/verify conformance vectors (see repro.scenario)"
@@ -412,29 +398,6 @@ def _command_shard_run(args) -> int:
     return 0
 
 
-def _run_to_target(args, state: RunState, default_checkpoint: str) -> Optional[str]:
-    """The resume rule, one copy for ``run``, ``run --resume`` and
-    ``snapshot resume``: run ``state`` to ``--rounds`` (unset: its stored
-    target), saving every ``--checkpoint-every`` rounds to
-    ``--checkpoint-out``, else to ``default_checkpoint`` — the resumed file
-    itself when resuming.  Returns where it saved, ``None`` if nowhere."""
-    if args.rounds is not None and args.rounds < 1:
-        raise _UsageError(f"--rounds: must be a positive round target, got {args.rounds}")
-    if args.checkpoint_every < 0:
-        raise _UsageError(
-            f"--checkpoint-every: must be non-negative, got {args.checkpoint_every}")
-    checkpoint_path = args.checkpoint_out or (
-        default_checkpoint if args.checkpoint_every else None
-    )
-    run_with_checkpoints(
-        state,
-        rounds=args.rounds,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-    return checkpoint_path
-
-
 def _command_run(args) -> int:
     # A flag for an engine that was not selected would be silently ignored.
     if args.shards is None and args.shard_workers != 1:
@@ -458,31 +421,37 @@ def _command_run(args) -> int:
                           "event clock (drop --engine events)")
     other_engine = ("the shard engine" if args.shards is not None
                     else "--engine events" if args.engine == "events" else None)
-    if other_engine and (args.resume or args.checkpoint_every):
-        raise _UsageError(f"{other_engine} has no snapshot support; use the "
-                          "default rounds engine with --resume/--checkpoint-every")
+    if other_engine and (args.resume or args.checkpoint_every or args.checkpoint_out):
+        raise _UsageError(f"{other_engine} has no snapshot support; use the default "
+                          "rounds engine with --resume/--checkpoint-every/--checkpoint-out")
     if args.shards is not None:
         return _command_shard_run(args)
     if args.engine == "events":
         return _command_run_events(args)
+    # The resume rule, checked before any round runs or any checkpoint is
+    # written: run to --rounds (unset: the stored target), saving every
+    # --checkpoint-every rounds to --checkpoint-out, else to the resumed
+    # file itself, else to DEFAULT_CHECKPOINT.
+    if args.rounds is not None and args.rounds < 1:
+        raise _UsageError(f"--rounds: must be a positive round target, got {args.rounds}")
+    if args.checkpoint_every < 0:
+        raise _UsageError(
+            f"--checkpoint-every: must be non-negative, got {args.checkpoint_every}")
+    if args.checkpoint_out and not args.checkpoint_every:
+        raise _UsageError("--checkpoint-out: names where --checkpoint-every N "
+                          "saves; nothing is saved without it")
     if args.resume:
-        try:
-            state = restore(args.resume)
-        except (SnapshotError, OSError) as error:
-            raise _UsageError(error) from error
-        if state.bundle is None:
-            raise _UsageError("this snapshot holds a bare simulation (no metric "
-                              "observers); resume it with repro snapshot resume")
-        default_checkpoint = args.resume
+        bundle = restore(args.resume)
     else:
-        scenario = _spec_from_args(args)
-        bundle = compile_spec(scenario)
-        state = RunState(simulation=bundle.simulation, bundle=bundle,
-                         rounds_total=scenario.rounds, label=args.protocol)
-        default_checkpoint = DEFAULT_CHECKPOINT
-    checkpoint_path = _run_to_target(args, state, default_checkpoint)
-    _report(state.label or "raptee", state.bundle.spec, state.rounds_completed,
-            bundle_metrics(state.bundle, state.rounds_completed))
+        bundle = compile_spec(_spec_from_args(args))
+    checkpoint_path = None
+    if args.checkpoint_every:
+        checkpoint_path = args.checkpoint_out or args.resume or DEFAULT_CHECKPOINT
+    run_with_checkpoints(bundle, rounds=args.rounds,
+                         checkpoint_every=args.checkpoint_every,
+                         checkpoint_path=checkpoint_path)
+    spec, rounds = bundle.spec, bundle.simulation.round_number
+    _report(spec.protocol, spec.topology, rounds, bundle_metrics(bundle, rounds))
     if checkpoint_path:
         _line("checkpoint", checkpoint_path)
     return 0
@@ -555,37 +524,6 @@ def _command_snapshot_info(args) -> int:
     print(f"payload bytes:      {header['payload_bytes']}")
     for key in sorted(meta):
         print(f"{key + ':':<20}{meta[key]}")
-    return 0
-
-
-def _command_snapshot_resume(args) -> int:
-    """Restore a checkpoint in this process and run it to its target: the
-    honest form of the byte-identical-resume claim, which the snapshot
-    differential test and CI drive in a fresh interpreter."""
-    state = restore(args.path)
-    before = state.rounds_completed
-    _run_to_target(args, state, args.path)
-    print(f"resumed:            round {before} -> {state.rounds_completed}"
-          + (f" ({state.label})" if state.label else ""))
-
-    if args.trace_out or args.metrics_out:
-        telemetry = state.simulation.telemetry
-        if telemetry is None:
-            print("error: snapshot has no telemetry wired; nothing to export",
-                  file=sys.stderr)
-            return 1
-        if args.trace_out:
-            if telemetry.trace is None:
-                print("error: tracing was disabled in this run", file=sys.stderr)
-                return 1
-            with open(args.trace_out, "w", encoding="utf-8") as stream:
-                stream.write(trace_to_jsonl(telemetry.trace.events))
-            print(f"trace:              {args.trace_out} "
-                  f"({len(telemetry.trace)} events)")
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as stream:
-                stream.write(metrics_to_csv(telemetry.registry))
-            print(f"metrics:            {args.metrics_out}")
     return 0
 
 

@@ -159,8 +159,10 @@ class SimulationBundle:
     simulation: Simulation
     trace: ViewTraceObserver
     discovery: DiscoveryObserver
-    spec: TopologySpec
-    #: l1 the nodes run with (``spec`` derives one; a scenario may override it).
+    #: The scenario compiled into this bundle; ``spec.rounds`` is the round
+    #: target a checkpointed run (:mod:`repro.snapshot`) runs to.
+    spec: "ScenarioSpec"
+    #: l1 the nodes run with: ``spec.brahms_config.view_size``.
     view_size: int
     coordinator: Optional[AdversaryCoordinator] = None
     infrastructure: Optional[TrustedInfrastructure] = None
@@ -184,16 +186,6 @@ class SimulationBundle:
 
     def __post_init__(self) -> None:
         self.engine = self.simulation
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        if "events" in state:
-            raise ValueError(
-                "this checkpoint holds a bundle in the old layout (an event "
-                "harness beside the simulation); this version of repro keeps "
-                "the clock in bundle.engine and cannot resume it. Finish the "
-                "run with the version of repro that wrote the checkpoint."
-            )
-        self.__dict__.update(state)
 
     @property
     def stats(self) -> NetworkStats:
@@ -278,7 +270,7 @@ def _bundle(
         simulation=simulation,
         trace=ViewTraceObserver(),
         discovery=DiscoveryObserver(),
-        spec=spec,
+        spec=scenario,
         view_size=scenario.brahms_config.view_size,
         coordinator=coordinator,
         **trusted_side,

@@ -69,11 +69,6 @@ class RoundWindow:
     def covers(self, round_number: int) -> bool:
         return self.start <= round_number <= self.end
 
-    def describe(self) -> str:
-        if self.start == self.end:
-            return f"round {self.start}"
-        return f"rounds {self.start}-{self.end}"
-
 
 @dataclass(frozen=True)
 class Fault:
@@ -81,9 +76,6 @@ class Fault:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameters."""
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
 
 def _check_rate(name: str, value: float) -> None:
@@ -106,11 +98,6 @@ class LinkFault(Fault):
         if self.src == self.dst:
             raise ValueError("a link fault needs two distinct endpoints")
 
-    def describe(self) -> str:
-        arrow = "<->" if self.bidirectional else "->"
-        return (f"link {self.src}{arrow}{self.dst} loses "
-                f"{self.loss_rate:.0%} ({self.window.describe()})")
-
 
 @dataclass(frozen=True)
 class PartitionFault(Fault):
@@ -126,10 +113,6 @@ class PartitionFault(Fault):
         if self.group_a & self.group_b:
             raise ValueError("partition groups must be disjoint")
 
-    def describe(self) -> str:
-        return (f"partition {len(self.group_a)}|{len(self.group_b)} nodes "
-                f"({self.window.describe()})")
-
 
 @dataclass(frozen=True)
 class EclipseFault(Fault):
@@ -143,10 +126,6 @@ class EclipseFault(Fault):
         if self.victim in self.allowed:
             raise ValueError("the victim cannot be its own allowed peer")
 
-    def describe(self) -> str:
-        return (f"eclipse node {self.victim} (allowed {len(self.allowed)} "
-                f"peers, {self.window.describe()})")
-
 
 @dataclass(frozen=True)
 class LossBurstFault(Fault):
@@ -157,9 +136,6 @@ class LossBurstFault(Fault):
 
     def validate(self) -> None:
         _check_rate("loss_rate", self.loss_rate)
-
-    def describe(self) -> str:
-        return f"loss burst {self.loss_rate:.0%} ({self.window.describe()})"
 
 
 @dataclass(frozen=True)
@@ -182,10 +158,6 @@ class CrashRestartFault(Fault):
         if self.down_rounds < 1:
             raise ValueError("down_rounds must be >= 1")
 
-    def describe(self) -> str:
-        return (f"crash node {self.node_id} at round {self.at_round} "
-                f"for {self.down_rounds} round(s)")
-
 
 @dataclass(frozen=True)
 class OmissionFault(Fault):
@@ -198,19 +170,12 @@ class OmissionFault(Fault):
     def validate(self) -> None:
         _check_rate("drop_rate", self.drop_rate)
 
-    def describe(self) -> str:
-        return (f"node {self.node_id} omits {self.drop_rate:.0%} of sends "
-                f"({self.window.describe()})")
-
 
 @dataclass(frozen=True)
 class AttestationOutageFault(Fault):
     """The attestation service refuses every quote during the window."""
 
     window: RoundWindow
-
-    def describe(self) -> str:
-        return f"attestation outage ({self.window.describe()})"
 
 
 @dataclass(frozen=True)
@@ -222,10 +187,6 @@ class ProvisioningFlakinessFault(Fault):
 
     def validate(self) -> None:
         _check_rate("failure_rate", self.failure_rate)
-
-    def describe(self) -> str:
-        return (f"provisioning fails {self.failure_rate:.0%} "
-                f"({self.window.describe()})")
 
 
 @dataclass(frozen=True)
@@ -239,9 +200,6 @@ class EnclaveCrashFault(Fault):
         if self.at_round < 1:
             raise ValueError("at_round must be >= 1")
 
-    def describe(self) -> str:
-        return f"enclave of node {self.node_id} crashes at round {self.at_round}"
-
 
 @dataclass(frozen=True)
 class SealedBlobCorruptionFault(Fault):
@@ -254,9 +212,6 @@ class SealedBlobCorruptionFault(Fault):
         if self.at_round < 1:
             raise ValueError("at_round must be >= 1")
 
-    def describe(self) -> str:
-        return f"sealed blob of node {self.node_id} corrupted at round {self.at_round}"
-
 
 @dataclass(frozen=True)
 class DeviceRevocationFault(Fault):
@@ -268,9 +223,6 @@ class DeviceRevocationFault(Fault):
     def validate(self) -> None:
         if self.at_round < 1:
             raise ValueError("at_round must be >= 1")
-
-    def describe(self) -> str:
-        return f"device of node {self.node_id} revoked at round {self.at_round}"
 
 
 @dataclass(frozen=True)
@@ -294,15 +246,6 @@ class ProvisionerReplicaCrashFault(Fault):
         if self.down_rounds < 0:
             raise ValueError("down_rounds must be non-negative")
 
-    def describe(self) -> str:
-        span = (
-            "permanently"
-            if self.down_rounds == 0
-            else f"for {self.down_rounds} round(s)"
-        )
-        return (f"provisioner replica {self.replica_id} crashes at round "
-                f"{self.at_round} {span}")
-
 
 @dataclass(frozen=True)
 class EpochRotationFault(Fault):
@@ -316,9 +259,6 @@ class EpochRotationFault(Fault):
             raise ValueError("at_round must be >= 1")
         if not self.reason:
             raise ValueError("reason must be non-empty")
-
-    def describe(self) -> str:
-        return f"group-key rotation ({self.reason}) at round {self.at_round}"
 
 
 @dataclass(frozen=True)
@@ -335,10 +275,6 @@ class RevocationStormFault(Fault):
             raise ValueError("node_ids must be distinct")
         if self.at_round < 1:
             raise ValueError("at_round must be >= 1")
-
-    def describe(self) -> str:
-        return (f"revocation storm over {len(self.node_ids)} device(s) "
-                f"at round {self.at_round}")
 
 
 #: Fault classes that require a :class:`~repro.core.deployment.TrustedInfrastructure`
@@ -393,10 +329,3 @@ class FaultPlan:
     @property
     def needs_membership(self) -> bool:
         return any(isinstance(f, MEMBERSHIP_FAULTS) for f in self.faults)
-
-    def describe(self) -> str:
-        if not self.faults:
-            return "empty fault plan"
-        lines = [f"fault plan ({len(self.faults)} fault(s)):"]
-        lines.extend(f"  - {fault.describe()}" for fault in self.faults)
-        return "\n".join(lines)

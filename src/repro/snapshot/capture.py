@@ -1,7 +1,8 @@
-"""Capture and restore of full simulation run state.
+"""Capture and restore of a per-node run: the checkpoint is the bundle.
 
-``save`` serializes *everything* a resumed run needs to be byte-identical
-to a straight-through run — and nothing it does not:
+``save`` serializes the :class:`~repro.experiments.scenarios.SimulationBundle`
+— everything a resumed run needs to be byte-identical to a
+straight-through run, and nothing it does not:
 
 * node protocol state: Brahms views, min-wise samplers (the numpy
   coefficient and retained-id columns), RAPTEE degradation flags,
@@ -18,117 +19,56 @@ to a straight-through run — and nothing it does not:
   manager's retry state;
 * telemetry: the metrics registry, the collected trace and the round/phase
   clock, so an exported trace covers rounds before *and* after the resume
-  seam with no discontinuity.
+  seam with no discontinuity;
+* the :class:`~repro.scenario.spec.ScenarioSpec` the bundle was compiled
+  from, as ``bundle.spec``: its ``rounds`` is the run's round target.
 
-Restoring returns a :class:`RunState`; the object graph comes back with
-its internal references (nodes ↔ network ↔ telemetry ↔ injector) intact
-because everything is serialized in one envelope.  A checkpoint written
-before the bundle held its own fault injector and clock (a ``RunState``
-with a ``fault_harness``, a bundle with ``events``) is refused with a
-:class:`~repro.snapshot.format.SnapshotError` that says so.
+Restoring returns the bundle; the object graph comes back with its
+internal references (nodes ↔ network ↔ telemetry ↔ injector) intact
+because everything is serialized in one envelope.  The payload kind is
+``"checkpoint"``: a file of any other kind — among them every checkpoint
+written when the payload was a wrapper around the bundle (kind
+``"run-state"``) — is refused before anything is unpickled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict
 
 from repro.experiments.scenarios import SimulationBundle
-from repro.sim.engine import Simulation
 from repro.snapshot.format import read_envelope, read_header, write_envelope
 
-__all__ = ["RunState", "Snapshotable", "save", "restore", "describe"]
+__all__ = ["save", "restore", "describe"]
 
-_KIND = "run-state"
-
-#: Anything ``save`` accepts: a prepared :class:`RunState`, a scenario
-#: bundle (wired or not), or a bare engine.
-Snapshotable = Union["RunState", SimulationBundle, Simulation]
+_KIND = "checkpoint"
 
 
-@dataclass
-class RunState:
-    """One resumable run: the simulation plus its wiring and round budget.
-
-    ``simulation`` is always set; ``bundle`` is kept when the state was
-    built from one, so a resumed run keeps its trace / discovery /
-    telemetry observers and its fault injector.
-    """
-
-    simulation: Simulation
-    bundle: Optional[SimulationBundle] = None
-    rounds_total: int = 0
-    label: str = ""
-    #: Free-form experiment context carried in the envelope header as well,
-    #: so `repro snapshot info` can show it without unpickling.
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        if "fault_harness" in state:
-            raise ValueError(
-                "this checkpoint holds a run state in the old layout (a fault "
-                "harness beside the bundle); this version of repro keeps the "
-                "injector in bundle.faults and cannot resume it. Finish the "
-                "run with the version of repro that wrote the checkpoint."
-            )
-        self.__dict__.update(state)
-
-    @property
-    def rounds_completed(self) -> int:
-        return self.simulation.round_number
-
-    @property
-    def rounds_remaining(self) -> int:
-        return max(0, self.rounds_total - self.rounds_completed)
-
-    def run_chunk(self, rounds: int) -> None:
-        """Advance ``rounds`` rounds: the bundle with its observer stack
-        when there is one, else the bare simulation.  Chunked execution
-        invokes exactly the same per-round observer sequence as one
-        straight call, which is what keeps checkpointed runs
-        byte-identical.
-        """
-        if rounds > 0:
-            (self.simulation if self.bundle is None else self.bundle).run(rounds)
-
-
-def _coerce(state: Snapshotable) -> RunState:
-    if isinstance(state, RunState):
-        return state
-    if isinstance(state, SimulationBundle):
-        return RunState(simulation=state.simulation, bundle=state)
-    if isinstance(state, Simulation):
-        return RunState(simulation=state)
-    raise TypeError(
-        f"cannot snapshot a {type(state).__name__}; expected RunState, "
-        f"SimulationBundle or Simulation"
-    )
-
-
-def save(state: Snapshotable, path: str) -> RunState:
-    """Checkpoint a run to ``path``; returns the (coerced) state saved."""
-    run_state = _coerce(state)
+def save(bundle: SimulationBundle, path: str) -> None:
+    """Checkpoint ``bundle`` to ``path``.  The header names the scenario and
+    carries the rounds completed, the round target and the node count, so
+    ``repro snapshot info`` shows them without unpickling."""
+    if not isinstance(bundle, SimulationBundle):
+        raise TypeError(
+            f"cannot snapshot a {type(bundle).__name__}; expected a SimulationBundle"
+        )
     meta = {
-        "rounds_completed": run_state.rounds_completed,
-        "rounds_total": run_state.rounds_total,
-        "label": run_state.label,
-        "nodes": len(run_state.simulation.nodes),
-        **run_state.extra,
+        "scenario": bundle.spec.name,
+        "rounds_completed": bundle.simulation.round_number,
+        "rounds_total": bundle.spec.rounds,
+        "nodes": len(bundle.simulation.nodes),
     }
-    write_envelope(path, _KIND, meta, run_state)
-    return run_state
+    write_envelope(path, _KIND, meta, bundle)
 
 
-def restore(path: str) -> RunState:
+def restore(path: str) -> SimulationBundle:
     """Load a checkpoint written by :func:`save`.
 
     Raises :class:`~repro.snapshot.format.SnapshotVersionError` on a format
     version mismatch and :class:`~repro.snapshot.format.SnapshotError` on a
     corrupt or wrong-kind file.
     """
-    _header, state = read_envelope(path, expected_kind=_KIND)
-    assert isinstance(state, RunState)
-    return state
+    _header, bundle = read_envelope(path, expected_kind=_KIND)
+    return bundle
 
 
 def describe(path: str) -> Dict[str, Any]:

@@ -7,7 +7,7 @@ A snapshot file is::
     payload                    zlib-compressed pickle of the state object
 
 The header carries the format version, the payload kind, a SHA-256 of the
-compressed payload and free-form ``meta`` (rounds completed, label, ...).
+compressed payload and free-form ``meta`` (scenario, rounds completed, ...).
 Keeping the header as a standalone JSON line means tooling — and
 :func:`read_header` — can inspect a snapshot without unpickling anything.
 
@@ -46,6 +46,12 @@ SNAPSHOT_MAGIC = b"REPROSNAP\n"
 # version-1 seed sweep, would silently mix the two epochs.  Conformance
 # vectors share the envelope, so a version-1 vector is refused as such
 # instead of being reported as drift in every section.
+#
+# A change to one payload kind alone renames that kind instead of bumping
+# the version: the checkpoint payload became the bundle itself under the
+# kind "checkpoint", so every "run-state" file is refused by kind before
+# unpickling, while the vectors — same envelope, unchanged sections — stay
+# valid.  A bump would have invalidated every committed vector for it.
 SNAPSHOT_FORMAT_VERSION = 2
 
 

@@ -180,16 +180,6 @@ class TraceCollector:
     def __init__(self) -> None:
         self._lines: List[str] = []
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        if "_lines" not in state:
-            raise ValueError(
-                "this checkpoint holds a trace in the old layout (one "
-                "TraceEvent object per event); this version of repro keeps "
-                "each event as its JSONL line and cannot resume it. Finish "
-                "the run with the version of repro that wrote the checkpoint."
-            )
-        self.__dict__.update(state)
-
     def __len__(self) -> int:
         return len(self._lines)
 

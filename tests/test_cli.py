@@ -275,29 +275,39 @@ class TestRunFlagWiring:
         ("trace", ["--nodes", "5"], "topology.n_nodes:"),
         ("trace", ["--rounds", "0"], "rounds:"),
         ("run", ["--checkpoint-every", "-1"], "--checkpoint-every"),
+        # A path with nothing to save there used to be printed as the
+        # checkpoint, or ignored without a word on the shard engine.
+        ("run", ["--nodes", "40", "--rounds", "3", "--checkpoint-out", "x.snapshot"],
+         "--checkpoint-out: "),
+        ("run", ["--shards", "2", "--nodes", "40", "--rounds", "3",
+                 "--checkpoint-out", "y.snapshot"],
+         "the shard engine has no snapshot support"),
     ], ids=["run-nodes", "run-f", "run-t-and-f", "run-view-ratio", "run-loss", "attack-nodes",
-            "trace-nodes", "trace-rounds", "run-checkpoint-every"])
-    def test_refused_flag_exits_two_naming_the_field(self, capsys, command, flags, field):
-        # Each of these used to escape as a ValueError traceback and exit 1.
+            "trace-nodes", "trace-rounds", "run-checkpoint-every", "run-checkpoint-out",
+            "run-shards-checkpoint-out"])
+    def test_refused_flag_exits_two_naming_the_field(self, capsys, tmp_path, monkeypatch,
+                                                     command, flags, field):
+        monkeypatch.chdir(tmp_path)
         exit_code = main([command, *flags])
         captured = capsys.readouterr()
         assert exit_code == 2
         assert captured.err.startswith(f"error: {field}")
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag", [
         (["run", "--nodes", "40", "--rounds", "0"], "--rounds"),
         (["run", "--resume", "SNAPSHOT", "--rounds", "0"], "--rounds"),
-        (["snapshot", "resume", "SNAPSHOT", "--rounds", "0"], "--rounds"),
-        (["snapshot", "resume", "SNAPSHOT", "--rounds", "-1"], "--rounds"),
-        (["snapshot", "resume", "SNAPSHOT", "--checkpoint-every", "-1"],
+        (["run", "--resume", "SNAPSHOT", "--rounds", "-1"], "--rounds"),
+        (["run", "--resume", "SNAPSHOT", "--checkpoint-every", "-1"],
          "--checkpoint-every"),
-    ], ids=["run", "run-resume", "snapshot-resume-0", "snapshot-resume-negative",
-            "snapshot-resume-checkpoint-every"])
+        (["run", "--resume", "SNAPSHOT", "--checkpoint-out", "SNAPSHOT"],
+         "--checkpoint-out"),
+    ], ids=["run", "run-resume", "run-resume-negative", "run-resume-checkpoint-every",
+            "run-resume-checkpoint-out"])
     def test_refused_round_flag_on_the_checkpoint_path(self, capsys, tmp_path, argv, flag):
-        # The rounds engine's run and both resumes share one checkpointed
-        # path: it names the refused flag before any round runs or any
-        # checkpoint is written.
+        # A run and its resume share one checkpointed path: it names the
+        # refused flag before any round runs or any checkpoint is written.
         snapshot = tmp_path / "run.snapshot"
         assert main(["run", "--nodes", "40", "--rounds", "2", "--checkpoint-every", "1",
                      "--checkpoint-out", str(snapshot)]) == 0
@@ -321,6 +331,24 @@ class TestRunFlagWiring:
         assert exit_code == 2
         assert "does not support count-min sketch unbiasing" in captured.err
         assert captured.out == ""
+
+    def test_split_run_prints_what_a_straight_run_prints(self, capsys, tmp_path):
+        """Checkpoint at round 6 of 9 and resume in a second invocation:
+        the report is the straight run's, less the ``checkpoint:`` line."""
+        flags = ["--nodes", "40", "--seed", "7"]
+        assert main(["run", *flags, "--rounds", "9"]) == 0
+        straight = capsys.readouterr().out
+        snapshot = str(tmp_path / "run.snapshot")
+        assert main(["run", *flags, "--rounds", "6", "--checkpoint-every", "3",
+                     "--checkpoint-out", snapshot]) == 0
+        capsys.readouterr()
+        assert main(["run", "--resume", snapshot, "--rounds", "9"]) == 0
+        resumed = capsys.readouterr().out
+        assert "rounds:             9\n" in straight
+        assert straight == "".join(
+            line for line in resumed.splitlines(keepends=True)
+            if not line.startswith("checkpoint:")
+        )
 
     @pytest.mark.parametrize("engine", ["rounds", "events"])
     def test_loss_changes_the_run(self, capsys, engine):
@@ -368,7 +396,7 @@ class TestSubcommandSurface:
 
     @pytest.mark.parametrize("command", [
         "run", "figure", "attack", "trace",
-        "snapshot", "snapshot info", "snapshot resume",
+        "snapshot", "snapshot info",
         "vectors", "vectors generate", "vectors verify", "vectors list",
     ])
     def test_help_exits_zero(self, capsys, command):

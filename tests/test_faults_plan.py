@@ -1,4 +1,4 @@
-"""Fault-plan schema: validation, windows, descriptions."""
+"""Fault-plan schema: validation and windows."""
 
 import pytest
 
@@ -31,10 +31,6 @@ class TestRoundWindow:
             RoundWindow(0, 5)
         with pytest.raises(ValueError):
             RoundWindow(5, 4)
-
-    def test_describe_single_round(self):
-        assert RoundWindow(4, 4).describe() == "round 4"
-        assert "2-9" in RoundWindow(2, 9).describe()
 
 
 class TestFaultValidation:
@@ -100,17 +96,6 @@ class TestFaultPlan:
         assert FaultPlan([AttestationOutageFault(RoundWindow(1, 2))]).needs_sgx
         assert FaultPlan([EnclaveCrashFault(1, at_round=2)]).needs_sgx
 
-    def test_describe_lists_every_fault(self):
-        plan = FaultPlan([
-            LinkFault(1, 2, RoundWindow(1, 2)),
-            EnclaveCrashFault(4, at_round=3),
-        ])
-        text = plan.describe()
-        assert "2 fault(s)" in text
-        assert "link 1->2" in text
-        assert "node 4" in text
-
     def test_empty_plan(self):
         plan = FaultPlan()
         assert len(plan) == 0
-        assert plan.describe() == "empty fault plan"

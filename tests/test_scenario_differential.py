@@ -407,10 +407,10 @@ def _identifiers(tree):
 
 def test_a_run_has_one_spelling():
     """No keyword builder, no bundle runner, no harness object beside the
-    bundle, no barrier twin of the round loop, no second min-wise family
-    and no hand-set flood list survives anywhere in the repository's
-    Python; the per-node assembly functions are called by
-    :func:`compile_spec` and nothing else."""
+    bundle, no wrapper around it in a checkpoint, no barrier twin of the
+    round loop, no second min-wise family and no hand-set flood list
+    survives anywhere in the repository's Python; the per-node assembly
+    functions are called by :func:`compile_spec` and nothing else."""
     trees = [
         (f"{top}/{file}", tree)
         for top in ("src", "tests", "benchmarks", "examples")
@@ -426,7 +426,10 @@ def test_a_run_has_one_spelling():
             "record_schedule", "schedule_log", "deferred_pushes",
             # One min-wise hash family.
             "CryptoMinWiseHash", "cryptographic_samplers", "cryptographic",
-            "_samplers"}
+            "_samplers",
+            # A checkpoint is the bundle; `run --resume` is the one resume.
+            "RunState", "Snapshotable", "_coerce", "run_chunk",
+            "_command_snapshot_resume"}
     assert not {
         (file, name) for file, tree in trees
         for name in _identifiers(tree) if name in gone

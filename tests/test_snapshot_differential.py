@@ -25,10 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.brahms.node import BrahmsNode
 from repro.faults.harness import wire_faults
-from repro.sim.node import KnownIds
-from repro.snapshot import RunState, restore, save
+from repro.snapshot import restore, run_with_checkpoints, save
 from repro.telemetry import (
     TelemetryConfig,
     metrics_to_csv,
@@ -103,35 +101,35 @@ _SCENARIOS = {
 
 def _state(name):
     """The scenario compiled and wired by hand — telemetry, then faults —
-    as a resumable :class:`RunState`."""
+    as a resumable bundle whose spec carries the ``ROUNDS`` target."""
     bundle, seed, plan = compiled(_SCENARIOS[name])
+    assert bundle.spec.rounds == ROUNDS
     wire_telemetry(bundle, TelemetryConfig(
         tracing=True, trace_messages=True, trace_ecalls=True
     ))
     if plan is not None:
         wire_faults(bundle, plan, seed=seed)
-    return RunState(simulation=bundle.simulation, bundle=bundle,
-                    rounds_total=ROUNDS, label=name)
+    return bundle
 
 
-def _artifacts(state):
-    telemetry = state.simulation.telemetry
+def _artifacts(bundle):
+    telemetry = bundle.telemetry
     return {
         "trace_jsonl": trace_to_jsonl(telemetry.trace.events),
         "metrics_csv": metrics_to_csv(telemetry.registry),
         "final_views": {
             node_id: tuple(node.view_ids())
-            for node_id, node in sorted(state.simulation.nodes.items())
+            for node_id, node in sorted(bundle.simulation.nodes.items())
         },
-        "view_trace": state.bundle.trace.records,
-        "round_number": state.simulation.round_number,
+        "view_trace": bundle.trace.records,
+        "round_number": bundle.simulation.round_number,
     }
 
 
 def _straight_run(name):
-    state = _state(name)
-    state.run_chunk(ROUNDS)
-    return _artifacts(state)
+    bundle = _state(name)
+    bundle.run(ROUNDS)
+    return _artifacts(bundle)
 
 
 def _resume_env():
@@ -143,23 +141,37 @@ def _resume_env():
     return env
 
 
+#: What the fresh interpreter runs: restore the checkpoint, run it to its
+#: stored target and write both exports.
+_RESUME_CHILD = """\
+import sys
+from repro.snapshot import restore, run_with_checkpoints
+from repro.telemetry import metrics_to_csv, trace_to_jsonl
+
+snapshot_path, trace_out, metrics_out = sys.argv[1:]
+telemetry = run_with_checkpoints(restore(snapshot_path)).telemetry
+with open(trace_out, "w", encoding="utf-8") as stream:
+    stream.write(trace_to_jsonl(telemetry.trace.events))
+with open(metrics_out, "w", encoding="utf-8") as stream:
+    stream.write(metrics_to_csv(telemetry.registry))
+"""
+
+
 @pytest.mark.parametrize("name", sorted(_SCENARIOS))
 def test_checkpoint_resume_fresh_process_byte_identical(name, tmp_path):
     reference = _straight_run(name)
 
-    state = _state(name)
-    state.run_chunk(CHECKPOINT_AT)
+    bundle = _state(name)
+    bundle.run(CHECKPOINT_AT)
     snapshot_path = tmp_path / f"{name}.snapshot"
-    save(state, str(snapshot_path))
+    save(bundle, str(snapshot_path))
 
     trace_out = tmp_path / "resumed-trace.jsonl"
     metrics_out = tmp_path / "resumed-metrics.csv"
     result = subprocess.run(
         [
-            sys.executable, "-m", "repro", "snapshot", "resume",
-            str(snapshot_path),
-            "--trace-out", str(trace_out),
-            "--metrics-out", str(metrics_out),
+            sys.executable, "-c", _RESUME_CHILD,
+            str(snapshot_path), str(trace_out), str(metrics_out),
         ],
         env=_resume_env(),
         capture_output=True,
@@ -177,91 +189,35 @@ def test_checkpoint_resume_in_process_full_state(name, tmp_path):
     """Same-process leg: also compares final views and the view trace."""
     reference = _straight_run(name)
 
-    state = _state(name)
-    state.run_chunk(CHECKPOINT_AT)
+    bundle = _state(name)
+    bundle.run(CHECKPOINT_AT)
     snapshot_path = tmp_path / f"{name}.snapshot"
-    save(state, str(snapshot_path))
+    save(bundle, str(snapshot_path))
 
     resumed = restore(str(snapshot_path))
-    assert resumed.rounds_completed == CHECKPOINT_AT
-    assert resumed.rounds_remaining == ROUNDS - CHECKPOINT_AT
-    resumed.run_chunk(resumed.rounds_remaining)
+    assert resumed.simulation.round_number == CHECKPOINT_AT
+    assert resumed.spec.rounds == ROUNDS
+    run_with_checkpoints(resumed)
 
     assert _artifacts(resumed) == reference
 
 
-def test_checkpoint_carrying_transport_keys_resumes_identically(tmp_path):
-    """A checkpoint whose network carries the per-pair transport key state
-    an executed cipher kept (keys, epoch salt, nonce counter, secret)
-    restores with those fields as dead attributes, and the resumed run is
-    byte-identical to a straight run — the encrypted-byte count included."""
-    straight = _state("raptee-encrypted")
-    straight.run_chunk(ROUNDS)
-
-    state = _state("raptee-encrypted")
-    state.run_chunk(CHECKPOINT_AT)
-    vars(state.simulation.network).update(
-        _pair_keys={(1, 2): bytes(range(16))}, _pair_ciphers={},
-        _pair_salt=b"epoch" + bytes(8), _nonce_counter=4321,
-        _transport_secret=bytes(16),
-    )
-    snapshot_path = tmp_path / "keyed-network.snapshot"
-    save(state, str(snapshot_path))
-
-    resumed = restore(str(snapshot_path))
-    assert resumed.simulation.network._nonce_counter == 4321  # crossed the seam
-    resumed.run_chunk(resumed.rounds_remaining)
-    assert _artifacts(resumed) == _artifacts(straight)
-    stats = resumed.simulation.network.stats
-    assert stats == straight.simulation.network.stats
-    assert stats.bytes_encrypted > 0
-
-
-@pytest.mark.parametrize("name", ["brahms-churn", "raptee-encrypted"])
-def test_checkpoint_with_set_known_ids_resumes_identically(name, tmp_path):
-    """A checkpoint written while ``BrahmsNode.known`` was a ``set`` (the
-    layout before the ``KnownIds`` bytemap, under the same format version)
-    restores with each set rebuilt as a map, and the resumed run is
-    byte-identical to a straight run, discovery rounds included."""
-    straight = _state(name)
-    straight.run_chunk(ROUNDS)
-
-    state = _state(name)
-    state.run_chunk(CHECKPOINT_AT)
-    nodes = [node for node in state.simulation.nodes.values()
-             if isinstance(node, BrahmsNode)]
-    assert nodes
-    for node in nodes:
-        node.known = set(node.known)
-    snapshot_path = tmp_path / "set-known.snapshot"
-    save(state, str(snapshot_path))
-
-    resumed = restore(str(snapshot_path))
-    assert all(isinstance(node.known, KnownIds)
-               for node in resumed.simulation.nodes.values()
-               if isinstance(node, BrahmsNode))
-    resumed.run_chunk(resumed.rounds_remaining)
-    assert _artifacts(resumed) == _artifacts(straight)
-    assert (resumed.bundle.discovery.discovery_round
-            == straight.bundle.discovery.discovery_round)
-
-
 def test_churn_scenario_actually_churns():
     """Guard against the churn differential passing vacuously."""
-    state = _state("brahms-churn")
-    state.run_chunk(ROUNDS)
-    simulation = state.simulation
+    bundle = _state("brahms-churn")
+    bundle.run(ROUNDS)
+    simulation = bundle.simulation
     assert simulation._next_node_id > 50  # arrivals happened
     assert len(simulation.ever_registered) > len(simulation.nodes)  # departures
 
 
 def test_fault_scenario_crash_spans_checkpoint():
     """Guard: the pinned crash really is in flight at the checkpoint round."""
-    state = _state("raptee-faults")
-    state.run_chunk(CHECKPOINT_AT)
-    assert state.bundle.faults._revive_at, \
+    bundle = _state("raptee-faults")
+    bundle.run(CHECKPOINT_AT)
+    assert bundle.faults._revive_at, \
         "expected a pending revive at the checkpoint round"
-    assert not state.simulation.nodes[5].alive
+    assert not bundle.simulation.nodes[5].alive
 
 
 def test_membership_checkpoint_mid_rotation_restores_pending_epoch(tmp_path):
@@ -274,22 +230,22 @@ def test_membership_checkpoint_mid_rotation_restores_pending_epoch(tmp_path):
     and every node's view position bit for bit — and the rotation must
     then complete on the resumed state.
     """
-    state = _state("raptee-membership")
-    state.run_chunk(CHECKPOINT_AT)
-    director = state.bundle.membership
+    bundle = _state("raptee-membership")
+    bundle.run(CHECKPOINT_AT)
+    director = bundle.membership
     service = director.service
     current = service.chain.current
     assert current.number >= 1, "rotation should precede the checkpoint"
     degraded = [
         node_id for node_id in sorted(director.views)
-        if state.simulation.nodes[node_id].degraded
+        if bundle.simulation.nodes[node_id].degraded
     ]
     assert degraded, "the rotation should still be pending at the checkpoint"
 
     snapshot_path = tmp_path / "membership-mid-rotation.snapshot"
-    save(state, str(snapshot_path))
+    save(bundle, str(snapshot_path))
     resumed = restore(str(snapshot_path))
-    rservice = resumed.bundle.membership.service
+    rservice = resumed.membership.service
 
     assert rservice.chain.current.number == current.number
     assert rservice.chain.current.key == current.key
@@ -299,7 +255,7 @@ def test_membership_checkpoint_mid_rotation_restores_pending_epoch(tmp_path):
         [record.digest for record in service.log.records]
     assert {
         node_id: (view.applied_seq, view.current_epoch)
-        for node_id, view in resumed.bundle.membership.views.items()
+        for node_id, view in resumed.membership.views.items()
     } == {
         node_id: (view.applied_seq, view.current_epoch)
         for node_id, view in director.views.items()
@@ -308,8 +264,8 @@ def test_membership_checkpoint_mid_rotation_restores_pending_epoch(tmp_path):
     # The pending rotation completes on the restored state: once the
     # outage lifts, every surviving trusted node re-attests into the
     # current epoch (node 4's device is revoked mid-resume and stays out).
-    resumed.run_chunk(resumed.rounds_remaining)
-    rdirector = resumed.bundle.membership
+    run_with_checkpoints(resumed)
+    rdirector = resumed.membership
     final = rdirector.service.chain.current.number
     recovered = [
         node_id for node_id in sorted(rdirector.views)

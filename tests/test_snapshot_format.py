@@ -11,10 +11,8 @@ import pytest
 
 from repro.cli import main
 from repro.crypto.prng import Sha256Prng
-from repro.sim.engine import Simulation
 from repro.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
-    RunState,
     SeedResultStore,
     SnapshotError,
     SnapshotVersionError,
@@ -32,18 +30,15 @@ from repro.snapshot.format import (
 from repro.telemetry import Telemetry, TraceEvent
 
 
-def _small_bundle(seed=3):
+def _small_bundle(seed=3, rounds=0):
     from repro.experiments.scenarios import TopologySpec
     from repro.scenario import ScenarioSpec, compile_spec
 
     topology = TopologySpec(n_nodes=12, byzantine_fraction=0.0, view_ratio=0.3)
     return compile_spec(ScenarioSpec(
-        name="snapshot-unit", protocol="brahms", seed=seed, topology=topology
+        name="snapshot-unit", protocol="brahms", seed=seed, rounds=rounds,
+        topology=topology,
     ))
-
-
-def _small_sim(seed=3) -> Simulation:
-    return _small_bundle(seed).simulation
 
 
 def _write_sample(path, state=None, kind="unit-test", meta=None):
@@ -156,7 +151,9 @@ class TestPrngPickleFidelity:
 class TestTraceLayout:
     def test_old_layout_trace_refuses_to_resume(self, tmp_path):
         # The layout checkpoints held before traces were stored as lines:
-        # a list of event objects and a sequence counter.
+        # a list of event objects and a sequence counter.  Every checkpoint
+        # of that age is a "run-state" file, refused by kind before its
+        # payload is unpickled into a trace collector that cannot use it.
         path = tmp_path / "old-trace.snapshot"
         telemetry = Telemetry()
         telemetry.trace.__dict__.clear()
@@ -164,159 +161,146 @@ class TestTraceLayout:
             events=[TraceEvent(0, "event", "round.begin", 1)], _seq=1
         )
         write_envelope(str(path), "run-state", {}, telemetry)
-        with pytest.raises(
-            SnapshotError,
-            match="trace in the old layout.*version of repro that wrote",
-        ):
-            read_envelope(str(path), expected_kind="run-state")
+        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint'"):
+            restore(str(path))
 
 
 class TestRunStateLayout:
-    """Checkpoints written while the fault injector and the event clock
-    lived in harness objects beside the bundle are refused, not resumed
-    with their faults or clock silently dropped."""
+    """A checkpoint is the bundle under the kind ``"checkpoint"``; a file
+    of the kind checkpoints had when a wrapper held the bundle
+    (``"run-state"``) is refused by kind, before anything is unpickled."""
 
     def test_old_layout_run_state_refuses_to_resume(self, tmp_path):
         path = tmp_path / "old-run-state.snapshot"
-        bundle = _small_bundle()
-        state = RunState(simulation=bundle.simulation, bundle=bundle)
-        state.__dict__["fault_harness"] = None
-        write_envelope(str(path), "run-state", {}, state)
-        with pytest.raises(
-            SnapshotError,
-            match="run state in the old layout.*version of repro that wrote",
-        ):
+        _write_sample(path, kind="run-state")
+        # A payload that would not unpickle: the kind check comes first.
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint'"):
             restore(str(path))
 
-    def test_old_layout_bundle_refuses_to_resume(self, tmp_path):
+    def test_old_layout_bundle_refuses_to_resume(self, tmp_path, capsys):
+        # A bundle from when the event clock lived beside it, in the file
+        # kind of its day: `run --resume` refuses it rather than resuming
+        # with the clock silently dropped.
         path = tmp_path / "old-bundle.snapshot"
         bundle = _small_bundle()
         del bundle.__dict__["engine"]
         bundle.__dict__["events"] = None
-        write_envelope(str(path), "run-state", {},
-                       RunState(simulation=bundle.simulation, bundle=bundle))
-        with pytest.raises(
-            SnapshotError,
-            match="bundle in the old layout.*version of repro that wrote",
-        ):
-            restore(str(path))
+        write_envelope(str(path), "run-state", {}, bundle)
+        assert main(["run", "--resume", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "'run-state'" in captured.err
+        assert captured.out == ""
 
     def test_current_layout_bundle_resumes_on_its_own_clock(self, tmp_path):
         path = tmp_path / "bundle.snapshot"
         save(_small_bundle(), str(path))
-        resumed = restore(str(path)).bundle
+        resumed = restore(str(path))
         assert resumed.engine is resumed.simulation
         assert resumed.faults is None
 
 
 class TestCaptureRestore:
-    def test_save_restore_bare_simulation(self, tmp_path):
-        simulation = _small_sim(seed=3)
-        simulation.run(2)
+    def test_save_restore_bundle(self, tmp_path):
+        bundle = _small_bundle(seed=3)
+        bundle.run(2)
         path = tmp_path / "run.snapshot"
-        state = save(simulation, str(path))
-        assert isinstance(state, RunState)
+        save(bundle, str(path))
 
         resumed = restore(str(path))
-        assert resumed.rounds_completed == 2
-        resumed.run_chunk(3)
-        straight = _small_sim(seed=3)
+        assert resumed.simulation.round_number == 2
+        resumed.run(3)
+        straight = _small_bundle(seed=3)
         straight.run(5)
-        assert {
-            node_id: node.view_ids()
-            for node_id, node in resumed.simulation.nodes.items()
-        } == {
-            node_id: node.view_ids()
-            for node_id, node in straight.nodes.items()
-        }
+        assert resumed.all_views() == straight.all_views()
 
     def test_describe_exposes_meta_without_state(self, tmp_path):
-        simulation = _small_sim(seed=3)
-        simulation.run(2)
+        bundle = _small_bundle(seed=3, rounds=9)
+        bundle.run(2)
         path = tmp_path / "run.snapshot"
-        save(RunState(simulation=simulation, rounds_total=9, label="demo",
-                      extra={"experiment": "fig3"}), str(path))
+        save(bundle, str(path))
         header = describe(str(path))
-        assert header["kind"] == "run-state"
-        assert header["meta"]["rounds_completed"] == 2
-        assert header["meta"]["rounds_total"] == 9
-        assert header["meta"]["label"] == "demo"
-        assert header["meta"]["nodes"] == 12
-        assert header["meta"]["experiment"] == "fig3"
+        assert header["kind"] == "checkpoint"
+        assert header["meta"] == {"scenario": "snapshot-unit", "rounds_completed": 2,
+                                  "rounds_total": 9, "nodes": 12}
 
     def test_save_rejects_foreign_objects(self, tmp_path):
         with pytest.raises(TypeError, match="cannot snapshot a dict"):
             save({"not": "a simulation"}, str(tmp_path / "x.snapshot"))
+        with pytest.raises(TypeError, match="cannot snapshot a Simulation"):
+            save(_small_bundle().simulation, str(tmp_path / "x.snapshot"))
 
     def test_restore_rejects_other_kinds(self, tmp_path):
         path = tmp_path / "other.snapshot"
         _write_sample(path, kind="repeat-checkpoint")
-        with pytest.raises(SnapshotError, match="run-state"):
+        with pytest.raises(SnapshotError, match="checkpoint"):
             restore(str(path))
 
 
 class TestRunWithCheckpoints:
     def test_checkpoints_written_every_chunk(self, tmp_path):
         path = tmp_path / "run.snapshot"
-        simulation = _small_sim(seed=5)
-        state = run_with_checkpoints(
-            simulation, rounds=5, checkpoint_every=2, checkpoint_path=str(path)
+        bundle = run_with_checkpoints(
+            _small_bundle(seed=5), rounds=5, checkpoint_every=2,
+            checkpoint_path=str(path),
         )
-        assert state.rounds_completed == 5
-        # The final chunk is checkpointed too, so the stored state is the
+        assert bundle.simulation.round_number == 5
+        assert bundle.spec.rounds == 5
+        # The final chunk is checkpointed too, so the stored bundle is the
         # finished run and can seed an extension.
         final = restore(str(path))
-        assert final.rounds_completed == 5
+        assert final.simulation.round_number == 5
         extended = run_with_checkpoints(
             final, rounds=8, checkpoint_every=2, checkpoint_path=str(path)
         )
-        assert extended.rounds_completed == 8
+        assert extended.simulation.round_number == 8
+        assert describe(str(path))["meta"]["rounds_total"] == 8
 
     def test_resume_honours_stored_target(self, tmp_path):
         path = tmp_path / "run.snapshot"
-        state = RunState(simulation=_small_sim(seed=5), rounds_total=6)
-        state.run_chunk(2)
-        save(state, str(path))
+        bundle = _small_bundle(seed=5, rounds=6)
+        bundle.run(2)
+        save(bundle, str(path))
         resumed = run_with_checkpoints(restore(str(path)))
-        assert resumed.rounds_completed == 6
+        assert resumed.simulation.round_number == 6
 
     def test_validation_errors(self, tmp_path):
-        simulation = _small_sim(seed=5)
+        bundle = _small_bundle(seed=5)
         with pytest.raises(ValueError, match="positive round target"):
-            run_with_checkpoints(simulation)
+            run_with_checkpoints(bundle)
         with pytest.raises(ValueError, match="non-negative"):
-            run_with_checkpoints(simulation, rounds=3, checkpoint_every=-1)
+            run_with_checkpoints(bundle, rounds=3, checkpoint_every=-1)
         with pytest.raises(ValueError, match="checkpoint_path"):
-            run_with_checkpoints(simulation, rounds=3, checkpoint_every=2)
+            run_with_checkpoints(bundle, rounds=3, checkpoint_every=2)
 
     def test_rounds_target_already_met_is_noop(self, tmp_path):
-        simulation = _small_sim(seed=5)
-        simulation.run(4)
-        before = copy.deepcopy(
-            {nid: node.view_ids() for nid, node in simulation.nodes.items()}
-        )
-        state = run_with_checkpoints(simulation, rounds=4)
-        assert state.rounds_completed == 4
-        assert {
-            nid: node.view_ids() for nid, node in state.simulation.nodes.items()
-        } == before
+        bundle = _small_bundle(seed=5)
+        bundle.run(4)
+        before = copy.deepcopy(bundle.all_views())
+        assert run_with_checkpoints(bundle, rounds=4) is bundle
+        assert bundle.simulation.round_number == 4
+        assert bundle.all_views() == before
 
 
 class TestSnapshotCli:
     def test_info_prints_header(self, tmp_path, capsys):
         path = tmp_path / "run.snapshot"
-        simulation = _small_sim(seed=3)
-        simulation.run(1)
-        save(RunState(simulation=simulation, rounds_total=4, label="demo"),
-             str(path))
+        bundle = _small_bundle(seed=3, rounds=4)
+        bundle.run(1)
+        save(bundle, str(path))
         assert main(["snapshot", "info", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"format version:     {SNAPSHOT_FORMAT_VERSION}" in out
-        assert "label:              demo" in out
+        assert "kind:               checkpoint" in out
+        assert "scenario:           snapshot-unit" in out
+        assert "rounds_total:       4" in out
 
     def test_version_mismatch_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "old.snapshot"
-        _write_sample(path, kind="run-state")
+        _write_sample(path, kind="checkpoint")
         _rewrite_header(path, lambda h: h.update(format_version=99))
         assert main(["snapshot", "info", str(path)]) == 1
         err = capsys.readouterr().err
@@ -326,8 +310,10 @@ class TestSnapshotCli:
     def test_resume_of_garbage_file_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "garbage"
         path.write_bytes(b"not a snapshot at all")
-        assert main(["snapshot", "resume", str(path)]) == 1
-        assert "bad magic" in capsys.readouterr().err
+        assert main(["run", "--resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "bad magic" in err
 
 
 class TestSeedResultStore:
@@ -361,7 +347,7 @@ class TestSeedResultStore:
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "repeat.json"
         path.write_text(json.dumps(
-            {"format_version": SNAPSHOT_FORMAT_VERSION, "kind": "run-state",
+            {"format_version": SNAPSHOT_FORMAT_VERSION, "kind": "checkpoint",
              "results": {}}
         ))
         with pytest.raises(SnapshotError, match="repeat-checkpoint"):
