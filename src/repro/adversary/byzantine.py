@@ -18,7 +18,7 @@ A Byzantine node:
 from __future__ import annotations
 
 import random
-from typing import AbstractSet, Dict, List, Optional
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.adversary.coordinator import AdversaryCoordinator
 from repro.core.auth import AuthScheme, KEY_BYTES
@@ -39,6 +39,15 @@ __all__ = ["ByzantineNode"]
 
 class ByzantineNode(NodeBase):
     """One Byzantine identity driven by the global coordinator."""
+
+    #: The pull replies built from the current pool generation's windows,
+    #: ``(generation, {window key: reply})`` (see
+    #: :meth:`AdversaryCoordinator.fake_window`): a reshuffle starts a new
+    #: dict, so it holds at most one reply per window of one pool order.
+    #: A class-level default (its dict is never written: generations start
+    #: at 0), so a checkpoint written before the cache existed restores
+    #: with an empty one.
+    _replies: Tuple[int, Dict[tuple, PullReply]] = (-1, {})
 
     def __init__(
         self,
@@ -63,7 +72,11 @@ class ByzantineNode(NodeBase):
     # -- introspection ---------------------------------------------------------
 
     def view_ids(self) -> List[int]:
-        """A Byzantine 'view' is whatever the adversary wants to advertise."""
+        """A Byzantine 'view' is whatever the adversary wants to advertise.
+
+        Reading it serves a fake view: a reader that must leave the run
+        untouched wraps its reads in
+        :meth:`AdversaryCoordinator.fake_views_kept`."""
         return self.coordinator.fake_view(self.view_size)
 
     def known_ids(self) -> AbstractSet[int]:
@@ -82,8 +95,10 @@ class ByzantineNode(NodeBase):
         self._pending_auth = {}
 
     def gossip(self, ctx: RoundContext) -> None:
-        for victim in self.coordinator.push_targets_for(self.node_id, ctx.round_number):
-            ctx.send_push(self.node_id, victim)
+        ctx.send_pushes(
+            self.node_id,
+            self.coordinator.push_targets_for(self.node_id, ctx.round_number),
+        )
         for target in self.coordinator.pull_targets_for(self.node_id, self.probe_pulls):
             self._probe(ctx, target)
 
@@ -108,6 +123,8 @@ class ByzantineNode(NodeBase):
         return None
 
     def handle_request(self, message: Message) -> Optional[Message]:
+        if isinstance(message, PullRequest):  # by far the most frequent
+            return self._pull_reply()
         if isinstance(message, AuthChallenge):
             parts = self._scheme.respond(self._own_key, message.r_a, self.rng)
             self._pending_auth[message.sender] = (message.r_a, parts.r_b)
@@ -115,12 +132,20 @@ class ByzantineNode(NodeBase):
         if isinstance(message, AuthConfirm):
             self._pending_auth.pop(message.sender, None)
             return AuthResult(sender=self.node_id, mutual=False)
-        if isinstance(message, PullRequest):
-            return PullReply(
-                sender=self.node_id,
-                ids=tuple(self.coordinator.fake_view(self.view_size)),
-            )
         # TrustedSwapRequest etc.: a Byzantine node can never have passed
         # the confirm check, so honest trusted nodes never send these; an
         # unsolicited one is simply dropped.
         return None
+
+    def _pull_reply(self) -> PullReply:
+        """Serve the coordinator's next fake view, reusing the reply built
+        the last time this node served the same window."""
+        key, ids = self.coordinator.fake_window(self.view_size)
+        generation, replies = self._replies
+        if generation != key[0]:
+            replies = {}
+            self._replies = (key[0], replies)
+        reply = replies.get(key)
+        if reply is None:
+            reply = replies[key] = PullReply(sender=self.node_id, ids=tuple(ids))
+        return reply

@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from contextlib import contextmanager
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 __all__ = ["AdversaryCoordinator"]
 
@@ -36,6 +39,11 @@ class AdversaryCoordinator:
     """Central brain for all Byzantine identities."""
 
     STRATEGIES = ("adaptive_balanced", "balanced")
+
+    #: How often the fake-view pool was reshuffled (see :meth:`fake_window`).
+    #: A class-level default: a checkpoint written before the count existed
+    #: restores with it at 0, which only renames the windows.
+    _fake_generation = 0
 
     def __init__(
         self,
@@ -163,6 +171,28 @@ class AdversaryCoordinator:
         fraction = sum(1 for peer in ids if peer in byzantine_set) / len(ids)
         self.intel[observed_node].append((round_number, fraction))
 
+    def fake_window(self, size: int) -> Tuple[Tuple[int, int, int], List[int]]:
+        """Serve one pull answer: its window's key and its ids.
+
+        The key is ``(generation, start, size)``, the generation counting
+        the pool's reshuffles: equal keys name equal ids, so a caller may
+        keep what it built from an answer under its key.
+        """
+        pool = self._fake_pool
+        start = self._fake_cursor
+        key = (self._fake_generation, start, size)
+        if size >= len(pool):
+            return key, list(pool)
+        end = start + size
+        if end <= len(pool):
+            view = pool[start:end]
+        else:
+            view = pool[start:] + pool[: end - len(pool)]
+            self._rng.shuffle(pool)
+            self._fake_generation += 1
+        self._fake_cursor = end % len(pool)
+        return key, view
+
     def fake_view(self, size: int) -> List[int]:
         """A pull answer: exclusively Byzantine IDs (§V-B).
 
@@ -170,17 +200,20 @@ class AdversaryCoordinator:
         Byzantine identity is advertised equally often (the adversary wants
         all of its identities represented, not a lucky few).
         """
-        pool = self._fake_pool
-        if not pool:
-            return []
-        if size >= len(pool):
-            return list(pool)
-        start = self._fake_cursor
-        end = start + size
-        if end <= len(pool):
-            view = pool[start:end]
-        else:
-            view = pool[start:] + pool[: end - len(pool)]
-            self._rng.shuffle(pool)
-        self._fake_cursor = end % len(pool)
-        return view
+        return self.fake_window(size)[1]
+
+    @contextmanager
+    def fake_views_kept(self) -> Iterator[None]:
+        """Serve fake views in the block, then put the pool order, the
+        cursor and the RNG state back: a read of every Byzantine node's
+        view (:meth:`SimulationBundle.all_views`) sees what serving them
+        would show, and leaves the run as it found it."""
+        pool, cursor = list(self._fake_pool), self._fake_cursor
+        generation, state = self._fake_generation, self._rng.getstate()
+        try:
+            yield
+        finally:
+            self._fake_pool[:] = pool
+            self._fake_cursor = cursor
+            self._fake_generation = generation
+            self._rng.setstate(state)

@@ -101,6 +101,8 @@ class BrahmsNode(NodeBase):
     # -- cycle accounting ----------------------------------------------------
 
     def _charge(self, function: str) -> None:
+        # The per-message and per-round callers test ``self.cycles`` before
+        # the call, so a node with no accountant wired pays none.
         if self.cycles is not None:
             self.cycles.charge(function, trusted=self.kind.runs_trusted_code)
 
@@ -117,29 +119,32 @@ class BrahmsNode(NodeBase):
         return self.rng.choices(self.view, k=count)
 
     def gossip(self, ctx: RoundContext) -> None:
-        # Called once per node-round: the loop locals and the cycle test
-        # are bound once instead of per message.
+        # Called once per node-round: the pushes go out in one network
+        # call, and the pulled ids are marked known in one update at the
+        # end (pushes are marked as they arrive, in ``on_push``).
         node_id = self.node_id
-        accounting = self.cycles is not None
-        send_push = ctx.send_push
-        for target in self._select_targets(self.config.alpha_count):
-            if target == node_id:
-                continue
-            if accounting:
+        targets = [
+            target for target in self._select_targets(self.config.alpha_count)
+            if target != node_id
+        ]
+        if self.cycles is not None:
+            for _ in targets:
                 self._charge(PeerSamplingFunction.PUSH_MESSAGE)
-            send_push(node_id, target)
-        pulled, known = self._pulled, self.known
+        ctx.send_pushes(node_id, targets)
+        pulled, pulled_ids = self._pulled, []
         for target in self._select_targets(self.config.beta_count):
             if target == node_id:
                 continue
             batch = self._do_pull(ctx, target)
             if batch is not None:
                 pulled.append(batch)
-                known.update(batch.ids)
+                pulled_ids.extend(batch.ids)
+        self.known.update(pulled_ids)
 
     def _do_pull(self, ctx: RoundContext, target: int) -> Optional[PulledBatch]:
         """One pull session; RAPTEE overrides to run auth + trusted swap."""
-        self._charge(PeerSamplingFunction.PULL_REQUEST)
+        if self.cycles is not None:
+            self._charge(PeerSamplingFunction.PULL_REQUEST)
         reply = ctx.request(self.node_id, target, self._pull_request)
         if not isinstance(reply, PullReply):
             return None
@@ -172,11 +177,15 @@ class BrahmsNode(NodeBase):
         return ids
 
     def end_round(self, ctx: RoundContext) -> None:
-        config = self.config
-        pushed = [peer for peer in self._received_pushes if peer != self.node_id]
-        pulled = [
-            peer for peer in self._effective_pulled_ids() if peer != self.node_id
-        ]
+        config, node_id = self.config, self.node_id
+        # A node's own id is filtered out of both streams; a C-level scan
+        # first finds out whether there is anything to filter.
+        pushed = self._received_pushes
+        if node_id in pushed:
+            pushed = [peer for peer in pushed if peer != node_id]
+        pulled = self._effective_pulled_ids()
+        if node_id in pulled:
+            pulled = [peer for peer in pulled if peer != node_id]
 
         # Defense (ii): attack detection and blocking.  A node flooded with
         # more pushes than the protocol's expectation skips its view update.
@@ -190,7 +199,8 @@ class BrahmsNode(NodeBase):
         # One feed of the concatenated stream is the same as pushed then
         # pulled: a running minimum commutes with concatenation, and on a
         # tie the earlier id is kept either way.
-        self._charge(PeerSamplingFunction.SAMPLE_LIST_COMPUTATION)
+        if self.cycles is not None:
+            self._charge(PeerSamplingFunction.SAMPLE_LIST_COMPUTATION)
         with self._profiled("sampler.update"):
             self.samplers.update(pushed + pulled)
 
@@ -199,7 +209,8 @@ class BrahmsNode(NodeBase):
         # trusted node still renews — with empty β slots if it evicted all).
         received_any_pull = any(batch.ids for batch in self._pulled)
         if not blocked and pushed and received_any_pull:
-            self._charge(PeerSamplingFunction.DYNAMIC_VIEW_COMPUTATION)
+            if self.cycles is not None:
+                self._charge(PeerSamplingFunction.DYNAMIC_VIEW_COMPUTATION)
             with self._profiled("view.merge"):
                 self.view = self._renew_view(pushed, pulled)
 

@@ -113,10 +113,13 @@ class SamplerGroup:
         # (samplers × batch) hashes in one shot; running-min over the whole
         # history equals min(previous minimum, batch minimum).
         hashes = (self._a[:, None] * reduced[None, :] + self._b[:, None]) % self._p
-        best_index = hashes.argmin(axis=1)
-        rows = np.arange(self._size)
-        best_hash = hashes[rows, best_index]
+        best_hash = hashes.min(axis=1)
         improved = best_hash < self._current_hash
+        # Most batches of a running stream improve no sampler: then there
+        # is no position to look up and nothing to write.
+        if not improved.any():
+            return
+        best_index = hashes.argmin(axis=1)
         self._current_hash[improved] = best_hash[improved]
         self._current_id[improved] = batch[best_index[improved]]
 
@@ -124,7 +127,7 @@ class SamplerGroup:
 
     def sample_list(self) -> List[int]:
         """Current non-empty samples (the sample list S)."""
-        return [int(value) for value in self._current_id if value >= 0]
+        return [value for value in self._current_id.tolist() if value >= 0]
 
     def random_samples(self, count: int, rng: random.Random) -> List[int]:
         """``count`` IDs drawn uniformly from S (with replacement, as the

@@ -210,7 +210,8 @@ class RapteeNode(BrahmsNode):
     # -- active pull with mutual authentication ----------------------------------
 
     def _do_pull(self, ctx: RoundContext, target: int) -> Optional[PulledBatch]:
-        self._charge(PeerSamplingFunction.PULL_REQUEST)
+        if self.cycles is not None:
+            self._charge(PeerSamplingFunction.PULL_REQUEST)
 
         # §IV-A handshake, initiator side.
         r_a = AuthScheme.make_challenge(self.rng)

@@ -21,14 +21,14 @@ adapter only decides *when* the underlying delivery runs:
 
 :class:`EventRoundContext` is the duck-typed stand-in for
 :class:`~repro.sim.engine.RoundContext` handed to nodes: same
-``send_push``/``request``/``network``/``round_number`` surface, but
-``round_number`` is mutable (the engine advances it at round-open) and
-message sends detour through the adapter.
+``send_push``/``send_pushes``/``request``/``network``/``round_number``
+surface, but ``round_number`` is mutable (the engine advances it at
+round-open) and message sends detour through the adapter.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.events.latency import LatencyModel
 from repro.sim.messages import Message
@@ -158,6 +158,12 @@ class EventRoundContext:
 
     def send_push(self, src: int, dst: int) -> bool:
         return self._latency_network.send_push(src, dst)
+
+    def send_pushes(self, src: int, targets: Iterable[int]) -> int:
+        """One push per target, each with its own sampled delay; returns
+        how many were accepted for transmission."""
+        send_push = self._latency_network.send_push
+        return sum(send_push(src, dst) for dst in targets)
 
     def request(self, src: int, dst: int, message: Message) -> Optional[Message]:
         return self._latency_network.request(src, dst, message)

@@ -29,6 +29,7 @@ seed.  Key material (group key, device keys) stays on the slower
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -48,7 +49,9 @@ from repro.sim.bootstrap import UniformBootstrap
 from repro.sim.engine import Simulation
 from repro.sim.network import Network, NetworkStats
 from repro.sim.node import NodeKind
-from repro.sim.observers import DiscoveryObserver, RoundRecord, ViewTraceObserver
+from repro.sim.observers import (
+    DiscoveryObserver, RoundRecord, ViewTraceObserver, byzantine_count,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.engine import EventEngine
@@ -200,11 +203,18 @@ class SimulationBundle:
         return self.discovery.all_discovered_round(self.simulation)
 
     def all_views(self) -> Dict[int, Tuple[int, ...]]:
-        """Every node's current view, Byzantine ids included, in id order."""
-        return {
-            node_id: tuple(node.view_ids())
-            for node_id, node in sorted(self.simulation.nodes.items())
-        }
+        """Every node's current view, Byzantine ids included, in id order.
+
+        A Byzantine node's view is the fake view the coordinator serves
+        next; the read puts the coordinator's state back, so it can be
+        taken any number of times, mid-run too, without changing the run.
+        """
+        coordinator = self.coordinator
+        with coordinator.fake_views_kept() if coordinator else nullcontext():
+            return {
+                node_id: tuple(node.view_ids())
+                for node_id, node in sorted(self.simulation.nodes.items())
+            }
 
     def observer_stack(self, extra_observers: Sequence = ()) -> List:
         """The per-round observer list every engine drives: metric
@@ -247,7 +257,7 @@ class PollutionProbe:
         for node in self._simulation.correct_nodes():
             view = node.view_ids()
             if view:
-                total += sum(1 for peer in view if peer in self._byzantine) / len(view)
+                total += byzantine_count(view, self._byzantine) / len(view)
                 counted += 1
         return total / counted if counted else 0.0
 

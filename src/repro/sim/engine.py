@@ -36,7 +36,6 @@ from typing import (
 )
 
 from repro.sim.churn import ChurnModel, NoChurn
-from repro.sim.messages import Message
 from repro.sim.network import Network
 from repro.sim.node import NodeBase, NodeKind
 
@@ -49,27 +48,20 @@ __all__ = ["RoundContext", "Observer", "FaultController", "Simulation"]
 class RoundContext:
     """Per-round handle nodes use to act on the network.
 
-    The network reference is bound at construction: ``send_push``/``request``
-    are called once per message, so skipping the per-call attribute hop
-    through the simulation measurably trims gossip-phase overhead.
+    ``send_push``, ``send_pushes`` and ``request`` are the network's own
+    bound methods, bound once a round: a node's call reaches the network
+    with no forwarding call in between.
     """
 
-    __slots__ = ("_simulation", "_network", "round_number")
+    __slots__ = ("network", "round_number", "send_push", "send_pushes", "request")
 
     def __init__(self, simulation: "Simulation", round_number: int):
-        self._simulation = simulation
-        self._network = simulation.network
+        network = simulation.network
+        self.network: Network = network
         self.round_number = round_number
-
-    @property
-    def network(self) -> Network:
-        return self._network
-
-    def send_push(self, src: int, dst: int) -> bool:
-        return self._network.send_push(src, dst)
-
-    def request(self, src: int, dst: int, message: Message) -> Optional[Message]:
-        return self._network.request(src, dst, message)
+        self.send_push = network.send_push
+        self.send_pushes = network.send_pushes
+        self.request = network.request
 
 
 class Observer:
@@ -209,13 +201,16 @@ class Simulation:
         """All alive non-Byzantine IDs (honest + trusted + poisoned-trusted)."""
         return frozenset(
             node.node_id for node in self.nodes.values()
-            if node.alive and not node.kind.is_byzantine
+            if node.alive and node.kind is not NodeKind.BYZANTINE
         )
 
     def correct_nodes(self) -> List[NodeBase]:
+        # Read by every per-round observer: the kind is compared directly
+        # rather than through the ``is_byzantine`` property, a Python call
+        # per node.
         return [
             node for node in self.nodes.values()
-            if node.alive and not node.kind.is_byzantine
+            if node.alive and node.kind is not NodeKind.BYZANTINE
         ]
 
     # -- fault layer -----------------------------------------------------------

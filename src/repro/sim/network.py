@@ -18,12 +18,13 @@ request-response sessions (pull, auth, trusted swap).  It models:
   side, which is the AES-CTR ciphertext length, since CTR preserves
   length — and hands the message object over as is.
 
-All traffic is counted — total and per round.  Per-round tallies are
-applied eagerly, message by message: a lazy flush would leave the shared
-:class:`NetworkStats` object internally inconsistent for any holder of the
-``stats`` reference (totals eager, per-round Counters stale) and risks
-misattributing a round's tail to its successor.  Counter increments keyed
-by a small int are cheap enough for the hot path.
+All traffic is counted — total and per round.  Tallies are applied
+eagerly, per request and per push call (one sender's pushes of a round go
+out in one :meth:`Network.send_pushes` call), totals and per-round Counters
+together: a lazy flush would leave the shared :class:`NetworkStats` object
+internally inconsistent for any holder of the ``stats`` reference (totals
+eager, per-round Counters stale) and risks misattributing a round's tail
+to its successor.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import pickle
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from repro.sim.messages import Message
 from repro.sim.node import NodeBase
@@ -165,11 +166,11 @@ class Network:
     # the hook let the message through) and, on the way to the callee,
     # its reachability.  The destination node is fetched once.
 
-    def _count_loss(self) -> None:
-        self._stats.messages_lost += 1
-        self._stats.per_round_losses[self._current_round] += 1
+    def _count_loss(self, lost: int = 1) -> None:
+        self._stats.messages_lost += lost
+        self._stats.per_round_losses[self._current_round] += lost
         if self._ctr_messages_lost is not None:
-            self._ctr_messages_lost.inc()
+            self._ctr_messages_lost.inc(lost)
 
     def _emit_message(self, name: str, src: int, fields: Dict[str, object]) -> None:
         # Callers guard on self._trace_messages, which implies a hub with a
@@ -180,31 +181,52 @@ class Network:
 
     def send_push(self, src: int, dst: int) -> bool:
         """Deliver a push from ``src`` to ``dst``; returns delivery success."""
-        stats = self._stats
-        stats.pushes_sent += 1
-        stats.per_round_pushes[self._current_round] += 1
-        if self._ctr_pushes_sent is not None:
-            self._ctr_pushes_sent.inc()
-        hook, loss_rate = self._fault_hook, self._loss_rate
-        node = None
-        if not (
-            (hook is not None and hook(src, dst, self._current_round))
-            or (loss_rate > 0.0 and self._rng.random() < loss_rate)
-        ):
-            node = self._nodes.get(dst)
-        if node is None or not node.alive:
-            self._count_loss()
-            if self._trace_messages:
+        return self.send_pushes(src, (dst,)) == 1
+
+    def send_pushes(self, src: int, targets: Iterable[int]) -> int:
+        """Deliver one push from ``src`` to each of ``targets``, in order;
+        returns how many were delivered.
+
+        The one push-delivery loop: a node hands it its whole round of
+        pushes, so the per-call set-up and the tallies are paid once per
+        sender.  Every message still passes its own gates, and traces its
+        own event, in the order of ``targets``.
+        """
+        current_round = self._current_round
+        hook, loss_rate, nodes = self._fault_hook, self._loss_rate, self._nodes
+        draw = self._rng.random
+        trace = self._trace_messages
+        delivered = lost = 0
+        for dst in targets:
+            node = None
+            if not (
+                (hook is not None and hook(src, dst, current_round))
+                or (loss_rate > 0.0 and draw() < loss_rate)
+            ):
+                node = nodes.get(dst)
+            if node is None or not node.alive:
+                lost += 1
+                if trace:
+                    self._emit_message("net.push", src,
+                                       {"dst": dst, "delivered": False})
+                continue
+            node.on_push(src)
+            delivered += 1
+            if trace:
                 self._emit_message("net.push", src,
-                                   {"dst": dst, "delivered": False})
-            return False
-        node.on_push(src)
-        stats.pushes_delivered += 1
-        if self._ctr_pushes_delivered is not None:
-            self._ctr_pushes_delivered.inc()
-        if self._trace_messages:
-            self._emit_message("net.push", src, {"dst": dst, "delivered": True})
-        return True
+                                   {"dst": dst, "delivered": True})
+        sent = delivered + lost
+        if sent:
+            stats = self._stats
+            stats.pushes_sent += sent
+            stats.per_round_pushes[current_round] += sent
+            stats.pushes_delivered += delivered
+            if self._ctr_pushes_sent is not None:
+                self._ctr_pushes_sent.inc(sent)
+                self._ctr_pushes_delivered.inc(delivered)
+            if lost:
+                self._count_loss(lost)
+        return delivered
 
     def _request_counter(
         self, cache: Dict[str, "MetricCounter"], name: str, kind: str

@@ -32,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["NodeKind", "NodeBase", "KnownIds"]
 
+#: What :meth:`NodeBase._profiled` returns with no telemetry wired: one
+#: shared, reusable do-nothing context rather than a new one per call.
+_NO_TIMER = nullcontext()
+
 
 class NodeKind(enum.Enum):
     """Role of a node in the experiment topology.
@@ -159,7 +163,7 @@ class NodeBase:
     def _profiled(self, name: str) -> ContextManager[None]:
         """Opt-in wall-clock timer for a hot path (no-op without telemetry)."""
         if self.telemetry is None:
-            return nullcontext()
+            return _NO_TIMER
         return self.telemetry.timer(name)
 
     # -- active phase -------------------------------------------------------

@@ -170,6 +170,82 @@ class TestByzantineNode:
         assert len(node.known_ids()) == 15
 
 
+def _rotating_pool_answers(n_byz, size, seed, count):
+    """The fake views a coordinator serves, from a model of its rotating
+    pool: slices in order, reshuffled with the coordinator's RNG (a twin of
+    it here) whenever an answer runs past the end."""
+    pool, cursor, rng, wraps = list(range(n_byz)), 0, random.Random(seed), 0
+    answers = []
+    for _ in range(count):
+        end = cursor + size
+        if end <= n_byz:
+            answers.append(pool[cursor:end])
+        else:
+            answers.append(pool[cursor:] + pool[: end - n_byz])
+            rng.shuffle(pool)
+        wraps += end >= n_byz
+        cursor = end % n_byz
+    return answers, wraps
+
+
+class TestByzantineReplyCache:
+    @pytest.mark.parametrize("n_byz", [7, 9])
+    def test_replies_equal_fresh_ones_and_stay_bounded(self, n_byz):
+        # Seven identities answered three at a time reshuffle the pool on
+        # every wrap; nine never reshuffle, so windows (and replies) repeat.
+        size, count = 3, 60
+        coordinator = make_coordinator(n_byz=n_byz)
+        nodes = [ByzantineNode(i, coordinator, view_size=size, rng=random.Random(i))
+                 for i in range(2)]
+        answers, wraps = _rotating_pool_answers(n_byz, size, seed=0, count=count)
+        assert wraps >= 3
+        served = []
+        for index, expected in enumerate(answers):
+            node = nodes[index % 2]
+            reply = node.handle_request(PullRequest(sender=50))
+            assert reply == PullReply(sender=node.node_id, ids=tuple(expected))
+            assert len(node._replies[1]) <= -(-n_byz // size)
+            served.append(reply)
+        distinct = len({id(reply) for reply in served})
+        if n_byz % size:
+            assert distinct == count
+        else:
+            assert distinct == 2 * n_byz // size  # one per node and window
+
+    def test_view_read_serves_what_a_pull_would(self):
+        coordinator = make_coordinator(n_byz=7)
+        node = ByzantineNode(0, coordinator, view_size=3, rng=random.Random(1))
+        answers, _ = _rotating_pool_answers(7, 3, seed=0, count=4)
+        assert [node.view_ids() for _ in range(2)] == answers[:2]
+        with coordinator.fake_views_kept():
+            assert node.view_ids() == answers[2]
+        assert node.handle_request(PullRequest(sender=50)).ids == tuple(answers[2])
+
+
+class TestAllViewsRead:
+    """``SimulationBundle.all_views`` reads Byzantine views through the
+    coordinator's fake-view service and puts its state back after."""
+
+    SPEC = {"name": "all-views", "protocol": "brahms", "seed": 21, "rounds": 6,
+            "topology": {"n_nodes": 90, "byzantine_fraction": 0.1}}
+
+    def test_two_reads_are_equal(self):
+        bundle = compile_spec(spec_from_dict(self.SPEC))
+        bundle.run(3)
+        assert bundle.all_views() == bundle.all_views()
+
+    def test_a_mid_run_read_leaves_the_run_unchanged(self):
+        straight = compile_spec(spec_from_dict(self.SPEC))
+        straight.run(6)
+        read = compile_spec(spec_from_dict(self.SPEC))
+        read.run(3)
+        read.all_views()
+        read.run(3)
+        assert read.all_views() == straight.all_views()
+        assert read.view_records == straight.view_records
+        assert read.stats == straight.stats
+
+
 class TestIdentificationAttack:
     def test_report_metrics(self):
         report = IdentificationReport(

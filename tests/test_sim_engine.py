@@ -346,6 +346,18 @@ class TestObservers:
         sim.run(1, observers=[discovery])
         assert discovery.all_discovered_round(sim) == 1
 
+    def test_discovery_at_exactly_the_threshold(self):
+        # Nodes 1-3 know two others: |known| + 1 == 0.75 · 4, the count's
+        # upper bound meets the threshold, so the node is counted (and
+        # discovered) rather than skipped.  Node 0 knows one: 2 of 4.
+        sim, _log = make_sim(n=4)
+        for node in sim.nodes.values():
+            others = [peer for peer in range(4) if peer != node.node_id]
+            node.seed_view(others[:2] if node.node_id else others[:1])
+        discovery = DiscoveryObserver(threshold=0.75)
+        sim.run(1, observers=[discovery])
+        assert discovery.discovery_round == {1: 1, 2: 1, 3: 1}
+
     def test_discovery_threshold_validation(self):
         with pytest.raises(ValueError):
             DiscoveryObserver(threshold=0.0)

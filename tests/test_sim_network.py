@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from collections import Counter
 from typing import List, Optional
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.sim.messages import Message, PullReply, PullRequest
 from repro.sim.network import Network
 from repro.sim.node import NodeBase, NodeKind
+from repro.telemetry import Telemetry, TelemetryConfig, metrics_to_csv
 
 
 class EchoNode(NodeBase):
@@ -229,3 +231,69 @@ class TestStatsRoundAttribution:
         assert stats.per_round_pushes[8] == 1
         assert stats.per_round_requests[8] == 0
         assert stats.pushes_sent == 2
+
+
+class TestSendPushes:
+    """``send_pushes`` is the push loop ``send_push`` calls with one
+    target: a batch must leave what the same pushes sent one by one leave."""
+
+    TARGETS = [2, 3, 4, 9, 5, 2, 3, 1, 5, 5, 4, 2]
+
+    @staticmethod
+    def _network():
+        network = Network(random.Random(11), loss_rate=0.3)
+        nodes = {node_id: EchoNode(node_id) for node_id in range(1, 6)}
+        for node in nodes.values():
+            network.register(node)
+        nodes[4].alive = False  # dead; 9 is never registered
+        gate_calls = []
+
+        def hook(src, dst, round_number):
+            gate_calls.append((src, dst, round_number))
+            return dst == 3 and round_number % 2 == 1
+
+        network.install_fault_hook(hook)
+        telemetry = Telemetry(TelemetryConfig(tracing=True, trace_messages=True))
+        network.set_telemetry(telemetry)
+        return network, nodes, gate_calls, telemetry
+
+    @staticmethod
+    def _observed(network, nodes, gate_calls, telemetry):
+        stats = {name: dict(value) if isinstance(value, Counter) else value
+                 for name, value in vars(network.stats).items()}
+        return {
+            "stats": stats,
+            "loss_rng": network._rng.getstate(),
+            "trace": telemetry.trace.events.jsonl(),
+            "metrics": metrics_to_csv(telemetry.registry),
+            "received": {node_id: node.pushes for node_id, node in nodes.items()},
+            "gates": gate_calls,
+        }
+
+    def test_matches_a_loop_of_send_push(self):
+        batched, looped = self._network(), self._network()
+        # The gates modelled on their own: the hook drops pushes to 3 in odd
+        # rounds, and only what it lets through draws from the loss RNG.
+        twin, expected = random.Random(11), {node_id: [] for node_id in range(1, 6)}
+        for round_number in (1, 2, 3, 4):
+            for network, _, _, telemetry in (batched, looped):
+                network.current_round = telemetry.current_round = round_number
+            # Round 4 sends one empty batch and nothing else.
+            targets = self.TARGETS[round_number:] if round_number < 4 else []
+            delivered = batched[0].send_pushes(1, targets)
+            assert batched[0].send_pushes(2, []) == 0
+            assert delivered == sum(looped[0].send_push(1, dst) for dst in targets)
+            for dst in targets:
+                dropped = dst == 3 and round_number % 2 == 1
+                if not dropped and twin.random() >= 0.3 and dst in (1, 2, 3, 5):
+                    expected[dst].append(1)
+        observed = self._observed(*batched)
+        assert observed == self._observed(*looped)
+        assert observed["received"] == expected
+        assert observed["loss_rng"] == twin.getstate()
+        # Every gate was exercised: hook drops, RNG losses, a dead node and
+        # an unregistered id; an empty batch touched no round's count.
+        assert observed["stats"]["messages_lost"] > 8
+        assert observed["stats"]["pushes_delivered"] > 0
+        assert set(observed["stats"]["per_round_pushes"]) == {1, 2, 3}
+        assert '"delivered":false' in observed["trace"].replace(" ", "")

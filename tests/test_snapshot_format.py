@@ -203,6 +203,39 @@ class TestRunStateLayout:
         assert resumed.faults is None
 
 
+class TestReplyCacheLayout:
+    def test_checkpoint_without_the_reply_cache_resumes_identically(self, tmp_path):
+        # Ten Byzantine identities answering views of ten: windows repeat,
+        # so by round 3 every identity holds cached pull replies.  A
+        # checkpoint written before the cache (and the coordinator's pool
+        # generation) existed has neither attribute; the class-level
+        # defaults must resume it exactly as the straight run goes on.
+        from repro.experiments.scenarios import TopologySpec
+        from repro.scenario import ScenarioSpec, compile_spec
+
+        spec = ScenarioSpec(
+            name="reply-cache", protocol="brahms", seed=8, rounds=6,
+            topology=TopologySpec(n_nodes=100, byzantine_fraction=0.1,
+                                  view_ratio=0.1),
+        )
+        straight = compile_spec(spec)
+        straight.run(6)
+
+        bundle = compile_spec(spec)
+        bundle.run(3)
+        byzantine = [node for node in bundle.simulation.nodes.values()
+                     if node.kind.is_byzantine]
+        assert all(node.__dict__.pop("_replies")[1] for node in byzantine)
+        bundle.coordinator.__dict__.pop("_fake_generation", None)
+        path = tmp_path / "before-cache.snapshot"
+        save(bundle, str(path))
+        resumed = restore(str(path))
+        resumed.run(3)
+        assert resumed.all_views() == straight.all_views()
+        assert resumed.view_records == straight.view_records
+        assert resumed.stats == straight.stats
+
+
 class TestCaptureRestore:
     def test_save_restore_bundle(self, tmp_path):
         bundle = _small_bundle(seed=3)
