@@ -15,7 +15,9 @@ correct nodes are SGX-capable.  Push strategies:
   death spiral — pollution frees push slack, which buys more pollution —
   and reproduces the paper's Fig. 3 collapse (81 % Byzantine IDs at
   f = 18 %).  The adversary estimates v from the pull answers its nodes
-  receive (the same intelligence the §VI-A attack uses).
+  receive (the same intelligence the §VI-A attack uses); the simulator
+  hands it that estimate as a pollution probe, and the strategy refuses to
+  run without one.
 * **balanced** — the naive fixed-budget variant: every identity spends
   exactly its rate-limit allowance, spread evenly.
 
@@ -60,6 +62,11 @@ class AdversaryCoordinator:
             raise ValueError("push_limit must be positive")
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
+        if strategy == "adaptive_balanced" and expected_pushes is None:
+            raise ValueError(
+                "the adaptive_balanced strategy needs expected_pushes, the "
+                "victims' blocking threshold it aims at"
+            )
         self.push_limit = push_limit
         self.strategy = strategy
         #: The victims' blocking threshold α·l1 the adaptive strategy aims at.
@@ -68,8 +75,9 @@ class AdversaryCoordinator:
         self._assignments: Dict[int, List[int]] = {}
         self._assigned_round = -1
         self._pollution_probe: Optional[Callable[[], float]] = None
-        # Identification-attack intelligence: observed pull-answer
-        # compositions, per correct node, with the round they were seen in.
+        # Identification-attack intelligence (repro.adversary.identification):
+        # observed pull-answer compositions, per correct node, with the
+        # round they were seen in.
         self.intel: Dict[int, List[tuple]] = defaultdict(list)
         self._byzantine_set: Set[int] = set(self.byzantine_ids)
         # Rotating fake-view service (cheap per-answer slicing).
@@ -87,18 +95,12 @@ class AdversaryCoordinator:
         self._pollution_probe = probe
 
     def _estimated_pollution(self) -> float:
-        if self._pollution_probe is not None:
-            return max(0.0, min(1.0, self._pollution_probe()))
-        # Fallback estimate from collected pull-answer intel (last 200 obs).
-        observations = [
-            fraction
-            for per_node in self.intel.values()
-            for (_round, fraction) in per_node[-5:]
-        ]
-        if not observations:
-            return 0.0
-        recent = observations[-200:]
-        return sum(recent) / len(recent)
+        if self._pollution_probe is None:
+            raise RuntimeError(
+                "the adaptive_balanced strategy reads its pollution probe, "
+                "and none is installed (set_pollution_probe)"
+            )
+        return max(0.0, min(1.0, self._pollution_probe()))
 
     # -- push scheduling ----------------------------------------------------
 
@@ -121,8 +123,6 @@ class AdversaryCoordinator:
 
     def _adaptive_budget(self) -> int:
         """Victim-count × per-victim slack, capped by the rate limit."""
-        if self.expected_pushes is None:
-            return self.total_budget
         pollution = self._estimated_pollution()
         # Slack per victim: the blocking threshold minus the honest pushes
         # the victim is expected to receive, with one push of safety margin.

@@ -4,8 +4,6 @@ from repro.analysis.metrics import (
     DISCOVERY_THRESHOLD,
     STABILITY_TOLERANCE,
     overhead_percent,
-    peak_round,
-    per_round_series,
     resilience_from_trace,
     resilience_improvement,
     stability_round,
@@ -16,8 +14,6 @@ __all__ = [
     "DISCOVERY_THRESHOLD",
     "STABILITY_TOLERANCE",
     "overhead_percent",
-    "peak_round",
-    "per_round_series",
     "resilience_from_trace",
     "resilience_improvement",
     "stability_round",

@@ -17,9 +17,10 @@ rounds (in %) RAPTEE needs for discovery/stability vs the baseline.
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.sim.observers import RoundRecord
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.observers import RoundRecord
 
 __all__ = [
     "resilience_from_trace",
@@ -27,8 +28,6 @@ __all__ = [
     "stability_tolerance_for",
     "resilience_improvement",
     "overhead_percent",
-    "per_round_series",
-    "peak_round",
     "DISCOVERY_THRESHOLD",
     "STABILITY_TOLERANCE",
     "STABILITY_Z",
@@ -56,7 +55,7 @@ def stability_tolerance_for(view_size: int, mean_fraction: float) -> float:
     return max(STABILITY_TOLERANCE, STABILITY_Z * sigma)
 
 
-def resilience_from_trace(records: Sequence[RoundRecord], tail: int = 10) -> float:
+def resilience_from_trace(records: Sequence["RoundRecord"], tail: int = 10) -> float:
     """Mean Byzantine fraction of correct views over the last ``tail`` rounds."""
     if not records:
         raise ValueError("empty trace")
@@ -67,7 +66,7 @@ def resilience_from_trace(records: Sequence[RoundRecord], tail: int = 10) -> flo
 
 
 def stability_round(
-    records: Sequence[RoundRecord],
+    records: Sequence["RoundRecord"],
     tolerance: Optional[float] = None,
     sustained: int = 1,
     view_size: Optional[int] = None,
@@ -88,7 +87,7 @@ def stability_round(
         raise ValueError("sustained must be positive")
     streak = 0
     for record in records:
-        fractions = list(record.byzantine_fraction.values())
+        fractions = record.shares.tolist()
         if not fractions:
             streak = 0
             continue
@@ -123,29 +122,3 @@ def overhead_percent(baseline_rounds: int, rounds: int) -> Optional[float]:
     if baseline_rounds <= 0 or rounds <= 0:
         return None
     return 100.0 * (rounds - baseline_rounds) / baseline_rounds
-
-
-def per_round_series(counter: Mapping[int, int], last_round: int) -> List[int]:
-    """Densify a ``round -> count`` counter into a list for rounds 1..last.
-
-    The network's per-round counters (:class:`repro.sim.network.NetworkStats`)
-    are sparse — rounds with no traffic simply have no key — which makes
-    them awkward to plot or diff.  The returned list has ``last_round``
-    entries, index 0 holding round 1.
-    """
-    if last_round < 0:
-        raise ValueError("last_round must be non-negative")
-    return [counter.get(round_number, 0) for round_number in range(1, last_round + 1)]
-
-
-def peak_round(counter: Mapping[int, int]) -> Optional[Tuple[int, int]]:
-    """The (round, count) with the highest count, or ``None`` if empty.
-
-    Ties break toward the earliest round, so the answer is deterministic.
-    """
-    best: Optional[Tuple[int, int]] = None
-    for round_number in sorted(counter):
-        count = counter[round_number]
-        if best is None or count > best[1]:
-            best = (round_number, count)
-    return best

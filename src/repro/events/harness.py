@@ -8,8 +8,8 @@ and load generator pick the hub up from the simulation) and
 boundary on the event clock, which also drives membership gossip).  It
 makes an :class:`EventEngine` the bundle's ``engine``, so
 :meth:`~repro.experiments.scenarios.SimulationBundle.run` drives the
-bundle's standard observer stack (view trace, discovery, telemetry
-observer) at the event clock's round boundaries, and every downstream
+bundle's standard observer stack (round recorder, telemetry observer)
+at the event clock's round boundaries, and every downstream
 metric reads as it does after a round-loop run.
 """
 

@@ -49,9 +49,7 @@ from repro.sim.bootstrap import UniformBootstrap
 from repro.sim.engine import Simulation
 from repro.sim.network import Network, NetworkStats
 from repro.sim.node import NodeKind
-from repro.sim.observers import (
-    DiscoveryObserver, RoundRecord, ViewTraceObserver, byzantine_count,
-)
+from repro.sim.observers import RoundRecord, RoundRecorder, byzantine_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.engine import EventEngine
@@ -160,8 +158,8 @@ class SimulationBundle:
     """
 
     simulation: Simulation
-    trace: ViewTraceObserver
-    discovery: DiscoveryObserver
+    #: Appends each round's record at round close (the metrics read it).
+    trace: RoundRecorder
     #: The scenario compiled into this bundle; ``spec.rounds`` is the round
     #: target a checkpointed run (:mod:`repro.snapshot`) runs to.
     spec: "ScenarioSpec"
@@ -200,7 +198,7 @@ class SimulationBundle:
 
     @property
     def discovery_round(self) -> int:
-        return self.discovery.all_discovered_round(self.simulation)
+        return self.trace.all_discovered_round(self.simulation)
 
     def all_views(self) -> Dict[int, Tuple[int, ...]]:
         """Every node's current view, Byzantine ids included, in id order.
@@ -217,9 +215,9 @@ class SimulationBundle:
             }
 
     def observer_stack(self, extra_observers: Sequence = ()) -> List:
-        """The per-round observer list every engine drives: metric
-        observers first, the telemetry observer, then any extras."""
-        observers = [self.trace, self.discovery]
+        """The per-round observer list every engine drives: the round
+        recorder first, the telemetry observer, then any extras."""
+        observers = [self.trace]
         if self.telemetry_observer is not None:
             observers.append(self.telemetry_observer)
         observers.extend(extra_observers)
@@ -268,7 +266,7 @@ def _bundle(
 ) -> SimulationBundle:
     """Put an assembled population on the network and the round engine,
     give the adversary its v-estimate (see AdversaryCoordinator docs) and
-    attach the metric observers."""
+    attach the round recorder."""
     spec, seed = scenario.topology, scenario.seed
     network = Network(_mt(seed, "network"), loss_rate=spec.loss_rate,
                       encrypt=spec.transport_encryption)
@@ -278,8 +276,7 @@ def _bundle(
     )
     return SimulationBundle(
         simulation=simulation,
-        trace=ViewTraceObserver(),
-        discovery=DiscoveryObserver(),
+        trace=RoundRecorder(),
         spec=scenario,
         view_size=scenario.brahms_config.view_size,
         coordinator=coordinator,

@@ -19,7 +19,7 @@ same run, faults included.  The canned drills are catalog scenarios
 
 from repro.faults.harness import wire_faults
 from repro.faults.injector import FaultInjector, InjectionStats
-from repro.faults.invariants import InvariantChecker, InvariantViolation, Violation
+from repro.faults.invariants import InvariantChecker, Violation
 from repro.faults.plan import (
     AttestationOutageFault,
     CrashRestartFault,
@@ -42,7 +42,6 @@ __all__ = [
     "FaultInjector",
     "InjectionStats",
     "InvariantChecker",
-    "InvariantViolation",
     "Violation",
     "AttestationOutageFault",
     "CrashRestartFault",

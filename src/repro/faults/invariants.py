@@ -1,10 +1,10 @@
 """Runtime safety invariants checked after every simulation round.
 
 Fault drills are only convincing if the system's *safety* properties hold
-while faults fire; the :class:`InvariantChecker` observer asserts them each
-round and fails loudly — naming the node, the round, and the violated
-invariant — instead of letting a corrupted view propagate silently for
-another hundred rounds.
+while faults fire; the :class:`InvariantChecker` observer checks them each
+round and records every failure — naming the node, the round, and the
+violated invariant — in :attr:`InvariantChecker.violations`, which
+``repro trace`` prints and turns into exit status 1.
 
 Checked per round, over every alive correct node:
 
@@ -12,16 +12,15 @@ Checked per round, over every alive correct node:
 * **registered-ids** — every view entry refers to a node that was at some
   point part of the membership (:attr:`Simulation.ever_registered`);
 * **view-known** — the view is a subset of the node's known-ID set;
-* **no-duplicates** (*opt-in*) — no repeated view entries.  Off by
-  default: Brahms views legitimately repeat IDs (pushes and samples are
-  drawn with replacement), so this only makes sense for protocols that
-  deduplicate;
-* **connectivity** (after a grace period) — the undirected graph induced
-  by correct alive nodes' views has a giant component covering (almost)
-  every correct node, i.e. the overlay did not silently partition.  A
-  small tolerance absorbs transiently isolated stragglers — under heavy
-  pollution a node's view can momentarily hold only Byzantine IDs without
-  the overlay being split.
+* **connectivity** (after :data:`CONNECTIVITY_GRACE` rounds) — the
+  undirected graph induced by correct alive nodes' views has a giant
+  component covering (almost) every correct node, i.e. the overlay did not
+  silently partition.  :data:`CONNECTIVITY_TOLERANCE` absorbs transiently
+  isolated stragglers — under heavy pollution a node's view can
+  momentarily hold only Byzantine IDs without the overlay being split.
+
+Repeated view entries are no violation: Brahms views repeat IDs by design
+(pushes and samples are drawn with replacement).
 
 With a membership director attached (dynamic trusted sets,
 :mod:`repro.membership`), two more hold each round:
@@ -44,11 +43,12 @@ from repro.sim.engine import Observer, Simulation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.membership.director import MembershipDirector
 
-__all__ = ["InvariantViolation", "Violation", "InvariantChecker"]
+__all__ = ["Violation", "InvariantChecker"]
 
-
-class InvariantViolation(AssertionError):
-    """A per-round safety property failed."""
+#: Rounds before the overlay is expected to be connected.
+CONNECTIVITY_GRACE = 10
+#: Share of correct nodes that may sit outside the giant component.
+CONNECTIVITY_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,10 @@ class Violation:
 
 
 class InvariantChecker(Observer):
-    """Observer asserting the per-round safety invariants.
+    """Observer recording every per-round safety violation in
+    :attr:`violations`; it never interrupts the run."""
 
-    With ``record_only=True`` violations are collected in :attr:`violations`
-    instead of raised — useful for post-mortem analysis of a deliberately
-    broken run.
-    """
-
-    def __init__(
-        self,
-        check_duplicate_entries: bool = False,
-        connectivity_grace: int = 10,
-        connectivity_tolerance: float = 0.05,
-        record_only: bool = False,
-        membership: Optional["MembershipDirector"] = None,
-    ):
-        if not 0.0 <= connectivity_tolerance < 1.0:
-            raise ValueError("connectivity_tolerance must be in [0, 1)")
-        self.check_duplicate_entries = check_duplicate_entries
-        self.connectivity_grace = connectivity_grace
-        self.connectivity_tolerance = connectivity_tolerance
-        self.record_only = record_only
+    def __init__(self, membership: Optional["MembershipDirector"] = None):
         self.membership = membership
         self.rounds_checked = 0
         self.violations: List[Violation] = []
@@ -98,7 +81,7 @@ class InvariantChecker(Observer):
         self.rounds_checked += 1
         for node in sorted(simulation.correct_nodes(), key=lambda n: n.node_id):
             self._check_node(simulation, node)
-        if simulation.round_number > self.connectivity_grace:
+        if simulation.round_number > CONNECTIVITY_GRACE:
             self._check_connectivity(simulation)
         if self.membership is not None:
             self._check_membership(simulation)
@@ -121,12 +104,6 @@ class InvariantChecker(Observer):
         if missing:
             self._fail(simulation, "view-known", node.node_id,
                        f"view entries {missing} missing from known-ID set")
-        if self.check_duplicate_entries and len(set(view)) != len(view):
-            duplicated = sorted(
-                entry for entry in sorted(set(view)) if view.count(entry) > 1
-            )
-            self._fail(simulation, "no-duplicates", node.node_id,
-                       f"view repeats IDs {duplicated}")
 
     # -- overlay connectivity --------------------------------------------------
 
@@ -163,7 +140,7 @@ class InvariantChecker(Observer):
             if len(component) > len(giant):
                 giant = component
         stranded = sorted(set(members) - giant)
-        allowed = max(1, int(self.connectivity_tolerance * len(members)))
+        allowed = max(1, int(CONNECTIVITY_TOLERANCE * len(members)))
         if len(stranded) > allowed:
             self._fail(
                 simulation, "connectivity", None,
@@ -236,11 +213,6 @@ class InvariantChecker(Observer):
         node_id: Optional[int],
         detail: str,
     ) -> None:
-        violation = Violation(simulation.round_number, invariant, node_id, detail)
-        self.violations.append(violation)
-        if not self.record_only:
-            raise InvariantViolation(violation.describe())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+        self.violations.append(
+            Violation(simulation.round_number, invariant, node_id, detail)
+        )

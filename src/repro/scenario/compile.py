@@ -24,7 +24,7 @@ from typing import Optional
 from repro.crypto.prng import derive_seed
 from repro.experiments.scenarios import _build_brahms, _build_raptee, _raptee_config
 from repro.scenario.spec import ChurnSpec, ScenarioSpec
-from repro.sim.churn import CatastrophicFailure, ChurnModel, NoChurn, UniformChurn
+from repro.sim.churn import CatastrophicFailure, ChurnModel, UniformChurn
 
 __all__ = [
     "ArrivalFactory",
@@ -100,7 +100,7 @@ def compile_spec(spec: ScenarioSpec, workers: int = 1):
     churn = churn_model_from_spec(spec.churn)
     if churn is not None:
         factory = None
-        if not isinstance(churn, NoChurn) and churn.may_produce_arrivals is not False:
+        if churn.may_produce_arrivals is not False:
             factory = ArrivalFactory(spec.protocol, config, spec.seed)
         bundle.simulation.set_churn(churn, factory)
     return bundle

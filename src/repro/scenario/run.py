@@ -40,6 +40,7 @@ from repro.scenario.compile import (
 )
 from repro.scenario.errors import ScenarioSpecError
 from repro.scenario.spec import ScenarioSpec, spec_to_dict
+from repro.sim.node import NodeKind
 from repro.telemetry import (
     Telemetry,
     TelemetryConfig,
@@ -62,7 +63,7 @@ class ScenarioArtifacts:
     spec: ScenarioSpec
     #: The engine object that ran: a ``SimulationBundle`` or a ``ShardSimulation``.
     bundle: Any
-    #: The record-only checker that observed every round, when asked for.
+    #: The invariant checker that observed every round, when asked for.
     checker: Optional[InvariantChecker] = None
 
     @property
@@ -106,7 +107,7 @@ def run_scenario(
 
     ``telemetry`` is the hub configuration, ``None`` for no hub; the
     default (full message and ECALL tracing) is what the conformance
-    vectors digest.  ``check_invariants`` has a record-only
+    vectors digest.  ``check_invariants`` has an
     :class:`~repro.faults.invariants.InvariantChecker` observe every round
     (returned as ``artifacts.checker``); it reads node objects, so a shard
     spec refuses it.  ``workers`` is ``compile_spec``'s.
@@ -137,7 +138,7 @@ def run_scenario(
     if events is not None:
         wire_events(bundle, events)
     checker = (
-        InvariantChecker(record_only=True, membership=bundle.membership)
+        InvariantChecker(membership=bundle.membership)
         if check_invariants
         else None
     )
@@ -168,10 +169,9 @@ def _view_trace_section(artifacts: ScenarioArtifacts) -> List[Dict[str, Any]]:
                     for node_id, fraction in sorted(record.byzantine_fraction.items())
                 },
                 "by_kind": {
-                    kind.name: list(values)
-                    for kind, values in sorted(
-                        record.by_kind.items(), key=lambda item: item[0].name
-                    )
+                    kind.name: shares
+                    for kind in sorted(NodeKind, key=lambda kind: kind.name)
+                    if (shares := record.shares_of(kind))
                 },
             }
         )

@@ -114,7 +114,7 @@ from repro.shard.state import (
 )
 from repro.sim.network import NetworkStats
 from repro.sim.node import NodeKind
-from repro.sim.observers import RoundRecord
+from repro.sim.observers import KIND_CODE, RoundRecord
 
 __all__ = ["ShardSimulation", "plan_partition", "apply_partition", "merge_plans"]
 
@@ -1444,13 +1444,21 @@ class ShardSimulation:
         self.round_number = 0
         self.telemetry = telemetry
         self.trace_records: List[Dict[str, object]] = []
+        #: One record per closed round, appended by :meth:`_close_round`.
+        self.view_records: List[RoundRecord] = []
         self._bounds = partition_bounds(config.n_nodes, min(shards, workers))
-        # What the paper's metrics are read from, per correct node: each
-        # round's Byzantine view shares (NaN while the node is down) and
-        # the round it discovered the system.
-        self._view_shares: List = []
-        self._discovered_at = np.full(config.n_nodes - config.n_byzantine, -1,
-                                      dtype=np.int64)
+        # Every correct node's id and kind code, in id order: the columns
+        # of a round in which all of them are up.
+        n_byz = config.n_byzantine
+        self._nodes = np.arange(n_byz, config.n_nodes, dtype=np.int64)
+        self._kinds = np.array(
+            [KIND_CODE[NodeKind.for_banded_id(node, n_byz, config.n_trusted)]
+             for node in range(n_byz, config.n_nodes)],
+            dtype=np.int8,
+        )
+        self._nodes.flags.writeable = self._kinds.flags.writeable = False
+        # The round each correct node discovered the system.
+        self._discovered_at = np.full(config.n_nodes - n_byz, -1, dtype=np.int64)
 
     # -- faults ---------------------------------------------------------------
 
@@ -1567,9 +1575,6 @@ class ShardSimulation:
         stats.replies_delivered += barrier.replies_delivered
         stats.messages_lost += barrier.messages_lost
         stats.bytes_encrypted += barrier.enc_bytes
-        stats.per_round_pushes[round_no] += barrier.pushes_sent
-        stats.per_round_requests[round_no] += barrier.requests_sent
-        stats.per_round_losses[round_no] += barrier.messages_lost
         self._count("network.pushes_sent", barrier.pushes_sent)
         self._count("network.pushes_delivered", barrier.pushes_delivered)
         self._count("network.messages_lost", barrier.messages_lost)
@@ -1619,7 +1624,13 @@ class ShardSimulation:
         byz, lens = self._view_poll()
         byz_entries, total_entries = int(byz[alive].sum()), int(lens[alive].sum())
         shares = np.divide(byz, lens, out=np.zeros(lens.size), where=lens > 0)
-        self._view_shares.append(np.where(alive, shares, np.nan))
+        nodes, kinds = self._nodes, self._kinds
+        if not alive.all():
+            nodes, kinds, shares = nodes[alive], kinds[alive], shares[alive]
+        self.view_records.append(RoundRecord(
+            round_no, nodes, kinds, shares,
+            barrier.pushes_sent, barrier.requests_sent, barrier.messages_lost,
+        ))
         # A node always knows itself; `known` rows never hold their owner.
         reached = (self._known_poll() + 1) / alive.size >= DISCOVERY_THRESHOLD
         self._discovered_at[alive & reached & (self._discovered_at < 0)] = round_no
@@ -1685,8 +1696,10 @@ class ShardSimulation:
         }
 
     # The finished run as :class:`repro.scenario.run.ScenarioArtifacts` reads
-    # it: with ``telemetry`` and ``stats``, the members a ``SimulationBundle``
-    # has under the same names.  Records are built here, when read.
+    # it: with ``telemetry``, ``stats`` and ``view_records``, the members a
+    # ``SimulationBundle`` has under the same names.  (A record's mean is
+    # the mean of *shares*, the paper's metric; ``trace_records`` holds the
+    # share of *entries* — equal only while all views have one length.)
 
     @property
     def view_size(self) -> int:
@@ -1698,29 +1711,6 @@ class ShardSimulation:
             node: tuple(self.state.view_row(node))
             for node in range(self.config.n_nodes)
         }
-
-    @property
-    def view_records(self) -> List[RoundRecord]:
-        """What :class:`~repro.sim.observers.ViewTraceObserver` records on
-        the per-node engines: per round, the Byzantine share of every alive
-        correct view, also grouped by node kind.  (A record's mean is the
-        mean of *shares*, the paper's metric; ``trace_records`` holds the
-        share of *entries* — equal only while all views have one length.)"""
-        config = self.config
-        nodes = range(config.n_byzantine, config.n_nodes)
-        kinds = [
-            NodeKind.for_banded_id(node, config.n_byzantine, config.n_trusted)
-            for node in nodes
-        ]
-        records = []
-        for round_no, shares in enumerate(self._view_shares, start=1):
-            record = RoundRecord(round_no)
-            for node, kind, share in zip(nodes, kinds, shares.tolist()):
-                if share == share:  # not NaN: the node was up
-                    record.byzantine_fraction[node] = share
-                    record.by_kind.setdefault(kind, []).append(share)
-            records.append(record)
-        return records
 
     @property
     def discovery_round(self) -> int:

@@ -2,7 +2,7 @@
 
 Substrate replacing the paper's Grid'5000 deployment: a deterministic,
 seeded, round-synchronous engine with message transport (loss, optional
-encryption), bootstrap, churn models, and metric observers.
+encryption), bootstrap, churn models, and the per-round record.
 """
 
 from repro.sim.bootstrap import UniformBootstrap
@@ -10,7 +10,6 @@ from repro.sim.churn import (
     CatastrophicFailure,
     ChurnEvent,
     ChurnModel,
-    NoChurn,
     UniformChurn,
 )
 from repro.sim.engine import FaultController, Observer, RoundContext, Simulation
@@ -28,14 +27,13 @@ from repro.sim.messages import (
 )
 from repro.sim.network import Network, NetworkStats
 from repro.sim.node import NodeBase, NodeKind
-from repro.sim.observers import DiscoveryObserver, RoundRecord, ViewTraceObserver
+from repro.sim.observers import RoundRecord, RoundRecorder
 
 __all__ = [
     "UniformBootstrap",
     "CatastrophicFailure",
     "ChurnEvent",
     "ChurnModel",
-    "NoChurn",
     "UniformChurn",
     "FaultController",
     "Observer",
@@ -55,7 +53,6 @@ __all__ = [
     "NetworkStats",
     "NodeBase",
     "NodeKind",
-    "DiscoveryObserver",
     "RoundRecord",
-    "ViewTraceObserver",
+    "RoundRecorder",
 ]

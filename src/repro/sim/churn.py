@@ -3,7 +3,8 @@
 The paper's evaluation runs a static membership (its metrics — discovery
 time, stability time — are defined over a fixed population), but peer
 sampling exists to handle churn, so the simulator supports it for the
-robustness examples and failure-injection tests.
+robustness examples and failure-injection tests.  Static membership has no
+model: a simulation without churn holds ``None``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-__all__ = ["ChurnEvent", "ChurnModel", "NoChurn", "UniformChurn", "CatastrophicFailure"]
+__all__ = ["ChurnEvent", "ChurnModel", "UniformChurn", "CatastrophicFailure"]
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,6 @@ class ChurnModel:
         round in which arrivals actually appear.
         """
         return None
-
-
-class NoChurn(ChurnModel):
-    """Static membership (the paper's evaluation setting)."""
-
-    def events_for_round(self, round_number, alive_ids, rng):
-        return ChurnEvent(departures=[], arrivals=0)
-
-    @property
-    def may_produce_arrivals(self) -> bool:
-        return False
 
 
 class UniformChurn(ChurnModel):

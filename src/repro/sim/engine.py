@@ -35,7 +35,7 @@ from typing import (
     Set,
 )
 
-from repro.sim.churn import ChurnModel, NoChurn
+from repro.sim.churn import ChurnModel
 from repro.sim.network import Network
 from repro.sim.node import NodeBase, NodeKind
 
@@ -97,13 +97,7 @@ class Simulation:
         self.network = network
         self.nodes: Dict[int, NodeBase] = {}
         self._rng = rng
-        self._churn = churn or NoChurn()
-        self._node_factory = node_factory
-        if self._node_factory is None and self._churn.may_produce_arrivals:
-            raise ValueError(
-                f"churn model {type(self._churn).__name__} produces arrivals; "
-                f"a node_factory is required to build the joining nodes"
-            )
+        self.set_churn(churn, node_factory)
         self._fault_controller: Optional[FaultController] = None
         #: Optional instrumentation hub (see :mod:`repro.telemetry`); the
         #: engine advances its round/phase clock and emits lifecycle events.
@@ -122,14 +116,14 @@ class Simulation:
         churn: Optional[ChurnModel],
         node_factory: Optional[Callable[[int], NodeBase]] = None,
     ) -> None:
-        """Attach (or clear, with ``None``) a churn model after construction.
+        """Attach a churn model, or clear it with ``None`` (static
+        membership).
 
         Scenario builders assemble the node population first and decide on
-        churn later; this is the supported seam for that — with the same
-        arrivals-need-a-factory validation the constructor applies.
+        churn later; this is the supported seam for that — the constructor
+        goes through it too, so both validate that arrivals have a factory.
         """
-        churn = churn or NoChurn()
-        if node_factory is None and churn.may_produce_arrivals:
+        if churn is not None and node_factory is None and churn.may_produce_arrivals:
             raise ValueError(
                 f"churn model {type(churn).__name__} produces arrivals; "
                 f"a node_factory is required to build the joining nodes"
@@ -246,6 +240,8 @@ class Simulation:
 
     def _apply_churn(self) -> None:
         """Apply this round's churn events (departures, then arrivals)."""
+        if self._churn is None:
+            return
         # Only *alive* nodes are candidates for departure and count toward
         # the arrival rate: a crashed (alive=False) node is already out of
         # the protocol, so letting churn "depart" it would silently swallow

@@ -18,21 +18,19 @@ request-response sessions (pull, auth, trusted swap).  It models:
   side, which is the AES-CTR ciphertext length, since CTR preserves
   length — and hands the message object over as is.
 
-All traffic is counted — total and per round.  Tallies are applied
-eagerly, per request and per push call (one sender's pushes of a round go
-out in one :meth:`Network.send_pushes` call), totals and per-round Counters
-together: a lazy flush would leave the shared :class:`NetworkStats` object
-internally inconsistent for any holder of the ``stats`` reference (totals
-eager, per-round Counters stale) and risks misattributing a round's tail
-to its successor.
+All traffic is counted in lifetime totals, applied eagerly per request
+and per push call (one sender's pushes of a round go out in one
+:meth:`Network.send_pushes` call), so a holder of the ``stats`` reference
+reads them current at any point.  A round's traffic is not kept here: the
+round record (:class:`repro.sim.observers.RoundRecorder`) takes it as what
+the totals grew by since the previous round closed.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from repro.sim.messages import Message
@@ -58,9 +56,6 @@ class NetworkStats:
     replies_delivered: int = 0
     messages_lost: int = 0
     bytes_encrypted: int = 0
-    per_round_pushes: Counter = field(default_factory=Counter)
-    per_round_requests: Counter = field(default_factory=Counter)
-    per_round_losses: Counter = field(default_factory=Counter)
 
 
 class Network:
@@ -113,9 +108,7 @@ class Network:
 
     @property
     def stats(self) -> NetworkStats:
-        """Lifetime counters, always consistent — tallies apply eagerly,
-        so a reference held across messages or a round boundary never sees
-        totals ahead of the per-round Counters."""
+        """Lifetime counters, always current — tallies apply eagerly."""
         return self._stats
 
     @property
@@ -168,7 +161,6 @@ class Network:
 
     def _count_loss(self, lost: int = 1) -> None:
         self._stats.messages_lost += lost
-        self._stats.per_round_losses[self._current_round] += lost
         if self._ctr_messages_lost is not None:
             self._ctr_messages_lost.inc(lost)
 
@@ -219,7 +211,6 @@ class Network:
         if sent:
             stats = self._stats
             stats.pushes_sent += sent
-            stats.per_round_pushes[current_round] += sent
             stats.pushes_delivered += delivered
             if self._ctr_pushes_sent is not None:
                 self._ctr_pushes_sent.inc(sent)
@@ -242,7 +233,6 @@ class Network:
         stats = self._stats
         stats.requests_sent += 1
         current_round = self._current_round
-        stats.per_round_requests[current_round] += 1
         # The message kind only labels telemetry (trace_messages implies it).
         instrumented = self.telemetry is not None
         kind = ""

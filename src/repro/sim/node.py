@@ -209,7 +209,7 @@ class NodeBase:
     def count_known(self, outside: int) -> int:
         """How many of :meth:`known_ids` are not in ``outside``, a
         :meth:`KnownIds.mask` (the discovery count, read after every round
-        by :class:`~repro.sim.observers.DiscoveryObserver`).  This default
+        by :class:`~repro.sim.observers.RoundRecorder`).  This default
         copies :meth:`known_ids` into a map first; a node that keeps a
         :class:`KnownIds` answers from it directly."""
         return KnownIds(self.known_ids()).count_outside(outside)

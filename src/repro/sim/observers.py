@@ -1,19 +1,28 @@
-"""Reusable observers: per-round trace collection.
+"""The per-round record: the columns every paper metric reduces.
 
-The per-round records produced here are the raw material for every paper
-metric (resilience, discovery time, stability time — computed in
-:mod:`repro.analysis.metrics`).
+Every engine appends one :class:`RoundRecord` when a round closes — the
+per-node engines through the :class:`RoundRecorder` observer, the shard
+engine from the arrays its own round close computes — and the paper's
+metrics (resilience, discovery time, stability time) are reductions over
+the list (:mod:`repro.analysis.metrics`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Sequence, Set
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import AbstractSet, Dict, List, Mapping, Sequence, Set
 
+import numpy as np
+
+from repro.analysis.metrics import DISCOVERY_THRESHOLD
 from repro.sim.engine import Observer, Simulation
 from repro.sim.node import KnownIds, NodeBase, NodeKind
 
-__all__ = ["RoundRecord", "ViewTraceObserver", "DiscoveryObserver", "byzantine_count"]
+__all__ = ["KIND_CODE", "RoundRecord", "RoundRecorder", "byzantine_count"]
+
+#: What a record's ``kinds`` column holds for each node kind.
+KIND_CODE: Dict[NodeKind, int] = {kind: code for code, kind in enumerate(NodeKind)}
 
 
 def byzantine_count(view: Sequence[int], byzantine: AbstractSet[int]) -> int:
@@ -22,50 +31,63 @@ def byzantine_count(view: Sequence[int], byzantine: AbstractSet[int]) -> int:
     return sum(map(byzantine.__contains__, view))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """Snapshot of view composition at the end of one round.
+    """One closed round, as columns.
 
-    ``byzantine_fraction`` maps each correct node to the fraction of
-    Byzantine IDs in its dynamic view; ``by_kind`` groups the same values by
-    node kind, which the identification-attack analysis needs.
+    ``nodes``, ``kinds`` and ``shares`` hold one entry per alive correct
+    node, in ascending id order: its id (int64), its kind as its
+    :data:`KIND_CODE` (int8), and the Byzantine share of its view (float64;
+    an empty view counts 0.0).  ``pushes``, ``requests`` and ``losses`` are
+    the round's traffic.
     """
 
     round_number: int
-    byzantine_fraction: Dict[int, float] = field(default_factory=dict)
-    by_kind: Dict[NodeKind, List[float]] = field(default_factory=dict)
+    nodes: np.ndarray
+    kinds: np.ndarray
+    shares: np.ndarray
+    pushes: int
+    requests: int
+    losses: int
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundRecord):
+            return NotImplemented
+        return (
+            (self.round_number, self.pushes, self.requests, self.losses)
+            == (other.round_number, other.pushes, other.requests, other.losses)
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("nodes", "kinds", "shares"))
+        )
+
+    @property
+    def byzantine_fraction(self) -> Mapping[int, float]:
+        """Node id → view share, read-only; built on each read."""
+        return MappingProxyType(dict(zip(self.nodes.tolist(), self.shares.tolist())))
 
     @property
     def mean_byzantine_fraction(self) -> float:
-        if not self.byzantine_fraction:
-            return 0.0
-        return sum(self.byzantine_fraction.values()) / len(self.byzantine_fraction)
+        # Python's left-to-right sum, in id order: a numpy sum is pairwise
+        # and would move the last bits of pinned floats.
+        shares = self.shares.tolist()
+        return sum(shares) / len(shares) if shares else 0.0
+
+    def shares_of(self, kind: NodeKind) -> List[float]:
+        """The view shares of the nodes of ``kind``, in id order."""
+        return self.shares[self.kinds == KIND_CODE[kind]].tolist()
 
 
-class ViewTraceObserver(Observer):
-    """Records, per round, the Byzantine pollution of every correct view."""
+class RoundRecorder(Observer):
+    """The per-node engines' round close: one walk over the correct nodes
+    appends the round's :class:`RoundRecord` and notes the round in which
+    each node first discovered :data:`DISCOVERY_THRESHOLD` of the correct
+    ids (the paper's 75 %).
 
-    def __init__(self) -> None:
-        self.records: List[RoundRecord] = []
+    A round's traffic is what the network's lifetime totals grew by since
+    the previous round closed.
 
-    def on_round_end(self, simulation: Simulation) -> None:
-        byzantine = simulation.byzantine_ids
-        record = RoundRecord(round_number=simulation.round_number)
-        for node in simulation.correct_nodes():
-            view = node.view_ids()
-            fraction = byzantine_count(view, byzantine) / len(view) if view else 0.0
-            record.byzantine_fraction[node.node_id] = fraction
-            record.by_kind.setdefault(node.kind, []).append(fraction)
-        self.records.append(record)
-
-
-class DiscoveryObserver(Observer):
-    """Tracks the round at which each correct node has discovered at least
-    ``threshold`` of the non-Byzantine IDs (paper: 75 %).
-
-    Discovery is cumulative: an ID counts once seen in any push, pull reply
+    Discovery is cumulative: an id counts once seen in any push, pull reply
     or trusted exchange (nodes expose this as :meth:`NodeBase.known_ids`).
-
     The count is ``|target ∩ (known ∪ {self})|`` over the correct ids of
     the first observed round, taken from the non-correct side: every
     known id was registered at some point, so ``|known ∩ target|`` is
@@ -76,30 +98,50 @@ class DiscoveryObserver(Observer):
     with a popcount over its bytemap, no Python step per id.
     """
 
-    def __init__(self, threshold: float = 0.75):
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        self.threshold = threshold
+    def __init__(self) -> None:
+        self.records: List[RoundRecord] = []
         self.discovery_round: Dict[int, int] = {}
         self._target_ids: Set[int] = set()
+        self._totals = (0, 0, 0)
 
     def on_round_end(self, simulation: Simulation) -> None:
+        stats = simulation.network.stats
+        totals = (stats.pushes_sent, stats.requests_sent, stats.messages_lost)
+        pushes, requests, losses = (now - then for now, then in zip(totals, self._totals))
+        self._totals = totals
         if not self._target_ids:
             self._target_ids = set(simulation.correct_node_ids())
-        target_count = len(self._target_ids)
-        if target_count == 0:
-            return
-        others = KnownIds(simulation.ever_registered - self._target_ids).mask()
-        threshold = self.threshold
+        target = self._target_ids
+        target_count = len(target)
+        byzantine = simulation.byzantine_ids
+        discovered = self.discovery_round
+        round_number = simulation.round_number
+        others = None
+        ids: List[int] = []
+        kinds: List[int] = []
+        shares: List[float] = []
         for node in simulation.correct_nodes():
-            if node.node_id in self.discovery_round:
-                continue
+            node_id = node.node_id
+            view = node.view_ids()
+            ids.append(node_id)
+            kinds.append(KIND_CODE[node.kind])
+            shares.append(byzantine_count(view, byzantine) / len(view) if view else 0.0)
             # The count is at most |known| + 1: below the threshold even
             # then, the node needs no count this round.
-            if (len(node.known_ids()) + 1) / target_count < threshold:
+            if (node_id in discovered or not target_count
+                    or (len(node.known_ids()) + 1) / target_count < DISCOVERY_THRESHOLD):
                 continue
-            if self._known_count(node, others) / target_count >= threshold:
-                self.discovery_round[node.node_id] = simulation.round_number
+            if others is None:
+                others = KnownIds(simulation.ever_registered - target).mask()
+            if self._known_count(node, others) / target_count >= DISCOVERY_THRESHOLD:
+                discovered[node_id] = round_number
+        self.records.append(RoundRecord(
+            round_number,
+            np.array(ids, dtype=np.int64),
+            np.array(kinds, dtype=np.int8),
+            np.array(shares, dtype=np.float64),
+            pushes, requests, losses,
+        ))
 
     def _known_count(self, node: NodeBase, others: int) -> int:
         """``|target ∩ (known ∪ {self})|`` for ``node``, where ``others`` is

@@ -10,8 +10,10 @@ straight-through run, and nothing it does not:
 * every PRNG in the graph — the Mersenne-Twister protocol streams and the
   :class:`~repro.crypto.prng.Sha256Prng` key-material streams both travel
   through their ``getstate``/``setstate`` when pickled;
-* the network: loss/fault hooks, lifetime and per-round traffic stats
-  (the encrypted-byte count among them);
+* the network: loss/fault hooks and lifetime traffic totals (the
+  encrypted-byte count among them);
+* the round recorder: every closed round's record, the discovery rounds
+  and the totals the next round's traffic is counted from;
 * SGX state: sealed blobs, group/device keys, attestation registry and
   outage flags, enclave crash/provisioning status, cycle accountants;
 * fault-plan progress: the injector the bundle holds as ``faults`` — its
@@ -26,9 +28,11 @@ straight-through run, and nothing it does not:
 Restoring returns the bundle; the object graph comes back with its
 internal references (nodes ↔ network ↔ telemetry ↔ injector) intact
 because everything is serialized in one envelope.  The payload kind is
-``"checkpoint"``: a file of any other kind — among them every checkpoint
-written when the payload was a wrapper around the bundle (kind
-``"run-state"``) — is refused before anything is unpickled.
+``"checkpoint-2"``: a file of any other kind is refused before anything is
+unpickled — among them every checkpoint written when the payload was a
+wrapper around the bundle (kind ``"run-state"``), and every bundle from
+before round records were columns (kind ``"checkpoint"``: its recorder,
+network stats and churn model have another shape).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.snapshot.format import read_envelope, read_header, write_envelope
 
 __all__ = ["save", "restore", "describe"]
 
-_KIND = "checkpoint"
+_KIND = "checkpoint-2"
 
 
 def save(bundle: SimulationBundle, path: str) -> None:

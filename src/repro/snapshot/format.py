@@ -52,6 +52,8 @@ SNAPSHOT_MAGIC = b"REPROSNAP\n"
 # kind "checkpoint", so every "run-state" file is refused by kind before
 # unpickling, while the vectors — same envelope, unchanged sections — stay
 # valid.  A bump would have invalidated every committed vector for it.
+# The bundle changed shape again when round records became columns, and
+# the kind moved on to "checkpoint-2" the same way.
 SNAPSHOT_FORMAT_VERSION = 2
 
 

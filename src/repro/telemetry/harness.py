@@ -28,6 +28,7 @@ from repro.telemetry.hub import Telemetry, TelemetryConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.scenarios import SimulationBundle
     from repro.sim.engine import Simulation
+    from repro.sim.observers import RoundRecorder
 
 __all__ = ["TelemetryObserver", "wire_telemetry"]
 
@@ -35,26 +36,25 @@ __all__ = ["TelemetryObserver", "wire_telemetry"]
 class TelemetryObserver:
     """Per-round aggregates, computed after every completed round.
 
-    Satisfies the :class:`repro.sim.engine.Observer` protocol.  Everything
-    it records is derived from simulation state, so it stays inside the
-    deterministic surface.
+    Satisfies the :class:`repro.sim.engine.Observer` protocol and runs
+    after ``recorder``, whose record of the round holds its traffic.
+    Everything it records is derived from simulation state, so it stays
+    inside the deterministic surface.
     """
 
-    def __init__(self, telemetry: Telemetry):
+    def __init__(self, telemetry: Telemetry, recorder: "RoundRecorder"):
         self.telemetry = telemetry
+        self.recorder = recorder
 
     def on_round_end(self, simulation: "Simulation") -> None:
         tel = self.telemetry
-        round_number = simulation.round_number
         alive = simulation.alive_nodes()
         tel.gauge("sim.alive_nodes").set(len(alive))
 
-        stats = simulation.network.stats
-        tel.histogram("round.pushes").observe(stats.per_round_pushes[round_number])
-        tel.histogram("round.requests").observe(
-            stats.per_round_requests[round_number]
-        )
-        tel.histogram("round.losses").observe(stats.per_round_losses[round_number])
+        record = self.recorder.records[-1]
+        tel.histogram("round.pushes").observe(record.pushes)
+        tel.histogram("round.requests").observe(record.requests)
+        tel.histogram("round.losses").observe(record.losses)
 
         degraded = sum(1 for node in alive if getattr(node, "degraded", False))
         tel.gauge("raptee.degraded_nodes").set(degraded)
@@ -85,5 +85,5 @@ def wire_telemetry(
         # membership counters and gauges.
         bundle.membership.set_telemetry(telemetry)
     bundle.telemetry = telemetry
-    bundle.telemetry_observer = TelemetryObserver(telemetry)
+    bundle.telemetry_observer = TelemetryObserver(telemetry, bundle.trace)
     return bundle

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.metrics import per_round_series
 from repro.faults.harness import wire_faults
 from repro.scenario import compile_spec, spec_from_dict
 from repro.scenario.compile import fault_plan_from_spec
@@ -40,6 +39,8 @@ def observables(bundle, rounds):
     telemetry = bundle.telemetry
     simulation = bundle.simulation
     stats = simulation.network.stats
+    records = bundle.trace.records
+    assert [record.round_number for record in records] == list(range(1, rounds + 1))
     return {
         "trace_jsonl": trace_to_jsonl(telemetry.trace.events),
         "metrics_csv": metrics_to_csv(telemetry.registry),
@@ -47,10 +48,10 @@ def observables(bundle, rounds):
             node_id: tuple(node.view_ids())
             for node_id, node in sorted(simulation.nodes.items())
         },
-        "view_trace": bundle.trace.records,
-        "pushes_series": per_round_series(stats.per_round_pushes, rounds),
-        "requests_series": per_round_series(stats.per_round_requests, rounds),
-        "losses_series": per_round_series(stats.per_round_losses, rounds),
+        "view_trace": records,
+        "pushes_series": [record.pushes for record in records],
+        "requests_series": [record.requests for record in records],
+        "losses_series": [record.losses for record in records],
         "totals": (
             stats.pushes_sent,
             stats.pushes_delivered,

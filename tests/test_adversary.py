@@ -88,6 +88,17 @@ class TestCoordinator:
         with pytest.raises(ValueError):
             make_coordinator(strategy="chaotic")
 
+    def test_adaptive_without_expected_pushes_refused(self):
+        with pytest.raises(ValueError, match="expected_pushes"):
+            make_coordinator(strategy="adaptive_balanced")
+
+    def test_adaptive_budget_without_probe_raises(self):
+        # Pull-answer intel is no stand-in for the probe.
+        coordinator = make_coordinator(strategy="adaptive_balanced", expected_pushes=10)
+        coordinator.record_pull_answer(50, [0, 1, 99, 98], round_number=1)
+        with pytest.raises(RuntimeError, match="pollution probe"):
+            coordinator.push_targets_for(0, 1)
+
 
 def _probe_and_record_means(protocol):
     """The adaptive adversary's pollution readings, one per round, beside

@@ -3,6 +3,7 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,14 +16,18 @@ from repro.analysis.metrics import (
     PAPER_VIEW_SIZE,
 )
 from repro.analysis.stats import summarize
-from repro.sim.observers import RoundRecord
+from repro.sim.node import NodeKind
+from repro.sim.observers import KIND_CODE, RoundRecord
 
 
 def record(round_number, fractions):
-    rec = RoundRecord(round_number=round_number)
-    for node_id, fraction in enumerate(fractions):
-        rec.byzantine_fraction[node_id] = fraction
-    return rec
+    return RoundRecord(
+        round_number,
+        np.arange(len(fractions), dtype=np.int64),
+        np.full(len(fractions), KIND_CODE[NodeKind.HONEST], dtype=np.int8),
+        np.array(fractions, dtype=np.float64),
+        0, 0, 0,
+    )
 
 
 class TestResilience:

@@ -136,22 +136,3 @@ class TestTrustedToByzantineSession:
         trusted.seed_view([99])
         _sim, ctx = micro_world([trusted])
         assert trusted._do_pull(ctx, 99) is None
-
-
-class TestCoordinatorIntelFallback:
-    def test_pollution_estimate_from_intel(self):
-        coordinator = AdversaryCoordinator(
-            byzantine_ids=range(5), correct_ids=range(5, 20),
-            push_limit=4, rng=random.Random(0),
-        )
-        # No probe installed: estimate falls back to pull-answer intel.
-        coordinator.record_pull_answer(6, [0, 1, 2, 10], round_number=1)   # 0.75
-        coordinator.record_pull_answer(7, [0, 10, 11, 12], round_number=1)  # 0.25
-        assert coordinator._estimated_pollution() == pytest.approx(0.5)
-
-    def test_estimate_zero_without_any_signal(self):
-        coordinator = AdversaryCoordinator(
-            byzantine_ids=range(5), correct_ids=range(5, 20),
-            push_limit=4, rng=random.Random(0),
-        )
-        assert coordinator._estimated_pollution() == 0.0

@@ -71,7 +71,7 @@ def _build_and_run_events(seed: int):
 class TestContinuousMode:
     def test_rounds_advance_and_invariants_hold(self):
         bundle = wire_telemetry(_raptee_bundle(5), TelemetryConfig(tracing=False))
-        checker = InvariantChecker(record_only=True)
+        checker = InvariantChecker()
         wire_events(bundle, _latency_options(5)).run(
             ROUNDS, extra_observers=(checker,)
         )

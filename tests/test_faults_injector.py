@@ -18,6 +18,7 @@ from repro.faults.plan import (
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 from repro.sim.node import NodeBase, NodeKind
+from repro.sim.observers import RoundRecorder
 
 
 class ChattyNode(NodeBase):
@@ -147,10 +148,11 @@ class TestNetworkFaults:
                            RoundWindow(1, 1)),
         ])
         sim, _nodes, injector = make_sim(plan=plan)
-        sim.run_round()
+        recorder = RoundRecorder()
+        sim.run(1, observers=[recorder])
         stats = sim.network.stats
         assert stats.messages_lost == injector.stats.messages_dropped == 18
-        assert stats.per_round_losses[1] == 18
+        assert recorder.records[0].losses == 18
         assert stats.pushes_sent == 30
         assert stats.pushes_delivered == 12
 

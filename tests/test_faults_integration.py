@@ -51,7 +51,7 @@ class TestMassEnclaveCrash:
     def outcome(self):
         bundle = build_bundle(220)
         plan, victims = mass_crash_plan(bundle)
-        checker = InvariantChecker()  # raising mode: any violation fails
+        checker = InvariantChecker()
         wire_faults(bundle, plan, seed=1).run(
             self.ROUNDS, extra_observers=(checker,)
         )
@@ -60,7 +60,7 @@ class TestMassEnclaveCrash:
     def test_no_exception_and_invariants_hold(self, outcome):
         _bundle, checker, _victims = outcome
         assert checker.rounds_checked == self.ROUNDS
-        assert checker.ok
+        assert checker.violations == []
 
     def test_all_victims_degraded_then_repromoted(self, outcome):
         bundle, _checker, victims = outcome
@@ -130,12 +130,10 @@ class TestDeterminism:
             (record.round_number, sorted(record.byzantine_fraction.items()))
             for record in bundle.trace.records
         ]
-        stats = bundle.simulation.network.stats
         return pickle.dumps((
             per_round_views,
-            sorted(stats.per_round_pushes.items()),
-            sorted(stats.per_round_requests.items()),
-            sorted(stats.per_round_losses.items()),
+            [(record.pushes, record.requests, record.losses)
+             for record in bundle.trace.records],
             sorted(bundle.faults.stats.drops_by_cause.items()),
             bundle.faults.recovery.stats,
         ))

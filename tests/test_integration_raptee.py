@@ -66,8 +66,8 @@ class TestHeadlineResult:
     def test_trusted_views_cleaner_than_honest(self, raptee_run):
         bundle, _metrics = raptee_run
         record = bundle.trace.records[-1]
-        trusted_mean = statistics.mean(record.by_kind[NodeKind.TRUSTED])
-        honest_mean = statistics.mean(record.by_kind[NodeKind.HONEST])
+        trusted_mean = statistics.mean(record.shares_of(NodeKind.TRUSTED))
+        honest_mean = statistics.mean(record.shares_of(NodeKind.HONEST))
         assert trusted_mean < honest_mean
 
     def test_byzantine_never_completes_trusted_exchange(self, raptee_run):
@@ -94,7 +94,7 @@ class TestHeadlineResult:
     def test_discovery_happens_for_most_nodes(self, raptee_run):
         bundle, _metrics = raptee_run
         correct = bundle.simulation.correct_node_ids()
-        discovered = len(bundle.discovery.discovery_round)
+        discovered = len(bundle.trace.discovery_round)
         assert discovered >= 0.6 * len(correct)
 
 
@@ -106,7 +106,7 @@ class TestEvictionEffects:
             options = RapteeOptions(eviction=FixedEviction(rate))
             bundle = _run(_spec(_TOPOLOGY, raptee=options)).bundle
             record = bundle.trace.records[-1]
-            trusted_pollution[rate] = statistics.mean(record.by_kind[NodeKind.TRUSTED])
+            trusted_pollution[rate] = statistics.mean(record.shares_of(NodeKind.TRUSTED))
         assert trusted_pollution[1.0] < trusted_pollution[0.0]
 
     def test_eviction_rate_observed_matches_policy(self):

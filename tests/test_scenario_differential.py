@@ -277,6 +277,8 @@ class TestShardSpecsTakeTheSameRoad:
             simulation.run_round()
             record, raw = simulation.view_records[-1], simulation.trace_records[-1]
             assert record.round_number == raw["round"] == round_no
+            assert (record.pushes, record.requests, record.losses) == (
+                raw["pushes"], raw["requests"], raw["losses"])
             lens = {node: len(view)
                     for node, view in simulation.final_views().items()}
             shares = record.byzantine_fraction

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +45,8 @@ from repro.shard.rand import Purpose, key64, key_array, keyed_order, rand_float
 from repro.shard.state import EMPTY_SAMPLE, ShardConfig, ShardState
 
 from repro.experiments.scenarios import TopologySpec
+from repro.sim.node import NodeKind
+from repro.sim.observers import RoundRecord
 
 from tests._pinned import (
     assert_saturated_samples_uniform,
@@ -1007,6 +1010,47 @@ class TestDiscoveryCounting:
             assert set(node.known_ids()) == {node.node_id, *node.view_ids()}
         assert not shard.state.known.any()
         assert shard._known_poll().tolist() == [0] * 36
+
+
+class TestRoundRecord:
+    def test_a_9000_node_record_fits_200_kib(self):
+        """A record is columns: one round of the paper's N = 10,000 (9,000
+        correct nodes), in the dtypes a shard run's records hold and with
+        no column shared, takes at most 200 KiB under tracemalloc (~150
+        KiB).  A record of per-node dicts took ~854 KiB."""
+        config = shard_config({"n_nodes": 40, "byzantine_fraction": 0.1,
+                               "trusted_fraction": 0.1, "view_ratio": 0.2},
+                              seed=3, protocol="raptee")
+        sample = run_shard_config(config, rounds=1).bundle.view_records[0]
+        n = 9_000
+        tracemalloc.start()
+        try:
+            record = RoundRecord(
+                1,
+                np.arange(1_000, 1_000 + n, dtype=sample.nodes.dtype),
+                np.zeros(n, dtype=sample.kinds.dtype),
+                np.full(n, 0.25, dtype=sample.shares.dtype),
+                sample.pushes, sample.requests, sample.losses,
+            )
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert record.mean_byzantine_fraction == 0.25
+        assert size <= 200 * 1024, size
+
+    def test_a_down_node_leaves_the_columns(self):
+        config = replace(
+            shard_config({"n_nodes": 40, "byzantine_fraction": 0.1,
+                          "trusted_fraction": 0.1, "view_ratio": 0.2},
+                         seed=3, protocol="raptee"),
+            crashes=((7, 2, 1),),
+        )
+        records = run_shard_config(config, rounds=3).bundle.view_records
+        assert [7 in record.nodes for record in records] == [True, False, True]
+        full = records[0]
+        assert full.nodes.tolist() == list(range(4, 40))
+        assert full.shares_of(NodeKind.TRUSTED) == full.shares[:4].tolist()
+        assert len(full.shares_of(NodeKind.HONEST)) == 32
 
 
 class TestWorkersValidation:

@@ -12,12 +12,12 @@ from repro.scenario import compile_spec, spec_from_dict
 from repro.scenario.catalog import CATALOG, get_spec
 from repro.scenario.compile import event_options_from_spec, fault_plan_from_spec
 from repro.sim.bootstrap import UniformBootstrap
-from repro.sim.churn import ChurnEvent, CatastrophicFailure, NoChurn, UniformChurn
+from repro.sim.churn import ChurnEvent, ChurnModel, CatastrophicFailure, UniformChurn
 from repro.sim.engine import Observer, Simulation
 from repro.sim.messages import Message
 from repro.sim.network import Network
 from repro.sim.node import KnownIds, NodeBase, NodeKind
-from repro.sim.observers import DiscoveryObserver, ViewTraceObserver
+from repro.sim.observers import KIND_CODE, RoundRecorder
 
 
 class PhaseRecorder(NodeBase):
@@ -184,8 +184,13 @@ class TestMembership:
 
 class TestChurn:
     def test_no_churn_keeps_membership(self):
-        sim, _log = make_sim(n=5, churn=NoChurn())
+        sim, _log = make_sim(n=5, churn=None)
         sim.run(3)
+        assert len(sim.alive_nodes()) == 5
+        # Clearing a model restores static membership.
+        sim.set_churn(CatastrophicFailure(at_round=4, fraction=0.5))
+        sim.set_churn(None)
+        sim.run(2)
         assert len(sim.alive_nodes()) == 5
 
     def test_catastrophic_failure(self):
@@ -240,7 +245,7 @@ class TestChurn:
         # churn model, so a crashed (alive=False) node could be picked as a
         # departure — silently swallowing the event — and still counted
         # toward UniformChurn's arrival population.
-        class RecordingChurn(NoChurn):
+        class RecordingChurn(ChurnModel):
             def __init__(self):
                 self.offered = []
 
@@ -331,18 +336,22 @@ class TestObservers:
         sim, _log = make_sim(n=3)
         for node in sim.nodes.values():
             node.seed_view([0, 1, 2])
-        trace = ViewTraceObserver()
+        trace = RoundRecorder()
         sim.run(2, observers=[trace])
         assert len(trace.records) == 2
         record = trace.records[-1]
+        assert record.nodes.tolist() == [0, 1, 2]
+        assert record.kinds.tolist() == [KIND_CODE[NodeKind.HONEST]] * 3
         assert set(record.byzantine_fraction) == {0, 1, 2}
         assert record.mean_byzantine_fraction == 0.0
+        with pytest.raises(TypeError):
+            record.byzantine_fraction[0] = 1.0  # a read-only mapping
 
     def test_discovery_observer_thresholds(self):
         sim, _log = make_sim(n=4)
         for node in sim.nodes.values():
             node.seed_view([0, 1, 2, 3])  # everyone knows everyone
-        discovery = DiscoveryObserver(threshold=0.75)
+        discovery = RoundRecorder()
         sim.run(1, observers=[discovery])
         assert discovery.all_discovered_round(sim) == 1
 
@@ -354,23 +363,19 @@ class TestObservers:
         for node in sim.nodes.values():
             others = [peer for peer in range(4) if peer != node.node_id]
             node.seed_view(others[:2] if node.node_id else others[:1])
-        discovery = DiscoveryObserver(threshold=0.75)
+        discovery = RoundRecorder()
         sim.run(1, observers=[discovery])
         assert discovery.discovery_round == {1: 1, 2: 1, 3: 1}
 
-    def test_discovery_threshold_validation(self):
-        with pytest.raises(ValueError):
-            DiscoveryObserver(threshold=0.0)
-
     def test_discovery_not_reached_returns_minus_one(self):
         sim, _log = make_sim(n=4)
-        discovery = DiscoveryObserver(threshold=0.9)
+        discovery = RoundRecorder()
         sim.run(1, observers=[discovery])
         assert discovery.all_discovered_round(sim) == -1
 
 
 class DiscoveryAudit(Observer):
-    """Runs after the bundle's DiscoveryObserver and holds its count, for
+    """Runs after the bundle's round recorder and holds its count, for
     every correct node every round, to the count it replaced: a copy of the
     target set intersected with the node's known set, plus the node."""
 
@@ -397,7 +402,7 @@ class DiscoveryAudit(Observer):
 
 def _audited_run(spec):
     """``run_scenario``'s per-node wiring (faults, then events) with the
-    audit riding after the metric observers; telemetry moves no count."""
+    audit riding after the round recorder; telemetry moves no count."""
     bundle = compile_spec(spec)
     plan = fault_plan_from_spec(spec)
     if plan is not None:
@@ -405,7 +410,7 @@ def _audited_run(spec):
     events = event_options_from_spec(spec)
     if events is not None:
         bundle = wire_events(bundle, events)
-    audit = DiscoveryAudit(bundle.discovery)
+    audit = DiscoveryAudit(bundle.trace)
     bundle.run(spec.rounds, extra_observers=(audit,))
     return bundle, audit
 
@@ -443,7 +448,7 @@ class TestDiscoveryCount:
         })
         bundle, audit = _audited_run(spec)
         assert audit.arrivals_counted > 0
-        assert bundle.discovery.discovery_round
+        assert bundle.trace.discovery_round
 
 
 _IDS = st.integers(min_value=0, max_value=300)

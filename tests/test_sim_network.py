@@ -7,9 +7,13 @@ from typing import List, Optional
 
 import pytest
 
+from repro.events.engine import EventEngine, EventOptions
+from repro.events.latency import ConstantLatency
+from repro.sim.engine import Simulation
 from repro.sim.messages import Message, PullReply, PullRequest
 from repro.sim.network import Network
 from repro.sim.node import NodeBase, NodeKind
+from repro.sim.observers import RoundRecorder
 from repro.telemetry import Telemetry, TelemetryConfig, metrics_to_csv
 
 
@@ -47,6 +51,20 @@ class EchoNode(NodeBase):
 @pytest.fixture
 def network(rng):
     return Network(rng)
+
+
+def _recorded(loss_rate=0.0):
+    """Two echo nodes, ids 1 and 2, on a simulation, and a round recorder
+    that :func:`_close` closes rounds on by hand."""
+    simulation = Simulation(Network(random.Random(2), loss_rate=loss_rate),
+                            [EchoNode(1), EchoNode(2)], random.Random(0))
+    return simulation, RoundRecorder()
+
+
+def _close(simulation, recorder, round_number):
+    simulation.round_number = round_number
+    recorder.on_round_end(simulation)
+    return recorder.records[-1]
 
 
 class TestDelivery:
@@ -90,14 +108,12 @@ class TestDelivery:
         with pytest.raises(ValueError):
             network.register(EchoNode(1))
 
-    def test_per_round_push_accounting(self, network):
-        a, b = EchoNode(1), EchoNode(2)
-        network.register(a)
-        network.register(b)
-        network.current_round = 3
-        network.send_push(1, 2)
-        network.send_push(1, 2)
-        assert network.stats.per_round_pushes[3] == 2
+    def test_per_round_push_accounting(self):
+        simulation, recorder = _recorded()
+        simulation.network.current_round = 3
+        simulation.network.send_push(1, 2)
+        simulation.network.send_push(1, 2)
+        assert _close(simulation, recorder, 3).pushes == 2
 
 
 class TestLoss:
@@ -171,66 +187,122 @@ class TestEncryptedTransport:
 
 class TestPerRoundCounters:
     def test_requests_and_losses_counted_per_round(self):
-        network = Network(random.Random(2), loss_rate=0.5)
-        a, b = EchoNode(1), EchoNode(2)
-        network.register(a)
-        network.register(b)
+        simulation, recorder = _recorded(loss_rate=0.5)
+        network = simulation.network
         network.current_round = 4
         for _ in range(60):
             network.request(1, 2, PullRequest(sender=1))
+        round_4 = _close(simulation, recorder, 4)
         network.current_round = 5
         for _ in range(40):
             network.request(1, 2, PullRequest(sender=1))
+        round_5 = _close(simulation, recorder, 5)
         stats = network.stats
-        assert stats.per_round_requests[4] == 60
-        assert stats.per_round_requests[5] == 40
+        assert (round_4.requests, round_5.requests) == (60, 40)
         assert stats.requests_sent == 100
-        # Every loss lands in the round it happened in, and the per-round
-        # counters sum to the lifetime total.
-        assert sum(stats.per_round_losses.values()) == stats.messages_lost
-        assert stats.messages_lost > 0
+        # Every loss lands in the round it happened in, and the records
+        # sum to the lifetime total.
+        assert round_4.losses + round_5.losses == stats.messages_lost
+        assert round_4.losses > 0 and round_5.losses > 0
 
-    def test_dense_series_and_peak_readers(self):
-        from repro.analysis.metrics import peak_round, per_round_series
 
-        network = Network(random.Random(0))
-        a, b = EchoNode(1), EchoNode(2)
-        network.register(a)
-        network.register(b)
-        network.current_round = 2
-        network.send_push(1, 2)
-        network.current_round = 4
-        network.send_push(1, 2)
-        network.send_push(2, 1)
-        assert per_round_series(network.stats.per_round_pushes, 5) == [0, 1, 0, 2, 0]
-        assert peak_round(network.stats.per_round_pushes) == (4, 2)
-        assert peak_round({}) is None
+class TallyNetwork(Network):
+    """The network, also tallying each message under the round open when
+    the network counts it: what that round's record must hold."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tally = Counter()
+
+    def _tallied(self, call, *args):
+        stats = self.stats
+        before = (stats.pushes_sent, stats.requests_sent, stats.messages_lost)
+        result = call(*args)
+        after = (stats.pushes_sent, stats.requests_sent, stats.messages_lost)
+        for name, then, now in zip(("pushes", "requests", "losses"), before, after):
+            self.tally[name, self.current_round] += now - then
+        return result
+
+    def send_pushes(self, src, targets):
+        return self._tallied(super().send_pushes, src, targets)
+
+    def request(self, src, dst, message):
+        return self._tallied(super().request, src, dst, message)
+
+
+class Chatter(EchoNode):
+    """In round r: ``r % 3`` pushes to each of ``targets`` (id 9 is never
+    registered, so those are lost) and one pull of the first target."""
+
+    def __init__(self, node_id, targets, sent):
+        super().__init__(node_id)
+        self.targets, self.sent = targets, sent
+
+    def gossip(self, ctx):
+        targets = self.targets * (ctx.round_number % 3)
+        self.sent[ctx.round_number] += len(targets)
+        ctx.send_pushes(self.node_id, targets)
+        ctx.request(self.node_id, self.targets[0], PullRequest(sender=self.node_id))
+
+
+def _chatter_run(run, rounds=6):
+    sent = Counter()
+    network = TallyNetwork(random.Random(4), loss_rate=0.2)
+    nodes = [Chatter(node_id, [peer for peer in (1, 2, 3, 9) if peer != node_id], sent)
+             for node_id in (1, 2, 3)]
+    simulation = Simulation(network, nodes, random.Random(5))
+    recorder = RoundRecorder()
+    run(simulation, rounds, [recorder])
+    records = recorder.records
+    assert [record.round_number for record in records] == list(range(1, rounds + 1))
+    for record in records:
+        assert (record.pushes, record.requests, record.losses) == tuple(
+            network.tally[name, record.round_number]
+            for name in ("pushes", "requests", "losses")
+        )
+    stats = network.stats
+    assert sum(record.pushes for record in records) == stats.pushes_sent
+    assert sum(record.losses for record in records) == stats.messages_lost > 0
+    return records, sent
 
 
 class TestStatsRoundAttribution:
-    def test_stats_read_across_round_boundary(self, network):
-        # Regression: per-round tallies used to be flushed lazily on the
-        # next round transition, so a holder of the ``stats`` reference
-        # reading mid-round saw totals ahead of the per-round Counters,
-        # and a round's tail could be misattributed to its successor.
-        a, b = EchoNode(1), EchoNode(2)
-        network.register(a)
-        network.register(b)
+    """A message the network counts while round r is open lands in round
+    r's record — on the round loop and on the event clock — however the
+    ``stats`` reference is held."""
+
+    def test_stats_read_across_round_boundary(self):
+        simulation, recorder = _recorded()
+        network = simulation.network
         stats = network.stats  # held across rounds, like a metrics exporter
         network.current_round = 7
         network.send_push(1, 2)
         network.request(1, 2, PullRequest(sender=1))
-        # Mid-round read: per-round tallies must already agree with the
-        # lifetime totals — eagerly, not after the next round's flush.
-        assert stats.per_round_pushes[7] == 1 == stats.pushes_sent
-        assert stats.per_round_requests[7] == 1 == stats.requests_sent
+        # Mid-round read: the lifetime totals are current, not flushed later.
+        assert (stats.pushes_sent, stats.requests_sent) == (1, 1)
+        round_7 = _close(simulation, recorder, 7)
         network.current_round = 8
         network.send_push(2, 1)
+        round_8 = _close(simulation, recorder, 8)
         # Round 7's tail stays in round 7; nothing bleeds into round 8.
-        assert stats.per_round_pushes[7] == 1
-        assert stats.per_round_pushes[8] == 1
-        assert stats.per_round_requests[8] == 0
+        assert (round_7.pushes, round_7.requests) == (1, 1)
+        assert (round_8.pushes, round_8.requests) == (1, 0)
         assert stats.pushes_sent == 2
+
+    def test_round_loop_records_each_round_traffic(self):
+        records, sent = _chatter_run(lambda sim, rounds, observers: sim.run(rounds, observers))
+        # On the round loop every push is counted in the round it is sent.
+        assert [record.pushes for record in records] == [sent[r] for r in range(1, 7)]
+
+    def test_event_clock_records_each_round_traffic(self):
+        def run(simulation, rounds, observers):
+            options = EventOptions(seed=3, latency=ConstantLatency(0.45))
+            EventEngine(simulation, options).run(rounds, observers)
+
+        records, sent = _chatter_run(run)
+        # A push in flight at the boundary is counted on arrival, in the
+        # next round's record.
+        assert [record.pushes for record in records] != [sent[r] for r in range(1, 7)]
 
 
 class TestSendPushes:
@@ -259,10 +331,8 @@ class TestSendPushes:
 
     @staticmethod
     def _observed(network, nodes, gate_calls, telemetry):
-        stats = {name: dict(value) if isinstance(value, Counter) else value
-                 for name, value in vars(network.stats).items()}
         return {
-            "stats": stats,
+            "stats": dict(vars(network.stats)),
             "loss_rng": network._rng.getstate(),
             "trace": telemetry.trace.events.jsonl(),
             "metrics": metrics_to_csv(telemetry.registry),
@@ -292,8 +362,7 @@ class TestSendPushes:
         assert observed["received"] == expected
         assert observed["loss_rng"] == twin.getstate()
         # Every gate was exercised: hook drops, RNG losses, a dead node and
-        # an unregistered id; an empty batch touched no round's count.
+        # an unregistered id.
         assert observed["stats"]["messages_lost"] > 8
         assert observed["stats"]["pushes_delivered"] > 0
-        assert set(observed["stats"]["per_round_pushes"]) == {1, 2, 3}
         assert '"delivered":false' in observed["trace"].replace(" ", "")

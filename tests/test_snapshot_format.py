@@ -161,14 +161,15 @@ class TestTraceLayout:
             events=[TraceEvent(0, "event", "round.begin", 1)], _seq=1
         )
         write_envelope(str(path), "run-state", {}, telemetry)
-        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint'"):
+        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-2'"):
             restore(str(path))
 
 
 class TestRunStateLayout:
-    """A checkpoint is the bundle under the kind ``"checkpoint"``; a file
-    of the kind checkpoints had when a wrapper held the bundle
-    (``"run-state"``) is refused by kind, before anything is unpickled."""
+    """A checkpoint is the bundle under the kind ``"checkpoint-2"``; a file
+    of a kind checkpoints had before — ``"run-state"`` when a wrapper held
+    the bundle, ``"checkpoint"`` before round records were columns — is
+    refused by kind, before anything is unpickled."""
 
     def test_old_layout_run_state_refuses_to_resume(self, tmp_path):
         path = tmp_path / "old-run-state.snapshot"
@@ -177,8 +178,25 @@ class TestRunStateLayout:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint'"):
+        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-2'"):
             restore(str(path))
+
+    def test_pre_columnar_checkpoint_refuses_to_resume(self, tmp_path, capsys):
+        # A bundle of the kind written before round records were columns:
+        # its recorder, network stats and churn model have another shape.
+        path = tmp_path / "old-checkpoint.snapshot"
+        write_envelope(str(path), "checkpoint", {}, _small_bundle())
+        # A payload that would not unpickle: the kind check comes first.
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="'checkpoint'.*expected 'checkpoint-2'"):
+            restore(str(path))
+        assert main(["run", "--resume", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "'checkpoint'" in captured.err
+        assert captured.out == ""
 
     def test_old_layout_bundle_refuses_to_resume(self, tmp_path, capsys):
         # A bundle from when the event clock lived beside it, in the file
@@ -256,7 +274,7 @@ class TestCaptureRestore:
         path = tmp_path / "run.snapshot"
         save(bundle, str(path))
         header = describe(str(path))
-        assert header["kind"] == "checkpoint"
+        assert header["kind"] == "checkpoint-2"
         assert header["meta"] == {"scenario": "snapshot-unit", "rounds_completed": 2,
                                   "rounds_total": 9, "nodes": 12}
 
@@ -327,7 +345,7 @@ class TestSnapshotCli:
         assert main(["snapshot", "info", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"format version:     {SNAPSHOT_FORMAT_VERSION}" in out
-        assert "kind:               checkpoint" in out
+        assert "kind:               checkpoint-2\n" in out
         assert "scenario:           snapshot-unit" in out
         assert "rounds_total:       4" in out
 
