@@ -28,15 +28,16 @@ The commands:
   drift or an integrity failure, 2 on a usage error.
 
 A refused flag value exits 2 with ``error: <flag or spec field>: …`` on
-stderr; a corrupt, missing or mismatched snapshot exits 1.
+stderr (``--rounds`` below 1 is refused the same way by every command,
+before anything is built or restored); a corrupt, missing or mismatched
+snapshot exits 1.
 
 Examples::
 
     repro run --protocol raptee --nodes 300 --f 0.1 --t 0.1
     repro run --nodes 300 --rounds 200 --checkpoint-every 20
     repro run --shards 8 --nodes 10000 --view-ratio 0.02 --rounds 5
-    repro run --engine events --latency-model lognormal:40:0.6 \\
-        --load 40:30 --straggler 0.1:8 --events-trace-out latency.jsonl
+    repro run --engine events --latency-model lognormal:40:0.6
     repro run --resume repro-run.snapshot
     repro snapshot info repro-run.snapshot
     repro figure fig9 --scale test
@@ -177,23 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="uniform message loss rate")
     run_parser.add_argument("--latency-model", default=None, metavar="SPEC",
                             help="per-link one-way delay for --engine events: "
-                                 "zero | constant:MS | uniform:LO:HI | "
+                                 "zero | constant:MS | "
                                  "lognormal:MEDIAN:SIGMA (times in ms)")
-    run_parser.add_argument("--load", default=None, metavar="CLIENTS:RPM",
-                            help="client load for --engine events: active "
-                                 "clients x requests/minute each (e.g. 40:30)")
-    run_parser.add_argument("--straggler", default=None,
-                            metavar="FRAC:FACTOR",
-                            help="slow a deterministic node subset under "
-                                 "--engine events (e.g. 0.1:8 = 10%% of "
-                                 "nodes at 8x)")
     run_parser.add_argument("--tick-interval", type=float,
                             default=DEFAULT_TICK_INTERVAL, metavar="SECONDS",
                             help="round period on the event clock under "
                                  f"--engine events (default {DEFAULT_TICK_INTERVAL})")
-    run_parser.add_argument("--events-trace-out", default=None, metavar="PATH",
-                            help="write the per-request latency trace (JSON "
-                                 "Lines) of --engine events --load here")
 
     figure_parser = commands.add_parser("figure", help="regenerate a paper figure")
     figure_parser.set_defaults(handler=_command_figure)
@@ -294,8 +284,6 @@ def _spec_from_args(args) -> ScenarioSpec:
             kind="events",
             tick_interval=args.tick_interval,
             latency=args.latency_model,
-            load=args.load,
-            straggler=args.straggler,
         )
     else:
         engine = EngineSpec()
@@ -349,36 +337,13 @@ def _events_lines(engine):
     options = engine.options
     yield "engine", f"events (continuous, tick {options.tick_interval:g} s)"
     yield "latency model", options.latency.describe()
-    if options.stragglers is not None:
-        yield "stragglers", options.stragglers.describe()
     yield "cycles", f"{engine.cycles} (late {100.0 * engine.late_fraction:.1f}%)"
-    load = engine.load
-    if load is not None:
-        yield "load", (f"{load.spec.describe()} -> "
-                       f"{load.served} served, {load.failed} failed")
-        yield "request latency", (
-            f"p50 {load.latency_percentile_ms(0.50):.1f} ms, "
-            f"p95 {load.latency_percentile_ms(0.95):.1f} ms, "
-            f"p99 {load.latency_percentile_ms(0.99):.1f} ms")
-        yield "byz samples", f"{100.0 * load.byzantine_fraction:.1f}%"
 
 
 def _command_run_events(args) -> int:
-    artifacts = run_scenario(
-        _spec_from_args(args), telemetry=TelemetryConfig(tracing=False)
-    )
-    engine = artifacts.bundle.engine
+    artifacts = run_scenario(_spec_from_args(args), telemetry=None)
     _report(args.protocol, artifacts.spec.topology, artifacts.spec.rounds,
-            artifacts.metrics, _events_lines(engine))
-    if args.events_trace_out:
-        load = engine.load
-        records = [] if load is None else load.records
-        with open(args.events_trace_out, "w", encoding="utf-8") as stream:
-            for record in records:
-                stream.write(json.dumps(record, sort_keys=True))
-                stream.write("\n")
-        _line("latency trace",
-              f"{args.events_trace_out} ({len(records)} requests)")
+            artifacts.metrics, _events_lines(artifacts.bundle.engine))
     return 0
 
 
@@ -409,10 +374,7 @@ def _command_run(args) -> int:
     if args.engine != "events":
         for flag, given in (
             ("--latency-model", args.latency_model is not None),
-            ("--load", args.load is not None),
-            ("--straggler", args.straggler is not None),
             ("--tick-interval", args.tick_interval != DEFAULT_TICK_INTERVAL),
-            ("--events-trace-out", args.events_trace_out is not None),
         ):
             if given:
                 raise _UsageError(f"{flag} only applies with --engine events")
@@ -432,8 +394,6 @@ def _command_run(args) -> int:
     # written: run to --rounds (unset: the stored target), saving every
     # --checkpoint-every rounds to --checkpoint-out, else to the resumed
     # file itself, else to DEFAULT_CHECKPOINT.
-    if args.rounds is not None and args.rounds < 1:
-        raise _UsageError(f"--rounds: must be a positive round target, got {args.rounds}")
     if args.checkpoint_every < 0:
         raise _UsageError(
             f"--checkpoint-every: must be non-negative, got {args.checkpoint_every}")
@@ -601,6 +561,12 @@ def _command_vectors_list(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every command's round target, whatever the engine, before anything
+        # is built or restored (unset: the command's default or the
+        # checkpoint's stored target).
+        rounds = getattr(args, "rounds", None)
+        if rounds is not None and rounds < 1:
+            raise _UsageError(f"--rounds: must be a positive round target, got {rounds}")
         return args.handler(args)
     except (_UsageError, ScenarioSpecError, ShardUnsupportedError) as error:
         # A flag value the command or the spec rejects, or a feature

@@ -3,8 +3,8 @@
 The round engine (:mod:`repro.sim.engine`) is lockstep: every node acts
 once per global round.  This package runs the same protocol objects as a
 deterministic discrete-event simulation — a seeded event queue with a
-FIFO tie-break, a link latency model, latency-stretched per-node gossip
-cycles, and a client load generator.  Lockstep rounds stay the round
+FIFO tie-break, a link latency model (zero, constant or log-normal) and
+latency-stretched per-node gossip cycles.  Lockstep rounds stay the round
 engine's job: a ``mode='barrier'`` spec compiles to no event engine and
 runs on the round loop.
 
@@ -14,21 +14,14 @@ Entry points: ``run_scenario`` on a ``kind='events'`` spec, or
 an :class:`EventEngine` the bundle's ``engine`` and returns the bundle.
 """
 
-from repro.events.engine import (
-    EventEngine,
-    EventOptions,
-    StragglerProfile,
-    parse_straggler,
-)
+from repro.events.engine import EventEngine, EventOptions
 from repro.events.harness import wire_events
 from repro.events.latency import (
     ConstantLatency,
     LatencyModel,
     LogNormalLatency,
-    UniformLatency,
     parse_latency_model,
 )
-from repro.events.load import LoadGenerator, LoadSpec, parse_load, percentile
 from repro.events.network import EventRoundContext, LatencyNetwork
 from repro.events.queue import Event, EventQueue
 
@@ -37,17 +30,10 @@ __all__ = [
     "EventQueue",
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LogNormalLatency",
     "parse_latency_model",
     "LatencyNetwork",
     "EventRoundContext",
-    "LoadSpec",
-    "LoadGenerator",
-    "parse_load",
-    "percentile",
-    "StragglerProfile",
-    "parse_straggler",
     "EventOptions",
     "EventEngine",
     "wire_events",

@@ -8,9 +8,8 @@ but each node runs its own *cycle*: at its scheduled time it begins and
 gossips; its ``end_round`` lands after ``max(period, session_time)``,
 where session time is the sum of its request RTTs over the sampled link
 delays (see :class:`~repro.events.network.LatencyNetwork`).  A node behind
-slow links — or marked a straggler — cycles late, gossips less often per
-wall-clock round, and ages out of views exactly the way lockstep rounds
-cannot express.
+slow links cycles late, gossips less often per wall-clock round, and ages
+out of views exactly the way lockstep rounds cannot express.
 
 Lockstep rounds are not a mode of this engine: a ``mode='barrier'`` spec
 compiles to no event engine at all and runs on the round loop
@@ -28,11 +27,10 @@ import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Sequence, Set, Tuple
 
 from repro.crypto.prng import Sha256Prng, derive_seed
 from repro.events.latency import ConstantLatency, LatencyModel
-from repro.events.load import LoadGenerator, LoadSpec
 from repro.events.network import (
     LATENCY_BUCKETS_MS,
     EventRoundContext,
@@ -43,55 +41,7 @@ from repro.events.queue import EventQueue
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Observer, Simulation
 
-__all__ = [
-    "StragglerProfile",
-    "EventOptions",
-    "EventEngine",
-    "parse_straggler",
-]
-
-#: Resolution of the straggler membership draw (53 bits, like a float).
-_DRAW_SPAN = 1 << 53
-
-
-@dataclass(frozen=True)
-class StragglerProfile:
-    """A deterministic slow subset: ``fraction`` of nodes run ``slowdown``×.
-
-    Membership is a pure function of ``(seed, node_id)`` — no RNG stream
-    is consumed, so adding stragglers never shifts any other draw.
-    """
-
-    fraction: float
-    slowdown: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("straggler fraction must be in [0, 1]")
-        if not (math.isfinite(self.slowdown) and self.slowdown >= 1.0):
-            raise ValueError("straggler slowdown must be finite and >= 1")
-
-    def factor_for(self, seed: int, node_id: int) -> float:
-        if self.fraction <= 0.0:
-            return 1.0
-        draw = derive_seed(seed, "events", "straggler", node_id) % _DRAW_SPAN
-        return self.slowdown if draw / float(_DRAW_SPAN) < self.fraction else 1.0
-
-    def describe(self) -> str:
-        return f"{100.0 * self.fraction:g}% of nodes at {self.slowdown:g}x"
-
-
-def parse_straggler(spec: str) -> StragglerProfile:
-    """Parse a CLI straggler spec ``FRACTION:SLOWDOWN`` (e.g. ``0.1:8``)."""
-    parts = spec.strip().split(":")
-    if len(parts) == 2:
-        try:
-            return StragglerProfile(float(parts[0]), float(parts[1]))
-        except ValueError as error:
-            raise ValueError(f"bad straggler spec {spec!r}: {error}") from error
-    raise ValueError(
-        f"bad straggler spec {spec!r}: expected FRACTION:SLOWDOWN (e.g. 0.1:8)"
-    )
+__all__ = ["EventOptions", "EventEngine"]
 
 
 @dataclass(frozen=True)
@@ -103,8 +53,6 @@ class EventOptions:
     tick_interval: float = 1.0
     #: One-way delay of every link.
     latency: LatencyModel = ConstantLatency()
-    load: Optional[LoadSpec] = None
-    stragglers: Optional[StragglerProfile] = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tick_interval) and self.tick_interval > 0):
@@ -132,21 +80,11 @@ class EventEngine:
             telemetry,
         )
         self.latency_network.bind(self.queue)
-        self.load: Optional[LoadGenerator] = None
-        if options.load is not None:
-            self.load = LoadGenerator(
-                options.load,
-                simulation,
-                options.latency,
-                Sha256Prng(derive_seed(options.seed, "events", "load")),
-                telemetry,
-            )
         self._offset_rng: random.Random = Sha256Prng(
             derive_seed(options.seed, "events", "schedule")
         )
         self._ctx = EventRoundContext(simulation, self.latency_network)
         self._cycled: Set[int] = set()
-        self._factors: Dict[int, float] = {}
         self.cycles = 0
         self.late_cycles = 0
         self._cycle_histogram = None
@@ -171,9 +109,6 @@ class EventEngine:
             return
         self._observers = tuple(observers)
         interval = self.options.tick_interval
-        horizon = rounds * interval
-        if self.load is not None:
-            self.load.prime(self.queue, horizon)
         self._target_round = self.simulation.round_number + rounds
         for index in range(1, rounds + 1):
             self.queue.schedule(index * interval, "round.boundary",
@@ -221,16 +156,6 @@ class EventEngine:
 
     # -- node cycles -------------------------------------------------------------
 
-    def _factor(self, node_id: int) -> float:
-        factor = self._factors.get(node_id)
-        if factor is None:
-            profile = self.options.stragglers
-            factor = 1.0 if profile is None else profile.factor_for(
-                self.options.seed, node_id
-            )
-            self._factors[node_id] = factor
-        return factor
-
     def _run_cycle(self, node_id: int) -> None:
         if self._done:
             return
@@ -253,7 +178,7 @@ class EventEngine:
         with scope:
             node.begin_round(self._ctx)
             node.gossip(self._ctx)
-        busy = self.latency_network.session_time * self._factor(node_id)
+        busy = self.latency_network.session_time
         cycle_time = max(interval, busy)
         self.cycles += 1
         if busy > interval:

@@ -1,8 +1,8 @@
 """Wiring: put a built simulation bundle on the event clock.
 
 :func:`wire_events` is the last of the three ``wire_*`` calls, after
-:func:`repro.telemetry.harness.wire_telemetry` (the engine, latency adapter
-and load generator pick the hub up from the simulation) and
+:func:`repro.telemetry.harness.wire_telemetry` (the engine and latency adapter
+pick the hub up from the simulation) and
 :func:`repro.faults.harness.wire_faults` (the installed
 :class:`~repro.sim.engine.FaultController` fires at every round-open
 boundary on the event clock, which also drives membership gossip).  It

@@ -1,13 +1,11 @@
 """Per-link latency models for the event-driven engine.
 
 A :class:`LatencyModel` turns an RNG into a one-way delay in seconds; one
-model governs every link of a run.  Three shapes cover the usual WAN
-abstractions (AsyncFlow's ``Edge`` uses the same trio):
+model governs every link of a run.  Two shapes:
 
 * :class:`ConstantLatency` — fixed delay; consumes **zero** RNG draws, so
   a zero-latency run leaves the latency stream untouched and delivers
   pushes inline;
-* :class:`UniformLatency` — uniform on ``[low, high]``;
 * :class:`LogNormalLatency` — heavy-tailed, parameterised by the median
   and the log-space sigma (the paper-friendly parameterisation: the
   median survives the exponentiation, unlike the mean).
@@ -15,9 +13,8 @@ abstractions (AsyncFlow's ``Edge`` uses the same trio):
 Every parameter must be finite: a NaN or infinite delay would put an
 event at a time the queue can never drain past.
 
-All stochastic models draw through methods backed purely by
-``rng.random()`` (``lognormvariate`` / direct uniform scaling) — never
-``gauss``, whose cached spare value lives outside
+The log-normal model draws through ``lognormvariate``, backed purely by
+``rng.random()`` — never ``gauss``, whose cached spare value lives outside
 :class:`~repro.crypto.prng.Sha256Prng`'s checkpointable state.
 """
 
@@ -30,7 +27,6 @@ from dataclasses import dataclass
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LogNormalLatency",
     "parse_latency_model",
 ]
@@ -63,26 +59,6 @@ class ConstantLatency(LatencyModel):
         if self.seconds == 0.0:
             return "zero"
         return f"constant {1000.0 * self.seconds:g} ms"
-
-
-@dataclass(frozen=True)
-class UniformLatency(LatencyModel):
-    """Uniform one-way delay on ``[low, high]`` seconds."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.high) and 0 <= self.low <= self.high):
-            raise ValueError("uniform latency needs finite 0 <= low <= high")
-
-    def sample(self, rng: random.Random) -> float:
-        # One random() draw, scaled by hand: uniform(a, b) is equivalent
-        # but spelling it out pins the draw count to exactly one.
-        return self.low + (self.high - self.low) * rng.random()
-
-    def describe(self) -> str:
-        return f"uniform {1000.0 * self.low:g}-{1000.0 * self.high:g} ms"
 
 
 @dataclass(frozen=True)
@@ -119,7 +95,6 @@ def parse_latency_model(spec: str) -> LatencyModel:
 
         zero
         constant:MS
-        uniform:LOW_MS:HIGH_MS
         lognormal:MEDIAN_MS:SIGMA
     """
     parts = spec.strip().lower().split(":")
@@ -129,13 +104,11 @@ def parse_latency_model(spec: str) -> LatencyModel:
             return ConstantLatency(0.0)
         if kind == "constant" and len(args) == 1:
             return ConstantLatency(float(args[0]) / 1000.0)
-        if kind == "uniform" and len(args) == 2:
-            return UniformLatency(float(args[0]) / 1000.0, float(args[1]) / 1000.0)
         if kind == "lognormal" and len(args) == 2:
             return LogNormalLatency(float(args[0]) / 1000.0, float(args[1]))
     except ValueError as error:
         raise ValueError(f"bad latency spec {spec!r}: {error}") from error
     raise ValueError(
         f"bad latency spec {spec!r}: expected zero | constant:MS | "
-        f"uniform:LOW:HIGH | lognormal:MEDIAN:SIGMA (times in ms)"
+        f"lognormal:MEDIAN:SIGMA (times in ms)"
     )

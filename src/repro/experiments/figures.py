@@ -1,7 +1,7 @@
 """The paper's tables and figures as data, and the one runner that makes them.
 
 Each table and figure (§V's Fig. 3, Table I and Figs. 5-13; the four
-ablations; the churn, SLO and straggler extensions) is a :class:`FigureDef`
+ablations; the trusted-set churn extension) is a :class:`FigureDef`
 in :data:`FIGURES` under its ``repro figure`` id.  :func:`run_figure` builds
 each of its cells with :func:`cell_spec` and sweeps it over the scale's
 seeds (``repeat`` for the paper's three metrics, ``map_ordered`` for a
@@ -20,8 +20,6 @@ from repro.analysis.metrics import overhead_percent, resilience_improvement
 from repro.analysis.stats import summarize
 from repro.brahms.config import BrahmsConfig
 from repro.core.eviction import AdaptiveEviction, FixedEviction
-from repro.events import parse_straggler
-from repro.events.network import LATENCY_BUCKETS_MS
 from repro.experiments.reporting import FigureResult
 from repro.experiments.runner import map_ordered, repeat
 from repro.experiments.scenarios import TopologySpec
@@ -29,7 +27,6 @@ from repro.membership.service import MembershipConfig
 from repro.scenario.run import ScenarioArtifacts, run_scenario
 from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec
 from repro.sgx.cycles import TABLE_I, PeerSamplingFunction
-from repro.telemetry import TelemetryConfig
 
 __all__ = ["Scale", "TEST_SCALE", "BENCH_SCALE", "PAPER_SCALE", "FigureResult", "FigureDef",
            "FIGURES", "cell_spec", "run_figure"]
@@ -60,8 +57,6 @@ PAPER_SCALE = Scale(n_nodes=10_000, rounds=200, repetitions=10, view_ratio=0.02)
 
 Cell = Mapping[str, object]
 Values = Tuple[float, ...]
-_LINK = "lognormal:40:0.6"
-_SLO_MS = 200.0
 
 _SECTIONS = {"topology": TopologySpec, "raptee": RapteeOptions, "engine": EngineSpec}
 #: The section whose field a cell key names; other keys are spec fields.
@@ -101,13 +96,12 @@ class FigureDef:
     #: One seed's numbers; None is the paper's (resilience, discovery,
     #: stability), whose -1 "never reached" ``repeat`` leaves out of the mean.
     measure: Optional[Callable[[ScenarioArtifacts], Values]] = None
-    #: ``run_scenario`` keywords; by default a cell runs without a telemetry hub.
-    wiring: Mapping[str, object] = field(default_factory=dict)
 
 
-def _seed_run(measure, wiring, spec: ScenarioSpec, seed: int):
-    """One seed of one cell: the only way a figure runs anything."""
-    artifacts = run_scenario(replace(spec, seed=seed), **{"telemetry": None, **wiring})
+def _seed_run(measure, spec: ScenarioSpec, seed: int):
+    """One seed of one cell, without a telemetry hub: the only way a figure
+    runs anything."""
+    artifacts = run_scenario(replace(spec, seed=seed), telemetry=None)
     return artifacts.metrics if measure is None else measure(artifacts)
 
 
@@ -124,7 +118,7 @@ def run_figure(figure: FigureDef, scale: Scale, memo: Optional[Dict] = None,
         spec = cell_spec(scale, cell)
         key = (figure.measure, spec, seeds)
         if key not in memo:
-            task = partial(_seed_run, figure.measure, figure.wiring, spec)
+            task = partial(_seed_run, figure.measure, spec)
             if figure.measure is None:
                 runs = repeat(task, list(seeds))
                 milestones = (runs.discovery_round, runs.stability_round)
@@ -206,32 +200,6 @@ def _churn(artifacts: ScenarioArtifacts) -> Values:
             director.stats.joins, director.stats.leaves)
 
 
-def _slo(artifacts: ScenarioArtifacts) -> Values:
-    """Served, failed, p50, p95, % within the SLO, % Byzantine and req/s."""
-    registry = artifacts.bundle.telemetry.registry
-    served = registry.value("load.requests")
-    latency = registry.histogram("load.latency_ms", LATENCY_BUCKETS_MS)
-    within = sum(count for bound, count in zip(latency.buckets, latency.bucket_counts)
-                 if bound <= _SLO_MS)
-    shares = (100.0 * count / served if served else 0.0
-              for count in (within, registry.value("load.byzantine_samples")))
-    return (served, registry.value("load.failures"), latency.percentile(0.50),
-            latency.percentile(0.95), *shares,
-            served / (artifacts.spec.rounds * artifacts.spec.engine.tick_interval))
-
-
-def _straggler(artifacts: ScenarioArtifacts) -> Values:
-    """Pollution, gossip cycles, late-cycle % and invariant violations."""
-    engine = artifacts.bundle.engine
-    return (artifacts.metrics.resilience_percent, engine.cycles,
-            100.0 * engine.late_fraction, len(artifacts.checker.violations))
-
-
-def _straggler_label(straggler: Optional[str]) -> str:
-    profile = straggler and parse_straggler(straggler)
-    return f"{100.0 * profile.fraction:g}% @ {profile.slowdown:g}x" if profile else "none"
-
-
 def _eviction_figure(title: str, eviction) -> FigureDef:
     """One of Figs. 5-9: RAPTEE over the f × t grid against Brahms."""
     return FigureDef(
@@ -269,8 +237,6 @@ class _HistoryShare:
 
 
 _ABLATION = {"protocol": "raptee", "byzantine_fraction": 0.20, "trusted_fraction": 0.20}
-_EVENTS = {"protocol": "raptee", "byzantine_fraction": 0.10, "trusted_fraction": 0.10,
-           "kind": "events", "latency": _LINK}
 
 #: Every table and figure ``repro figure`` regenerates, by its id.
 FIGURES: Dict[str, FigureDef] = {
@@ -367,22 +333,5 @@ FIGURES: Dict[str, FigureDef] = {
         {"membership": tuple(MembershipConfig(join_rate=rate, leave_rate=rate)
                              for rate in (0.0, 0.02, 0.05))},
         measure=_churn,
-    ),
-    "slo": FigureDef(
-        f"SLO — sampling latency/throughput (link {_LINK})",
-        ("load", "served", "failed", "p50 ms", "p95 ms", f"<= {_SLO_MS:g} ms %", "byz %",
-         "req/s"),
-        lambda cell, values, _: [[cell["load"].replace(":", "x"), *map(
-            format, values, (".0f", ".0f", "g", "g", ".1f", ".1f", ".1f"))]],
-        _EVENTS, {"load": ("10:30", "40:30", "160:30")},
-        measure=_slo, wiring={"telemetry": TelemetryConfig(tracing=False)},
-    ),
-    "straggler": FigureDef(
-        f"Stragglers — overlay health (link {_LINK})",
-        ("stragglers", "byz-in-views %", "cycles", "late %", "violations"),
-        lambda cell, values, _: [[_straggler_label(cell["straggler"]),
-                                  *map(format, values, (".1f", ".0f", ".1f", ".0f"))]],
-        _EVENTS, {"straggler": (None, "0.1:4", "0.1:16")},
-        measure=_straggler, wiring={"check_invariants": True},
     ),
 }

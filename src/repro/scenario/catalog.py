@@ -9,8 +9,8 @@ The grid follows the paper's evaluation axes at test scale (§V-B/§VI):
 Byzantine fraction f, trusted fraction t, poisoned injections, adversary
 strategies, message loss, protocol churn, network/SGX/membership fault
 drills, dynamic trusted-set membership, and all three engines (lockstep
-rounds; event-driven barrier and continuous with latency, load and
-straggler models; the sharded batch engine at five partition counts).
+rounds; event-driven barrier and continuous with log-normal link
+latency; the sharded batch engine at five partition counts).
 Populations are 40-80 nodes and 6 rounds (one shard entry runs 40, long
 enough to reach system discovery) so the whole suite replays in seconds —
 pollution *dynamics* at this scale are not the paper's numbers, but their
@@ -183,12 +183,6 @@ CATALOG: Tuple[Dict[str, Any], ...] = (
     _brahms("events-latency-brahms", 302,
             engine={"kind": "events", "mode": "continuous",
                     "latency": "lognormal:40:0.6"}),
-    _raptee("events-load-raptee", 303,
-            engine={"kind": "events", "mode": "continuous",
-                    "latency": "constant:20", "load": "10:30"}),
-    _raptee("events-straggler-raptee", 304,
-            engine={"kind": "events", "mode": "continuous",
-                    "latency": "uniform:10:50", "straggler": "0.1:4"}),
     _raptee("events-faults-raptee", 305,
             engine={"kind": "events", "mode": "continuous",
                     "latency": "lognormal:30:0.5"},

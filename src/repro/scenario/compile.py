@@ -145,16 +145,10 @@ def event_options_from_spec(spec: ScenarioSpec):
     engine = spec.engine
     if engine.kind != "events" or engine.mode == "barrier":
         return None
-    from repro.events import EventOptions, parse_latency_model, parse_load, parse_straggler
+    from repro.events import EventOptions, parse_latency_model
 
     return EventOptions(
         seed=spec.seed,
         tick_interval=engine.tick_interval,
         latency=parse_latency_model(engine.latency or "zero"),
-        load=parse_load(engine.load) if engine.load is not None else None,
-        stragglers=(
-            parse_straggler(engine.straggler)
-            if engine.straggler is not None
-            else None
-        ),
     )

@@ -100,7 +100,7 @@ __all__ = [
 
 #: Bumped whenever the spec schema changes incompatibly; loads of any
 #: other version are rejected (the conformance suite is versioned data).
-SCENARIO_SPEC_VERSION = 1
+SCENARIO_SPEC_VERSION = 2
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -169,6 +169,16 @@ def _check_mapping(value: Any, path: str) -> Mapping[str, Any]:
         if not isinstance(key, str):
             raise ScenarioSpecError(f"non-string key {key!r}", path)
     return value
+
+
+def _check_spec_version(version: Any) -> None:
+    if version != SCENARIO_SPEC_VERSION:
+        raise ScenarioSpecError(
+            f"spec_version {version!r} is not supported by this "
+            f"build (expected {SCENARIO_SPEC_VERSION}); regenerate the "
+            f"spec or run it with the matching version of repro",
+            "spec_version",
+        )
 
 
 def _construct(cls: type, kwargs: Dict[str, Any], path: str):
@@ -252,12 +262,11 @@ class EngineSpec:
     """Which clock drives the run, and its knobs.
 
     ``kind='rounds'`` is the classic lockstep engine.  ``kind='events'``
-    selects :mod:`repro.events`; ``latency``/``load``/``straggler`` use
-    the same compact string grammar as the CLI flags
-    (``lognormal:40:0.6``, ``40:30``, ``0.1:8``) so specs stay plain
-    JSON-typed data.  ``mode='barrier'`` is the lockstep round loop under
-    the events kind: it compiles to no event engine, so it takes none of
-    the clock knobs.  ``kind='shard'`` selects the bulk-synchronous
+    selects :mod:`repro.events`; ``latency`` uses the CLI flag's compact
+    grammar (``zero``, ``constant:20``, ``lognormal:40:0.6``) so specs stay
+    plain JSON-typed data.  ``mode='barrier'`` is the lockstep round loop
+    under the events kind: it compiles to no event engine, so it takes
+    none of the clock knobs.  ``kind='shard'`` selects the bulk-synchronous
     struct-of-arrays engine (:mod:`repro.shard`); ``shards`` caps the
     partitions of the population, which the run's worker count cuts
     (``min(shards, workers)``, so an inline run is one partition) — a pure
@@ -270,8 +279,6 @@ class EngineSpec:
     mode: str = "continuous"
     tick_interval: float = 1.0
     latency: Optional[str] = None
-    load: Optional[str] = None
-    straggler: Optional[str] = None
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -302,33 +309,25 @@ class EngineSpec:
         if self.kind in ("rounds", "shard"):
             # Only the event clock reads these knobs: anything but the
             # field's default would be validated and then silently ignored.
-            for name in ("latency", "load", "straggler", "mode", "tick_interval"):
+            for name in ("latency", "mode", "tick_interval"):
                 if getattr(self, name) != getattr(EngineSpec, name):
                     raise ScenarioSpecError(
                         f"{name} requires the events engine", f"engine.{name}"
                     )
             return
-        # Events engine: validate the compact grammars eagerly so a bad
+        # Events engine: validate the latency grammar eagerly so a bad
         # spec fails at load time, not mid-run.
-        from repro.events import parse_latency_model, parse_load, parse_straggler
+        from repro.events import parse_latency_model
 
-        parsers = {
-            "latency": parse_latency_model,
-            "load": parse_load,
-            "straggler": parse_straggler,
-        }
-        for name, parser in parsers.items():
-            value = getattr(self, name)
-            if value is None:
-                continue
+        if self.latency is not None:
             try:
-                parser(value)
+                parse_latency_model(self.latency)
             except ValueError as exc:
-                raise ScenarioSpecError(str(exc), f"engine.{name}") from exc
+                raise ScenarioSpecError(str(exc), "engine.latency") from exc
         if self.mode == "barrier":
             # A barrier spec runs on the round loop, which has no clock
-            # period, no links and no clients to configure.
-            for name in ("latency", "load", "straggler", "tick_interval"):
+            # period and no links to configure.
+            for name in ("latency", "tick_interval"):
                 if getattr(self, name) != getattr(EngineSpec, name):
                     raise ScenarioSpecError(
                         f"barrier mode is the lockstep round loop and takes "
@@ -427,13 +426,7 @@ class ScenarioSpec:
                 f"name must match {_NAME_PATTERN.pattern}, got {self.name!r}",
                 "name",
             )
-        if self.spec_version != SCENARIO_SPEC_VERSION:
-            raise ScenarioSpecError(
-                f"spec_version {self.spec_version!r} is not supported by this "
-                f"build (expected {SCENARIO_SPEC_VERSION}); regenerate the "
-                f"spec or run it with the matching version of repro",
-                "spec_version",
-            )
+        _check_spec_version(self.spec_version)
         if self.protocol not in ("brahms", "raptee"):
             raise ScenarioSpecError(
                 f"unknown protocol {self.protocol!r} (expected brahms or raptee)",
@@ -668,6 +661,10 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     sections are checked key-by-key against their dataclass, and every
     failure raises :class:`ScenarioSpecError` naming the field path.
     """
+    if isinstance(data, Mapping) and "spec_version" in data:
+        # Another version's dict is refused as such, before any of its
+        # sections is read against this version's schema.
+        _check_spec_version(_check_int(data["spec_version"], "spec.spec_version"))
     spec = _load(data, ScenarioSpec, "spec")
     if spec.rounds < 1:
         raise ScenarioSpecError("rounds must be a positive integer", "rounds")

@@ -219,17 +219,16 @@ class TestRunFlagWiring:
 
         args = build_parser().parse_args([
             "run", "--engine", "events", "--latency-model", "lognormal:40:0.6",
-            "--load", "40:30", "--straggler", "0.1:8", "--tick-interval", "2.5",
+            "--tick-interval", "2.5",
         ])
         engine = _spec_from_args(args).engine
-        assert (engine.kind, engine.latency, engine.load, engine.straggler,
-                engine.tick_interval) == (
-            "events", "lognormal:40:0.6", "40:30", "0.1:8", 2.5)
+        assert (engine.kind, engine.latency, engine.tick_interval) == (
+            "events", "lognormal:40:0.6", 2.5)
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--latency-model", "bogus:1", "engine.latency"),
-        ("--load", "bogus", "engine.load"),
-        ("--straggler", "2:0", "engine.straggler"),
+        # The uniform model is gone; its grammar is refused, not misread.
+        ("--latency-model", "uniform:10:50", "engine.latency"),
         ("--tick-interval", "0", "engine.tick_interval"),
     ])
     def test_malformed_engine_value_names_the_spec_field(
@@ -247,9 +246,7 @@ class TestRunFlagWiring:
     @pytest.mark.parametrize("flag, value, field", [
         # Each of these used to run to exit 0 with the value ignored or
         # poisoning the clock; NaN intervals and delays hung the run.
-        ("--straggler", "0.1:nan", "engine.straggler"),
-        ("--straggler", "0.1:inf", "engine.straggler"),
-        ("--load", "10:nan", "engine.load"),
+        ("--latency-model", "lognormal:40:nan", "engine.latency"),
         ("--tick-interval", "inf", "engine.tick_interval"),
     ])
     def test_non_finite_engine_value_names_the_spec_field(
@@ -273,7 +270,7 @@ class TestRunFlagWiring:
         ("run", ["--loss", "2"], "topology.loss_rate:"),
         ("attack", ["--nodes", "5"], "topology.n_nodes:"),
         ("trace", ["--nodes", "5"], "topology.n_nodes:"),
-        ("trace", ["--rounds", "0"], "rounds:"),
+        ("trace", ["--rounds", "0"], "--rounds: "),
         ("run", ["--checkpoint-every", "-1"], "--checkpoint-every"),
         # A path with nothing to save there used to be printed as the
         # checkpoint, or ignored without a word on the shard engine.
@@ -292,6 +289,25 @@ class TestRunFlagWiring:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert captured.err.startswith(f"error: {field}")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["run", "--engine", "events"],
+        ["run", "--shards", "2"],
+        ["trace"],
+        ["attack"],
+    ], ids=["run", "run-events", "run-shards", "trace", "attack"])
+    def test_zero_rounds_is_one_refusal_everywhere(self, capsys, tmp_path, monkeypatch,
+                                                  argv):
+        # The engines and commands used to disagree: only the checkpointed
+        # run path named the flag, the rest blamed a spec with no rounds.
+        monkeypatch.chdir(tmp_path)
+        exit_code = main([*argv, "--nodes", "40", "--rounds", "0"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == "error: --rounds: must be a positive round target, got 0\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -363,10 +379,7 @@ class TestRunFlagWiring:
 
     @pytest.mark.parametrize("flag, value", [
         ("--latency-model", "constant:50"),
-        ("--load", "4:30"),
-        ("--straggler", "0.1:8"),
         ("--tick-interval", "2.0"),
-        ("--events-trace-out", "latency.jsonl"),
         ("--shard-workers", "3"),
     ])
     def test_flag_without_its_engine_is_refused(self, capsys, flag, value):
@@ -388,6 +401,16 @@ class TestRunFlagWiring:
 
 
 class TestSubcommandSurface:
+    @pytest.mark.parametrize("flag, value", [
+        ("--load", "40:30"), ("--straggler", "0.1:8"),
+        ("--events-trace-out", "latency.jsonl"),
+    ])
+    def test_client_load_and_straggler_flags_are_gone(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--engine", "events", flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bench_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["bench"])

@@ -148,8 +148,6 @@ def _mechanism_checks(entry):
                        lambda run: run.bundle.stats.bytes_encrypted))
     if "latency" in engine:
         checks.append(("round trips timed", _total("events.rtt_ms")))
-    if "load" in engine:
-        checks.append(("application requests", _total("load.requests")))
     return checks
 
 

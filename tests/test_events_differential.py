@@ -53,7 +53,8 @@ def test_differential_is_not_vacuous():
 
 def test_barrier_mode_rejects_latency_and_stragglers():
     """A barrier spec is the round loop: a clock knob would be silently
-    ignored, so the spec refuses it and names the field."""
+    ignored, so the spec refuses it and names the field (``straggler`` and
+    ``load`` are no engine fields at all any more: refused the same way)."""
     knobs = {"latency": "constant:10", "straggler": "0.1:8", "load": "10:30",
              "tick_interval": 2.5}
     for name, value in knobs.items():

@@ -1,18 +1,16 @@
-"""Continuous-mode event engine: determinism, load, stragglers, churn.
+"""Continuous-mode event engine: determinism, lateness, churn.
 
-The two ISSUE-8 determinism fixtures live here:
+The two determinism fixtures live here:
 
 * identical metrics under ``repeat()`` with ``workers=1`` vs ``workers=4``
   (the scheduler key is ``(time, seq)`` — no per-process state leaks in);
 * identical runs across two *fresh* interpreter processes with the same
-  seed (a digest of the event count, every timestamped load request and
+  seed (a digest of the event count, the cycle and late-cycle counts and
   the final views, printed by a subprocess).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import random
 import subprocess
@@ -26,9 +24,7 @@ from repro.events import (
     ConstantLatency,
     EventEngine,
     EventOptions,
-    LoadSpec,
     LogNormalLatency,
-    StragglerProfile,
     wire_events,
 )
 from repro.experiments.runner import repeat
@@ -162,58 +158,17 @@ class TestContinuousMode:
         assert heard_of
 
 
-class TestLoadGenerator:
-    def test_load_metrics_reach_registry(self):
-        bundle = wire_telemetry(_raptee_bundle(7), TelemetryConfig(tracing=False))
-        wire_events(bundle, _latency_options(7, load=LoadSpec(10, 30.0)))
-        bundle.run(ROUNDS)
-        load = bundle.engine.load
-        assert load.served > 0
-        registry = bundle.telemetry.registry
-        assert registry.value("load.requests") == load.served
-        assert registry.value("load.failures") == load.failed
-        assert registry.value("load.byzantine_samples") == load.byzantine_samples
-        # Histogram value() reads the observation count.
-        assert registry.value("load.latency_ms") == load.served
-        assert len(load.records) == load.served + load.failed
-        assert load.latencies_ms and min(load.latencies_ms) > 0
-
-    def test_load_is_deterministic(self):
-        def run():
-            bundle = _raptee_bundle(8)
-            options = _latency_options(8, load=LoadSpec(10, 30.0))
-            wire_events(bundle, options).run(ROUNDS)
-            return bundle.engine.load.records
-
-        assert run() == run()
-
-
-class TestStragglers:
-    def test_membership_is_deterministic_and_sized(self):
-        profile = StragglerProfile(0.25, 8.0)
-        factors = {node_id: profile.factor_for(3, node_id) for node_id in range(400)}
-        assert factors == {node_id: profile.factor_for(3, node_id)
-                           for node_id in range(400)}
-        slow = sum(1 for factor in factors.values() if factor > 1.0)
-        assert 50 <= slow <= 150  # ~25% of 400
-
-    @pytest.mark.parametrize("slowdown", [float("nan"), float("inf")])
-    def test_non_finite_slowdown_refused(self, slowdown):
-        # NaN compared false everywhere, so no node was ever slowed; an
-        # infinite factor would stretch a cycle past the end of time.
-        with pytest.raises(ValueError, match="slowdown must be finite"):
-            StragglerProfile(0.1, slowdown)
-
-    def test_stragglers_fall_behind(self):
-        def late_fraction(profile):
-            bundle = wire_events(_raptee_bundle(4),
-                                 _latency_options(4, stragglers=profile))
+class TestLateness:
+    def test_slower_links_make_more_cycles_late(self):
+        """A cycle is late when its sessions' round trips outlast the round
+        period: a 400 ms median link makes more of them late than a 40 ms one."""
+        def late_fraction(median):
+            options = _latency_options(4, latency=LogNormalLatency(median, 0.6))
+            bundle = wire_events(_raptee_bundle(4), options)
             bundle.run(ROUNDS)
             return bundle.engine.late_fraction
 
-        baseline = late_fraction(None)
-        straggling = late_fraction(StragglerProfile(0.2, 16.0))
-        assert straggling > baseline
+        assert late_fraction(0.4) > late_fraction(0.04)
 
 
 class TestCrossProcessDeterminism:
@@ -228,15 +183,14 @@ class TestCrossProcessDeterminism:
         script = (
             "import hashlib, json\n"
             "from tests.test_events_engine import _raptee_bundle, _latency_options\n"
-            "from repro.events import LoadSpec, wire_events\n"
-            "options = _latency_options(12, load=LoadSpec(5, 30.0))\n"
-            "bundle = wire_events(_raptee_bundle(12), options)\n"
+            "from repro.events import wire_events\n"
+            "bundle = wire_events(_raptee_bundle(12), _latency_options(12))\n"
             "bundle.run(6)\n"
             "engine = bundle.engine\n"
             "views = {n: tuple(node.view_ids())"
             " for n, node in sorted(bundle.simulation.nodes.items())}\n"
             "payload = json.dumps([engine.queue.scheduled_total, engine.cycles,"
-            " engine.late_cycles, engine.load.records, views], sort_keys=True)\n"
+            " engine.late_cycles, views], sort_keys=True)\n"
             "print(hashlib.sha256(payload.encode()).hexdigest())\n"
         )
         env = dict(os.environ)
@@ -251,24 +205,3 @@ class TestCrossProcessDeterminism:
             for _ in range(2)
         ]
         assert digests[0] and digests[0] == digests[1]
-
-
-class TestSloFigure:
-    def test_slo_figure_is_deterministic_and_non_degenerate(self):
-        from repro.experiments.figures import FIGURES, Scale, run_figure
-
-        scale = Scale(n_nodes=40, rounds=8, repetitions=1, view_ratio=0.10)
-        loads = ("5:30", "20:30")
-        first = run_figure(FIGURES["slo"], scale, load=loads)
-        second = run_figure(FIGURES["slo"], scale, load=loads)
-        assert first.rows == second.rows
-        served = [float(row[1]) for row in first.rows]
-        assert all(count > 0 for count in served)
-        # More clients => more served requests (throughput actually scales).
-        assert served[1] > served[0]
-        # Non-degenerate latency: p95 is a positive bucket bound.
-        assert all(float(row[4]) > 0 for row in first.rows)
-        # The bytes the figure rendered before it went through the spec pipeline.
-        assert hashlib.sha256(first.render().encode("utf-8")).hexdigest() == (
-            "47501c9c8ef1cbd9967b6426d51fb604c999902fa19d19c6fe347243d127c875"
-        )

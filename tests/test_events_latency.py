@@ -11,10 +11,7 @@ from repro.events import (
     ConstantLatency,
     LatencyNetwork,
     LogNormalLatency,
-    UniformLatency,
     parse_latency_model,
-    parse_load,
-    percentile,
 )
 
 
@@ -22,9 +19,6 @@ from repro.events import (
 _NON_FINITE = [
     (ConstantLatency, (math.nan,)),
     (ConstantLatency, (math.inf,)),
-    (UniformLatency, (math.nan, 0.05)),
-    (UniformLatency, (0.01, math.nan)),
-    (UniformLatency, (0.01, math.inf)),
     (LogNormalLatency, (math.nan, 0.5)),
     (LogNormalLatency, (math.inf, 0.5)),
     (LogNormalLatency, (0.04, math.nan)),
@@ -52,12 +46,6 @@ class TestModels:
         assert ConstantLatency(0.0).describe() == "zero"
         assert ConstantLatency(0.001).describe() == "constant 1 ms"
 
-    def test_uniform_bounds_and_determinism(self):
-        model = UniformLatency(0.01, 0.03)
-        samples = [model.sample(_rng("u", index)) for index in range(200)]
-        assert all(0.01 <= value <= 0.03 for value in samples)
-        assert samples == [model.sample(_rng("u", index)) for index in range(200)]
-
     def test_lognormal_median_and_determinism(self):
         model = LogNormalLatency(0.04, 0.6)
         rng = _rng("ln")
@@ -81,8 +69,6 @@ class TestModels:
     def test_validation(self):
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
-        with pytest.raises(ValueError):
-            UniformLatency(0.05, 0.01)
         with pytest.raises(ValueError):
             LogNormalLatency(0.0, 0.5)
         with pytest.raises(ValueError):
@@ -118,8 +104,6 @@ class TestParsing:
         assert parse_latency_model("zero") == ConstantLatency(0.0)
         constant = parse_latency_model("constant:25")
         assert constant.seconds == pytest.approx(0.025)
-        uniform = parse_latency_model("uniform:10:30")
-        assert (uniform.low, uniform.high) == (pytest.approx(0.01), pytest.approx(0.03))
         lognormal = parse_latency_model("lognormal:40:0.6")
         assert lognormal.median == pytest.approx(0.04)
         assert lognormal.sigma == pytest.approx(0.6)
@@ -129,27 +113,9 @@ class TestParsing:
         "uniform:30:10", "lognormal:40", "pareto:1:2", "constant:-5",
         "constant:nan", "lognormal:nan:0.5", "uniform:10:nan",
         "uniform:10:inf", "lognormal:40:inf",
+        # The uniform model is gone: its grammar is refused, not misread.
+        "uniform:10:50",
     ])
     def test_bad_specs_raise(self, bad):
         with pytest.raises(ValueError):
             parse_latency_model(bad)
-
-    def test_load_spec(self):
-        spec = parse_load("40:30")
-        assert (spec.active_clients, spec.requests_per_minute) == (40, 30.0)
-        assert spec.rate_per_second == pytest.approx(0.5)
-        for bad in ("", "40", "40:30:1", "0:30", "40:0", "x:y", "10:nan",
-                    "10:inf"):
-            with pytest.raises(ValueError):
-                parse_load(bad)
-
-
-class TestPercentile:
-    def test_nearest_rank(self):
-        values = [float(value) for value in range(1, 101)]
-        assert percentile(values, 0.50) == 50.0
-        assert percentile(values, 0.95) == 95.0
-        assert percentile(values, 1.00) == 100.0
-        assert percentile([7.0], 0.99) == 7.0
-        assert percentile([], 0.5) == 0.0
-        assert not math.isnan(percentile([1.5, 2.5], 0.01))

@@ -191,17 +191,3 @@ class TestMembershipChurnFigure:
         assert _sha256(result) == (
             "ee25d7ebccf26ef19717059e5ff129f0adc65faea7e225b42bd4779e5f1b42dd"
         )
-
-
-class TestStragglerFigure:
-    def test_stragglers_run_late_and_render_the_pinned_table(self):
-        scale = Scale(n_nodes=60, rounds=12, repetitions=1, view_ratio=0.1, base_seed=5)
-        result = run_figure(FIGURES["straggler"], scale, straggler=(None, "0.2:8"))
-        assert [row[0] for row in result.rows] == ["none", "20% @ 8x"]
-        healthy, slowed = result.rows
-        # Slowed nodes complete fewer cycles, and more of them late.
-        assert int(slowed[2]) < int(healthy[2])
-        assert float(slowed[3]) > float(healthy[3])
-        assert _sha256(result) == (
-            "f3f1d0e11739fb48f548e67cfefde9c9d196397146f25377a710bf90e2de0b44"
-        )

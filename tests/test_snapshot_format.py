@@ -161,15 +161,16 @@ class TestTraceLayout:
             events=[TraceEvent(0, "event", "round.begin", 1)], _seq=1
         )
         write_envelope(str(path), "run-state", {}, telemetry)
-        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-2'"):
+        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-3'"):
             restore(str(path))
 
 
 class TestRunStateLayout:
-    """A checkpoint is the bundle under the kind ``"checkpoint-2"``; a file
+    """A checkpoint is the bundle under the kind ``"checkpoint-3"``; a file
     of a kind checkpoints had before — ``"run-state"`` when a wrapper held
-    the bundle, ``"checkpoint"`` before round records were columns — is
-    refused by kind, before anything is unpickled."""
+    the bundle, ``"checkpoint"`` before round records were columns,
+    ``"checkpoint-2"`` before spec_version 2 — is refused by kind, before
+    anything is unpickled."""
 
     def test_old_layout_run_state_refuses_to_resume(self, tmp_path):
         path = tmp_path / "old-run-state.snapshot"
@@ -178,8 +179,21 @@ class TestRunStateLayout:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-2'"):
+        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-3'"):
             restore(str(path))
+
+    def test_spec_version_1_checkpoint_refuses_to_resume(self, tmp_path, capsys):
+        # A bundle of the kind written while the spec's engine section still
+        # had `load` and `straggler`: refused by kind (exit 1), not resumed
+        # under a spec this version cannot rebuild.
+        path = tmp_path / "spec-v1.snapshot"
+        write_envelope(str(path), "checkpoint-2", {}, _small_bundle())
+        with pytest.raises(SnapshotError, match="'checkpoint-2'.*expected 'checkpoint-3'"):
+            restore(str(path))
+        assert main(["run", "--resume", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "'checkpoint-2'" in captured.err
+        assert captured.out == ""
 
     def test_pre_columnar_checkpoint_refuses_to_resume(self, tmp_path, capsys):
         # A bundle of the kind written before round records were columns:
@@ -190,7 +204,7 @@ class TestRunStateLayout:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="'checkpoint'.*expected 'checkpoint-2'"):
+        with pytest.raises(SnapshotError, match="'checkpoint'.*expected 'checkpoint-3'"):
             restore(str(path))
         assert main(["run", "--resume", str(path)]) == 1
         captured = capsys.readouterr()
@@ -274,7 +288,7 @@ class TestCaptureRestore:
         path = tmp_path / "run.snapshot"
         save(bundle, str(path))
         header = describe(str(path))
-        assert header["kind"] == "checkpoint-2"
+        assert header["kind"] == "checkpoint-3"
         assert header["meta"] == {"scenario": "snapshot-unit", "rounds_completed": 2,
                                   "rounds_total": 9, "nodes": 12}
 
@@ -345,7 +359,7 @@ class TestSnapshotCli:
         assert main(["snapshot", "info", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"format version:     {SNAPSHOT_FORMAT_VERSION}" in out
-        assert "kind:               checkpoint-2\n" in out
+        assert "kind:               checkpoint-3\n" in out
         assert "scenario:           snapshot-unit" in out
         assert "rounds_total:       4" in out
 
