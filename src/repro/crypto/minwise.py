@@ -29,6 +29,7 @@ __all__ = [
     "MERSENNE_PRIME_61",
     "scramble64",
     "splitmix64_array",
+    "splitmix64_inplace",
 ]
 
 MERSENNE_PRIME_31 = (1 << 31) - 1
@@ -45,6 +46,12 @@ MERSENNE_PRIME_61 = (1 << 61) - 1
 SPLITMIX64_M1 = 0xBF58476D1CE4E5B9
 SPLITMIX64_M2 = 0x94D049BB133111EB
 _WORD_MASK = (1 << 64) - 1
+#: :func:`splitmix64_inplace`'s (shift, multiplier) steps as numpy words.
+_SPLITMIX64_STEPS = (
+    (np.uint64(30), np.uint64(SPLITMIX64_M1)),
+    (np.uint64(27), np.uint64(SPLITMIX64_M2)),
+)
+_SPLITMIX64_LAST_SHIFT = np.uint64(31)
 
 
 def scramble64(value: int) -> int:
@@ -56,14 +63,25 @@ def scramble64(value: int) -> int:
     return x ^ (x >> 31)
 
 
-def splitmix64_array(values):
-    """Vectorised :func:`scramble64` over a uint64 array: uint64 arithmetic
-    wraps modulo 2^64, so the xor-shift/multiply pipeline computes the
+def splitmix64_inplace(x, scratch):
+    """:func:`scramble64` of every word of the uint64 array ``x``, written
+    back into ``x`` and returned; ``scratch`` is a uint64 array of ``x``'s
+    shape that the xor-shifts clobber.  Eight passes and no allocation:
+    uint64 arithmetic wraps modulo 2^64, so the pipeline computes the
     masked scalar's integers exactly (``tests/test_perf_kernels.py``)."""
-    x = np.asarray(values, dtype=np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(SPLITMIX64_M1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(SPLITMIX64_M2)
-    return x ^ (x >> np.uint64(31))
+    for shift, multiplier in _SPLITMIX64_STEPS:
+        np.right_shift(x, shift, out=scratch)
+        np.bitwise_xor(x, scratch, out=x)
+        np.multiply(x, multiplier, out=x)
+    np.right_shift(x, _SPLITMIX64_LAST_SHIFT, out=scratch)
+    return np.bitwise_xor(x, scratch, out=x)
+
+
+def splitmix64_array(values):
+    """Vectorised :func:`scramble64` over a uint64 array: a fresh result,
+    computed in place in a copy of ``values`` (never in ``values``)."""
+    x = np.array(values, dtype=np.uint64)
+    return splitmix64_inplace(x, np.empty_like(x))
 
 
 @dataclass(frozen=True)

@@ -1451,11 +1451,10 @@ class ShardSimulation:
         # of a round in which all of them are up.
         n_byz = config.n_byzantine
         self._nodes = np.arange(n_byz, config.n_nodes, dtype=np.int64)
-        self._kinds = np.array(
-            [KIND_CODE[NodeKind.for_banded_id(node, n_byz, config.n_trusted)]
-             for node in range(n_byz, config.n_nodes)],
-            dtype=np.int8,
-        )
+        # The bands of `NodeKind.for_banded_id`: trusted ids, then honest.
+        self._kinds = np.full(config.n_nodes - n_byz, KIND_CODE[NodeKind.HONEST],
+                              dtype=np.int8)
+        self._kinds[:config.n_trusted] = KIND_CODE[NodeKind.TRUSTED]
         self._nodes.flags.writeable = self._kinds.flags.writeable = False
         # The round each correct node discovered the system.
         self._discovered_at = np.full(config.n_nodes - n_byz, -1, dtype=np.int64)

@@ -20,8 +20,9 @@ processes agree.
 The scalar path below is pure Python (``mix64`` is the masked 64-bit
 finalizer the min-wise hashes scramble their input with,
 :func:`repro.crypto.minwise.scramble64`); the vectorized path in
-:func:`key_array` runs on :func:`repro.crypto.minwise.splitmix64_array` and
-computes the *same* integers (uint64 wrap-around is the mask).  ``tests/test_shard_engine.py``
+:func:`key_array` runs the same finaliser in place
+(:func:`repro.crypto.minwise.splitmix64_inplace`) and computes the *same*
+integers (uint64 wrap-around is the mask).  ``tests/test_shard_engine.py``
 pins the scalar/vector agreement.
 """
 
@@ -31,12 +32,14 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.crypto.minwise import scramble64 as mix64, splitmix64_array
+from repro.crypto.minwise import scramble64 as mix64, splitmix64_inplace
 
 __all__ = [
     "mix64",
     "key64",
     "key_array",
+    "key_row",
+    "keys_into",
     "rand_float",
     "rand_below",
     "keyed_order",
@@ -85,12 +88,38 @@ def key_array(seed: int, purpose: int, round_no: int, a_values, b_values):
     """Vectorized :func:`key64` over parallel coordinate arrays (uint64).
 
     ``a_values``/``b_values`` broadcast against each other (callers on
-    the pure backend loop over :func:`key64`).
+    the pure backend loop over :func:`key64`).  One result array and one
+    scratch array, never an input: a fresh coordinate product that has
+    the result's shape is reused as one of them.
     """
-    base = np.uint64(_base(seed, purpose, round_no))
-    a_arr = np.asarray(a_values, dtype=np.uint64) * np.uint64(_C_A)
-    b_arr = np.asarray(b_values, dtype=np.uint64) * np.uint64(_C_B)
-    return splitmix64_array(base ^ a_arr ^ b_arr)
+    a_term = np.asarray(a_values, dtype=np.uint64) * np.uint64(_C_A)
+    b_term = key_row(seed, purpose, round_no, b_values)
+    shape = np.broadcast_shapes(np.shape(a_term), np.shape(b_term))
+    buffers = [term for term in (a_term, b_term)
+               if isinstance(term, np.ndarray) and term.shape == shape]
+    while len(buffers) < 2:
+        buffers.append(np.empty(shape, dtype=np.uint64))
+    out, scratch = buffers
+    np.bitwise_xor(a_term, b_term, out=out)
+    return splitmix64_inplace(out, scratch)
+
+
+def key_row(seed: int, purpose: int, round_no: int, b_values):
+    """The half of every :func:`key_array` word that depends on ``b``
+    alone, ``base ^ b·C_B`` (a fresh array): for a fixed ``b`` row it is
+    computed once and :func:`keys_into` finishes any ``a`` chunk."""
+    row = np.asarray(b_values, dtype=np.uint64) * np.uint64(_C_B)
+    row ^= np.uint64(_base(seed, purpose, round_no))
+    return row
+
+
+def keys_into(out, scratch, a_values, b_row):
+    """:func:`key_array` over ``a_values`` × a :func:`key_row`, written
+    into ``out`` (and returned): one xor and the in-place finaliser, with
+    ``scratch`` (``out``'s shape) clobbered."""
+    a_term = np.asarray(a_values, dtype=np.uint64) * np.uint64(_C_A)
+    np.bitwise_xor(a_term, b_row, out=out)
+    return splitmix64_inplace(out, scratch)
 
 
 def rand_float(seed: int, purpose: int, round_no: int, a: int = 0, b: int = 0) -> float:

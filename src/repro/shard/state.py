@@ -29,6 +29,7 @@ full runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -37,7 +38,7 @@ import numpy as np
 from repro.brahms.config import BYZANTINE_PUSH_LIMIT_MULTIPLIER
 from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.crypto.minwise import MERSENNE_PRIME_31, scramble64, splitmix64_array
-from repro.shard.rand import Purpose, key64, key_array
+from repro.shard.rand import Purpose, key64, key_array, key_row, keys_into
 
 __all__ = ["ShardConfig", "ShardState", "EMPTY_SAMPLE", "build_state", "partition_bounds"]
 
@@ -269,38 +270,85 @@ def _bootstrap_row(config: ShardConfig, node_id: int) -> List[int]:
     return keyed[: config.view_size]
 
 
+#: uint64 words per bootstrap key chunk (whole rows, at least one): the
+#: chunk and the finaliser's scratch, 256 KiB each, stay in L2 together
+#: (README "Sharded engine" has the sweep).
+_BOOTSTRAP_CHUNK_WORDS = 1 << 15
+#: Node rows per bootstrap selection block (a whole number of chunks): one
+#: sort orders the candidates of a block.
+_BOOTSTRAP_BLOCK_ROWS = 64
+_TOP_KEY = np.uint64((1 << 64) - 1)
+
+
+def _bootstrap_threshold(n: int, l1: int) -> np.uint64:
+    """τ: about l1 + 6√l1 + 8 of a node's n − 1 uniform 64-bit keys fall
+    below it, so a row with fewer than l1 below it is a 6σ rarity."""
+    expected = l1 + 6.0 * math.sqrt(l1) + 8.0
+    if expected >= n - 1:
+        return _TOP_KEY
+    return np.uint64(min(int(expected / (n - 1) * 2.0 ** 64), (1 << 64) - 1))
+
+
 def _bootstrap_matrix_numpy(config: ShardConfig):
     """Vectorised bootstrap: per node, the l1 smallest ``(key, id)`` of the
     keyed other ids, in that order — the pure path's sort, without sorting
     the other N − l1.
 
-    ``argpartition`` selects the l1 smallest keys of a row (and puts the
-    next one right behind them); the selection is unique unless those two
-    boundary keys are equal, and such a row takes the full stable sort
-    instead.  The selected ids are then put in ``(key, id)`` order: ids
-    ascending, stable sort by key.  Chunked so the [chunk, N] key matrix
-    and its index matrix stay small.
+    Keys are made in place, in cache-sized chunks of whole rows: the
+    ``id·C_B ^ base`` row once (:func:`key_row`), then per chunk one xor
+    with the nodes' ``node·C_A`` column and the finaliser
+    (:func:`keys_into`, the seam ``TestBootstrap`` narrows keys at).  Only
+    the keys below τ (:func:`_bootstrap_threshold`) are kept.  A block of
+    rows lays its candidates out as a ``[rows, most]`` matrix padded with
+    the top key, in id order, so one stable sort along the rows orders
+    them by ``(key, id)``.  Every key left out is ≥ τ and so above every
+    candidate: a row with l1 candidates has its answer in its first l1,
+    ties included.  A row with fewer takes the full stable sort of its
+    keys instead.
     """
     n, l1 = config.n_nodes, config.view_size
-    view = np.full((n, l1), -1, dtype=np.int64)
-    ids = np.arange(n, dtype=np.uint64)
-    chunk = max(1, min(n, (1 << 18) // max(n, 1) + 1))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        nodes = np.arange(lo, hi, dtype=np.uint64)[:, None]
-        keys = key_array(config.seed, Purpose.BOOTSTRAP, 0, nodes, ids[None, :])
-        # Self must never bootstrap into its own view: force its key last.
-        rows = np.arange(hi - lo)
-        keys[rows, lo + rows] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        nearest = np.argpartition(keys, (l1 - 1, l1), axis=1)[:, :l1 + 1]
-        edge = np.take_along_axis(keys, nearest[:, l1 - 1:], axis=1)
-        chosen = np.sort(nearest[:, :l1], axis=1)
-        order = np.argsort(np.take_along_axis(keys, chosen, axis=1), axis=1,
-                           kind="stable")
-        view[lo:hi] = np.take_along_axis(chosen, order, axis=1)
-        for row in np.flatnonzero(edge[:, 0] == edge[:, 1]).tolist():
-            view[lo + row] = np.argsort(keys[row], kind="stable")[:l1]
+    view = np.empty((n, l1), dtype=np.int64)
+    row = key_row(config.seed, Purpose.BOOTSTRAP, 0, np.arange(n, dtype=np.uint64))
+    tau = _bootstrap_threshold(n, l1)
+    chunk = max(1, min(n, _BOOTSTRAP_CHUNK_WORDS // n))
+    block = chunk * max(1, _BOOTSTRAP_BLOCK_ROWS // chunk)
+    keys = np.empty((chunk, n), dtype=np.uint64)
+    scratch = np.empty_like(keys)
+    below = np.empty(chunk * n, dtype=bool)
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        # Candidate cells (node − start)·N + id, ascending, and their keys.
+        cells, candidates = [], []
+        for lo in range(start, stop, chunk):
+            rows = min(stop, lo + chunk) - lo
+            chunk_keys = keys_into(keys[:rows], scratch[:rows],
+                                   np.arange(lo, lo + rows, dtype=np.uint64)[:, None],
+                                   row).reshape(-1)
+            # Self must never bootstrap into its own view: its key is the top.
+            chunk_keys[np.arange(rows) * (n + 1) + lo] = _TOP_KEY
+            hits = np.flatnonzero(np.less(chunk_keys, tau, out=below[:chunk_keys.size]))
+            candidates.append(chunk_keys[hits])
+            cells.append(hits + (lo - start) * n)
+        cell = np.concatenate(cells)
+        owner = cell // n
+        counts = np.bincount(owner, minlength=stop - start)
+        if cell.size:
+            first = np.cumsum(counts) - counts
+            padded = np.full((stop - start, max(l1, int(counts.max()))), _TOP_KEY)
+            padded[owner, np.arange(cell.size) - first[owner]] = np.concatenate(candidates)
+            order = np.argsort(padded, axis=1, kind="stable")[:, :l1]
+            view[start:stop] = (cell - owner * n).take(first[:, None] + order, mode="clip")
+        for short in np.flatnonzero(counts < l1).tolist():
+            view[start + short] = _bootstrap_row_numpy(row, start + short, l1)
     return view
+
+
+def _bootstrap_row_numpy(row, node_id: int, l1: int):
+    """One node's bootstrap by the full stable sort of its N keys."""
+    keys, scratch = np.empty((2, row.size), dtype=np.uint64)
+    keys_into(keys, scratch, np.uint64(node_id), row)
+    keys[node_id] = _TOP_KEY
+    return np.argsort(keys, kind="stable")[:l1]
 
 
 def build_state(config: ShardConfig, use_numpy: bool = True) -> ShardState:

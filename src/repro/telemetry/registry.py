@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -113,19 +112,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, quantile: float) -> float:
-        """Smallest bucket bound covering ``quantile`` of the observations.
-
-        With no raw samples kept this is an upper bound — deterministic and
-        monotone in ``quantile``; observations above the last bound report
-        that bound, and an empty histogram reports 0.
-        """
-        if self.count == 0:
-            return 0.0
-        covering = (bound for bound, seen in zip(self.buckets, accumulate(self.bucket_counts))
-                    if seen >= quantile * self.count)
-        return next(covering, self.buckets[-1])
 
 
 Instrument = Union[Counter, Gauge, Histogram]

@@ -68,6 +68,29 @@ class TestScramble:
         batched = splitmix64_array(values)
         assert [int(v) for v in batched] == [scramble64(v) for v in values]
 
+    @pytest.mark.parametrize("layout", ["writable", "read-only", "broadcast",
+                                        "strided", "transposed", "scalar"])
+    def test_scramble64_array_leaves_its_input_alone(self, layout):
+        """The finaliser runs in place in a copy: an input of any layout
+        comes back unchanged (a read-only one would raise) and the result,
+        of the input's shape, equals the scalar element by element."""
+        grid = np.arange(60, dtype=np.uint64).reshape(6, 10) * np.uint64(2654435761)
+        values = {
+            "writable": grid,
+            "read-only": np.frombuffer(grid.tobytes(), dtype=np.uint64).reshape(6, 10),
+            "broadcast": np.broadcast_to(grid[2], (4, 10)),
+            "strided": grid[::2, 1::3],
+            "transposed": grid.T,
+            "scalar": np.uint64(grid[1, 1]),
+        }[layout]
+        before = np.copy(values)
+        hashed = splitmix64_array(values)
+        assert np.array_equal(values, before)
+        assert hashed.shape == np.shape(values)
+        assert [int(v) for v in np.ravel(hashed)] == [
+            scramble64(int(v)) for v in np.ravel(values)
+        ]
+
 
 def _mirror_sketches(width, depth, seed):
     """Two sketches with identical salts, one per backend."""

@@ -383,6 +383,21 @@ class TestPaperScale:
         topology = {"n_nodes": 10_000, "byzantine_fraction": 0.10,
                     "view_ratio": 0.02, "loss_rate": 0.01}
         config = shard_config(topology, seed=1, protocol="brahms")
+        # The bootstrap's threshold selection at paper N: every row l1
+        # distinct in-range ids without its owner, and sampled rows equal
+        # to the pure keyed sort.
+        from repro.shard.state import _bootstrap_matrix_numpy, _bootstrap_row
+
+        n, l1 = config.n_nodes, config.view_size
+        boot = _bootstrap_matrix_numpy(config)
+        assert boot.shape == (n, l1) and l1 == 200
+        assert bool(((boot >= 0) & (boot < n)).all())
+        assert not bool((boot == np.arange(n)[:, None]).any())
+        ordered = np.sort(boot, axis=1)
+        assert bool((ordered[:, 1:] != ordered[:, :-1]).all())
+        for node in (0, n // 2, n - 1):
+            assert boot[node].tolist() == _bootstrap_row(config, node)
+        del boot, ordered
         artifacts = run_shard_config(config, rounds=2, shards=8)
         views = artifacts.final_views
         assert len(views) == 10_000

@@ -41,12 +41,13 @@ from repro.shard.engine import (
     _keyed_subset,
     _known_live,
 )
-from repro.shard.rand import Purpose, key64, key_array, keyed_order, rand_float
+from repro.shard.rand import (Purpose, key64, key_array, key_row, keyed_order, keys_into,
+                              rand_float)
 from repro.shard.state import EMPTY_SAMPLE, ShardConfig, ShardState
 
 from repro.experiments.scenarios import TopologySpec
 from repro.sim.node import NodeKind
-from repro.sim.observers import RoundRecord
+from repro.sim.observers import KIND_CODE, RoundRecord
 
 from tests._pinned import (
     assert_saturated_samples_uniform,
@@ -77,6 +78,50 @@ class TestCounterRandomness:
                             np.arange(16, dtype=np.uint64))
         assert [int(v) for v in batched] == [
             key64(3, Purpose.EVICT_KEEP, 2, 9, b) for b in range(16)
+        ]
+
+    @pytest.mark.parametrize("layout", ["writable", "read-only", "broadcast",
+                                        "strided", "transposed"])
+    def test_key_array_leaves_its_inputs_alone(self, layout):
+        """The in-place kernel computes in arrays of its own: inputs of any
+        layout come back unchanged (a read-only one would raise), and the
+        keys still equal :func:`key64` element by element."""
+        grid = np.arange(48, dtype=np.uint64).reshape(6, 8) * np.uint64(7919)
+        if layout == "writable":
+            a_values, b_values = grid, grid[::-1].copy()
+        elif layout == "read-only":
+            a_values, b_values = grid.copy(), grid.copy()
+            a_values.flags.writeable = b_values.flags.writeable = False
+        elif layout == "broadcast":
+            a_values = np.broadcast_to(np.arange(6, dtype=np.uint64)[:, None], (6, 8))
+            b_values = np.broadcast_to(grid[0], (6, 8))
+        elif layout == "strided":
+            a_values, b_values = grid[::2, ::3], grid[1::2, 1::3]
+        else:
+            a_values, b_values = grid.T, grid[::-1].T
+        before = (a_values.copy(), b_values.copy())
+        keys = key_array(4, Purpose.RENEW_PUSH, 3, a_values, b_values)
+        assert np.array_equal(a_values, before[0])
+        assert np.array_equal(b_values, before[1])
+        assert keys.shape == np.broadcast_shapes(a_values.shape, b_values.shape)
+        assert [int(k) for k in keys.ravel()] == [
+            key64(4, Purpose.RENEW_PUSH, 3, int(a), int(b))
+            for a, b in zip(a_values.ravel(), b_values.ravel())
+        ]
+
+    def test_key_array_broadcasts_a_column_against_a_row(self):
+        """The bootstrap's shape: a column and a row give the grid, and
+        `keys_into` over a `key_row` gives the same words in place."""
+        nodes = np.arange(5, dtype=np.uint64)[:, None]
+        ids = np.arange(9, dtype=np.uint64)[None, :]
+        keys = key_array(6, Purpose.BOOTSTRAP, 0, nodes, ids)
+        out, scratch = np.empty((5, 9), np.uint64), np.empty((5, 9), np.uint64)
+        assert keys_into(out, scratch, nodes,
+                         key_row(6, Purpose.BOOTSTRAP, 0, ids[0])) is out
+        assert np.array_equal(out, keys)
+        assert keys.tolist() == [
+            [key64(6, Purpose.BOOTSTRAP, 0, a, b) for b in range(9)]
+            for a in range(5)
         ]
 
     def test_draws_are_coordinate_pure(self):
@@ -733,22 +778,70 @@ class TestBootstrap:
     def test_selection_matches_the_keyed_sort(self, key_bits):
         """`_bootstrap_matrix_numpy` keeps the l1 smallest ``(key, id)`` per
         node without sorting the rest; narrow keys force ties inside the
-        selection and across its boundary (the full-sort fallback rows)."""
+        selection and across its boundary.  The chunk keys are narrowed at
+        `keys_into`, the seam every bootstrap key (the full-sort fallback
+        rows' too) goes through."""
         from repro.shard import state
 
         config = ShardConfig(protocol="brahms", n_nodes=70, seed=9,
                              n_byzantine=7, view_size=11, alpha_count=4,
                              beta_count=4, gamma_count=3)
         mask = (1 << key_bits) - 1
+
+        def narrowed(out, scratch, a_values, b_row):
+            keys = keys_into(out, scratch, a_values, b_row)
+            return np.bitwise_and(keys, np.uint64(mask), out=keys)
+
         with mock.patch.object(
             state, "key64", lambda *coords: key64(*coords) & mask
-        ), mock.patch.object(
-            state, "key_array", lambda *coords: key_array(*coords) & mask
-        ):
+        ), mock.patch.object(state, "keys_into", narrowed):
             matrix = state._bootstrap_matrix_numpy(config)
             rows = [state._bootstrap_row(config, node) for node in range(70)]
         assert matrix.tolist() == rows
         assert matrix.dtype == "int64"
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_selection_equals_the_keyed_sort_rows(self, data):
+        """Any population and view size a config admits (n ≥ 3, since
+        α, β ≥ 1 make l1 ≥ 2) and any seed: the matrix is the pure rows."""
+        from repro.shard import state
+
+        n = data.draw(st.integers(min_value=3, max_value=120), label="n")
+        l1 = data.draw(st.integers(min_value=2, max_value=n - 1), label="l1")
+        seed = data.draw(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                         label="seed")
+        config = ShardConfig(protocol="brahms", n_nodes=n, seed=seed,
+                             view_size=l1, alpha_count=1, beta_count=1,
+                             gamma_count=0)
+        assert state._bootstrap_matrix_numpy(config).tolist() == [
+            state._bootstrap_row(config, node) for node in range(n)
+        ]
+
+    @pytest.mark.parametrize("expected_below", [None, 0])
+    def test_rows_short_of_candidates_take_the_full_sort(self, expected_below):
+        """A τ under which about l1 keys fall (``None``: some rows come up
+        short, some not) or none does (``0``: every row short): the short
+        rows take the full sort, and the matrix still equals the pure rows."""
+        from repro.shard import state
+
+        config = ShardConfig(protocol="brahms", n_nodes=120, seed=5,
+                             view_size=9, alpha_count=4, beta_count=4,
+                             gamma_count=1)
+        n, l1 = config.n_nodes, config.view_size
+        below = l1 if expected_below is None else expected_below
+        tau = np.uint64(int(below / (n - 1) * 2.0 ** 64))
+        with mock.patch.object(
+            state, "_bootstrap_threshold", lambda *_: tau
+        ), mock.patch.object(
+            state, "_bootstrap_row_numpy", wraps=state._bootstrap_row_numpy
+        ) as full_sort:
+            matrix = state._bootstrap_matrix_numpy(config)
+        short = full_sort.call_count
+        assert 0 < short < n if expected_below is None else short == n
+        assert matrix.tolist() == [
+            state._bootstrap_row(config, node) for node in range(n)
+        ]
 
     def test_view_may_hold_everyone_else(self):
         from repro.shard import state
@@ -1037,6 +1130,24 @@ class TestRoundRecord:
             tracemalloc.stop()
         assert record.mean_byzantine_fraction == 0.25
         assert size <= 200 * 1024, size
+
+    @pytest.mark.parametrize("n_byzantine, n_trusted",
+                             [(0, 0), (4, 0), (4, 5), (0, 7), (3, 37)])
+    def test_kinds_follow_the_id_bands(self, n_byzantine, n_trusted):
+        """The kind column, filled band by band, is what
+        `NodeKind.for_banded_id` says of each correct id."""
+        from repro.shard import ShardSimulation
+
+        config = ShardConfig(protocol="raptee" if n_trusted else "brahms",
+                             n_nodes=40, seed=1, n_byzantine=n_byzantine,
+                             n_trusted=n_trusted, view_size=4, alpha_count=1,
+                             beta_count=1, gamma_count=1)
+        kinds = ShardSimulation(config)._kinds
+        assert kinds.tolist() == [
+            KIND_CODE[NodeKind.for_banded_id(node, n_byzantine, n_trusted)]
+            for node in range(n_byzantine, 40)
+        ]
+        assert kinds.dtype == np.int8 and not kinds.flags.writeable
 
     def test_a_down_node_leaves_the_columns(self):
         config = replace(

@@ -44,14 +44,6 @@ class TestRegistry:
         assert hist.count == 3
         assert hist.mean == pytest.approx(4.0)
 
-    def test_histogram_percentile_is_a_bucket_bound(self):
-        hist = MetricsRegistry().histogram("latency", buckets=(10.0, 20.0, 50.0))
-        assert hist.percentile(0.5) == 0.0  # empty
-        for value in (5, 15, 15, 40, 900):
-            hist.observe(value)
-        assert [hist.percentile(q) for q in (0.2, 0.5, 0.8)] == [10.0, 20.0, 50.0]
-        assert hist.percentile(1.0) == 50.0  # above the last bound: that bound
-
     def test_labels_are_distinct_series(self):
         registry = MetricsRegistry()
         registry.counter("req", kind="a").inc(5)
