@@ -57,20 +57,30 @@ loop.  Data layout of a numpy round:
   matrices (Brahms is the pull pair of the same masks);
 * **barrier** concatenates them and sorts the pushes once (one packed
   ``(src, dst, seq)`` key);
-* **apply** is a segment kernel over flat ``(owner, id)`` arrays, run in
-  owner blocks under :data:`_BLOCK_ELEMENTS` cut from per-owner batch
-  counts read off the session masks.  Each block builds its own pulled
-  batches, gathered as a ``[batches, l1]`` view-matrix slice in stream
-  order and turned, in place, into one column of flat cells
-  ``(owner − node_a) · N + id`` — owner-ascending, so one ``searchsorted``
-  gives each owner's segment, the trusted owners' eviction runs over a
-  prefix, and the cells index the marks directly.  Novelty and per-owner
-  uniqueness fall out of one dense ``[owners, N]`` mark-and-scan against
-  unpacked ``known`` rows, keyed subsets are a per-segment keyed rank,
-  and each block's delta comes back as arrays (fresh ids as packed rows)
-  that ``_integrate`` writes a block at a time.  No per-batch array spans
-  more than a block, and fresh ``(owner, id)`` pairs never leave their
-  block, so no array grows with the population or the round-1 flood.
+* **apply** is a segment kernel run in owner blocks under
+  :data:`_BLOCK_ELEMENTS`, cut from per-owner batch counts read off the
+  session masks.  Before the partitions run, `ShardSimulation` hands them
+  the start-of-round views packed as ``Barrier.view_bits``: ``[N,
+  ⌈N/64⌉]`` uint64 rows in ``np.packbits`` bit order, the layout of
+  ``known``, whose Byzantine rows carry the fake windows (row ``s`` the
+  window starting at ``s``); it keeps the bitset across rounds and repacks
+  only the rows renewed since.  A block's pulled batches stay references —
+  owner, row, length, in stream order — and never become ids: each owner's
+  row of what it observed is the OR of its batches' packed rows
+  (`_or_rows`, slot by slot over cache-sized rows) and of its pushes, less
+  its own bit; that row AND-NOT its ``known`` row *is* the block's
+  ``known`` delta, and its set bits are the fresh ``(owner, id)`` pairs,
+  ids ascending (`_set_bits`).  A batch's length is its row's length less
+  the owner's occurrences, which one bit test per batch flags; a β pick
+  finds its batch by one ``searchsorted`` on the running lengths and reads
+  ``view[peer, k]`` past the owner's occurrences, or ``(start + k) mod
+  n_byz`` in a fake window.  Only trusted owners under eviction keep the
+  explicit ``[batches, l1]`` id stream, because §IV-C keeps a keyed share
+  of their ids per occurrence; they are a prefix of the block.  Keyed
+  subsets are a per-segment keyed rank, and each block's delta comes back
+  as arrays that ``_integrate`` writes a block at a time.  Fresh pairs
+  never leave their block, so no array grows with the population or the
+  round-1 flood.
 * the **sampler feed** closes each owner block: the ``[fresh, l2]``
   min-wise hash matrix of the block's fresh pairs, min-reduced per owner
   segment, in one of two forms chosen per owner by segment size.  An
@@ -541,13 +551,18 @@ class Barrier:
     #: Pure backend: callee-side swap effects per *destination*, in
     #: (caller, k) order.
     swaps_by_dst: Dict[int, List[SessionResult]] = field(default_factory=dict)
-    #: numpy backend: full canonical (src, dst, seq, ok) push arrays ...
+    #: numpy backend: full canonical (src, dst, seq, ok) push arrays, for
+    #: message tracing only (`ShardSimulation` drops them once traced) ...
     push_canonical: Optional[Tuple] = None
     #: ... and the delivered subset re-sorted by (dst, src, seq), with the
     #: destination column first — the apply phase's delivery index.
     push_by_dst: Optional[Tuple] = None
     #: numpy backend: every session of the round, sources ascending.
     sess_arrays: Optional[SessionArrays] = None
+    #: numpy backend: the start-of-round views as ``[N, ⌈N/64⌉]`` uint64
+    #: rows of ``np.packbits`` bits, Byzantine rows holding the fake windows
+    #: by start; `ShardSimulation` updates it before the applies read it.
+    view_bits: Optional[np.ndarray] = None
     pushes_sent: int = 0
     pushes_delivered: int = 0
     requests_sent: int = 0
@@ -839,21 +854,20 @@ def _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
             _validate_samplers(config, state, round_no, node, fresh, delta)
 
 
-#: Element budget for the segment kernel's per-block temporaries: owners
-#: are processed in blocks whose gathered ``[batches, l1]`` cells plus
-#: dense ``[owners, N]`` marks stay under it, so an N = 1,000 population
-#: (900 correct owners at l1 = 20, ~1.1 k elements each), one partition
-#: inline, is two blocks.  On a 2-vCPU Xeon @ 2.1 GHz, with four
-#: partitions a round, 2^18 / 2^19 / 2^20 / 2^21 gave `shard-raptee-1k`
-#: `run_s` 0.312 / 0.269 / 0.270 / 0.272 s and `shard-brahms-4k` 1.81 /
-#: 1.78 / 1.79 / 1.89 s (medians of six round-robin ledger runs), the
-#: latter peaking at 91 / 96 / 104 / 128 MiB; the N = 10,000 apply phase
-#: (round 5, shards = 4) took 2.39 / 2.26 / 2.02 / 2.37 s (medians of 12
-#: interleaved runs on one frozen state).  Past 2^19 the saved numpy calls
-#: stop paying for the spilled cache and round 1's larger fresh blocks.
-#: With one partition, the N = 1,000 apply (one frozen round, best of
-#: 300) took ~6.3 / 5.3 / 5.2 ms at 2^18 / 2^19 / 2^20: one block instead
-#: of two saves nothing measurable, and 2^20 costs the 4k workload RSS.
+#: Budget for the segment kernel's per-block temporaries, in per-owner
+#: cost units: an owner costs N, the bound on its fresh pairs (which the
+#: block decodes, feeds and drops), plus ``batches · l1`` when it is a
+#: trusted owner under eviction and so builds its explicit ids; its packed
+#: rows (a few ``⌈N/64⌉``-word rows) are small beside that.  So an N =
+#: 1,000 population (900 correct owners), one partition inline, is two
+#: blocks, N = 4,000 ~131 owners a block and N = 10,000 ~52.  On a 2-vCPU
+#: Xeon @ 2.1 GHz, 2^18 / 2^19 / 2^20 gave the `shard-brahms-4k` apply
+#: 402–416 / 383–444 / 359–363 ms of CPU in round 2 and 293–299 / 270–284
+#: / 248–252 in round 3, the `shard-raptee-1k` round-10 apply 6.0–6.4 /
+#: 5.5 / 4.3–4.4 ms (best of 5 and of 30 replays on one frozen round, two
+#: sweeps), and a round-1 `tracemalloc` peak at N = 4,000 of 25.1 / 28.6 /
+#: 36.8 MiB (30.5 while the apply gathered `[batches, l1]` ids): past 2^19
+#: the larger blocks buy time with the flood's memory.
 _BLOCK_ELEMENTS = 1 << 19
 #: Elements of one sampler-feed tile (``tile // l2`` rows of the
 #: ``[fresh, l2]`` hash matrix).  The feed makes a dozen elementwise
@@ -880,6 +894,12 @@ _FEED_OWNER_ELEMENTS = 1 << 13
 #: l2`` columns, >= 64 while l2 <= 128), so the ``[l2, 1]`` coefficient
 #: broadcasts are never buffered.
 _FEED_OWNER_BUFSIZE = 64
+#: Packed ``known`` bytes per chunk of `ShardSimulation._known_poll`: the
+#: popcount buffer stays in L2 instead of spanning every correct row.
+_POLL_CHUNK_BYTES = 1 << 16
+#: Bool marks per chunk of `_pack_rows` (whole rows, at least one): the
+#: chunk stays in L2 between its scatter and its ``packbits``.
+_PACK_CHUNK_CELLS = 1 << 18
 
 
 def _owner_blocks(cost, budget: int) -> List[Tuple[int, int]]:
@@ -1009,11 +1029,17 @@ def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
     batch_count, contacts, trusted_contacts, delta.trusted_exchanges = (
         _batch_counts(sess, effects, base, hi)
     )
-    cost = batch_count * config.view_size + config.n_nodes
+    # An owner costs its fresh pairs (at most N) and, trusted under
+    # eviction, its explicit [batches, l1] ids as well.
+    cost = np.full(batch_count.size, config.n_nodes, dtype=np.int64)
+    if config.eviction_kind != "none":
+        t = max(0, min(config.n_byzantine + config.n_trusted, hi) - base)
+        cost[:t] += batch_count[:t] * config.view_size
     for a, b in _owner_blocks(cost, _BLOCK_ELEMENTS):
         node_a, node_b = base + a, base + b
         renewed, bits, fresh = _apply_block_numpy(
             config, state, round_no, node_a, node_b, barrier.push_by_dst,
+            barrier.view_bits,
             _pulled_batches_numpy(sess, effects, node_a, node_b),
             contacts[a:b], trusted_contacts[a:b], delta,
         )
@@ -1025,14 +1051,214 @@ def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
                                   fresh, delta)
 
 
+def _pack_rows(rows, out) -> None:
+    """Write each -1 padded id row of ``rows`` into the same row of the
+    uint64 ``out`` as one set bit per id, in ``np.packbits`` order (id
+    ``i`` is bit ``7 − i % 8`` of byte ``i // 8``): every bit of ``out``
+    is written.  Rows go through a reused bool chunk of about
+    :data:`_PACK_CHUNK_CELLS` marks, one scatter and one ``packbits`` a
+    chunk; a spare byte past the row takes the padding's marks."""
+    width = out.shape[1] * 64 + 8
+    step = max(1, _PACK_CHUNK_CELLS // width)
+    marks = np.zeros((min(step, len(rows)), width), dtype=bool)
+    offsets = np.arange(len(marks), dtype=np.int64)[:, None] * width
+    out8 = out.view(np.uint8)
+    for at in range(0, len(rows), step):
+        chunk = rows[at:at + step]
+        count = len(chunk)
+        marks[:count] = False
+        marks.reshape(-1)[np.where(chunk >= 0, chunk, width - 1)
+                          + offsets[:count]] = True
+        out8[at:at + count] = np.packbits(marks[:count], axis=1)[:, :-1]
+
+
+def _pack_views(config: ShardConfig, state: ShardState):
+    """The start-of-round views as packed rows (`Barrier.view_bits`): a
+    correct node's row holds its view; Byzantine rows hold no view, so row
+    ``s < n_byz`` holds the fake window that starts at ``s``."""
+    n, n_byz = config.n_nodes, config.n_byzantine
+    bits = np.empty((n, -(-n // 64)), dtype=np.uint64)
+    window = np.arange(min(config.view_size, n_byz), dtype=np.int64)
+    _pack_rows((np.arange(n_byz, dtype=np.int64)[:, None] + window) % n_byz,
+               bits[:n_byz])
+    _pack_rows(state.view[n_byz:], bits[n_byz:])
+    return bits
+
+
+def _or_sorted_ids(acc8, local, ids) -> None:
+    """OR the bits of ``(local owner, id)`` pairs, sorted by owner then id
+    (repeats allowed), into the packed byte rows ``acc8``: pairs that land
+    in one byte are adjacent, so one ``reduceat`` per byte run."""
+    if not ids.size:
+        return
+    flat = local * acc8.shape[1] + (ids >> 3)
+    bit = np.right_shift(np.uint8(0x80), (ids & 7).astype(np.uint8))
+    first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    acc8.reshape(-1)[flat[first]] |= np.bitwise_or.reduceat(bit, first)
+
+
+def _or_rows(view_bits, ref, o_first):
+    """Per owner ``o``, the OR of the packed rows ``view_bits[ref[i]]``
+    over its batches ``o_first[o] <= i < o_first[o + 1]``.  Slot by slot:
+    owners ranked by batch count, descending, so the owners with a ``j``-th
+    batch are a prefix of the ranking, and slot ``j`` is one ``take`` of
+    their rows into a reused buffer and one in-place OR — two numpy calls
+    a slot over cache-sized rows, with no ``[batches, words]`` gather."""
+    count = np.diff(o_first)
+    owners = count.size
+    order = np.argsort(-count, kind="stable")
+    ranked = count[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(owners)
+    b_local = np.repeat(np.arange(owners), count)
+    slots = np.empty((int(ranked[0]), owners), dtype=np.int64)
+    slots[np.arange(ref.size) - o_first[b_local], rank[b_local]] = ref
+    live = np.searchsorted(-ranked, -np.arange(slots.shape[0]), side="left")
+    ored = np.zeros((owners, view_bits.shape[1]), dtype=np.uint64)
+    rows = np.empty_like(ored)
+    for j, k in enumerate(live.tolist()):
+        view_bits.take(slots[j, :k], axis=0, out=rows[:k], mode="clip")
+        ored[:k] |= rows[:k]
+    acc = np.empty_like(ored)
+    acc[order] = ored
+    return acc
+
+
+def _set_bits(bits, n: int):
+    """The set bits of packed byte rows as ``(row, id)`` pairs in
+    row-major order, ids ascending per row (id ``i < n`` is bit ``7 − i %
+    8`` of byte ``i // 8``).
+
+    Two forms, by density, because numpy's ``nonzero`` scans a bool array
+    branch-free at about 10% set or more and with a branch per element
+    below that (~0.85 ns an element above, up to ~2.4 ns just under, on a
+    2-vCPU Xeon @ 2.1 GHz): a dense block unpacks its rows whole; a sparse
+    one unpacks only its non-zero bytes, whose bits are at least 1/8 set.
+    On the `shard-brahms-4k` blocks (41% / 18% / 10% set in rounds 1 / 2 /
+    3) the dense form took ~60 / ~20 / ~40 ms a round and the sparse one
+    ~120 / ~60 / ~20 ms (replayed blocks, best of 9)."""
+    rows, width = bits.shape
+    counts = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    row = np.repeat(np.arange(rows), counts)
+    if int(counts.sum()) * 10 >= rows * n:
+        ids = np.flatnonzero(np.unpackbits(bits, axis=1, count=n).view(bool))
+        ids -= row * n
+        return row, ids
+    nonzero = bits != 0
+    at = np.flatnonzero(nonzero)
+    base = at - np.repeat(np.arange(rows) * width,
+                          np.count_nonzero(nonzero, axis=1))
+    base <<= 3
+    bit = np.flatnonzero(np.unpackbits(bits.reshape(-1)[at]).view(bool))
+    ids = base[bit >> 3]
+    bit &= 7
+    ids += bit
+    return row, ids
+
+
+def _batch_refs(config: ShardConfig, round_no: int, b_owner, b_peer, b_slot):
+    """Per batch, the row of the round's packed views it carries: its
+    peer's, or for a Byzantine peer the fake window at its keyed start
+    (the Byzantine rows hold those windows, so a reference below
+    ``n_byz`` *is* a fake window)."""
+    ref = b_peer.copy()
+    fake = np.flatnonzero(b_peer < config.n_byzantine)
+    if fake.size:
+        ref[fake] = (key_array(
+            config.seed, Purpose.FAKE_VIEW, round_no,
+            b_owner[fake].astype(np.uint64), b_slot[fake].astype(np.uint64),
+        ) % np.uint64(config.n_byzantine)).astype(np.int64)
+    return ref
+
+
+def _batch_lengths(state: ShardState, view_bits, n_byz: int, b_owner, ref):
+    """Per batch, the ids it adds to its owner's pulled stream — the
+    referenced row's length less the owner's occurrences in it — and the
+    indices of the batches whose row holds the owner.  One bit test per
+    batch finds those (views may repeat an id, so only they are counted
+    exactly, against the view row); a fake window never holds a correct
+    owner."""
+    lens = state.view_len[ref]
+    lens[ref < n_byz] = min(state.view.shape[1], n_byz)
+    byte = view_bits.view(np.uint8)[ref, b_owner >> 3]
+    held = np.flatnonzero(np.left_shift(byte, (b_owner & 7).astype(np.uint8))
+                          & np.uint8(0x80))
+    if held.size:
+        lens[held] -= np.count_nonzero(
+            state.view[ref[held]] == b_owner[held, None], axis=1
+        )
+    return lens, held
+
+
+def _stream_ids(state: ShardState, n_byz: int, b_owner, ref, lens, held, pos):
+    """The ids at positions ``pos`` of a pulled stream given as batch
+    references (batch ``i`` contributes ``lens[i]`` ids, in batch order):
+    one ``searchsorted`` on the running counts finds each position's batch
+    and its offset ``k`` there, whose id is ``(start + k) mod n_byz`` in a
+    fake window, else the ``k``-th view entry — skipping the owner's own
+    occurrences in the ``held`` batches."""
+    end = np.cumsum(lens)
+    at = np.searchsorted(end, pos, side="right")
+    k = pos - (end[at] - lens[at])
+    row = ref[at]
+    ids = state.view[row, k]
+    fake = np.flatnonzero(row < n_byz)
+    if fake.size:
+        ids[fake] = (row[fake] + k[fake]) % n_byz
+    holds = np.zeros(ref.size, dtype=bool)
+    holds[held] = True
+    skip = np.flatnonzero(holds[at])
+    if skip.size:
+        entries = state.view[row[skip]]
+        kept = (entries >= 0) & (entries != b_owner[at[skip], None])
+        col = np.argmax(np.cumsum(kept, axis=1) > k[skip, None], axis=1)
+        ids[skip] = entries[np.arange(skip.size), col]
+    return ids
+
+
+def _evicted_stream(config, state, round_no, node_a, t_owners, batches, ref,
+                    contacts, trusted_contacts, delta):
+    """The explicit pulled stream of the block's first ``t_owners`` owners
+    — trusted, under eviction (§IV-C keeps a keyed share of their
+    untrusted ids *per occurrence*) — as flat cells ``(owner − node_a) · N
+    + id`` in stream order after eviction.  ``batches`` and ``ref`` are
+    those owners' batches (a prefix of the block's)."""
+    n_byz, n = config.n_byzantine, config.n_nodes
+    b_owner, _peer, _slot, b_trusted = batches
+    ids = state.view[ref]
+    fake = np.flatnonzero(ref < n_byz)
+    if fake.size:
+        window = np.arange(min(config.view_size, n_byz), dtype=np.int64)
+        ids[fake, : window.size] = (ref[fake, None] + window) % n_byz
+    valid = (ids >= 0) & (ids != b_owner[:, None])
+    ids += ((b_owner - node_a) * n)[:, None]
+    cells = ids[valid]
+    at_risk = np.flatnonzero(np.repeat(~b_trusted, valid.sum(axis=1)))
+    if at_risk.size:
+        r_local = cells[at_risk] // n
+        index, total = _segment_index(r_local, t_owners)
+        share = np.divide(trusted_contacts[:t_owners], contacts[:t_owners],
+                          out=np.zeros(t_owners),
+                          where=contacts[:t_owners] > 0)
+        keep = total - np.rint(
+            config.eviction_rates(share) * total
+        ).astype(np.int64)
+        delta.evicted += int((total - np.maximum(keep, 0)).sum())
+        cells = np.delete(cells, at_risk[~_keyed_keep_numpy(
+            config, round_no, Purpose.EVICT_KEEP, r_local + node_a, index,
+            keep[r_local],
+        )])
+    return cells
+
+
 def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
-                       batches, contacts, trusted_contacts, delta):
+                       view_bits, batches, contacts, trusted_contacts, delta):
     """One owner block ``[node_a, node_b)`` of the segment kernel: counts
     go to ``delta``; returns the block's ``(nodes, rows, lens)`` renewed
     views (None when there are none), its fresh ids as packed rows and as
     ``(owner, id)`` pairs, owner-sorted with ids ascending per owner."""
     seed = config.seed
-    n_byz = config.n_byzantine
+    n_byz, n = config.n_byzantine, config.n_nodes
     owners = node_b - node_a
 
     # Delivered pushes, (owner, src, seq)-ordered, minus self-pushes.
@@ -1043,72 +1269,55 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
     p_owner, p_src = p_owner[not_self], p_src[not_self]
     push_len = np.bincount(p_owner - node_a, minlength=owners)
 
-    # Pulled ids: one [batches, l1] gather (rows are -1 padded; Byzantine
-    # rows are all padding until the fake window is written in), flattened
-    # row-major so the stream order of the batches carries over to ids.
-    b_owner, b_peer, b_slot, b_trusted = batches
-    ids = state.view[b_peer]
-    fake = np.flatnonzero(b_peer < n_byz)
-    if fake.size:
-        start = key_array(
-            seed, Purpose.FAKE_VIEW, round_no,
-            b_owner[fake].astype(np.uint64), b_slot[fake].astype(np.uint64),
-        ) % np.uint64(n_byz)
-        window = np.arange(min(config.view_size, n_byz), dtype=np.int64)
-        ids[fake, : window.size] = (
-            start.astype(np.int64)[:, None] + window[None, :]
-        ) % n_byz
-    valid = (ids >= 0) & (ids != b_owner[:, None])
-    # Each id becomes its flat cell ``(owner − node_a) · N + id`` of the
-    # block's ``[owners, N]`` marks, in place, and one compress leaves the
-    # pulled stream as one column.  Cells ascend by owner (not by id inside
-    # an owner), so ``cell < o · N`` holds on a prefix and one searchsorted
-    # finds every owner's segment.  The gather is the block's largest
-    # temporary: it goes as soon as the cells exist.
-    n = config.n_nodes
-    ids += ((b_owner - node_a) * n)[:, None]
-    cells = ids[valid]
-    del ids
+    # Pulled batches as references into the round's packed views.
+    b_owner, b_peer, b_slot, _trusted = batches
+    ref = _batch_refs(config, round_no, b_owner, b_peer, b_slot)
+    pull_len = np.zeros(owners, dtype=np.int64)
 
-    # Byzantine eviction (§IV-C): trusted owners drop a keyed share of
-    # their untrusted ids.  Trusted ids ``[n_byz, n_byz + n_trusted)`` are
-    # the lowest correct ids and a block starts at or above ``n_byz``, so
-    # their batches and their cells are prefixes of the block's.
+    # Trusted owners under eviction keep the explicit id stream.  Trusted
+    # ids ``[n_byz, n_byz + n_trusted)`` are the lowest correct ids and a
+    # block starts at or above ``n_byz``, so they and their batches are
+    # prefixes of the block's.
     t_owners = min(n_byz + config.n_trusted, node_b) - node_a
+    t_batches, cells = 0, None
     if config.eviction_kind != "none" and t_owners > 0:
         t_batches = int(np.searchsorted(b_owner, node_a + t_owners))
-        at_risk = np.flatnonzero(np.repeat(
-            ~b_trusted[:t_batches], valid[:t_batches].sum(axis=1),
-        ))
-        if at_risk.size:
-            r_local = cells[at_risk] // n
-            index, total = _segment_index(r_local, t_owners)
-            share = np.divide(trusted_contacts[:t_owners], contacts[:t_owners],
-                              out=np.zeros(t_owners),
-                              where=contacts[:t_owners] > 0)
-            keep = total - np.rint(
-                config.eviction_rates(share) * total
-            ).astype(np.int64)
-            delta.evicted += int((total - np.maximum(keep, 0)).sum())
-            cells = np.delete(cells, at_risk[~_keyed_keep_numpy(
-                config, round_no, Purpose.EVICT_KEEP, r_local + node_a, index,
-                keep[r_local],
-            )])
-    pull_bounds = np.searchsorted(cells, np.arange(owners + 1) * n)
-    pull_len = np.diff(pull_bounds)
+        cells = _evicted_stream(
+            config, state, round_no, node_a, t_owners,
+            tuple(column[:t_batches] for column in batches), ref[:t_batches],
+            contacts, trusted_contacts, delta,
+        )
+        pull_bounds = np.searchsorted(cells, np.arange(t_owners + 1) * n)
+        pull_len[:t_owners] = np.diff(pull_bounds)
 
-    # Novelty + per-owner sorted unique in one pass: mark every observed
-    # (owner, id), clear what the owner already knew (for bools ``>`` is
-    # "and not", with no ``~known`` temporary), scan.  Flat indices: the
-    # 1-D scatter and scan are several times faster than their 2-D forms.
-    marks = np.zeros(owners * n, dtype=bool)
-    marks[(p_owner - node_a) * n + p_src] = True
-    marks[cells] = True
-    known = np.unpackbits(state.known[node_a:node_b], axis=1, count=n)
-    np.greater(marks, known.view(bool).reshape(-1), out=marks)
-    hit = np.flatnonzero(marks)
-    f_local = hit // n
-    f_id = hit - f_local * n
+    # Everyone else's stream is only its (batch, length) references.
+    b_owner, ref = b_owner[t_batches:], ref[t_batches:]
+    b_len, b_held = _batch_lengths(state, view_bits, n_byz, b_owner, ref)
+    o_first = np.searchsorted(b_owner, np.arange(node_a, node_b + 1))
+    stream_at = np.concatenate(([0], np.cumsum(b_len)))[o_first]
+    pull_len += np.diff(stream_at)
+
+    # Everything an owner observed, as one packed row: its batches' rows
+    # OR-ed (the evicting prefix's surviving ids instead), its pushes, not
+    # itself.
+    acc = _or_rows(view_bits, ref, o_first)
+    acc8 = acc.view(np.uint8)
+    if cells is not None:
+        ordered = np.sort(cells)
+        local = ordered // n
+        _or_sorted_ids(acc8, local, ordered - local * n)
+    _or_sorted_ids(acc8, p_owner - node_a, p_src)
+    own = np.arange(node_a, node_b)
+    acc8[np.arange(owners), own >> 3] &= ~np.right_shift(
+        np.uint8(0x80), (own & 7).astype(np.uint8))
+
+    # Novelty stays packed: what the owner observed and did not know is the
+    # ``known`` delta itself, and its set bits in row-major order are the
+    # fresh (owner, id) pairs, ids ascending per owner.
+    observed = acc8[:, :state.known.shape[1]]
+    bits = np.bitwise_and(observed, state.known[node_a:node_b])
+    np.bitwise_xor(observed, bits, out=bits)
+    f_local, f_id = _set_bits(bits, n)
 
     # Blocking defense and view renewal.
     if config.blocking_enabled:
@@ -1140,19 +1349,27 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
         rows[row_of[u_owner - node_a], u_index] = u_src
         alpha_len = u_count[r_local]
 
-        # β: keyed picks from the owner's pulled segment, cells back to ids.
+        # β: keyed picks from the owner's pulled stream — explicit cells
+        # for the evicting prefix, batch references for everyone else.
         node_col = r_nodes.astype(np.uint64)[:, None]
         beta_keys = key_array(
             seed, Purpose.RENEW_PULL, round_no, node_col,
             np.arange(config.beta_count, dtype=np.uint64)[None, :],
         )
-        picks = (beta_keys % pull_len[r_local].astype(np.uint64)[:, None])
+        picks = (beta_keys
+                 % pull_len[r_local].astype(np.uint64)[:, None]).astype(np.int64)
+        beta = np.empty_like(picks)
+        split = int(np.searchsorted(r_local, t_owners)) if cells is not None else 0
+        if split:
+            evicting = r_local[:split]
+            beta[:split] = (cells[pull_bounds[evicting][:, None] + picks[:split]]
+                            - (evicting * n)[:, None])
+        beta[split:] = _stream_ids(
+            state, n_byz, b_owner, ref, b_len, b_held,
+            (stream_at[r_local[split:]][:, None] + picks[split:]).ravel(),
+        ).reshape(-1, config.beta_count)
         beta_cols = alpha_len[:, None] + np.arange(config.beta_count)[None, :]
-        row_col = np.arange(r_local.size)[:, None]
-        rows[row_col, beta_cols] = (
-            cells[pull_bounds[r_local][:, None] + picks.astype(np.int64)]
-            - (r_local * n)[:, None]
-        )
+        rows[np.arange(r_local.size)[:, None], beta_cols] = beta
         lens = alpha_len + config.beta_count
 
         # γ: keyed picks among the non-empty samplers (start-of-round
@@ -1178,7 +1395,6 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
             )
             lens[sampled] += config.gamma_count
         renewed = (r_nodes, rows, lens)
-    bits = np.packbits(marks.reshape(owners, n), axis=1)
     return renewed, bits, (f_local + node_a, f_id)
 
 
@@ -1458,6 +1674,10 @@ class ShardSimulation:
         self._nodes.flags.writeable = self._kinds.flags.writeable = False
         # The round each correct node discovered the system.
         self._discovered_at = np.full(config.n_nodes - n_byz, -1, dtype=np.int64)
+        # The packed views the applies read (numpy backend), kept across
+        # rounds, and the nodes whose views were renewed since last packed.
+        self._view_bits: Optional[np.ndarray] = None
+        self._renewed: List[np.ndarray] = []
 
     # -- faults ---------------------------------------------------------------
 
@@ -1501,9 +1721,29 @@ class ShardSimulation:
         barrier = merge_plans(self._run_plans(round_no, eff_loss),
                               self.state.use_numpy)
         self._record_barrier(round_no, barrier)
+        # Only message tracing reads the canonical push columns.
+        barrier.push_canonical = None
+        if self.state.use_numpy:
+            barrier.view_bits = self._packed_views()
         deltas = self._run_applies(round_no, barrier)
         self._integrate(deltas)
         self._close_round(round_no, barrier, deltas)
+
+    def _packed_views(self):
+        """This round's `Barrier.view_bits`: packed whole in the first
+        round, then only the rows `_integrate` renewed are repacked — no
+        other write touches a view (a renewal is ~5–80% of the rows a round
+        in the ledger's and the paper-scale runs)."""
+        if self._view_bits is None:
+            self._view_bits = _pack_views(self.config, self.state)
+        elif self._renewed:
+            nodes = np.concatenate(self._renewed)
+            packed = np.empty((nodes.size, self._view_bits.shape[1]),
+                              dtype=np.uint64)
+            _pack_rows(self.state.view[nodes], packed)
+            self._view_bits[nodes] = packed
+        self._renewed = []
+        return self._view_bits
 
     def _run_plans(self, round_no: int, eff_loss: float):
         state = self.state
@@ -1550,6 +1790,7 @@ class ShardSimulation:
                     nodes, rows, lens = block.views
                     state.view[nodes] = rows
                     state.view_len[nodes] = lens
+                    self._renewed.append(nodes)
                 if block.samples is not None:
                     nodes, slots, packed = block.samples
                     state.samp_best[nodes, slots] = packed
@@ -1672,10 +1913,17 @@ class ShardSimulation:
         n_byz, state = self.config.n_byzantine, self.state
         if state.use_numpy:
             # The bytes from the one holding id n_byz on, less that byte's
-            # Byzantine ids (its top n_byz % 8 bits).
+            # Byzantine ids (its top n_byz % 8 bits), popcounted a chunk of
+            # rows at a time into one reused buffer.
             head, rem = divmod(n_byz, 8)
             rows = state.known[n_byz:, head:]
-            counts = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+            counts = np.empty(len(rows), dtype=np.int64)
+            step = max(1, _POLL_CHUNK_BYTES // rows.shape[1])
+            ones = np.empty((min(step, len(rows)), rows.shape[1]), dtype=np.uint8)
+            for at in range(0, len(rows), step):
+                chunk = rows[at:at + step]
+                np.bitwise_count(chunk, out=ones[:len(chunk)]).sum(
+                    axis=1, dtype=np.int64, out=counts[at:at + step])
             if rem:
                 counts -= np.bitwise_count(rows[:, 0] >> (8 - rem))
             return counts

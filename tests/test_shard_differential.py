@@ -151,6 +151,22 @@ def _flood_config() -> ShardConfig:
     return shard_config(topology, seed=7, protocol="brahms")
 
 
+def _wrapping_windows_config() -> ShardConfig:
+    # 3 Byzantine ids under l1 = 9: every fake window wraps modulo n_byz,
+    # and at N = 60 peers' views often hold an owner once or twice.
+    topology = {"n_nodes": 60, "byzantine_fraction": 0.05, "view_ratio": 0.15,
+                "loss_rate": 0.03}
+    return shard_config(topology, seed=31, protocol="brahms")
+
+
+def _evicting_swaps_config() -> ShardConfig:
+    # Fixed-rate eviction on a trusted band that swaps, fake windows that
+    # wrap: the explicit id stream of trusted owners beside the batch
+    # references of everyone else.
+    return _raptee_edge_config(byzantine_fraction=0.05, eviction_kind="fixed",
+                               eviction_params=(0.5,))
+
+
 SCENARIOS = {
     "brahms-loss-encrypted": (_brahms_loss_config, 12),
     "raptee-faults": (_raptee_faults_config, 15),
@@ -166,6 +182,8 @@ SCENARIOS = {
     "raptee-few-trusted": (_few_trusted_config, 12),
     "raptee-many-trusted": (_many_trusted_config, 12),
     "brahms-flood": (_flood_config, 4),
+    "brahms-wrapping-windows": (_wrapping_windows_config, 8),
+    "raptee-evicting-swaps": (_evicting_swaps_config, 8),
 }
 
 #: ``(scenario, shards, workers, use_numpy)`` rows of the retired CI matrix
@@ -318,6 +336,22 @@ class TestEdgeScenariosBite:
         state = _reference("raptee-many-trusted").bundle.state
         assert state.trusted_exchanges > 0 and state.evicted_ids > 0
 
+    def test_wrapping_windows_wrap_and_views_repeat_ids(self):
+        simulation = self._state("brahms-wrapping-windows")
+        config = simulation.config
+        assert 0 < config.n_byzantine < config.view_size
+        views = simulation.final_views().values()
+        assert any(len(set(view)) < len(view) for view in views)
+        assert any(len(view) < config.view_size for view in views)
+
+    def test_evicting_swaps_evict_and_swap(self):
+        simulation = self._state("raptee-evicting-swaps")
+        config = simulation.config
+        assert config.eviction_kind == "fixed"
+        assert 0 < config.n_byzantine < config.view_size
+        assert simulation.state.evicted_ids > 0
+        assert simulation.state.trusted_exchanges > 0
+
     def test_flood_spans_many_feed_tiles(self, monkeypatch):
         """Some single feed call must cross many tile boundaries, so the
         running ``best`` carries partial minima across tiles."""
@@ -398,7 +432,8 @@ class TestPaperScale:
         for node in (0, n // 2, n - 1):
             assert boot[node].tolist() == _bootstrap_row(config, node)
         del boot, ordered
-        artifacts = run_shard_config(config, rounds=2, shards=8)
+        # Six rounds: past the round-1 flood into the steady-state apply.
+        artifacts = run_shard_config(config, rounds=6, shards=8)
         views = artifacts.final_views
         assert len(views) == 10_000
         assert artifacts.bundle.stats.pushes_sent > 0

@@ -35,15 +35,24 @@ from repro.shard.compile import (
     shard_config_from_spec,
 )
 from repro.shard.engine import (
+    SessionArrays,
     _adversary_assignment,
+    _batch_lengths,
+    _batch_refs,
+    _callee_effects,
+    _fake_view,
     _fold_pack,
     _keyed_keep_numpy,
     _keyed_subset,
     _known_live,
+    _pack_views,
+    _pulled_batches_numpy,
+    _set_bits,
+    _stream_ids,
 )
 from repro.shard.rand import (Purpose, key64, key_array, key_row, keyed_order, keys_into,
                               rand_float)
-from repro.shard.state import EMPTY_SAMPLE, ShardConfig, ShardState
+from repro.shard.state import EMPTY_SAMPLE, ShardConfig, ShardState, build_state
 
 from repro.experiments.scenarios import TopologySpec
 from repro.sim.node import NodeKind
@@ -709,6 +718,217 @@ class TestSegmentKernel:
         assert rates == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
+def _reference_case(n, n_byz, n_trusted, l1, views, sources, dst, answered,
+                    caller_swap, callee_effect, seed=5):
+    """A RAPTEE state whose correct views are ``views`` (``views[i]`` is
+    node ``n_byz + i``'s) and the sessions of ``sources`` (``[m, slots]``
+    matrices; a batch is trusted exactly when both ends are trusted)."""
+    config = ShardConfig(protocol="raptee", n_nodes=n, seed=seed,
+                         n_byzantine=n_byz, n_trusted=n_trusted, view_size=l1,
+                         sample_size=2, alpha_count=1, beta_count=1,
+                         gamma_count=0)
+    state = build_state(config)
+    for node, row in enumerate(views, start=n_byz):
+        state.set_view_row(node, row)
+    src = np.asarray(sources, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64).reshape(src.size, -1)
+
+    def trusted(ids):
+        return (ids >= n_byz) & (ids < n_byz + n_trusted)
+
+    both = trusted(src)[:, None] & trusted(dst)
+    answered = np.asarray(answered, dtype=bool).reshape(dst.shape)
+    sess = SessionArrays(
+        src, dst, answered, answered & both,
+        np.asarray(caller_swap, dtype=bool).reshape(dst.shape) & both,
+        np.asarray(callee_effect, dtype=bool).reshape(dst.shape) & both,
+    )
+    return config, state, sess
+
+
+def _explicit_streams(config, state, round_no, sess):
+    """Per correct owner, its pulled id stream the way `_apply_nodes_pure`
+    assembles it: pull answers by slot (a Byzantine peer's fake window),
+    each caller swap right behind its answer, then callee-side swaps by
+    (caller, slot); trusted batches' ids before untrusted ones', the
+    owner's own occurrences dropped.  Also each batch's id list, in that
+    order, for the per-batch checks."""
+    streams, batches = {}, []
+    for owner in range(config.n_byzantine, config.n_nodes):
+        own = []
+        for row in np.flatnonzero(sess.src == owner).tolist():
+            for k in range(sess.dst.shape[1]):
+                peer = int(sess.dst[row, k])
+                if sess.answered[row, k]:
+                    ids = (_fake_view(config, round_no, owner, k)
+                           if peer < config.n_byzantine else state.view_row(peer))
+                    own.append((ids, bool(sess.trusted_batch[row, k])))
+                if sess.caller_swap[row, k]:
+                    own.append((state.view_row(peer), True))
+        rows, slots = np.nonzero(sess.callee_effect & (sess.dst == owner))
+        for caller, _k in sorted(zip(sess.src[rows].tolist(), slots.tolist())):
+            own.append((state.view_row(caller), True))
+        kept = [([i for i in ids if i != owner], flag) for ids, flag in own]
+        ordered = ([ids for ids, flag in kept if flag]
+                   + [ids for ids, flag in kept if not flag])
+        streams[owner] = [i for ids in ordered for i in ids]
+        batches.extend((owner, ids) for ids in ordered)
+    return streams, batches
+
+
+def _check_references(config, state, sess, round_no=3):
+    """The batch-reference resolver against `_explicit_streams`: the
+    packed rows, each batch's length, every owner's pull length and the id
+    at every position of the block's stream (every β pick there is)."""
+    n, n_byz = config.n_nodes, config.n_byzantine
+    bits = _pack_views(config, state)
+    assert bits.shape == (n, -(-n // 64)) and bits.dtype == np.uint64
+    window = min(config.view_size, n_byz)
+    rows = [[(s + t) % n_byz for t in range(window)] for s in range(n_byz)]
+    rows += [state.view_row(node) for node in range(n_byz, n)]
+    unpacked = np.unpackbits(bits.view(np.uint8), axis=1)
+    for node, ids in enumerate(rows):
+        assert np.flatnonzero(unpacked[node]).tolist() == sorted(set(ids)), node
+
+    streams, expected = _explicit_streams(config, state, round_no, sess)
+    b_owner, b_peer, b_slot, _trusted = _pulled_batches_numpy(
+        sess, _callee_effects(sess, n_byz, n), n_byz, n)
+    ref = _batch_refs(config, round_no, b_owner, b_peer, b_slot)
+    lens, held = _batch_lengths(state, bits, n_byz, b_owner, ref)
+    assert [(o, len(ids)) for o, ids in expected] == list(
+        zip(b_owner.tolist(), lens.tolist()))
+    assert held.tolist() == [i for i, (o, _ids) in enumerate(expected)
+                             if o in rows[int(ref[i])]]
+    for owner, stream in streams.items():
+        assert int(lens[b_owner == owner].sum()) == len(stream), owner
+    everything = [i for owner in sorted(streams) for i in streams[owner]]
+    ids = _stream_ids(state, n_byz, b_owner, ref, lens, held,
+                      np.arange(len(everything)))
+    assert ids.tolist() == everything
+    return expected
+
+
+@st.composite
+def _reference_cases(draw):
+    """Random views (short ones padded with -1, repeats allowed, other
+    nodes' ids, so a peer's view often holds an owner once or twice),
+    random sessions (Byzantine peers answer with fake windows, which wrap
+    whenever ``n_byz`` is below l1 or the start is near ``n_byz``) and
+    random trusted swaps."""
+    n = draw(st.integers(6, 30))
+    n_byz = draw(st.integers(0, n // 3))
+    n_trusted = draw(st.integers(0, n - n_byz))
+    l1 = draw(st.integers(2, min(9, n - 1)))
+    views = [draw(st.lists(st.integers(0, n - 1).filter(lambda v, me=me: v != me),
+                           max_size=l1))
+             for me in range(n_byz, n)]
+    sources = sorted(draw(st.sets(st.integers(n_byz, n - 1), min_size=1)))
+    slots = draw(st.integers(1, 4))
+    cells = len(sources) * slots
+    flags = st.lists(st.booleans(), min_size=cells, max_size=cells)
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=cells, max_size=cells))
+    return _reference_case(n, n_byz, n_trusted, l1, views, sources, dst,
+                           draw(flags), draw(flags), draw(flags),
+                           seed=draw(st.integers(0, 2 ** 16)))
+
+
+class TestPulledReferences:
+    """The apply kernel reads pulled ids as (batch, length) references into
+    the round's packed views; these pin that form to the explicit id
+    stream the pure backend builds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_reference_cases())
+    def test_lengths_and_picks_match_the_explicit_stream(self, case):
+        _check_references(*case)
+
+    def test_the_edges_the_resolver_skips_over(self):
+        """Hand-made: owner 5's peers hold it once (node 6) and twice (node
+        7, around a -1 padded short view), two fake windows wrap modulo
+        ``n_byz = 3 < l1``, and trusted nodes 3 and 4 swap both ways."""
+        views = [
+            [6, 7, 0, 1],  # 3 (trusted)
+            [5, 3, 6],     # 4 (trusted)
+            [6, 4],        # 5
+            [5, 0, 1, 3],  # 6: holds 5 once
+            [5, 2, 5],     # 7: holds 5 twice
+            [],            # 8
+        ]
+        # Sessions of 3, 4 and 5, two slots each.
+        config, state, sess = _reference_case(
+            9, 3, 2, 4, views, [3, 4, 5],
+            dst=[4, 0, 3, 1, 6, 7],
+            answered=[1, 1, 1, 1, 1, 1],
+            caller_swap=[1, 0, 1, 0, 0, 0],
+            callee_effect=[1, 0, 1, 0, 0, 0],
+        )
+        expected = _check_references(config, state, sess)
+        owners = [owner for owner, _ids in expected]
+        assert owners.count(3) == 4 and owners.count(4) == 4  # swaps both ways
+        assert [len(ids) for owner, ids in expected if owner == 5] == [3, 1]
+        windows = [ids for owner, ids in expected if owner in (3, 4)
+                   and set(ids) <= {0, 1, 2}]
+        assert len(windows) == 2 and all(len(ids) == 3 for ids in windows)
+
+    def test_each_round_reads_its_own_start_of_round_views(self, monkeypatch):
+        """`ShardSimulation` repacks only the renewed rows between rounds;
+        what the applies read must still equal a fresh pack of the round's
+        views."""
+        from repro.shard import ShardSimulation, pool
+        from repro.shard.engine import Barrier, apply_partition
+
+        simulation = ShardSimulation(_kernel_config(), shards=3, workers=2)
+        real_map = pool.map_partitions
+        checked = []
+
+        def checking_map(fn, tasks, workers):
+            if fn is apply_partition:
+                barrier = next(i for i in tasks[0] if isinstance(i, Barrier))
+                fresh = _pack_views(simulation.config, simulation.state)
+                assert np.array_equal(barrier.view_bits, fresh)
+                checked.append(simulation.state.renewals)
+            return real_map(fn, tasks, workers)
+
+        monkeypatch.setattr(pool, "map_partitions", checking_map)
+        simulation.run(6)
+        assert len(checked) == 6 and checked[-1] > checked[1] > 0
+
+    @pytest.mark.parametrize("n, rows", [(13, 4), (64, 3), (4000, 7)])
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.09, 0.11, 0.5, 1.0])
+    def test_set_bits_reads_packed_rows_in_both_forms(self, n, rows, density):
+        """`_set_bits` equals a scan of the unpacked rows, below and above
+        the density where it switches form."""
+        generator = np.random.default_rng(int(density * 100) + n)
+        dense = generator.random((rows, n)) < density
+        owner, ids = _set_bits(np.packbits(dense, axis=1), n)
+        expected_owner, expected_ids = np.nonzero(dense)
+        assert owner.tolist() == expected_owner.tolist()
+        assert ids.tolist() == expected_ids.tolist()
+
+
+class TestKnownPoll:
+    @pytest.mark.parametrize("n, n_byz", [(61, 8), (61, 5), (43, 0), (43, 13)])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 1000])
+    def test_counts_are_exact_in_any_chunking(self, monkeypatch, n, n_byz,
+                                              rows_per_chunk):
+        """`_known_poll` counts each correct node's observed correct ids
+        exactly, whether the Byzantine band ends on a byte boundary or not,
+        with N off a multiple of 8, one row a chunk, a ragged last chunk,
+        or one chunk for all."""
+        from repro.shard import ShardSimulation, engine
+
+        config = ShardConfig(protocol="brahms", n_nodes=n, seed=n + n_byz,
+                             n_byzantine=n_byz)
+        simulation = ShardSimulation(config)
+        simulation.run(2)
+        width = -(-n // 8) - n_byz // 8
+        monkeypatch.setattr(engine, "_POLL_CHUNK_BYTES", rows_per_chunk * width)
+        rows = known_ids(simulation.state.known[n_byz:], n)
+        expected = [sum(i >= n_byz for i in ids) for ids in rows]
+        assert simulation._known_poll().tolist() == expected
+        assert 0 < min(expected) and max(expected) < n - n_byz
+
+
 def _saturated_brahms(seed: int, use_numpy: bool):
     """Run Brahms (N = 80, 40 samplers a node, no faults) until every
     correct node has observed every other id; returns (config, state)."""
@@ -1018,7 +1238,10 @@ class TestPartitionDispatch:
             arrays = [getattr(state, name) for name in fields]
             for item in tasks[0]:
                 if isinstance(item, Barrier):
-                    arrays += [*item.push_canonical, *item.push_by_dst,
+                    # Message tracing alone reads the canonical pushes, so
+                    # the simulation drops them before the applies run.
+                    assert item.push_canonical is None
+                    arrays += [item.view_bits, *item.push_by_dst,
                                *item.sess_arrays]
             for array in arrays:
                 array.setflags(write=False)
