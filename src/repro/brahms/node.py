@@ -195,14 +195,12 @@ class BrahmsNode(NodeBase):
 
         # Sampling component: every received ID enters the sampler stream —
         # except the IDs a trusted node chose to evict (already filtered).
-        # The timer covers the min-wise hashing the samplers run per ID.
         # One feed of the concatenated stream is the same as pushed then
         # pulled: a running minimum commutes with concatenation, and on a
         # tie the earlier id is kept either way.
         if self.cycles is not None:
             self._charge(PeerSamplingFunction.SAMPLE_LIST_COMPUTATION)
-        with self._profiled("sampler.update"):
-            self.samplers.update(pushed + pulled)
+        self.samplers.update(pushed + pulled)
 
         # View renewal: requires non-blocked round with both flows present
         # (the pull condition is on *received answers*, so an evicting
@@ -211,15 +209,13 @@ class BrahmsNode(NodeBase):
         if not blocked and pushed and received_any_pull:
             if self.cycles is not None:
                 self._charge(PeerSamplingFunction.DYNAMIC_VIEW_COMPUTATION)
-            with self._profiled("view.merge"):
-                self.view = self._renew_view(pushed, pulled)
+            self.view = self._renew_view(pushed, pulled)
 
         if (
             config.validation_period
             and ctx.round_number % config.validation_period == 0
         ):
-            with self._profiled("sampler.validate"):
-                self.samplers.validate(ctx.network.is_reachable)
+            self.samplers.validate(ctx.network.is_reachable)
 
         self._received_pushes = []
         self._pulled = []

@@ -78,7 +78,7 @@ from repro.scenario.vectors import (
 )
 from repro.shard.compile import ShardUnsupportedError
 from repro.snapshot import SnapshotError, describe, restore, run_with_checkpoints
-from repro.telemetry import TelemetryConfig, render_profile, render_summary
+from repro.telemetry import TelemetryConfig, render_summary
 
 __all__ = ["main", "build_parser", "parse_eviction"]
 
@@ -215,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="omit per-message net.*/fault.drop events")
     trace_parser.add_argument("--ecall-events", action="store_true",
                               help="emit one trace event per SGX ECALL")
-    trace_parser.add_argument("--profile", action="store_true",
-                              help="enable wall-clock profiling of hot paths")
 
     snapshot_parser = commands.add_parser(
         "snapshot", help="inspect run snapshots (see repro.snapshot)"
@@ -439,7 +437,6 @@ def _command_trace(args) -> int:
     config = TelemetryConfig(
         trace_messages=not args.no_message_events,
         trace_ecalls=args.ecall_events,
-        profiling=args.profile,
     )
     if args.scenario is None:
         spec = _spec_from_args(args)
@@ -461,9 +458,6 @@ def _command_trace(args) -> int:
         print(f"metrics:            {args.metrics_out}")
     print()
     print(render_summary(telemetry))
-    if args.profile:
-        print()
-        print(render_profile(telemetry.profiler))
     checker = artifacts.checker
     if checker is None:
         return 0

@@ -80,9 +80,6 @@ class CycleModel:
     def __init__(self, costs: Optional[Dict[str, FunctionCost]] = None):
         self._costs = dict(costs or TABLE_I)
 
-    def cost_table(self) -> Dict[str, FunctionCost]:
-        return dict(self._costs)
-
     def function_cost(self, function: str) -> FunctionCost:
         try:
             return self._costs[function]

@@ -41,7 +41,6 @@ __all__ = [
     "key_row",
     "keys_into",
     "rand_float",
-    "rand_below",
     "keyed_order",
     "Purpose",
 ]
@@ -125,14 +124,6 @@ def keys_into(out, scratch, a_values, b_row):
 def rand_float(seed: int, purpose: int, round_no: int, a: int = 0, b: int = 0) -> float:
     """Uniform float in [0, 1) — the top 53 bits of the key."""
     return (key64(seed, purpose, round_no, a, b) >> 11) * (2.0 ** -53)
-
-
-def rand_below(n: int, seed: int, purpose: int, round_no: int,
-               a: int = 0, b: int = 0) -> int:
-    """Uniform-ish integer in [0, n) (modulo reduction; the bias at
-    simulation population sizes is < 2^-40 and identical on both
-    backends, which is the property that matters here)."""
-    return key64(seed, purpose, round_no, a, b) % n
 
 
 def keyed_order(items: Sequence[int], seed: int, purpose: int, round_no: int,

@@ -21,14 +21,13 @@ reproducible under its seed.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
     Callable,
     ContextManager,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -140,7 +139,7 @@ class Simulation:
         self.ever_registered.add(node.node_id)
         if self.telemetry is not None:
             # Churn arrivals join after wiring time; hand them the hub so
-            # their degrade/promote events and profiling timers still land.
+            # their degrade/promote events still land.
             node.telemetry = self.telemetry
         self._invalidate_kind_cache()
 
@@ -226,15 +225,7 @@ class Simulation:
     def _phase(self, name: str) -> ContextManager[None]:
         if self.telemetry is None:
             return nullcontext()
-        return self._instrumented_phase(name)
-
-    @contextmanager
-    def _instrumented_phase(self, name: str) -> Iterator[None]:
-        # The profiler timer is inert unless profiling is armed; stacking it
-        # here is what gives `repro trace --profile` its phase.* rows.
-        with self.telemetry.phase(name):
-            with self.telemetry.timer(f"phase.{name}"):
-                yield
+        return self.telemetry.phase(name)
 
     # -- execution -------------------------------------------------------------
 

@@ -18,11 +18,8 @@ from __future__ import annotations
 
 import collections.abc
 import enum
-from contextlib import nullcontext
 from itertools import compress, count
-from typing import (
-    TYPE_CHECKING, AbstractSet, ContextManager, Iterable, Iterator, List, Optional,
-)
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, List, Optional
 
 from repro.sim.messages import Message
 
@@ -31,10 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.hub import Telemetry
 
 __all__ = ["NodeKind", "NodeBase", "KnownIds"]
-
-#: What :meth:`NodeBase._profiled` returns with no telemetry wired: one
-#: shared, reusable do-nothing context rather than a new one per call.
-_NO_TIMER = nullcontext()
 
 
 class NodeKind(enum.Enum):
@@ -157,14 +150,6 @@ class NodeBase:
         #: Optional instrumentation hub (see :mod:`repro.telemetry`), set by
         #: ``wire_telemetry`` or by the engine for churn arrivals.
         self.telemetry: Optional["Telemetry"] = None
-
-    # -- telemetry -----------------------------------------------------------
-
-    def _profiled(self, name: str) -> ContextManager[None]:
-        """Opt-in wall-clock timer for a hot path (no-op without telemetry)."""
-        if self.telemetry is None:
-            return _NO_TIMER
-        return self.telemetry.timer(name)
 
     # -- active phase -------------------------------------------------------
 

@@ -28,13 +28,16 @@ straight-through run, and nothing it does not:
 Restoring returns the bundle; the object graph comes back with its
 internal references (nodes ↔ network ↔ telemetry ↔ injector) intact
 because everything is serialized in one envelope.  The payload kind is
-``"checkpoint-3"``: a file of any other kind is refused before anything is
+``"checkpoint-4"``: a file of any other kind is refused before anything is
 unpickled — among them every checkpoint written when the payload was a
 wrapper around the bundle (kind ``"run-state"``), every bundle from
 before round records were columns (kind ``"checkpoint"``: its recorder,
-network stats and churn model have another shape), and every bundle whose
+network stats and churn model have another shape), every bundle whose
 spec is of ``spec_version`` 1 (kind ``"checkpoint-2"``: its engine section
-still carries the ``load`` and ``straggler`` fields).
+still carries the ``load`` and ``straggler`` fields), and every bundle
+from when the telemetry hub held a wall-clock profiler (kind
+``"checkpoint-3"``: a hub-wired one names ``repro.telemetry.profiling``,
+a module that no longer exists).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from repro.snapshot.format import read_envelope, read_header, write_envelope
 
 __all__ = ["save", "restore", "describe"]
 
-_KIND = "checkpoint-3"
+_KIND = "checkpoint-4"
 
 
 def save(bundle: SimulationBundle, path: str) -> None:

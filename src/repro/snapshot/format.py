@@ -53,8 +53,9 @@ SNAPSHOT_MAGIC = b"REPROSNAP\n"
 # unpickling, while the vectors — same envelope, unchanged sections — stay
 # valid.  A bump would have invalidated every committed vector for it.
 # The bundle changed shape again when round records became columns, and
-# the kind moved on to "checkpoint-2" the same way; and once more when its
-# spec dropped two engine fields (spec_version 2): "checkpoint-3".
+# the kind moved on to "checkpoint-2" the same way; once more when its
+# spec dropped two engine fields (spec_version 2): "checkpoint-3"; and
+# again when the telemetry hub lost its profiler: "checkpoint-4".
 SNAPSHOT_FORMAT_VERSION = 2
 
 

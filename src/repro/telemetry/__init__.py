@@ -3,14 +3,12 @@
 One coherent instrumentation layer instead of N private counters:
 
 * :mod:`repro.telemetry.registry` — counters, gauges and histograms with
-  labeled families; the single namespace experiments, drills and the CLI
-  read per-run numbers from;
-* :mod:`repro.telemetry.trace` — structured events and spans keyed by
+  labeled families; the single namespace experiments, catalog scenarios and
+  the CLI read per-run numbers from;
+* :mod:`repro.telemetry.trace` — structured events and phase spans keyed by
   ``(round, node, phase)``, emitted by the engine, the network, the SGX
   ECALL boundary, attestation/provisioning, fault injection and enclave
   recovery;
-* :mod:`repro.telemetry.profiling` — opt-in wall-clock timers around hot
-  paths, strictly outside the deterministic surface;
 * :mod:`repro.telemetry.exporters` — JSONL trace / CSV metrics / human
   summary serialization (pure: strings out, no I/O);
 * :mod:`repro.telemetry.harness` — :func:`wire_telemetry`, the one-call
@@ -21,18 +19,18 @@ an optional ``telemetry`` handle (``None`` costs one attribute check) and
 the package imports no protocol code at runtime.  Two runs of the same
 scenario and seed serialize byte-identical traces and metrics whether
 telemetry is wired or not — enforced by ``tests/test_telemetry_integration``.
+Nothing in it reads a clock: per-layer wall time is the perf ledger's
+traced mode (``benchmarks/ledger/run.py --trace 1``).
 """
 
 from repro.telemetry.exporters import (
     metrics_to_csv,
-    render_profile,
     render_summary,
     trace_to_jsonl,
     validate_trace_jsonl,
 )
 from repro.telemetry.harness import TelemetryObserver, wire_telemetry
 from repro.telemetry.hub import Telemetry, TelemetryConfig
-from repro.telemetry.profiling import Profiler
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -48,14 +46,12 @@ __all__ = [
     "Histogram",
     "MetricSample",
     "MetricsRegistry",
-    "Profiler",
     "Telemetry",
     "TelemetryConfig",
     "TelemetryObserver",
     "TraceCollector",
     "TraceEvent",
     "metrics_to_csv",
-    "render_profile",
     "render_summary",
     "trace_to_jsonl",
     "validate_trace_jsonl",

@@ -22,7 +22,6 @@ import json
 from typing import Iterable, List, Sequence
 
 from repro.telemetry.hub import Telemetry
-from repro.telemetry.profiling import Profiler
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import (
     EVENT_KINDS,
@@ -36,7 +35,6 @@ __all__ = [
     "validate_trace_jsonl",
     "metrics_to_csv",
     "render_summary",
-    "render_profile",
     "TRACE_SCHEMA_KEYS",
 ]
 
@@ -194,24 +192,3 @@ def render_summary(telemetry: Telemetry) -> str:
     if telemetry.trace is not None:
         rows.append(("trace events", str(len(telemetry.trace))))
     return _table(rows, header=("metric", "total"))
-
-
-def render_profile(profiler: Profiler) -> str:
-    """Wall-clock profile table (only meaningful with profiling enabled)."""
-    rows = profiler.rows()
-    if not rows:
-        return "profiling: no timed sections (enable with profiling=True)"
-    formatted = [
-        (
-            name,
-            str(calls),
-            f"{total * 1e3:.2f}",
-            f"{mean * 1e6:.1f}",
-            f"{worst * 1e6:.1f}",
-        )
-        for name, calls, total, mean, worst in rows
-    ]
-    return _table(
-        formatted,
-        header=("section", "calls", "total ms", "mean µs", "max µs"),
-    )

@@ -4,8 +4,8 @@
 call against a :class:`~repro.experiments.scenarios.SimulationBundle` builds
 a :class:`~repro.telemetry.hub.Telemetry` hub and threads it through every
 instrumented layer — the engine (round/phase spans, churn events), the
-network (message counters and events), every node (degrade/promote events,
-profiling timers), every enclave host (ECALL counters), and the trusted
+network (message counters and events), every node (degrade/promote events),
+every enclave host (ECALL counters), and the trusted
 infrastructure's attestation and provisioning services.  It also installs a
 :class:`TelemetryObserver` on the bundle so per-round aggregates (alive
 nodes, per-round message volumes, currently-degraded trusted nodes) land in

@@ -1,4 +1,4 @@
-"""The telemetry hub: one object bundling registry, trace and profiler.
+"""The telemetry hub: one object bundling registry and trace.
 
 A :class:`Telemetry` instance is the single handle instrumented layers hold
 (engine, network, enclave hosts, attestation, provisioning, fault injector,
@@ -7,7 +7,6 @@ recovery manager).  It owns:
 * the :class:`~repro.telemetry.registry.MetricsRegistry`;
 * the :class:`~repro.telemetry.trace.TraceCollector` (``None`` when tracing
   is off);
-* the :class:`~repro.telemetry.profiling.Profiler` (inert unless enabled);
 * the *simulation clock*: ``current_round`` and ``current_phase``, advanced
   by the engine so components without a round counter of their own (the
   attestation service, the provisioner) still stamp events correctly.
@@ -16,8 +15,8 @@ Every emit helper is a no-op-cheap guard away from doing nothing, so code
 can hold a ``telemetry`` that is ``None`` and pay one attribute check when
 telemetry is not wired.  With a trace, each helper hands
 :meth:`TraceCollector.record` one fields dict — the keyword arguments it was
-called with — and spans and phases record their begin/end lines the same
-way, so an event is encoded to its JSONL line once and never re-packed.
+called with — and a phase records its begin/end lines the same way, so
+an event is encoded to its JSONL line once and never re-packed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from repro.telemetry.profiling import Profiler
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -45,15 +43,12 @@ class TelemetryConfig:
 
     ``trace_messages`` gates the per-message network/fault-drop events
     (the bulkiest stream); ``trace_ecalls`` gates one event per SGX ECALL
-    (noisier still — counters are always kept either way); ``profiling``
-    arms the wall-clock timers, which never affect the deterministic
-    surface.
+    (noisier still — counters are always kept either way).
     """
 
     tracing: bool = True
     trace_messages: bool = True
     trace_ecalls: bool = False
-    profiling: bool = False
 
 
 class Telemetry:
@@ -65,7 +60,6 @@ class Telemetry:
         self.trace: Optional[TraceCollector] = (
             TraceCollector() if self.config.tracing else None
         )
-        self.profiler = Profiler(enabled=self.config.profiling)
         self.current_round = 0
         self.current_phase: Optional[str] = None
 
@@ -103,28 +97,6 @@ class Telemetry:
             )
 
     @contextmanager
-    def span(
-        self,
-        name: str,
-        node: Optional[int] = None,
-        phase: Optional[str] = None,
-        **fields: object,
-    ) -> Iterator[None]:
-        """Begin/end event pair around a block (no-op without tracing)."""
-        trace = self.trace
-        if trace is None:
-            yield
-            return
-        round_number = self.current_round
-        if phase is None:
-            phase = self.current_phase
-        begin = trace.record(name, round_number, node, phase, "begin", fields)
-        try:
-            yield
-        finally:
-            trace.record(name, round_number, node, phase, "end", {"span": begin})
-
-    @contextmanager
     def phase(self, phase_name: str) -> Iterator[None]:
         """Engine phase span: sets ``current_phase`` for nested events."""
         trace = self.trace
@@ -152,9 +124,3 @@ class Telemetry:
 
     def end_round(self, alive_nodes: int) -> None:
         self.event("round.end", alive=alive_nodes)
-
-    # -- profiling passthrough ----------------------------------------------
-
-    def timer(self, name: str):
-        """Wall-clock timer context (inert unless profiling is enabled)."""
-        return self.profiler.time(name)

@@ -202,8 +202,8 @@ class MetricsRegistry:
         """Collapse a family to ``{label_value: value}`` for one label key.
 
         Instruments lacking the key are skipped; duplicates (same value for
-        ``key`` under different other labels) are summed.  This is the read
-        path drills use, e.g. ``by_label("faults.drops", "cause")``.
+        ``key`` under different other labels) are summed.  The conformance
+        suite's fault-drop check reads ``by_label("faults.drops", "cause")``.
         """
         result: Dict[LabelValue, float] = {}
         family = self._families.get(name, {})

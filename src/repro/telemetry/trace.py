@@ -25,14 +25,13 @@ on generated events.
 Determinism contract: events contain only values derived from simulation
 state (rounds, node IDs, causes, counts), never wall-clock readings — two
 runs of the same scenario and seed must serialize to byte-identical JSONL
-(enforced by ``tests/test_telemetry_integration.py``).  Wall-clock numbers
-live in :mod:`repro.telemetry.profiling`, outside the trace.
+(enforced by ``tests/test_telemetry_integration.py``).  The package reads
+no clock at all.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -229,25 +228,6 @@ class TraceCollector:
     ) -> TraceEvent:
         seq = self.record(name, round_number, node, phase, kind, fields)
         return TraceEvent(seq, kind, name, round_number, node, phase, fields)
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        round_number: int,
-        node: Optional[int] = None,
-        phase: Optional[str] = None,
-        **fields: object,
-    ) -> Iterator[TraceEvent]:
-        """Emit a begin/end pair around a code block."""
-        begin = self.emit(
-            name, round_number, node=node, phase=phase, kind="begin", **fields
-        )
-        try:
-            yield begin
-        finally:
-            self.record(name, round_number, node, phase, "end",
-                        {"span": begin.seq})
 
     # -- reading -------------------------------------------------------------
 

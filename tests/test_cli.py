@@ -177,7 +177,6 @@ class TestTraceCommand:
         # The shared flags' defaults are TestParser's table.
         args = build_parser().parse_args(["trace"])
         assert args.out == "trace.jsonl"
-        assert not args.profile
 
     def test_trace_smoke(self, capsys, tmp_path):
         from repro.telemetry import validate_trace_jsonl
@@ -195,16 +194,6 @@ class TestTraceCommand:
         assert metrics.read_text(encoding="utf-8").startswith(
             "name,kind,labels,value,count,sum"
         )
-
-    def test_trace_profile_flag_prints_hot_paths(self, capsys, tmp_path):
-        exit_code = main([
-            "trace", "--nodes", "30", "--rounds", "6", "--seed", "2",
-            "--profile", "--no-message-events",
-            "--out", str(tmp_path / "t.jsonl"),
-        ])
-        printed = capsys.readouterr().out
-        assert exit_code == 0
-        assert "sampler.update" in printed
 
 
 class TestRunFlagWiring:
@@ -408,6 +397,13 @@ class TestSubcommandSurface:
     def test_client_load_and_straggler_flags_are_gone(self, capsys, flag, value):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--engine", "events", flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_trace_profile_flag_is_gone(self, capsys):
+        # Per-layer wall time is the perf ledger's traced mode.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--profile"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import pickle
 import random
+import zlib
 
 import pytest
 
@@ -161,16 +163,17 @@ class TestTraceLayout:
             events=[TraceEvent(0, "event", "round.begin", 1)], _seq=1
         )
         write_envelope(str(path), "run-state", {}, telemetry)
-        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-3'"):
+        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-4'"):
             restore(str(path))
 
 
 class TestRunStateLayout:
-    """A checkpoint is the bundle under the kind ``"checkpoint-3"``; a file
+    """A checkpoint is the bundle under the kind ``"checkpoint-4"``; a file
     of a kind checkpoints had before — ``"run-state"`` when a wrapper held
     the bundle, ``"checkpoint"`` before round records were columns,
-    ``"checkpoint-2"`` before spec_version 2 — is refused by kind, before
-    anything is unpickled."""
+    ``"checkpoint-2"`` before spec_version 2, ``"checkpoint-3"`` while the
+    telemetry hub held a profiler — is refused by kind, before anything is
+    unpickled."""
 
     def test_old_layout_run_state_refuses_to_resume(self, tmp_path):
         path = tmp_path / "old-run-state.snapshot"
@@ -179,7 +182,7 @@ class TestRunStateLayout:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-3'"):
+        with pytest.raises(SnapshotError, match="'run-state'.*expected 'checkpoint-4'"):
             restore(str(path))
 
     def test_spec_version_1_checkpoint_refuses_to_resume(self, tmp_path, capsys):
@@ -188,11 +191,37 @@ class TestRunStateLayout:
         # under a spec this version cannot rebuild.
         path = tmp_path / "spec-v1.snapshot"
         write_envelope(str(path), "checkpoint-2", {}, _small_bundle())
-        with pytest.raises(SnapshotError, match="'checkpoint-2'.*expected 'checkpoint-3'"):
+        with pytest.raises(SnapshotError, match="'checkpoint-2'.*expected 'checkpoint-4'"):
             restore(str(path))
         assert main(["run", "--resume", str(path)]) == 1
         captured = capsys.readouterr()
         assert "'checkpoint-2'" in captured.err
+        assert captured.out == ""
+
+    def test_profiler_era_checkpoint_refuses_to_resume(self, tmp_path, capsys):
+        # A hub-wired bundle of the kind written while the hub held a
+        # wall-clock profiler pickles a class of `repro.telemetry.profiling`,
+        # which no longer exists.  The payload here is such a reference
+        # alone: unpickling it fails, so the kind check must come first.
+        path = tmp_path / "profiler-era.snapshot"
+        write_envelope(str(path), "checkpoint-3", {}, {})
+        payload = zlib.compress(
+            b"\x80\x04crepro.telemetry.profiling\nProfiler\n)\x81."
+        )
+        _rewrite_header(path, lambda header: header.update(
+            payload_sha256=hashlib.sha256(payload).hexdigest(),
+            payload_bytes=len(payload)))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:blob.index(b"\n", len(SNAPSHOT_MAGIC)) + 1] + payload)
+        with pytest.raises(SnapshotError, match="repro.telemetry.profiling"):
+            read_envelope(str(path))
+        with pytest.raises(SnapshotError, match="'checkpoint-3'.*expected 'checkpoint-4'"):
+            restore(str(path))
+        assert main(["run", "--resume", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "'checkpoint-3'" in captured.err
+        assert "profiling" not in captured.err
         assert captured.out == ""
 
     def test_pre_columnar_checkpoint_refuses_to_resume(self, tmp_path, capsys):
@@ -204,7 +233,7 @@ class TestRunStateLayout:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="'checkpoint'.*expected 'checkpoint-3'"):
+        with pytest.raises(SnapshotError, match="'checkpoint'.*expected 'checkpoint-4'"):
             restore(str(path))
         assert main(["run", "--resume", str(path)]) == 1
         captured = capsys.readouterr()
@@ -288,7 +317,7 @@ class TestCaptureRestore:
         path = tmp_path / "run.snapshot"
         save(bundle, str(path))
         header = describe(str(path))
-        assert header["kind"] == "checkpoint-3"
+        assert header["kind"] == "checkpoint-4"
         assert header["meta"] == {"scenario": "snapshot-unit", "rounds_completed": 2,
                                   "rounds_total": 9, "nodes": 12}
 
@@ -359,7 +388,7 @@ class TestSnapshotCli:
         assert main(["snapshot", "info", str(path)]) == 0
         out = capsys.readouterr().out
         assert f"format version:     {SNAPSHOT_FORMAT_VERSION}" in out
-        assert "kind:               checkpoint-3\n" in out
+        assert "kind:               checkpoint-4\n" in out
         assert "scenario:           snapshot-unit" in out
         assert "rounds_total:       4" in out
 

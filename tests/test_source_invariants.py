@@ -268,9 +268,6 @@ ALLOWED = {
     ("repro/crypto/prng.py", "crypto-stdlib-random"): "Sha256Prng subclasses random.Random",
     ("repro/crypto/numbers.py", "crypto-stdlib-random"):
         "the Miller-Rabin witness fallback is a random.Random seeded from n, never global state",
-    ("repro/telemetry/profiling.py", "det-wall-clock"):
-        "the opt-in profiler is the one wall-clock reader; its timings feed nothing back "
-        "and stay out of traces and metrics",
 }
 
 

@@ -1,4 +1,4 @@
-"""Telemetry unit tests: registry, traces, exporters, profiler, hub."""
+"""Telemetry unit tests: registry, traces, exporters, hub."""
 
 import json
 
@@ -6,12 +6,10 @@ import pytest
 
 from repro.telemetry import (
     MetricsRegistry,
-    Profiler,
     Telemetry,
     TelemetryConfig,
     TraceCollector,
     metrics_to_csv,
-    render_profile,
     render_summary,
     trace_to_jsonl,
     validate_trace_jsonl,
@@ -88,11 +86,14 @@ class TestTraceCollector:
             TraceCollector().emit("a", 1, kind="bogus")
 
     def test_span_links_end_to_begin(self):
-        trace = TraceCollector()
-        with trace.span("work", 2, node=1):
-            trace.emit("inner", 2)
-        begin, inner, end = trace.events
+        # The engine phase is the one begin/end span the package emits.
+        telemetry = Telemetry()
+        telemetry.begin_round(2)
+        with telemetry.phase("gossip"):
+            telemetry.event("inner", node=1)
+        _round_begin, begin, inner, end = telemetry.trace.events
         assert (begin.kind, end.kind) == ("begin", "end")
+        assert (begin.name, begin.phase, end.phase) == ("phase", "gossip", "gossip")
         assert end.fields["span"] == begin.seq
         assert inner.seq == begin.seq + 1
 
@@ -109,8 +110,8 @@ class TestExporters:
     def _trace(self):
         trace = TraceCollector()
         trace.emit("a", 1, node=0, text="x,\"y\"")
-        with trace.span("s", 1):
-            pass
+        begin = trace.emit("s", 1, kind="begin")
+        trace.emit("s", 1, kind="end", span=begin.seq)
         return trace
 
     def test_jsonl_round_trips_and_validates(self):
@@ -146,26 +147,6 @@ class TestExporters:
         telemetry.begin_round(1)
         telemetry.end_round(alive_nodes=5)
         assert "rounds executed" in render_summary(telemetry)
-
-
-class TestProfiler:
-    def test_disabled_profiler_records_nothing(self):
-        profiler = Profiler(enabled=False)
-        with profiler.time("work"):
-            pass
-        assert profiler.rows() == []
-
-    def test_enabled_profiler_counts_calls(self):
-        profiler = Profiler(enabled=True)
-        for _ in range(3):
-            with profiler.time("work"):
-                pass
-        (row,) = profiler.rows()
-        assert row[0] == "work"
-        assert row[1] == 3  # calls
-        assert "work" in render_profile(profiler)
-        profiler.reset()
-        assert profiler.rows() == []
 
 
 class TestTelemetryHub:

@@ -66,12 +66,6 @@ class TestZeroPerturbation:
         traced, _ = _traced_run()
         assert traced == baseline
 
-    def test_profiling_on_matches_off(self):
-        baseline, _ = _traced_run()
-        profiled, telemetry = _traced_run(TelemetryConfig(profiling=True))
-        assert profiled == baseline
-        assert telemetry.profiler.rows()  # timings were actually collected
-
     def test_message_events_off_matches_on(self):
         baseline, full = _traced_run()
         quiet_metrics, quiet = _traced_run(TelemetryConfig(trace_messages=False))
