@@ -14,9 +14,11 @@ request-response sessions (pull, auth, trusted swap).  It models:
   adversary (§III-B).  The adversary modelled here is a global-knowledge
   coordinator that never reads the wire, so no ciphertext would ever be
   read.  An encrypted network therefore counts the bytes it would encrypt
-  — the pickled length of each request and reply that reaches the other
-  side, which is the AES-CTR ciphertext length, since CTR preserves
-  length — and hands the message object over as is.
+  — for each request and reply that reaches the other side, the
+  serialised length of the message, computed from its fields by
+  :func:`repro.sim.messages.wire_bytes` (nothing is serialised here);
+  that is the AES-CTR ciphertext length, since CTR preserves length —
+  and hands the message object over as is.
 
 All traffic is counted in lifetime totals, applied eagerly per request
 and per push call (one sender's pushes of a round go out in one
@@ -28,12 +30,11 @@ the totals grew by since the previous round closed.
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
-from repro.sim.messages import Message
+from repro.sim.messages import Message, wire_bytes
 from repro.sim.node import NodeBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -149,7 +150,7 @@ class Network:
 
         Called on an encrypted network only; an unencrypted one hands the
         message object over uncounted."""
-        self._stats.bytes_encrypted += len(pickle.dumps(message))
+        self._stats.bytes_encrypted += wire_bytes(message)
         return message
 
     # -- delivery ------------------------------------------------------------
