@@ -55,32 +55,41 @@ loop.  Data layout of a numpy round:
   pull sessions as ``[nodes, β]`` matrices (:class:`SessionArrays`) whose
   eight RAPTEE legs are boolean masks over ``[nodes, β]`` loss-key
   matrices (Brahms is the pull pair of the same masks);
-* **barrier** concatenates them and sorts the pushes once (one packed
-  ``(src, dst, seq)`` key);
+* **barrier** concatenates them — each plan's pushes are already in
+  ``(src, seq)`` order — and sorts only the delivered pushes, stably by
+  destination; the full ``(src, dst, seq)`` sort is message tracing's;
 * **apply** is a segment kernel run in owner blocks under
-  :data:`_BLOCK_ELEMENTS`, cut from per-owner batch counts read off the
-  session masks.  Before the partitions run, `ShardSimulation` hands them
-  the start-of-round views packed as ``Barrier.view_bits``: ``[N,
-  ⌈N/64⌉]`` uint64 rows in ``np.packbits`` bit order, the layout of
-  ``known``, whose Byzantine rows carry the fake windows (row ``s`` the
-  window starting at ``s``); it keeps the bitset across rounds and repacks
-  only the rows renewed since.  A block's pulled batches stay references —
-  owner, row, length, in stream order — and never become ids: each owner's
-  row of what it observed is the OR of its batches' packed rows
-  (`_or_rows`, slot by slot over cache-sized rows) and of its pushes, less
-  its own bit; that row AND-NOT its ``known`` row *is* the block's
-  ``known`` delta, and its set bits are the fresh ``(owner, id)`` pairs,
-  ids ascending (`_set_bits`).  A batch's length is its row's length less
-  the owner's occurrences, which one bit test per batch flags; a β pick
-  finds its batch by one ``searchsorted`` on the running lengths and reads
-  ``view[peer, k]`` past the owner's occurrences, or ``(start + k) mod
-  n_byz`` in a fake window.  Only trusted owners under eviction keep the
-  explicit ``[batches, l1]`` id stream, because §IV-C keeps a keyed share
-  of their ids per occurrence; they are a prefix of the block.  Keyed
-  subsets are a per-segment keyed rank, and each block's delta comes back
-  as arrays that ``_integrate`` writes a block at a time.  Fresh pairs
-  never leave their block, so no array grows with the population or the
-  round-1 flood.
+  :data:`_BLOCK_ELEMENTS`.  An owner is charged what its block will hold
+  (`_owner_costs`): an exact upper bound on its fresh pairs — ``batches ·
+  l1 + pushes``, or ``N − 1 − |known|`` once that is smaller — plus a
+  little per pulled batch, read off the session masks, the delivery index
+  and the ``known`` counts `ShardSimulation` keeps.  So a round cuts few
+  blocks once owners have little left to learn: the `shard-raptee-1k`
+  population is one block from round 1, and an N = 10,000 round goes from
+  282 blocks in the round-1 flood to 11 by round 8 and 6 from round 18
+  (174 every round when each owner was charged N).  Before the partitions
+  run, `ShardSimulation` hands them the start-of-round views packed as
+  ``Barrier.view_bits``: ``[N, ⌈N/64⌉]`` uint64 rows in ``np.packbits``
+  bit order, the layout of ``known``, whose Byzantine rows carry the fake
+  windows (row ``s`` the window starting at ``s``); it keeps the bitset
+  across rounds and repacks only the rows renewed since.  A block's pulled
+  batches stay references — owner, row, length, in stream order — and
+  never become ids: each owner's row of what it observed is the OR of its
+  batches' packed rows (`_or_rows`, slot by slot over cache-sized rows)
+  and of its pushes, less its own bit; that row AND-NOT its ``known`` row
+  *is* the block's ``known`` delta, and its set bits are the fresh
+  ``(owner, id)`` pairs, ids ascending (`_set_bits`).  A batch's length is
+  its row's length less the owner's occurrences, which one bit test per
+  batch flags and the row's kept popcount (``Barrier.view_ones``) resolves
+  unless the row repeats an id; a β pick finds its batch by one
+  ``searchsorted`` on the running lengths and reads ``view[peer, k]`` past
+  the owner's occurrences, or ``(start + k) mod n_byz`` in a fake window.
+  Only trusted owners under eviction keep the explicit ``[batches, l1]``
+  id stream, because §IV-C keeps a keyed share of their ids per
+  occurrence; they are a prefix of the block.  Keyed subsets are a
+  per-segment keyed rank, and each block's delta comes back as arrays that
+  ``_integrate`` writes a block at a time.  Fresh pairs never leave their
+  block, so no array grows with the population or the round-1 flood.
 * the **sampler feed** closes each owner block: the ``[fresh, l2]``
   min-wise hash matrix of the block's fresh pairs, min-reduced per owner
   segment, in one of two forms chosen per owner by segment size.  An
@@ -419,16 +428,18 @@ def _plan_pushes_numpy(config: ShardConfig, state: ShardState, round_no: int,
                        adv_src, adv_seq, adv_dst) -> None:
     seed = config.seed
     width = config.alpha_count
+    # Byzantine pushes first: their sources lie below every correct id and
+    # the assignment is (src, seq)-ordered, so the plan's pushes are too.
     bsrc = np.asarray(adv_src, dtype=np.int64)
     bseq = np.asarray(adv_seq, dtype=np.int64)
-    src = np.concatenate([np.repeat(nodes, width), bsrc])
+    src = np.concatenate([bsrc, np.repeat(nodes, width)])
     seq = np.concatenate(
-        [np.tile(np.arange(width, dtype=np.int64), nodes.size), bseq]
+        [bseq, np.tile(np.arange(width, dtype=np.int64), nodes.size)]
     )
     dst = np.concatenate([
+        np.asarray(adv_dst, dtype=np.int64),
         _keyed_view_entries(config, state, Purpose.PUSH_TARGET, round_no,
                             nodes, width).ravel(),
-        np.asarray(adv_dst, dtype=np.int64),
     ])
     ok = state.alive[dst]
     if eff_loss > 0.0:
@@ -551,18 +562,23 @@ class Barrier:
     #: Pure backend: callee-side swap effects per *destination*, in
     #: (caller, k) order.
     swaps_by_dst: Dict[int, List[SessionResult]] = field(default_factory=dict)
-    #: numpy backend: full canonical (src, dst, seq, ok) push arrays, for
-    #: message tracing only (`ShardSimulation` drops them once traced) ...
-    push_canonical: Optional[Tuple] = None
-    #: ... and the delivered subset re-sorted by (dst, src, seq), with the
+    #: numpy backend: every push as (src, seq, dst, ok) columns in (src,
+    #: seq) order, for message tracing only (`ShardSimulation` drops them
+    #: once traced) ...
+    push_sent: Optional[Tuple] = None
+    #: ... and the delivered subset sorted by (dst, src, seq), with the
     #: destination column first — the apply phase's delivery index.
     push_by_dst: Optional[Tuple] = None
     #: numpy backend: every session of the round, sources ascending.
     sess_arrays: Optional[SessionArrays] = None
     #: numpy backend: the start-of-round views as ``[N, ⌈N/64⌉]`` uint64
     #: rows of ``np.packbits`` bits, Byzantine rows holding the fake windows
-    #: by start; `ShardSimulation` updates it before the applies read it.
+    #: by start; `ShardSimulation` updates it before the applies read it ...
     view_bits: Optional[np.ndarray] = None
+    #: ... with each row's set bits (the distinct ids of the view) ...
+    view_ones: Optional[np.ndarray] = None
+    #: ... and every node's count of ``known`` ids, ``[N]``.
+    known_count: Optional[np.ndarray] = None
     pushes_sent: int = 0
     pushes_delivered: int = 0
     requests_sent: int = 0
@@ -576,14 +592,19 @@ class Barrier:
 def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barrier:
     """Phase 2: the deterministic cross-shard ordering barrier.
 
-    Pushes are merged and stably sorted by ``(round, src, dst, seq)``
-    (round is constant inside a barrier); pull sessions carry the unique
-    per-source slot ``seq = k``, so their construction order — sources
-    ascending across partitions, slots ascending within a source — already
-    *is* the ``(round, src, seq)`` order and needs no re-sort.  Every
-    downstream consumer (stats, traces, per-destination delivery) iterates
-    these canonical orders, so nothing can depend on how the plans were
-    partitioned or scheduled.
+    Pushes are traced in ``(round, src, dst, seq)`` order (round is
+    constant inside a barrier) and delivered in ``(dst, src, seq)`` order;
+    pull sessions carry the unique per-source slot ``seq = k``, so their
+    construction order — sources ascending across partitions, slots
+    ascending within a source — already *is* the ``(round, src, seq)``
+    order and needs no re-sort.  Every downstream consumer (stats, traces,
+    per-destination delivery) iterates these canonical orders, so nothing
+    can depend on how the plans were partitioned or scheduled.
+
+    On the numpy backend each plan's pushes are already in ``(src, seq)``
+    order, so the concatenation is too: one stable ``dst`` sort of the
+    delivered pushes is the delivery order, and only message tracing sorts
+    every push into the ``(src, dst, seq)`` order (`_traced_push_order`).
     """
     barrier = Barrier(use_numpy=use_numpy)
     for plan in plans:
@@ -596,17 +617,12 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
             np.concatenate(column)
             for column in zip(*(p.push_arrays for p in plans))
         )
-        # One packed (src, dst, seq) key per push; (src, seq) names a push,
-        # so keys are unique and any sort yields the one canonical order.
-        span = int(dst.max(initial=0)) + 1
-        width = int(seq.max(initial=0)) + 1
-        order = np.argsort((src * span + dst) * width + seq)
-        src, seq, dst, ok = src[order], seq[order], dst[order], ok[order]
-        barrier.push_canonical = (src, dst, seq, ok)
-        # The delivered subset is still (src, dst, seq)-ordered: a stable
-        # sort by dst alone makes it (dst, src, seq).  Narrowed because
-        # numpy's stable sort is a radix sort on keys of 16 bits or fewer.
+        barrier.push_sent = (src, seq, dst, ok)
+        # The delivered subset is still (src, seq)-ordered: a stable sort
+        # by dst alone makes it (dst, src, seq).  Narrowed because numpy's
+        # stable sort is a radix sort on keys of 16 bits or fewer.
         dsrc, ddst = src[ok], dst[ok]
+        span = int(ddst.max(initial=0)) + 1
         delivery = np.argsort(ddst.astype(np.min_scalar_type(span)), kind="stable")
         barrier.push_by_dst = (ddst[delivery], dsrc[delivery])
         barrier.pushes_sent = int(src.size)
@@ -643,6 +659,15 @@ def merge_plans(plans: Sequence[PartitionPlan], use_numpy: bool = False) -> Barr
     return barrier
 
 
+def _traced_push_order(push_sent):
+    """The ``(src, dst, seq)`` order of `Barrier.push_sent`: one packed key
+    per push, unique because ``(src, seq)`` names a push."""
+    src, seq, dst, _ok = push_sent
+    span = int(dst.max(initial=0)) + 1
+    width = int(seq.max(initial=0)) + 1
+    return np.argsort((src * span + dst) * width + seq)
+
+
 # -- apply phase --------------------------------------------------------------
 
 
@@ -656,8 +681,10 @@ class BlockDelta(NamedTuple):
     #: flat (node, sampler index, packed value) triples; None if none improved.
     samples: Optional[Tuple]
     #: the fresh ids, one packed row per owner (uint8, the layout of
-    #: ``ShardState.known``).
+    #: ``ShardState.known``) ...
     known_bits: np.ndarray
+    #: ... and their count per owner.
+    fresh_count: np.ndarray
 
 
 @dataclass
@@ -854,21 +881,35 @@ def _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
             _validate_samplers(config, state, round_no, node, fresh, delta)
 
 
-#: Budget for the segment kernel's per-block temporaries, in per-owner
-#: cost units: an owner costs N, the bound on its fresh pairs (which the
-#: block decodes, feeds and drops), plus ``batches · l1`` when it is a
-#: trusted owner under eviction and so builds its explicit ids; its packed
-#: rows (a few ``⌈N/64⌉``-word rows) are small beside that.  So an N =
-#: 1,000 population (900 correct owners), one partition inline, is two
-#: blocks, N = 4,000 ~131 owners a block and N = 10,000 ~52.  On a 2-vCPU
-#: Xeon @ 2.1 GHz, 2^18 / 2^19 / 2^20 gave the `shard-brahms-4k` apply
-#: 402–416 / 383–444 / 359–363 ms of CPU in round 2 and 293–299 / 270–284
-#: / 248–252 in round 3, the `shard-raptee-1k` round-10 apply 6.0–6.4 /
-#: 5.5 / 4.3–4.4 ms (best of 5 and of 30 replays on one frozen round, two
-#: sweeps), and a round-1 `tracemalloc` peak at N = 4,000 of 25.1 / 28.6 /
-#: 36.8 MiB (30.5 while the apply gathered `[batches, l1]` ids): past 2^19
-#: the larger blocks buy time with the flood's memory.
-_BLOCK_ELEMENTS = 1 << 19
+#: Budget for the segment kernel's per-block temporaries, in the units of
+#: `_owner_costs`: a fresh pair (which the block decodes, feeds and drops;
+#: ~100 bytes of temporaries each in the round-1 flood),
+#: :data:`_BATCH_COST` a pulled batch, and the explicit ids of trusted
+#: owners under eviction.  An owner's own rows (a few packed
+#: ``⌈N/64⌉``-word rows, its new view and sampler rows) ride on its ~β
+#: batches' charge.  5 · 2^16 is the largest budget that keeps a round-1
+#: flood block at N = 4,000 (~1,640 fresh ids an owner, charged ~2,600)
+#: within the ~217k fresh pairs the old charge of N an owner at 2^19
+#: allowed it.  On a 2-vCPU Xeon @ 2.1 GHz, 2^18 / 5 · 2^16 / 3 · 2^17 /
+#: 2^19 cut that flood into 37 / 29 / 24 / 18 blocks of at most 166k /
+#: 208k / 248k / 331k pairs, with a round-1 `tracemalloc` peak of 18.8 /
+#: 20.2 / 22.0 / 25.0 MiB (20.5 at the old charge), while the replayed
+#: `shard-brahms-4k` rounds took 834–1,010 / 413–440 / 342–362 ms of CPU
+#: (rounds 1 / 2 / 3, best of 5 interleaved replays) at every budget
+#: alike.  The `shard-raptee-1k` population (900 owners, one partition
+#: inline) is one block from round 1 at any of them.
+_BLOCK_ELEMENTS = 5 << 16
+#: What a pulled batch costs a block beyond its ids: its row of the batch
+#: table, its reference and length, and its `_or_rows` slot.  Without it
+#: a round whose owners know everything is one block however many batches
+#: it pulls.  At N = 10,000 (l1 = 200, ~80 batches an owner) 1 / 2 / 4
+#: cut round 9 into 8 / 10 / 14 blocks at no measurable difference in
+#: CPU; at 2 a round-9 block of ~960 owners peaks at ~10 MiB
+#: (`tracemalloc`) and a round-41 block of ~2,040 owners and ~160k
+#: batches, whose owners are charged little else, at ~17 MiB: ~110 bytes
+#: a batch with its owners' rows, within its two units (a round-1 flood
+#: block holds ~64 bytes a unit) and below the plan phase's ~58 MiB.
+_BATCH_COST = 2
 #: Elements of one sampler-feed tile (``tile // l2`` rows of the
 #: ``[fresh, l2]`` hash matrix).  The feed makes a dozen elementwise
 #: passes over its two uint64 workspace buffers, so both should sit in
@@ -900,6 +941,39 @@ _POLL_CHUNK_BYTES = 1 << 16
 #: Bool marks per chunk of `_pack_rows` (whole rows, at least one): the
 #: chunk stays in L2 between its scatter and its ``packbits``.
 _PACK_CHUNK_CELLS = 1 << 18
+#: View cells per chunk of the exact passes over batches whose row holds
+#: their owner (`_batch_lengths`, `_stream_ids`): each gathers whole
+#: ``l1``-wide rows, ~18 bytes a cell with its masks.  Once views settle a
+#: quarter of the batches hold their owner (N = 10,000, round 41: 39,061
+#: of a 2,037-owner block's 159,727), and unchunked those passes peaked at
+#: ~50 MiB in such a block; a chunk is ~2.4 MB.
+_HELD_CHUNK_CELLS = 1 << 17
+
+
+def _row_chunks(count: int, width: int):
+    """Slices over ``count`` rows of ``width`` cells, about
+    :data:`_HELD_CHUNK_CELLS` cells (and at least one row) each."""
+    step = max(1, _HELD_CHUNK_CELLS // width)
+    return (slice(at, at + step) for at in range(0, count, step))
+
+
+def _owner_costs(config: ShardConfig, batch_count, push_count, known_count,
+                 t_owners: int):
+    """Per owner, what its block is charged in :data:`_BLOCK_ELEMENTS`
+    units: an exact upper bound on its fresh pairs, plus
+    :data:`_BATCH_COST` a pulled batch, plus ``batches · l1`` for the
+    first ``t_owners`` (trusted) owners under eviction, which build their
+    explicit ids.  A fresh id is one the owner observed and does not know
+    yet, so it has at most ``batches · l1 + pushes`` of them (a batch is
+    one row of at most l1 ids) and at most ``N − 1 − |known|`` (it never
+    learns itself)."""
+    l1 = config.view_size
+    cost = np.minimum(batch_count * l1 + push_count,
+                      config.n_nodes - 1 - known_count)
+    cost += batch_count * _BATCH_COST
+    if config.eviction_kind != "none":
+        cost[:t_owners] += batch_count[:t_owners] * l1
+    return cost
 
 
 def _owner_blocks(cost, budget: int) -> List[Tuple[int, int]]:
@@ -1017,9 +1091,10 @@ def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
     coordinates.  Dead owners need no filter: nothing is delivered to, and
     no session starts from, a node that was dead at the start of the round.
 
-    Owner blocks are cut from per-owner batch counts read off the session
-    masks, and each block gathers its own pulled batches, so no per-batch
-    array spans the partition.
+    Owner blocks are cut by `_owner_costs`, from per-owner batch and push
+    counts read off the session masks and the delivery index, and each
+    block gathers its own pulled batches, so no per-batch array spans the
+    partition.
     """
     base = max(lo, config.n_byzantine)
     if base >= hi:
@@ -1029,23 +1104,23 @@ def _apply_segments_numpy(config, state, round_no, lo, hi, barrier, delta,
     batch_count, contacts, trusted_contacts, delta.trusted_exchanges = (
         _batch_counts(sess, effects, base, hi)
     )
-    # An owner costs its fresh pairs (at most N) and, trusted under
-    # eviction, its explicit [batches, l1] ids as well.
-    cost = np.full(batch_count.size, config.n_nodes, dtype=np.int64)
-    if config.eviction_kind != "none":
-        t = max(0, min(config.n_byzantine + config.n_trusted, hi) - base)
-        cost[:t] += batch_count[:t] * config.view_size
+    push_count = np.diff(
+        np.searchsorted(barrier.push_by_dst[0], np.arange(base, hi + 1))
+    )
+    t_owners = max(0, min(config.n_byzantine + config.n_trusted, hi) - base)
+    cost = _owner_costs(config, batch_count, push_count,
+                        barrier.known_count[base:hi], t_owners)
     for a, b in _owner_blocks(cost, _BLOCK_ELEMENTS):
         node_a, node_b = base + a, base + b
-        renewed, bits, fresh = _apply_block_numpy(
-            config, state, round_no, node_a, node_b, barrier.push_by_dst,
-            barrier.view_bits,
+        renewed, bits, fresh_count, fresh = _apply_block_numpy(
+            config, state, round_no, node_a, node_b, barrier,
             _pulled_batches_numpy(sess, effects, node_a, node_b),
             contacts[a:b], trusted_contacts[a:b], delta,
         )
         samples = (_sampler_feed_numpy(state, node_a, node_b, *fresh)
                    if fresh[1].size else None)
-        delta.blocks.append(BlockDelta(node_a, renewed, samples, bits))
+        delta.blocks.append(BlockDelta(node_a, renewed, samples, bits,
+                                       fresh_count))
         if validate:
             _validate_block_numpy(config, state, round_no, node_a, node_b,
                                   fresh, delta)
@@ -1124,10 +1199,15 @@ def _or_rows(view_bits, ref, o_first):
     return acc
 
 
+def _row_ones(bits):
+    """The set bits of each row of a packed array, as int64."""
+    return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+
+
 def _set_bits(bits, n: int):
     """The set bits of packed byte rows as ``(row, id)`` pairs in
     row-major order, ids ascending per row (id ``i < n`` is bit ``7 − i %
-    8`` of byte ``i // 8``).
+    8`` of byte ``i // 8``), and the count per row.
 
     Two forms, by density, because numpy's ``nonzero`` scans a bool array
     branch-free at about 10% set or more and with a branch per element
@@ -1138,12 +1218,12 @@ def _set_bits(bits, n: int):
     3) the dense form took ~60 / ~20 / ~40 ms a round and the sparse one
     ~120 / ~60 / ~20 ms (replayed blocks, best of 9)."""
     rows, width = bits.shape
-    counts = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    counts = _row_ones(bits)
     row = np.repeat(np.arange(rows), counts)
     if int(counts.sum()) * 10 >= rows * n:
         ids = np.flatnonzero(np.unpackbits(bits, axis=1, count=n).view(bool))
         ids -= row * n
-        return row, ids
+        return row, ids, counts
     nonzero = bits != 0
     at = np.flatnonzero(nonzero)
     base = at - np.repeat(np.arange(rows) * width,
@@ -1153,7 +1233,7 @@ def _set_bits(bits, n: int):
     ids = base[bit >> 3]
     bit &= 7
     ids += bit
-    return row, ids
+    return row, ids, counts
 
 
 def _batch_refs(config: ShardConfig, round_no: int, b_owner, b_peer, b_slot):
@@ -1171,22 +1251,28 @@ def _batch_refs(config: ShardConfig, round_no: int, b_owner, b_peer, b_slot):
     return ref
 
 
-def _batch_lengths(state: ShardState, view_bits, n_byz: int, b_owner, ref):
+def _batch_lengths(state: ShardState, view_bits, view_ones, n_byz: int,
+                   b_owner, ref):
     """Per batch, the ids it adds to its owner's pulled stream — the
     referenced row's length less the owner's occurrences in it — and the
     indices of the batches whose row holds the owner.  One bit test per
-    batch finds those (views may repeat an id, so only they are counted
-    exactly, against the view row); a fake window never holds a correct
-    owner."""
+    batch finds those; a fake window never holds a correct owner.  A held
+    row whose set bits (``view_ones``) equal its length is that many
+    distinct ids, so it holds the owner once; only rows with a repeated id
+    or a -1 slot are counted exactly, against the view row."""
     lens = state.view_len[ref]
     lens[ref < n_byz] = min(state.view.shape[1], n_byz)
     byte = view_bits.view(np.uint8)[ref, b_owner >> 3]
     held = np.flatnonzero(np.left_shift(byte, (b_owner & 7).astype(np.uint8))
                           & np.uint8(0x80))
     if held.size:
-        lens[held] -= np.count_nonzero(
-            state.view[ref[held]] == b_owner[held, None], axis=1
-        )
+        once = view_ones[ref[held]] == lens[held]
+        lens[held[once]] -= 1
+        recount = held[~once]
+        for part in _row_chunks(recount.size, state.view.shape[1]):
+            at = recount[part]
+            lens[at] -= np.count_nonzero(
+                state.view[ref[at]] == b_owner[at, None], axis=1)
     return lens, held
 
 
@@ -1208,11 +1294,12 @@ def _stream_ids(state: ShardState, n_byz: int, b_owner, ref, lens, held, pos):
     holds = np.zeros(ref.size, dtype=bool)
     holds[held] = True
     skip = np.flatnonzero(holds[at])
-    if skip.size:
-        entries = state.view[row[skip]]
-        kept = (entries >= 0) & (entries != b_owner[at[skip], None])
-        col = np.argmax(np.cumsum(kept, axis=1) > k[skip, None], axis=1)
-        ids[skip] = entries[np.arange(skip.size), col]
+    for part in _row_chunks(skip.size, state.view.shape[1]):
+        pick = skip[part]
+        entries = state.view[row[pick]]
+        kept = (entries >= 0) & (entries != b_owner[at[pick], None])
+        col = np.argmax(np.cumsum(kept, axis=1) > k[pick, None], axis=1)
+        ids[pick] = entries[np.arange(pick.size), col]
     return ids
 
 
@@ -1251,18 +1338,19 @@ def _evicted_stream(config, state, round_no, node_a, t_owners, batches, ref,
     return cells
 
 
-def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
-                       view_bits, batches, contacts, trusted_contacts, delta):
+def _apply_block_numpy(config, state, round_no, node_a, node_b, barrier,
+                       batches, contacts, trusted_contacts, delta):
     """One owner block ``[node_a, node_b)`` of the segment kernel: counts
     go to ``delta``; returns the block's ``(nodes, rows, lens)`` renewed
-    views (None when there are none), its fresh ids as packed rows and as
-    ``(owner, id)`` pairs, owner-sorted with ids ascending per owner."""
+    views (None when there are none), its fresh ids as packed rows, their
+    count per owner and as ``(owner, id)`` pairs, owner-sorted with ids
+    ascending per owner."""
     seed = config.seed
     n_byz, n = config.n_byzantine, config.n_nodes
     owners = node_b - node_a
 
     # Delivered pushes, (owner, src, seq)-ordered, minus self-pushes.
-    ddst, dsrc = push_by_dst
+    ddst, dsrc = barrier.push_by_dst
     first, last = np.searchsorted(ddst, (node_a, node_b))
     p_owner, p_src = ddst[first:last], dsrc[first:last]
     not_self = p_src != p_owner
@@ -1292,7 +1380,9 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
 
     # Everyone else's stream is only its (batch, length) references.
     b_owner, ref = b_owner[t_batches:], ref[t_batches:]
-    b_len, b_held = _batch_lengths(state, view_bits, n_byz, b_owner, ref)
+    view_bits = barrier.view_bits
+    b_len, b_held = _batch_lengths(state, view_bits, barrier.view_ones, n_byz,
+                                   b_owner, ref)
     o_first = np.searchsorted(b_owner, np.arange(node_a, node_b + 1))
     stream_at = np.concatenate(([0], np.cumsum(b_len)))[o_first]
     pull_len += np.diff(stream_at)
@@ -1317,7 +1407,7 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
     observed = acc8[:, :state.known.shape[1]]
     bits = np.bitwise_and(observed, state.known[node_a:node_b])
     np.bitwise_xor(observed, bits, out=bits)
-    f_local, f_id = _set_bits(bits, n)
+    f_local, f_id, f_count = _set_bits(bits, n)
 
     # Blocking defense and view renewal.
     if config.blocking_enabled:
@@ -1395,7 +1485,7 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, push_by_dst,
             )
             lens[sampled] += config.gamma_count
         renewed = (r_nodes, rows, lens)
-    return renewed, bits, (f_local + node_a, f_id)
+    return renewed, bits, f_count, (f_local + node_a, f_id)
 
 
 def _fold_pack(x, scratch, ids) -> None:
@@ -1674,10 +1764,13 @@ class ShardSimulation:
         self._nodes.flags.writeable = self._kinds.flags.writeable = False
         # The round each correct node discovered the system.
         self._discovered_at = np.full(config.n_nodes - n_byz, -1, dtype=np.int64)
-        # The packed views the applies read (numpy backend), kept across
-        # rounds, and the nodes whose views were renewed since last packed.
+        # The packed views the applies read (numpy backend) and their rows'
+        # set bits, kept across rounds, and the nodes whose views were
+        # renewed since last packed; every node's count of known ids.
         self._view_bits: Optional[np.ndarray] = None
+        self._view_ones: Optional[np.ndarray] = None
         self._renewed: List[np.ndarray] = []
+        self._known_count: Optional[np.ndarray] = None
 
     # -- faults ---------------------------------------------------------------
 
@@ -1721,29 +1814,41 @@ class ShardSimulation:
         barrier = merge_plans(self._run_plans(round_no, eff_loss),
                               self.state.use_numpy)
         self._record_barrier(round_no, barrier)
-        # Only message tracing reads the canonical push columns.
-        barrier.push_canonical = None
+        # Only message tracing reads every push.
+        barrier.push_sent = None
         if self.state.use_numpy:
-            barrier.view_bits = self._packed_views()
+            barrier.view_bits, barrier.view_ones = self._packed_views()
+            barrier.known_count = self._known_counts()
         deltas = self._run_applies(round_no, barrier)
         self._integrate(deltas)
         self._close_round(round_no, barrier, deltas)
 
     def _packed_views(self):
-        """This round's `Barrier.view_bits`: packed whole in the first
-        round, then only the rows `_integrate` renewed are repacked — no
-        other write touches a view (a renewal is ~5–80% of the rows a round
-        in the ledger's and the paper-scale runs)."""
+        """This round's `Barrier.view_bits` and `Barrier.view_ones`: packed
+        and counted whole in the first round, then only the rows
+        `_integrate` renewed are — no other write touches a view (a renewal
+        is ~5–80% of the rows a round in the ledger's and the paper-scale
+        runs)."""
         if self._view_bits is None:
             self._view_bits = _pack_views(self.config, self.state)
+            self._view_ones = _row_ones(self._view_bits)
         elif self._renewed:
             nodes = np.concatenate(self._renewed)
             packed = np.empty((nodes.size, self._view_bits.shape[1]),
                               dtype=np.uint64)
             _pack_rows(self.state.view[nodes], packed)
             self._view_bits[nodes] = packed
+            self._view_ones[nodes] = _row_ones(packed)
         self._renewed = []
-        return self._view_bits
+        return self._view_bits, self._view_ones
+
+    def _known_counts(self):
+        """This round's `Barrier.known_count`: one popcount of ``known`` in
+        the first round, then kept by `_integrate`, which adds each block's
+        fresh ids (they are new to ``known`` by construction)."""
+        if self._known_count is None:
+            self._known_count = _row_ones(self.state.known)
+        return self._known_count
 
     def _run_plans(self, round_no: int, eff_loss: float):
         state = self.state
@@ -1794,8 +1899,9 @@ class ShardSimulation:
                 if block.samples is not None:
                     nodes, slots, packed = block.samples
                     state.samp_best[nodes, slots] = packed
-                bits = block.known_bits
-                state.known[block.node_a:block.node_a + len(bits)] |= bits
+                span = slice(block.node_a, block.node_a + len(block.known_bits))
+                state.known[span] |= block.known_bits
+                self._known_count[span] += block.fresh_count
             # After the feeds: a reset replaces whatever its sampler held.
             for node, j, new_a, new_b, packed in delta.samp_resets:
                 state.samp_a[node][j] = new_a
@@ -1826,9 +1932,9 @@ class ShardSimulation:
             return
         # Message tracing iterates the canonical orders scalar-wise; meant
         # for the small pinned differential scenarios, not N = 10,000.
-        if barrier.push_canonical is not None:
-            psrc, pdst, _pseq, pok = barrier.push_canonical
-            for i in range(psrc.size):
+        if barrier.push_sent is not None:
+            psrc, _pseq, pdst, pok = barrier.push_sent
+            for i in _traced_push_order(barrier.push_sent).tolist():
                 telemetry.event("net.push", node=int(psrc[i]), dst=int(pdst[i]),
                                 delivered=bool(pok[i]))
         else:

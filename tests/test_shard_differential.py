@@ -432,8 +432,11 @@ class TestPaperScale:
         for node in (0, n // 2, n - 1):
             assert boot[node].tolist() == _bootstrap_row(config, node)
         del boot, ordered
-        # Six rounds: past the round-1 flood into the steady-state apply.
-        artifacts = run_shard_config(config, rounds=6, shards=8)
+        # Twenty rounds: past the round-1 flood into the steady-state
+        # apply, and past the rounds where owners know so much that their
+        # owner blocks merge (a few hundred owners a block in the flood,
+        # ~1,500 by round 18), so the budget covers the largest blocks.
+        artifacts = run_shard_config(config, rounds=20, shards=8)
         views = artifacts.final_views
         assert len(views) == 10_000
         assert artifacts.bundle.stats.pushes_sent > 0

@@ -47,6 +47,7 @@ from repro.shard.engine import (
     _known_live,
     _pack_views,
     _pulled_batches_numpy,
+    _row_ones,
     _set_bits,
     _stream_ids,
 )
@@ -353,19 +354,32 @@ class TestSegmentKernel:
         from repro.shard import engine
 
         config = _kernel_config()
-        whole = _recorded_deltas(monkeypatch, config, use_numpy=True)
-        # 64 elements: every owner is a block of its own and the sampler
-        # matrix is fed a few rows at a time, splitting owners across chunks.
-        monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 64)
-        assert len(engine._owner_blocks(np.full(10, config.n_nodes), 64)) == 10
-        tiny = _recorded_deltas(monkeypatch, config, use_numpy=True)
-        monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 1000)
-        odd = _recorded_deltas(monkeypatch, config, use_numpy=True)
-        assert tiny == whole
-        assert odd == whole
+        # Twelve rounds: in the later ones owners know so much that
+        # N − 1 − |known| is the smaller term of their fresh-pair bound.
+        rounds = 12
+        real_costs = engine._owner_costs
+        binding = []
 
-        # ~5-owner blocks: some start inside the trusted band and end past
-        # it, so the eviction prefix is strict and non-empty.
+        def recording_costs(config, batch_count, push_count, known_count, t):
+            seen = batch_count * config.view_size + push_count
+            binding.append(int(np.count_nonzero(
+                config.n_nodes - 1 - known_count < seen)))
+            return real_costs(config, batch_count, push_count, known_count, t)
+
+        monkeypatch.setattr(engine, "_owner_costs", recording_costs)
+        whole = _recorded_deltas(monkeypatch, config, use_numpy=True,
+                                 rounds=rounds)
+        assert len(binding) == rounds and binding[0] == 0
+        assert all(count > 0 for count in binding[-3:]), binding
+        assert len(engine._owner_blocks(np.full(10, config.n_nodes), 64)) == 10
+        # At 1 every owner charged anything is a block of its own.
+        for budget in (1, 64, 1000):
+            monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", budget)
+            assert _recorded_deltas(monkeypatch, config, use_numpy=True,
+                                    rounds=rounds) == whole, budget
+
+        # Blocks of a few owners: some start inside the trusted band and end
+        # past it, so the eviction prefix is strict and non-empty.
         real_block = engine._apply_block_numpy
         spans = []
 
@@ -376,17 +390,18 @@ class TestSegmentKernel:
         monkeypatch.setattr(engine, "_apply_block_numpy", recording_block)
         monkeypatch.setattr(engine, "_BLOCK_ELEMENTS",
                             5 * (config.n_nodes + 4 * config.view_size))
-        banded = _recorded_deltas(monkeypatch, config, use_numpy=True)
+        banded = _recorded_deltas(monkeypatch, config, use_numpy=True,
+                                  rounds=rounds)
         t_hi = config.n_byzantine + config.n_trusted
         assert config.eviction_kind == "adaptive"
         assert any(a < t_hi < b for a, b in spans), sorted(set(spans))
         assert banded == whole
 
-    def test_the_ledger_population_is_one_partition_of_two_blocks(
+    def test_the_ledger_population_is_one_partition_of_one_block(
             self, monkeypatch):
         """The `shard-raptee-1k` shape (N = 1,000, l1 = 20, shards = 4,
-        inline): the round applies one partition, which
-        :data:`_BLOCK_ELEMENTS` cuts into two owner blocks, as the
+        inline): the round applies one partition, whose owners' charges
+        fit :data:`_BLOCK_ELEMENTS` in one owner block from round 1, as the
         constant's comment says."""
         from repro.shard import ShardSimulation, engine
 
@@ -406,8 +421,101 @@ class TestSegmentKernel:
         simulation = ShardSimulation(config, shards=4)
         assert simulation._bounds == [(0, config.n_nodes)]
         simulation.run(3)
-        assert len(cuts) == 3
-        assert all(len(blocks) == 2 for blocks in cuts), cuts
+        assert cuts == [[(0, 900)]] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_tiny_configs(), budget=st.integers(1, 400))
+    def test_blocks_hold_no_more_than_they_are_charged(self, case, budget):
+        """Four rounds of a random tiny config under a random budget: per
+        owner block, each owner's fresh ids stay within its charge
+        (`_owner_costs` bounds them exactly), the blocks tile the
+        partition's owners in order, and a block of more than one owner is
+        charged at most the budget.  The run equals one at the default
+        budget."""
+        from collections import defaultdict
+
+        from repro.shard import ShardSimulation, engine
+
+        config, shards, workers = case
+        real_blocks, real_block = engine._owner_blocks, engine._apply_block_numpy
+        # Per thread, each partition's (charges, blocks, applied blocks).
+        calls = defaultdict(list)
+
+        def recording_blocks(cost, limit):
+            blocks = real_blocks(cost, limit)
+            calls[threading.get_ident()].append((cost, blocks, []))
+            return blocks
+
+        def recording_block(config, state, round_no, node_a, node_b, *rest):
+            out = real_block(config, state, round_no, node_a, node_b, *rest)
+            calls[threading.get_ident()][-1][2].append((node_a, node_b, out[2]))
+            return out
+
+        runs = []
+        for patched in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if patched:
+                    patch.setattr(engine, "_owner_blocks", recording_blocks)
+                    patch.setattr(engine, "_apply_block_numpy", recording_block)
+                    patch.setattr(engine, "_BLOCK_ELEMENTS", budget)
+                runs.append(ShardSimulation(config, shards=shards,
+                                            workers=workers))
+                runs[-1].run(4)
+        cut, whole = runs
+        assert cut.final_views() == whole.final_views()
+        for node in range(config.n_byzantine, config.n_nodes):
+            assert cut.state.sample_ids(node) == whole.state.sample_ids(node)
+        for cost, blocks, applied in (c for per in calls.values() for c in per):
+            assert [a for a, _b in blocks] == [0] + [b for _a, b in blocks[:-1]]
+            assert blocks[-1][1] == cost.size
+            assert len(applied) == len(blocks)
+            for (a, b), (node_a, node_b, fresh) in zip(blocks, applied):
+                assert node_b - node_a == b - a
+                assert (fresh <= cost[a:b]).all(), (fresh, cost[a:b])
+                assert b - a == 1 or int(cost[a:b].sum()) <= budget
+
+    def test_a_saturated_round_still_splits_by_its_batches(self, monkeypatch):
+        """Once every owner knows every other id its fresh-pair bound is 0,
+        but its pulled batches still cost its block: a budget below the
+        round's summed batch charge still cuts several blocks, each within
+        the budget, and the round's outputs do not move."""
+        import numpy as np
+
+        from repro.shard import ShardSimulation, engine
+
+        config = _flood_config()
+        runs = [ShardSimulation(config), ShardSimulation(config)]
+        for simulation in runs:
+            simulation.run(14)
+        n_byz = config.n_byzantine
+        known = runs[0]._known_count[n_byz:]
+        assert (known == config.n_nodes - 1).all(), known
+        real_costs, real_blocks = engine._owner_costs, engine._owner_blocks
+        seen = []
+
+        def recording_costs(config, batch_count, *rest):
+            cost = real_costs(config, batch_count, *rest)
+            seen.append((batch_count, cost))
+            return cost
+
+        def recording_blocks(cost, budget):
+            seen.append(real_blocks(cost, budget))
+            return seen[-1]
+
+        budget = 4 * config.beta_count * engine._BATCH_COST
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_owner_costs", recording_costs)
+            patch.setattr(engine, "_owner_blocks", recording_blocks)
+            patch.setattr(engine, "_BLOCK_ELEMENTS", budget)
+            runs[0].run_round()
+        (batch_count, cost), blocks = seen
+        assert (cost == batch_count * engine._BATCH_COST).all()
+        assert int(cost.sum()) > budget and len(blocks) > 1
+        assert all(b - a == 1 or int(cost[a:b].sum()) <= budget
+                   for a, b in blocks)
+        runs[1].run_round()
+        assert runs[0].final_views() == runs[1].final_views()
+        assert np.array_equal(runs[0].state.samp_best, runs[1].state.samp_best)
 
     @settings(max_examples=80, deadline=None)
     @given(case=_tiny_configs())
@@ -794,7 +902,8 @@ def _check_references(config, state, sess, round_no=3):
     b_owner, b_peer, b_slot, _trusted = _pulled_batches_numpy(
         sess, _callee_effects(sess, n_byz, n), n_byz, n)
     ref = _batch_refs(config, round_no, b_owner, b_peer, b_slot)
-    lens, held = _batch_lengths(state, bits, n_byz, b_owner, ref)
+    lens, held = _batch_lengths(state, bits, _row_ones(bits), n_byz, b_owner,
+                                ref)
     assert [(o, len(ids)) for o, ids in expected] == list(
         zip(b_owner.tolist(), lens.tolist()))
     assert held.tolist() == [i for i, (o, _ids) in enumerate(expected)
@@ -842,6 +951,18 @@ class TestPulledReferences:
     def test_lengths_and_picks_match_the_explicit_stream(self, case):
         _check_references(*case)
 
+    @settings(max_examples=50, deadline=None)
+    @given(case=_reference_cases(), rows=st.integers(1, 3))
+    def test_held_rows_read_in_chunks_of_a_few_rows(self, case, rows):
+        """The exact passes over batches whose row holds their owner give
+        the same lengths and picks when every chunk is one to three rows."""
+        from repro.shard import engine
+
+        config = case[0]
+        with mock.patch.object(engine, "_HELD_CHUNK_CELLS",
+                               rows * config.view_size):
+            _check_references(*case)
+
     def test_the_edges_the_resolver_skips_over(self):
         """Hand-made: owner 5's peers hold it once (node 6) and twice (node
         7, around a -1 padded short view), two fake windows wrap modulo
@@ -871,9 +992,10 @@ class TestPulledReferences:
         assert len(windows) == 2 and all(len(ids) == 3 for ids in windows)
 
     def test_each_round_reads_its_own_start_of_round_views(self, monkeypatch):
-        """`ShardSimulation` repacks only the renewed rows between rounds;
-        what the applies read must still equal a fresh pack of the round's
-        views."""
+        """`ShardSimulation` repacks and recounts only the renewed rows
+        between rounds and adds each block's fresh count to its ``known``
+        counts; what the applies read must still equal a fresh pack of the
+        round's views, its rows' popcounts, and a popcount of ``known``."""
         from repro.shard import ShardSimulation, pool
         from repro.shard.engine import Barrier, apply_partition
 
@@ -886,6 +1008,9 @@ class TestPulledReferences:
                 barrier = next(i for i in tasks[0] if isinstance(i, Barrier))
                 fresh = _pack_views(simulation.config, simulation.state)
                 assert np.array_equal(barrier.view_bits, fresh)
+                assert np.array_equal(barrier.view_ones, _row_ones(fresh))
+                assert np.array_equal(barrier.known_count,
+                                      _row_ones(simulation.state.known))
                 checked.append(simulation.state.renewals)
             return real_map(fn, tasks, workers)
 
@@ -900,10 +1025,11 @@ class TestPulledReferences:
         the density where it switches form."""
         generator = np.random.default_rng(int(density * 100) + n)
         dense = generator.random((rows, n)) < density
-        owner, ids = _set_bits(np.packbits(dense, axis=1), n)
+        owner, ids, counts = _set_bits(np.packbits(dense, axis=1), n)
         expected_owner, expected_ids = np.nonzero(dense)
         assert owner.tolist() == expected_owner.tolist()
         assert ids.tolist() == expected_ids.tolist()
+        assert counts.tolist() == dense.sum(axis=1).tolist()
 
 
 class TestKnownPoll:
@@ -1153,6 +1279,9 @@ class TestAdversaryAssignment:
             src, seq, dst = _adversary_assignment(config, alive, round_no)
         assert list(zip(src.tolist(), seq.tolist(), dst.tolist())) == expected
         assert src.dtype == seq.dtype == dst.dtype == "int64"
+        # (src, seq) strictly ascending: the barrier's push order rests on it.
+        assert list(zip(src.tolist(), seq.tolist())) == sorted(
+            set(zip(src.tolist(), seq.tolist())))
 
 
 def _fault_config(protocol: str) -> ShardConfig:
@@ -1238,10 +1367,11 @@ class TestPartitionDispatch:
             arrays = [getattr(state, name) for name in fields]
             for item in tasks[0]:
                 if isinstance(item, Barrier):
-                    # Message tracing alone reads the canonical pushes, so
-                    # the simulation drops them before the applies run.
-                    assert item.push_canonical is None
-                    arrays += [item.view_bits, *item.push_by_dst,
+                    # Message tracing alone reads every push, so the
+                    # simulation drops them before the applies run.
+                    assert item.push_sent is None
+                    arrays += [item.view_bits, item.view_ones,
+                               item.known_count, *item.push_by_dst,
                                *item.sess_arrays]
             for array in arrays:
                 array.setflags(write=False)
