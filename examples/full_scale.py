@@ -6,8 +6,8 @@ CPython box is:
 
 * N = 500  (``--nodes 500``):   ~0.2 s per round — seconds per run;
 * N = 1,000, encrypted transport: encryption is accounted, not executed
-  (the adversary never reads the wire), so it costs one pickle per
-  request and reply to count the bytes AES-CTR would produce; the crypto
+  (the adversary never reads the wire), so it costs one ``wire_bytes``
+  call per request and reply (a frame plus a fixed cost per id); the crypto
   left in a round is the auth handshake, which the perf ledger prices as
   ``pernode-raptee-enc`` ``crypto.self_s`` (see BENCHMARK.json; run
   ``python benchmarks/ledger/run.py``);

@@ -30,9 +30,10 @@ be byte-identical; it does not reproduce legacy byte streams):
 
 * Trusted swaps never mutate a view mid-round; both halves of a swap land
   in the pulled pool and take effect at renewal (BSP discipline).
-* Transport encryption is *modeled* as deterministic byte accounting
-  (64 bytes framing + 8 per carried id per delivered leg) instead of
-  running AES over pickled payloads.
+* Both engines charge one formula for encrypted traffic, a delivered
+  leg's :func:`repro.sim.messages.wire_bytes` (``FRAME_BYTES`` plus
+  ``ID_BYTES`` per carried id); shard's trusted swap carries whole views
+  where the per-node swap offers half of one.
 * Min-wise samplers are fed only ids *new to the node* (duplicate feeds
   cannot change a min), and a sampler reset replays the node's known live
   ids under its fresh hash — the incremental form of "min over everything
@@ -131,6 +132,7 @@ from repro.shard.state import (
     build_state,
     partition_bounds,
 )
+from repro.sim.messages import FRAME_BYTES, ID_BYTES
 from repro.sim.network import NetworkStats
 from repro.sim.node import NodeKind
 from repro.sim.observers import KIND_CODE, RoundRecord
@@ -144,8 +146,6 @@ _LEG_CH_FWD, _LEG_CH_REP = 0, 1
 _LEG_CONF_FWD, _LEG_CONF_REP = 2, 3
 _LEG_PULL_FWD, _LEG_PULL_REP = 4, 5
 _LEG_SWAP_FWD, _LEG_SWAP_REP = 6, 7
-_FRAME_BYTES = 64
-_ID_BYTES = 8
 
 
 def _leg_float(config: ShardConfig, round_no: int, src: int, k: int, leg: int) -> float:
@@ -250,7 +250,7 @@ def _plan_session(config: ShardConfig, state: ShardState, round_no: int,
 
     def wire(payload_ids: int) -> None:
         if encrypt:
-            result.enc_bytes += _FRAME_BYTES + _ID_BYTES * payload_ids
+            result.enc_bytes += FRAME_BYTES + ID_BYTES * payload_ids
 
     if config.protocol == "raptee":
         both_trusted = (
@@ -296,13 +296,15 @@ def _plan_session(config: ShardConfig, state: ShardState, round_no: int,
                 result.trusted_batch = both_trusted
                 wire(_reply_len(config, state, dst))
         # Trusted swap: the caller attempts it whenever the peer proved
-        # trust; the callee only honours it if the confirm registered.
+        # trust; the callee only honours it if the confirm registered, but
+        # the request crosses the wire either way.
         if both_trusted:
             result.requests += 1
             if lost(_LEG_SWAP_FWD):
                 result.losses += 1
-            elif conf_ok:
-                wire(_view_len_of(state, src))
+                return result
+            wire(_view_len_of(state, src))
+            if conf_ok:
                 result.callee_effect = True
                 if lost(_LEG_SWAP_REP):
                     result.losses += 1
@@ -521,7 +523,8 @@ def _plan_sessions_numpy(config: ShardConfig, state: ShardState, round_no: int,
         payload_ids += int(reply_ids[answered].sum())
 
     # Trusted swap: the caller attempts it whenever the peer proved trust;
-    # the callee only honours it if the confirm registered.
+    # the callee only honours it if the confirm registered, but the request
+    # crosses the wire either way.
     swapping = pulling & both_trusted
     if swapping.any():
         swap_arrived = swapping & ~lost(_LEG_SWAP_FWD)
@@ -531,10 +534,10 @@ def _plan_sessions_numpy(config: ShardConfig, state: ShardState, round_no: int,
         replies += count(caller_swap)
         losses += (count(swapping) - count(swap_arrived)
                    + count(callee_effect) - count(caller_swap))
-        frames += count(callee_effect) + count(caller_swap)
+        frames += count(swap_arrived) + count(caller_swap)
         if config.encrypt:
             src_len = np.broadcast_to(state.view_len[nodes][:, None], shape)
-            payload_ids += int(src_len[callee_effect].sum())
+            payload_ids += int(src_len[swap_arrived].sum())
             payload_ids += int(state.view_len[dst[caller_swap]].sum())
 
     plan.sess_arrays = SessionArrays(
@@ -544,7 +547,7 @@ def _plan_sessions_numpy(config: ShardConfig, state: ShardState, round_no: int,
     plan.sess_replies = replies
     plan.sess_losses = losses
     if config.encrypt:
-        plan.sess_bytes = _FRAME_BYTES * frames + _ID_BYTES * payload_ids
+        plan.sess_bytes = FRAME_BYTES * frames + ID_BYTES * payload_ids
 
 
 # -- barrier ------------------------------------------------------------------

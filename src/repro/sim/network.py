@@ -14,11 +14,10 @@ request-response sessions (pull, auth, trusted swap).  It models:
   adversary (§III-B).  The adversary modelled here is a global-knowledge
   coordinator that never reads the wire, so no ciphertext would ever be
   read.  An encrypted network therefore counts the bytes it would encrypt
-  — for each request and reply that reaches the other side, the
-  serialised length of the message, computed from its fields by
-  :func:`repro.sim.messages.wire_bytes` (nothing is serialised here);
-  that is the AES-CTR ciphertext length, since CTR preserves length —
-  and hands the message object over as is.
+  — for each request and reply that reaches the other side,
+  :func:`repro.sim.messages.wire_bytes`: a fixed frame plus a fixed cost
+  per id carried, the formula the shard engine charges too — and hands
+  the message object over as is.
 
 All traffic is counted in lifetime totals, applied eagerly per request
 and per push call (one sender's pushes of a round go out in one

@@ -1,7 +1,6 @@
 """Brahms node behaviour: gossip flows, defenses, view renewal."""
 
 import os
-import pickle
 import random
 
 import pytest
@@ -11,7 +10,7 @@ from repro.brahms.node import BrahmsNode, PulledBatch
 from repro.scenario import spec_from_dict
 from repro.scenario.run import run_scenario
 from repro.sim.engine import RoundContext, Simulation
-from repro.sim.messages import PullReply, PullRequest, Push
+from repro.sim.messages import PullReply, PullRequest, Push, wire_bytes
 from repro.sim.network import Network
 from repro.sim.node import NodeKind
 
@@ -102,7 +101,7 @@ class TestPullReplyReuse:
             nodes[0]._do_pull(ctx, 1)
             counted.append(network.stats.bytes_encrypted - before)
         fresh = PullRequest(0), PullReply(sender=1, ids=(0, 5, 6, 7))
-        assert counted[0] == counted[1] == sum(len(pickle.dumps(m)) for m in fresh)
+        assert counted[0] == counted[1] == sum(map(wire_bytes, fresh))
 
 
 class TestRoundDynamics:

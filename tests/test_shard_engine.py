@@ -1432,6 +1432,47 @@ class TestPartitionCount:
         assert counts == [min(shards, workers)] * 4
 
 
+class TestWireLegs:
+    def test_a_refused_swap_request_is_charged_on_both_backends(self):
+        """A trusted swap request that reaches its callee crosses the wire
+        whether or not the callee honours it, as on the per-node network:
+        a session whose challenge pair arrived, whose confirm and pull
+        request were lost and whose swap request arrived (so the callee
+        refuses it) costs two frames plus the swap request's frame and the
+        caller's view.  Both backends charge it alike."""
+        from repro.shard.engine import (_LEG_CH_FWD, _LEG_CH_REP, _LEG_CONF_FWD,
+                                        _LEG_PULL_FWD, _LEG_SWAP_FWD, _leg_float,
+                                        plan_partition)
+        from repro.sim.messages import FRAME_BYTES, ID_BYTES
+
+        config = shard_config(
+            {"n_nodes": 48, "byzantine_fraction": 0.10, "trusted_fraction": 0.5,
+             "view_ratio": 0.25, "loss_rate": 0.3, "transport_encryption": True},
+            seed=5, protocol="raptee")
+        states = [build_state(config, use_numpy) for use_numpy in (True, False)]
+        loss = config.loss_rate
+        refused = 0
+        for round_no in range(1, 7):
+            vector, scalar = (
+                plan_partition(config, state, round_no, loss, 0, config.n_nodes,
+                               (), (), ())
+                for state in states)
+            assert vector.sess_bytes == scalar.sess_bytes > 0
+            for session in scalar.sessions:
+                lost = [_leg_float(config, round_no, session.src, session.k, leg) < loss
+                        for leg in range(8)]
+                if (config.is_trusted(session.src) and config.is_trusted(session.dst)
+                        and not lost[_LEG_CH_FWD] and not lost[_LEG_CH_REP]
+                        and lost[_LEG_CONF_FWD] and lost[_LEG_PULL_FWD]
+                        and not lost[_LEG_SWAP_FWD]):
+                    assert not session.callee_effect
+                    assert session.enc_bytes == (
+                        3 * FRAME_BYTES
+                        + ID_BYTES * int(states[1].view_len[session.src]))
+                    refused += 1
+        assert refused >= 3
+
+
 class TestDiscoveryCounting:
     def test_only_the_per_node_engines_count_the_bootstrap_view(self):
         """A named modelling difference (DESIGN.md §8): discovery on the

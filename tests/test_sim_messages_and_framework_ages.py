@@ -1,14 +1,20 @@
-"""The wire message dataclasses of the per-node engine."""
+"""The wire message dataclasses, and what each costs on the encrypted wire
+on both engines."""
 
 import dataclasses
-import pickle
+import random
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.brahms.config import BrahmsConfig
+from repro.brahms.node import BrahmsNode
+from repro.shard.engine import _plan_session
+from repro.shard.state import build_state
 from repro.sim import messages
+from repro.sim.engine import RoundContext, Simulation
 from repro.sim.messages import (
+    FRAME_BYTES,
+    ID_BYTES,
     AuthChallenge,
     AuthConfirm,
     AuthResponse,
@@ -21,6 +27,10 @@ from repro.sim.messages import (
     TrustedSwapRequest,
     wire_bytes,
 )
+from repro.sim.network import Network
+from repro.sim.node import NodeKind
+
+from tests._pinned import shard_config
 
 
 class TestMessages:
@@ -46,45 +56,28 @@ class TestMessages:
         assert request.offered == (1, 2, 3)
 
 
-def _pickled(message):
-    """The independent oracle: the length pickle really gives."""
-    return len(pickle.dumps(message, protocol=4))
-
-
-# Field values at each boundary of the encodings wire_bytes models.
-_IDS = st.sampled_from([0, 255, 256, 65535, 65536, 2**31 - 1]) | st.integers(0, 2**31 - 1)
-# Short tuples, and the paper's l1 = 200 ids cycled from a few drawn ones.
-_ID_TUPLES = st.lists(_IDS, max_size=4).map(tuple) | st.lists(
-    _IDS, min_size=5, max_size=10).map(lambda ids: tuple(ids * 40)[:200])
-_BYTES = st.sampled_from([0, 16, 32, 255]).flatmap(
-    lambda n: st.binary(min_size=n, max_size=n)) | st.binary(max_size=255)
-
-
-@st.composite
-def _auth_response(draw):
-    """Distinct r_b and proof, or one bytes object in both fields."""
-    r_b = draw(_BYTES)
-    proof = r_b if draw(st.booleans()) else draw(_BYTES)
-    return AuthResponse(sender=draw(_IDS), r_b=r_b, proof=proof)
-
-
-#: One strategy per message class that repro.sim.messages exports.
+#: One builder per message class that repro.sim.messages exports: the
+#: message carrying ``ids`` where the class carries ids, else a message
+#: whose other fields hold ``len(ids)`` of something (nonce and proof
+#: bytes), which the wire does not charge.
 _MESSAGES = {
-    Message: st.builds(Message, sender=_IDS),
-    Push: st.builds(Push, sender=_IDS),
-    PullRequest: st.builds(PullRequest, sender=_IDS),
-    PullReply: st.builds(PullReply, sender=_IDS, ids=_ID_TUPLES),
-    AuthChallenge: st.builds(AuthChallenge, sender=_IDS, r_a=_BYTES),
-    AuthResponse: _auth_response(),
-    AuthConfirm: st.builds(AuthConfirm, sender=_IDS, proof=_BYTES),
-    AuthResult: st.builds(AuthResult, sender=_IDS, mutual=st.booleans()),
-    TrustedSwapRequest: st.builds(TrustedSwapRequest, sender=_IDS, offered=_ID_TUPLES),
-    TrustedSwapReply: st.builds(TrustedSwapReply, sender=_IDS, offered=_ID_TUPLES),
+    Message: lambda ids: Message(sender=len(ids)),
+    Push: lambda ids: Push(sender=len(ids)),
+    PullRequest: lambda ids: PullRequest(sender=len(ids)),
+    PullReply: lambda ids: PullReply(sender=1, ids=ids),
+    AuthChallenge: lambda ids: AuthChallenge(sender=1, r_a=bytes(len(ids))),
+    AuthResponse: lambda ids: AuthResponse(sender=1, r_b=bytes(len(ids)),
+                                           proof=bytes(len(ids))),
+    AuthConfirm: lambda ids: AuthConfirm(sender=1, proof=bytes(len(ids))),
+    AuthResult: lambda ids: AuthResult(sender=1, mutual=bool(ids)),
+    TrustedSwapRequest: lambda ids: TrustedSwapRequest(sender=1, offered=ids),
+    TrustedSwapReply: lambda ids: TrustedSwapReply(sender=1, offered=ids),
 }
+_CARRY_IDS = {PullReply, TrustedSwapRequest, TrustedSwapReply}
 
 
 class TestWireBytes:
-    """wire_bytes is the length pickle would give, computed from the fields."""
+    """wire_bytes is a frame plus a fixed cost per id carried."""
 
     def test_every_exported_message_class_is_covered(self):
         exported = {
@@ -94,77 +87,37 @@ class TestWireBytes:
         assert exported == set(_MESSAGES)
 
     @pytest.mark.parametrize("cls", list(_MESSAGES), ids=lambda cls: cls.__name__)
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_matches_the_pickled_length(self, cls, data):
-        message = data.draw(_MESSAGES[cls])
-        assert wire_bytes(message) == _pickled(message)
+    def test_frame_plus_ids(self, cls):
+        """64 bytes, plus 8 an id where the class carries ids, at 0, 1 and
+        200 ids."""
+        for n in (0, 1, 200):
+            ids = tuple(range(70_000, 70_000 + n))
+            carried = n if cls in _CARRY_IDS else 0
+            assert wire_bytes(_MESSAGES[cls](ids)) == 64 + 8 * carried, n
+        assert (FRAME_BYTES, ID_BYTES) == (64, 8)
 
-    @pytest.mark.parametrize("message", [
-        pytest.param(AuthResponse(sender=1), id="default-empty-bytes-twice"),
-        pytest.param(AuthResponse(sender=1, r_b=b"", proof=b""), id="empty-bytes-twice"),
-        pytest.param(AuthResponse(sender=1, r_b=bytes(32), proof=bytes(32)),
+    @pytest.mark.parametrize("message, cost", [
+        pytest.param(AuthResponse(sender=1), 64, id="default-empty-bytes-twice"),
+        pytest.param(AuthResponse(sender=1, r_b=b"", proof=b""), 64,
+                     id="empty-bytes-twice"),
+        pytest.param(AuthResponse(sender=1, r_b=bytes(32), proof=bytes(32)), 64,
                      id="equal-distinct-bytes"),
-        pytest.param(PullReply(sender=1, ids=(5,) * 4), id="repeated-id"),
+        pytest.param(PullReply(sender=1, ids=(5,) * 4), 64 + 4 * 8, id="repeated-id"),
         pytest.param(TrustedSwapReply(sender=65536, offered=tuple(range(250, 450))),
-                     id="ids-across-256"),
-        pytest.param(AuthResult(sender=True, mutual=False), id="bool-sender"),
+                     64 + 200 * 8, id="ids-across-256"),
+        pytest.param(AuthResult(sender=True, mutual=False), 64, id="bool-sender"),
     ])
-    def test_shared_and_equal_values(self, message):
-        assert wire_bytes(message) == _pickled(message)
+    def test_shared_and_equal_values(self, message, cost):
+        """The cost reads only how many ids a message carries: shared,
+        equal, repeated or wide values change nothing."""
+        assert wire_bytes(message) == cost
 
     def test_one_bytes_object_in_two_fields(self):
+        """A proof shared by two fields costs what two distinct ones do."""
         shared = bytes(range(16))
-        message = AuthResponse(sender=3, r_b=shared, proof=shared)
-        assert wire_bytes(message) == _pickled(message)
-        assert wire_bytes(message) < wire_bytes(
-            AuthResponse(sender=3, r_b=shared, proof=bytes(range(16))))
-
-    def test_exact_just_below_the_second_frame(self):
-        # 70 header bytes + 2 (sender) + 3 (MARK, TUPLE, MEMOIZE) + 5 an id.
-        message = PullReply(sender=1, ids=(65536,) * 13092)
-        assert wire_bytes(message) == _pickled(message) == 65535
-
-    def test_counts_without_pickling(self, monkeypatch):
-        sample = [PullReply(sender=7, ids=(1, 300, 70000)),
-                  AuthResponse(sender=2, r_b=b"r" * 16, proof=b"p" * 32),
-                  AuthResult(sender=4, mutual=True)]
-        expected = [_pickled(message) for message in sample]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("wire_bytes pickled a message")
-
-        monkeypatch.setattr(pickle, "dumps", refuse)
-        assert [wire_bytes(message) for message in sample] == expected
-        with pytest.raises(ValueError, match=r"PullReply\.ids"):
-            wire_bytes(PullReply(sender=7, ids=(1, True)))
-
-    @pytest.mark.parametrize("message, where", [
-        pytest.param(PullReply(sender=1, ids=(1, np.int64(2))), r"PullReply\.ids",
-                     id="numpy-id"),
-        pytest.param(TrustedSwapRequest(sender=1, offered=(3, True)),
-                     r"TrustedSwapRequest\.offered", id="true-id"),
-        pytest.param(TrustedSwapReply(sender=1, offered=(False,)),
-                     r"TrustedSwapReply\.offered", id="false-id"),
-        pytest.param(PullReply(sender=1, ids=[1, 2]), r"PullReply\.ids", id="list"),
-        pytest.param(AuthChallenge(sender=1, r_a="r_a"), r"AuthChallenge\.r_a", id="str"),
-        pytest.param(AuthConfirm(sender=1, proof=bytearray(32)), r"AuthConfirm\.proof",
-                     id="bytearray"),
-        pytest.param(Push(sender=np.int64(1)), r"Push\.sender", id="numpy-sender"),
-        pytest.param(Push(sender=-1), r"Push\.sender", id="negative-sender"),
-        pytest.param(PullReply(sender=1, ids=(4, -1)), r"PullReply\.ids", id="negative-id"),
-        pytest.param(PullRequest(sender=2**31), r"PullRequest\.sender", id="sender-2^31"),
-        pytest.param(PullReply(sender=1, ids=(0, 2**31)), r"PullReply\.ids", id="id-2^31"),
-        pytest.param(AuthResponse(sender=1, r_b=bytes(256)), r"AuthResponse\.r_b",
-                     id="256-bytes"),
-        pytest.param(PullReply(sender=256, ids=(65536,) * 13092), r"PullReply\.ids.*64 KiB",
-                     id="64KiB"),
-        pytest.param(TrustedSwapReply(sender=1, offered=tuple(range(70000, 100000))),
-                     r"TrustedSwapReply\.offered.*64 KiB", id="over-64KiB"),
-    ])
-    def test_unmodelled_shapes_raise_naming_class_and_field(self, message, where):
-        with pytest.raises(ValueError, match=where):
-            wire_bytes(message)
+        one = AuthResponse(sender=3, r_b=shared, proof=shared)
+        two = AuthResponse(sender=3, r_b=shared, proof=bytes(range(16)))
+        assert wire_bytes(one) == wire_bytes(two) == FRAME_BYTES
 
     def test_an_unexported_message_class_raises(self):
         @dataclasses.dataclass(frozen=True)
@@ -173,3 +126,27 @@ class TestWireBytes:
 
         with pytest.raises(ValueError, match="Gossip"):
             wire_bytes(Gossip(sender=1))
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_an_answered_brahms_pull_costs_the_same_on_both_engines(self, k):
+        """Request frame, reply frame, ``k`` ids: on the per-node network
+        and in the shard engine's session plan."""
+        expected = 2 * FRAME_BYTES + k * ID_BYTES
+
+        config = BrahmsConfig(view_size=8, sample_size=4)
+        network = Network(random.Random(0), encrypt=True)
+        nodes = [BrahmsNode(i, NodeKind.HONEST, config, random.Random(i))
+                 for i in range(2)]
+        nodes[0].seed_view([1])
+        nodes[1].seed_view(list(range(2, 2 + k)))
+        nodes[0]._do_pull(RoundContext(Simulation(network, nodes, random.Random(0)), 1), 1)
+        assert network.stats.bytes_encrypted == expected
+
+        shard = shard_config({"n_nodes": 40, "byzantine_fraction": 0.0,
+                              "view_ratio": 0.2, "transport_encryption": True},
+                             seed=3, protocol="brahms")
+        state = build_state(shard)
+        state.view_len[1] = k  # the answer is node 1's view, cut to k ids
+        session = _plan_session(shard, state, 1, 0.0, 0, 0, 1)
+        assert session.answered
+        assert session.enc_bytes == expected

@@ -1,6 +1,5 @@
 """Network transport tests."""
 
-import pickle
 import random
 from collections import Counter
 from typing import List, Optional
@@ -10,7 +9,7 @@ import pytest
 from repro.events.engine import EventEngine, EventOptions
 from repro.events.latency import ConstantLatency
 from repro.sim.engine import Simulation
-from repro.sim.messages import Message, PullReply, PullRequest
+from repro.sim.messages import Message, PullReply, PullRequest, wire_bytes
 from repro.sim.network import Network
 from repro.sim.node import NodeBase, NodeKind
 from repro.sim.observers import RoundRecorder
@@ -136,14 +135,10 @@ class TestLoss:
         assert all(network.send_push(1, 2) for _ in range(50))
 
 
-def _size(message: Message) -> int:
-    return len(pickle.dumps(message))
-
-
 class TestEncryptedTransport:
-    """An encrypted network counts the bytes it would encrypt — the pickled
-    length of each request and reply that reaches the other side — and
-    hands the message object over as is."""
+    """An encrypted network counts the bytes it would encrypt — the
+    ``wire_bytes`` of each request and reply that reaches the other side —
+    and hands the message object over as is."""
 
     @pytest.fixture
     def encrypted(self, rng):
@@ -157,7 +152,7 @@ class TestEncryptedTransport:
         reply = encrypted.request(1, 2, request)
         assert reply == PullReply(sender=2, ids=(4, 5, 6))
         assert encrypted.node(2).received == [request]
-        assert encrypted.stats.bytes_encrypted == _size(request) + _size(reply)
+        assert encrypted.stats.bytes_encrypted == wire_bytes(request) + wire_bytes(reply)
 
     def test_a_lost_reply_counts_only_the_request(self, encrypted):
         encrypted.install_fault_hook(lambda src, dst, _round: (src, dst) == (2, 1))
@@ -165,13 +160,13 @@ class TestEncryptedTransport:
         assert encrypted.request(1, 2, request) is None
         assert encrypted.node(2).received == [request]
         assert encrypted.stats.messages_lost == 1
-        assert encrypted.stats.bytes_encrypted == _size(request)
+        assert encrypted.stats.bytes_encrypted == wire_bytes(request)
 
     def test_an_unanswered_request_counts_only_the_request(self, encrypted):
         request = Message(sender=1)  # EchoNode answers pulls only
         assert encrypted.request(1, 2, request) is None
         assert encrypted.node(2).received == [request]
-        assert encrypted.stats.bytes_encrypted == _size(request)
+        assert encrypted.stats.bytes_encrypted == wire_bytes(request)
 
     def test_pushes_count_no_bytes(self, encrypted):
         assert encrypted.send_push(1, 2)
@@ -182,7 +177,7 @@ class TestEncryptedTransport:
         for _ in range(2):
             before = encrypted.stats.bytes_encrypted
             assert encrypted._through_wire(message) is message
-            assert encrypted.stats.bytes_encrypted - before == _size(message)
+            assert encrypted.stats.bytes_encrypted - before == wire_bytes(message)
 
 
 class TestPerRoundCounters:
