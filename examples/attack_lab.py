@@ -16,10 +16,11 @@ import statistics
 
 from repro.adversary.identification import IdentificationAttack
 from repro.analysis.metrics import resilience_improvement
+from repro.core.config import RapteeConfig
 from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.experiments.runner import bundle_metrics
 from repro.experiments.scenarios import TopologySpec
-from repro.scenario import RapteeOptions, ScenarioSpec, compile_spec, run_scenario
+from repro.scenario import ScenarioSpec, compile_spec, run_scenario
 from repro.sim.node import NodeKind
 
 N_NODES = 200
@@ -41,7 +42,7 @@ def identification_attack() -> None:
             name="identification", protocol="raptee", seed=SEED,
             rounds=20,  # pre-stability: the attack's best window
             topology=topology,
-            raptee=RapteeOptions(eviction=policy, probe_pulls=config.beta_count),
+            raptee=RapteeConfig(eviction=policy, probe_pulls=config.beta_count),
         )
         bundle = run_scenario(spec, telemetry=None).bundle
         report = IdentificationAttack(bundle.coordinator).classify(
@@ -76,7 +77,7 @@ def poisoned_injection() -> None:
                 poisoned_fraction=poisoned,
                 view_ratio=0.08,
             ),
-            raptee=RapteeOptions(eviction=AdaptiveEviction()),
+            raptee=RapteeConfig(eviction=AdaptiveEviction()),
         )
         bundle = compile_spec(spec)
         sim = bundle.simulation

@@ -24,10 +24,11 @@ Run:  python examples/full_scale.py [--run] [--nodes N] [--rounds R]
 
 import argparse
 
+from repro.core.config import RapteeConfig
 from repro.core.eviction import AdaptiveEviction
 from repro.experiments.figures import PAPER_SCALE
 from repro.experiments.scenarios import TopologySpec
-from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
+from repro.scenario import ScenarioSpec, run_scenario
 
 
 def main(argv=None) -> None:
@@ -69,7 +70,7 @@ def main(argv=None) -> None:
     metrics = run_scenario(ScenarioSpec(
         name="full-scale", protocol="raptee", seed=PAPER_SCALE.base_seed,
         rounds=args.rounds, topology=spec,
-        raptee=RapteeOptions(eviction=AdaptiveEviction()),
+        raptee=RapteeConfig(eviction=AdaptiveEviction()),
     ), telemetry=None).metrics
     print(f"resilience (Byz IDs in correct views): {metrics.resilience_percent:.1f}%")
     print(f"discovery round: {metrics.discovery_round}")

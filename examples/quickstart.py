@@ -14,9 +14,10 @@ Run:  python examples/quickstart.py
 """
 
 from repro.analysis.metrics import resilience_improvement
+from repro.core.config import RapteeConfig
 from repro.core.eviction import AdaptiveEviction
 from repro.experiments.scenarios import TopologySpec
-from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
+from repro.scenario import ScenarioSpec, run_scenario
 
 N_NODES = 200
 ROUNDS = 60
@@ -42,7 +43,7 @@ def main() -> None:
             n_nodes=N_NODES, byzantine_fraction=0.10, trusted_fraction=0.25,
             view_ratio=0.08,
         ),
-        raptee=RapteeOptions(eviction=AdaptiveEviction()),
+        raptee=RapteeConfig(eviction=AdaptiveEviction()),
     )
     raptee = run_scenario(raptee_spec, telemetry=None).metrics
     print("\nRAPTEE (25% SGX trusted nodes, adaptive eviction)")

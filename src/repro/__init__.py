@@ -10,13 +10,13 @@ subpackages hold the full API.  A run is a
 :class:`~repro.scenario.spec.ScenarioSpec` handed to
 :func:`~repro.scenario.run.run_scenario`:
 
->>> from repro import AdaptiveEviction, TopologySpec
->>> from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
+>>> from repro import AdaptiveEviction, RapteeConfig, TopologySpec
+>>> from repro.scenario import ScenarioSpec, run_scenario
 >>> spec = ScenarioSpec(
 ...     name="example", protocol="raptee", seed=1, rounds=20,
 ...     topology=TopologySpec(n_nodes=100, byzantine_fraction=0.1,
 ...                           trusted_fraction=0.1),
-...     raptee=RapteeOptions(eviction=AdaptiveEviction()))
+...     raptee=RapteeConfig(eviction=AdaptiveEviction()))
 >>> metrics = run_scenario(spec, telemetry=None).metrics
 >>> metrics.rounds
 20

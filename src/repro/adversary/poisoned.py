@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
+from repro.brahms.config import BrahmsConfig
 from repro.core.config import RapteeConfig
 from repro.core.deployment import TrustedInfrastructure
 from repro.core.node import RapteeNode
@@ -64,7 +65,8 @@ def poison_initial_state(
 
 def build_poisoned_trusted_node(
     node_id: int,
-    config: RapteeConfig,
+    config: BrahmsConfig,
+    raptee_config: RapteeConfig,
     infrastructure: TrustedInfrastructure,
     byzantine_ids: Sequence[int],
     rng: random.Random,
@@ -76,6 +78,7 @@ def build_poisoned_trusted_node(
         node_id=node_id,
         kind=NodeKind.POISONED_TRUSTED,
         config=config,
+        raptee_config=raptee_config,
         rng=rng,
         enclave=enclave,
     )

@@ -58,6 +58,7 @@ import sys
 from typing import List, Optional
 
 from repro.adversary.identification import IdentificationAttack
+from repro.core.config import RapteeConfig
 from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
 from repro.experiments.figures import BENCH_SCALE, FIGURES, TEST_SCALE, run_figure
 from repro.experiments.runner import bundle_metrics
@@ -66,7 +67,7 @@ from repro.scenario.catalog import CATALOG, catalog_specs, get_spec
 from repro.scenario.compile import compile_spec
 from repro.scenario.errors import ScenarioSpecError, VectorError
 from repro.scenario.run import run_scenario
-from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec, _construct
+from repro.scenario.spec import EngineSpec, ScenarioSpec, _construct
 from repro.scenario.vectors import (
     DEFAULT_VECTOR_DIR,
     VECTOR_SUFFIX,
@@ -290,7 +291,7 @@ def _spec_from_args(args) -> ScenarioSpec:
         # `attack` arms the §VI-A intelligence: every Byzantine node issues
         # β·l1 pull probes per round.
         probes = topology.brahms_config().beta_count if args.command == "attack" else 0
-        options = RapteeOptions(
+        options = RapteeConfig(
             eviction=args.eviction,
             sketch_unbias_enabled=flags.get("sketch_unbias", False),
             probe_pulls=probes,

@@ -13,11 +13,17 @@ Two policies from the paper:
   needed.  The paper anchors the rule at (trusted share ≥ 80 % → rate 20 %)
   and (trusted share ≤ 20 % → rate 80 %) with a linear segment in between,
   i.e. ``rate = clamp(1 − trusted_share, 0.20, 0.80)``.
+
+Each policy answers one share (:meth:`EvictionPolicy.rate`, the per-node
+engines) or a float64 array of shares (:meth:`EvictionPolicy.rates`, the
+shard engine's trusted owners in one call); the two are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["EvictionPolicy", "FixedEviction", "AdaptiveEviction"]
 
@@ -26,6 +32,10 @@ class EvictionPolicy:
     """Maps the round's trusted-contact share to an eviction rate."""
 
     def rate(self, trusted_share: float) -> float:
+        raise NotImplementedError
+
+    def rates(self, trusted_shares: np.ndarray) -> np.ndarray:
+        """:meth:`rate` over a float64 array of shares, element for element."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -44,6 +54,9 @@ class FixedEviction(EvictionPolicy):
 
     def rate(self, trusted_share: float) -> float:
         return self.value
+
+    def rates(self, trusted_shares: np.ndarray) -> np.ndarray:
+        return np.full(trusted_shares.shape, self.value)
 
     def describe(self) -> str:
         return f"fixed-{int(round(self.value * 100))}%"
@@ -79,6 +92,19 @@ class AdaptiveEviction(EvictionPolicy):
             return self.low_rate
         slope = (self.low_rate - self.high_rate) / (self.high_share - self.low_share)
         return self.high_rate + slope * (trusted_share - self.low_share)
+
+    def rates(self, trusted_shares: np.ndarray) -> np.ndarray:
+        """The same float operations in the same order as :meth:`rate`, and
+        the line only where it takes it (strictly between the anchors, so
+        a degenerate slope is never multiplied by an anchor share): every
+        rate is bit-identical to the scalar rule."""
+        rates = np.full(trusted_shares.shape, float(self.low_rate))
+        rates[trusted_shares <= self.low_share] = self.high_rate
+        inside = (trusted_shares > self.low_share) & (trusted_shares < self.high_share)
+        if inside.any():
+            slope = (self.low_rate - self.high_rate) / (self.high_share - self.low_share)
+            rates[inside] = self.high_rate + slope * (trusted_shares[inside] - self.low_share)
+        return rates
 
     def describe(self) -> str:
         return "adaptive"

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
+from repro.brahms.config import BrahmsConfig
 from repro.brahms.countmin import StreamUnbiaser
 from repro.brahms.node import BrahmsNode, PulledBatch
 from repro.core.auth import AuthScheme, KEY_BYTES
@@ -66,14 +67,15 @@ class RapteeNode(BrahmsNode):
         self,
         node_id: int,
         kind: NodeKind,
-        config: RapteeConfig,
+        config: BrahmsConfig,
+        raptee_config: RapteeConfig,
         rng: random.Random,
         enclave: Optional[EnclaveHost] = None,
         cycle_accountant: Optional[CycleAccountant] = None,
     ):
-        super().__init__(node_id, kind, config.brahms, rng, cycle_accountant)
-        self.raptee_config = config
-        self._scheme = AuthScheme(config.auth_mode)
+        super().__init__(node_id, kind, config, rng, cycle_accountant)
+        self.raptee_config = raptee_config
+        self._scheme = AuthScheme(raptee_config.auth_mode)
         self._trusted_role = kind.runs_trusted_code
         self.degraded = False
         if self._trusted_role:
@@ -90,7 +92,7 @@ class RapteeNode(BrahmsNode):
             self._own_key = rng.getrandbits(KEY_BYTES * 8).to_bytes(KEY_BYTES, "big")
 
         self._unbiaser = (
-            StreamUnbiaser(rng) if config.sketch_unbias_enabled else None
+            StreamUnbiaser(rng) if raptee_config.sketch_unbias_enabled else None
         )
         # Per-round authentication and contact bookkeeping.
         self._pending_auth: Dict[int, Tuple[bytes, bytes]] = {}
@@ -191,7 +193,7 @@ class RapteeNode(BrahmsNode):
         epoch.  Without a membership view (the legacy deployment) the gate
         is a constant True."""
         view = self.membership_view
-        if view is None or not self.raptee_config.membership_enabled:
+        if view is None:
             return True
         return view.permits(self.node_id, self.enclave_epoch) and view.permits(
             peer_id, self.enclave_epoch

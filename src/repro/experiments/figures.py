@@ -19,13 +19,14 @@ from repro.adversary.identification import IdentificationAttack
 from repro.analysis.metrics import overhead_percent, resilience_improvement
 from repro.analysis.stats import summarize
 from repro.brahms.config import BrahmsConfig
+from repro.core.config import RapteeConfig
 from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.experiments.reporting import FigureResult
 from repro.experiments.runner import map_ordered, repeat
 from repro.experiments.scenarios import TopologySpec
 from repro.membership.service import MembershipConfig
 from repro.scenario.run import ScenarioArtifacts, run_scenario
-from repro.scenario.spec import EngineSpec, RapteeOptions, ScenarioSpec
+from repro.scenario.spec import EngineSpec, ScenarioSpec
 from repro.sgx.cycles import TABLE_I, PeerSamplingFunction
 
 __all__ = ["Scale", "TEST_SCALE", "BENCH_SCALE", "PAPER_SCALE", "FigureResult", "FigureDef",
@@ -58,7 +59,7 @@ PAPER_SCALE = Scale(n_nodes=10_000, rounds=200, repetitions=10, view_ratio=0.02)
 Cell = Mapping[str, object]
 Values = Tuple[float, ...]
 
-_SECTIONS = {"topology": TopologySpec, "raptee": RapteeOptions, "engine": EngineSpec}
+_SECTIONS = {"topology": TopologySpec, "raptee": RapteeConfig, "engine": EngineSpec}
 #: The section whose field a cell key names; other keys are spec fields.
 _SECTION_OF = {item.name: name for name, schema in _SECTIONS.items() for item in fields(schema)}
 

@@ -289,7 +289,7 @@ def _adversary(
 ) -> Tuple[AdversaryCoordinator, List[ByzantineNode]]:
     """The global coordinator and the Byzantine identities it drives (the
     lowest ids of the banded layout), for either protocol."""
-    seed, options = scenario.seed, scenario.raptee_options
+    seed, options = scenario.seed, scenario.raptee_config
     byzantine_ids = list(range(scenario.topology.n_byzantine))
     coordinator = AdversaryCoordinator(
         byzantine_ids=byzantine_ids,
@@ -328,35 +328,20 @@ def _build_brahms(scenario: "ScenarioSpec", config: BrahmsConfig) -> SimulationB
     return _bundle(scenario, nodes, coordinator)
 
 
-def _raptee_config(scenario: "ScenarioSpec") -> RapteeConfig:
-    """The one node configuration of a RAPTEE scenario: its Brahms
-    parameters plus the §IV switches of its ``raptee`` section."""
-    options, membership = scenario.raptee_options, scenario.membership
-    return RapteeConfig(
-        brahms=scenario.brahms_config,
-        eviction=options.eviction,
-        auth_mode=options.auth_mode,
-        trusted_exchange_enabled=options.trusted_exchange_enabled,
-        eviction_enabled=options.eviction_enabled,
-        sketch_unbias_enabled=options.sketch_unbias_enabled,
-        membership_enabled=membership is not None and membership.enabled,
-    )
-
-
-def _build_raptee(scenario: "ScenarioSpec", raptee_config: RapteeConfig) -> SimulationBundle:
+def _build_raptee(
+    scenario: "ScenarioSpec", brahms_config: BrahmsConfig, raptee_config: RapteeConfig
+) -> SimulationBundle:
     """Assemble the RAPTEE deployment of a validated scenario spec; every
-    correct node runs ``raptee_config`` (see :func:`_raptee_config`)."""
-    spec, seed = scenario.topology, scenario.seed
-    options, membership = scenario.raptee_options, scenario.membership
-    membership_on = raptee_config.membership_enabled
-    brahms_config = raptee_config.brahms
+    correct node runs ``brahms_config`` and ``raptee_config``, the spec's
+    own (churn arrivals share them)."""
+    spec, seed, membership = scenario.topology, scenario.seed, scenario.membership
     infrastructure = TrustedInfrastructure(
         Sha256Prng(derive_seed(seed, "tcb")),
-        auth_mode=options.auth_mode,
-        provisioning_key_bits=options.provisioning_key_bits,
+        auth_mode=raptee_config.auth_mode,
+        provisioning_key_bits=raptee_config.provisioning_key_bits,
     )
     director: Optional[MembershipDirector] = None
-    if membership_on:
+    if membership is not None and membership.enabled:
         service = ReplicatedProvisioningService(
             infrastructure,
             Sha256Prng(derive_seed(seed, "membership", "service")),
@@ -368,9 +353,10 @@ def _build_raptee(scenario: "ScenarioSpec", raptee_config: RapteeConfig) -> Simu
             membership,
             _mt(seed, "membership", "director"),
             seed,
+            brahms_config=brahms_config,
             raptee_config=raptee_config,
         )
-    cycle_model = CycleModel() if options.with_cycle_accounting else None
+    cycle_model = CycleModel() if raptee_config.with_cycle_accounting else None
 
     byzantine_ids = list(range(spec.n_byzantine))
     trusted_ids = list(range(spec.n_byzantine, spec.n_byzantine + spec.n_trusted))
@@ -387,7 +373,7 @@ def _build_raptee(scenario: "ScenarioSpec", raptee_config: RapteeConfig) -> Simu
         accountant = CycleAccountant(
             cycle_model,
             _mt(seed, "cycles", node_id),
-            force_standard=(options.cycle_mode == "standard"),
+            force_standard=(raptee_config.cycle_mode == "standard"),
         )
         cycle_accountants[node_id] = accountant
         return accountant
@@ -398,6 +384,7 @@ def _build_raptee(scenario: "ScenarioSpec", raptee_config: RapteeConfig) -> Simu
             RapteeNode(
                 node_id,
                 NodeKind.TRUSTED,
+                brahms_config,
                 raptee_config,
                 _mt(seed, "node", node_id),
                 enclave=enclave,
@@ -408,6 +395,7 @@ def _build_raptee(scenario: "ScenarioSpec", raptee_config: RapteeConfig) -> Simu
         RapteeNode(
             node_id,
             NodeKind.HONEST,
+            brahms_config,
             raptee_config,
             _mt(seed, "node", node_id),
             cycle_accountant=_accountant(node_id),
@@ -418,6 +406,7 @@ def _build_raptee(scenario: "ScenarioSpec", raptee_config: RapteeConfig) -> Simu
         nodes.append(
             build_poisoned_trusted_node(
                 node_id,
+                brahms_config,
                 raptee_config,
                 infrastructure,
                 byzantine_ids,

@@ -22,15 +22,21 @@ spanning the three layers the simulator can break:
   (several trusted devices revoked in one round).
 
 Plans are pure data — the :mod:`repro.faults.injector` interprets them
-against a running simulation.  All probabilistic faults draw from the
+against a running simulation, and the shard engine runs the loss-burst
+and crash-restart faults itself.  All probabilistic faults draw from the
 injector's own seeded RNG, never from the protocol streams, so adding a
 fault plan perturbs a run only through the faults themselves.
+
+:func:`validate_faults` is the one schedule check of every engine: each
+fault's own ``validate`` plus the rule between faults (one node's
+crash-restart windows never overlap).  :class:`FaultPlan`, the scenario
+spec's loader and :class:`~repro.shard.state.ShardConfig` all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 __all__ = [
     "RoundWindow",
@@ -50,6 +56,8 @@ __all__ = [
     "EpochRotationFault",
     "RevocationStormFault",
     "FaultPlan",
+    "FaultPlanError",
+    "validate_faults",
 ]
 
 
@@ -153,6 +161,8 @@ class CrashRestartFault(Fault):
     crash_enclave: bool = True
 
     def validate(self) -> None:
+        if self.node_id < 0:
+            raise ValueError("node_id must be non-negative")
         if self.at_round < 1:
             raise ValueError("at_round must be >= 1")
         if self.down_rounds < 1:
@@ -296,6 +306,45 @@ MEMBERSHIP_FAULTS = (
 )
 
 
+class FaultPlanError(ValueError):
+    """A fault list that breaks a schedule rule; ``index`` is the position
+    of the offending fault."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def validate_faults(faults: Sequence[Fault]) -> None:
+    """Check each fault's parameters, then the rule between faults.
+
+    A crash-restart window runs from ``at_round`` to its restart round
+    ``at_round + down_rounds`` inclusive: a second crash of the same node
+    inside it would revive the node early or race the restart, so no two
+    windows of one node may overlap.  Raises :class:`FaultPlanError`
+    naming the offending fault (of an overlap, the later window).
+    """
+    for index, fault in enumerate(faults):
+        try:
+            fault.validate()
+        except ValueError as exc:
+            raise FaultPlanError(str(exc), index) from exc
+    crashes = sorted(
+        (fault.node_id, fault.at_round, index)
+        for index, fault in enumerate(faults)
+        if isinstance(fault, CrashRestartFault)
+    )
+    restart_round: Dict[int, int] = {}
+    for node_id, at_round, index in crashes:
+        if at_round <= restart_round.get(node_id, 0):
+            raise FaultPlanError(
+                f"crash at round {at_round} overlaps an earlier crash-restart "
+                f"window on node {node_id}",
+                index,
+            )
+        restart_round[node_id] = at_round + faults[index].down_rounds
+
+
 class FaultPlan:
     """An immutable, validated collection of fault declarations."""
 
@@ -311,7 +360,7 @@ class FaultPlan:
         for fault in self.faults:
             if not isinstance(fault, Fault):
                 raise TypeError(f"not a fault: {fault!r}")
-            fault.validate()
+        validate_faults(self.faults)
 
     def __iter__(self):
         return iter(self.faults)

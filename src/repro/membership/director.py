@@ -39,6 +39,7 @@ from repro.sgx.errors import AttestationError, ProvisioningError
 from repro.sim.node import NodeKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.brahms.config import BrahmsConfig
     from repro.core.config import RapteeConfig
     from repro.core.recovery import EnclaveRecoveryManager
     from repro.faults.injector import FaultInjector
@@ -68,12 +69,14 @@ class MembershipDirector:
         config: MembershipConfig,
         rng: random.Random,
         seed: int,
+        brahms_config: Optional["BrahmsConfig"] = None,
         raptee_config: Optional["RapteeConfig"] = None,
     ):
         self.service = service
         self.config = config
         self._rng = rng
         self._seed = seed
+        self._brahms_config = brahms_config
         self._raptee_config = raptee_config
         self._views: Dict[int, NodeMembershipView] = {}
         self._injector: Optional["FaultInjector"] = None
@@ -155,7 +158,7 @@ class MembershipDirector:
         now (attestation outage, quorum loss, injected flakiness) — the
         join simply does not happen this round.
         """
-        if self._raptee_config is None:
+        if self._brahms_config is None or self._raptee_config is None:
             raise RuntimeError("runtime joins require the RAPTEE node config")
         infrastructure = self.service.infrastructure
         node_id = max(simulation.ever_registered) + 1
@@ -170,6 +173,7 @@ class MembershipDirector:
         node = RapteeNode(
             node_id,
             NodeKind.TRUSTED,
+            self._brahms_config,
             self._raptee_config,
             random.Random(derive_seed(self._seed, "node", node_id)),
             enclave=host,
@@ -178,7 +182,7 @@ class MembershipDirector:
         alive_ids = sorted(
             other.node_id for other in simulation.alive_nodes()
         )
-        view_size = self._raptee_config.brahms.view_size
+        view_size = self._brahms_config.view_size
         if alive_ids:
             node.seed_view(
                 sorted(self._rng.sample(alive_ids, min(view_size, len(alive_ids))))

@@ -30,7 +30,6 @@ from repro.scenario.spec import (
     SCENARIO_SPEC_VERSION,
     ChurnSpec,
     EngineSpec,
-    RapteeOptions,
     ScenarioSpec,
     canonical_spec_json,
     spec_from_dict,
@@ -52,7 +51,6 @@ __all__ = [
     "ScenarioSpec",
     "ChurnSpec",
     "EngineSpec",
-    "RapteeOptions",
     "ScenarioSpecError",
     "spec_from_dict",
     "spec_to_dict",

@@ -22,7 +22,7 @@ import random
 from typing import Optional
 
 from repro.crypto.prng import derive_seed
-from repro.experiments.scenarios import _build_brahms, _build_raptee, _raptee_config
+from repro.experiments.scenarios import _build_brahms, _build_raptee
 from repro.scenario.spec import ChurnSpec, ScenarioSpec
 from repro.sim.churn import CatastrophicFailure, ChurnModel, UniformChurn
 
@@ -39,29 +39,32 @@ __all__ = [
 class ArrivalFactory:
     """Module-level (picklable) node factory for churn arrivals.
 
-    Arrivals join as honest nodes of the scenario's protocol, each with
-    its own seed-derived RNG stream and a one-node bootstrap view so it
-    gossips in its join round — the same construction the engine's other
-    arrival paths use, and snapshot-safe by being a plain class.
+    Arrivals join as honest nodes of the scenario's protocol (RAPTEE when
+    ``raptee_config`` is set, else Brahms), each with its own seed-derived
+    RNG stream and a one-node bootstrap view so it gossips in its join
+    round — the same construction the engine's other arrival paths use,
+    and snapshot-safe by being a plain class.
     """
 
-    def __init__(self, protocol: str, config, seed: int):
-        self.protocol = protocol
+    def __init__(self, config, raptee_config, seed: int):
         self.config = config
+        self.raptee_config = raptee_config
         self.seed = seed
 
     def __call__(self, node_id: int):
         from repro.sim.node import NodeKind
 
         rng = random.Random(derive_seed(self.seed, "node", node_id))
-        if self.protocol == "brahms":
+        if self.raptee_config is None:
             from repro.brahms.node import BrahmsNode
 
             node = BrahmsNode(node_id, NodeKind.HONEST, self.config, rng)
         else:
             from repro.core.node import RapteeNode
 
-            node = RapteeNode(node_id, NodeKind.HONEST, self.config, rng)
+            node = RapteeNode(
+                node_id, NodeKind.HONEST, self.config, self.raptee_config, rng
+            )
         node.seed_view([0])
         return node
 
@@ -90,18 +93,19 @@ def compile_spec(spec: ScenarioSpec, workers: int = 1):
     """
     if spec.engine.kind == "shard":
         return shard_simulation_from_spec(spec, workers=workers)
-    # Churn arrivals join with the very config object the honest nodes run.
+    # Churn arrivals join with the very config objects the honest nodes run.
+    config = spec.brahms_config
     if spec.protocol == "brahms":
-        config = spec.brahms_config
+        raptee_config = None
         bundle = _build_brahms(spec, config)
     else:
-        config = _raptee_config(spec)
-        bundle = _build_raptee(spec, config)
+        raptee_config = spec.raptee_config
+        bundle = _build_raptee(spec, config, raptee_config)
     churn = churn_model_from_spec(spec.churn)
     if churn is not None:
         factory = None
         if churn.may_produce_arrivals is not False:
-            factory = ArrivalFactory(spec.protocol, config, spec.seed)
+            factory = ArrivalFactory(config, raptee_config, spec.seed)
         bundle.simulation.set_churn(churn, factory)
     return bundle
 

@@ -29,10 +29,14 @@ Design rules:
 * **Reuse, don't mirror.**  The spec nests the existing validated config
   dataclasses (:class:`~repro.experiments.scenarios.TopologySpec`,
   :class:`~repro.brahms.config.BrahmsConfig`,
+  :class:`~repro.core.config.RapteeConfig`,
   :class:`~repro.membership.service.MembershipConfig`, the
   :mod:`repro.faults.plan` fault classes, the eviction policies) rather
-  than re-declaring their fields, so a spec can never drift from what the
-  builders actually accept.
+  than re-declaring their fields, and checks its fault list with
+  :func:`~repro.faults.plan.validate_faults`, the schedule check every
+  engine applies, so a spec can never drift from what the builders
+  actually accept.  The rule holds with no exception: only the sections
+  no builder declares (churn, engine) are spec classes.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from typing import (
 
 from repro.adversary.coordinator import AdversaryCoordinator
 from repro.brahms.config import BrahmsConfig
+from repro.core.config import RapteeConfig
 from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
 from repro.faults.plan import (
     MEMBERSHIP_FAULTS,
@@ -69,6 +74,7 @@ from repro.faults.plan import (
     EnclaveCrashFault,
     EpochRotationFault,
     Fault,
+    FaultPlanError,
     LinkFault,
     LossBurstFault,
     OmissionFault,
@@ -78,6 +84,7 @@ from repro.faults.plan import (
     RevocationStormFault,
     RoundWindow,
     SealedBlobCorruptionFault,
+    validate_faults,
 )
 from repro.membership.service import MembershipConfig
 from repro.scenario.errors import ScenarioSpecError
@@ -91,7 +98,6 @@ __all__ = [
     "FAULT_KINDS",
     "ChurnSpec",
     "EngineSpec",
-    "RapteeOptions",
     "ScenarioSpec",
     "spec_from_dict",
     "spec_to_dict",
@@ -336,61 +342,6 @@ class EngineSpec:
                     )
 
 
-@dataclass(frozen=True)
-class RapteeOptions:
-    """The RAPTEE-only knobs (§IV mechanisms + SGX cost model).
-
-    ``eviction``, ``auth_mode`` and the three ``*_enabled`` switches are
-    the :class:`~repro.core.config.RapteeConfig` fields of the same names.
-    ``probe_pulls`` > 0 makes Byzantine nodes issue that many pull probes
-    per round, feeding the identification attack's intelligence.
-    ``provisioning_key_bits`` sizes each enclave's RSA key pair for
-    group-key provisioning.  ``with_cycle_accounting`` / ``cycle_mode`` select the
-    SGX cycle-cost model of :mod:`repro.sgx.cycles` (Table 1).
-
-    Dynamic trusted-set membership is the spec's ``membership`` section,
-    not a knob here: when enabled, trusted nodes are provisioned through a
-    :class:`~repro.membership.service.ReplicatedProvisioningService`
-    (quorum over K replicas) and carry epoch-checked membership views, and
-    a :class:`~repro.membership.director.MembershipDirector` rides on the
-    bundle to drive churn, rotation and revocation gossip, ticked by the
-    fault injector.
-    """
-
-    eviction: EvictionPolicy = AdaptiveEviction()
-    auth_mode: str = "hmac"
-    probe_pulls: int = 0
-    trusted_exchange_enabled: bool = True
-    eviction_enabled: bool = True
-    sketch_unbias_enabled: bool = False
-    provisioning_key_bits: int = 384
-    with_cycle_accounting: bool = False
-    cycle_mode: str = "sgx"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.eviction, EvictionPolicy):
-            raise ScenarioSpecError(
-                f"expected an EvictionPolicy, got {type(self.eviction).__name__}",
-                "raptee.eviction",
-            )
-        if self.auth_mode not in ("hmac", "aes-ctr"):
-            raise ScenarioSpecError(
-                f"unknown auth_mode {self.auth_mode!r}", "raptee.auth_mode"
-            )
-        if self.probe_pulls < 0:
-            raise ScenarioSpecError("probe_pulls must be non-negative", "raptee.probe_pulls")
-        if self.provisioning_key_bits < 128:
-            raise ScenarioSpecError(
-                "provisioning_key_bits must be at least 128",
-                "raptee.provisioning_key_bits",
-            )
-        if self.cycle_mode not in ("sgx", "standard"):
-            raise ScenarioSpecError(
-                f"cycle_mode must be 'sgx' or 'standard', got {self.cycle_mode!r}",
-                "raptee.cycle_mode",
-            )
-
-
 # ---------------------------------------------------------------------------
 # The top-level spec
 # ---------------------------------------------------------------------------
@@ -414,7 +365,7 @@ class ScenarioSpec:
     spec_version: int = SCENARIO_SPEC_VERSION
     adversary_strategy: str = "adaptive_balanced"
     brahms: Optional[BrahmsConfig] = None
-    raptee: Optional[RapteeOptions] = None
+    raptee: Optional[RapteeConfig] = None
     membership: Optional[MembershipConfig] = None
     churn: ChurnSpec = ChurnSpec()
     faults: Tuple[Fault, ...] = ()
@@ -472,9 +423,9 @@ class ScenarioSpec:
                     "trusted/poisoned fractions require protocol 'raptee'",
                     "topology.trusted_fraction",
                 )
-        if self.raptee is not None and not isinstance(self.raptee, RapteeOptions):
+        if self.raptee is not None and not isinstance(self.raptee, RapteeConfig):
             raise ScenarioSpecError(
-                f"expected RapteeOptions, got {type(self.raptee).__name__}",
+                f"expected a RapteeConfig, got {type(self.raptee).__name__}",
                 "raptee",
             )
         if self.membership is not None and not isinstance(self.membership, MembershipConfig):
@@ -506,10 +457,6 @@ class ScenarioSpec:
                 raise ScenarioSpecError(
                     f"expected a Fault, got {type(fault).__name__}", where
                 )
-            try:
-                fault.validate()
-            except ValueError as exc:
-                raise ScenarioSpecError(str(exc), where) from exc
             if isinstance(fault, SGX_FAULTS) and self.protocol != "raptee":
                 raise ScenarioSpecError(
                     f"{type(fault).__name__} requires protocol 'raptee'", where
@@ -518,12 +465,16 @@ class ScenarioSpec:
                 raise ScenarioSpecError(
                     f"{type(fault).__name__} requires a membership config", where
                 )
+        try:
+            validate_faults(self.faults)
+        except FaultPlanError as exc:
+            raise ScenarioSpecError(str(exc), f"faults[{exc.index}]") from exc
 
     @property
-    def raptee_options(self) -> RapteeOptions:
-        """The RAPTEE knobs in force: the ``raptee`` section, or its
+    def raptee_config(self) -> RapteeConfig:
+        """The RAPTEE settings in force: the ``raptee`` section, or its
         defaults when the section is omitted."""
-        return self.raptee or RapteeOptions()
+        return self.raptee or RapteeConfig()
 
     @property
     def brahms_config(self) -> BrahmsConfig:

@@ -10,20 +10,20 @@ the per-node engines; asking for it raises :class:`ShardUnsupportedError`
 naming the feature, never a silent approximation.
 :func:`repro.scenario.run.run_scenario` drives the compiled engine like
 the other two; :func:`shard_config_from_spec` is the one way to build a
-config from scenario data.
+config from scenario data.  The config carries the spec's own objects,
+not a re-encoding of them: the §IV-C eviction policy (``None`` when the
+run evicts nothing) and the loss-burst and crash-restart faults, which
+:func:`repro.faults.plan.validate_faults` has already checked at spec
+load.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.eviction import AdaptiveEviction, EvictionPolicy, FixedEviction
 from repro.faults.plan import CrashRestartFault, LossBurstFault
 from repro.shard.state import ShardConfig
 
 __all__ = [
     "ShardUnsupportedError",
-    "eviction_fields",
     "shard_config_from_spec",
 ]
 
@@ -37,19 +37,6 @@ class ShardUnsupportedError(ValueError):
             f"on the legacy engine (engine.kind='rounds')"
         )
         self.feature = feature
-
-
-def eviction_fields(policy: Optional[EvictionPolicy], enabled: bool = True):
-    """An eviction policy as the (kind, params) pair ShardConfig stores."""
-    if policy is None or not enabled:
-        return "none", ()
-    if isinstance(policy, FixedEviction):
-        return "fixed", (policy.value,)
-    if isinstance(policy, AdaptiveEviction):
-        return "adaptive", (
-            policy.low_share, policy.high_share, policy.low_rate, policy.high_rate,
-        )
-    raise ShardUnsupportedError(f"eviction policy {type(policy).__name__}")
 
 
 def shard_config_from_spec(spec) -> ShardConfig:
@@ -70,34 +57,21 @@ def shard_config_from_spec(spec) -> ShardConfig:
             f"adversary strategy {spec.adversary_strategy!r} "
             f"(only 'balanced' is modeled)"
         )
-    options = spec.raptee_options
+    options = spec.raptee_config
     if options.sketch_unbias_enabled:
         raise ShardUnsupportedError("count-min sketch unbiasing")
     if options.probe_pulls:
         raise ShardUnsupportedError("probe pulls")
     if options.with_cycle_accounting:
         raise ShardUnsupportedError("SGX cycle accounting")
-    loss_bursts = []
-    crashes = []
     for fault in spec.faults:
-        if isinstance(fault, LossBurstFault):
-            loss_bursts.append(
-                (fault.window.start, fault.window.end, fault.loss_rate)
-            )
-        elif isinstance(fault, CrashRestartFault):
-            crashes.append((fault.node_id, fault.at_round, fault.down_rounds))
-        else:
+        if not isinstance(fault, (LossBurstFault, CrashRestartFault)):
             raise ShardUnsupportedError(f"fault kind {type(fault).__name__}")
     topology = spec.topology
     if topology.poisoned_fraction:
         raise ShardUnsupportedError("poisoned-view injection")
     brahms = spec.brahms_config
-    if spec.protocol == "brahms":
-        eviction_kind, eviction_params = "none", ()
-    else:
-        eviction_kind, eviction_params = eviction_fields(
-            options.eviction, options.eviction_enabled
-        )
+    evicts = spec.protocol == "raptee" and options.eviction_enabled
     return ShardConfig(
         protocol=spec.protocol,
         n_nodes=topology.n_nodes,
@@ -114,9 +88,8 @@ def shard_config_from_spec(spec) -> ShardConfig:
         push_limit=brahms.push_limit,
         loss_rate=topology.loss_rate,
         encrypt=topology.transport_encryption,
-        eviction_kind=eviction_kind,
-        eviction_params=eviction_params,
+        eviction=options.eviction if evicts else None,
         trusted_exchange=options.trusted_exchange_enabled,
-        loss_bursts=tuple(loss_bursts),
-        crashes=tuple(crashes),
+        loss_bursts=tuple(f for f in spec.faults if isinstance(f, LossBurstFault)),
+        crashes=tuple(f for f in spec.faults if isinstance(f, CrashRestartFault)),
     )

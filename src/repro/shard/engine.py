@@ -828,12 +828,12 @@ def _apply_nodes_pure(config, state, round_no, lo, hi, barrier, delta,
             bucket = trusted_ids if trusted else untrusted_ids
             bucket.extend(pid for pid in ids if pid != node)
         if (
-            config.eviction_kind != "none"
+            config.eviction is not None
             and config.is_trusted(node)
             and untrusted_ids
         ):
             share = trusted_contacts / contacts if contacts else 0.0
-            rate = config.eviction_rate(share)
+            rate = config.eviction.rate(share)
             keep = len(untrusted_ids) - int(round(rate * len(untrusted_ids)))
             delta.evicted += len(untrusted_ids) - max(0, keep)
             if keep <= 0:
@@ -974,7 +974,7 @@ def _owner_costs(config: ShardConfig, batch_count, push_count, known_count,
     cost = np.minimum(batch_count * l1 + push_count,
                       config.n_nodes - 1 - known_count)
     cost += batch_count * _BATCH_COST
-    if config.eviction_kind != "none":
+    if config.eviction is not None:
         cost[:t_owners] += batch_count[:t_owners] * l1
     return cost
 
@@ -1331,7 +1331,7 @@ def _evicted_stream(config, state, round_no, node_a, t_owners, batches, ref,
                           out=np.zeros(t_owners),
                           where=contacts[:t_owners] > 0)
         keep = total - np.rint(
-            config.eviction_rates(share) * total
+            config.eviction.rates(share) * total
         ).astype(np.int64)
         delta.evicted += int((total - np.maximum(keep, 0)).sum())
         cells = np.delete(cells, at_risk[~_keyed_keep_numpy(
@@ -1371,7 +1371,7 @@ def _apply_block_numpy(config, state, round_no, node_a, node_b, barrier,
     # prefixes of the block's.
     t_owners = min(n_byz + config.n_trusted, node_b) - node_a
     t_batches, cells = 0, None
-    if config.eviction_kind != "none" and t_owners > 0:
+    if config.eviction is not None and t_owners > 0:
         t_batches = int(np.searchsorted(b_owner, node_a + t_owners))
         cells = _evicted_stream(
             config, state, round_no, node_a, t_owners,
@@ -1778,20 +1778,20 @@ class ShardSimulation:
     # -- faults ---------------------------------------------------------------
 
     def _apply_crash_schedule(self) -> None:
-        for node, at_round, down_rounds in self.config.crashes:
-            if self.round_number == at_round:
-                self.state.alive[node] = False
-                self._emit("shard.crash", node=node)
+        for crash in self.config.crashes:
+            if self.round_number == crash.at_round:
+                self.state.alive[crash.node_id] = False
+                self._emit("shard.crash", node=crash.node_id)
                 self._count("faults.crashes", 1)
-            elif self.round_number == at_round + down_rounds:
-                self.state.alive[node] = True
-                self._emit("shard.restart", node=node)
+            elif self.round_number == crash.at_round + crash.down_rounds:
+                self.state.alive[crash.node_id] = True
+                self._emit("shard.restart", node=crash.node_id)
 
     def _effective_loss(self) -> float:
         keep = 1.0 - self.config.loss_rate
-        for first, last, rate in self.config.loss_bursts:
-            if first <= self.round_number <= last:
-                keep *= 1.0 - rate
+        for burst in self.config.loss_bursts:
+            if burst.window.covers(self.round_number):
+                keep *= 1.0 - burst.loss_rate
         return 1.0 - keep
 
     # -- telemetry ------------------------------------------------------------

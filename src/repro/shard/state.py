@@ -25,6 +25,12 @@ the adversary model, not state).
 Both backends — numpy matrices and plain Python lists — hold the *same
 integers*; ``tests/test_shard_differential.py`` pins backend equality on
 full runs.
+
+:class:`ShardConfig` declares no setting of its own twice: its eviction
+policy is a :class:`~repro.core.eviction.EvictionPolicy` (asked for one
+rate or an array of them) and its loss bursts and crashes are the
+:mod:`repro.faults.plan` fault objects, checked by the same
+:func:`~repro.faults.plan.validate_faults` as on the per-node engines.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.brahms.config import BYZANTINE_PUSH_LIMIT_MULTIPLIER
-from repro.core.eviction import AdaptiveEviction, FixedEviction
+from repro.core.eviction import EvictionPolicy
 from repro.crypto.minwise import MERSENNE_PRIME_31, scramble64, splitmix64_array
+from repro.faults.plan import CrashRestartFault, LossBurstFault, validate_faults
 from repro.shard.rand import Purpose, key64, key_array, key_row, keys_into
 
 __all__ = ["ShardConfig", "ShardState", "EMPTY_SAMPLE", "build_state", "partition_bounds"]
@@ -62,6 +69,10 @@ class ShardConfig:
     sketch unbiasing and the event engine stay on the legacy engines —
     :func:`repro.shard.compile.shard_config_from_spec` rejects them with
     explicit errors rather than silently approximating.
+
+    ``eviction`` ``None`` evicts nothing (Brahms, or eviction switched
+    off).  Of the fault checks only ``node_id < n_nodes`` is this class's
+    own: a per-node churn arrival may take an id ≥ N.
     """
 
     protocol: str  # "brahms" | "raptee"
@@ -79,13 +90,10 @@ class ShardConfig:
     push_limit: Optional[int] = None
     loss_rate: float = 0.0
     encrypt: bool = False
-    eviction_kind: str = "none"  # "none" | "fixed" | "adaptive"
-    eviction_params: Tuple[float, ...] = ()
+    eviction: Optional[EvictionPolicy] = None
     trusted_exchange: bool = True
-    #: (first_round, last_round, extra_rate) inclusive loss-burst windows.
-    loss_bursts: Tuple[Tuple[int, int, float], ...] = ()
-    #: (node_id, at_round, down_rounds) crash/restart schedules.
-    crashes: Tuple[Tuple[int, int, int], ...] = ()
+    loss_bursts: Tuple[LossBurstFault, ...] = ()
+    crashes: Tuple[CrashRestartFault, ...] = ()
 
     def __post_init__(self) -> None:
         if self.protocol not in ("brahms", "raptee"):
@@ -119,38 +127,12 @@ class ShardConfig:
             raise ValueError("validation_period must be non-negative")
         if self.push_limit is not None and self.push_limit <= 0:
             raise ValueError("push_limit must be positive when set")
-        if self.eviction_kind not in ("none", "fixed", "adaptive"):
-            raise ValueError(f"unknown eviction kind {self.eviction_kind!r}")
-        if self.eviction_kind == "fixed" and len(self.eviction_params) != 1:
-            raise ValueError("fixed eviction takes exactly (rate,)")
-        if self.eviction_kind == "adaptive" and len(self.eviction_params) != 4:
-            raise ValueError(
-                "adaptive eviction takes (low_share, high_share, low_rate, high_rate)"
-            )
-        for burst in self.loss_bursts:
-            first, last, rate = burst
-            if first > last:
-                raise ValueError(f"loss burst {burst!r}: first round after last")
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"loss burst {burst!r}: rate must be in [0, 1)")
-        down_until = {}
-        for crash in sorted(self.crashes, key=lambda entry: (entry[0], entry[1])):
-            node, at_round, down_rounds = crash
-            if not 0 <= node < self.n_nodes:
+        validate_faults(self.loss_bursts + self.crashes)
+        for crash in self.crashes:
+            if crash.node_id >= self.n_nodes:
                 raise ValueError(
                     f"crash {crash!r}: node id outside [0, {self.n_nodes})"
                 )
-            if at_round < 1 or down_rounds < 1:
-                raise ValueError(
-                    f"crash {crash!r}: at_round and down_rounds must be >= 1"
-                )
-            # The restart round itself belongs to the window: a second
-            # crash in that round would race the restart.
-            if at_round <= down_until.get(node, 0):
-                raise ValueError(
-                    f"crash {crash!r}: overlaps an earlier window on node {node}"
-                )
-            down_until[node] = at_round + down_rounds
 
     @property
     def effective_push_limit(self) -> int:
@@ -165,35 +147,6 @@ class ShardConfig:
 
     def is_trusted(self, node_id: int) -> bool:
         return self.n_byzantine <= node_id < self.n_byzantine + self.n_trusted
-
-    def eviction_rate(self, trusted_share: float) -> float:
-        """The §IV-C rate for one trusted-contact share, asked of the
-        :class:`~repro.core.eviction.EvictionPolicy` this config was
-        compiled from (:func:`repro.shard.compile.eviction_fields`)."""
-        if self.eviction_kind == "fixed":
-            return FixedEviction(*self.eviction_params).rate(trusted_share)
-        if self.eviction_kind == "adaptive":
-            return AdaptiveEviction(*self.eviction_params).rate(trusted_share)
-        return 0.0
-
-    def eviction_rates(self, trusted_shares):
-        """:meth:`eviction_rate` over a float64 array — the same float
-        operations in the same order as the policies' scalar ``rate``, and
-        the line only where the scalar rule takes it (strictly between the
-        anchors), so every rate is bit-identical
-        (``tests/test_shard_engine.py``)."""
-        if self.eviction_kind == "fixed":
-            return np.full(trusted_shares.shape, self.eviction_params[0])
-        if self.eviction_kind == "adaptive":
-            low_share, high_share, low_rate, high_rate = self.eviction_params
-            rates = np.full(trusted_shares.shape, float(low_rate))
-            rates[trusted_shares <= low_share] = high_rate
-            inside = (trusted_shares > low_share) & (trusted_shares < high_share)
-            if inside.any():
-                slope = (low_rate - high_rate) / (high_share - low_share)
-                rates[inside] = high_rate + slope * (trusted_shares[inside] - low_share)
-            return rates
-        return np.zeros(trusted_shares.shape)
 
 
 @dataclass

@@ -28,7 +28,7 @@ straight-through run, and nothing it does not:
 Restoring returns the bundle; the object graph comes back with its
 internal references (nodes ↔ network ↔ telemetry ↔ injector) intact
 because everything is serialized in one envelope.  The payload kind is
-``"checkpoint-4"``: a file of any other kind is refused before anything is
+``"checkpoint-5"``: a file of any other kind is refused before anything is
 unpickled — among them every checkpoint written when the payload was a
 wrapper around the bundle (kind ``"run-state"``), every bundle from
 before round records were columns (kind ``"checkpoint"``: its recorder,
@@ -37,7 +37,10 @@ spec is of ``spec_version`` 1 (kind ``"checkpoint-2"``: its engine section
 still carries the ``load`` and ``straggler`` fields), and every bundle
 from when the telemetry hub held a wall-clock profiler (kind
 ``"checkpoint-3"``: a hub-wired one names ``repro.telemetry.profiling``,
-a module that no longer exists).
+a module that no longer exists), and every bundle from when the RAPTEE
+settings had two classes (kind ``"checkpoint-4"``: its spec's ``raptee``
+section is a spec-module class that no longer exists, and its RAPTEE nodes
+hold a :class:`~repro.core.config.RapteeConfig` of another shape).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from repro.snapshot.format import read_envelope, read_header, write_envelope
 
 __all__ = ["save", "restore", "describe"]
 
-_KIND = "checkpoint-4"
+_KIND = "checkpoint-5"
 
 
 def save(bundle: SimulationBundle, path: str) -> None:

@@ -55,7 +55,8 @@ SNAPSHOT_MAGIC = b"REPROSNAP\n"
 # The bundle changed shape again when round records became columns, and
 # the kind moved on to "checkpoint-2" the same way; once more when its
 # spec dropped two engine fields (spec_version 2): "checkpoint-3"; and
-# again when the telemetry hub lost its profiler: "checkpoint-4".
+# again when the telemetry hub lost its profiler: "checkpoint-4"; and when
+# the RAPTEE settings became one class: "checkpoint-5".
 SNAPSHOT_FORMAT_VERSION = 2
 
 

@@ -30,8 +30,8 @@ def small_brahms_config() -> BrahmsConfig:
 
 
 @pytest.fixture
-def small_raptee_config(small_brahms_config) -> RapteeConfig:
-    return RapteeConfig(brahms=small_brahms_config)
+def small_raptee_config() -> RapteeConfig:
+    return RapteeConfig()
 
 
 @pytest.fixture

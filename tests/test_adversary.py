@@ -298,22 +298,26 @@ class TestIdentificationAttack:
 
 
 class TestPoisonedInjection:
-    def test_poisoned_view_is_all_byzantine(self, small_raptee_config, infrastructure):
+    def test_poisoned_view_is_all_byzantine(
+        self, small_brahms_config, small_raptee_config, infrastructure
+    ):
         node = build_poisoned_trusted_node(
             500,
-            small_raptee_config,
+            small_brahms_config, small_raptee_config,
             infrastructure,
             byzantine_ids=list(range(10)),
             rng=random.Random(0),
         )
         assert node.kind is NodeKind.POISONED_TRUSTED
         assert set(node.view) <= set(range(10))
-        assert len(node.view) == small_raptee_config.brahms.view_size
+        assert len(node.view) == small_brahms_config.view_size
         assert set(node.samplers.sample_list()) <= set(range(10))
 
-    def test_poisoned_node_holds_real_group_key(self, small_raptee_config, infrastructure):
+    def test_poisoned_node_holds_real_group_key(
+        self, small_brahms_config, small_raptee_config, infrastructure
+    ):
         node = build_poisoned_trusted_node(
-            501, small_raptee_config, infrastructure,
+            501, small_brahms_config, small_raptee_config, infrastructure,
             byzantine_ids=[1, 2, 3], rng=random.Random(0),
         )
         genuine, _ = infrastructure.new_trusted_enclave(502)
@@ -321,16 +325,20 @@ class TestPoisonedInjection:
         r_b, proof = node.enclave.auth_respond(r_a)
         assert genuine.auth_check_response(r_a, r_b, proof)
 
-    def test_poison_requires_byzantine_ids(self, small_raptee_config, infrastructure):
+    def test_poison_requires_byzantine_ids(
+        self, small_brahms_config, small_raptee_config, infrastructure
+    ):
         enclave, _ = infrastructure.new_trusted_enclave(503)
-        node = RapteeNode(503, NodeKind.POISONED_TRUSTED, small_raptee_config,
+        node = RapteeNode(503, NodeKind.POISONED_TRUSTED, small_brahms_config, small_raptee_config,
                           random.Random(0), enclave=enclave)
         with pytest.raises(ValueError):
             poison_initial_state(node, [], random.Random(0))
 
-    def test_poisoned_counts_as_correct_not_byzantine(self, small_raptee_config, infrastructure):
+    def test_poisoned_counts_as_correct_not_byzantine(
+        self, small_brahms_config, small_raptee_config, infrastructure
+    ):
         node = build_poisoned_trusted_node(
-            504, small_raptee_config, infrastructure,
+            504, small_brahms_config, small_raptee_config, infrastructure,
             byzantine_ids=[1], rng=random.Random(0),
         )
         assert not node.kind.is_byzantine

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.brahms.countmin import CountMinSketch, StreamUnbiaser
+from repro.core.config import RapteeConfig
 from repro.core.eviction import FixedEviction
 from repro.experiments.scenarios import TopologySpec
-from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
+from repro.scenario import ScenarioSpec, run_scenario
 
 
 class TestCountMinSketch:
@@ -107,7 +108,7 @@ def _metrics(topology, seed, rounds, eviction, sketch_unbias_enabled):
     spec = ScenarioSpec(
         name="countmin", protocol="raptee", seed=seed, rounds=rounds,
         topology=topology,
-        raptee=RapteeOptions(eviction=eviction,
+        raptee=RapteeConfig(eviction=eviction,
                              sketch_unbias_enabled=sketch_unbias_enabled),
     )
     return run_scenario(spec, telemetry=None).metrics

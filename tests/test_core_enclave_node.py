@@ -24,21 +24,22 @@ from repro.sim.node import NodeKind
 
 
 @pytest.fixture
-def config(small_brahms_config):
-    return RapteeConfig(brahms=small_brahms_config)
+def config():
+    return RapteeConfig()
 
 
 @pytest.fixture
-def trusted_node(config, infrastructure):
+def trusted_node(small_brahms_config, config, infrastructure):
     enclave, _device = infrastructure.new_trusted_enclave(100)
-    node = RapteeNode(100, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave)
+    node = RapteeNode(100, NodeKind.TRUSTED, small_brahms_config,
+                      config, random.Random(1), enclave=enclave)
     node.seed_view(list(range(1, 11)))
     return node
 
 
 @pytest.fixture
-def honest_node(config):
-    node = RapteeNode(200, NodeKind.HONEST, config, random.Random(2))
+def honest_node(small_brahms_config, config):
+    node = RapteeNode(200, NodeKind.HONEST, small_brahms_config, config, random.Random(2))
     node.seed_view(list(range(1, 11)))
     return node
 
@@ -99,31 +100,35 @@ class TestEnclaveProvisioning:
 
 
 class TestNodeConstruction:
-    def test_trusted_requires_enclave(self, config):
+    def test_trusted_requires_enclave(self, small_brahms_config, config):
         with pytest.raises(ValueError):
-            RapteeNode(1, NodeKind.TRUSTED, config, random.Random(0))
+            RapteeNode(1, NodeKind.TRUSTED, small_brahms_config, config, random.Random(0))
 
-    def test_untrusted_must_not_carry_enclave(self, config, infrastructure):
+    def test_untrusted_must_not_carry_enclave(self, small_brahms_config, config, infrastructure):
         enclave, _ = infrastructure.new_trusted_enclave(7)
         with pytest.raises(ValueError):
-            RapteeNode(1, NodeKind.HONEST, config, random.Random(0), enclave=enclave)
+            RapteeNode(1, NodeKind.HONEST, small_brahms_config,
+                       config, random.Random(0), enclave=enclave)
 
-    def test_trusted_requires_provisioned_enclave(self, config, prng):
+    def test_trusted_requires_provisioned_enclave(self, small_brahms_config, config, prng):
         from repro.core.enclave import RapteeEnclave
         from repro.sgx.enclave import SgxDevice
 
         device = SgxDevice(51, prng.spawn("d51"))
         host = device.load(RapteeEnclave, provisioning_key_bits=384)
         with pytest.raises(ValueError, match="provisioned"):
-            RapteeNode(1, NodeKind.TRUSTED, config, random.Random(0), enclave=host)
+            RapteeNode(1, NodeKind.TRUSTED, small_brahms_config,
+                       config, random.Random(0), enclave=host)
 
 
 class TestAuthFlows:
-    def test_trusted_pair_authenticates(self, config, infrastructure):
+    def test_trusted_pair_authenticates(self, small_brahms_config, config, infrastructure):
         enclave_a, _ = infrastructure.new_trusted_enclave(301)
         enclave_b, _ = infrastructure.new_trusted_enclave(302)
-        a = RapteeNode(301, NodeKind.TRUSTED, config, random.Random(3), enclave=enclave_a)
-        b = RapteeNode(302, NodeKind.TRUSTED, config, random.Random(4), enclave=enclave_b)
+        a = RapteeNode(301, NodeKind.TRUSTED, small_brahms_config,
+                       config, random.Random(3), enclave=enclave_a)
+        b = RapteeNode(302, NodeKind.TRUSTED, small_brahms_config,
+                       config, random.Random(4), enclave=enclave_b)
         b.begin_round(None)
 
         r_a = b"r" * 16
@@ -156,11 +161,13 @@ class TestTrustedSwapGuard:
         )
         assert reply is None  # not in _trusted_sessions
 
-    def test_swap_after_authentication(self, config, infrastructure):
+    def test_swap_after_authentication(self, small_brahms_config, config, infrastructure):
         enclave_a, _ = infrastructure.new_trusted_enclave(311)
         enclave_b, _ = infrastructure.new_trusted_enclave(312)
-        a = RapteeNode(311, NodeKind.TRUSTED, config, random.Random(5), enclave=enclave_a)
-        b = RapteeNode(312, NodeKind.TRUSTED, config, random.Random(6), enclave=enclave_b)
+        a = RapteeNode(311, NodeKind.TRUSTED, small_brahms_config,
+                       config, random.Random(5), enclave=enclave_a)
+        b = RapteeNode(312, NodeKind.TRUSTED, small_brahms_config,
+                       config, random.Random(6), enclave=enclave_b)
         b.seed_view(list(range(1, 11)))
         b.begin_round(None)
         r_a = b"r" * 16
@@ -175,9 +182,10 @@ class TestTrustedSwapGuard:
         assert any(batch.trusted_source for batch in b._pulled)
 
     def test_swap_disabled_by_config(self, small_brahms_config, infrastructure):
-        config = RapteeConfig(brahms=small_brahms_config, trusted_exchange_enabled=False)
+        config = RapteeConfig(trusted_exchange_enabled=False)
         enclave, _ = infrastructure.new_trusted_enclave(313)
-        node = RapteeNode(313, NodeKind.TRUSTED, config, random.Random(7), enclave=enclave)
+        node = RapteeNode(313, NodeKind.TRUSTED, small_brahms_config,
+                          config, random.Random(7), enclave=enclave)
         node.begin_round(None)
         node._trusted_sessions.add(700)
         assert node.handle_request(TrustedSwapRequest(sender=700, offered=(1,))) is None
@@ -202,39 +210,44 @@ class TestEviction:
             node._trusted_id_contacts += 1
 
     def test_full_eviction_drops_all_untrusted(self, small_brahms_config, infrastructure):
-        config = RapteeConfig(brahms=small_brahms_config, eviction=FixedEviction(1.0))
+        config = RapteeConfig(eviction=FixedEviction(1.0))
         enclave, _ = infrastructure.new_trusted_enclave(320)
-        node = RapteeNode(320, NodeKind.TRUSTED, config, random.Random(8), enclave=enclave)
+        node = RapteeNode(320, NodeKind.TRUSTED, small_brahms_config,
+                          config, random.Random(8), enclave=enclave)
         self._prime(node, untrusted_ids=range(50, 60), trusted_ids=(7, 8))
         effective = node._effective_pulled_ids()
         assert set(effective) == {7, 8}
         assert node.evicted_ids_total == 10
 
     def test_zero_eviction_keeps_everything(self, small_brahms_config, infrastructure):
-        config = RapteeConfig(brahms=small_brahms_config, eviction=FixedEviction(0.0))
+        config = RapteeConfig(eviction=FixedEviction(0.0))
         enclave, _ = infrastructure.new_trusted_enclave(321)
-        node = RapteeNode(321, NodeKind.TRUSTED, config, random.Random(9), enclave=enclave)
+        node = RapteeNode(321, NodeKind.TRUSTED, small_brahms_config,
+                          config, random.Random(9), enclave=enclave)
         self._prime(node, untrusted_ids=range(50, 60))
         assert sorted(node._effective_pulled_ids()) == list(range(50, 60))
 
     def test_partial_eviction_fraction(self, small_brahms_config, infrastructure):
-        config = RapteeConfig(brahms=small_brahms_config, eviction=FixedEviction(0.6))
+        config = RapteeConfig(eviction=FixedEviction(0.6))
         enclave, _ = infrastructure.new_trusted_enclave(322)
-        node = RapteeNode(322, NodeKind.TRUSTED, config, random.Random(10), enclave=enclave)
+        node = RapteeNode(322, NodeKind.TRUSTED, small_brahms_config,
+                          config, random.Random(10), enclave=enclave)
         self._prime(node, untrusted_ids=range(100, 200))
         kept = node._effective_pulled_ids()
         assert len(kept) == 40  # kept 40 % of 100
 
     def test_trusted_sources_never_evicted(self, small_brahms_config, infrastructure):
-        config = RapteeConfig(brahms=small_brahms_config, eviction=FixedEviction(1.0))
+        config = RapteeConfig(eviction=FixedEviction(1.0))
         enclave, _ = infrastructure.new_trusted_enclave(323)
-        node = RapteeNode(323, NodeKind.TRUSTED, config, random.Random(11), enclave=enclave)
+        node = RapteeNode(323, NodeKind.TRUSTED, small_brahms_config,
+                          config, random.Random(11), enclave=enclave)
         self._prime(node, untrusted_ids=(), trusted_ids=tuple(range(70, 80)))
         assert sorted(node._effective_pulled_ids()) == list(range(70, 80))
 
-    def test_adaptive_rate_recorded(self, config, infrastructure):
+    def test_adaptive_rate_recorded(self, small_brahms_config, config, infrastructure):
         enclave, _ = infrastructure.new_trusted_enclave(324)
-        node = RapteeNode(324, NodeKind.TRUSTED, config, random.Random(12), enclave=enclave)
+        node = RapteeNode(324, NodeKind.TRUSTED, small_brahms_config,
+                          config, random.Random(12), enclave=enclave)
         self._prime(node, untrusted_ids=range(20), trusted_ids=(1, 2))
         node._effective_pulled_ids()
         assert node.last_eviction_rate == pytest.approx(0.5)  # share = 1/2
@@ -247,11 +260,11 @@ class TestEviction:
 
     def test_eviction_disabled_by_config(self, small_brahms_config, infrastructure):
         config = RapteeConfig(
-            brahms=small_brahms_config,
             eviction=FixedEviction(1.0),
             eviction_enabled=False,
         )
         enclave, _ = infrastructure.new_trusted_enclave(325)
-        node = RapteeNode(325, NodeKind.TRUSTED, config, random.Random(13), enclave=enclave)
+        node = RapteeNode(325, NodeKind.TRUSTED, small_brahms_config,
+                          config, random.Random(13), enclave=enclave)
         self._prime(node, untrusted_ids=range(10))
         assert len(node._effective_pulled_ids()) == 10

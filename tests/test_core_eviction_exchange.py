@@ -1,9 +1,11 @@
 """Eviction policies (§IV-C) and the trusted half-view swap (§IV-B)."""
 
 import random
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.core.trusted_exchange import apply_swap, build_offer
@@ -69,6 +71,40 @@ class TestAdaptiveEviction:
         assert policy.rate(0.05) == 1.0
         assert policy.rate(0.95) == 0.0
         assert policy.rate(0.5) == pytest.approx(0.5)
+
+
+class TestArrayRates:
+    """``rates`` (the shard engine's trusted owners in one call) is the
+    scalar ``rate`` (the per-node engines), element for element."""
+
+    @given(
+        shares=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=30),
+        anchors=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                         min_size=2, max_size=2, unique=True).map(sorted),
+        rates=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                       min_size=2, max_size=2).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eviction_rates_match_scalar(self, shares, anchors, rates):
+        """Bit-equal, not approximately equal."""
+        # The anchor points themselves are where the clamps switch.
+        shares = np.asarray(shares + anchors + [0.0, 1.0])
+        for policy in (FixedEviction(rates[0]), AdaptiveEviction(*anchors, *rates)):
+            expected = [policy.rate(share) for share in shares.tolist()]
+            assert policy.rates(shares).tolist() == expected
+
+    def test_the_line_is_taken_inside_its_interval_only(self):
+        """Anchors ``(0, 5e-324)`` make the slope −inf; the scalar rule
+        never computes it (no share lies strictly between), so the array
+        rule must not either — at a share on an anchor, −inf · 0 is a NaN
+        and an ``invalid value`` warning."""
+        policy = AdaptiveEviction(0.0, 5e-324, 0.0, 1.0)
+        shares = np.asarray([0.0, 5e-324, 1e-300, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = policy.rates(shares).tolist()
+        assert rates == [policy.rate(share) for share in shares.tolist()]
+        assert rates == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 class TestTrustedExchange:

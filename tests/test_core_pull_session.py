@@ -17,7 +17,10 @@ from repro.sim.node import NodeKind
 
 @pytest.fixture
 def config():
-    return RapteeConfig(brahms=BrahmsConfig(view_size=8, sample_size=4))
+    return RapteeConfig()
+
+
+_BRAHMS = BrahmsConfig(view_size=8, sample_size=4)
 
 
 def micro_world(nodes, seed=0):
@@ -33,8 +36,8 @@ class TestTrustedToTrustedSession:
     def test_pull_with_swap(self, config, infrastructure):
         enclave_a, _ = infrastructure.new_trusted_enclave(1)
         enclave_b, _ = infrastructure.new_trusted_enclave(2)
-        a = RapteeNode(1, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave_a)
-        b = RapteeNode(2, NodeKind.TRUSTED, config, random.Random(2), enclave=enclave_b)
+        a = RapteeNode(1, NodeKind.TRUSTED, _BRAHMS, config, random.Random(1), enclave=enclave_a)
+        b = RapteeNode(2, NodeKind.TRUSTED, _BRAHMS, config, random.Random(2), enclave=enclave_b)
         a.seed_view([2, 10, 11, 12])
         b.seed_view([1, 20, 21, 22])
         _sim, ctx = micro_world([a, b])
@@ -55,8 +58,8 @@ class TestTrustedToTrustedSession:
     ):
         enclave_a, _ = infrastructure.new_trusted_enclave(1)
         enclave_b, _ = infrastructure.new_trusted_enclave(2)
-        a = RapteeNode(1, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave_a)
-        b = RapteeNode(2, NodeKind.TRUSTED, config, random.Random(2), enclave=enclave_b)
+        a = RapteeNode(1, NodeKind.TRUSTED, _BRAHMS, config, random.Random(1), enclave=enclave_a)
+        b = RapteeNode(2, NodeKind.TRUSTED, _BRAHMS, config, random.Random(2), enclave=enclave_b)
         a.seed_view([2, 10, 11, 12])
         b.seed_view([1, 20, 21, 22])
         _sim, ctx = micro_world([a, b])
@@ -74,8 +77,8 @@ class TestTrustedToTrustedSession:
     def test_counts_feed_adaptive_rate(self, config, infrastructure):
         enclave_a, _ = infrastructure.new_trusted_enclave(3)
         enclave_b, _ = infrastructure.new_trusted_enclave(4)
-        a = RapteeNode(3, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave_a)
-        b = RapteeNode(4, NodeKind.TRUSTED, config, random.Random(2), enclave=enclave_b)
+        a = RapteeNode(3, NodeKind.TRUSTED, _BRAHMS, config, random.Random(1), enclave=enclave_a)
+        b = RapteeNode(4, NodeKind.TRUSTED, _BRAHMS, config, random.Random(2), enclave=enclave_b)
         a.seed_view([4, 10])
         b.seed_view([3, 20])
         _sim, ctx = micro_world([a, b])
@@ -87,8 +90,9 @@ class TestTrustedToTrustedSession:
 class TestTrustedToHonestSession:
     def test_pull_without_swap(self, config, infrastructure):
         enclave, _ = infrastructure.new_trusted_enclave(5)
-        trusted = RapteeNode(5, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave)
-        honest = RapteeNode(6, NodeKind.HONEST, config, random.Random(2))
+        trusted = RapteeNode(5, NodeKind.TRUSTED, _BRAHMS, config,
+                             random.Random(1), enclave=enclave)
+        honest = RapteeNode(6, NodeKind.HONEST, _BRAHMS, config, random.Random(2))
         trusted.seed_view([6, 10])
         honest.seed_view([5, 30, 31])
         _sim, ctx = micro_world([trusted, honest])
@@ -101,8 +105,9 @@ class TestTrustedToHonestSession:
 
     def test_honest_initiator_never_marks_trusted(self, config, infrastructure):
         enclave, _ = infrastructure.new_trusted_enclave(7)
-        trusted = RapteeNode(7, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave)
-        honest = RapteeNode(8, NodeKind.HONEST, config, random.Random(2))
+        trusted = RapteeNode(7, NodeKind.TRUSTED, _BRAHMS, config,
+                             random.Random(1), enclave=enclave)
+        honest = RapteeNode(8, NodeKind.HONEST, _BRAHMS, config, random.Random(2))
         trusted.seed_view([8, 10])
         honest.seed_view([7, 30])
         _sim, ctx = micro_world([trusted, honest])
@@ -120,7 +125,8 @@ class TestTrustedToByzantineSession:
         )
         byz = ByzantineNode(100, coordinator, view_size=8, rng=random.Random(3))
         enclave, _ = infrastructure.new_trusted_enclave(9)
-        trusted = RapteeNode(9, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave)
+        trusted = RapteeNode(9, NodeKind.TRUSTED, _BRAHMS, config,
+                             random.Random(1), enclave=enclave)
         trusted.seed_view([100])
         _sim, ctx = micro_world([trusted, byz])
 
@@ -132,7 +138,8 @@ class TestTrustedToByzantineSession:
 
     def test_dead_target_returns_none(self, config, infrastructure):
         enclave, _ = infrastructure.new_trusted_enclave(10)
-        trusted = RapteeNode(10, NodeKind.TRUSTED, config, random.Random(1), enclave=enclave)
+        trusted = RapteeNode(10, NodeKind.TRUSTED, _BRAHMS, config,
+                             random.Random(1), enclave=enclave)
         trusted.seed_view([99])
         _sim, ctx = micro_world([trusted])
         assert trusted._do_pull(ctx, 99) is None

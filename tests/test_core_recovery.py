@@ -44,11 +44,11 @@ class TestRetryPolicy:
             RetryPolicy().delay_rounds(-1, random.Random(0))
 
 
-def make_deployment(infrastructure, small_raptee_config, node_id=1):
+def make_deployment(infrastructure, small_brahms_config, small_raptee_config, node_id=1):
     """One provisioned trusted node inside a minimal simulation."""
     host, _device = infrastructure.new_trusted_enclave(node_id)
     node = RapteeNode(
-        node_id, NodeKind.TRUSTED, small_raptee_config,
+        node_id, NodeKind.TRUSTED, small_brahms_config, small_raptee_config,
         random.Random(node_id), enclave=host,
     )
     simulation = Simulation(Network(random.Random(0)), [node], random.Random(0))
@@ -59,10 +59,10 @@ def make_deployment(infrastructure, small_raptee_config, node_id=1):
 
 class TestSealedRestore:
     def test_watchdog_restores_crashed_enclave_from_seal(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         simulation, node, manager = make_deployment(
-            infrastructure, small_raptee_config
+            infrastructure, small_brahms_config, small_raptee_config
         )
         node.enclave.crash()
         simulation.round_number = 1
@@ -77,10 +77,10 @@ class TestSealedRestore:
         assert node.promotions_total == 1
 
     def test_restore_needs_no_attestation(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         simulation, node, manager = make_deployment(
-            infrastructure, small_raptee_config
+            infrastructure, small_brahms_config, small_raptee_config
         )
         infrastructure.attestation.set_available(False)  # total outage
         node.enclave.crash()
@@ -90,12 +90,12 @@ class TestSealedRestore:
         assert manager.stats.restores_from_seal == 1
 
     def test_restore_survives_device_revocation(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         # Sealing is device-local: a revoked device cannot re-attest, but
         # it can still unseal its own blob and keep serving.
         simulation, node, manager = make_deployment(
-            infrastructure, small_raptee_config
+            infrastructure, small_brahms_config, small_raptee_config
         )
         infrastructure.attestation.revoke_device(node.node_id)
         node.enclave.crash()
@@ -107,10 +107,10 @@ class TestSealedRestore:
 
 class TestReattestation:
     def test_corrupted_blob_falls_back_to_reattestation(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         simulation, node, manager = make_deployment(
-            infrastructure, small_raptee_config
+            infrastructure, small_brahms_config, small_raptee_config
         )
         assert manager.corrupt_sealed_blob(node.node_id)
         node.enclave.crash()
@@ -123,9 +123,9 @@ class TestReattestation:
         # The backup is refreshed after the re-provisioning.
         assert manager.sealed_blob(node.node_id) is not None
 
-    def test_backoff_through_outage(self, infrastructure, small_raptee_config):
+    def test_backoff_through_outage(self, small_brahms_config, infrastructure, small_raptee_config):
         simulation, node, manager = make_deployment(
-            infrastructure, small_raptee_config
+            infrastructure, small_brahms_config, small_raptee_config
         )
         manager.policy = RetryPolicy(base_delay=2, multiplier=2, jitter=0)
         manager.corrupt_sealed_blob(node.node_id)
@@ -150,10 +150,10 @@ class TestReattestation:
         assert manager.stats.reprovisions == 1
 
     def test_exhaustion_after_max_attempts(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         simulation, node, manager = make_deployment(
-            infrastructure, small_raptee_config
+            infrastructure, small_brahms_config, small_raptee_config
         )
         manager.policy = RetryPolicy(base_delay=1, multiplier=1, max_delay=1,
                                      max_attempts=2, jitter=0)
@@ -222,12 +222,12 @@ class TestFailureCauseChaining:
         assert "always down" in str(error.__cause__)
 
     def test_recovery_telemetry_carries_cause_and_detail(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         from repro.telemetry import Telemetry
 
         simulation, node, manager = make_deployment(
-            infrastructure, small_raptee_config
+            infrastructure, small_brahms_config, small_raptee_config
         )
         telemetry = Telemetry()
         manager.set_telemetry(telemetry)
@@ -253,17 +253,18 @@ class TestFailureCauseChaining:
 
 
 class TestNodeDegradation:
-    def test_note_enclave_failure_is_trusted_only(self, small_raptee_config):
-        node = RapteeNode(3, NodeKind.HONEST, small_raptee_config, random.Random(3))
+    def test_note_enclave_failure_is_trusted_only(self, small_brahms_config, small_raptee_config):
+        node = RapteeNode(3, NodeKind.HONEST, small_brahms_config,
+                          small_raptee_config, random.Random(3))
         node.note_enclave_failure()
         assert not node.degraded
         assert node.degradations_total == 0
 
     def test_degraded_node_uses_private_key(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         host, _device = infrastructure.new_trusted_enclave(8)
-        node = RapteeNode(8, NodeKind.TRUSTED, small_raptee_config,
+        node = RapteeNode(8, NodeKind.TRUSTED, small_brahms_config, small_raptee_config,
                           random.Random(8), enclave=host)
         assert node.trusted
         node.note_enclave_failure()
@@ -272,10 +273,10 @@ class TestNodeDegradation:
         assert node._own_key is not None
 
     def test_promote_requires_provisioned_enclave(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         host, _device = infrastructure.new_trusted_enclave(9)
-        node = RapteeNode(9, NodeKind.TRUSTED, small_raptee_config,
+        node = RapteeNode(9, NodeKind.TRUSTED, small_brahms_config, small_raptee_config,
                           random.Random(9), enclave=host)
         node.note_enclave_failure()
         with pytest.raises(ValueError):
@@ -286,7 +287,8 @@ class TestNodeDegradation:
         assert node.trusted
         assert node.promotions_total == 1
 
-    def test_promote_rejected_for_honest_nodes(self, small_raptee_config):
-        node = RapteeNode(4, NodeKind.HONEST, small_raptee_config, random.Random(4))
+    def test_promote_rejected_for_honest_nodes(self, small_brahms_config, small_raptee_config):
+        node = RapteeNode(4, NodeKind.HONEST, small_brahms_config,
+                          small_raptee_config, random.Random(4))
         with pytest.raises(ValueError):
             node.promote(None)

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro.core.config import RapteeConfig
 from repro.core.eviction import FixedEviction
 from repro.experiments.runner import (
     RunMetrics,
@@ -13,7 +14,7 @@ from repro.experiments.runner import (
     repeat,
 )
 from repro.experiments.scenarios import TopologySpec
-from repro.scenario import RapteeOptions, ScenarioSpec, compile_spec, run_scenario
+from repro.scenario import ScenarioSpec, compile_spec, run_scenario
 from repro.sim.node import NodeKind
 
 _WORKER_SPEC = TopologySpec(n_nodes=30, byzantine_fraction=0.1)
@@ -123,7 +124,7 @@ class TestRapteeBuilder:
 
     def test_runs_with_cycle_accounting(self):
         topology = TopologySpec(n_nodes=40, byzantine_fraction=0.0, trusted_fraction=0.2)
-        options = RapteeOptions(eviction=FixedEviction(0.0), with_cycle_accounting=True)
+        options = RapteeConfig(eviction=FixedEviction(0.0), with_cycle_accounting=True)
         bundle = run_scenario(_spec("raptee", 1, topology, rounds=5, raptee=options),
                               telemetry=None).bundle
         trusted_id = next(iter(bundle.trusted_ids))
@@ -132,7 +133,7 @@ class TestRapteeBuilder:
 
     def test_cycle_mode_validation(self):
         with pytest.raises(ValueError, match="cycle_mode"):
-            RapteeOptions(with_cycle_accounting=True, cycle_mode="bogus")
+            RapteeConfig(with_cycle_accounting=True, cycle_mode="bogus")
 
     def test_deterministic_under_seed(self):
         topology = TopologySpec(n_nodes=40, byzantine_fraction=0.1, trusted_fraction=0.1)
@@ -143,7 +144,7 @@ class TestRapteeBuilder:
     def test_probe_pulls_collect_intel(self):
         topology = TopologySpec(n_nodes=50, byzantine_fraction=0.2, trusted_fraction=0.1)
         spec = _spec("raptee", 1, topology, rounds=5,
-                     raptee=RapteeOptions(probe_pulls=3))
+                     raptee=RapteeConfig(probe_pulls=3))
         bundle = run_scenario(spec, telemetry=None).bundle
         assert len(bundle.coordinator.intel) > 0
 

@@ -12,11 +12,11 @@ import pytest
 
 from repro.adversary.identification import IdentificationAttack
 from repro.analysis.metrics import resilience_from_trace
+from repro.core.config import RapteeConfig
 from repro.core.eviction import FixedEviction
 from repro.experiments.scenarios import TopologySpec
 from repro.scenario import (
     ChurnSpec,
-    RapteeOptions,
     ScenarioSpec,
     compile_spec,
     run_scenario,
@@ -103,7 +103,7 @@ class TestEvictionEffects:
         """Trusted pollution should decrease monotonically-ish in ER."""
         trusted_pollution = {}
         for rate in (0.0, 1.0):
-            options = RapteeOptions(eviction=FixedEviction(rate))
+            options = RapteeConfig(eviction=FixedEviction(rate))
             bundle = _run(_spec(_TOPOLOGY, raptee=options)).bundle
             record = bundle.trace.records[-1]
             trusted_pollution[rate] = statistics.mean(record.shares_of(NodeKind.TRUSTED))
@@ -113,7 +113,7 @@ class TestEvictionEffects:
         topology = TopologySpec(
             n_nodes=100, byzantine_fraction=0.1, trusted_fraction=0.1, view_ratio=0.08
         )
-        options = RapteeOptions(eviction=FixedEviction(0.6))
+        options = RapteeConfig(eviction=FixedEviction(0.6))
         bundle = _run(_spec(topology, rounds=10, raptee=options)).bundle
         rates = [
             node.last_eviction_rate
@@ -125,7 +125,7 @@ class TestEvictionEffects:
 
 class TestIdentificationAttackIntegration:
     def _attack_f1(self, eviction, seed=SEED):
-        options = RapteeOptions(
+        options = RapteeConfig(
             eviction=eviction, probe_pulls=_TOPOLOGY.brahms_config().beta_count
         )
         bundle = _run(_spec(_TOPOLOGY, seed=seed, rounds=20, raptee=options)).bundle

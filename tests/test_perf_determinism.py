@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import RapteeConfig
 from repro.core.eviction import FixedEviction
 from repro.experiments.runner import RunMetrics, repeat
 from repro.experiments.scenarios import TopologySpec
-from repro.scenario import RapteeOptions, ScenarioSpec, run_scenario
+from repro.scenario import ScenarioSpec, run_scenario
 from tests._pinned import PINNED_DICTS, run_pinned
 
 SEEDS = [101, 202, 303, 404]
@@ -31,7 +32,7 @@ def _build_and_run_perf(seed: int) -> RunMetrics:
             n_nodes=30, byzantine_fraction=0.10, trusted_fraction=0.10,
             view_ratio=0.12, transport_encryption=True,
         ),
-        raptee=RapteeOptions(eviction=FixedEviction(0.6)),
+        raptee=RapteeConfig(eviction=FixedEviction(0.6)),
     )
     return run_scenario(spec, telemetry=None).metrics
 

@@ -62,14 +62,12 @@ class TestEvictionArithmetic:
     @settings(max_examples=100, deadline=None)
     def test_exact_eviction_proportion(self, pool_size, rate_percent, seed):
         rate = rate_percent / 100.0
-        config = RapteeConfig(
-            brahms=BrahmsConfig(view_size=8, sample_size=4),
-            eviction=FixedEviction(rate),
-        )
+        config = RapteeConfig(eviction=FixedEviction(rate))
         # Build a bare trusted node without the full provisioning flow:
         # the eviction arithmetic does not touch the enclave.
         node = RapteeNode.__new__(RapteeNode)
-        BrahmsNode.__init__(node, 0, NodeKind.TRUSTED, config.brahms, random.Random(seed))
+        BrahmsNode.__init__(node, 0, NodeKind.TRUSTED, BrahmsConfig(view_size=8, sample_size=4),
+                           random.Random(seed))
         node.raptee_config = config
         node._trusted_role = True
         node.degraded = False

@@ -151,8 +151,8 @@ class TestFrontEndsAgree:
 
     def test_flags_constructor_and_dict_build_the_same_run(self):
         from repro.cli import _spec_from_args, build_parser
+        from repro.core.config import RapteeConfig
         from repro.core.eviction import FixedEviction
-        from repro.scenario import RapteeOptions
 
         runs = {"dict": run_scenario(spec_from_dict(_FLAGS_DICT))}
         for command in ("run", "trace"):
@@ -162,7 +162,7 @@ class TestFrontEndsAgree:
             name="constructor", protocol="raptee", seed=_SEED,
             topology=TopologySpec(n_nodes=40, byzantine_fraction=0.1,
                                   trusted_fraction=0.1, view_ratio=0.1),
-            raptee=RapteeOptions(eviction=FixedEviction(0.6)),
+            raptee=RapteeConfig(eviction=FixedEviction(0.6)),
         )
         constructor = run_built(compile_spec(spec), _SEED, None)
 

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.brahms.config import BrahmsConfig
 from repro.cli import main
+from repro.core.config import RapteeConfig
 from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.experiments.scenarios import TopologySpec
 from repro.faults.plan import RoundWindow
@@ -38,7 +39,7 @@ from repro.scenario import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.scenario.spec import FAULT_KINDS, ChurnSpec, EngineSpec, RapteeOptions
+from repro.scenario.spec import FAULT_KINDS, ChurnSpec, EngineSpec
 from repro.scenario.vectors import generate_vector, read_vector, write_vector
 from repro.snapshot.format import SnapshotVersionError
 
@@ -367,7 +368,7 @@ def _sites(spec_dict):
     yield "spec", spec_dict, ScenarioSpec, False
     for name, cls in (
         ("topology", TopologySpec), ("brahms", BrahmsConfig),
-        ("raptee", RapteeOptions), ("membership", MembershipConfig),
+        ("raptee", RapteeConfig), ("membership", MembershipConfig),
         ("churn", ChurnSpec), ("engine", EngineSpec),
     ):
         yield name, spec_dict[name], cls, False

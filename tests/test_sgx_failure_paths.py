@@ -112,7 +112,7 @@ class TestDeviceRevocation:
             infrastructure.new_trusted_enclave(999)
 
     def test_revocation_mid_recovery_degrades_permanently(
-        self, infrastructure, small_raptee_config
+        self, small_brahms_config, infrastructure, small_raptee_config
     ):
         """Satellite combo matrix: revocation landing *during* the backoff
         ladder must abandon recovery permanently — no infinite backoff —
@@ -136,7 +136,7 @@ class TestDeviceRevocation:
             )
             host, _device = fresh_infrastructure.new_trusted_enclave(1)
             node = RapteeNode(
-                1, NodeKind.TRUSTED, small_raptee_config,
+                1, NodeKind.TRUSTED, small_brahms_config, small_raptee_config,
                 random.Random(1), enclave=host,
             )
             simulation = Simulation(

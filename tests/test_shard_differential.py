@@ -39,6 +39,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.eviction import FixedEviction
+from repro.faults.plan import CrashRestartFault, LossBurstFault, RoundWindow
 from repro.scenario.run import ScenarioArtifacts
 from repro.shard.state import ShardConfig
 
@@ -74,7 +76,8 @@ def _raptee_faults_config() -> ShardConfig:
 def _validation_config() -> ShardConfig:
     topology = {"n_nodes": 50, "byzantine_fraction": 0.10, "view_ratio": 0.16}
     config = shard_config(topology, seed=3, protocol="brahms")
-    return replace(config, validation_period=5, crashes=((10, 2, 3), (22, 6, 2)))
+    return replace(config, validation_period=5,
+                   crashes=(CrashRestartFault(10, 2, 3), CrashRestartFault(22, 6, 2)))
 
 
 def _raptee_edge_config(byzantine_fraction: float = 0.10, **overrides) -> ShardConfig:
@@ -98,7 +101,7 @@ def _no_byzantine_config() -> ShardConfig:
 
 def _evict_everything_config() -> ShardConfig:
     # Fixed rate 1.0: keep <= 0, every untrusted id a trusted owner pulled goes.
-    return _raptee_edge_config(eviction_kind="fixed", eviction_params=(1.0,))
+    return _raptee_edge_config(eviction=FixedEviction(1.0))
 
 
 def _gamma_zero_config() -> ShardConfig:
@@ -116,7 +119,7 @@ def _no_trusted_exchange_config() -> ShardConfig:
 
 def _heavy_burst_config() -> ShardConfig:
     # 0.9 extra loss: owners with no delivered push or no answered pull.
-    return _raptee_edge_config(loss_bursts=((2, 5, 0.9),))
+    return _raptee_edge_config(loss_bursts=(LossBurstFault(RoundWindow(2, 5), 0.9),))
 
 
 def _saturated_config() -> ShardConfig:
@@ -163,8 +166,8 @@ def _evicting_swaps_config() -> ShardConfig:
     # Fixed-rate eviction on a trusted band that swaps, fake windows that
     # wrap: the explicit id stream of trusted owners beside the batch
     # references of everyone else.
-    return _raptee_edge_config(byzantine_fraction=0.05, eviction_kind="fixed",
-                               eviction_params=(0.5,))
+    return _raptee_edge_config(byzantine_fraction=0.05,
+                               eviction=FixedEviction(0.5))
 
 
 SCENARIOS = {
@@ -347,7 +350,7 @@ class TestEdgeScenariosBite:
     def test_evicting_swaps_evict_and_swap(self):
         simulation = self._state("raptee-evicting-swaps")
         config = simulation.config
-        assert config.eviction_kind == "fixed"
+        assert isinstance(config.eviction, FixedEviction)
         assert 0 < config.n_byzantine < config.view_size
         assert simulation.state.evicted_ids > 0
         assert simulation.state.trusted_exchanges > 0

@@ -26,12 +26,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.core.eviction import AdaptiveEviction, FixedEviction
 from repro.crypto.minwise import MERSENNE_PRIME_31
+from repro.faults.plan import CrashRestartFault, FaultPlan, LossBurstFault, RoundWindow
 from repro.scenario.spec import EngineSpec, ScenarioSpecError
 from repro.shard import partition_bounds
 from repro.shard.compile import (
     ShardUnsupportedError,
-    eviction_fields,
     shard_config_from_spec,
 )
 from repro.shard.engine import (
@@ -253,13 +254,13 @@ def _tiny_configs(draw):
     protocol = draw(st.sampled_from(["brahms", "raptee"]))
     raptee = {}
     if protocol == "raptee":
-        kind, params = draw(st.sampled_from([
-            ("none", ()), ("fixed", (0.4,)), ("fixed", (1.0,)),
-            ("adaptive", (0.2, 0.8, 0.2, 0.8)),
-            ("adaptive", (0.0, 0.5, 0.0, 1.0)),
+        eviction = draw(st.sampled_from([
+            None, FixedEviction(0.4), FixedEviction(1.0),
+            AdaptiveEviction(0.2, 0.8, 0.2, 0.8),
+            AdaptiveEviction(0.0, 0.5, 0.0, 1.0),
         ]))
         raptee = {"n_trusted": draw(st.integers(0, n - n_byzantine)),
-                  "eviction_kind": kind, "eviction_params": params,
+                  "eviction": eviction,
                   "trusted_exchange": draw(st.booleans())}
     config = ShardConfig(
         protocol=protocol, n_nodes=n, seed=draw(st.integers(0, 2 ** 16)),
@@ -393,7 +394,7 @@ class TestSegmentKernel:
         banded = _recorded_deltas(monkeypatch, config, use_numpy=True,
                                   rounds=rounds)
         t_hi = config.n_byzantine + config.n_trusted
-        assert config.eviction_kind == "adaptive"
+        assert isinstance(config.eviction, AdaptiveEviction)
         assert any(a < t_hi < b for a, b in spans), sorted(set(spans))
         assert banded == whole
 
@@ -775,55 +776,6 @@ class TestSegmentKernel:
                                      segment.tolist(), keep) if keep else []
             assert segment[mask[at:at + length]].tolist() == expected
             at += length
-
-    @given(
-        shares=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=30),
-        anchors=st.lists(st.floats(min_value=0.0, max_value=1.0),
-                         min_size=2, max_size=2, unique=True).map(sorted),
-        rates=st.lists(st.floats(min_value=0.0, max_value=1.0),
-                       min_size=2, max_size=2).map(sorted),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_eviction_rates_match_scalar(self, shares, anchors, rates):
-        """The array twin is bit-equal to the scalar rule, which is the
-        §IV-C policy itself (`ShardConfig.eviction_rate` asks it)."""
-        import numpy as np
-
-        from repro.core.eviction import AdaptiveEviction, FixedEviction
-
-        # The anchor points themselves are where the clamps switch.
-        shares = np.asarray(shares + anchors + [0.0, 1.0])
-        policies = (None, FixedEviction(rates[0]),
-                    AdaptiveEviction(*anchors, *rates))
-        for policy in policies:
-            kind, params = eviction_fields(policy)
-            config = _kernel_config(eviction_kind=kind, eviction_params=params)
-            expected = [0.0 if policy is None else policy.rate(share)
-                        for share in shares.tolist()]
-            assert config.eviction_rates(shares).tolist() == expected
-            assert [config.eviction_rate(share)
-                    for share in shares.tolist()] == expected
-
-    def test_eviction_rates_evaluate_the_line_inside_its_interval_only(self):
-        """Anchors ``(0, 5e-324)`` make the slope −inf; the scalar rule
-        never computes it (no share lies strictly between), so the array
-        twin must not either — at a share on an anchor, −inf · 0 is a NaN
-        and an ``invalid value`` warning."""
-        import warnings
-
-        import numpy as np
-
-        from repro.core.eviction import AdaptiveEviction
-
-        policy = AdaptiveEviction(0.0, 5e-324, 0.0, 1.0)
-        kind, params = eviction_fields(policy)
-        config = _kernel_config(eviction_kind=kind, eviction_params=params)
-        shares = np.asarray([0.0, 5e-324, 1e-300, 0.5, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rates = config.eviction_rates(shares).tolist()
-        assert rates == [policy.rate(share) for share in shares.tolist()]
-        assert rates == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def _reference_case(n, n_byz, n_trusted, l1, views, sources, dst, answered,
@@ -1548,7 +1500,7 @@ class TestRoundRecord:
             shard_config({"n_nodes": 40, "byzantine_fraction": 0.1,
                           "trusted_fraction": 0.1, "view_ratio": 0.2},
                          seed=3, protocol="raptee"),
-            crashes=((7, 2, 1),),
+            crashes=(CrashRestartFault(7, 2, 1),),
         )
         records = run_shard_config(config, rounds=3).bundle.view_records
         assert [7 in record.nodes for record in records] == [True, False, True]
@@ -1609,51 +1561,66 @@ class TestConfigValidation:
 
 
 class TestFaultScheduleValidation:
-    """`ShardConfig` rejects fault entries it used to run silently wrong."""
+    """The crash and burst rules are the fault plan's
+    (`repro.faults.plan.validate_faults`, what every engine applies):
+    `FaultPlan` and `ShardConfig` refuse the same schedules with the same
+    message.  Only the range check on node ids is `ShardConfig`'s own."""
 
-    def _config(self, **faults):
+    def _config(self, crashes=(), loss_bursts=()):
         return ShardConfig(protocol="brahms", n_nodes=20, seed=1,
                            n_byzantine=2, view_size=4, sample_size=2,
-                           alpha_count=2, beta_count=1, gamma_count=1, **faults)
+                           alpha_count=2, beta_count=1, gamma_count=1,
+                           crashes=tuple(CrashRestartFault(*c) for c in crashes),
+                           loss_bursts=tuple(
+                               LossBurstFault(RoundWindow(first, last), rate)
+                               for first, last, rate in loss_bursts))
+
+    def _refused(self, match, crashes=()):
+        faults = [CrashRestartFault(*crash) for crash in crashes]
+        with pytest.raises(ValueError, match=match):
+            FaultPlan(faults)
+        with pytest.raises(ValueError, match=match):
+            self._config(crashes=crashes)
 
     def test_valid_schedules_accepted(self):
         config = self._config(
             crashes=((5, 2, 3), (5, 6, 1), (19, 1, 1)),
-            loss_bursts=((3, 3, 0.0), (1, 9, 0.99)),
+            loss_bursts=((3, 3, 0.0), (1, 9, 0.99), (4, 5, 1.0)),
         )
         assert len(config.crashes) == 3
+        FaultPlan(config.crashes + config.loss_bursts)
 
     @pytest.mark.parametrize("crash", [(-1, 2, 3), (20, 2, 3)])
     def test_crash_node_out_of_range(self, crash):
-        # (-1, 2, 3) used to crash node N-1 through negative indexing.
-        with pytest.raises(ValueError, match=r"crash \(-?\d+, 2, 3\).*node id"):
+        # (-1, 2, 3) used to crash node N-1 through negative indexing; every
+        # engine refuses it.  An id >= N is refused on shard only: a
+        # per-node churn arrival may take one.
+        with pytest.raises(ValueError, match="node_id must be non-negative|node id outside"):
             self._config(crashes=(crash,))
 
     @pytest.mark.parametrize("crash", [(5, 0, 3), (5, 2, 0), (5, 2, -1)])
     def test_crash_rounds_must_be_positive(self, crash):
-        with pytest.raises(ValueError, match="at_round and down_rounds"):
-            self._config(crashes=(crash,))
+        self._refused("(at_round|down_rounds) must be >= 1", crashes=(crash,))
 
     @pytest.mark.parametrize("second", [(5, 3, 1), (5, 5, 2), (5, 2, 1)])
     def test_overlapping_crash_windows_rejected(self, second):
         # Node 5 is down for rounds 2-4 and restarts in round 5; a second
         # window touching any of those would revive it early or race the
         # restart.
-        with pytest.raises(ValueError, match="overlaps.*node 5"):
-            self._config(crashes=((5, 2, 3), second))
-        with pytest.raises(ValueError, match="overlaps.*node 5"):
-            self._config(crashes=(second, (5, 2, 3)))
+        self._refused("overlaps.*node 5", crashes=((5, 2, 3), second))
+        self._refused("overlaps.*node 5", crashes=(second, (5, 2, 3)))
 
     def test_same_rounds_on_different_nodes_allowed(self):
         self._config(crashes=((5, 2, 3), (6, 2, 3)))
+        FaultPlan([CrashRestartFault(5, 2, 3), CrashRestartFault(6, 2, 3)])
 
     def test_inverted_burst_window_rejected(self):
-        with pytest.raises(ValueError, match=r"loss burst \(3, 2, 0.5\).*first"):
+        with pytest.raises(ValueError, match="window end must be >= start"):
             self._config(loss_bursts=((3, 2, 0.5),))
 
-    @pytest.mark.parametrize("rate", [1.5, 1.0, -0.1])
+    @pytest.mark.parametrize("rate", [1.5, -0.1])
     def test_burst_rate_out_of_range_rejected(self, rate):
-        with pytest.raises(ValueError, match="rate must be in"):
+        with pytest.raises(ValueError, match=r"loss_rate must be in \[0, 1\]"):
             self._config(loss_bursts=((2, 3, rate),))
 
 
@@ -1684,7 +1651,7 @@ _VECTOR_CONFIGS = {
         "n_byzantine=5, n_trusted=0, view_size=8, sample_size=4, "
         "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
         " validation_period=10, push_limit=None, loss_rate=0.0, "
-        "encrypt=False, eviction_kind='none', eviction_params=(), "
+        "encrypt=False, eviction=None, "
         "trusted_exchange=True, loss_bursts=(), crashes=())"
     ),
     "shard-raptee-fixed-eviction": (
@@ -1692,7 +1659,7 @@ _VECTOR_CONFIGS = {
         "n_byzantine=4, n_trusted=8, view_size=8, sample_size=4, "
         "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
         " validation_period=10, push_limit=None, loss_rate=0.0, "
-        "encrypt=False, eviction_kind='fixed', eviction_params=(0.6,), "
+        "encrypt=False, eviction=FixedEviction(value=0.6), "
         "trusted_exchange=True, loss_bursts=(), crashes=())"
     ),
     "shard-raptee-adaptive-eviction": (
@@ -1700,25 +1667,28 @@ _VECTOR_CONFIGS = {
         "n_byzantine=4, n_trusted=8, view_size=8, sample_size=4, "
         "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
         " validation_period=10, push_limit=None, loss_rate=0.0, "
-        "encrypt=False, eviction_kind='adaptive', eviction_params=(0.2, "
-        "0.8, 0.2, 0.8), trusted_exchange=True, loss_bursts=(), crashes=())"
+        "encrypt=False, eviction=AdaptiveEviction(low_share=0.2, "
+        "high_share=0.8, low_rate=0.2, high_rate=0.8), trusted_exchange=True, "
+        "loss_bursts=(), crashes=())"
     ),
     "shard-fault-lossburst": (
         "ShardConfig(protocol='brahms', n_nodes=50, seed=404, "
         "n_byzantine=5, n_trusted=0, view_size=8, sample_size=4, "
         "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
         " validation_period=10, push_limit=None, loss_rate=0.0, "
-        "encrypt=False, eviction_kind='none', eviction_params=(), "
-        "trusted_exchange=True, loss_bursts=((2, 4, 0.3),), crashes=())"
+        "encrypt=False, eviction=None, trusted_exchange=True, "
+        "loss_bursts=(LossBurstFault(window=RoundWindow(start=2, end=4), "
+        "loss_rate=0.3),), crashes=())"
     ),
     "shard-fault-crash": (
         "ShardConfig(protocol='raptee', n_nodes=40, seed=405, "
         "n_byzantine=4, n_trusted=8, view_size=8, sample_size=4, "
         "alpha_count=3, beta_count=3, gamma_count=2, blocking_enabled=True,"
         " validation_period=10, push_limit=None, loss_rate=0.0, "
-        "encrypt=False, eviction_kind='adaptive', eviction_params=(0.2, "
-        "0.8, 0.2, 0.8), trusted_exchange=True, loss_bursts=(), "
-        "crashes=((5, 2, 2),))"
+        "encrypt=False, eviction=AdaptiveEviction(low_share=0.2, "
+        "high_share=0.8, low_rate=0.2, high_rate=0.8), trusted_exchange=True, "
+        "loss_bursts=(), crashes=(CrashRestartFault(node_id=5, at_round=2, "
+        "down_rounds=2, crash_enclave=True),))"
     ),
 }
 
@@ -1730,17 +1700,14 @@ class TestCompileGate:
         with pytest.raises(ShardUnsupportedError, match="poisoned"):
             shard_config(topology, seed=1, protocol="raptee")
 
-    def test_unknown_eviction_policy_unsupported(self):
-        class Weird:
-            pass
-
-        with pytest.raises(ShardUnsupportedError, match="Weird"):
-            eviction_fields(Weird())
-
     def test_brahms_forces_eviction_off(self):
         topology = {"n_nodes": 60, "byzantine_fraction": 0.1}
         config = shard_config(topology, seed=1, protocol="brahms")
-        assert config.eviction_kind == "none"
+        assert config.eviction is None
+        # ... as does a RAPTEE spec with eviction switched off.
+        config = shard_config(dict(topology, trusted_fraction=0.1), seed=1,
+                              protocol="raptee", raptee={"eviction_enabled": False})
+        assert config.eviction is None
 
     @pytest.mark.parametrize("name", sorted(_VECTOR_CONFIGS))
     def test_vector_specs_compile_to_the_pinned_config(self, name):
